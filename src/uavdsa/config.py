@@ -27,7 +27,7 @@ Schema (defaults in parentheses):
          learning_rate (0.001)}
     agent: {variant ("ddqn-soft" | "ddqn" | "dqn" | "qtable" | "random"),
             uavs (1), gamma (0.9), hidden ([64, 64]),
-            replay_capacity (10000), batch_size (32),
+            replay_capacity (10000), batch_size (32, <= replay_capacity),
             target_update_period (100), tau (0.01), learning_rate (0.001),
             epsilon0 (1.0), epsilon_min (0.05), epsilon_decay (null),
             alpha (null), alpha_power (0.7), checkpoint (null)}
@@ -318,6 +318,10 @@ def validate_config(raw: dict, seed_override: int | None = None,
         alpha_power=agent_sec.value("alpha_power", 0.7, float, low=0.0, high=1.0),
         checkpoint=agent_sec.value("checkpoint", None, str, nullable=True),
     )
+    if agent.batch_size > agent.replay_capacity:
+        problems.append(
+            f"agent.batch_size: {agent.batch_size} exceeds agent.replay_capacity "
+            f"{agent.replay_capacity}, so replay could never fill a batch")
 
     ds_sec = _Section(raw.get("dataset", {}), "dataset", problems)
     ds_sec.check_keys({"fft_size", "subcarriers_per_subchannel", "sinr_grid_db",

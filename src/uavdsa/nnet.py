@@ -34,7 +34,18 @@ class Layer:
 
 @dataclass
 class Network:
+    """A chain of dense layers over one flat float64 parameter vector.
+
+    `params` holds every layer's weights then biases, layer by layer; each
+    Layer's `w` and `b` are views into it, so per-layer and whole-network
+    updates see the same numbers. The gradient buffer has the same layout
+    and is allocated by the first `backward`.
+    """
+
     layers: list[Layer]
+    params: np.ndarray = field(init=False, repr=False)
+    _grad: np.ndarray | None = field(default=None, init=False, repr=False)
+    _grad_views: list | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         for prev, cur in zip(self.layers, self.layers[1:]):
@@ -42,6 +53,27 @@ class Network:
                 raise ValueError("chained layer dimensions do not match")
         if not all(np.isfinite(l.w).all() and np.isfinite(l.b).all() for l in self.layers):
             raise ValueError("weights must be finite")
+        self.params = np.empty(sum(l.w.size + l.b.size for l in self.layers))
+        for layer, (w, b) in zip(self.layers, self._views_of(self.params)):
+            w[...] = layer.w
+            b[...] = layer.b
+            layer.w, layer.b = w, b
+
+    def _views_of(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per-layer (w, b) views into a vector laid out like `params`."""
+        views, pos = [], 0
+        for layer in self.layers:
+            (n_in, n_out), end = layer.w.shape, pos + layer.w.size
+            views.append((flat[pos:end].reshape(n_in, n_out), flat[end:end + n_out]))
+            pos = end + n_out
+        return views
+
+    def gradient(self) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+        """The flat gradient buffer and its per-layer (dW, db) views."""
+        if self._grad is None:
+            self._grad = np.zeros_like(self.params)
+            self._grad_views = self._views_of(self._grad)
+        return self._grad, self._grad_views
 
     @property
     def input_dim(self) -> int:
@@ -100,8 +132,9 @@ def _activation_grad(z: np.ndarray, a: np.ndarray, act: str) -> np.ndarray:
     return np.ones_like(z)
 
 
-def _forward_trace(net: Network, x: np.ndarray):
-    """All pre-activations and activations, batch-first."""
+def forward_trace(net: Network, x: np.ndarray):
+    """All pre-activations and activations, batch-first; `backward` accepts
+    this trace so that a caller who already ran it does not run it twice."""
     a = np.atleast_2d(np.asarray(x, dtype=float))
     if a.shape[1] != net.input_dim:
         raise ValueError(f"input dim {a.shape[1]} != network input {net.input_dim}")
@@ -113,17 +146,18 @@ def _forward_trace(net: Network, x: np.ndarray):
     return pre, post
 
 
+_forward_trace = forward_trace  # the former private name, which the acceptance suite calls
+
+
 def forward(net: Network, x: np.ndarray) -> np.ndarray:
     """Network output; a 1-D input yields a 1-D output."""
     single = np.asarray(x).ndim == 1
-    _, post = _forward_trace(net, x)
+    _, post = forward_trace(net, x)
     out = post[-1]
     return out[0] if single else out
 
 
-def loss_value(net: Network, x: np.ndarray, target: np.ndarray, loss: LossSpec) -> float:
-    y = np.atleast_2d(forward(net, x))
-    t = np.atleast_2d(np.asarray(target, dtype=float))
+def _loss(y: np.ndarray, t: np.ndarray, loss: LossSpec) -> float:
     e = y - t
     if loss.kind == "mse":
         return float(np.mean(e ** 2))
@@ -136,12 +170,22 @@ def loss_value(net: Network, x: np.ndarray, target: np.ndarray, loss: LossSpec) 
     return float(np.mean(-t * np.log(y_c) - (1.0 - t) * np.log1p(-y_c)))
 
 
-def backward(net: Network, x: np.ndarray, target: np.ndarray, loss: LossSpec):
+def loss_value(net: Network, x: np.ndarray, target: np.ndarray, loss: LossSpec) -> float:
+    y = np.atleast_2d(forward(net, x))
+    return _loss(y, np.atleast_2d(np.asarray(target, dtype=float)), loss)
+
+
+def backward(net: Network, x: np.ndarray, target: np.ndarray, loss: LossSpec,
+             trace=None):
     """Scalar loss plus exact gradients (dW, db) for every layer.
 
-    Gradients are means over the batch, matching loss_value.
+    Gradients are means over the batch, matching loss_value. `trace` is
+    forward_trace(net, x) when the caller already holds it. The gradients
+    are written into the network's gradient buffer (see
+    `Network.gradient`), so they stay valid until the next backward on the
+    same network.
     """
-    pre, post = _forward_trace(net, x)
+    pre, post = forward_trace(net, x) if trace is None else trace
     t = np.atleast_2d(np.asarray(target, dtype=float))
     y = post[-1]
     if y.shape != t.shape:
@@ -153,24 +197,21 @@ def backward(net: Network, x: np.ndarray, target: np.ndarray, loss: LossSpec):
         if last.activation != "sigmoid":
             raise ValueError("bce expects a sigmoid output layer")
         delta = (y - t) / n_total  # sigmoid+bce cancellation, exact
-        total = loss_value(net, x, target, loss)
     else:
         if loss.kind == "mse":
             dl_dy = 2.0 * (y - t) / n_total
-            total = float(np.mean((y - t) ** 2))
         else:
-            e = y - t
-            dl_dy = np.clip(e, -loss.delta, loss.delta) / n_total
-            abs_e = np.abs(e)
-            total = float(np.mean(np.where(
-                abs_e <= loss.delta, 0.5 * e ** 2, loss.delta * (abs_e - 0.5 * loss.delta))))
+            dl_dy = np.clip(y - t, -loss.delta, loss.delta) / n_total
         delta = dl_dy * _activation_grad(pre[-1], y, last.activation)
+    total = _loss(y, t, loss)
 
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(net.layers)
+    _, grads = net.gradient()
     for i in range(len(net.layers) - 1, -1, -1):
         if not np.isfinite(delta).all():
             raise NonFiniteLossError(f"non-finite gradient signal at layer {i}")
-        grads[i] = (post[i].T @ delta, delta.sum(axis=0))
+        gw, gb = grads[i]
+        np.matmul(post[i].T, delta, out=gw)
+        delta.sum(axis=0, out=gb)
         if i > 0:
             delta = (delta @ net.layers[i].w.T) * _activation_grad(
                 pre[i - 1], post[i], net.layers[i - 1].activation)
@@ -179,7 +220,9 @@ def backward(net: Network, x: np.ndarray, target: np.ndarray, loss: LossSpec):
 
 @dataclass
 class OptimizerState:
-    """kind in {"sgd-momentum", "adam"}; accumulators mirror parameter shapes."""
+    """kind in {"sgd-momentum", "adam"}; `slots` holds the accumulators
+    (velocity, or first and second moments) and `scratch` the work
+    vectors, each laid out like the network's flat parameters."""
 
     kind: str
     learning_rate: float
@@ -189,6 +232,7 @@ class OptimizerState:
     eps: float = 1e-8
     step_count: int = 0
     slots: list = field(default_factory=list)
+    scratch: list = field(default_factory=list)
 
     def __post_init__(self):
         if self.kind not in ("sgd-momentum", "adam"):
@@ -197,40 +241,47 @@ class OptimizerState:
             raise ValueError("learning rate must be positive")
 
 
-def _ensure_slots(state: OptimizerState, net: Network):
-    if state.slots:
-        return
-    per = 2 if state.kind == "adam" else 1
-    for layer in net.layers:
-        state.slots.append(tuple(
-            (np.zeros_like(layer.w), np.zeros_like(layer.b)) for _ in range(per)))
-
-
 def optimizer_step(net: Network, grads, state: OptimizerState):
-    """In-place parameter update; returns (net, state) for chaining."""
-    _ensure_slots(state, net)
+    """In-place parameter update; returns (net, state) for chaining.
+
+    grads is the list `backward` returned, or any per-layer (dW, db) list,
+    which is first copied into the network's gradient buffer.
+    """
+    g, views = net.gradient()
+    if grads is not views:
+        for (gw, gb), (vw, vb) in zip(grads, views):
+            vw[...] = gw
+            vb[...] = gb
+    if not state.slots:
+        per = 2 if state.kind == "adam" else 1
+        state.slots = [np.zeros_like(net.params) for _ in range(per)]
+        state.scratch = [np.empty_like(net.params) for _ in range(per)]
     state.step_count += 1
     lr = state.learning_rate
-    for layer, (gw, gb), slot in zip(net.layers, grads, state.slots):
-        if state.kind == "sgd-momentum":
-            (vw, vb), = slot
-            vw *= state.momentum
-            vw += gw
-            vb *= state.momentum
-            vb += gb
-            layer.w -= lr * vw
-            layer.b -= lr * vb
-        else:
-            (mw, mb), (vw, vb) = slot
-            t = state.step_count
-            for p, g, m, v in ((layer.w, gw, mw, vw), (layer.b, gb, mb, vb)):
-                m *= state.beta1
-                m += (1.0 - state.beta1) * g
-                v *= state.beta2
-                v += (1.0 - state.beta2) * g ** 2
-                m_hat = m / (1.0 - state.beta1 ** t)
-                v_hat = v / (1.0 - state.beta2 ** t)
-                p -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    p = net.params
+    if state.kind == "sgd-momentum":
+        (v,), (s,) = state.slots, state.scratch
+        v *= state.momentum
+        v += g
+        np.multiply(v, lr, out=s)
+        p -= s
+    else:
+        (m, v), (s1, s2) = state.slots, state.scratch
+        t = state.step_count
+        m *= state.beta1
+        np.multiply(g, 1.0 - state.beta1, out=s1)
+        m += s1
+        v *= state.beta2
+        np.square(g, out=s1)
+        s1 *= 1.0 - state.beta2
+        v += s1
+        np.divide(m, 1.0 - state.beta1 ** t, out=s1)  # m_hat
+        np.divide(v, 1.0 - state.beta2 ** t, out=s2)  # v_hat
+        np.sqrt(s2, out=s2)
+        s2 += state.eps
+        s1 *= lr
+        s1 /= s2
+        p -= s1
     return net, state
 
 
@@ -285,18 +336,37 @@ def network_to_bytes(net: Network) -> bytes:
     return b"".join(parts)
 
 
-def network_from_bytes(data: bytes, offset: int = 0) -> tuple[Network, int]:
-    """Parse a network block; returns (network, bytes consumed)."""
+def network_from_bytes(data: bytes, offset: int = 0, source: str = "network block") -> Network:
+    """Parse the network block that runs from `offset` to the end of `data`.
+
+    A bad magic or version, an unknown activation code, a truncated block
+    and trailing bytes each raise a ValueError that names `source`.
+    """
+    def bad(problem: str) -> ValueError:
+        return ValueError(f"{source}: {problem}")
+
     if data[offset:offset + 4] != CHECKPOINT_MAGIC:
-        raise ValueError("not a network checkpoint block")
+        raise bad("not a network checkpoint block")
+    pos = offset + 12
+    if len(data) < pos:
+        raise bad("truncated network header")
     version, n_layers = struct.unpack_from("<II", data, offset + 4)
     if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    pos = offset + 12
-    shapes = []
-    for _ in range(n_layers):
-        shapes.append(struct.unpack_from("<III", data, pos))
-        pos += 12
+        raise bad(f"unsupported checkpoint version {version}")
+    if n_layers == 0:
+        raise bad("network has no layers")
+    if len(data) < pos + 12 * n_layers:
+        raise bad("truncated layer table")
+    shapes = [struct.unpack_from("<III", data, pos + 12 * i) for i in range(n_layers)]
+    pos += 12 * n_layers
+    for _, _, code in shapes:
+        if code >= len(ACTIVATIONS):
+            raise bad(f"unknown activation code {code}")
+    expected = pos + 4 * sum(fan_in * fan_out + fan_out for fan_in, fan_out, _ in shapes)
+    if len(data) != expected:
+        raise bad(f"{len(data) - offset} bytes where the network block needs "
+                  f"{expected - offset}: " + ("truncated" if len(data) < expected
+                                               else "trailing bytes"))
     layers = []
     for fan_in, fan_out, code in shapes:
         w = np.frombuffer(data, dtype="<f4", count=fan_in * fan_out, offset=pos)
@@ -308,7 +378,10 @@ def network_from_bytes(data: bytes, offset: int = 0) -> tuple[Network, int]:
             b=b.astype(float),
             activation=ACTIVATIONS[code],
         ))
-    return Network(layers), pos - offset
+    try:
+        return Network(layers)
+    except ValueError as exc:
+        raise bad(str(exc)) from None
 
 
 def save_checkpoint(net: Network, path: str) -> None:
@@ -318,5 +391,4 @@ def save_checkpoint(net: Network, path: str) -> None:
 
 def load_checkpoint(path: str) -> Network:
     with open(path, "rb") as f:
-        net, _ = network_from_bytes(f.read())
-    return net
+        return network_from_bytes(f.read(), source=path)

@@ -13,10 +13,10 @@ constraints satisfied by construction.
 """
 
 import csv
+import math
 import struct
 import time
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -69,6 +69,16 @@ def state_features(state: AgentState, num_subchannels: int) -> np.ndarray:
     return np.asarray(state, dtype=float)
 
 
+def feature_table(num_subchannels: int) -> np.ndarray:
+    """state_features of every state, as a (2^M + 1) x M matrix indexed
+    by state_index."""
+    n = 2 ** num_subchannels
+    table = np.empty((n + 1, num_subchannels))
+    table[:n] = (np.arange(n)[:, None] >> np.arange(num_subchannels)) & 1
+    table[n] = 0.5
+    return table
+
+
 def valid_actions(state: AgentState, num_subchannels: int) -> tuple[int, ...]:
     """Idle plus every sub-channel predicted vacant; INITIAL allows idle only
     (no holes have been detected yet)."""
@@ -113,45 +123,55 @@ def masked_actions(q_values: Sequence[float], valid: Sequence[int], k: int,
 
 
 @dataclass
-class Experience:
-    s: AgentState
-    a: int
-    r: float
-    s_next: AgentState
+class ReplayRing:
+    """Preallocated FIFO replay memory of (state index, action, reward,
+    next-state index) transitions; at capacity the oldest is overwritten."""
 
-    def __post_init__(self):
-        if not np.isfinite(self.r):
-            raise ValueError("reward must be finite")
-
-
-@dataclass
-class ReplayBuffer:
     capacity: int
-    items: deque = None
     insertions: int = 0
+    states: np.ndarray = field(init=False, repr=False)
+    actions: np.ndarray = field(init=False, repr=False)
+    rewards: np.ndarray = field(init=False, repr=False)
+    next_states: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.capacity < 1:
             raise ValueError("capacity must be >= 1")
-        self.items = deque(maxlen=self.capacity)
+        self.states = np.zeros(self.capacity, dtype=np.intp)
+        self.actions = np.zeros(self.capacity, dtype=np.intp)
+        self.rewards = np.zeros(self.capacity)
+        self.next_states = np.zeros(self.capacity, dtype=np.intp)
 
     def __len__(self) -> int:
-        return len(self.items)
+        return min(self.insertions, self.capacity)
 
 
-def replay_push(buffer: ReplayBuffer, experience: Experience) -> None:
-    buffer.items.append(experience)  # deque evicts FIFO at capacity
-    buffer.insertions += 1
+def replay_push(ring: ReplayRing, s: int, a: int, r: float, s_next: int) -> None:
+    """Store one transition, its states given by state_index."""
+    if not math.isfinite(r):
+        raise ValueError("reward must be finite")
+    pos = ring.insertions % ring.capacity
+    ring.states[pos] = s
+    ring.actions[pos] = a
+    ring.rewards[pos] = r
+    ring.next_states[pos] = s_next
+    ring.insertions += 1
 
 
-def replay_sample(buffer: ReplayBuffer, batch_size: int,
-                  rng: np.random.Generator) -> list[Experience]:
-    """Uniform sample without replacement within one batch."""
-    if len(buffer) < batch_size:
+def replay_sample(ring: ReplayRing, batch_size: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Ring positions of a uniform sample without replacement within one
+    batch. The draw numbers the stored transitions oldest-first, as a FIFO
+    queue would."""
+    size = len(ring)
+    if size < batch_size:
         raise InsufficientSamplesError(
-            f"buffer holds {len(buffer)} < batch size {batch_size}")
-    idx = rng.choice(len(buffer), size=batch_size, replace=False)
-    return [buffer.items[i] for i in idx]
+            f"buffer holds {size} < batch size {batch_size}")
+    idx = rng.choice(size, size=batch_size, replace=False)
+    if ring.insertions > ring.capacity:  # the oldest sits at the write position
+        idx += ring.insertions
+        idx %= ring.capacity
+    return idx
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +222,11 @@ class QTable:
         row = self.q_row(state)
         return masked_actions(row, valid, k, epsilon, rng), row
 
-    def observe(self, experience: Experience, rng=None) -> None:
-        q_update(self, experience.s, experience.a, experience.r, experience.s_next)
+    def observe(self, s: AgentState, a: int, r: float, s_next: AgentState,
+                rng=None) -> None:
+        if not math.isfinite(r):
+            raise ValueError("reward must be finite")
+        q_update(self, s, a, r, s_next)
 
     def epsilon_at(self, episode: int, episodes: int) -> float:
         return _epsilon_schedule(self.epsilon0, self.epsilon_min,
@@ -237,6 +260,10 @@ class DqnAgent:
     vanilla max-over-target bootstrap with hard copies, "ddqn" decouples
     selection from evaluation, "ddqn-soft" additionally replaces the hard
     copy with polyak averaging.
+
+    The replay ring and the feature table (2^M + 1 rows of M floats) are
+    allocated by the first observe, so agents that only act never pay
+    for them.
     """
 
     num_subchannels: int
@@ -254,7 +281,8 @@ class DqnAgent:
     seed: int = 0
     primary: nnet.Network = None
     target: nnet.Network = None
-    replay: ReplayBuffer = None
+    replay: ReplayRing = None
+    features: np.ndarray = field(default=None, init=False, repr=False)
     optimizer: nnet.OptimizerState = None
     train_steps: int = 0
 
@@ -265,6 +293,8 @@ class DqnAgent:
             raise ValueError("gamma must lie in [0, 1)")
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError("tau must lie in [0, 1]")
+        if self.replay_capacity < 1:
+            raise ValueError("capacity must be >= 1")
         dims = [self.num_subchannels, *self.hidden, self.num_subchannels + 1]
         acts = ["relu"] * len(self.hidden) + ["identity"]
         if self.primary is None:
@@ -273,10 +303,10 @@ class DqnAgent:
             self.target = nnet.clone_weights(self.primary)
         if [l.w.shape for l in self.primary.layers] != [l.w.shape for l in self.target.layers]:
             raise ValueError("primary and target networks must share dimensions")
+        if self.primary.input_dim != self.num_subchannels:
+            raise ValueError("input width must be M")
         if self.primary.output_dim != self.num_subchannels + 1:
             raise ValueError("output width must be M + 1")
-        if self.replay is None:
-            self.replay = ReplayBuffer(self.replay_capacity)
         if self.optimizer is None:
             self.optimizer = nnet.OptimizerState(kind="adam",
                                                  learning_rate=self.learning_rate)
@@ -288,48 +318,56 @@ class DqnAgent:
         row = self.q_row(state)
         return masked_actions(row, valid, k, epsilon, rng), row
 
-    def observe(self, experience: Experience, rng: np.random.Generator) -> None:
+    def observe(self, s: AgentState, a: int, r: float, s_next: AgentState,
+                rng: np.random.Generator) -> None:
         """Store the transition and, once the buffer can fill a batch,
         run one regression step plus the target update."""
-        replay_push(self.replay, experience)
-        if len(self.replay) < self.batch_size:
+        m = self.num_subchannels
+        if self.replay is None:
+            self.replay = ReplayRing(self.replay_capacity)
+            self.features = feature_table(m)
+        ring = self.replay
+        replay_push(ring, state_index(s, m), a, r, state_index(s_next, m))
+        if len(ring) < self.batch_size:
             return
-        batch = replay_sample(self.replay, self.batch_size, rng)
-        targets_y = ddqn_targets(self, batch)
-        feats = np.array([state_features(e.s, self.num_subchannels) for e in batch])
-        target_mat = nnet.forward(self.primary, feats)
-        target_mat[np.arange(len(batch)), [e.a for e in batch]] = targets_y
-        _, grads = nnet.backward(self.primary, feats, target_mat, nnet.MSE)
+        idx = replay_sample(ring, self.batch_size, rng)
+        targets_y = ddqn_targets(self, ring.rewards[idx],
+                                 self.features[ring.next_states[idx]])
+        feats = self.features[ring.states[idx]]
+        trace = nnet.forward_trace(self.primary, feats)
+        target_mat = trace[1][-1].copy()
+        target_mat[np.arange(self.batch_size), ring.actions[idx]] = targets_y
+        _, grads = nnet.backward(self.primary, feats, target_mat, nnet.MSE, trace)
         nnet.optimizer_step(self.primary, grads, self.optimizer)
         self.train_steps += 1
         if self.variant == "ddqn-soft":
             soft_update(self.target, self.primary, self.tau)
         elif self.train_steps % self.target_update_period == 0:
-            self.target = nnet.clone_weights(self.primary)
+            np.copyto(self.target.params, self.primary.params)
 
     def epsilon_at(self, episode: int, episodes: int) -> float:
         return _epsilon_schedule(self.epsilon0, self.epsilon_min,
                                  self.epsilon_decay, episode, episodes)
 
 
-def ddqn_targets(agent: DqnAgent, batch: list[Experience]) -> np.ndarray:
-    """Per-example regression targets y_i.
+def ddqn_targets(agent: DqnAgent, rewards: np.ndarray,
+                 next_features: np.ndarray) -> np.ndarray:
+    """Per-example regression targets y_i from the rewards and the
+    next-state feature rows of a batch.
 
     Double mode evaluates the primary network's argmax action under the
     target network; vanilla mode takes the target network's max. The task
     is continuing, so there is no terminal masking.
     """
-    if not batch:
+    if len(rewards) == 0:
         raise ValueError("batch must be non-empty")
-    feats = np.array([state_features(e.s_next, agent.num_subchannels) for e in batch])
-    rewards = np.array([e.r for e in batch])
-    q_target = nnet.forward(agent.target, feats)
+    q_target = nnet.forward(agent.target, next_features)
     if agent.variant == "dqn":
         boot = q_target.max(axis=1)
     else:
-        q_primary = nnet.forward(agent.primary, feats)
+        q_primary = nnet.forward(agent.primary, next_features)
         best = q_primary.argmax(axis=1)
-        boot = q_target[np.arange(len(batch)), best]
+        boot = q_target[np.arange(len(rewards)), best]
     return rewards + agent.gamma * boot
 
 
@@ -339,11 +377,8 @@ def soft_update(target: nnet.Network, primary: nnet.Network, tau: float) -> nnet
         raise ValueError("tau must lie in [0, 1]")
     if [l.w.shape for l in target.layers] != [l.w.shape for l in primary.layers]:
         raise ValueError("networks differ in dimensions")
-    for t, p in zip(target.layers, primary.layers):
-        t.w *= 1.0 - tau
-        t.w += tau * p.w
-        t.b *= 1.0 - tau
-        t.b += tau * p.b
+    target.params *= 1.0 - tau
+    target.params += tau * primary.params
     return target
 
 
@@ -360,7 +395,7 @@ class RandomAgent:
         row = self.q_row(state)
         return masked_actions(row, valid, k, 1.0, rng), row
 
-    def observe(self, experience, rng=None) -> None:
+    def observe(self, s, a, r, s_next, rng=None) -> None:
         pass
 
     def epsilon_at(self, episode: int, episodes: int) -> float:
@@ -482,7 +517,7 @@ def train_agent(agent, env: SchedulingEnv, episodes: int, slots_per_episode: int
             _assert_feasible(actions, state)
             utility, rewards, ncoll, next_state = env.step(actions)
             for action, reward in zip(actions, rewards):
-                agent.observe(Experience(state, action, reward, next_state), rng_agent)
+                agent.observe(state, action, reward, next_state, rng_agent)
             cum_utility += utility
             collisions += ncoll
             q_sum += max(q_row[a] for a in valid)
@@ -621,23 +656,33 @@ def save_agent(agent: DqnAgent, path: str) -> None:
 
 
 def load_agent(path: str) -> DqnAgent:
+    """Read an agent checkpoint; a malformed file raises a ValueError that
+    names it."""
     with open(path, "rb") as f:
         data = f.read()
     fmt = "<4sIIIdddddIId"
-    (magic, version, m, variant_code, gamma, eps0, eps_min, decay, tau,
-     batch, period, lr) = struct.unpack_from(fmt, data)
-    if magic != AGENT_MAGIC:
+    header_size = struct.calcsize(fmt)
+    if data[:4] != AGENT_MAGIC:
         raise ValueError(f"{path}: not an agent checkpoint")
+    if len(data) < header_size:
+        raise ValueError(f"{path}: truncated agent header")
+    (_, version, m, variant_code, gamma, eps0, eps_min, decay, tau,
+     batch, period, lr) = struct.unpack_from(fmt, data)
     if version != AGENT_VERSION:
         raise ValueError(f"{path}: unsupported agent version {version}")
-    primary, _ = nnet.network_from_bytes(data, offset=struct.calcsize(fmt))
-    return DqnAgent(
-        num_subchannels=m, variant=_CODE_VARIANT[variant_code], gamma=gamma,
-        hidden=tuple(l.w.shape[0] for l in primary.layers[1:]),
-        epsilon0=eps0, epsilon_min=eps_min,
-        epsilon_decay=None if decay < 0 else decay, tau=tau,
-        batch_size=batch, target_update_period=period, learning_rate=lr,
-        primary=primary, target=nnet.clone_weights(primary))
+    if variant_code not in _CODE_VARIANT:
+        raise ValueError(f"{path}: unknown agent variant code {variant_code}")
+    primary = nnet.network_from_bytes(data, offset=header_size, source=path)
+    try:
+        return DqnAgent(
+            num_subchannels=m, variant=_CODE_VARIANT[variant_code], gamma=gamma,
+            hidden=tuple(l.w.shape[0] for l in primary.layers[1:]),
+            epsilon0=eps0, epsilon_min=eps_min,
+            epsilon_decay=None if decay < 0 else decay, tau=tau,
+            batch_size=batch, target_update_period=period, learning_rate=lr,
+            primary=primary, target=nnet.clone_weights(primary))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 QTABLE_MAGIC = b"UQTB"
@@ -656,17 +701,29 @@ def save_qtable(table: QTable, path: str) -> None:
 
 
 def load_qtable(path: str) -> QTable:
+    """Read a q-table checkpoint; a malformed file raises a ValueError that
+    names it."""
     with open(path, "rb") as f:
         data = f.read()
     fmt = "<4sIIddd"
-    magic, version, m, gamma, alpha, alpha_power = struct.unpack_from(fmt, data)
-    if magic != QTABLE_MAGIC:
+    offset = struct.calcsize(fmt)
+    if data[:4] != QTABLE_MAGIC:
         raise ValueError(f"{path}: not a q-table checkpoint")
+    if len(data) < offset:
+        raise ValueError(f"{path}: truncated q-table header")
+    _, version, m, gamma, alpha, alpha_power = struct.unpack_from(fmt, data)
     if version != QTABLE_VERSION:
         raise ValueError(f"{path}: unsupported q-table version {version}")
+    if m > TABULAR_MAX_SUBCHANNELS:
+        raise ValueError(f"{path}: q-table for M={m} exceeds the tabular limit "
+                         f"M <= {TABULAR_MAX_SUBCHANNELS}")
     shape = table_shape(m)
-    offset = struct.calcsize(fmt)
     n = shape[0] * shape[1]
+    expected = offset + 16 * n
+    if len(data) != expected:
+        raise ValueError(f"{path}: {len(data)} bytes where a q-table for M={m} needs "
+                         f"{expected}: " + ("truncated" if len(data) < expected
+                                            else "trailing bytes"))
     values = np.frombuffer(data, dtype="<f8", count=n, offset=offset)
     visits = np.frombuffer(data, dtype="<i8", count=n, offset=offset + 8 * n)
     return QTable(num_subchannels=m, gamma=gamma,

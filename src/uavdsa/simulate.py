@@ -27,7 +27,7 @@ from .core import (Assignment, SlotLedger, UndefinedEnergyEfficiencyError,
                    sensing_cost, slot_utility, throughput, validate_assignment)
 from .fusion import fuse
 from .iqsynth import synthesize_observation
-from .scheduler import (DqnAgent, QTable, RandomAgent, load_agent,
+from .scheduler import (DqnAgent, QTable, RandomAgent, load_agent, load_qtable,
                         valid_actions)
 from .seeds import derive_rng
 from .sensing import SensingModel, predict_occupancy, write_metrics_csv
@@ -50,22 +50,25 @@ class RunReport:
 
 
 def build_agent(config: SimConfig):
+    """The configured agent; a configured checkpoint is loaded and must
+    match the config's M."""
     spec = config.agent
     m = config.radio.num_subchannels
     if spec.variant == "random":
         return RandomAgent(num_subchannels=m)
-    if spec.variant == "qtable":
-        return QTable(num_subchannels=m, gamma=spec.gamma, alpha=spec.alpha,
-                      alpha_power=spec.alpha_power, epsilon0=spec.epsilon0,
-                      epsilon_min=spec.epsilon_min,
-                      epsilon_decay=spec.epsilon_decay)
     if spec.checkpoint is not None:
-        agent = load_agent(spec.checkpoint)
+        load = load_qtable if spec.variant == "qtable" else load_agent
+        agent = load(spec.checkpoint)
         if agent.num_subchannels != m:
             raise ValueError(
                 f"{spec.checkpoint}: trained for M={agent.num_subchannels}, "
                 f"config has M={m}")
         return agent
+    if spec.variant == "qtable":
+        return QTable(num_subchannels=m, gamma=spec.gamma, alpha=spec.alpha,
+                      alpha_power=spec.alpha_power, epsilon0=spec.epsilon0,
+                      epsilon_min=spec.epsilon_min,
+                      epsilon_decay=spec.epsilon_decay)
     return DqnAgent(num_subchannels=m, variant=spec.variant, gamma=spec.gamma,
                     hidden=spec.hidden, replay_capacity=spec.replay_capacity,
                     batch_size=spec.batch_size,

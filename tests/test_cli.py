@@ -57,6 +57,43 @@ class TestExitCodes:
         assert cli_dispatch(["train-sensor", "--config", cfg,
                              "--out", str(tmp_path / "empty")]) == 2
 
+    def test_batch_larger_than_replay_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, agent={"replay_capacity": 8, "batch_size": 32})
+        assert cli_dispatch(["train-agent", "--config", cfg, "--variant", "dqn",
+                             "--out", str(tmp_path / "run")]) == 1
+        assert "agent.batch_size" in capsys.readouterr().err
+
+    def test_qtable_checkpoint_is_honoured(self, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        cfg = write_config(tmp_path, radio={"num_subchannels": 4, "num_uavs": 1},
+                           sensing={"kind": "perfect"}, fusion_n=1)
+        assert cli_dispatch(["train-agent", "--config", cfg, "--out", out,
+                             "--variant", "qtable"]) == 0
+        ckpt = os.path.join(out, "agent_qtable_1uav.ckpt")
+        transmissions = {}
+        for checkpoint in (None, ckpt):
+            cfg = write_config(tmp_path, radio={"num_subchannels": 4, "num_uavs": 1},
+                               sensing={"kind": "perfect"}, fusion_n=1,
+                               agent={"variant": "qtable", "checkpoint": checkpoint})
+            assert cli_dispatch(["simulate", "--config", cfg, "--out", out]) == 0
+            with open(os.path.join(out, "report.json")) as f:
+                transmissions[checkpoint] = json.load(f)["transmissions"]
+        # an all-zero table idles (ties go to action 0); the trained one transmits
+        assert transmissions[None] == 0 and transmissions[ckpt] > 0
+        cfg = write_config(tmp_path, radio={"num_subchannels": 4, "num_uavs": 1},
+                           sensing={"kind": "perfect"}, fusion_n=1,
+                           agent={"variant": "qtable",
+                                  "checkpoint": str(tmp_path / "missing.ckpt")})
+        assert cli_dispatch(["simulate", "--config", cfg, "--out", out]) == 2
+        assert "missing.ckpt" in capsys.readouterr().err
+        # a q-table trained for another M is refused
+        cfg = write_config(tmp_path, radio={"num_subchannels": 2, "num_uavs": 1},
+                           sensing={"kind": "perfect"}, fusion_n=1,
+                           dataset={"fft_size": 256, "count_per_sinr": 30, "eval_count": 20},
+                           agent={"variant": "qtable", "checkpoint": ckpt})
+        assert cli_dispatch(["simulate", "--config", cfg, "--out", out]) == 2
+        assert "trained for M=4" in capsys.readouterr().err
+
     def test_help_exits_zero(self):
         assert cli_dispatch(["--help"]) == 0
 

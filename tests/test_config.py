@@ -83,6 +83,13 @@ class TestValidation:
         with pytest.raises(ConfigError, match="qtable"):
             validate_config(raw)
 
+    def test_batch_larger_than_replay_rejected(self):
+        raw = minimal(agent={"variant": "dqn", "replay_capacity": 16, "batch_size": 32})
+        with pytest.raises(ConfigError, match="agent.batch_size"):
+            validate_config(raw)
+        cfg = validate_config(minimal(agent={"replay_capacity": 32, "batch_size": 32}))
+        assert cfg.agent.batch_size == cfg.agent.replay_capacity
+
     def test_uniform_channel_shorthand(self):
         cfg = validate_config(minimal(channels={"p01": 0.4, "p10": 0.4}))
         assert all(m.p01 == 0.4 for m in cfg.matrices)

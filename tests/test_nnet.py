@@ -68,11 +68,13 @@ class TestBackward:
         net = nnet.build_network([2, 4, 2], ["relu", "sigmoid"], seed=3)
         xs = np.random.default_rng(6).normal(size=(3, 2))
         ys = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
-        _, batch_grads = nnet.backward(net, xs, ys, nnet.BCE)
-        singles = [nnet.backward(net, x, y, nnet.BCE)[1] for x, y in zip(xs, ys)]
+        # backward reuses one gradient buffer per network, so keep copies
+        batch_w = [gw.copy() for gw, _ in nnet.backward(net, xs, ys, nnet.BCE)[1]]
+        singles = [[gw.copy() for gw, _ in nnet.backward(net, x, y, nnet.BCE)[1]]
+                   for x, y in zip(xs, ys)]
         for li in range(2):
-            mean_w = np.mean([g[li][0] for g in singles], axis=0)
-            assert np.allclose(batch_grads[li][0], mean_w)
+            mean_w = np.mean([g[li] for g in singles], axis=0)
+            assert np.allclose(batch_w[li], mean_w)
 
     def test_huber_matches_finite_differences(self):
         net = nnet.build_network([3, 6, 2], ["relu", "identity"], seed=9)
@@ -120,6 +122,79 @@ class TestOptimizers:
         assert net.layers[0].w[0, 0] == pytest.approx(-0.25)
 
 
+def reference_step(layers, grads, state, slots):
+    """Per-layer optimizer update, kept as the oracle for the flat one."""
+    state.step_count += 1
+    lr, t = state.learning_rate, state.step_count
+    for (w, b), (gw, gb), slot in zip(layers, grads, slots):
+        for p, g, acc in ((w, gw, slot[0]), (b, gb, slot[1])):
+            if state.kind == "sgd-momentum":
+                acc[0] *= state.momentum
+                acc[0] += g
+                p -= lr * acc[0]
+            else:
+                m, v = acc
+                m *= state.beta1
+                m += (1.0 - state.beta1) * g
+                v *= state.beta2
+                v += (1.0 - state.beta2) * g ** 2
+                m_hat = m / (1.0 - state.beta1 ** t)
+                v_hat = v / (1.0 - state.beta2 ** t)
+                p -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+
+
+class TestFlatParameters:
+    def test_layers_are_views_of_one_vector(self):
+        net = nnet.build_network([3, 4, 2], ["relu", "identity"], seed=0)
+        assert net.params.size == 3 * 4 + 4 + 4 * 2 + 2
+        for layer in net.layers:
+            assert np.shares_memory(layer.w, net.params)
+            assert np.shares_memory(layer.b, net.params)
+        net.params[:] = 0.0
+        assert not net.layers[1].w.any()
+        net.layers[1].b[1] = 7.0
+        assert net.params[-1] == 7.0
+
+    def test_backward_reuses_one_gradient_buffer(self):
+        net = nnet.build_network([3, 5, 2], ["relu", "identity"], seed=1)
+        x = np.random.default_rng(1).normal(size=(4, 3))
+        buf, _ = net.gradient()
+        for _ in range(2):
+            _, grads = nnet.backward(net, x, np.zeros((4, 2)), nnet.MSE)
+            assert all(np.shares_memory(gw, buf) and np.shares_memory(gb, buf)
+                       for gw, gb in grads)
+        assert net.gradient()[0] is buf
+
+    def test_backward_from_a_held_trace_is_identical(self):
+        net = nnet.build_network([3, 5, 2], ["relu", "identity"], seed=2)
+        rng = np.random.default_rng(2)
+        x, y = rng.normal(size=(6, 3)), rng.normal(size=(6, 2))
+        loss, grads = nnet.backward(net, x, y, nnet.MSE)
+        fresh = [(gw.copy(), gb.copy()) for gw, gb in grads]
+        loss2, grads2 = nnet.backward(net, x, y, nnet.MSE, nnet.forward_trace(net, x))
+        assert loss2 == loss
+        for (gw, gb), (hw, hb) in zip(fresh, grads2):
+            assert np.array_equal(gw, hw) and np.array_equal(gb, hb)
+
+    @pytest.mark.parametrize("kind", ["adam", "sgd-momentum"])
+    def test_flat_update_is_bitwise_the_per_layer_update(self, kind):
+        net = nnet.build_network([4, 8, 3], ["relu", "identity"], seed=3)
+        ref = [(l.w.copy(), l.b.copy()) for l in net.layers]
+        ref_slots = [tuple([np.zeros_like(p), np.zeros_like(p)] for p in pair)
+                     for pair in ref]
+        state = nnet.OptimizerState(kind=kind, learning_rate=0.01, momentum=0.7)
+        ref_state = nnet.OptimizerState(kind=kind, learning_rate=0.01, momentum=0.7)
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            x, y = rng.normal(size=(8, 4)), rng.normal(size=(8, 3))
+            _, grads = nnet.backward(net, x, y, nnet.MSE)
+            reference_step(ref, [(gw.copy(), gb.copy()) for gw, gb in grads],
+                           ref_state, ref_slots)
+            nnet.optimizer_step(net, grads, state)
+            for layer, (w, b) in zip(net.layers, ref):
+                assert np.array_equal(layer.w, w) and np.array_equal(layer.b, b)
+
+
 class TestGradientCheck:
     def test_quadratic_loss_is_exact(self):
         net = nnet.build_network([3, 2], ["identity"], seed=2)
@@ -134,7 +209,7 @@ class TestGradientCheck:
             net = nnet.build_network([3, 6, 2], ["relu", "identity"],
                                      seed=int(rng.integers(10 ** 6)))
             x = rng.normal(size=3)
-            pre, _ = nnet._forward_trace(net, x)
+            pre, _ = nnet.forward_trace(net, x)
             if min(np.abs(pre[0]).min(), np.abs(pre[1]).min()) < 1e-2:
                 continue  # resample configs near a kink
             assert nnet.gradient_check(net, x, rng.normal(size=2), nnet.MSE,

@@ -1,4 +1,6 @@
 import itertools
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -120,8 +122,8 @@ class TestDdqnTargets:
     def test_gamma_zero_returns_rewards(self):
         agent = self._agent("ddqn")
         agent.gamma = 0.0
-        batch = [sch.Experience((0,), 1, r, (0,)) for r in (1.0, -2.0, 0.5)]
-        assert np.allclose(sch.ddqn_targets(agent, batch), [1.0, -2.0, 0.5])
+        y = sch.ddqn_targets(agent, np.array([1.0, -2.0, 0.5]), np.zeros((3, 1)))
+        assert np.allclose(y, [1.0, -2.0, 0.5])
 
     def _pinned_agent(self, variant):
         # primary(s') = [0.1, 0.5], target(s') = [0.3, 0.2] for every input
@@ -135,17 +137,17 @@ class TestDdqnTargets:
 
     def test_double_decouples_selection_from_evaluation(self):
         agent = self._pinned_agent("ddqn")
-        y = sch.ddqn_targets(agent, [sch.Experience((0,), 1, 1.0, (0,))])
+        y = sch.ddqn_targets(agent, np.array([1.0]), np.zeros((1, 1)))
         assert y[0] == pytest.approx(1.18)  # 1 + 0.9 * target[argmax primary]
 
     def test_vanilla_uses_target_max(self):
         agent = self._pinned_agent("dqn")
-        y = sch.ddqn_targets(agent, [sch.Experience((0,), 1, 1.0, (0,))])
+        y = sch.ddqn_targets(agent, np.array([1.0]), np.zeros((1, 1)))
         assert y[0] == pytest.approx(1.27)  # 1 + 0.9 * max target
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            sch.ddqn_targets(self._agent("dqn"), [])
+            sch.ddqn_targets(self._agent("dqn"), np.zeros(0), np.zeros((0, 1)))
 
 
 class TestSoftUpdate:
@@ -179,43 +181,72 @@ class TestSoftUpdate:
 
 
 class TestReplay:
+    @staticmethod
+    def _ring(capacity, rewards):
+        ring = sch.ReplayRing(capacity=capacity)
+        for r in rewards:
+            sch.replay_push(ring, 0, 0, float(r), 0)
+        return ring
+
     def test_fifo_eviction(self):
-        buf = sch.ReplayBuffer(capacity=3)
-        for i in range(4):
-            sch.replay_push(buf, sch.Experience((0,), 0, float(i), (0,)))
-        assert [e.r for e in buf.items] == [1.0, 2.0, 3.0]
-        assert buf.insertions == 4
+        ring = self._ring(3, range(4))
+        assert len(ring) == 3 and ring.insertions == 4
+        # draws number the stored transitions oldest-first: 1.0, 2.0, 3.0
+        draws = derive_rng(0).choice(3, size=3, replace=False)
+        batch = ring.rewards[sch.replay_sample(ring, 3, derive_rng(0))]
+        assert list(batch) == [[1.0, 2.0, 3.0][i] for i in draws]
 
     def test_full_batch_is_permutation(self):
-        buf = sch.ReplayBuffer(capacity=5)
-        for i in range(5):
-            sch.replay_push(buf, sch.Experience((0,), 0, float(i), (0,)))
-        batch = sch.replay_sample(buf, 5, derive_rng(0))
-        assert sorted(e.r for e in batch) == [0.0, 1.0, 2.0, 3.0, 4.0]
+        ring = self._ring(5, range(5))
+        batch = ring.rewards[sch.replay_sample(ring, 5, derive_rng(0))]
+        assert sorted(batch) == [0.0, 1.0, 2.0, 3.0, 4.0]
 
     def test_insufficient_samples(self):
-        buf = sch.ReplayBuffer(capacity=5)
-        sch.replay_push(buf, sch.Experience((0,), 0, 0.0, (0,)))
+        ring = self._ring(5, [0.0])
         with pytest.raises(sch.InsufficientSamplesError):
-            sch.replay_sample(buf, 2, derive_rng(0))
+            sch.replay_sample(ring, 2, derive_rng(0))
 
     def test_sampling_uniform(self):
-        buf = sch.ReplayBuffer(capacity=16)
-        for i in range(16):
-            sch.replay_push(buf, sch.Experience((0,), 0, float(i), (0,)))
+        ring = self._ring(16, range(24))  # wrapped: holds rewards 8..23
         rng = derive_rng(5)
         counts = np.zeros(16)
         draws = 10 ** 4
         for _ in range(draws):
-            for e in sch.replay_sample(buf, 2, rng):
-                counts[int(e.r)] += 1
+            for r in ring.rewards[sch.replay_sample(ring, 2, rng)]:
+                counts[int(r) - 8] += 1
         expected = draws * 2 / 16
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         assert chi2 <= 2 * CHI2_99[16]  # 15 dof, generous bound
 
     def test_experience_rejects_nonfinite_reward(self):
+        ring = sch.ReplayRing(capacity=4)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                sch.replay_push(ring, 0, 0, bad, 0)
+        assert ring.insertions == 0
+        agent = sch.DqnAgent(num_subchannels=1, hidden=(4,), seed=0)
         with pytest.raises(ValueError):
-            sch.Experience((0,), 0, float("nan"), (0,))
+            agent.observe((0,), 1, float("nan"), (0,), derive_rng(0))
+
+    def test_ring_allocated_by_first_observe(self):
+        agent = sch.DqnAgent(num_subchannels=2, hidden=(4,), replay_capacity=8,
+                             batch_size=2, seed=0)
+        assert agent.replay is None
+        rng = derive_rng(1)
+        for r in range(10):
+            agent.observe((0, 1), 1, float(r), None, rng)
+        assert agent.replay.capacity == 8 and agent.replay.insertions == 10
+        assert sorted(agent.replay.rewards) == [float(r) for r in range(2, 10)]
+        assert set(agent.replay.states) == {sch.state_index((0, 1), 2)}
+        assert set(agent.replay.next_states) == {sch.state_index(None, 2)}
+        assert agent.train_steps == 9
+
+    def test_feature_table_rows_are_state_features(self):
+        table = sch.feature_table(3)
+        assert table.shape == (9, 3)
+        for idx in range(9):
+            assert np.array_equal(table[idx],
+                                  sch.state_features(sch.index_state(idx, 3), 3))
 
 
 class TestValueIteration:
@@ -332,6 +363,15 @@ class TestCheckpoints:
         assert np.allclose(nnet.forward(agent.primary, x),
                            nnet.forward(loaded.primary, x), atol=1e-5)
 
+    def test_network_input_must_be_m(self, tmp_path):
+        from uavdsa import nnet
+        agent = sch.DqnAgent(num_subchannels=4, hidden=(3,), seed=0)
+        agent.primary = nnet.build_network([3, 3, 5], ["relu", "identity"], seed=0)
+        path = str(tmp_path / "agent.ckpt")
+        sch.save_agent(agent, path)
+        with pytest.raises(ValueError, match="input width must be M"):
+            sch.load_agent(path)
+
     def test_qtable_roundtrip(self, tmp_path):
         t = sch.QTable(num_subchannels=3, gamma=0.8, alpha=None, alpha_power=0.6)
         t.table[2, 1] = 4.5
@@ -342,3 +382,51 @@ class TestCheckpoints:
         assert loaded.gamma == 0.8 and loaded.alpha is None
         assert loaded.alpha_power == 0.6
         assert loaded.table[2, 1] == 4.5 and loaded.visits[2, 1] == 7
+
+
+def _patch_u32(data: bytes, offset: int, value: int) -> bytes:
+    return data[:offset] + struct.pack("<I", value) + data[offset + 4:]
+
+
+AGENT_HEADER = struct.calcsize("<4sIIIdddddIId")
+QTABLE_HEADER = struct.calcsize("<4sIIddd")
+
+# (file kind, defect, mutation of the valid file's bytes)
+MALFORMED = [
+    ("agent", "truncated header", lambda d: d[:AGENT_HEADER - 5]),
+    ("agent", "truncated network", lambda d: d[:-3]),
+    ("agent", "trailing bytes", lambda d: d + b"\0"),
+    ("agent", "unknown variant", lambda d: _patch_u32(d, 12, 7)),
+    ("agent", "unknown activation", lambda d: _patch_u32(d, AGENT_HEADER + 20, 9)),
+    ("agent", "header M not the network's", lambda d: _patch_u32(d, 8, 3)),
+    ("network", "truncated header", lambda d: d[:10]),
+    ("network", "truncated weights", lambda d: d[:-1]),
+    ("network", "trailing bytes", lambda d: d + b"\0\0\0\0"),
+    ("network", "unknown activation", lambda d: _patch_u32(d, 20, 3)),
+    ("qtable", "truncated header", lambda d: d[:QTABLE_HEADER - 1]),
+    ("qtable", "truncated table", lambda d: d[:-8]),
+    ("qtable", "trailing bytes", lambda d: d + b"\0"),
+]
+
+
+@pytest.mark.parametrize("kind,defect,mutate", MALFORMED,
+                         ids=[f"{k}-{d}" for k, d, _ in MALFORMED])
+def test_checkpoint_readers_reject_malformed_files(kind, defect, mutate, tmp_path):
+    from uavdsa import nnet
+    good, bad = str(tmp_path / "good.ckpt"), str(tmp_path / "bad.ckpt")
+    if kind == "agent":
+        sch.save_agent(sch.DqnAgent(num_subchannels=2, hidden=(3,), seed=0), good)
+        load = sch.load_agent
+    elif kind == "network":
+        nnet.save_checkpoint(nnet.build_network([2, 3, 1], ["relu", "sigmoid"], seed=0), good)
+        load = nnet.load_checkpoint
+    else:
+        sch.save_qtable(sch.QTable(num_subchannels=2), good)
+        load = sch.load_qtable
+    load(good)
+    with open(good, "rb") as f:
+        data = f.read()
+    with open(bad, "wb") as f:
+        f.write(mutate(data))
+    with pytest.raises(ValueError, match=re.escape(bad)):
+        load(bad)
