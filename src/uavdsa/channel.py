@@ -67,16 +67,6 @@ def linear_to_db(linear: float) -> float:
     return 10.0 * np.log10(linear)
 
 
-def sinr_for(link: LinkModel, uav: int, subchannel: int) -> float:
-    """Access SINR (dB) of UAV `uav` on 1-based sub-channel `subchannel`."""
-    if not 0 <= uav < len(link.access_sinr_db):
-        raise IndexError(f"uav {uav} out of range")
-    row = link.access_sinr_db[uav]
-    if not 1 <= subchannel <= len(row):
-        raise IndexError(f"sub-channel {subchannel} out of range")
-    return row[subchannel - 1]
-
-
 def stationary_distribution(matrix: TransitionMatrix) -> tuple[float, float]:
     """(P(vacant), P(busy)) of the chain's unique stationary distribution."""
     s = matrix.p01 + matrix.p10

@@ -22,14 +22,13 @@ from . import nnet
 from .channel import stationary_sampler
 from .config import ConfigError, SimConfig, load_config
 from .fusion import fuse
-from .iqsynth import generate_dataset, load_dataset, save_dataset, synthesize_observation
-from .scheduler import (DqnAgent, QTable, SchedulingEnv, TRAINING_COLUMNS,
-                        normalized_reward_table, save_agent, save_qtable,
-                        train_agent, write_training_csv)
+from .iqsynth import generate_dataset, load_dataset, save_dataset
+from .scheduler import (SchedulingEnv, TRAINING_COLUMNS, normalized_reward_table,
+                        save_agent, save_qtable, train_agent, write_training_csv)
 from .seeds import derive_rng
-from .sensing import (TrainParams, evaluate_model, micro_metrics,
-                      predict_occupancy, train_classifier, write_metrics_csv)
-from .simulate import build_sensing_model, run_simulation, save_report
+from .sensing import (TrainParams, evaluate_model, micro_metrics, train_classifier,
+                      write_metrics_csv)
+from .simulate import build_sensing_model, new_agent, run_simulation, save_report, sense
 
 AGENT_TRAIN_VARIANTS = ("qtable", "dqn", "ddqn", "ddqn-soft")
 
@@ -93,32 +92,28 @@ def cmd_eval_sensing(config: SimConfig, args) -> int:
     if args.model:
         specs = [dataclasses.replace(spec, kind="dense-classifier",
                                      model_path=args.model) for spec in specs]
-    models = [build_sensing_model(spec, config) for spec in specs]
+    models = [build_sensing_model(spec, config, "--model" if args.model
+                                  else f"sensing[{k}].model_path")
+              for k, spec in enumerate(specs)]
     source = stationary_sampler(list(config.matrices))
     rng = derive_rng(config.seed, 0xE7A1)
     offsets = [s - config.link.sensing_sinr_db[0] for s in config.link.sensing_sinr_db]
 
     rows = []
     for g in config.synth.sinr_grid_db:
+        sinrs = [g + offset for offset in offsets]
         per_uav = [[] for _ in models]
         fused_preds, truths = [], []
         for _ in range(config.eval_count):
             label = source(rng)
             truths.append(label)
-            reports = []
-            for k, model in enumerate(models):
-                if model is None:
-                    reports.append(label)
-                    continue
-                obs = synthesize_observation(label, g + offsets[k], config.synth,
-                                             rng, uav_index=k)
-                reports.append(predict_occupancy(model, obs))
+            reports = sense(models, label, sinrs, config.synth, rng)
             for k, rep in enumerate(reports):
                 per_uav[k].append(rep)
             fused_preds.append(fuse(reports, config.fusion))
         for k, preds in enumerate(per_uav):
             met = micro_metrics(preds, truths)
-            rows.append((k, g + offsets[k], met.micro_precision, met.micro_recall,
+            rows.append((k, sinrs[k], met.micro_precision, met.micro_recall,
                          met.micro_f1, specs[k].kind, 0))
         met = micro_metrics(fused_preds, truths)
         rows.append(("fused", g, met.micro_precision, met.micro_recall,
@@ -138,25 +133,10 @@ def cmd_train_agent(config: SimConfig, args) -> int:
     if variant not in AGENT_TRAIN_VARIANTS:
         raise ValueError(f"train-agent cannot train variant {variant!r}")
     uavs = args.uavs or config.agent.uavs
-    spec = config.agent
     table = normalized_reward_table(
         [config.link.access_sinr_db[k] for k in range(uavs)])
     env = SchedulingEnv(list(config.matrices), table)
-    if variant == "qtable":
-        agent = QTable(num_subchannels=config.radio.num_subchannels,
-                       gamma=spec.gamma, alpha=spec.alpha,
-                       alpha_power=spec.alpha_power, epsilon0=spec.epsilon0,
-                       epsilon_min=spec.epsilon_min,
-                       epsilon_decay=spec.epsilon_decay)
-    else:
-        agent = DqnAgent(num_subchannels=config.radio.num_subchannels,
-                         variant=variant, gamma=spec.gamma, hidden=spec.hidden,
-                         replay_capacity=spec.replay_capacity,
-                         batch_size=spec.batch_size,
-                         target_update_period=spec.target_update_period,
-                         tau=spec.tau, learning_rate=spec.learning_rate,
-                         epsilon0=spec.epsilon0, epsilon_min=spec.epsilon_min,
-                         epsilon_decay=spec.epsilon_decay, seed=config.seed)
+    agent = new_agent(config, variant)
     log = train_agent(agent, env, config.episodes, config.slots_per_episode,
                       config.seed)
     os.makedirs(config.out_dir, exist_ok=True)

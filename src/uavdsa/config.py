@@ -8,7 +8,7 @@ starts.
 
 Schema (defaults in parentheses):
 
-    seed                  u64, required
+    seed                  u64, required (--seed overrides it, same range)
     out_dir               str ("out")
     radio: {v_cc (1.0), p_tx (0.5), subchannel_bandwidth (540000.0),
             num_subchannels (4), num_uavs (3), system_bandwidth (null)}
@@ -20,15 +20,15 @@ Schema (defaults in parentheses):
     fusion_n              int in [1, K] (2, clamped to K)
     sensing               object or list[K] of objects:
         {kind ("perfect" | "energy-threshold" | "dense-classifier"),
-         decision_threshold (0.5), input_mode ("iq" | "band-energy"),
+         decision_threshold (0.5, in (0, 1)), input_mode ("iq" | "band-energy"),
          thresholds (null; list[M], required for energy-threshold),
          model_path (null; required for dense-classifier),
-         hidden ([128, 128]), epochs (30), batch_size (32),
-         learning_rate (0.001)}
+         hidden ([128, 128], whole numbers), epochs (30), batch_size (32),
+         learning_rate (0.001, > 0)}
     agent: {variant ("ddqn-soft" | "ddqn" | "dqn" | "qtable" | "random"),
-            uavs (1), gamma (0.9), hidden ([64, 64]),
+            uavs (1), gamma (0.9, in [0, 1)), hidden ([64, 64], whole numbers),
             replay_capacity (10000), batch_size (32, <= replay_capacity),
-            target_update_period (100), tau (0.01), learning_rate (0.001),
+            target_update_period (100), tau (0.01), learning_rate (0.001, > 0),
             epsilon0 (1.0), epsilon_min (0.05), epsilon_decay (null),
             alpha (null), alpha_power (0.7), checkpoint (null)}
     dataset: {fft_size (1024), subcarriers_per_subchannel (null -> fft/M),
@@ -42,12 +42,13 @@ Schema (defaults in parentheses):
 import json
 from dataclasses import dataclass
 
-from .channel import LinkModel, TransitionMatrix
+from .channel import LinkModel, TransitionMatrix, default_link_model
 from .core import RadioParams, SlotTiming
 from .fusion import FusionRule
 from .iqsynth import SynthConfig
 from .scheduler import TABULAR_MAX_SUBCHANNELS
 
+SEED_MAX = 2 ** 64 - 1
 SENSING_KINDS = ("perfect", "energy-threshold", "dense-classifier")
 AGENT_VARIANTS = ("dqn", "ddqn", "ddqn-soft", "qtable", "random")
 
@@ -126,7 +127,9 @@ class _Section:
             if key not in allowed:
                 self.problems.append(f"{self.path}.{key}: unknown key")
 
-    def value(self, key, default, kind, low=None, high=None, nullable=False):
+    def value(self, key, default, kind, low=None, high=None, nullable=False,
+              above=None, below=None):
+        """low/high are inclusive bounds, above/below exclusive ones."""
         if key not in self.data:
             return default
         v = self.data[key]
@@ -147,6 +150,12 @@ class _Section:
         if high is not None and v > high:
             self.problems.append(f"{path}: must be <= {high}")
             return default
+        if above is not None and v <= above:
+            self.problems.append(f"{path}: must be > {above}")
+            return default
+        if below is not None and v >= below:
+            self.problems.append(f"{path}: must be < {below}")
+            return default
         return v
 
     def choice(self, key, default, options):
@@ -157,20 +166,30 @@ class _Section:
             return default
         return v
 
-    def number_list(self, key, default, length=None, item_low=None):
+    def number_list(self, key, default, length=None, item_low=None, whole=False):
         if key not in self.data:
             return default
-        v = self.data[key]
-        path = f"{self.path}.{key}"
-        if not isinstance(v, list) or any(
-                not isinstance(x, (int, float)) or isinstance(x, bool) for x in v):
-            self.problems.append(f"{path}: expected a list of numbers")
-            return default
-        if length is not None and len(v) != length:
-            self.problems.append(f"{path}: expected {length} entries, got {len(v)}")
-        if item_low is not None and any(x < item_low for x in v):
-            self.problems.append(f"{path}: entries must be >= {item_low}")
-        return tuple(float(x) for x in v)
+        return _number_list(self.data[key], f"{self.path}.{key}", self.problems,
+                            default, length, item_low, whole)
+
+
+def _number_list(v, path, problems, default, length=None, item_low=None, whole=False):
+    """A JSON list of numbers as a tuple of floats; on any problem the
+    default comes back and the problem is recorded under `path`."""
+    if not isinstance(v, list) or any(
+            not isinstance(x, (int, float)) or isinstance(x, bool) for x in v):
+        problems.append(f"{path}: expected a list of numbers")
+        return default
+    if length is not None and len(v) != length:
+        problems.append(f"{path}: expected {length} entries, got {len(v)}")
+        return default
+    if item_low is not None and any(x < item_low for x in v):
+        problems.append(f"{path}: entries must be >= {item_low}")
+        return default
+    if whole and any(not float(x).is_integer() for x in v):
+        problems.append(f"{path}: entries must be whole numbers")
+        return default
+    return tuple(float(x) for x in v)
 
 
 def validate_config(raw: dict, seed_override: int | None = None,
@@ -183,8 +202,13 @@ def validate_config(raw: dict, seed_override: int | None = None,
                     "fusion_n", "sensing", "agent", "dataset",
                     "request_probability", "episodes", "slots_per_episode"})
 
-    seed = seed_override if seed_override is not None else top.value("seed", None, int, low=0)
-    if seed is None:
+    if seed_override is not None:
+        seed = seed_override
+        if not 0 <= seed <= SEED_MAX:
+            problems.append(f"--seed: must lie in [0, {SEED_MAX}]")
+    elif "seed" in top.data:
+        seed = top.value("seed", 0, int, low=0, high=SEED_MAX)
+    else:
         problems.append("config.seed: required (or pass --seed)")
         seed = 0
     out_dir = out_override if out_override is not None else top.value("out_dir", "out", str)
@@ -232,26 +256,16 @@ def validate_config(raw: dict, seed_override: int | None = None,
 
     link_sec = _Section(raw.get("link", {}), "link", problems)
     link_sec.check_keys({"sensing_sinr_db", "access_sinr_db"})
-    default_sensing = [10.0] * k
-    if k >= 3:
-        default_sensing[-1] = 0.0
-    sensing_sinr = link_sec.number_list("sensing_sinr_db", tuple(default_sensing), length=k)
-    raw_access = raw.get("link", {}).get("access_sinr_db") if isinstance(raw.get("link", {}), dict) else None
-    if raw_access is None:
-        access = tuple(tuple([10.0] * m) for _ in range(k))
-    else:
-        access = []
-        if not isinstance(raw_access, list) or len(raw_access) != k:
-            problems.append(f"link.access_sinr_db: expected {k} rows")
-            raw_access = []
-        for i, row in enumerate(raw_access):
-            if not isinstance(row, list) or len(row) != m or any(
-                    not isinstance(x, (int, float)) or isinstance(x, bool) for x in row):
-                problems.append(f"link.access_sinr_db[{i}]: expected {m} numbers")
-                access.append(tuple([10.0] * m))
-            else:
-                access.append(tuple(float(x) for x in row))
-        access = tuple(access) if access else tuple(tuple([10.0] * m) for _ in range(k))
+    preset = default_link_model(k, m)
+    sensing_sinr = link_sec.number_list("sensing_sinr_db", preset.sensing_sinr_db, length=k)
+    access = preset.access_sinr_db
+    raw_access = link_sec.data.get("access_sinr_db")
+    if isinstance(raw_access, list) and len(raw_access) == k:
+        access = tuple(_number_list(row, f"link.access_sinr_db[{i}]", problems,
+                                    preset.access_sinr_db[i], length=m)
+                       for i, row in enumerate(raw_access))
+    elif raw_access is not None:
+        problems.append(f"link.access_sinr_db: expected {k} rows")
 
     fusion_n = top.value("fusion_n", min(2, k), int, low=1, high=k)
 
@@ -277,17 +291,18 @@ def validate_config(raw: dict, seed_override: int | None = None,
             problems.append(f"sensing[{i}].thresholds: required for energy-threshold")
         if kind == "dense-classifier" and model_path is None:
             problems.append(f"sensing[{i}].model_path: required for dense-classifier")
-        hidden = sec.number_list("hidden", (128.0, 128.0), item_low=1)
+        hidden = sec.number_list("hidden", (128.0, 128.0), item_low=1, whole=True)
         sensing_specs.append(SensingSpec(
             kind=kind,
-            decision_threshold=sec.value("decision_threshold", 0.5, float, low=0.0, high=1.0),
+            decision_threshold=sec.value("decision_threshold", 0.5, float,
+                                         above=0.0, below=1.0),
             input_mode=sec.choice("input_mode", "iq", ("iq", "band-energy")),
             thresholds=thresholds,
             model_path=model_path,
             hidden=tuple(int(h) for h in hidden),
             epochs=sec.value("epochs", 30, int, low=1),
             batch_size=sec.value("batch_size", 32, int, low=1),
-            learning_rate=sec.value("learning_rate", 1e-3, float),
+            learning_rate=sec.value("learning_rate", 1e-3, float, above=0.0),
         ))
 
     agent_sec = _Section(raw.get("agent", {}), "agent", problems)
@@ -300,17 +315,17 @@ def validate_config(raw: dict, seed_override: int | None = None,
         problems.append(
             f"agent.variant: qtable is limited to M <= {TABULAR_MAX_SUBCHANNELS} "
             f"sub-channels (got M={m})")
-    agent_hidden = agent_sec.number_list("hidden", (64.0, 64.0), item_low=1)
+    agent_hidden = agent_sec.number_list("hidden", (64.0, 64.0), item_low=1, whole=True)
     agent = AgentSpec(
         variant=variant,
         uavs=agent_sec.value("uavs", 1, int, low=1, high=k),
-        gamma=agent_sec.value("gamma", 0.9, float, low=0.0),
+        gamma=agent_sec.value("gamma", 0.9, float, low=0.0, below=1.0),
         hidden=tuple(int(h) for h in agent_hidden),
         replay_capacity=agent_sec.value("replay_capacity", 10_000, int, low=1),
         batch_size=agent_sec.value("batch_size", 32, int, low=1),
         target_update_period=agent_sec.value("target_update_period", 100, int, low=1),
         tau=agent_sec.value("tau", 0.01, float, low=0.0, high=1.0),
-        learning_rate=agent_sec.value("learning_rate", 1e-3, float),
+        learning_rate=agent_sec.value("learning_rate", 1e-3, float, above=0.0),
         epsilon0=agent_sec.value("epsilon0", 1.0, float, low=0.0, high=1.0),
         epsilon_min=agent_sec.value("epsilon_min", 0.05, float, low=0.0, high=1.0),
         epsilon_decay=agent_sec.value("epsilon_decay", None, float, nullable=True),

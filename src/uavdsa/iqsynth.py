@@ -57,7 +57,6 @@ class IQObservation:
     samples: np.ndarray  # complex, length N
     label: tuple[int, ...]
     sinr_db: float
-    uav_index: int = 0
 
 
 @dataclass
@@ -114,7 +113,7 @@ def noise_power(sinr_db: float) -> float:
 
 
 def synthesize_observation(label, sinr_db: float, config: SynthConfig,
-                           rng: np.random.Generator, uav_index: int = 0) -> IQObservation:
+                           rng: np.random.Generator) -> IQObservation:
     """One labeled capture: clean waveform plus complex Gaussian noise.
 
     An all-vacant label yields a noise-only capture at the same reference
@@ -126,7 +125,7 @@ def synthesize_observation(label, sinr_db: float, config: SynthConfig,
     noise = rng.normal(0.0, np.sqrt(sigma2 / 2.0), size=(n, 2))
     samples = signal + noise[:, 0] + 1j * noise[:, 1]
     return IQObservation(samples=samples, label=occupancy_vector(label),
-                         sinr_db=float(sinr_db), uav_index=uav_index)
+                         sinr_db=float(sinr_db))
 
 
 def add_interference(observation: IQObservation, neighbor_labels, gains_db,
@@ -144,7 +143,7 @@ def add_interference(observation: IQObservation, neighbor_labels, gains_db,
             continue
         samples += 10.0 ** (gain / 20.0) * clean_waveform(label, config, rng)
     return IQObservation(samples=samples, label=observation.label,
-                         sinr_db=observation.sinr_db, uav_index=observation.uav_index)
+                         sinr_db=observation.sinr_db)
 
 
 def split_indices(strata_sizes: list[int]) -> dict[str, tuple[int, ...]]:
@@ -223,26 +222,37 @@ def load_dataset(path: str) -> Dataset:
 
     The subcarrier block width is not stored and reloads at its default
     (fft size // M); it only matters for further synthesis, not for the
-    stored samples.
+    stored samples. A partial header or record raises a ValueError that
+    names the file; a file that lacks only whole trailing records cannot
+    be told apart, because the header stores no record count.
     """
+
+    def header(f, size: int) -> bytes:
+        data = f.read(size)
+        if len(data) != size:
+            raise ValueError(f"{path}: truncated header")
+        return data
+
     with open(path, "rb") as f:
         if f.read(4) != DATASET_MAGIC:
             raise ValueError(f"{path}: not a dataset file")
-        version, m, n, _k, grid_len = struct.unpack("<IIIII", f.read(20))
+        version, m, n, _k, grid_len = struct.unpack("<IIIII", header(f, 20))
         if version != DATASET_VERSION:
             raise ValueError(f"{path}: unsupported dataset version {version}")
-        grid = tuple(float(v) for v in np.frombuffer(f.read(4 * grid_len), dtype="<f4"))
-        (seed,) = struct.unpack("<Q", f.read(8))
+        grid = tuple(float(v) for v in np.frombuffer(header(f, 4 * grid_len),
+                                                     dtype="<f4"))
+        (seed,) = struct.unpack("<Q", header(f, 8))
         config = SynthConfig(seed=seed, num_subchannels=m, samples_per_observation=n,
                              subcarriers_per_subchannel=n // m, sinr_grid_db=grid)
         record = struct.Struct("<If")
         observations = []
-        while True:
-            head = f.read(record.size)
-            if not head:
-                break
-            mask, sinr_db = record.unpack(head)
-            iq = np.frombuffer(f.read(8 * n), dtype="<f4").astype(float)
+        size = record.size + 8 * n
+        while data := f.read(size):
+            if len(data) != size:
+                raise ValueError(f"{path}: truncated record {len(observations)}: "
+                                 f"{len(data)} of {size} bytes")
+            mask, sinr_db = record.unpack_from(data)
+            iq = np.frombuffer(data, dtype="<f4", offset=record.size).astype(float)
             observations.append(IQObservation(
                 samples=iq[0::2] + 1j * iq[1::2],
                 label=mask_label(mask, m),

@@ -86,16 +86,14 @@ class Network:
 
 @dataclass(frozen=True)
 class LossSpec:
-    """kind in {"mse", "bce", "huber"}; delta only meaningful for huber."""
+    """kind in {"mse", "bce"}: mean squared error, or binary cross-entropy
+    on a sigmoid output layer."""
 
     kind: str
-    delta: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("mse", "bce", "huber"):
+        if self.kind not in ("mse", "bce"):
             raise ValueError(f"unknown loss {self.kind!r}")
-        if self.kind == "huber" and self.delta <= 0:
-            raise ValueError("huber delta must be positive")
 
 
 MSE = LossSpec("mse")
@@ -161,11 +159,6 @@ def _loss(y: np.ndarray, t: np.ndarray, loss: LossSpec) -> float:
     e = y - t
     if loss.kind == "mse":
         return float(np.mean(e ** 2))
-    if loss.kind == "huber":
-        abs_e = np.abs(e)
-        quad = 0.5 * e ** 2
-        lin = loss.delta * (abs_e - 0.5 * loss.delta)
-        return float(np.mean(np.where(abs_e <= loss.delta, quad, lin)))
     y_c = np.clip(y, 1e-12, 1.0 - 1e-12)
     return float(np.mean(-t * np.log(y_c) - (1.0 - t) * np.log1p(-y_c)))
 
@@ -198,11 +191,7 @@ def backward(net: Network, x: np.ndarray, target: np.ndarray, loss: LossSpec,
             raise ValueError("bce expects a sigmoid output layer")
         delta = (y - t) / n_total  # sigmoid+bce cancellation, exact
     else:
-        if loss.kind == "mse":
-            dl_dy = 2.0 * (y - t) / n_total
-        else:
-            dl_dy = np.clip(y - t, -loss.delta, loss.delta) / n_total
-        delta = dl_dy * _activation_grad(pre[-1], y, last.activation)
+        delta = 2.0 * (y - t) / n_total * _activation_grad(pre[-1], y, last.activation)
     total = _loss(y, t, loss)
 
     _, grads = net.gradient()

@@ -87,25 +87,6 @@ def valid_actions(state: AgentState, num_subchannels: int) -> tuple[int, ...]:
     return (0,) + tuple(m + 1 for m in range(num_subchannels) if state[m] == 0)
 
 
-def epsilon_greedy(q_values: Sequence[float], epsilon: float,
-                   rng: np.random.Generator) -> int:
-    """With probability epsilon a uniform action, else the argmax
-    (lowest index wins ties)."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError("epsilon must lie in [0, 1]")
-    if rng.random() < epsilon:
-        return int(rng.integers(len(q_values)))
-    return int(np.argmax(q_values))
-
-
-def top_k_actions(q_values: Sequence[float], k: int) -> tuple[int, ...]:
-    """k distinct actions in descending Q, lowest index breaking ties."""
-    if not 1 <= k <= len(q_values):
-        raise ValueError(f"k must lie in [1, {len(q_values)}]")
-    order = sorted(range(len(q_values)), key=lambda i: (-q_values[i], i))
-    return tuple(order[:k])
-
-
 def masked_actions(q_values: Sequence[float], valid: Sequence[int], k: int,
                    epsilon: float, rng: np.random.Generator) -> tuple[int, ...]:
     """k actions restricted to the valid set: uniform (without replacement)

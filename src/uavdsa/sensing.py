@@ -76,10 +76,6 @@ def feature_vector(observation: IQObservation, num_subchannels: int,
     return (x - x.mean()) / (x.std() + 1e-12)
 
 
-def feature_dim(num_subchannels: int, samples_per_observation: int, input_mode: str) -> int:
-    return 2 * samples_per_observation if input_mode == "iq" else num_subchannels
-
-
 def predict_occupancy(model: SensingModel, observation: IQObservation) -> tuple[int, ...]:
     """Deterministic per-UAV occupancy report h_k for one capture."""
     if model.kind == "energy-threshold":
@@ -126,26 +122,25 @@ def metrics_from_counts(tp: int, fp: int, fn: int, tn: int) -> SensingMetrics:
     return m
 
 
-def micro_metrics(predictions, truths, positive_class: int = 0) -> SensingMetrics:
-    """Pool TP/FP/FN/TN over every (observation, sub-channel) cell."""
+def confusion_counts(predictions, truths, positive_class: int = 0,
+                     counts: list[int] | None = None) -> list[int]:
+    """[TP, FP, FN, TN] pooled over every (observation, sub-channel) cell,
+    added into `counts` when a running tally is given."""
     if len(predictions) != len(truths):
         raise ValueError("predictions and truths differ in length")
-    tp = fp = fn = tn = 0
+    if counts is None:
+        counts = [0, 0, 0, 0]
     for pred, truth in zip(predictions, truths):
         if len(pred) != len(truth):
             raise ValueError("prediction/truth vectors differ in length")
         for p, t in zip(pred, truth):
-            p_pos = p == positive_class
-            t_pos = t == positive_class
-            if p_pos and t_pos:
-                tp += 1
-            elif p_pos:
-                fp += 1
-            elif t_pos:
-                fn += 1
-            else:
-                tn += 1
-    return metrics_from_counts(tp, fp, fn, tn)
+            counts[2 * (p != positive_class) + (t != positive_class)] += 1
+    return counts
+
+
+def micro_metrics(predictions, truths, positive_class: int = 0) -> SensingMetrics:
+    """Micro metrics of the pooled confusion counts."""
+    return metrics_from_counts(*confusion_counts(predictions, truths, positive_class))
 
 
 def _threshold_counts(energies: np.ndarray, truth: np.ndarray, thr: float,

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import nnet
 from .channel import db_to_linear, initial_state, step
-from .config import SensingSpec, SimConfig
+from .config import ConfigError, SensingSpec, SimConfig
 from .core import (Assignment, SlotLedger, UndefinedEnergyEfficiencyError,
                    access_cost, collision_indicator, energy_efficiency,
                    sensing_cost, slot_utility, throughput, validate_assignment)
@@ -30,7 +30,8 @@ from .iqsynth import synthesize_observation
 from .scheduler import (DqnAgent, QTable, RandomAgent, load_agent, load_qtable,
                         valid_actions)
 from .seeds import derive_rng
-from .sensing import SensingModel, predict_occupancy, write_metrics_csv
+from .sensing import (SensingModel, confusion_counts, metrics_from_counts,
+                      predict_occupancy, write_metrics_csv)
 
 LEDGER_COLUMNS = ("slot", "utility", "ee", "collisions", "holes_detected",
                   "holes_true")
@@ -49,27 +50,18 @@ class RunReport:
     seed: int
 
 
-def build_agent(config: SimConfig):
-    """The configured agent; a configured checkpoint is loaded and must
-    match the config's M."""
+def new_agent(config: SimConfig, variant: str):
+    """A fresh agent of `variant` with the config's hyperparameters."""
     spec = config.agent
     m = config.radio.num_subchannels
-    if spec.variant == "random":
+    if variant == "random":
         return RandomAgent(num_subchannels=m)
-    if spec.checkpoint is not None:
-        load = load_qtable if spec.variant == "qtable" else load_agent
-        agent = load(spec.checkpoint)
-        if agent.num_subchannels != m:
-            raise ValueError(
-                f"{spec.checkpoint}: trained for M={agent.num_subchannels}, "
-                f"config has M={m}")
-        return agent
-    if spec.variant == "qtable":
+    if variant == "qtable":
         return QTable(num_subchannels=m, gamma=spec.gamma, alpha=spec.alpha,
                       alpha_power=spec.alpha_power, epsilon0=spec.epsilon0,
                       epsilon_min=spec.epsilon_min,
                       epsilon_decay=spec.epsilon_decay)
-    return DqnAgent(num_subchannels=m, variant=spec.variant, gamma=spec.gamma,
+    return DqnAgent(num_subchannels=m, variant=variant, gamma=spec.gamma,
                     hidden=spec.hidden, replay_capacity=spec.replay_capacity,
                     batch_size=spec.batch_size,
                     target_update_period=spec.target_update_period,
@@ -78,8 +70,30 @@ def build_agent(config: SimConfig):
                     epsilon_decay=spec.epsilon_decay, seed=config.seed)
 
 
-def build_sensing_model(spec: SensingSpec, config: SimConfig) -> SensingModel | None:
-    """None stands for the perfect (oracle) sensor."""
+def build_agent(config: SimConfig):
+    """The configured agent. A configured checkpoint is loaded; one that
+    cannot be read or was trained for another M is a ConfigError naming
+    agent.checkpoint."""
+    spec = config.agent
+    if spec.variant == "random" or spec.checkpoint is None:
+        return new_agent(config, spec.variant)
+    load = load_qtable if spec.variant == "qtable" else load_agent
+    try:
+        agent = load(spec.checkpoint)
+    except (OSError, ValueError) as exc:
+        raise ConfigError([f"agent.checkpoint: {exc}"]) from None
+    m = config.radio.num_subchannels
+    if agent.num_subchannels != m:
+        raise ConfigError([f"agent.checkpoint: {spec.checkpoint}: trained for "
+                           f"M={agent.num_subchannels}, config has M={m}"])
+    return agent
+
+
+def build_sensing_model(spec: SensingSpec, config: SimConfig,
+                        field: str) -> SensingModel | None:
+    """None stands for the perfect (oracle) sensor. A classifier checkpoint
+    that cannot be read or has other than M outputs is a ConfigError
+    naming `field`, the setting the path came from."""
     m = config.radio.num_subchannels
     if spec.kind == "perfect":
         return None
@@ -88,20 +102,47 @@ def build_sensing_model(spec: SensingSpec, config: SimConfig) -> SensingModel | 
                             thresholds=np.asarray(spec.thresholds, dtype=float),
                             decision_threshold=spec.decision_threshold,
                             input_mode=spec.input_mode)
-    network = nnet.load_checkpoint(spec.model_path)
+    try:
+        network = nnet.load_checkpoint(spec.model_path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError([f"{field}: {exc}"]) from None
     if network.output_dim != m:
-        raise ValueError(f"{spec.model_path}: classifier has "
-                         f"{network.output_dim} outputs, config has M={m}")
+        raise ConfigError([f"{field}: {spec.model_path}: classifier has "
+                           f"{network.output_dim} outputs, config has M={m}"])
     return SensingModel(kind="dense-classifier", num_subchannels=m,
                         network=network, decision_threshold=spec.decision_threshold,
                         input_mode=spec.input_mode)
+
+
+def sense(models, label, sinrs_db, synth, rng) -> list[tuple[int, ...]]:
+    """Every UAV's occupancy report on one true label: UAV k captures at
+    sinrs_db[k] and reports what models[k] detects; None is the perfect
+    sensor, which reports the label and draws nothing from rng."""
+    return [label if model is None
+            else predict_occupancy(model, synthesize_observation(label, sinr, synth, rng))
+            for model, sinr in zip(models, sinrs_db)]
+
+
+def slot_scores(collision, throughput, access_cost, sensing_costs) -> tuple[float, float]:
+    """(utility, energy efficiency) of one slot from its per-pair and
+    per-UAV tables; the EE is NaN when the slot consumed no energy."""
+    keys = sorted(collision)
+    utility = slot_utility((collision[key], throughput[key]) for key in keys)
+    try:
+        ee = energy_efficiency(
+            [(collision[key], throughput[key], access_cost[key]) for key in keys],
+            [sensing_costs[k] for k in sorted(sensing_costs)])
+    except UndefinedEnergyEfficiencyError:
+        ee = float("nan")
+    return utility, ee
 
 
 class Simulation:
     def __init__(self, config: SimConfig):
         self.cfg = config
         self.rng = derive_rng(config.seed, 0x51B)
-        self.models = [build_sensing_model(s, config) for s in config.sensing]
+        self.models = [build_sensing_model(s, config, f"sensing[{k}].model_path")
+                       for k, s in enumerate(config.sensing)]
         self.agent = build_agent(config)
         m = config.radio.num_subchannels
         self.sc_per_uav = sensing_cost(config.timing, config.radio)
@@ -113,37 +154,14 @@ class Simulation:
             for k in range(config.radio.num_uavs)
         ]
         self.slot = 0
-        self.counts = {f"uav_{k}": [0, 0, 0, 0]
-                       for k in range(config.radio.num_uavs)}
-        self.counts["fused"] = [0, 0, 0, 0]
+        keys = [f"uav_{k}" for k in range(config.radio.num_uavs)] + ["fused"]
+        self.counts = {key: [0, 0, 0, 0] for key in keys}  # per-UAV, then fused
         self.reset_episode()
 
     def reset_episode(self) -> None:
         self.env_state = initial_state(list(self.cfg.matrices), self.rng)
         self.prev_fused = None
         self.pending: list[tuple[int, int]] = []
-
-    def _sense(self, uav: int, truth) -> tuple[int, ...]:
-        model = self.models[uav]
-        if model is None:
-            return truth
-        obs = synthesize_observation(
-            truth, self.cfg.link.sensing_sinr_db[uav], self.cfg.synth, self.rng,
-            uav_index=uav)
-        return predict_occupancy(model, obs)
-
-    def _tally(self, key: str, prediction, truth) -> None:
-        c = self.counts[key]
-        for p, t in zip(prediction, truth):
-            p_pos, t_pos = p == 0, t == 0
-            if p_pos and t_pos:
-                c[0] += 1
-            elif p_pos:
-                c[1] += 1
-            elif t_pos:
-                c[2] += 1
-            else:
-                c[3] += 1
 
     def run_slot(self) -> SlotLedger:
         cfg = self.cfg
@@ -154,13 +172,11 @@ class Simulation:
         requesting = [k for k in range(k_uavs)
                       if self.rng.random() < cfg.request_probability]
 
-        reports = []
-        for k in range(k_uavs):
-            h = self._sense(k, truth)
-            self._tally(f"uav_{k}", h, truth)
-            reports.append(h)
+        reports = sense(self.models, truth, cfg.link.sensing_sinr_db, cfg.synth,
+                        self.rng)
         fused = fuse(reports, cfg.fusion)
-        self._tally("fused", fused, truth)
+        for tally, h in zip(self.counts.values(), reports + [fused]):
+            confusion_counts((h,), (truth,), counts=tally)
 
         pending_next: list[tuple[int, int]] = []
         if requesting:
@@ -178,15 +194,7 @@ class Simulation:
             bits[(uav, ch)] = self.bits_table[uav][ch - 1]
             acc[(uav, ch)] = self.ac_per_pair
         sensing_costs = {k: self.sc_per_uav for k in range(k_uavs)}
-
-        pairs = [(collision[key], bits[key]) for key in sorted(collision)]
-        utility = slot_utility(pairs)
-        try:
-            ee = energy_efficiency(
-                [(collision[key], bits[key], acc[key]) for key in sorted(collision)],
-                [sensing_costs[k] for k in sorted(sensing_costs)])
-        except UndefinedEnergyEfficiencyError:
-            ee = float("nan")
+        utility, ee = slot_scores(collision, bits, acc, sensing_costs)
 
         ledger = SlotLedger(
             slot=self.slot, assignment=Assignment.of(*self.pending),
@@ -210,14 +218,11 @@ def recompute_aggregates(ledgers: list[SlotLedger]):
     transmissions = 0
     collisions = 0
     for led in ledgers:
-        pairs = [(led.collision[key], led.throughput[key])
-                 for key in sorted(led.collision)]
-        utilities.append(slot_utility(pairs))
-        if not np.isnan(led.energy_efficiency):
-            ees.append(energy_efficiency(
-                [(led.collision[key], led.throughput[key], led.access_cost[key])
-                 for key in sorted(led.collision)],
-                [led.sensing_costs[k] for k in sorted(led.sensing_costs)]))
+        utility, ee = slot_scores(led.collision, led.throughput, led.access_cost,
+                                  led.sensing_costs)
+        utilities.append(utility)
+        if not np.isnan(ee):
+            ees.append(ee)
         transmissions += len(led.collision)
         collisions += sum(1 for r in led.collision.values() if r == -1)
     mean_utility = float(np.mean(utilities))
@@ -255,11 +260,11 @@ def _audit(report: RunReport) -> None:
 
 
 def _metric_row(counts):
-    tp, fp, fn, _tn = counts
-    precision = tp / (tp + fp) if tp + fp else None
-    recall = tp / (tp + fn) if tp + fn else None
-    f1 = 2 * tp / (2 * tp + fp + fn) if 2 * tp + fp + fn else None
-    return precision, recall, f1
+    """(precision, recall, F1) of pooled counts; None where undefined."""
+    met = metrics_from_counts(*counts)
+    return (met.micro_precision if met.precision_defined else None,
+            met.micro_recall if met.recall_defined else None,
+            met.micro_f1 if met.f1_defined else None)
 
 
 def save_report(report: RunReport, config: SimConfig, out_dir: str) -> None:

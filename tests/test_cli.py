@@ -84,15 +84,43 @@ class TestExitCodes:
                            sensing={"kind": "perfect"}, fusion_n=1,
                            agent={"variant": "qtable",
                                   "checkpoint": str(tmp_path / "missing.ckpt")})
-        assert cli_dispatch(["simulate", "--config", cfg, "--out", out]) == 2
-        assert "missing.ckpt" in capsys.readouterr().err
+        capsys.readouterr()
+        assert cli_dispatch(["simulate", "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "agent.checkpoint" in err and "missing.ckpt" in err
         # a q-table trained for another M is refused
         cfg = write_config(tmp_path, radio={"num_subchannels": 2, "num_uavs": 1},
                            sensing={"kind": "perfect"}, fusion_n=1,
                            dataset={"fft_size": 256, "count_per_sinr": 30, "eval_count": 20},
                            agent={"variant": "qtable", "checkpoint": ckpt})
-        assert cli_dispatch(["simulate", "--config", cfg, "--out", out]) == 2
-        assert "trained for M=4" in capsys.readouterr().err
+        assert cli_dispatch(["simulate", "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "agent.checkpoint" in err and "trained for M=4" in err
+
+    def test_unusable_checkpoints_name_their_field(self, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(b"UAGC")
+        cfg = write_config(tmp_path, agent={"variant": "dqn", "checkpoint": str(bad)})
+        assert cli_dispatch(["simulate", "--config", cfg, "--out", out]) == 1
+        assert "agent.checkpoint" in capsys.readouterr().err
+        sensing = [{"kind": "perfect"}, {"kind": "perfect"},
+                   {"kind": "dense-classifier",
+                    "model_path": str(tmp_path / "missing.ckpt")}]
+        cfg = write_config(tmp_path, sensing=sensing)
+        assert cli_dispatch(["simulate", "--config", cfg, "--out", out]) == 1
+        assert "sensing[2].model_path" in capsys.readouterr().err
+        cfg = write_config(tmp_path)
+        assert cli_dispatch(["eval-sensing", "--config", cfg, "--out", out,
+                             "--model", str(bad)]) == 1
+        assert "--model" in capsys.readouterr().err
+
+    def test_seed_flag_out_of_range_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        for seed in ("-1", str(2 ** 64)):
+            assert cli_dispatch(["simulate", "--config", cfg, "--seed", seed,
+                                 "--out", str(tmp_path / "run")]) == 1
+            assert "--seed" in capsys.readouterr().err
 
     def test_help_exits_zero(self):
         assert cli_dispatch(["--help"]) == 0

@@ -90,6 +90,20 @@ class TestValidation:
         cfg = validate_config(minimal(agent={"replay_capacity": 32, "batch_size": 32}))
         assert cfg.agent.batch_size == cfg.agent.replay_capacity
 
+    def test_access_rows_use_the_number_list_check(self):
+        rows = [[1.0, 2.0, 3.0, 4.0], [1.0, "x", 3.0, 4.0], [1.0, 2.0]]
+        with pytest.raises(ConfigError) as exc:
+            validate_config(minimal(link={"access_sinr_db": rows}))
+        assert exc.value.problems == [
+            "link.access_sinr_db[1]: expected a list of numbers",
+            "link.access_sinr_db[2]: expected 4 entries, got 2"]
+
+    def test_link_defaults_are_the_preset(self):
+        from uavdsa.channel import default_link_model
+        for k in (1, 2, 3, 5):
+            cfg = validate_config(minimal(radio={"num_uavs": k}, fusion_n=1))
+            assert cfg.link == default_link_model(k, 4)
+
     def test_uniform_channel_shorthand(self):
         cfg = validate_config(minimal(channels={"p01": 0.4, "p10": 0.4}))
         assert all(m.p01 == 0.4 for m in cfg.matrices)
@@ -104,6 +118,38 @@ class TestValidation:
         raw = minimal(dataset={"fft_size": 64, "subcarriers_per_subchannel": 32})
         with pytest.raises(ConfigError, match="dataset"):
             validate_config(raw)
+
+
+# (field path in the problem, config overrides): each used to validate and
+# then fail at run time, or be silently changed
+OUT_OF_BOUNDS = [
+    ("sensing[0].decision_threshold", {"sensing": {"decision_threshold": 0}}),
+    ("sensing[0].decision_threshold", {"sensing": {"decision_threshold": 1.0}}),
+    ("agent.gamma", {"agent": {"gamma": 1.0}}),
+    ("agent.gamma", {"agent": {"gamma": 1.5}}),
+    ("agent.learning_rate", {"agent": {"learning_rate": 0}}),
+    ("agent.learning_rate", {"agent": {"learning_rate": -0.001}}),
+    ("sensing[0].learning_rate", {"sensing": {"learning_rate": 0.0}}),
+    ("config.seed", {"seed": 2 ** 64}),
+    ("agent.hidden", {"agent": {"hidden": [64.5]}}),
+    ("sensing[0].hidden", {"sensing": {"hidden": [128, 16.5]}}),
+]
+
+
+@pytest.mark.parametrize("field,overrides", OUT_OF_BOUNDS,
+                         ids=[f"{f}-{i}" for i, (f, _) in enumerate(OUT_OF_BOUNDS)])
+def test_out_of_bounds_values_are_config_errors(field, overrides):
+    with pytest.raises(ConfigError) as exc:
+        validate_config(minimal(**overrides))
+    assert any(p.startswith(f"{field}: ") for p in exc.value.problems)
+
+
+def test_bounds_admit_their_edges():
+    cfg = validate_config(minimal(
+        seed=2 ** 64 - 1, agent={"gamma": 0.0, "hidden": [64.0, 8]},
+        sensing={"decision_threshold": 0.999, "learning_rate": 1e-9}))
+    assert cfg.seed == 2 ** 64 - 1
+    assert cfg.agent.hidden == (64, 8)
 
 
 class TestLoadConfig:

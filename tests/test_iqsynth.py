@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -202,3 +204,33 @@ class TestGenerateDataset:
         cfg = small_config()
         with pytest.raises(ValueError):
             iqsynth.generate_dataset(cfg, lambda rng: (0, 0, 0, 0), 0)
+
+
+IQDS_HEADER = 4 + 20 + 4 * 2 + 8  # magic, five u32, a two-point grid, seed
+IQDS_RECORD = 8 + 8 * 256
+
+# (defect, mutation of the valid file's bytes)
+TRUNCATED = [
+    ("magic only", lambda d: d[:4]),
+    ("partial fixed header", lambda d: d[:10]),
+    ("partial grid", lambda d: d[:4 + 20 + 4]),
+    ("partial seed", lambda d: d[:IQDS_HEADER - 3]),
+    ("partial record header", lambda d: d[:IQDS_HEADER + IQDS_RECORD + 3]),
+    ("record cut by 3 bytes", lambda d: d[:-3]),
+    ("record missing 32 samples", lambda d: d[:-256]),
+]
+
+
+@pytest.mark.parametrize("defect,mutate", TRUNCATED, ids=[d for d, _ in TRUNCATED])
+def test_dataset_reader_rejects_partial_files(defect, mutate, tmp_path):
+    good, bad = str(tmp_path / "good.iq"), str(tmp_path / "bad.iq")
+    ds = iqsynth.generate_dataset(small_config(), lambda rng: (0, 1, 0, 1), 4)
+    iqsynth.save_dataset(ds, good)
+    with open(good, "rb") as f:
+        data = f.read()
+    assert len(data) == IQDS_HEADER + 8 * IQDS_RECORD
+    assert len(iqsynth.load_dataset(good).observations) == 8
+    with open(bad, "wb") as f:
+        f.write(mutate(data))
+    with pytest.raises(ValueError, match=f"{re.escape(bad)}: truncated"):
+        iqsynth.load_dataset(bad)

@@ -76,13 +76,6 @@ class TestBackward:
             mean_w = np.mean([g[li] for g in singles], axis=0)
             assert np.allclose(batch_w[li], mean_w)
 
-    def test_huber_matches_finite_differences(self):
-        net = nnet.build_network([3, 6, 2], ["relu", "identity"], seed=9)
-        rng = np.random.default_rng(9)
-        err = nnet.gradient_check(net, rng.normal(size=3), rng.normal(size=2) * 3,
-                                  nnet.LossSpec("huber", delta=0.5), eps=1e-4)
-        assert err <= 1e-3  # huber has curvature kinks at |e| = delta
-
     def test_nonfinite_aborts_with_layer_index(self):
         net = linear_net(1e200, 0.0)
         with np.errstate(over="ignore"), \
@@ -291,8 +284,6 @@ class TestSpecs:
     def test_loss_spec_validation(self):
         with pytest.raises(ValueError):
             nnet.LossSpec("nll")
-        with pytest.raises(ValueError):
-            nnet.LossSpec("huber", delta=0.0)
 
     def test_network_rejects_mismatched_chain(self):
         with pytest.raises(ValueError):

@@ -32,41 +32,6 @@ class TestStateEncoding:
         assert np.array_equal(sch.state_features(None, 3), [0.5, 0.5, 0.5])
 
 
-class TestEpsilonGreedy:
-    def test_greedy_argmax(self):
-        assert sch.epsilon_greedy([1.0, 3.0, 2.0], 0.0, derive_rng(0)) == 1
-
-    def test_tie_break_lowest_index(self):
-        assert sch.epsilon_greedy([5.0, 5.0, 1.0], 0.0, derive_rng(0)) == 0
-
-    def test_uniform_at_epsilon_one(self):
-        rng = derive_rng(1)
-        counts = np.zeros(3)
-        draws = 10 ** 4
-        for _ in range(draws):
-            counts[sch.epsilon_greedy([9.0, 0.0, -9.0], 1.0, rng)] += 1
-        expected = draws / 3
-        chi2 = float(((counts - expected) ** 2 / expected).sum())
-        assert chi2 <= CHI2_99[2]
-
-    def test_rejects_bad_epsilon(self):
-        with pytest.raises(ValueError):
-            sch.epsilon_greedy([0.0], 1.5, derive_rng(0))
-
-
-class TestTopK:
-    def test_k1_is_argmax(self):
-        assert sch.top_k_actions([0.0, 9.0, 7.0, 8.0], 1) == (1,)
-
-    def test_descending_with_ties(self):
-        assert sch.top_k_actions([0.0, 9.0, 7.0, 8.0], 2) == (1, 3)
-        assert sch.top_k_actions([5.0, 5.0, 5.0], 2) == (0, 1)
-
-    def test_k_out_of_range(self):
-        with pytest.raises(ValueError):
-            sch.top_k_actions([1.0, 2.0], 3)
-
-
 class TestValidAndMasked:
     def test_initial_allows_idle_only(self):
         assert sch.valid_actions(None, 4) == (0,)
@@ -82,6 +47,34 @@ class TestValidAndMasked:
     def test_masked_pads_with_idle(self):
         actions = sch.masked_actions([0.0, 1.0], (0,), 2, 0.0, derive_rng(0))
         assert actions == (0, 0)
+
+    # every action valid: plain greedy / top-k / uniform selection
+    def test_masked_greedy_argmax(self):
+        assert sch.masked_actions([1.0, 3.0, 2.0], (0, 1, 2), 1, 0.0,
+                                  derive_rng(0)) == (1,)
+        assert sch.masked_actions([0.0, 9.0, 7.0, 8.0], (0, 1, 2, 3), 1, 0.0,
+                                  derive_rng(0)) == (1,)
+
+    def test_masked_tie_break_lowest_index(self):
+        assert sch.masked_actions([5.0, 5.0, 1.0], (0, 1, 2), 1, 0.0,
+                                  derive_rng(0)) == (0,)
+
+    def test_masked_descending_with_ties(self):
+        assert sch.masked_actions([0.0, 9.0, 7.0, 8.0], (0, 1, 2, 3), 2, 0.0,
+                                  derive_rng(0)) == (1, 3)
+        assert sch.masked_actions([5.0, 5.0, 5.0], (0, 1, 2), 2, 0.0,
+                                  derive_rng(0)) == (0, 1)
+
+    def test_masked_uniform_at_epsilon_one(self):
+        rng = derive_rng(1)
+        counts = np.zeros(3)
+        draws = 10 ** 4
+        for _ in range(draws):
+            (a,) = sch.masked_actions([9.0, 0.0, -9.0], (0, 1, 2), 1, 1.0, rng)
+            counts[a] += 1
+        expected = draws / 3
+        chi2 = float(((counts - expected) ** 2 / expected).sum())
+        assert chi2 <= CHI2_99[2]
 
     def test_masked_exploration_stays_valid(self):
         rng = derive_rng(3)

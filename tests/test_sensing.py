@@ -143,6 +143,13 @@ class TestMicroMetrics:
         assert m.micro_recall == pytest.approx(2 / 3)
         assert m.micro_f1 == pytest.approx(2 / 3)
 
+    def test_counts_add_into_a_running_tally(self):
+        tally = [1, 1, 1, 1]
+        for pred, truth in (((0, 0), (0, 1)), ((0, 1), (0, 0))):
+            sensing.confusion_counts((pred,), (truth,), counts=tally)
+        assert tally == [3, 2, 2, 1]
+        assert sensing.confusion_counts([(0, 0), (0, 1)], [(0, 1), (0, 0)]) == [2, 1, 1, 0]
+
     def test_all_positive_recall_one(self):
         preds = [(0, 0, 0, 0)] * 50
         rng = derive_rng(5)
