@@ -32,6 +32,20 @@ class TestStateEncoding:
         assert np.array_equal(sch.state_features(None, 3), [0.5, 0.5, 0.5])
 
 
+class TestEpsilonGreedy:
+    # greedy single-action selection, every action valid
+    def test_greedy_argmax(self):
+        assert sch.masked_actions([1.0, 3.0, 2.0], (0, 1, 2), 1, 0.0,
+                                  derive_rng(0)) == (1,)
+
+
+class TestTopK:
+    # greedy top-k selection with k = 1, every action valid
+    def test_k1_is_argmax(self):
+        assert sch.masked_actions([0.0, 9.0, 7.0, 8.0], (0, 1, 2, 3), 1, 0.0,
+                                  derive_rng(0)) == (1,)
+
+
 class TestValidAndMasked:
     def test_initial_allows_idle_only(self):
         assert sch.valid_actions(None, 4) == (0,)
@@ -49,12 +63,6 @@ class TestValidAndMasked:
         assert actions == (0, 0)
 
     # every action valid: plain greedy / top-k / uniform selection
-    def test_masked_greedy_argmax(self):
-        assert sch.masked_actions([1.0, 3.0, 2.0], (0, 1, 2), 1, 0.0,
-                                  derive_rng(0)) == (1,)
-        assert sch.masked_actions([0.0, 9.0, 7.0, 8.0], (0, 1, 2, 3), 1, 0.0,
-                                  derive_rng(0)) == (1,)
-
     def test_masked_tie_break_lowest_index(self):
         assert sch.masked_actions([5.0, 5.0, 1.0], (0, 1, 2), 1, 0.0,
                                   derive_rng(0)) == (0,)
