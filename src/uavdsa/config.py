@@ -30,7 +30,8 @@ Schema (defaults in parentheses):
             replay_capacity (10000), batch_size (32, <= replay_capacity),
             target_update_period (100), tau (0.01), learning_rate (0.001, > 0),
             epsilon0 (1.0), epsilon_min (0.05), epsilon_decay (null),
-            alpha (null), alpha_power (0.7), checkpoint (null)}
+            alpha (null), alpha_power (0.7),
+            checkpoint (null; refused for "random")}
     dataset: {fft_size (1024), subcarriers_per_subchannel (null -> fft/M),
               sinr_grid_db ([-10, 0, 10, 20]), count_per_sinr (600),
               eval_count (150), interference_gains_db ([])}
@@ -333,6 +334,9 @@ def validate_config(raw: dict, seed_override: int | None = None,
         alpha_power=agent_sec.value("alpha_power", 0.7, float, low=0.0, high=1.0),
         checkpoint=agent_sec.value("checkpoint", None, str, nullable=True),
     )
+    if variant == "random" and agent.checkpoint is not None:
+        problems.append("agent.checkpoint: the random agent has no checkpoint "
+                        "to load; remove it or choose a trained variant")
     if agent.batch_size > agent.replay_capacity:
         problems.append(
             f"agent.batch_size: {agent.batch_size} exceeds agent.replay_capacity "

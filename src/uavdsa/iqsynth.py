@@ -22,6 +22,7 @@ test) and are therefore recomputable on load.
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +51,15 @@ class SynthConfig:
             raise ValueError("subcarriers_per_subchannel must be >= 1")
         if self.num_subchannels * self.subcarriers_per_subchannel > n:
             raise ValueError("sub-channel blocks exceed the transform length")
+
+    @cached_property
+    def bin_layout(self) -> np.ndarray:
+        """(M, subcarriers) active-bin indices, row m for sub-channel m,
+        computed once per config."""
+        bins = np.array(active_bins(self.samples_per_observation, self.num_subchannels,
+                                    self.subcarriers_per_subchannel))
+        bins.flags.writeable = False
+        return bins
 
 
 @dataclass
@@ -87,17 +97,27 @@ def active_bins(fft_size: int, num_subchannels: int, subcarriers: int) -> list[n
     return bins
 
 
+# The four QPSK symbols exp(i(pi/4 + q pi/2)), q = 0..3: indexing this table
+# is bitwise equal to evaluating the exponential per symbol.
+_QPSK = np.exp(1j * (np.pi / 4 + np.arange(4) * np.pi / 2))
+_QPSK.flags.writeable = False
+
+
+def _fill_busy(spectrum: np.ndarray, busy, config: SynthConfig,
+               rng: np.random.Generator) -> None:
+    """Write unit-power QPSK symbols on the active bins of each busy
+    sub-channel, one draw of quadrants per sub-channel in channel order."""
+    for m in busy:
+        quadrant = rng.integers(0, 4, size=config.subcarriers_per_subchannel)
+        spectrum[config.bin_layout[m]] = _QPSK[quadrant]
+
+
 def clean_spectrum(label, config: SynthConfig, rng: np.random.Generator) -> np.ndarray:
     """Frequency-domain construction: unit-power QPSK on the active bins of
     busy sub-channels, exact zeros everywhere else."""
     label = occupancy_vector(label, config.num_subchannels)
     spectrum = np.zeros(config.samples_per_observation, dtype=complex)
-    bins = active_bins(config.samples_per_observation, config.num_subchannels,
-                       config.subcarriers_per_subchannel)
-    for m, busy in enumerate(label):
-        if busy:
-            quadrant = rng.integers(0, 4, size=config.subcarriers_per_subchannel)
-            spectrum[bins[m]] = np.exp(1j * (np.pi / 4 + quadrant * np.pi / 2))
+    _fill_busy(spectrum, np.flatnonzero(label), config, rng)
     return spectrum
 
 
@@ -112,18 +132,31 @@ def noise_power(sinr_db: float) -> float:
     return 10.0 ** (-sinr_db / 10.0)
 
 
-def synthesize_observation(label, sinr_db: float, config: SynthConfig,
-                           rng: np.random.Generator) -> IQObservation:
-    """One labeled capture: clean waveform plus complex Gaussian noise.
+def synthesize_captures(label, sinrs_db, config: SynthConfig,
+                        rng: np.random.Generator) -> np.ndarray:
+    """(K, N) captures of one label, row k at sinrs_db[k]: clean waveform
+    plus complex Gaussian noise.
 
-    An all-vacant label yields a noise-only capture at the same reference
+    Makes exactly the draws of K successive single captures, in order: per
+    capture, the QPSK quadrants of each busy sub-channel, then the (N, 2)
+    noise block. The K spectra then share one inverse transform. An
+    all-vacant label yields noise-only captures at the same reference
     noise floor.
     """
-    signal = clean_waveform(label, config, rng)
-    sigma2 = noise_power(sinr_db)
+    busy = np.flatnonzero(occupancy_vector(label, config.num_subchannels))
     n = config.samples_per_observation
-    noise = rng.normal(0.0, np.sqrt(sigma2 / 2.0), size=(n, 2))
-    samples = signal + noise[:, 0] + 1j * noise[:, 1]
+    spectra = np.zeros((len(sinrs_db), n), dtype=complex)
+    noise = np.empty((len(sinrs_db), n, 2))
+    for k, sinr_db in enumerate(sinrs_db):
+        _fill_busy(spectra[k], busy, config, rng)
+        noise[k] = rng.normal(0.0, np.sqrt(noise_power(sinr_db) / 2.0), size=(n, 2))
+    return np.fft.ifft(spectra, norm="ortho") + noise[..., 0] + 1j * noise[..., 1]
+
+
+def synthesize_observation(label, sinr_db: float, config: SynthConfig,
+                           rng: np.random.Generator) -> IQObservation:
+    """One labeled capture: the K = 1 case of synthesize_captures."""
+    samples = synthesize_captures(label, (sinr_db,), config, rng)[0]
     return IQObservation(samples=samples, label=occupancy_vector(label),
                          sinr_db=float(sinr_db))
 
@@ -242,8 +275,13 @@ def load_dataset(path: str) -> Dataset:
         grid = tuple(float(v) for v in np.frombuffer(header(f, 4 * grid_len),
                                                      dtype="<f4"))
         (seed,) = struct.unpack("<Q", header(f, 8))
-        config = SynthConfig(seed=seed, num_subchannels=m, samples_per_observation=n,
-                             subcarriers_per_subchannel=n // m, sinr_grid_db=grid)
+        if m < 1:
+            raise ValueError(f"{path}: header has M={m} sub-channels")
+        try:
+            config = SynthConfig(seed=seed, num_subchannels=m, samples_per_observation=n,
+                                 subcarriers_per_subchannel=n // m, sinr_grid_db=grid)
+        except ValueError as exc:
+            raise ValueError(f"{path}: header has M={m}, N={n}: {exc}") from None
         record = struct.Struct("<If")
         observations = []
         size = record.size + 8 * n

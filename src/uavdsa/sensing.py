@@ -22,14 +22,18 @@ INPUT_MODES = ("iq", "band-energy")
 
 
 def band_energies(observation, num_subchannels: int) -> np.ndarray:
-    """Energy per sub-channel band of one capture: squared DFT magnitudes
-    summed over each band of the equal M-way bin partition."""
+    """Energy per sub-channel band of one capture (N,) or of a stack of
+    captures (..., N), shaped (..., M): squared DFT magnitudes summed over
+    each band of the equal M-way bin partition."""
     samples = observation.samples if isinstance(observation, IQObservation) else np.asarray(observation)
-    if len(samples) < num_subchannels:
+    n = samples.shape[-1]
+    if n < num_subchannels:
         raise ValueError("observation shorter than the number of sub-channels")
-    spectrum = np.fft.fft(samples, norm="ortho")
-    power = np.abs(spectrum) ** 2
-    return np.array([power[a:b].sum() for a, b in band_edges(len(samples), num_subchannels)])
+    power = np.abs(np.fft.fft(samples, norm="ortho")) ** 2
+    if n % num_subchannels == 0:
+        return power.reshape(*power.shape[:-1], num_subchannels, -1).sum(axis=-1)
+    return np.stack([power[..., a:b].sum(axis=-1) for a, b in band_edges(n, num_subchannels)],
+                    axis=-1)
 
 
 def energy_detect(energies: np.ndarray, thresholds: np.ndarray) -> tuple[int, ...]:
@@ -38,7 +42,7 @@ def energy_detect(energies: np.ndarray, thresholds: np.ndarray) -> tuple[int, ..
     thresholds = np.asarray(thresholds, dtype=float)
     if energies.shape != thresholds.shape:
         raise ValueError("one threshold per sub-channel required")
-    return tuple(int(e >= t) for e, t in zip(energies, thresholds))
+    return tuple((energies >= thresholds).astype(int).tolist())
 
 
 @dataclass

@@ -26,12 +26,12 @@ from .core import (Assignment, SlotLedger, UndefinedEnergyEfficiencyError,
                    access_cost, collision_indicator, energy_efficiency,
                    sensing_cost, slot_utility, throughput, validate_assignment)
 from .fusion import fuse
-from .iqsynth import synthesize_observation
+from .iqsynth import IQObservation, synthesize_captures
 from .scheduler import (DqnAgent, QTable, RandomAgent, load_agent, load_qtable,
                         valid_actions)
 from .seeds import derive_rng
-from .sensing import (SensingModel, confusion_counts, metrics_from_counts,
-                      predict_occupancy, write_metrics_csv)
+from .sensing import (SensingModel, band_energies, confusion_counts, energy_detect,
+                      metrics_from_counts, predict_occupancy, write_metrics_csv)
 
 LEDGER_COLUMNS = ("slot", "utility", "ee", "collisions", "holes_detected",
                   "holes_true")
@@ -75,7 +75,7 @@ def build_agent(config: SimConfig):
     cannot be read or was trained for another M is a ConfigError naming
     agent.checkpoint."""
     spec = config.agent
-    if spec.variant == "random" or spec.checkpoint is None:
+    if spec.checkpoint is None:
         return new_agent(config, spec.variant)
     load = load_qtable if spec.variant == "qtable" else load_agent
     try:
@@ -92,8 +92,9 @@ def build_agent(config: SimConfig):
 def build_sensing_model(spec: SensingSpec, config: SimConfig,
                         field: str) -> SensingModel | None:
     """None stands for the perfect (oracle) sensor. A classifier checkpoint
-    that cannot be read or has other than M outputs is a ConfigError
-    naming `field`, the setting the path came from."""
+    that cannot be read, has other than M outputs, or takes another input
+    width than the input mode gives (2N for iq, M for band-energy) is a
+    ConfigError naming `field`, the setting the path came from."""
     m = config.radio.num_subchannels
     if spec.kind == "perfect":
         return None
@@ -109,6 +110,11 @@ def build_sensing_model(spec: SensingSpec, config: SimConfig,
     if network.output_dim != m:
         raise ConfigError([f"{field}: {spec.model_path}: classifier has "
                            f"{network.output_dim} outputs, config has M={m}"])
+    width = 2 * config.synth.samples_per_observation if spec.input_mode == "iq" else m
+    if network.input_dim != width:
+        raise ConfigError([f"{field}: {spec.model_path}: classifier takes "
+                           f"{network.input_dim} inputs, input_mode "
+                           f"{spec.input_mode!r} gives {width}"])
     return SensingModel(kind="dense-classifier", num_subchannels=m,
                         network=network, decision_threshold=spec.decision_threshold,
                         input_mode=spec.input_mode)
@@ -117,10 +123,27 @@ def build_sensing_model(spec: SensingSpec, config: SimConfig,
 def sense(models, label, sinrs_db, synth, rng) -> list[tuple[int, ...]]:
     """Every UAV's occupancy report on one true label: UAV k captures at
     sinrs_db[k] and reports what models[k] detects; None is the perfect
-    sensor, which reports the label and draws nothing from rng."""
-    return [label if model is None
-            else predict_occupancy(model, synthesize_observation(label, sinr, synth, rng))
-            for model, sinr in zip(models, sinrs_db)]
+    sensor, which reports the label and draws nothing from rng.
+
+    The captures of all sensing UAVs come from one synthesize_captures call
+    (the draws of one capture per UAV, in UAV order), and the energy
+    detectors threshold one band_energies call. Each classifier runs its
+    own forward pass, which keeps its output bitwise that of a single
+    capture.
+    """
+    sensed = [k for k, model in enumerate(models) if model is not None]
+    captures = synthesize_captures(label, [sinrs_db[k] for k in sensed], synth, rng)
+    reports = [label] * len(models)
+    rows = [i for i, k in enumerate(sensed) if models[k].kind == "energy-threshold"]
+    if rows:
+        energies = band_energies(captures[rows], synth.num_subchannels)
+        for i, row in zip(rows, energies):
+            reports[sensed[i]] = energy_detect(row, models[sensed[i]].thresholds)
+    for i, k in enumerate(sensed):
+        if models[k].kind == "dense-classifier":
+            reports[k] = predict_occupancy(models[k], IQObservation(
+                samples=captures[i], label=label, sinr_db=float(sinrs_db[k])))
+    return reports
 
 
 def slot_scores(collision, throughput, access_cost, sensing_costs) -> tuple[float, float]:

@@ -111,6 +111,41 @@ class TestSampleOccupancy:
             channel.sample_occupancy([channel.TransitionMatrix(0.2, 0.3)], 0, seed=0)
 
 
+def reference_trajectory(matrices, horizon, seed):
+    """One np.where step per slot, as the chains were stepped before the
+    horizon-at-once draw."""
+    rng = derive_rng(seed, 0xC4A1)
+    state = channel.initial_state(matrices, rng).true_occupancy
+    out = [state]
+    for _ in range(horizon - 1):
+        bits = np.asarray(state)
+        flip_prob = np.where(bits == 0, [m.p01 for m in matrices],
+                             [m.p10 for m in matrices])
+        flips = rng.random(len(bits)) < flip_prob
+        state = tuple(int(b) for b in np.where(flips, 1 - bits, bits))
+        out.append(state)
+    return out
+
+
+MIXED_CHAINS = [(0.2, 0.3), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.5, 0.5),
+                (0.9, 0.05), (0.05, 0.9), (0.3, 0.3), (0.0, 0.4), (0.4, 0.0)]
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3, 2000])
+def test_trajectories_match_per_step_reference(horizon):
+    mats = [channel.TransitionMatrix(*p) for p in MIXED_CHAINS]
+    want = reference_trajectory(mats, horizon, seed=17)
+    got = channel.sample_occupancy(mats, horizon, seed=17)
+    assert got == want
+    assert all(type(b) is int for s in got for b in s)
+    state = channel.initial_state(mats, derive_rng(17, 0xC4A1))
+    stepped = [state.true_occupancy]
+    for _ in range(horizon - 1):
+        state = channel.step(state, mats)
+        stepped.append(state.true_occupancy)
+    assert stepped == want
+
+
 class TestLinkModel:
     def test_sinr_lookup_and_conversion(self):
         link = channel.LinkModel(sensing_sinr_db=(10.0, 0.0),

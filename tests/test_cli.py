@@ -115,6 +115,37 @@ class TestExitCodes:
                              "--model", str(bad)]) == 1
         assert "--model" in capsys.readouterr().err
 
+    def test_random_agent_with_checkpoint_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, agent={"variant": "random",
+                                            "checkpoint": "/no/such.ckpt"})
+        assert cli_dispatch(["simulate", "--config", cfg,
+                             "--out", str(tmp_path / "run")]) == 1
+        assert "agent.checkpoint" in capsys.readouterr().err
+
+    def test_classifier_input_width_must_match_its_mode(self, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        sensing = {"kind": "dense-classifier", "input_mode": "band-energy",
+                   "model_path": "unused", "epochs": 1, "hidden": [8]}
+        cfg = write_config(tmp_path, sensing=sensing)
+        assert cli_dispatch(["gen-dataset", "--config", cfg, "--out", out]) == 0
+        assert cli_dispatch(["train-sensor", "--config", cfg, "--out", out]) == 0
+        ckpt = os.path.join(out, "sensor.ckpt")
+        assert os.path.exists(ckpt)
+        # the band-energy checkpoint (4 inputs) on an iq sensor (2N = 512 inputs)
+        iq = [{"kind": "perfect"}, {"kind": "perfect"},
+              {"kind": "dense-classifier", "model_path": ckpt}]
+        cfg = write_config(tmp_path, sensing=iq)
+        capsys.readouterr()
+        assert cli_dispatch(["simulate", "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "sensing[2].model_path" in err and "512" in err
+        assert cli_dispatch(["eval-sensing", "--config", cfg, "--out", out,
+                             "--model", ckpt]) == 1
+        assert "--model" in capsys.readouterr().err
+        cfg = write_config(tmp_path, sensing=dict(sensing, model_path=ckpt))
+        assert cli_dispatch(["eval-sensing", "--config", cfg, "--out", out,
+                             "--model", ckpt]) == 0
+
     def test_seed_flag_out_of_range_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         for seed in ("-1", str(2 ** 64)):

@@ -90,6 +90,12 @@ class TestValidation:
         cfg = validate_config(minimal(agent={"replay_capacity": 32, "batch_size": 32}))
         assert cfg.agent.batch_size == cfg.agent.replay_capacity
 
+    def test_random_agent_refuses_a_checkpoint(self):
+        raw = minimal(agent={"variant": "random", "checkpoint": "/no/such.ckpt"})
+        with pytest.raises(ConfigError, match="agent.checkpoint"):
+            validate_config(raw)
+        assert validate_config(minimal(agent={"variant": "random"})).agent.checkpoint is None
+
     def test_access_rows_use_the_number_list_check(self):
         rows = [[1.0, 2.0, 3.0, 4.0], [1.0, "x", 3.0, 4.0], [1.0, 2.0]]
         with pytest.raises(ConfigError) as exc:

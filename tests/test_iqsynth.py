@@ -1,4 +1,5 @@
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -234,3 +235,76 @@ def test_dataset_reader_rejects_partial_files(defect, mutate, tmp_path):
         f.write(mutate(data))
     with pytest.raises(ValueError, match=f"{re.escape(bad)}: truncated"):
         iqsynth.load_dataset(bad)
+
+
+def test_dataset_reader_rejects_bad_header_fields(tmp_path):
+    good, bad = str(tmp_path / "good.iq"), str(tmp_path / "bad.iq")
+    iqsynth.save_dataset(iqsynth.generate_dataset(small_config(),
+                                                  lambda rng: (0, 1, 0, 1), 2), good)
+    with open(good, "rb") as f:
+        data = f.read()
+    # M and N are the third and fourth u32 after the magic
+    for m, n in ((0, 256), (4, 48), (512, 256)):
+        with open(bad, "wb") as f:
+            f.write(data[:8] + struct.pack("<II", m, n) + data[16:])
+        with pytest.raises(ValueError, match=f"{re.escape(bad)}: header has M={m}"):
+            iqsynth.load_dataset(bad)
+
+
+def reference_captures(label, sinrs_db, cfg, rng):
+    """Per-capture synthesis as written before the batched kernel: one
+    np.exp per busy sub-channel, one ifft per capture."""
+    n, m, sc = cfg.samples_per_observation, cfg.num_subchannels, cfg.subcarriers_per_subchannel
+    bins = iqsynth.active_bins(n, m, sc)
+    rows = []
+    for sinr_db in sinrs_db:
+        spectrum = np.zeros(n, dtype=complex)
+        for ch, busy in enumerate(label):
+            if busy:
+                quadrant = rng.integers(0, 4, size=sc)
+                spectrum[bins[ch]] = np.exp(1j * (np.pi / 4 + quadrant * np.pi / 2))
+        signal = np.fft.ifft(spectrum, norm="ortho")
+        sigma2 = 10.0 ** (-sinr_db / 10.0)
+        noise = rng.normal(0.0, np.sqrt(sigma2 / 2.0), size=(n, 2))
+        rows.append(signal + noise[:, 0] + 1j * noise[:, 1])
+    return rows
+
+
+def reference_energies(samples, m):
+    """One fft per capture and a slice sum per band."""
+    power = np.abs(np.fft.fft(samples, norm="ortho")) ** 2
+    return np.array([power[a:b].sum() for a, b in iqsynth.band_edges(len(samples), m)])
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("m", [1, 3, 4, 5, 16])
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_batched_captures_are_bitwise_per_capture(m, n):
+    from uavdsa.sensing import band_energies
+    cfg = iqsynth.SynthConfig(seed=1, num_subchannels=m, samples_per_observation=n,
+                              subcarriers_per_subchannel=n // m)
+    labels = [(0,) * m, (1,) * m, tuple(i % 2 for i in range(m)),
+              tuple(int(i % 3 == 1) for i in range(m))]
+    for k in (1, 2, 3):
+        sinrs = (-10.0, 0.0, 7.5)[:k]
+        for label in labels:
+            seed = (m, n, k, labels.index(label))
+            rng, ref_rng = derive_rng(*seed), derive_rng(*seed)
+            got = iqsynth.synthesize_captures(label, sinrs, cfg, rng)
+            want = reference_captures(label, sinrs, cfg, ref_rng)
+            assert got.shape == (k, n)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            assert np.array_equal(bits(got), bits(np.array(want)))
+            energies = band_energies(got, m)
+            assert energies.shape == (k, m)
+            for row, capture in zip(energies, want):
+                assert np.array_equal(bits(row), bits(reference_energies(capture, m)))
+                assert np.array_equal(bits(band_energies(capture, m)), bits(row))
+    label = labels[2]
+    rng, ref_rng = derive_rng(7), derive_rng(7)
+    obs = iqsynth.synthesize_observation(label, 3.0, cfg, rng)
+    assert np.array_equal(bits(obs.samples), bits(reference_captures(label, (3.0,), cfg, ref_rng)[0]))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state

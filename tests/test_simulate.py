@@ -1,11 +1,14 @@
 import json
 
+import numpy as np
 import pytest
 
+from test_iqsynth import reference_captures, reference_energies
+from uavdsa import iqsynth, nnet, sensing, simulate
 from uavdsa import scheduler as sch
-from uavdsa import simulate
 from uavdsa.config import validate_config
 from uavdsa.core import slot_utility
+from uavdsa.seeds import derive_rng
 
 
 def config_dict(**overrides):
@@ -154,3 +157,40 @@ class TestSensingKindsInSimulation:
         cfg = validate_config(config_dict(episodes=1, slots_per_episode=10))
         report = simulate.run_simulation(cfg)
         assert sum(report.sensing_counts["fused"]) == 10 * 4
+
+
+@pytest.mark.parametrize("m,n", [(4, 256), (5, 64)])
+def test_sense_matches_per_capture_reports(m, n):
+    """One batched sensing pass reports, and draws, exactly what one
+    synthesize-and-predict call per UAV did."""
+    synth = iqsynth.SynthConfig(seed=3, num_subchannels=m, samples_per_observation=n,
+                                subcarriers_per_subchannel=n // m)
+    network = nnet.build_network([m, 8, m], ["relu", "sigmoid"], seed=5)
+    energy = sensing.SensingModel(kind="energy-threshold", num_subchannels=m,
+                                  thresholds=np.full(m, 1.2))
+    classifier = sensing.SensingModel(kind="dense-classifier", num_subchannels=m,
+                                      network=network, input_mode="band-energy")
+    models = [energy, None, classifier, energy, classifier]
+    sinrs = [0.0, 20.0, -3.0, 5.0, 10.0]
+    rng, ref_rng = derive_rng(9), derive_rng(9)
+    seen = set()
+    for slot in range(40):
+        label = tuple(int(b) for b in ref_rng.random(m) < 0.5)
+        assert tuple(int(b) for b in rng.random(m) < 0.5) == label
+        got = simulate.sense(models, label, sinrs, synth, rng)
+        want = []
+        for model, sinr in zip(models, sinrs):
+            if model is None:
+                want.append(label)
+                continue
+            samples = reference_captures(label, (sinr,), synth, ref_rng)[0]
+            if model is energy:
+                want.append(tuple(int(e >= t) for e, t in
+                                  zip(reference_energies(samples, m), model.thresholds)))
+            else:
+                want.append(sensing.predict_occupancy(
+                    model, iqsynth.IQObservation(samples, label, sinr)))
+        assert got == want
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        seen.update(want)
+    assert len(seen) > 2  # the detectors did not all report one constant vector
