@@ -75,19 +75,24 @@ def stationary_distribution(matrix: TransitionMatrix) -> tuple[float, float]:
     return matrix.p10 / s, matrix.p01 / s
 
 
+def _next_state(busy: int, u: float, matrix: TransitionMatrix) -> int:
+    """The transition rule: with u the channel's uniform draw, a vacant
+    channel turns busy iff u < p01 and a busy one stays busy iff u >= p10."""
+    return int(u >= matrix.p10) if busy else int(u < matrix.p01)
+
+
 def step(state: EnvState, matrices: list[TransitionMatrix]) -> EnvState:
     """Advance every chain one slot using the state's generator.
 
     Channels transition independently; the generator is shared with the
     returned state, so repeated stepping is deterministic for a fixed
-    starting generator. With u the channel's uniform draw, a vacant channel
-    turns busy iff u < p01 and a busy one stays busy iff u >= p10.
+    starting generator.
     """
     if len(matrices) != len(state.true_occupancy):
         raise ValueError(
             f"expected {len(state.true_occupancy)} matrices, got {len(matrices)}")
     draws = state.rng.random(len(matrices)).tolist()
-    nxt = tuple(int(u >= m.p10) if b else int(u < m.p01)
+    nxt = tuple(_next_state(b, u, m)
                 for b, u, m in zip(state.true_occupancy, draws, matrices))
     return EnvState(true_occupancy=nxt, slot=state.slot + 1, rng=state.rng)
 
@@ -109,26 +114,21 @@ def sample_occupancy(
 
     The result equals horizon - 1 step calls: the uniforms come from one
     rng.random((horizon - 1, M)) draw, which yields the same stream, and
-    the states from a segmented XOR scan. A draw with u < p01 and u >= p10
-    (or neither) fixes the next state whatever the current one is; a draw
-    with u < p01 and u < p10 flips it; any other draw keeps it. So each
-    state is the state fixed by the last resetting draw (or the start)
-    XOR the parity of the flips since.
+    each channel's chain is then walked on its own column of draws.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     rng = derive_rng(seed, 0xC4A1)
     start = initial_state(matrices, rng).true_occupancy
-    u = rng.random((horizon - 1, len(matrices)))
-    to_busy = u < np.array([m.p01 for m in matrices])     # next state if vacant
-    stay_busy = u >= np.array([m.p10 for m in matrices])  # next state if busy
-    reset = to_busy == stay_busy
-    parity = np.logical_xor.accumulate(to_busy & ~stay_busy, axis=0)
-    slots = np.arange(horizon - 1)[:, None]
-    last_reset = np.maximum.accumulate(np.where(reset, slots, -1), axis=0)
-    fixed = np.take_along_axis(to_busy ^ parity, last_reset, axis=0)
-    states = np.where(last_reset >= 0, fixed, np.array(start, dtype=bool)) ^ parity
-    return [start] + [tuple(row) for row in states.astype(int).tolist()]
+    columns = []
+    for b, matrix, draws in zip(start, matrices,
+                                rng.random((horizon - 1, len(matrices))).T.tolist()):
+        column = []
+        for u in draws:
+            b = _next_state(b, u, matrix)
+            column.append(b)
+        columns.append(column)
+    return [start] + list(zip(*columns))
 
 
 def stationary_sampler(matrices: list[TransitionMatrix]):

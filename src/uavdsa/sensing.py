@@ -30,8 +30,6 @@ def band_energies(observation, num_subchannels: int) -> np.ndarray:
     if n < num_subchannels:
         raise ValueError("observation shorter than the number of sub-channels")
     power = np.abs(np.fft.fft(samples, norm="ortho")) ** 2
-    if n % num_subchannels == 0:
-        return power.reshape(*power.shape[:-1], num_subchannels, -1).sum(axis=-1)
     return np.stack([power[..., a:b].sum(axis=-1) for a, b in band_edges(n, num_subchannels)],
                     axis=-1)
 
@@ -80,13 +78,17 @@ def feature_vector(observation: IQObservation, num_subchannels: int,
     return (x - x.mean()) / (x.std() + 1e-12)
 
 
+def detect_from_energies(model: SensingModel, energies: np.ndarray) -> tuple[int, ...]:
+    """Energy-threshold model's report h_k from one capture's band energies."""
+    if model.thresholds is None:
+        raise ValueError("energy-threshold model has no thresholds")
+    return energy_detect(energies, model.thresholds)
+
+
 def predict_occupancy(model: SensingModel, observation: IQObservation) -> tuple[int, ...]:
     """Deterministic per-UAV occupancy report h_k for one capture."""
     if model.kind == "energy-threshold":
-        if model.thresholds is None:
-            raise ValueError("energy-threshold model has no thresholds")
-        return energy_detect(band_energies(observation, model.num_subchannels),
-                             model.thresholds)
+        return detect_from_energies(model, band_energies(observation, model.num_subchannels))
     if model.network is None:
         raise ValueError("classifier model has no network")
     x = feature_vector(observation, model.num_subchannels, model.input_mode)

@@ -30,7 +30,7 @@ from .iqsynth import IQObservation, synthesize_captures
 from .scheduler import (DqnAgent, QTable, RandomAgent, load_agent, load_qtable,
                         valid_actions)
 from .seeds import derive_rng
-from .sensing import (SensingModel, band_energies, confusion_counts, energy_detect,
+from .sensing import (SensingModel, band_energies, confusion_counts, detect_from_energies,
                       metrics_from_counts, predict_occupancy, write_metrics_csv)
 
 LEDGER_COLUMNS = ("slot", "utility", "ee", "collisions", "holes_detected",
@@ -138,7 +138,7 @@ def sense(models, label, sinrs_db, synth, rng) -> list[tuple[int, ...]]:
     if rows:
         energies = band_energies(captures[rows], synth.num_subchannels)
         for i, row in zip(rows, energies):
-            reports[sensed[i]] = energy_detect(row, models[sensed[i]].thresholds)
+            reports[sensed[i]] = detect_from_energies(models[sensed[i]], row)
     for i, k in enumerate(sensed):
         if models[k].kind == "dense-classifier":
             reports[k] = predict_occupancy(models[k], IQObservation(

@@ -194,3 +194,14 @@ def test_sense_matches_per_capture_reports(m, n):
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         seen.update(want)
     assert len(seen) > 2  # the detectors did not all report one constant vector
+
+
+def test_energy_model_without_thresholds_is_refused_on_both_paths():
+    synth = iqsynth.SynthConfig(seed=3, num_subchannels=4, samples_per_observation=64,
+                                subcarriers_per_subchannel=16)
+    model = sensing.SensingModel(kind="energy-threshold", num_subchannels=4)
+    obs = iqsynth.synthesize_observation((0, 1, 0, 1), 5.0, synth, derive_rng(1))
+    with pytest.raises(ValueError, match="has no thresholds"):
+        sensing.predict_occupancy(model, obs)
+    with pytest.raises(ValueError, match="has no thresholds"):
+        simulate.sense([model], (0, 1, 0, 1), [5.0], synth, derive_rng(1))
