@@ -106,10 +106,12 @@ _QPSK.flags.writeable = False
 def _fill_busy(spectrum: np.ndarray, busy, config: SynthConfig,
                rng: np.random.Generator) -> None:
     """Write unit-power QPSK symbols on the active bins of each busy
-    sub-channel, one draw of quadrants per sub-channel in channel order."""
-    for m in busy:
-        quadrant = rng.integers(0, 4, size=config.subcarriers_per_subchannel)
-        spectrum[config.bin_layout[m]] = _QPSK[quadrant]
+    sub-channel: one (busy, subcarriers) draw of quadrants, row by row in
+    channel order. Generator.integers takes one value at a time from the
+    bit generator and keeps nothing between calls, so this is the same
+    stream as one draw per sub-channel."""
+    quadrant = rng.integers(0, 4, size=(len(busy), config.subcarriers_per_subchannel))
+    spectrum[config.bin_layout[busy]] = _QPSK[quadrant]
 
 
 def clean_spectrum(label, config: SynthConfig, rng: np.random.Generator) -> np.ndarray:
