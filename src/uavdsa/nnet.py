@@ -155,7 +155,8 @@ def forward(net: Network, x: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
-def _loss(y: np.ndarray, t: np.ndarray, loss: LossSpec) -> float:
+def output_loss(y: np.ndarray, t: np.ndarray, loss: LossSpec) -> float:
+    """Mean loss of batch outputs y against 2-D targets t."""
     e = y - t
     if loss.kind == "mse":
         return float(np.mean(e ** 2))
@@ -165,14 +166,15 @@ def _loss(y: np.ndarray, t: np.ndarray, loss: LossSpec) -> float:
 
 def loss_value(net: Network, x: np.ndarray, target: np.ndarray, loss: LossSpec) -> float:
     y = np.atleast_2d(forward(net, x))
-    return _loss(y, np.atleast_2d(np.asarray(target, dtype=float)), loss)
+    return output_loss(y, np.atleast_2d(np.asarray(target, dtype=float)), loss)
 
 
 def backward(net: Network, x: np.ndarray, target: np.ndarray, loss: LossSpec,
              trace=None):
-    """Scalar loss plus exact gradients (dW, db) for every layer.
+    """Exact gradients (dW, db) of the loss for every layer.
 
-    Gradients are means over the batch, matching loss_value. `trace` is
+    Gradients are means over the batch, matching loss_value; a caller that
+    also wants the loss takes output_loss of the trace's output. `trace` is
     forward_trace(net, x) when the caller already holds it. The gradients
     are written into the network's gradient buffer (see
     `Network.gradient`), so they stay valid until the next backward on the
@@ -192,7 +194,6 @@ def backward(net: Network, x: np.ndarray, target: np.ndarray, loss: LossSpec,
         delta = (y - t) / n_total  # sigmoid+bce cancellation, exact
     else:
         delta = 2.0 * (y - t) / n_total * _activation_grad(pre[-1], y, last.activation)
-    total = _loss(y, t, loss)
 
     _, grads = net.gradient()
     for i in range(len(net.layers) - 1, -1, -1):
@@ -204,7 +205,7 @@ def backward(net: Network, x: np.ndarray, target: np.ndarray, loss: LossSpec,
         if i > 0:
             delta = (delta @ net.layers[i].w.T) * _activation_grad(
                 pre[i - 1], post[i], net.layers[i - 1].activation)
-    return total, grads
+    return grads
 
 
 @dataclass
@@ -283,7 +284,7 @@ def gradient_check(net: Network, x: np.ndarray, target: np.ndarray,
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    _, grads = backward(net, x, target, loss)
+    grads = backward(net, x, target, loss)
     worst = 0.0
     for layer, (gw, gb) in zip(net.layers, grads):
         for param, grad in ((layer.w, gw), (layer.b, gb)):

@@ -318,7 +318,7 @@ class DqnAgent:
         trace = nnet.forward_trace(self.primary, feats)
         target_mat = trace[1][-1].copy()
         target_mat[np.arange(self.batch_size), ring.actions[idx]] = targets_y
-        _, grads = nnet.backward(self.primary, feats, target_mat, nnet.MSE, trace)
+        grads = nnet.backward(self.primary, feats, target_mat, nnet.MSE, trace)
         nnet.optimizer_step(self.primary, grads, self.optimizer)
         self.train_steps += 1
         if self.variant == "ddqn-soft":

@@ -258,7 +258,10 @@ def train_classifier(dataset: Dataset, params: TrainParams) -> SensingModel:
         losses = []
         for start in range(0, len(order), params.batch_size):
             batch = order[start:start + params.batch_size]
-            loss, grads = nnet.backward(net, feats[batch], labels[batch], nnet.BCE)
+            x, t = feats[batch], labels[batch]
+            trace = nnet.forward_trace(net, x)
+            grads = nnet.backward(net, x, t, nnet.BCE, trace)
+            loss = nnet.output_loss(trace[1][-1], t, nnet.BCE)
             if not np.isfinite(loss):
                 raise nnet.NonFiniteLossError(
                     f"non-finite loss at epoch {epoch}, batch {start // params.batch_size}")

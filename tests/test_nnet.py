@@ -44,15 +44,15 @@ class TestBackward:
     def test_zero_gradient_at_perfect_fit(self):
         net = linear_net(2.0, 1.0)
         x, y = np.array([3.0]), np.array([7.0])  # 2*3+1 = 7
-        loss, grads = nnet.backward(net, x, y, nnet.MSE)
-        assert loss == 0.0
+        grads = nnet.backward(net, x, y, nnet.MSE)
+        assert nnet.loss_value(net, x, y, nnet.MSE) == 0.0
         assert np.allclose(grads[0][0], 0.0) and np.allclose(grads[0][1], 0.0)
 
     def test_single_linear_neuron_closed_form(self):
         # dL/dw = 2(wx+b-y)x, dL/db = 2(wx+b-y)
         net = linear_net(0.7, 0.1)
         x, y = np.array([2.0]), np.array([0.5])
-        _, grads = nnet.backward(net, x, y, nnet.MSE)
+        grads = nnet.backward(net, x, y, nnet.MSE)
         err = 0.7 * 2.0 + 0.1 - 0.5
         assert grads[0][0][0, 0] == pytest.approx(2 * err * 2.0)
         assert grads[0][1][0] == pytest.approx(2 * err)
@@ -69,8 +69,8 @@ class TestBackward:
         xs = np.random.default_rng(6).normal(size=(3, 2))
         ys = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         # backward reuses one gradient buffer per network, so keep copies
-        batch_w = [gw.copy() for gw, _ in nnet.backward(net, xs, ys, nnet.BCE)[1]]
-        singles = [[gw.copy() for gw, _ in nnet.backward(net, x, y, nnet.BCE)[1]]
+        batch_w = [gw.copy() for gw, _ in nnet.backward(net, xs, ys, nnet.BCE)]
+        singles = [[gw.copy() for gw, _ in nnet.backward(net, x, y, nnet.BCE)]
                    for x, y in zip(xs, ys)]
         for li in range(2):
             mean_w = np.mean([g[li] for g in singles], axis=0)
@@ -153,7 +153,7 @@ class TestFlatParameters:
         x = np.random.default_rng(1).normal(size=(4, 3))
         buf, _ = net.gradient()
         for _ in range(2):
-            _, grads = nnet.backward(net, x, np.zeros((4, 2)), nnet.MSE)
+            grads = nnet.backward(net, x, np.zeros((4, 2)), nnet.MSE)
             assert all(np.shares_memory(gw, buf) and np.shares_memory(gb, buf)
                        for gw, gb in grads)
         assert net.gradient()[0] is buf
@@ -162,10 +162,9 @@ class TestFlatParameters:
         net = nnet.build_network([3, 5, 2], ["relu", "identity"], seed=2)
         rng = np.random.default_rng(2)
         x, y = rng.normal(size=(6, 3)), rng.normal(size=(6, 2))
-        loss, grads = nnet.backward(net, x, y, nnet.MSE)
+        grads = nnet.backward(net, x, y, nnet.MSE)
         fresh = [(gw.copy(), gb.copy()) for gw, gb in grads]
-        loss2, grads2 = nnet.backward(net, x, y, nnet.MSE, nnet.forward_trace(net, x))
-        assert loss2 == loss
+        grads2 = nnet.backward(net, x, y, nnet.MSE, nnet.forward_trace(net, x))
         for (gw, gb), (hw, hb) in zip(fresh, grads2):
             assert np.array_equal(gw, hw) and np.array_equal(gb, hb)
 
@@ -180,7 +179,7 @@ class TestFlatParameters:
         rng = np.random.default_rng(3)
         for _ in range(5):
             x, y = rng.normal(size=(8, 4)), rng.normal(size=(8, 3))
-            _, grads = nnet.backward(net, x, y, nnet.MSE)
+            grads = nnet.backward(net, x, y, nnet.MSE)
             reference_step(ref, [(gw.copy(), gb.copy()) for gw, gb in grads],
                            ref_state, ref_slots)
             nnet.optimizer_step(net, grads, state)
@@ -212,7 +211,7 @@ class TestGradientCheck:
         # a sign-flipped analytic gradient sits ~2 relative error from the slope
         net = linear_net(0.7, 0.1)
         x, y = np.array([2.0]), np.array([0.5])
-        _, grads = nnet.backward(net, x, y, nnet.MSE)
+        grads = nnet.backward(net, x, y, nnet.MSE)
         g = grads[0][0][0, 0]
         eps = 1e-4
         net.layers[0].w[0, 0] += eps
@@ -271,7 +270,8 @@ class TestLearnability:
             state = nnet.OptimizerState(kind="adam", learning_rate=0.02)
             loss = np.inf
             for _ in range(5000):
-                loss, grads = nnet.backward(net, xs, ys, nnet.BCE)
+                grads = nnet.backward(net, xs, ys, nnet.BCE)
+                loss = nnet.loss_value(net, xs, ys, nnet.BCE)
                 if loss < 0.05:
                     break
                 nnet.optimizer_step(net, grads, state)
