@@ -235,8 +235,20 @@ def mask_label(mask: int, num_subchannels: int) -> tuple[int, ...]:
     return tuple((mask >> i) & 1 for i in range(num_subchannels))
 
 
+def _record_dtype(n: int) -> np.dtype:
+    """One IQDS record: label mask, SINR, then N interleaved (real, imag)
+    pairs, so that the iq field viewed as complex64 holds the samples."""
+    return np.dtype([("mask", "<u4"), ("sinr_db", "<f4"), ("iq", "<f4", (2 * n,))])
+
+
 def save_dataset(dataset: Dataset, path: str, num_uavs: int = 1) -> None:
     cfg = dataset.config
+    records = np.empty(len(dataset.observations),
+                       dtype=_record_dtype(cfg.samples_per_observation))
+    records["mask"] = [label_mask(obs.label) for obs in dataset.observations]
+    records["sinr_db"] = [obs.sinr_db for obs in dataset.observations]
+    for row, obs in zip(records["iq"].view(np.complex64), dataset.observations):
+        row[:] = obs.samples
     with open(path, "wb") as f:
         f.write(DATASET_MAGIC)
         f.write(struct.pack("<IIIII", DATASET_VERSION, cfg.num_subchannels,
@@ -244,12 +256,7 @@ def save_dataset(dataset: Dataset, path: str, num_uavs: int = 1) -> None:
                             len(cfg.sinr_grid_db)))
         f.write(np.asarray(cfg.sinr_grid_db, dtype="<f4").tobytes())
         f.write(struct.pack("<Q", cfg.seed))
-        for obs in dataset.observations:
-            f.write(struct.pack("<If", label_mask(obs.label), obs.sinr_db))
-            iq = np.empty(2 * len(obs.samples), dtype="<f4")
-            iq[0::2] = obs.samples.real
-            iq[1::2] = obs.samples.imag
-            f.write(iq.tobytes())
+        records.tofile(f)
 
 
 def load_dataset(path: str) -> Dataset:
@@ -284,20 +291,19 @@ def load_dataset(path: str) -> Dataset:
                                  subcarriers_per_subchannel=n // m, sinr_grid_db=grid)
         except ValueError as exc:
             raise ValueError(f"{path}: header has M={m}, N={n}: {exc}") from None
-        record = struct.Struct("<If")
-        observations = []
-        size = record.size + 8 * n
-        while data := f.read(size):
-            if len(data) != size:
-                raise ValueError(f"{path}: truncated record {len(observations)}: "
-                                 f"{len(data)} of {size} bytes")
-            mask, sinr_db = record.unpack_from(data)
-            iq = np.frombuffer(data, dtype="<f4", offset=record.size).astype(float)
-            observations.append(IQObservation(
-                samples=iq[0::2] + 1j * iq[1::2],
-                label=mask_label(mask, m),
-                sinr_db=sinr_db,
-            ))
+        data = np.fromfile(f, dtype=np.uint8)
+    dtype = _record_dtype(n)
+    count, partial = divmod(data.size, dtype.itemsize)
+    if partial:
+        raise ValueError(f"{path}: truncated record {count}: "
+                         f"{partial} of {dtype.itemsize} bytes")
+    records = data.view(dtype)
+    samples = records["iq"].view(np.complex64).astype(complex)
+    observations = [
+        IQObservation(samples=row, label=mask_label(mask, m), sinr_db=sinr_db)
+        for row, mask, sinr_db in zip(samples, records["mask"].tolist(),
+                                      records["sinr_db"].tolist())
+    ]
     sizes, pos = [], 0
     for g in grid:
         start = pos
