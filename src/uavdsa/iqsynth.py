@@ -20,6 +20,7 @@ positional per SINR stratum (first 70% train, next 15% validation, rest
 test) and are therefore recomputable on load.
 """
 
+import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -291,18 +292,22 @@ def load_dataset(path: str) -> Dataset:
                                  subcarriers_per_subchannel=n // m, sinr_grid_db=grid)
         except ValueError as exc:
             raise ValueError(f"{path}: header has M={m}, N={n}: {exc}") from None
-        data = np.fromfile(f, dtype=np.uint8)
+        offset = f.tell()
+        size = os.fstat(f.fileno()).st_size - offset
     dtype = _record_dtype(n)
-    count, partial = divmod(data.size, dtype.itemsize)
+    count, partial = divmod(size, dtype.itemsize)
     if partial:
         raise ValueError(f"{path}: truncated record {count}: "
                          f"{partial} of {dtype.itemsize} bytes")
-    records = data.view(dtype)
-    samples = records["iq"].view(np.complex64).astype(complex)
+    # Mapped, not read: a buffer of the whole file would stay behind as a
+    # hole in the heap and raise the process's peak memory.
+    records = (np.memmap(path, dtype=dtype, mode="r", offset=offset, shape=(count,))
+               if count else np.empty(0, dtype))
     observations = [
-        IQObservation(samples=row, label=mask_label(mask, m), sinr_db=sinr_db)
-        for row, mask, sinr_db in zip(samples, records["mask"].tolist(),
-                                      records["sinr_db"].tolist())
+        IQObservation(samples=iq.astype(complex), label=mask_label(mask, m),
+                      sinr_db=sinr_db)
+        for iq, mask, sinr_db in zip(records["iq"].view(np.complex64),
+                                     records["mask"].tolist(), records["sinr_db"].tolist())
     ]
     sizes, pos = [], 0
     for g in grid:
