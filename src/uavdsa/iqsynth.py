@@ -1,12 +1,30 @@
 """Labeled synthetic I/Q observation generator.
 
-Busy sub-channels carry unit-power QPSK symbols on a contiguous block of
-DFT bins; the composite waveform is inverse-transformed (orthonormal FFT,
-so time- and frequency-domain energies match) and complex Gaussian noise
-is added at a floor chosen so that per-subcarrier signal power over
-per-subcarrier noise power equals the target SINR. Because the floor is
-defined per subcarrier, the realized SINR does not depend on how many
-sub-channels happen to be busy.
+Captures are built in the frequency domain. Busy sub-channels carry
+unit-power QPSK symbols on a contiguous block of DFT bins, and every bin
+carries circular complex Gaussian noise at a floor chosen so that
+per-subcarrier signal power over per-subcarrier noise power equals the
+target SINR. The time-domain capture is the orthonormal inverse DFT of
+that spectrum. An orthonormal DFT maps i.i.d. circular complex Gaussian
+noise to i.i.d. circular complex Gaussian noise of the same variance, so
+the capture is distributed exactly as the inverse-transformed clean
+waveform plus white noise of that variance per sample (the energy-detector
+model of Urkowitz 1967). Because the floor is defined per subcarrier, the
+realized SINR does not depend on how many sub-channels happen to be busy.
+
+Draw order (documented for bit-exact replay): one synthesize_spectra call
+for K captures of one label makes two draws from its generator, in this
+order:
+
+    noise:  rng.standard_normal((K, N, 2)), the (real, imag) parts of
+            every bin, row k then scaled by sqrt(noise_power(sinr_k) / 2)
+    signal: rng.integers(0, 4, size=(K, B, subcarriers)), the QPSK
+            quadrants of the B busy sub-channels of every row, in channel
+            order (no values are drawn when every sub-channel is vacant)
+
+synthesize_captures and synthesize_observation (K = 1) draw exactly this.
+clean_spectrum, which builds the neighbor-cell interference, draws one
+(B, subcarriers) block of quadrants per call.
 
 Dataset file format (little-endian, documented for bit-exact replay):
 
@@ -104,15 +122,14 @@ _QPSK = np.exp(1j * (np.pi / 4 + np.arange(4) * np.pi / 2))
 _QPSK.flags.writeable = False
 
 
-def _fill_busy(spectrum: np.ndarray, busy, config: SynthConfig,
+def _fill_busy(spectra: np.ndarray, busy, config: SynthConfig,
                rng: np.random.Generator) -> None:
-    """Write unit-power QPSK symbols on the active bins of each busy
-    sub-channel: one (busy, subcarriers) draw of quadrants, row by row in
-    channel order. Generator.integers takes one value at a time from the
-    bit generator and keeps nothing between calls, so this is the same
-    stream as one draw per sub-channel."""
-    quadrant = rng.integers(0, 4, size=(len(busy), config.subcarriers_per_subchannel))
-    spectrum[config.bin_layout[busy]] = _QPSK[quadrant]
+    """Add unit-power QPSK symbols on the active bins of each busy
+    sub-channel of every row of spectra (..., N): one draw of quadrants
+    shaped (..., busy, subcarriers)."""
+    quadrant = rng.integers(0, 4, size=(*spectra.shape[:-1], len(busy),
+                                        config.subcarriers_per_subchannel))
+    spectra[..., config.bin_layout[busy]] += _QPSK[quadrant]
 
 
 def clean_spectrum(label, config: SynthConfig, rng: np.random.Generator) -> np.ndarray:
@@ -130,30 +147,32 @@ def clean_waveform(label, config: SynthConfig, rng: np.random.Generator) -> np.n
 
 
 def noise_power(sinr_db: float) -> float:
-    """Per-sample complex noise variance for a target SINR (unit-power
-    subcarriers)."""
+    """Per-bin (and per-sample) complex noise variance for a target SINR
+    (unit-power subcarriers)."""
     return 10.0 ** (-sinr_db / 10.0)
+
+
+def synthesize_spectra(label, sinrs_db, config: SynthConfig,
+                       rng: np.random.Generator) -> np.ndarray:
+    """(K, N) orthonormal spectra of captures of one label, row k at
+    sinrs_db[k]: QPSK on the busy sub-channels' active bins plus complex
+    Gaussian noise of variance noise_power(sinrs_db[k]) in every bin,
+    drawn in the order the module docstring gives. An all-vacant label
+    yields noise-only spectra at the same reference noise floor."""
+    busy = np.flatnonzero(occupancy_vector(label, config.num_subchannels))
+    scale = np.array([np.sqrt(noise_power(sinr_db) / 2.0) for sinr_db in sinrs_db])
+    noise = rng.standard_normal((len(scale), config.samples_per_observation, 2))
+    noise *= scale[:, None, None]
+    spectra = noise.view(complex).reshape(noise.shape[:2])
+    _fill_busy(spectra, busy, config, rng)
+    return spectra
 
 
 def synthesize_captures(label, sinrs_db, config: SynthConfig,
                         rng: np.random.Generator) -> np.ndarray:
-    """(K, N) captures of one label, row k at sinrs_db[k]: clean waveform
-    plus complex Gaussian noise.
-
-    Makes exactly the draws of K successive single captures, in order: per
-    capture, the QPSK quadrants of each busy sub-channel, then the (N, 2)
-    noise block. The K spectra then share one inverse transform. An
-    all-vacant label yields noise-only captures at the same reference
-    noise floor.
-    """
-    busy = np.flatnonzero(occupancy_vector(label, config.num_subchannels))
-    n = config.samples_per_observation
-    spectra = np.zeros((len(sinrs_db), n), dtype=complex)
-    noise = np.empty((len(sinrs_db), n, 2))
-    for k, sinr_db in enumerate(sinrs_db):
-        _fill_busy(spectra[k], busy, config, rng)
-        noise[k] = rng.normal(0.0, np.sqrt(noise_power(sinr_db) / 2.0), size=(n, 2))
-    return np.fft.ifft(spectra, norm="ortho") + noise[..., 0] + 1j * noise[..., 1]
+    """(K, N) time-domain captures: the inverse transform of
+    synthesize_spectra."""
+    return np.fft.ifft(synthesize_spectra(label, sinrs_db, config, rng), norm="ortho")
 
 
 def synthesize_observation(label, sinr_db: float, config: SynthConfig,

@@ -21,17 +21,25 @@ from .seeds import derive_rng
 INPUT_MODES = ("iq", "band-energy")
 
 
-def band_energies(observation, num_subchannels: int) -> np.ndarray:
-    """Energy per sub-channel band of one capture (N,) or of a stack of
-    captures (..., N), shaped (..., M): squared DFT magnitudes summed over
-    each band of the equal M-way bin partition."""
-    samples = observation.samples if isinstance(observation, IQObservation) else np.asarray(observation)
-    n = samples.shape[-1]
+def spectrum_band_energies(spectra, num_subchannels: int) -> np.ndarray:
+    """Energy per sub-channel band of orthonormal spectra (..., N), shaped
+    (..., M): squared bin magnitudes summed over each band of the equal
+    M-way bin partition."""
+    spectra = np.ascontiguousarray(spectra, dtype=complex)
+    n = spectra.shape[-1]
     if n < num_subchannels:
         raise ValueError("observation shorter than the number of sub-channels")
-    power = np.abs(np.fft.fft(samples, norm="ortho")) ** 2
-    return np.stack([power[..., a:b].sum(axis=-1) for a, b in band_edges(n, num_subchannels)],
-                    axis=-1)
+    parts = spectra.view(float)  # (real, imag) pairs, so bin j is parts 2j, 2j+1
+    starts = [2 * a for a, _ in band_edges(n, num_subchannels)]
+    return np.add.reduceat(parts * parts, starts, axis=-1)
+
+
+def band_energies(observation, num_subchannels: int) -> np.ndarray:
+    """Band energies of one capture (N,) or of a stack of captures
+    (..., N), shaped (..., M): the spectrum_band_energies of their
+    orthonormal DFT."""
+    samples = observation.samples if isinstance(observation, IQObservation) else np.asarray(observation)
+    return spectrum_band_energies(np.fft.fft(samples, norm="ortho"), num_subchannels)
 
 
 def energy_detect(energies: np.ndarray, thresholds: np.ndarray) -> tuple[int, ...]:

@@ -26,12 +26,13 @@ from .core import (Assignment, SlotLedger, UndefinedEnergyEfficiencyError,
                    access_cost, collision_indicator, energy_efficiency,
                    sensing_cost, slot_utility, throughput, validate_assignment)
 from .fusion import fuse
-from .iqsynth import IQObservation, synthesize_captures
+from .iqsynth import IQObservation, synthesize_spectra
 from .scheduler import (DqnAgent, QTable, RandomAgent, load_agent, load_qtable,
                         valid_actions)
 from .seeds import derive_rng
-from .sensing import (SensingModel, band_energies, confusion_counts, detect_from_energies,
-                      metrics_from_counts, predict_occupancy, write_metrics_csv)
+from .sensing import (SensingModel, confusion_counts, detect_from_energies,
+                      metrics_from_counts, predict_occupancy, spectrum_band_energies,
+                      write_metrics_csv)
 
 LEDGER_COLUMNS = ("slot", "utility", "ee", "collisions", "holes_detected",
                   "holes_true")
@@ -125,24 +126,27 @@ def sense(models, label, sinrs_db, synth, rng) -> list[tuple[int, ...]]:
     sinrs_db[k] and reports what models[k] detects; None is the perfect
     sensor, which reports the label and draws nothing from rng.
 
-    The captures of all sensing UAVs come from one synthesize_captures call
-    (the draws of one capture per UAV, in UAV order), and the energy
-    detectors threshold one band_energies call. Each classifier runs its
-    own forward pass, which keeps its output bitwise that of a single
-    capture.
+    The spectra of all sensing UAVs come from one synthesize_spectra call
+    (one row per UAV, in UAV order). Energy detectors threshold the band
+    energies of their rows directly; only classifier rows are
+    inverse-transformed, with one ifft, and each classifier runs its own
+    forward pass, which keeps its output bitwise that of a single capture.
     """
     sensed = [k for k, model in enumerate(models) if model is not None]
-    captures = synthesize_captures(label, [sinrs_db[k] for k in sensed], synth, rng)
+    spectra = synthesize_spectra(label, [sinrs_db[k] for k in sensed], synth, rng)
     reports = [label] * len(models)
     rows = [i for i, k in enumerate(sensed) if models[k].kind == "energy-threshold"]
     if rows:
-        energies = band_energies(captures[rows], synth.num_subchannels)
+        energies = spectrum_band_energies(spectra[rows], synth.num_subchannels)
         for i, row in zip(rows, energies):
             reports[sensed[i]] = detect_from_energies(models[sensed[i]], row)
-    for i, k in enumerate(sensed):
-        if models[k].kind == "dense-classifier":
+    rows = [i for i, k in enumerate(sensed) if models[k].kind == "dense-classifier"]
+    if rows:
+        captures = np.fft.ifft(spectra[rows], norm="ortho")
+        for i, capture in zip(rows, captures):
+            k = sensed[i]
             reports[k] = predict_occupancy(models[k], IQObservation(
-                samples=captures[i], label=label, sinr_db=float(sinrs_db[k])))
+                samples=capture, label=label, sinr_db=float(sinrs_db[k])))
     return reports
 
 

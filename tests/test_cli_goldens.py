@@ -76,21 +76,21 @@ STEPS = {
 GOLDEN = {
     "gen-dataset": {
         "dataset.iq":
-            "fabff051a38b8e06631d49da376b56b0c0b71f35890e694f52f24719c45772b8",
+            "a8bfd4b045e7b19d24bfaf0139b4923a2233cf113457abe0b0901fda52364a30",
     },
     "train-sensor": {
         "sensor.ckpt":
-            "391c6db2e52b99760875a25ae1e860e32e7b06a992f6b83d6bc169abeaeb7601",
+            "6e171cc925067ebfa5cfaca66eb57e0f65cafd2fb2f96cf037f9789bf5c7b602",
         "sensor_curve.csv":
-            "946b6fbca7bc6a072ca0531d75c2d56fa24a35d35a0f93556180d532dcf63f95",
+            "09f786d2e54bd9b82fdbbf10222b6a719608852b1f66f91d1041bcc724740e49",
     },
     "eval-sensing": {
         "sensing_metrics.csv":
-            "89a7e8b817a95689d7a1ede2d3e0bdd20db40c0ddcaf097a8cc8841df0baaebf",
+            "77f726d7db3a8a39d711079a680d16143c0432f77784c8433e9f5dc7a758ef18",
     },
     "eval-sensing-model": {
         "sensing_metrics.csv":
-            "a2b7d49e64469cf061cce1e660dff386fb94c88c9f66f76a288fbbf7d4f26a94",
+            "6cb26dc97be2e3c729c72e07baea699b98932a1a760cc87c60e1472cd279af6b",
     },
     "train-ddqn-soft": {
         "training_ddqn-soft_2uav.csv":
@@ -112,27 +112,27 @@ GOLDEN = {
     },
     "simulate-dqn": {
         "ledgers.csv":
-            "da86cb935ceef5d84f0c77fb4583ed784d4e602b0a3e5656690a57983b63b208",
+            "b5c91a3250939bf0b1dcb910057704af49514680a4e97997dae67ab39c517613",
         "report.json":
-            "fbd91053b1f6c0ebb3037f37c35c18a70fcee17ecb70d4919f44a3757fcc9185",
+            "4871a188bb8dff32b6747f13c19096e5b75c11c68041cee1d777e4d9f61baa81",
         "sensing_metrics.csv":
-            "06f16bec52ecb0623f738b52cc4c90591731649a798495f2d7287492d815f674",
+            "6cd43ecdbb77169366dc49fc39f46d930fc78a649fd01ca006c447f5c23c94a8",
     },
     "simulate-qtable": {
         "ledgers.csv":
-            "37cc45bf4de0bd0555c9d57ab1884647128bbf3bccbf16efa77243ef37a6eb15",
+            "512c45313f5c3ae24ea009278566146159b41caa0512f850e2068a3cc6a24e7b",
         "report.json":
-            "934836be15191a31633710eac625e29dfb31a1239517854b112b0c9387bb25c5",
+            "6193be722de7b7c5baaa9675a65118d926a33f612020919678c7a72cd302c52a",
         "sensing_metrics.csv":
-            "5702bbdc9ab0365aed02a6812e16baa04aee2cbe024cda09b685736fc4037909",
+            "24780b0f9483cace0d13389b6f9fea3b0a01824afe8b1498a543c99aef0b6827",
     },
     "simulate-random": {
         "ledgers.csv":
-            "669ed58493c7299f371ad946988720880ba3cbd75ac9e0199f6090d639a079fd",
+            "c8cac1026d5f905068d4556acb9f308249fc91316b711a67639e2834d23f3647",
         "report.json":
-            "5c6c3fcbae69eb3cc3821d609fcf20febe67505fc767f8481cbe596dba92e5d3",
+            "399288dba1385c2349edb2eb8fb09075286dbd503b90daddc5ad396b3db8b884",
         "sensing_metrics.csv":
-            "211df3b69c5cbc4cfc2339351e3e6e1f8a91355aa2cb03ef81f9a804d6284fcc",
+            "7692539dbfeabbd7e0b10f8f6b0afe5e6f1d3e59de50f5fc1a1a537ae41bc5ea",
     },
 }
 

@@ -251,9 +251,10 @@ def test_dataset_reader_rejects_bad_header_fields(tmp_path):
             iqsynth.load_dataset(bad)
 
 
-def reference_captures(label, sinrs_db, cfg, rng):
-    """Per-capture synthesis as written before the batched kernel: one
-    np.exp per busy sub-channel, one ifft per capture."""
+def time_domain_captures(label, sinrs_db, cfg, rng):
+    """The time-domain synthesis the frequency-domain kernel replaced, as a
+    per-capture loop: one np.exp per busy sub-channel, one ifft per
+    capture, then white noise drawn per sample."""
     n, m, sc = cfg.samples_per_observation, cfg.num_subchannels, cfg.subcarriers_per_subchannel
     bins = iqsynth.active_bins(n, m, sc)
     rows = []
@@ -270,10 +271,30 @@ def reference_captures(label, sinrs_db, cfg, rng):
     return rows
 
 
-def reference_energies(samples, m):
-    """One fft per capture and a slice sum per band."""
-    power = np.abs(np.fft.fft(samples, norm="ortho")) ** 2
-    return np.array([power[a:b].sum() for a, b in iqsynth.band_edges(len(samples), m)])
+def reference_spectra(label, sinrs_db, cfg, rng):
+    """The documented draw order written out per capture and per
+    sub-channel: every row's (N, 2) noise block in row order, then the
+    quadrants of each busy sub-channel, row by row, with one np.exp per
+    sub-channel."""
+    n, m, sc = cfg.samples_per_observation, cfg.num_subchannels, cfg.subcarriers_per_subchannel
+    bins = iqsynth.active_bins(n, m, sc)
+    rows = []
+    for sinr_db in sinrs_db:
+        sigma2 = 10.0 ** (-sinr_db / 10.0)
+        noise = rng.normal(0.0, np.sqrt(sigma2 / 2.0), size=(n, 2))
+        rows.append(noise[:, 0] + 1j * noise[:, 1])
+    for spectrum in rows:
+        for ch, busy in enumerate(label):
+            if busy:
+                quadrant = rng.integers(0, 4, size=sc)
+                spectrum[bins[ch]] += np.exp(1j * (np.pi / 4 + quadrant * np.pi / 2))
+    return rows
+
+
+def reference_band_energies(spectrum, m):
+    """Squared magnitudes, then a slice sum per band."""
+    power = np.abs(spectrum) ** 2
+    return np.array([power[a:b].sum() for a, b in iqsynth.band_edges(len(spectrum), m)])
 
 
 def bits(a):
@@ -283,7 +304,7 @@ def bits(a):
 @pytest.mark.parametrize("m", [1, 3, 4, 5, 16])
 @pytest.mark.parametrize("n", [64, 256, 1024])
 def test_batched_captures_are_bitwise_per_capture(m, n):
-    from uavdsa.sensing import band_energies
+    from uavdsa.sensing import band_energies, spectrum_band_energies
     cfg = iqsynth.SynthConfig(seed=1, num_subchannels=m, samples_per_observation=n,
                               subcarriers_per_subchannel=n // m)
     labels = [(0,) * m, (1,) * m, tuple(i % 2 for i in range(m)),
@@ -293,18 +314,99 @@ def test_batched_captures_are_bitwise_per_capture(m, n):
         for label in labels:
             seed = (m, n, k, labels.index(label))
             rng, ref_rng = derive_rng(*seed), derive_rng(*seed)
-            got = iqsynth.synthesize_captures(label, sinrs, cfg, rng)
-            want = reference_captures(label, sinrs, cfg, ref_rng)
-            assert got.shape == (k, n)
+            spectra = iqsynth.synthesize_spectra(label, sinrs, cfg, rng)
+            want = reference_spectra(label, sinrs, cfg, ref_rng)
+            assert spectra.shape == (k, n)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
-            assert np.array_equal(bits(got), bits(np.array(want)))
-            energies = band_energies(got, m)
-            assert energies.shape == (k, m)
-            for row, capture in zip(energies, want):
-                assert np.array_equal(bits(row), bits(reference_energies(capture, m)))
-                assert np.array_equal(bits(band_energies(capture, m)), bits(row))
+            assert np.array_equal(bits(spectra), bits(np.array(want)))
+            rng = derive_rng(*seed)
+            captures = iqsynth.synthesize_captures(label, sinrs, cfg, rng)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            assert np.array_equal(bits(captures),
+                                  bits(np.fft.ifft(spectra, norm="ortho")))
+            for capture, spectrum in zip(captures, want):
+                assert np.array_equal(bits(capture),
+                                      bits(np.fft.ifft(spectrum, norm="ortho")))
+            # Summation order and the fft round trip only move the last
+            # bits: relative error stays within N * float64 eps.
+            energies = spectrum_band_energies(spectra, m)
+            batched = band_energies(captures, m)
+            assert energies.shape == batched.shape == (k, m)
+            assert np.allclose(batched, energies, rtol=n * 1e-15, atol=0.0)
+            for i, spectrum in enumerate(want):
+                assert np.allclose(energies[i], reference_band_energies(spectrum, m),
+                                   rtol=n * 1e-15, atol=0.0)
+                assert np.array_equal(bits(spectrum_band_energies(spectrum, m)),
+                                      bits(energies[i]))
+                assert np.array_equal(bits(band_energies(captures[i], m)), bits(batched[i]))
     label = labels[2]
     rng, ref_rng = derive_rng(7), derive_rng(7)
     obs = iqsynth.synthesize_observation(label, 3.0, cfg, rng)
-    assert np.array_equal(bits(obs.samples), bits(reference_captures(label, (3.0,), cfg, ref_rng)[0]))
+    spectrum = reference_spectra(label, (3.0,), cfg, ref_rng)[0]
+    assert np.array_equal(bits(obs.samples), bits(np.fft.ifft(spectrum, norm="ortho")))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def ks_statistic(a, b):
+    """Two-sample Kolmogorov-Smirnov distance between empirical CDFs."""
+    a, b = np.sort(a), np.sort(b)
+    grid = np.concatenate([a, b])
+    return np.abs(np.searchsorted(a, grid, side="right") / len(a)
+                  - np.searchsorted(b, grid, side="right") / len(b)).max()
+
+
+def variance_se(x):
+    """Standard error of the sample variance, from the fourth central moment."""
+    c = x - x.mean()
+    return np.sqrt(max((c ** 4).mean() - (c ** 2).mean() ** 2, 0.0) / len(x))
+
+
+# Every moment bound below is 5 standard errors (two-sided p < 1e-6 per
+# check), and the KS bound is the two-sample critical value at alpha = 1e-6,
+# c(alpha) * sqrt(2 / n) with c(alpha) = sqrt(-ln(alpha / 2) / 2).
+Z = 5.0
+KS_C = np.sqrt(-np.log(1e-6 / 2) / 2)
+
+
+@pytest.mark.parametrize("sinr_db", [-10.0, 0.0, 10.0, 20.0])
+def test_frequency_domain_band_energies_match_time_domain_synthesis(sinr_db):
+    """The spectra the energy detectors read give band energies distributed
+    as those of the time-domain synthesis they replaced (inverse transform,
+    white noise per sample, forward transform), for vacant and busy bands."""
+    from uavdsa.sensing import band_energies, spectrum_band_energies
+    cfg = iqsynth.SynthConfig(seed=1, num_subchannels=4, samples_per_observation=64,
+                              subcarriers_per_subchannel=12)  # 4 guard bins per band
+    label, captures = (0, 1, 0, 1), 4000
+    spectra = iqsynth.synthesize_spectra(label, [sinr_db] * captures, cfg,
+                                         derive_rng(11, int(sinr_db) + 10))
+    new = spectrum_band_energies(spectra, 4)
+    rng = derive_rng(12, int(sinr_db) + 10)
+    old = np.array([band_energies(x, 4) for x in
+                    time_domain_captures(label, [sinr_db] * captures, cfg, rng)])
+    for bands in ((0, 2), (1, 3)):  # vacant, busy
+        a, b = new[:, bands].ravel(), old[:, bands].ravel()
+        n = len(a)
+        assert abs(a.mean() - b.mean()) <= Z * np.sqrt((a.var() + b.var()) / n)
+        assert abs(a.var() - b.var()) <= Z * np.hypot(variance_se(a), variance_se(b))
+        assert ks_statistic(a, b) <= KS_C * np.sqrt(2.0 / n)
+    sigma2 = iqsynth.noise_power(sinr_db)
+    assert abs(new[:, [0, 2]].mean() / (16 * sigma2) - 1.0) <= Z / np.sqrt(2 * 16 * captures)
+
+
+@pytest.mark.parametrize("sinr_db", [-10.0, 20.0])
+def test_noise_only_captures_are_white(sinr_db):
+    """Noise-only time-domain captures have per-sample variance
+    noise_power, split evenly between I and Q, and no lag-1 correlation,
+    as the per-sample noise of the time-domain synthesis did."""
+    cfg = small_config()
+    captures, n = 400, cfg.samples_per_observation
+    sigma2 = iqsynth.noise_power(sinr_db)
+    new = iqsynth.synthesize_captures((0,) * 4, [sinr_db] * captures, cfg, derive_rng(13))
+    old = np.array(time_domain_captures((0,) * 4, [sinr_db] * captures, cfg, derive_rng(14)))
+    count = captures * n
+    for x in (new, old):
+        assert abs(np.mean(np.abs(x) ** 2) / sigma2 - 1.0) <= Z / np.sqrt(count)
+        for part in (x.real, x.imag):  # each part has variance sigma2 / 2
+            assert abs(np.mean(part ** 2) / (sigma2 / 2) - 1.0) <= Z * np.sqrt(2.0 / count)
+        lag1 = np.mean(x[:, 1:] * np.conj(x[:, :-1])) / sigma2
+        assert abs(lag1) <= Z / np.sqrt(captures * (n - 1))

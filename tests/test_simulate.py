@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from test_iqsynth import reference_captures, reference_energies
+from test_iqsynth import reference_band_energies, reference_spectra
 from uavdsa import iqsynth, nnet, sensing, simulate
 from uavdsa import scheduler as sch
 from uavdsa.config import validate_config
@@ -161,8 +161,9 @@ class TestSensingKindsInSimulation:
 
 @pytest.mark.parametrize("m,n", [(4, 256), (5, 64)])
 def test_sense_matches_per_capture_reports(m, n):
-    """One batched sensing pass reports, and draws, exactly what one
-    synthesize-and-predict call per UAV did."""
+    """One sensing pass reports, and draws, exactly what the documented
+    draw order gives: energy detectors threshold their rows' spectra, and
+    each classifier sees the inverse transform of its own row."""
     synth = iqsynth.SynthConfig(seed=3, num_subchannels=m, samples_per_observation=n,
                                 subcarriers_per_subchannel=n // m)
     network = nnet.build_network([m, 8, m], ["relu", "sigmoid"], seed=5)
@@ -172,24 +173,22 @@ def test_sense_matches_per_capture_reports(m, n):
                                       network=network, input_mode="band-energy")
     models = [energy, None, classifier, energy, classifier]
     sinrs = [0.0, 20.0, -3.0, 5.0, 10.0]
+    sensed = [k for k, model in enumerate(models) if model is not None]
     rng, ref_rng = derive_rng(9), derive_rng(9)
     seen = set()
     for slot in range(40):
         label = tuple(int(b) for b in ref_rng.random(m) < 0.5)
         assert tuple(int(b) for b in rng.random(m) < 0.5) == label
         got = simulate.sense(models, label, sinrs, synth, rng)
-        want = []
-        for model, sinr in zip(models, sinrs):
-            if model is None:
-                want.append(label)
-                continue
-            samples = reference_captures(label, (sinr,), synth, ref_rng)[0]
-            if model is energy:
-                want.append(tuple(int(e >= t) for e, t in
-                                  zip(reference_energies(samples, m), model.thresholds)))
+        want = [label] * len(models)
+        spectra = reference_spectra(label, [sinrs[k] for k in sensed], synth, ref_rng)
+        for k, spectrum in zip(sensed, spectra):
+            if models[k] is energy:
+                want[k] = tuple(int(e >= t) for e, t in
+                                zip(reference_band_energies(spectrum, m), energy.thresholds))
             else:
-                want.append(sensing.predict_occupancy(
-                    model, iqsynth.IQObservation(samples, label, sinr)))
+                want[k] = sensing.predict_occupancy(models[k], iqsynth.IQObservation(
+                    np.fft.ifft(spectrum, norm="ortho"), label, sinrs[k]))
         assert got == want
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         seen.update(want)
