@@ -320,8 +320,7 @@ def load_dataset(path: str) -> Dataset:
                          f"{partial} of {dtype.itemsize} bytes")
     # Mapped, not read: a buffer of the whole file would stay behind as a
     # hole in the heap and raise the process's peak memory.
-    records = (np.memmap(path, dtype=dtype, mode="r", offset=offset, shape=(count,))
-               if count else np.empty(0, dtype))
+    records = np.memmap(path, dtype=dtype, mode="r", offset=offset, shape=(count,))
     observations = [
         IQObservation(samples=iq.astype(complex), label=mask_label(mask, m),
                       sinr_db=sinr_db)
