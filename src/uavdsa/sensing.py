@@ -25,13 +25,13 @@ def spectrum_band_energies(spectra, num_subchannels: int) -> np.ndarray:
     """Energy per sub-channel band of orthonormal spectra (..., N), shaped
     (..., M): squared bin magnitudes summed over each band of the equal
     M-way bin partition."""
-    spectra = np.ascontiguousarray(spectra, dtype=complex)
+    spectra = np.asarray(spectra)
     n = spectra.shape[-1]
     if n < num_subchannels:
         raise ValueError("observation shorter than the number of sub-channels")
-    parts = spectra.view(float)  # (real, imag) pairs, so bin j is parts 2j, 2j+1
-    starts = [2 * a for a, _ in band_edges(n, num_subchannels)]
-    return np.add.reduceat(parts * parts, starts, axis=-1)
+    power = np.abs(spectra) ** 2
+    return np.stack([power[..., a:b].sum(axis=-1) for a, b in band_edges(n, num_subchannels)],
+                    axis=-1)
 
 
 def band_energies(observation, num_subchannels: int) -> np.ndarray:

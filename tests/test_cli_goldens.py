@@ -82,7 +82,7 @@ GOLDEN = {
         "sensor.ckpt":
             "6e171cc925067ebfa5cfaca66eb57e0f65cafd2fb2f96cf037f9789bf5c7b602",
         "sensor_curve.csv":
-            "09f786d2e54bd9b82fdbbf10222b6a719608852b1f66f91d1041bcc724740e49",
+            "f157e17c83a4513beeebe1a1fe1d8b595c7ad8a166e6b2ceedbf995c12e05206",
     },
     "eval-sensing": {
         "sensing_metrics.csv":
