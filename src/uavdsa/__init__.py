@@ -16,7 +16,7 @@ Modules:
 
 __version__ = "0.1.0"
 
-from .channel import TransitionMatrix, db_to_linear, linear_to_db
+from .channel import TransitionMatrix, db_to_linear
 from .core import (Assignment, RadioParams, SlotTiming, collision_indicator,
                    energy_efficiency, sensing_cost, slot_utility, throughput,
                    validate_assignment)

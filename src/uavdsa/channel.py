@@ -30,11 +30,10 @@ class TransitionMatrix:
 
 @dataclass
 class EnvState:
-    """True occupancy plus the slot counter and the generator that drives
-    the chains. Owned by a single simulation loop."""
+    """True occupancy plus the generator that drives the chains. Owned by
+    a single simulation loop."""
 
     true_occupancy: tuple[int, ...]
-    slot: int
     rng: np.random.Generator
 
 
@@ -61,10 +60,6 @@ class LinkModel:
 
 def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
-
-
-def linear_to_db(linear: float) -> float:
-    return 10.0 * np.log10(linear)
 
 
 def stationary_distribution(matrix: TransitionMatrix) -> tuple[float, float]:
@@ -94,7 +89,7 @@ def step(state: EnvState, matrices: list[TransitionMatrix]) -> EnvState:
     draws = state.rng.random(len(matrices)).tolist()
     nxt = tuple(_next_state(b, u, m)
                 for b, u, m in zip(state.true_occupancy, draws, matrices))
-    return EnvState(true_occupancy=nxt, slot=state.slot + 1, rng=state.rng)
+    return EnvState(true_occupancy=nxt, rng=state.rng)
 
 
 def initial_state(matrices: list[TransitionMatrix], rng: np.random.Generator) -> EnvState:
@@ -103,7 +98,7 @@ def initial_state(matrices: list[TransitionMatrix], rng: np.random.Generator) ->
     for m in matrices:
         p_vacant, _ = stationary_distribution(m)
         bits.append(0 if rng.random() < p_vacant else 1)
-    return EnvState(true_occupancy=tuple(bits), slot=0, rng=rng)
+    return EnvState(true_occupancy=tuple(bits), rng=rng)
 
 
 def sample_occupancy(
@@ -142,15 +137,14 @@ def stationary_sampler(matrices: list[TransitionMatrix]):
     return draw
 
 
-def default_link_model(num_uavs: int, num_subchannels: int,
-                       strong_db: float = 10.0,
-                       access_db: float | None = None) -> LinkModel:
+def default_link_model(num_uavs: int, num_subchannels: int) -> LinkModel:
     """Bundled preset emulating the three hovering UAV locations: all UAVs
-    sense at `strong_db` except the last, which is 10 dB weaker."""
-    sensing = [strong_db] * num_uavs
+    sense at 10 dB except the last, which senses at 0 dB; every access
+    link is at 10 dB."""
+    sensing = [10.0] * num_uavs
     if num_uavs >= 3:
-        sensing[-1] = strong_db - 10.0
-    access_row = tuple([access_db if access_db is not None else strong_db] * num_subchannels)
+        sensing[-1] = 0.0
+    access_row = (10.0,) * num_subchannels
     return LinkModel(
         sensing_sinr_db=tuple(sensing),
         access_sinr_db=tuple(access_row for _ in range(num_uavs)),

@@ -22,7 +22,7 @@ from . import nnet
 from .channel import stationary_sampler
 from .config import ConfigError, SimConfig, load_config
 from .fusion import fuse
-from .iqsynth import generate_dataset, load_dataset, save_dataset
+from .iqsynth import DATASET_MAX_SUBCHANNELS, generate_dataset, load_dataset, save_dataset
 from .scheduler import (SchedulingEnv, TRAINING_COLUMNS, normalized_reward_table,
                         save_agent, save_qtable, train_agent, write_training_csv)
 from .seeds import derive_rng
@@ -38,6 +38,10 @@ def _say(msg: str) -> None:
 
 
 def cmd_gen_dataset(config: SimConfig, args) -> int:
+    m = config.radio.num_subchannels
+    if m > DATASET_MAX_SUBCHANNELS:
+        raise ConfigError([f"radio.num_subchannels: gen-dataset stores each label as a "
+                           f"u32 mask, so M must be <= {DATASET_MAX_SUBCHANNELS} (got M={m})"])
     t0 = time.perf_counter()
     source = stationary_sampler(list(config.matrices))
     dataset = generate_dataset(config.synth, source, config.count_per_sinr)

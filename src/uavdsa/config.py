@@ -2,9 +2,9 @@
 
 A config file is a single JSON object. Every section is optional and falls
 back to the documented defaults below, except `seed`, which must come from
-the file or the --seed flag. Unknown keys anywhere are errors, and all
-problems are reported together with their field paths before any work
-starts.
+the file or the --seed flag. Unknown keys anywhere are errors, as are
+NaN and infinite numbers, which JSON parsing admits; all problems are
+reported together with their field paths before any work starts.
 
 Schema (defaults in parentheses):
 
@@ -41,6 +41,7 @@ Schema (defaults in parentheses):
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 from .channel import LinkModel, TransitionMatrix, default_link_model
@@ -48,6 +49,7 @@ from .core import RadioParams, SlotTiming
 from .fusion import FusionRule
 from .iqsynth import SynthConfig
 from .scheduler import TABULAR_MAX_SUBCHANNELS
+from .sensing import INPUT_MODES
 
 SEED_MAX = 2 ** 64 - 1
 SENSING_KINDS = ("perfect", "energy-threshold", "dense-classifier")
@@ -145,6 +147,9 @@ class _Section:
         if not isinstance(v, kind) or isinstance(v, bool):
             self.problems.append(f"{path}: expected {kind.__name__}")
             return default
+        if kind is float and not math.isfinite(v):
+            self.problems.append(f"{path}: must be a finite number")
+            return default
         if low is not None and v < low:
             self.problems.append(f"{path}: must be >= {low}")
             return default
@@ -180,6 +185,9 @@ def _number_list(v, path, problems, default, length=None, item_low=None, whole=F
     if not isinstance(v, list) or any(
             not isinstance(x, (int, float)) or isinstance(x, bool) for x in v):
         problems.append(f"{path}: expected a list of numbers")
+        return default
+    if any(isinstance(x, float) and not math.isfinite(x) for x in v):
+        problems.append(f"{path}: must be a finite number")
         return default
     if length is not None and len(v) != length:
         problems.append(f"{path}: expected {length} entries, got {len(v)}")
@@ -297,7 +305,7 @@ def validate_config(raw: dict, seed_override: int | None = None,
             kind=kind,
             decision_threshold=sec.value("decision_threshold", 0.5, float,
                                          above=0.0, below=1.0),
-            input_mode=sec.choice("input_mode", "iq", ("iq", "band-energy")),
+            input_mode=sec.choice("input_mode", "iq", INPUT_MODES),
             thresholds=thresholds,
             model_path=model_path,
             hidden=tuple(int(h) for h in hidden),

@@ -22,9 +22,12 @@ order:
             quadrants of the B busy sub-channels of every row, in channel
             order (no values are drawn when every sub-channel is vacant)
 
-synthesize_captures and synthesize_observation (K = 1) draw exactly this.
-clean_spectrum, which builds the neighbor-cell interference, draws one
-(B, subcarriers) block of quadrants per call.
+synthesize_observation (K = 1) draws exactly this. clean_spectrum draws
+one (B, subcarriers) block of quadrants per call. generate_dataset draws,
+from each observation's own generator: the label, its synthesize_spectra
+row, every neighbor label, then each neighbor's clean_spectrum quadrants.
+Neighbor-cell interference is added to the spectrum before the one inverse
+transform, and only datasets carry it.
 
 Dataset file format (little-endian, documented for bit-exact replay):
 
@@ -141,11 +144,6 @@ def clean_spectrum(label, config: SynthConfig, rng: np.random.Generator) -> np.n
     return spectrum
 
 
-def clean_waveform(label, config: SynthConfig, rng: np.random.Generator) -> np.ndarray:
-    """Noise-free time-domain waveform for one occupancy label."""
-    return np.fft.ifft(clean_spectrum(label, config, rng), norm="ortho")
-
-
 def noise_power(sinr_db: float) -> float:
     """Per-bin (and per-sample) complex noise variance for a target SINR
     (unit-power subcarriers)."""
@@ -168,37 +166,13 @@ def synthesize_spectra(label, sinrs_db, config: SynthConfig,
     return spectra
 
 
-def synthesize_captures(label, sinrs_db, config: SynthConfig,
-                        rng: np.random.Generator) -> np.ndarray:
-    """(K, N) time-domain captures: the inverse transform of
-    synthesize_spectra."""
-    return np.fft.ifft(synthesize_spectra(label, sinrs_db, config, rng), norm="ortho")
-
-
 def synthesize_observation(label, sinr_db: float, config: SynthConfig,
                            rng: np.random.Generator) -> IQObservation:
-    """One labeled capture: the K = 1 case of synthesize_captures."""
-    samples = synthesize_captures(label, (sinr_db,), config, rng)[0]
+    """One labeled capture: the inverse transform of the K = 1
+    synthesize_spectra row."""
+    samples = np.fft.ifft(synthesize_spectra(label, (sinr_db,), config, rng)[0], norm="ortho")
     return IQObservation(samples=samples, label=occupancy_vector(label),
                          sinr_db=float(sinr_db))
-
-
-def add_interference(observation: IQObservation, neighbor_labels, gains_db,
-                     config: SynthConfig, rng: np.random.Generator) -> IQObservation:
-    """Add neighbor-cell waveforms scaled by 10^(gain/20) in amplitude.
-
-    The label is unchanged (ground truth refers to the serving cell). A
-    gain of -inf skips that neighbor.
-    """
-    if len(neighbor_labels) != len(gains_db):
-        raise ValueError("one gain per neighbor label required")
-    samples = observation.samples.copy()
-    for label, gain in zip(neighbor_labels, gains_db):
-        if gain == float("-inf"):
-            continue
-        samples += 10.0 ** (gain / 20.0) * clean_waveform(label, config, rng)
-    return IQObservation(samples=samples, label=observation.label,
-                         sinr_db=observation.sinr_db)
 
 
 def split_indices(strata_sizes: list[int]) -> dict[str, tuple[int, ...]]:
@@ -221,23 +195,26 @@ def generate_dataset(config: SynthConfig, occupancy_source, count_per_sinr: int)
 
     occupancy_source is a callable(rng) -> label. Each observation draws
     from a substream keyed by (seed, observation index), so the dataset is
-    reproducible independent of generation order. Neighbor-cell
-    interference is applied when the config lists gains.
+    reproducible independent of generation order. Each neighbor cell adds
+    a clean spectrum of a label drawn from the same source, scaled by
+    10^(gain/20) in amplitude; the label still describes the serving cell.
     """
     if count_per_sinr < 1:
         raise ValueError("count_per_sinr must be >= 1")
+    gains = config.interference_gains_db
     observations = []
     idx = 0
     for sinr_db in config.sinr_grid_db:
         for _ in range(count_per_sinr):
             rng = derive_rng(config.seed, _OBS_KEY, idx)
             label = occupancy_source(rng)
-            obs = synthesize_observation(label, sinr_db, config, rng)
-            if config.interference_gains_db:
-                neighbors = [occupancy_source(rng) for _ in config.interference_gains_db]
-                obs = add_interference(obs, neighbors, config.interference_gains_db,
-                                       config, rng)
-            observations.append(obs)
+            spectrum = synthesize_spectra(label, (sinr_db,), config, rng)[0]
+            neighbors = [occupancy_source(rng) for _ in gains]
+            for neighbor, gain in zip(neighbors, gains):
+                spectrum += 10.0 ** (gain / 20.0) * clean_spectrum(neighbor, config, rng)
+            observations.append(IQObservation(
+                samples=np.fft.ifft(spectrum, norm="ortho"),
+                label=occupancy_vector(label), sinr_db=float(sinr_db)))
             idx += 1
     split = split_indices([count_per_sinr] * len(config.sinr_grid_db))
     return Dataset(observations=observations, split=split, config=config)
@@ -245,6 +222,7 @@ def generate_dataset(config: SynthConfig, occupancy_source, count_per_sinr: int)
 
 DATASET_MAGIC = b"IQDS"
 DATASET_VERSION = 1
+DATASET_MAX_SUBCHANNELS = 32  # a record stores its label as a u32 bit mask
 
 
 def label_mask(label) -> int:

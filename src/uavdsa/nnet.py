@@ -210,13 +210,10 @@ def backward(net: Network, x: np.ndarray, target: np.ndarray, loss: LossSpec,
 
 @dataclass
 class OptimizerState:
-    """kind in {"sgd-momentum", "adam"}; `slots` holds the accumulators
-    (velocity, or first and second moments) and `scratch` the work
-    vectors, each laid out like the network's flat parameters."""
+    """Adam; `slots` holds the first and second moments and `scratch` two
+    work vectors, each laid out like the network's flat parameters."""
 
-    kind: str
     learning_rate: float
-    momentum: float = 0.9
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
@@ -225,14 +222,12 @@ class OptimizerState:
     scratch: list = field(default_factory=list)
 
     def __post_init__(self):
-        if self.kind not in ("sgd-momentum", "adam"):
-            raise ValueError(f"unknown optimizer {self.kind!r}")
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
 
 
 def optimizer_step(net: Network, grads, state: OptimizerState):
-    """In-place parameter update; returns (net, state) for chaining.
+    """In-place Adam update; returns (net, state) for chaining.
 
     grads is the list `backward` returned, or any per-layer (dW, db) list,
     which is first copied into the network's gradient buffer.
@@ -243,35 +238,25 @@ def optimizer_step(net: Network, grads, state: OptimizerState):
             vw[...] = gw
             vb[...] = gb
     if not state.slots:
-        per = 2 if state.kind == "adam" else 1
-        state.slots = [np.zeros_like(net.params) for _ in range(per)]
-        state.scratch = [np.empty_like(net.params) for _ in range(per)]
+        state.slots = [np.zeros_like(net.params) for _ in range(2)]
+        state.scratch = [np.empty_like(net.params) for _ in range(2)]
     state.step_count += 1
-    lr = state.learning_rate
-    p = net.params
-    if state.kind == "sgd-momentum":
-        (v,), (s,) = state.slots, state.scratch
-        v *= state.momentum
-        v += g
-        np.multiply(v, lr, out=s)
-        p -= s
-    else:
-        (m, v), (s1, s2) = state.slots, state.scratch
-        t = state.step_count
-        m *= state.beta1
-        np.multiply(g, 1.0 - state.beta1, out=s1)
-        m += s1
-        v *= state.beta2
-        np.square(g, out=s1)
-        s1 *= 1.0 - state.beta2
-        v += s1
-        np.divide(m, 1.0 - state.beta1 ** t, out=s1)  # m_hat
-        np.divide(v, 1.0 - state.beta2 ** t, out=s2)  # v_hat
-        np.sqrt(s2, out=s2)
-        s2 += state.eps
-        s1 *= lr
-        s1 /= s2
-        p -= s1
+    (m, v), (s1, s2) = state.slots, state.scratch
+    t = state.step_count
+    m *= state.beta1
+    np.multiply(g, 1.0 - state.beta1, out=s1)
+    m += s1
+    v *= state.beta2
+    np.square(g, out=s1)
+    s1 *= 1.0 - state.beta2
+    v += s1
+    np.divide(m, 1.0 - state.beta1 ** t, out=s1)  # m_hat
+    np.divide(v, 1.0 - state.beta2 ** t, out=s2)  # v_hat
+    np.sqrt(s2, out=s2)
+    s2 += state.eps
+    s1 *= state.learning_rate
+    s1 /= s2
+    net.params -= s1
     return net, state
 
 

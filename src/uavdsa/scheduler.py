@@ -289,8 +289,7 @@ class DqnAgent:
         if self.primary.output_dim != self.num_subchannels + 1:
             raise ValueError("output width must be M + 1")
         if self.optimizer is None:
-            self.optimizer = nnet.OptimizerState(kind="adam",
-                                                 learning_rate=self.learning_rate)
+            self.optimizer = nnet.OptimizerState(learning_rate=self.learning_rate)
 
     def q_row(self, state: AgentState) -> np.ndarray:
         return nnet.forward(self.primary, state_features(state, self.num_subchannels))

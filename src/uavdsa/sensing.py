@@ -9,7 +9,6 @@ target.
 """
 
 import csv
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,74 +156,6 @@ def micro_metrics(predictions, truths, positive_class: int = 0) -> SensingMetric
     return metrics_from_counts(*confusion_counts(predictions, truths, positive_class))
 
 
-def _threshold_counts(energies: np.ndarray, truth: np.ndarray, thr: float,
-                      positive_class: int):
-    """(tp, fp, fn, tn) of one channel under an energy threshold."""
-    pred_busy = energies >= thr
-    pred_pos = pred_busy == (positive_class == 1)
-    truth_pos = truth == positive_class
-    tp = int(np.sum(pred_pos & truth_pos))
-    fp = int(np.sum(pred_pos & ~truth_pos))
-    fn = int(np.sum(~pred_pos & truth_pos))
-    tn = int(np.sum(~pred_pos & ~truth_pos))
-    return tp, fp, fn, tn
-
-
-def calibrate_thresholds(dataset: Dataset, positive_class: int = 0,
-                         split: str = "val") -> np.ndarray:
-    """Per-channel thresholds maximizing validation micro-F1.
-
-    Starts from the per-channel median energy and sweeps each channel over
-    midpoints of its observed energies (current value included), so the
-    result is never worse than the median default. A channel whose
-    validation labels contain a single class gets threshold +inf (never
-    busy) with a warning.
-    """
-    idx = dataset.split[split]
-    if not idx:
-        raise ValueError(f"dataset has an empty {split!r} split")
-    m_chan = dataset.config.num_subchannels
-    energies = np.array([band_energies(dataset.observations[i], m_chan) for i in idx])
-    truths = np.array([dataset.observations[i].label for i in idx])
-
-    thresholds = np.median(energies, axis=0).astype(float)
-    counts = [
-        _threshold_counts(energies[:, m], truths[:, m], thresholds[m], positive_class)
-        for m in range(m_chan)
-    ]
-
-    def micro_f1(all_counts) -> float:
-        tp = sum(c[0] for c in all_counts)
-        fp = sum(c[1] for c in all_counts)
-        fn = sum(c[2] for c in all_counts)
-        return 2 * tp / (2 * tp + fp + fn) if 2 * tp + fp + fn else 0.0
-
-    for m in range(m_chan):
-        classes = set(truths[:, m].tolist())
-        if len(classes) < 2:
-            warnings.warn(f"sub-channel {m + 1} has a single class in the {split} split; "
-                          "threshold set to +inf")
-            thresholds[m] = float("inf")
-            counts[m] = _threshold_counts(energies[:, m], truths[:, m],
-                                          thresholds[m], positive_class)
-            continue
-        uniq = np.unique(energies[:, m])
-        candidates = np.concatenate([
-            [thresholds[m], 0.0, uniq[-1] * 1.01 + 1.0],
-            (uniq[:-1] + uniq[1:]) / 2.0,
-        ])
-        best_thr, best_score = thresholds[m], -1.0
-        for thr in candidates:
-            trial = _threshold_counts(energies[:, m], truths[:, m], thr, positive_class)
-            score = micro_f1(counts[:m] + [trial] + counts[m + 1:])
-            if score > best_score:
-                best_score, best_thr = score, float(thr)
-        thresholds[m] = best_thr
-        counts[m] = _threshold_counts(energies[:, m], truths[:, m], best_thr,
-                                      positive_class)
-    return thresholds
-
-
 @dataclass(frozen=True)
 class TrainParams:
     seed: int
@@ -256,7 +187,7 @@ def train_classifier(dataset: Dataset, params: TrainParams) -> SensingModel:
     dims = [feats.shape[1], *params.hidden, m_chan]
     acts = ["relu"] * len(params.hidden) + ["sigmoid"]
     net = nnet.build_network(dims, acts, seed=params.seed)
-    opt = nnet.OptimizerState(kind="adam", learning_rate=params.learning_rate)
+    opt = nnet.OptimizerState(learning_rate=params.learning_rate)
     rng = derive_rng(params.seed, 0x5E25)
 
     curve = []

@@ -36,15 +36,14 @@ class TestStationary:
 class TestStep:
     def test_identity_dynamics_absorbing(self):
         mats = [channel.TransitionMatrix(0.0, 0.0)] * 2
-        state = channel.EnvState((0, 1), 0, derive_rng(1))
+        state = channel.EnvState((0, 1), derive_rng(1))
         for _ in range(50):
             state = channel.step(state, mats)
         assert state.true_occupancy == (0, 1)
-        assert state.slot == 50
 
     def test_deterministic_flip(self):
         mats = [channel.TransitionMatrix(1.0, 1.0)]
-        state = channel.EnvState((0,), 0, derive_rng(1))
+        state = channel.EnvState((0,), derive_rng(1))
         seen = []
         for _ in range(4):
             state = channel.step(state, mats)
@@ -60,7 +59,7 @@ class TestStep:
 
     def test_preserves_length_and_alphabet(self):
         mats = [channel.TransitionMatrix(0.4, 0.2)] * 5
-        state = channel.EnvState((0, 1, 0, 1, 0), 0, derive_rng(2))
+        state = channel.EnvState((0, 1, 0, 1, 0), derive_rng(2))
         for _ in range(200):
             state = channel.step(state, mats)
             assert len(state.true_occupancy) == 5
@@ -79,7 +78,7 @@ class TestStep:
         assert est10 == pytest.approx(p10, abs=0.02)
 
     def test_matrix_count_mismatch(self):
-        state = channel.EnvState((0, 1), 0, derive_rng(0))
+        state = channel.EnvState((0, 1), derive_rng(0))
         with pytest.raises(ValueError):
             channel.step(state, [channel.TransitionMatrix(0.1, 0.1)])
 
@@ -154,7 +153,6 @@ class TestLinkModel:
         assert channel.db_to_linear(0.0) == pytest.approx(1.0)
         assert channel.db_to_linear(20.0) == pytest.approx(100.0)
         assert channel.db_to_linear(-10.0) == pytest.approx(0.1)
-        assert channel.linear_to_db(100.0) == pytest.approx(20.0)
 
     def test_rejects_ragged_table(self):
         with pytest.raises(ValueError):
@@ -162,5 +160,5 @@ class TestLinkModel:
                               access_sinr_db=((0.0,), (0.0, 1.0)))
 
     def test_default_preset_degrades_last_uav(self):
-        link = channel.default_link_model(3, 4, strong_db=10.0)
+        link = channel.default_link_model(3, 4)
         assert link.sensing_sinr_db == (10.0, 10.0, 0.0)

@@ -1,7 +1,10 @@
 import json
 import os
 
+import pytest
+
 from uavdsa.cli import cli_dispatch
+from uavdsa.config import load_config
 
 
 def write_config(tmp_path, **overrides):
@@ -155,6 +158,40 @@ class TestExitCodes:
 
     def test_help_exits_zero(self):
         assert cli_dispatch(["--help"]) == 0
+
+    def test_gen_dataset_refuses_more_than_32_subchannels(self, tmp_path, capsys):
+        # IQDS stores each label as a u32 mask; other subcommands accept M=40
+        cfg = write_config(tmp_path, radio={"num_subchannels": 40, "num_uavs": 3},
+                           sensing={"kind": "perfect"})
+        assert load_config(cfg).radio.num_subchannels == 40
+        out = tmp_path / "run"
+        assert cli_dispatch(["gen-dataset", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("radio.num_subchannels: ")
+        assert not out.exists()
+
+
+# (field path in the problem, config overrides): JSON admits NaN and
+# Infinity, and every bound comparison with NaN is false
+NON_FINITE = [
+    ("channels[0].p01", {"channels": {"p01": float("nan"), "p10": 0.3}}),
+    ("agent.gamma", {"agent": {"variant": "random", "gamma": float("nan")}}),
+    ("timing.t_s", {"timing": {"t_s": float("nan")}}),
+    ("config.request_probability", {"request_probability": float("nan")}),
+    ("radio.p_tx", {"radio": {"num_subchannels": 4, "p_tx": float("-inf")}}),
+    ("dataset.sinr_grid_db", {"dataset": {"fft_size": 256,
+                                          "sinr_grid_db": [0.0, float("nan")]}}),
+    ("dataset.interference_gains_db", {"dataset": {"fft_size": 256,
+                                                   "interference_gains_db": [float("inf")]}}),
+]
+
+
+@pytest.mark.parametrize("field,overrides", NON_FINITE, ids=[f for f, _ in NON_FINITE])
+def test_non_finite_numbers_are_config_errors(field, overrides, tmp_path, capsys):
+    cfg = write_config(tmp_path, **overrides)
+    out = tmp_path / "run"
+    assert cli_dispatch(["gen-dataset", "--config", cfg, "--out", str(out)]) == 1
+    assert f"{field}: must be a finite number" in capsys.readouterr().err.splitlines()
+    assert not out.exists()
 
 
 class TestPipeline:

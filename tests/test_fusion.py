@@ -1,6 +1,9 @@
 import itertools
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uavdsa import fusion
 
@@ -86,3 +89,32 @@ class TestFusionTable:
     def test_single_uav(self):
         report = (0, 1, 0)
         assert fusion.fusion_table([report], 1) == [report]
+
+
+@st.composite
+def vote_cases(draw):
+    """K reports of M bits, at least one of them received, and a rule n."""
+    k, m = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    reports = draw(st.lists(st.tuples(*[st.integers(0, 1)] * m), min_size=k, max_size=k))
+    missing = draw(st.lists(st.booleans(), min_size=k, max_size=k).filter(
+        lambda gone: not all(gone)))
+    n = draw(st.integers(1, k))
+    return [None if gone else r for r, gone in zip(reports, missing)], n
+
+
+@settings(max_examples=300, derandomize=True, database=None)
+@given(vote_cases())
+def test_fuse_and_fusion_table_agree_with_brute_force_vote(case):
+    """Missing reports drop out and n is clamped to the reports received;
+    each missing-report call warns once."""
+    reports, n = case
+    k = len(reports)
+    present = [r for r in reports if r is not None]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fused = fusion.fuse(reports, fusion.FusionRule(n=n, num_uavs=k))
+        table = fusion.fusion_table(reports, k)
+    assert len(caught) == (2 if len(present) < k else 0)
+    assert fused == brute_force_rule(present, min(n, len(present)))
+    assert table == [brute_force_rule(present, min(j, len(present)))
+                     for j in range(1, k + 1)]

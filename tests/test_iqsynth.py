@@ -30,7 +30,7 @@ class TestCleanWaveform:
     def test_parseval(self):
         cfg = small_config()
         rng = derive_rng(1)
-        x = iqsynth.clean_waveform((1, 0, 1, 1), cfg, rng)
+        x = np.fft.ifft(iqsynth.clean_spectrum((1, 0, 1, 1), cfg, rng), norm="ortho")
         spectrum = np.fft.fft(x, norm="ortho")
         t_energy = np.sum(np.abs(x) ** 2)
         f_energy = np.sum(np.abs(spectrum) ** 2)
@@ -52,7 +52,7 @@ class TestCleanWaveform:
 
     def test_label_length_mismatch(self):
         with pytest.raises(ValueError):
-            iqsynth.clean_waveform((0, 1), small_config(), derive_rng(0))
+            iqsynth.clean_spectrum((0, 1), small_config(), derive_rng(0))
 
 
 class TestSynthesizeObservation:
@@ -73,7 +73,7 @@ class TestSynthesizeObservation:
     def test_single_busy_band_concentration(self):
         cfg = small_config()
         rng = derive_rng(6)
-        x = iqsynth.clean_waveform((0, 0, 1, 0), cfg, rng)
+        x = np.fft.ifft(iqsynth.clean_spectrum((0, 0, 1, 0), cfg, rng), norm="ortho")
         power = np.abs(np.fft.fft(x, norm="ortho")) ** 2
         start, stop = iqsynth.band_edges(256, 4)[2]
         assert power[start:stop].sum() >= 0.9 * power.sum()
@@ -101,41 +101,92 @@ class TestSynthesizeObservation:
             assert abs(realized_db - target) <= 0.5
 
 
+def time_domain_interference(cfg, source, count_per_sinr):
+    """generate_dataset as it was when interference was added in the time
+    domain: each observation's capture, then every neighbor's clean
+    waveform (the inverse transform of its clean spectrum) scaled and
+    added to it. Returns the (label, samples) pairs and the observations'
+    generators."""
+    pairs, rngs, idx = [], [], 0
+    for sinr_db in cfg.sinr_grid_db:
+        for _ in range(count_per_sinr):
+            rng = derive_rng(cfg.seed, iqsynth._OBS_KEY, idx)
+            label = source(rng)
+            samples = np.fft.ifft(iqsynth.synthesize_spectra(label, (sinr_db,), cfg, rng),
+                                  norm="ortho")[0]
+            neighbors = [source(rng) for _ in cfg.interference_gains_db]
+            for neighbor, gain in zip(neighbors, cfg.interference_gains_db):
+                samples += 10.0 ** (gain / 20.0) * np.fft.ifft(
+                    iqsynth.clean_spectrum(neighbor, cfg, rng), norm="ortho")
+            pairs.append((label, samples))
+            rngs.append(rng)
+            idx += 1
+    return pairs, rngs
+
+
+def generate_recording_rngs(cfg, source, count_per_sinr, monkeypatch):
+    """generate_dataset, plus the generator each observation drew from."""
+    rngs = []
+
+    def recording(*key):
+        rngs.append(derive_rng(*key))
+        return rngs[-1]
+
+    monkeypatch.setattr(iqsynth, "derive_rng", recording)
+    return iqsynth.generate_dataset(cfg, source, count_per_sinr), rngs
+
+
 class TestAddInterference:
-    def test_empty_neighbor_list_identity(self):
+    @pytest.mark.parametrize("gains", [(-3.0,), (0.0, -6.0, -20.0)], ids=["one", "three"])
+    def test_matches_time_domain_path(self, gains, monkeypatch):
+        cfg = small_config(interference_gains_db=gains)
+        source = stationary_sampler([TransitionMatrix(0.3, 0.3)] * 4)
+        ds, rngs = generate_recording_rngs(cfg, source, 50, monkeypatch)
+        want, want_rngs = time_domain_interference(cfg, source, 50)
+        assert len(ds.observations) == len(want) == len(rngs)
+        for obs, rng, (label, samples), want_rng in zip(ds.observations, rngs, want,
+                                                        want_rngs):
+            assert obs.label == label
+            assert rng.bit_generator.state == want_rng.bit_generator.state
+            assert np.allclose(obs.samples, samples, rtol=0.0, atol=1e-12)
+
+    def test_empty_neighbor_list_identity(self, monkeypatch):
+        """Without interference each observation is, bit for bit, the
+        synthesize_observation of its substream, as it always was."""
         cfg = small_config()
-        obs = iqsynth.synthesize_observation((1, 0, 0, 0), 10.0, cfg, derive_rng(8))
-        out = iqsynth.add_interference(obs, [], [], cfg, derive_rng(9))
-        assert np.array_equal(out.samples, obs.samples)
+        source = stationary_sampler([TransitionMatrix(0.2, 0.3)] * 4)
+        ds, rngs = generate_recording_rngs(cfg, source, 50, monkeypatch)
+        for idx, (obs, rng) in enumerate(zip(ds.observations, rngs)):
+            want_rng = derive_rng(cfg.seed, iqsynth._OBS_KEY, idx)
+            plain = iqsynth.synthesize_observation(source(want_rng), obs.sinr_db, cfg, want_rng)
+            assert np.array_equal(bits(obs.samples), bits(plain.samples))
+            assert obs.label == plain.label
+            assert rng.bit_generator.state == want_rng.bit_generator.state
 
     def test_minus_inf_gain_skips(self):
-        cfg = small_config()
-        obs = iqsynth.synthesize_observation((1, 0, 0, 0), 10.0, cfg, derive_rng(8))
-        out = iqsynth.add_interference(obs, [(1, 1, 1, 1)], [float("-inf")],
-                                       cfg, derive_rng(9))
-        assert np.array_equal(out.samples, obs.samples)
-        assert out.label == obs.label
+        source = stationary_sampler([TransitionMatrix(0.2, 0.3)] * 4)
+        plain = iqsynth.generate_dataset(small_config(), source, count_per_sinr=10)
+        muted = iqsynth.generate_dataset(
+            small_config(interference_gains_db=(float("-inf"),)), source, count_per_sinr=10)
+        for a, b in zip(plain.observations, muted.observations):
+            assert np.array_equal(a.samples, b.samples)
+            assert a.label == b.label
 
     def test_power_additivity(self):
-        cfg = small_config()
         gain_db = -3.0
-        neighbor = (1, 1, 0, 0)
-        # expected neighbor power per sample: 10^(gain/10) * busy_bins / N
+        # every label, serving or neighbor, is (1, 1, 0, 0); expected
+        # neighbor power per sample: 10^(gain/10) * busy_bins / N
         expected_extra = 10 ** (gain_db / 10) * 64 / 256
-        rng = derive_rng(10)
-        deltas = []
-        for _ in range(100):
-            obs = iqsynth.synthesize_observation((0, 0, 1, 1), 15.0, cfg, rng)
-            before = np.mean(np.abs(obs.samples) ** 2)
-            out = iqsynth.add_interference(obs, [neighbor], [gain_db], cfg, rng)
-            deltas.append(np.mean(np.abs(out.samples) ** 2) - before)
-        assert np.mean(deltas) == pytest.approx(expected_extra, rel=0.10)
 
-    def test_gain_count_mismatch(self):
-        cfg = small_config()
-        obs = iqsynth.synthesize_observation((0, 0, 0, 0), 0.0, cfg, derive_rng(1))
-        with pytest.raises(ValueError):
-            iqsynth.add_interference(obs, [(0, 0, 0, 0)], [], cfg, derive_rng(1))
+        def source(rng):
+            return (1, 1, 0, 0)
+
+        plain = iqsynth.generate_dataset(small_config(), source, count_per_sinr=50)
+        loud = iqsynth.generate_dataset(small_config(interference_gains_db=(gain_db,)),
+                                        source, count_per_sinr=50)
+        deltas = [np.mean(np.abs(b.samples) ** 2) - np.mean(np.abs(a.samples) ** 2)
+                  for a, b in zip(plain.observations, loud.observations)]
+        assert np.mean(deltas) == pytest.approx(expected_extra, rel=0.10)
 
 
 class TestGenerateDataset:
@@ -319,11 +370,7 @@ def test_batched_captures_are_bitwise_per_capture(m, n):
             assert spectra.shape == (k, n)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
             assert np.array_equal(bits(spectra), bits(np.array(want)))
-            rng = derive_rng(*seed)
-            captures = iqsynth.synthesize_captures(label, sinrs, cfg, rng)
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
-            assert np.array_equal(bits(captures),
-                                  bits(np.fft.ifft(spectra, norm="ortho")))
+            captures = np.fft.ifft(spectra, norm="ortho")
             for capture, spectrum in zip(captures, want):
                 assert np.array_equal(bits(capture),
                                       bits(np.fft.ifft(spectrum, norm="ortho")))
@@ -401,7 +448,8 @@ def test_noise_only_captures_are_white(sinr_db):
     cfg = small_config()
     captures, n = 400, cfg.samples_per_observation
     sigma2 = iqsynth.noise_power(sinr_db)
-    new = iqsynth.synthesize_captures((0,) * 4, [sinr_db] * captures, cfg, derive_rng(13))
+    new = np.fft.ifft(iqsynth.synthesize_spectra((0,) * 4, [sinr_db] * captures, cfg,
+                                                 derive_rng(13)), norm="ortho")
     old = np.array(time_domain_captures((0,) * 4, [sinr_db] * captures, cfg, derive_rng(14)))
     count = captures * n
     for x in (new, old):

@@ -87,53 +87,33 @@ class TestOptimizers:
     def test_zero_gradients_leave_parameters_unchanged(self):
         net = nnet.build_network([2, 2], ["identity"], seed=1)
         before = net.layers[0].w.copy()
-        state = nnet.OptimizerState(kind="sgd-momentum", learning_rate=0.1, momentum=0.0)
+        state = nnet.OptimizerState(learning_rate=0.1)
         zero = [(np.zeros_like(net.layers[0].w), np.zeros_like(net.layers[0].b))]
         nnet.optimizer_step(net, zero, state)
         assert np.array_equal(net.layers[0].w, before)
-
-    def test_plain_sgd_step(self):
-        net = linear_net(1.0, 0.0)
-        state = nnet.OptimizerState(kind="sgd-momentum", learning_rate=0.1, momentum=0.0)
-        nnet.optimizer_step(net, [(np.array([[1.0]]), np.array([0.0]))], state)
-        assert net.layers[0].w[0, 0] == pytest.approx(0.9)
 
     def test_adam_first_step_magnitude_is_lr(self):
         # bias correction makes |step| = lr * g / (|g| + eps) at t=1
         for g in (1e-3, 1.0, 1e3):
             net = linear_net(0.0, 0.0)
-            state = nnet.OptimizerState(kind="adam", learning_rate=0.01)
+            state = nnet.OptimizerState(learning_rate=0.01)
             nnet.optimizer_step(net, [(np.array([[g]]), np.array([0.0]))], state)
             assert abs(net.layers[0].w[0, 0]) == pytest.approx(0.01, rel=1e-4)
 
-    def test_momentum_accumulates(self):
-        net = linear_net(0.0, 0.0)
-        state = nnet.OptimizerState(kind="sgd-momentum", learning_rate=0.1, momentum=0.5)
-        g = [(np.array([[1.0]]), np.array([0.0]))]
-        nnet.optimizer_step(net, g, state)   # v=1, w=-0.1
-        nnet.optimizer_step(net, g, state)   # v=1.5, w=-0.25
-        assert net.layers[0].w[0, 0] == pytest.approx(-0.25)
-
 
 def reference_step(layers, grads, state, slots):
-    """Per-layer optimizer update, kept as the oracle for the flat one."""
+    """Per-layer Adam update, kept as the oracle for the flat one."""
     state.step_count += 1
     lr, t = state.learning_rate, state.step_count
     for (w, b), (gw, gb), slot in zip(layers, grads, slots):
-        for p, g, acc in ((w, gw, slot[0]), (b, gb, slot[1])):
-            if state.kind == "sgd-momentum":
-                acc[0] *= state.momentum
-                acc[0] += g
-                p -= lr * acc[0]
-            else:
-                m, v = acc
-                m *= state.beta1
-                m += (1.0 - state.beta1) * g
-                v *= state.beta2
-                v += (1.0 - state.beta2) * g ** 2
-                m_hat = m / (1.0 - state.beta1 ** t)
-                v_hat = v / (1.0 - state.beta2 ** t)
-                p -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        for p, g, (m, v) in ((w, gw, slot[0]), (b, gb, slot[1])):
+            m *= state.beta1
+            m += (1.0 - state.beta1) * g
+            v *= state.beta2
+            v += (1.0 - state.beta2) * g ** 2
+            m_hat = m / (1.0 - state.beta1 ** t)
+            v_hat = v / (1.0 - state.beta2 ** t)
+            p -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
 
 
 class TestFlatParameters:
@@ -168,14 +148,13 @@ class TestFlatParameters:
         for (gw, gb), (hw, hb) in zip(fresh, grads2):
             assert np.array_equal(gw, hw) and np.array_equal(gb, hb)
 
-    @pytest.mark.parametrize("kind", ["adam", "sgd-momentum"])
-    def test_flat_update_is_bitwise_the_per_layer_update(self, kind):
+    def test_flat_update_is_bitwise_the_per_layer_update(self):
         net = nnet.build_network([4, 8, 3], ["relu", "identity"], seed=3)
         ref = [(l.w.copy(), l.b.copy()) for l in net.layers]
         ref_slots = [tuple([np.zeros_like(p), np.zeros_like(p)] for p in pair)
                      for pair in ref]
-        state = nnet.OptimizerState(kind=kind, learning_rate=0.01, momentum=0.7)
-        ref_state = nnet.OptimizerState(kind=kind, learning_rate=0.01, momentum=0.7)
+        state = nnet.OptimizerState(learning_rate=0.01)
+        ref_state = nnet.OptimizerState(learning_rate=0.01)
         rng = np.random.default_rng(3)
         for _ in range(5):
             x, y = rng.normal(size=(8, 4)), rng.normal(size=(8, 3))
@@ -267,7 +246,7 @@ class TestLearnability:
         successes = 0
         for seed in (0, 1, 2):
             net = nnet.build_network([2, 8, 1], ["relu", "sigmoid"], seed=seed)
-            state = nnet.OptimizerState(kind="adam", learning_rate=0.02)
+            state = nnet.OptimizerState(learning_rate=0.02)
             loss = np.inf
             for _ in range(5000):
                 grads = nnet.backward(net, xs, ys, nnet.BCE)
