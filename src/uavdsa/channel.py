@@ -28,15 +28,6 @@ class TransitionMatrix:
         return np.array([[1.0 - self.p01, self.p01], [self.p10, 1.0 - self.p10]])
 
 
-@dataclass
-class EnvState:
-    """True occupancy plus the generator that drives the chains. Owned by
-    a single simulation loop."""
-
-    true_occupancy: tuple[int, ...]
-    rng: np.random.Generator
-
-
 @dataclass(frozen=True)
 class LinkModel:
     """Static SINR tables replacing the ray-traced geometry.
@@ -76,29 +67,27 @@ def _next_state(busy: int, u: float, matrix: TransitionMatrix) -> int:
     return int(u >= matrix.p10) if busy else int(u < matrix.p01)
 
 
-def step(state: EnvState, matrices: list[TransitionMatrix]) -> EnvState:
-    """Advance every chain one slot using the state's generator.
+def step(occupancy: tuple[int, ...], matrices: list[TransitionMatrix],
+         rng: np.random.Generator) -> tuple[int, ...]:
+    """Advance every chain one slot: one uniform per channel from rng.
 
-    Channels transition independently; the generator is shared with the
-    returned state, so repeated stepping is deterministic for a fixed
-    starting generator.
+    Channels transition independently, so repeated stepping is
+    deterministic for a fixed starting generator.
     """
-    if len(matrices) != len(state.true_occupancy):
-        raise ValueError(
-            f"expected {len(state.true_occupancy)} matrices, got {len(matrices)}")
-    draws = state.rng.random(len(matrices)).tolist()
-    nxt = tuple(_next_state(b, u, m)
-                for b, u, m in zip(state.true_occupancy, draws, matrices))
-    return EnvState(true_occupancy=nxt, rng=state.rng)
+    if len(matrices) != len(occupancy):
+        raise ValueError(f"expected {len(occupancy)} matrices, got {len(matrices)}")
+    draws = rng.random(len(matrices)).tolist()
+    return tuple(_next_state(b, u, m) for b, u, m in zip(occupancy, draws, matrices))
 
 
-def initial_state(matrices: list[TransitionMatrix], rng: np.random.Generator) -> EnvState:
-    """Slot-0 state with each channel drawn from its stationary distribution."""
+def initial_state(matrices: list[TransitionMatrix],
+                  rng: np.random.Generator) -> tuple[int, ...]:
+    """Slot-0 occupancy with each channel drawn from its stationary distribution."""
     bits = []
     for m in matrices:
         p_vacant, _ = stationary_distribution(m)
         bits.append(0 if rng.random() < p_vacant else 1)
-    return EnvState(true_occupancy=tuple(bits), rng=rng)
+    return tuple(bits)
 
 
 def sample_occupancy(
@@ -114,7 +103,7 @@ def sample_occupancy(
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     rng = derive_rng(seed, 0xC4A1)
-    start = initial_state(matrices, rng).true_occupancy
+    start = initial_state(matrices, rng)
     columns = []
     for b, matrix, draws in zip(start, matrices,
                                 rng.random((horizon - 1, len(matrices))).T.tolist()):

@@ -135,8 +135,12 @@ def cmd_train_agent(config: SimConfig, args) -> int:
     t0 = time.perf_counter()
     variant = args.variant or config.agent.variant
     if variant not in AGENT_TRAIN_VARIANTS:
-        raise ValueError(f"train-agent cannot train variant {variant!r}")
+        raise ConfigError([f"agent.variant: train-agent cannot train variant "
+                           f"{variant!r}; options: {', '.join(AGENT_TRAIN_VARIANTS)}"])
     uavs = args.uavs or config.agent.uavs
+    if uavs > config.radio.num_uavs:
+        raise ConfigError([f"--uavs: {uavs} exceeds radio.num_uavs "
+                           f"({config.radio.num_uavs})"])
     table = normalized_reward_table(
         [config.link.access_sinr_db[k] for k in range(uavs)])
     env = SchedulingEnv(list(config.matrices), table)

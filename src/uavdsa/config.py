@@ -143,7 +143,7 @@ class _Section:
             self.problems.append(f"{path}: may not be null")
             return default
         if kind is float and isinstance(v, int) and not isinstance(v, bool):
-            v = float(v)
+            v = _as_float(v)
         if not isinstance(v, kind) or isinstance(v, bool):
             self.problems.append(f"{path}: expected {kind.__name__}")
             return default
@@ -179,6 +179,15 @@ class _Section:
                             default, length, item_low, whole)
 
 
+def _as_float(x) -> float:
+    """float(x), except that an integer too large for a float, on which
+    float() raises OverflowError, becomes inf."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
+
+
 def _number_list(v, path, problems, default, length=None, item_low=None, whole=False):
     """A JSON list of numbers as a tuple of floats; on any problem the
     default comes back and the problem is recorded under `path`."""
@@ -186,19 +195,36 @@ def _number_list(v, path, problems, default, length=None, item_low=None, whole=F
             not isinstance(x, (int, float)) or isinstance(x, bool) for x in v):
         problems.append(f"{path}: expected a list of numbers")
         return default
-    if any(isinstance(x, float) and not math.isfinite(x) for x in v):
+    values = tuple(_as_float(x) for x in v)
+    if not all(math.isfinite(x) for x in values):
         problems.append(f"{path}: must be a finite number")
         return default
     if length is not None and len(v) != length:
         problems.append(f"{path}: expected {length} entries, got {len(v)}")
         return default
-    if item_low is not None and any(x < item_low for x in v):
+    if item_low is not None and any(x < item_low for x in values):
         problems.append(f"{path}: entries must be >= {item_low}")
         return default
-    if whole and any(not float(x).is_integer() for x in v):
+    if whole and not all(x.is_integer() for x in values):
         problems.append(f"{path}: entries must be whole numbers")
         return default
-    return tuple(float(x) for x in v)
+    return values
+
+
+def _per_entry(raw: dict, key: str, count: int, problems: list[str]) -> list:
+    """`raw[key]` as `count` entries: one object (an absent key is `{}`)
+    stands for all of them, and a list must hold exactly `count`. A list
+    of another length is a problem; it comes back cut or padded with `{}`
+    to `count`, so that its entries are still checked."""
+    v = raw.get(key, {})
+    if isinstance(v, dict):
+        return [v] * count
+    if not isinstance(v, list):
+        problems.append(f"{key}: expected an object or a list of objects")
+        return [{}] * count
+    if len(v) != count:
+        problems.append(f"{key}: expected {count} entries, got {len(v)}")
+    return (v + [{}] * count)[:count]
 
 
 def validate_config(raw: dict, seed_override: int | None = None,
@@ -245,23 +271,13 @@ def validate_config(raw: dict, seed_override: int | None = None,
         t_a=timing_sec.value("t_a", 0.042, float, low=0.0),
     )
 
-    raw_channels = raw.get("channels", {"p01": 0.2, "p10": 0.3})
-    if isinstance(raw_channels, dict):
-        raw_channels = [raw_channels] * m
     matrices = []
-    if not isinstance(raw_channels, list):
-        problems.append("channels: expected an object or a list of objects")
-        raw_channels = []
-    if raw_channels and len(raw_channels) != m:
-        problems.append(f"channels: expected {m} entries, got {len(raw_channels)}")
-    for i, entry in enumerate(raw_channels):
+    for i, entry in enumerate(_per_entry(raw, "channels", m, problems)):
         sec = _Section(entry, f"channels[{i}]", problems)
         sec.check_keys({"p01", "p10"})
         p01 = sec.value("p01", 0.2, float, low=0.0, high=1.0)
         p10 = sec.value("p10", 0.3, float, low=0.0, high=1.0)
         matrices.append(TransitionMatrix(p01=p01, p10=p10))
-    while len(matrices) < m:
-        matrices.append(TransitionMatrix(0.2, 0.3))
 
     link_sec = _Section(raw.get("link", {}), "link", problems)
     link_sec.check_keys({"sensing_sinr_db", "access_sinr_db"})
@@ -278,17 +294,8 @@ def validate_config(raw: dict, seed_override: int | None = None,
 
     fusion_n = top.value("fusion_n", min(2, k), int, low=1, high=k)
 
-    raw_sensing = raw.get("sensing", {})
-    if isinstance(raw_sensing, dict):
-        raw_sensing = [raw_sensing] * k
-    if not isinstance(raw_sensing, list):
-        problems.append("sensing: expected an object or a list of objects")
-        raw_sensing = [{}] * k
-    if len(raw_sensing) != k:
-        problems.append(f"sensing: expected {k} entries, got {len(raw_sensing)}")
-        raw_sensing = (raw_sensing + [{}] * k)[:k]
     sensing_specs = []
-    for i, entry in enumerate(raw_sensing):
+    for i, entry in enumerate(_per_entry(raw, "sensing", k, problems)):
         sec = _Section(entry, f"sensing[{i}]", problems)
         sec.check_keys({"kind", "decision_threshold", "input_mode", "thresholds",
                         "model_path", "hidden", "epochs", "batch_size",

@@ -226,17 +226,10 @@ class OptimizerState:
             raise ValueError("learning rate must be positive")
 
 
-def optimizer_step(net: Network, grads, state: OptimizerState):
-    """In-place Adam update; returns (net, state) for chaining.
-
-    grads is the list `backward` returned, or any per-layer (dW, db) list,
-    which is first copied into the network's gradient buffer.
-    """
-    g, views = net.gradient()
-    if grads is not views:
-        for (gw, gb), (vw, vb) in zip(grads, views):
-            vw[...] = gw
-            vb[...] = gb
+def optimizer_step(net: Network, state: OptimizerState):
+    """In-place Adam update from the network's gradient buffer (what the
+    last `backward` wrote); returns (net, state) for chaining."""
+    g, _ = net.gradient()
     if not state.slots:
         state.slots = [np.zeros_like(net.params) for _ in range(2)]
         state.scratch = [np.empty_like(net.params) for _ in range(2)]

@@ -17,7 +17,7 @@ import math
 import struct
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -317,8 +317,8 @@ class DqnAgent:
         trace = nnet.forward_trace(self.primary, feats)
         target_mat = trace[1][-1].copy()
         target_mat[np.arange(self.batch_size), ring.actions[idx]] = targets_y
-        grads = nnet.backward(self.primary, feats, target_mat, nnet.MSE, trace)
-        nnet.optimizer_step(self.primary, grads, self.optimizer)
+        nnet.backward(self.primary, feats, target_mat, nnet.MSE, trace)
+        nnet.optimizer_step(self.primary, self.optimizer)
         self.train_steps += 1
         if self.variant == "ddqn-soft":
             soft_update(self.target, self.primary, self.tau)
@@ -420,7 +420,7 @@ class SchedulingEnv:
         self.reward_table = np.asarray(reward_table, dtype=float)
         if self.reward_table.ndim != 2 or self.reward_table.shape[1] != len(self.matrices):
             raise ValueError("reward table must be K x M")
-        self._state = None
+        self.occupancy = self.rng = None  # set by reset
 
     @property
     def num_subchannels(self) -> int:
@@ -431,13 +431,14 @@ class SchedulingEnv:
         return self.reward_table.shape[0]
 
     def reset(self, rng: np.random.Generator) -> AgentState:
-        self._state = initial_state(self.matrices, rng)
+        """Start an episode whose chains are driven by rng."""
+        self.rng = rng
+        self.occupancy = initial_state(self.matrices, rng)
         return None
 
     def step(self, actions: Sequence[int]):
         """Returns (utility, per-action rewards, collision count, next state)."""
-        self._state = step(self._state, self.matrices)
-        bits = self._state.true_occupancy
+        self.occupancy = bits = step(self.occupancy, self.matrices, self.rng)
         pairs, rewards = [], []
         for uav, action in enumerate(actions):
             if action == 0:
@@ -494,7 +495,7 @@ def train_agent(agent, env: SchedulingEnv, episodes: int, slots_per_episode: int
                                           k=env.num_uavs)
             if np.abs(q_row).max() > Q_DIVERGENCE_LIMIT:
                 raise RuntimeError(f"Q-values diverged beyond {Q_DIVERGENCE_LIMIT:g}")
-            _assert_feasible(actions, state)
+            feasible_assignment(enumerate(actions), state)
             utility, rewards, ncoll, next_state = env.step(actions)
             for action, reward in zip(actions, rewards):
                 agent.observe(state, action, reward, next_state, rng_agent)
@@ -508,16 +509,20 @@ def train_agent(agent, env: SchedulingEnv, episodes: int, slots_per_episode: int
     return log
 
 
-def _assert_feasible(actions: Sequence[int], state: AgentState) -> None:
-    """Any constraint violation coming out of an agent is a bug."""
-    pairs = [(uav, a) for uav, a in enumerate(actions) if a != 0]
-    if not pairs:
-        return
+def feasible_assignment(uav_actions: Iterable[tuple[int, int]],
+                        state: AgentState) -> Assignment:
+    """The assignment of the non-idle (uav, action) pairs an agent chose
+    from `state`. Any constraint violation coming out of an agent is a
+    bug and raises RuntimeError; so does a non-idle action from INITIAL."""
+    assignment = Assignment.of(*((uav, a) for uav, a in uav_actions if a != 0))
+    if not assignment:
+        return assignment
     if state is None:
-        raise AssertionError("non-idle action taken from the INITIAL state")
-    violations = validate_assignment(Assignment.of(*pairs), state)
+        raise RuntimeError("non-idle action taken from the INITIAL state")
+    violations = validate_assignment(assignment, state)
     if violations:
-        raise AssertionError(f"agent produced an infeasible assignment: {violations}")
+        raise RuntimeError(f"agent produced an infeasible assignment: {violations}")
+    return assignment
 
 
 def write_training_csv(path: str, rows) -> None:
@@ -525,7 +530,8 @@ def write_training_csv(path: str, rows) -> None:
 
     The wall_ms column is zeroed on disk so that identical (config, seed)
     runs produce byte-identical files; measured timings stay in the
-    in-memory rows and are reported on stderr by the CLI.
+    in-memory rows, and the CLI reports only the total training time on
+    stderr.
     """
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)

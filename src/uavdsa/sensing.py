@@ -67,9 +67,13 @@ class SensingModel:
             raise ValueError("decision_threshold must lie in (0, 1)")
         if self.input_mode not in INPUT_MODES:
             raise ValueError(f"unknown input mode {self.input_mode!r}")
-        if self.kind == "dense-classifier" and self.network is not None:
-            if self.network.output_dim != self.num_subchannels:
-                raise ValueError("classifier output width must equal M")
+        m = self.num_subchannels
+        if self.kind == "energy-threshold":
+            if self.thresholds is None or np.shape(self.thresholds) != (m,):
+                raise ValueError(f"energy-threshold model has no thresholds for "
+                                 f"its {m} sub-channels")
+        elif self.network is None or self.network.output_dim != m:
+            raise ValueError(f"dense-classifier model has no network with {m} outputs")
 
 
 def feature_vector(observation: IQObservation, num_subchannels: int,
@@ -85,19 +89,11 @@ def feature_vector(observation: IQObservation, num_subchannels: int,
     return (x - x.mean()) / (x.std() + 1e-12)
 
 
-def detect_from_energies(model: SensingModel, energies: np.ndarray) -> tuple[int, ...]:
-    """Energy-threshold model's report h_k from one capture's band energies."""
-    if model.thresholds is None:
-        raise ValueError("energy-threshold model has no thresholds")
-    return energy_detect(energies, model.thresholds)
-
-
 def predict_occupancy(model: SensingModel, observation: IQObservation) -> tuple[int, ...]:
     """Deterministic per-UAV occupancy report h_k for one capture."""
     if model.kind == "energy-threshold":
-        return detect_from_energies(model, band_energies(observation, model.num_subchannels))
-    if model.network is None:
-        raise ValueError("classifier model has no network")
+        return energy_detect(band_energies(observation, model.num_subchannels),
+                             model.thresholds)
     x = feature_vector(observation, model.num_subchannels, model.input_mode)
     y = nnet.forward(model.network, x)
     return tuple(int(v >= model.decision_threshold) for v in y)
@@ -199,12 +195,12 @@ def train_classifier(dataset: Dataset, params: TrainParams) -> SensingModel:
             batch = order[start:start + params.batch_size]
             x, t = feats[batch], labels[batch]
             trace = nnet.forward_trace(net, x)
-            grads = nnet.backward(net, x, t, nnet.BCE, trace)
+            nnet.backward(net, x, t, nnet.BCE, trace)
             loss = nnet.output_loss(trace[1][-1], t, nnet.BCE)
             if not np.isfinite(loss):
                 raise nnet.NonFiniteLossError(
                     f"non-finite loss at epoch {epoch}, batch {start // params.batch_size}")
-            nnet.optimizer_step(net, grads, opt)
+            nnet.optimizer_step(net, opt)
             losses.append(loss)
         curve.append(float(np.mean(losses)))
 

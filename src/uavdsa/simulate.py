@@ -9,8 +9,10 @@ occupancy chains. Transmissions therefore always run one slot behind the
 prediction they were based on, which is what the collision indicator
 scores.
 
-Every persisted aggregate is recomputed from the slot ledgers before
-saving (self-audit), and all randomness flows from the config seed.
+Before saving, every slot is rescored from its per-pair fields and must
+give the utility and EE its ledger records, and the run's aggregates
+must match those per-slot values (self-audit). All randomness flows from
+the config seed.
 """
 
 import json
@@ -24,13 +26,13 @@ from .channel import db_to_linear, initial_state, step
 from .config import ConfigError, SensingSpec, SimConfig
 from .core import (Assignment, SlotLedger, UndefinedEnergyEfficiencyError,
                    access_cost, collision_indicator, energy_efficiency,
-                   sensing_cost, slot_utility, throughput, validate_assignment)
+                   sensing_cost, slot_utility, throughput)
 from .fusion import fuse
 from .iqsynth import IQObservation, synthesize_spectra
-from .scheduler import (DqnAgent, QTable, RandomAgent, load_agent, load_qtable,
-                        valid_actions)
+from .scheduler import (DqnAgent, QTable, RandomAgent, feasible_assignment,
+                        load_agent, load_qtable, valid_actions)
 from .seeds import derive_rng
-from .sensing import (SensingModel, confusion_counts, detect_from_energies,
+from .sensing import (SensingModel, confusion_counts, energy_detect,
                       metrics_from_counts, predict_occupancy, spectrum_band_energies,
                       write_metrics_csv)
 
@@ -139,7 +141,7 @@ def sense(models, label, sinrs_db, synth, rng) -> list[tuple[int, ...]]:
     if rows:
         energies = spectrum_band_energies(spectra[rows], synth.num_subchannels)
         for i, row in zip(rows, energies):
-            reports[sensed[i]] = detect_from_energies(models[sensed[i]], row)
+            reports[sensed[i]] = energy_detect(row, models[sensed[i]].thresholds)
     rows = [i for i, k in enumerate(sensed) if models[k].kind == "dense-classifier"]
     if rows:
         captures = np.fft.ifft(spectra[rows], norm="ortho")
@@ -186,15 +188,15 @@ class Simulation:
         self.reset_episode()
 
     def reset_episode(self) -> None:
-        self.env_state = initial_state(list(self.cfg.matrices), self.rng)
+        self.occupancy = initial_state(self.cfg.matrices, self.rng)
         self.prev_fused = None
-        self.pending: list[tuple[int, int]] = []
+        self.pending = Assignment()
 
     def run_slot(self) -> SlotLedger:
         cfg = self.cfg
         k_uavs = cfg.radio.num_uavs
         m = cfg.radio.num_subchannels
-        truth = self.env_state.true_occupancy
+        truth = self.occupancy
 
         requesting = [k for k in range(k_uavs)
                       if self.rng.random() < cfg.request_probability]
@@ -205,17 +207,14 @@ class Simulation:
         for tally, h in zip(self.counts.values(), reports + [fused]):
             confusion_counts((h,), (truth,), counts=tally)
 
-        pending_next: list[tuple[int, int]] = []
+        pending_next = Assignment()
         if requesting:
             actions, _ = self.agent.select(fused, valid_actions(fused, m), 0.0,
                                            self.rng, k=len(requesting))
-            pending_next = [(uav, a) for uav, a in zip(requesting, actions) if a != 0]
-            violations = validate_assignment(Assignment.of(*pending_next), fused)
-            if violations:
-                raise RuntimeError(f"agent produced an infeasible assignment: {violations}")
+            pending_next = feasible_assignment(zip(requesting, actions), fused)
 
         collision, bits, acc = {}, {}, {}
-        for uav, ch in sorted(self.pending):
+        for uav, ch in sorted(self.pending.pairs):
             collision[(uav, ch)] = collision_indicator(truth[ch - 1],
                                                        self.prev_fused[ch - 1])
             bits[(uav, ch)] = self.bits_table[uav][ch - 1]
@@ -224,12 +223,12 @@ class Simulation:
         utility, ee = slot_scores(collision, bits, acc, sensing_costs)
 
         ledger = SlotLedger(
-            slot=self.slot, assignment=Assignment.of(*self.pending),
+            slot=self.slot, assignment=self.pending,
             collision=collision, throughput=bits, access_cost=acc,
             sensing_costs=sensing_costs, utility=utility, energy_efficiency=ee,
             holes_detected=m - sum(fused), holes_true=m - sum(truth))
 
-        self.env_state = step(self.env_state, list(cfg.matrices))
+        self.occupancy = step(self.occupancy, cfg.matrices, self.rng)
         self.prev_fused = fused
         self.pending = pending_next
         self.slot += 1
@@ -237,22 +236,15 @@ class Simulation:
 
 
 def recompute_aggregates(ledgers: list[SlotLedger]):
-    """Aggregates derived purely from ledger fields (the self-audit path)."""
+    """(mean utility, mean EE, collision rate, transmissions, collisions) of
+    the per-slot utility, EE and collision values the ledgers hold; slots
+    with an undefined (NaN) EE are left out of the mean EE."""
     if not ledgers:
         return 0.0, float("nan"), 0.0, 0, 0
-    utilities = []
-    ees = []
-    transmissions = 0
-    collisions = 0
-    for led in ledgers:
-        utility, ee = slot_scores(led.collision, led.throughput, led.access_cost,
-                                  led.sensing_costs)
-        utilities.append(utility)
-        if not np.isnan(ee):
-            ees.append(ee)
-        transmissions += len(led.collision)
-        collisions += sum(1 for r in led.collision.values() if r == -1)
-    mean_utility = float(np.mean(utilities))
+    ees = [led.energy_efficiency for led in ledgers if not np.isnan(led.energy_efficiency)]
+    transmissions = sum(len(led.collision) for led in ledgers)
+    collisions = sum(1 for led in ledgers for r in led.collision.values() if r == -1)
+    mean_utility = float(np.mean([led.utility for led in ledgers]))
     mean_ee = float(np.mean(ees)) if ees else float("nan")
     rate = collisions / transmissions if transmissions else 0.0
     return mean_utility, mean_ee, rate, transmissions, collisions
@@ -275,11 +267,23 @@ def run_simulation(config: SimConfig) -> RunReport:
         seed=config.seed)
 
 
+def _same(a: float, b: float) -> bool:
+    return a == b or (np.isnan(a) and np.isnan(b))
+
+
 def _audit(report: RunReport) -> None:
+    """The only place slots are rescored: each slot's per-pair fields must
+    give the utility and EE it records, and those must give the report's
+    aggregates."""
+    for led in report.ledgers:
+        utility, ee = slot_scores(led.collision, led.throughput, led.access_cost,
+                                  led.sensing_costs)
+        if utility != led.utility or not _same(ee, led.energy_efficiency):
+            raise RuntimeError(f"slot {led.slot}: recorded scores do not match "
+                               f"its per-pair fields")
     mean_utility, mean_ee, rate, transmissions, collisions = recompute_aggregates(
         report.ledgers)
-    same_ee = (np.isnan(mean_ee) and np.isnan(report.mean_ee)) or mean_ee == report.mean_ee
-    if (mean_utility != report.mean_utility or not same_ee
+    if (mean_utility != report.mean_utility or not _same(mean_ee, report.mean_ee)
             or rate != report.collision_rate
             or transmissions != report.transmissions
             or collisions != report.collisions):

@@ -36,18 +36,18 @@ class TestStationary:
 class TestStep:
     def test_identity_dynamics_absorbing(self):
         mats = [channel.TransitionMatrix(0.0, 0.0)] * 2
-        state = channel.EnvState((0, 1), derive_rng(1))
+        state, rng = (0, 1), derive_rng(1)
         for _ in range(50):
-            state = channel.step(state, mats)
-        assert state.true_occupancy == (0, 1)
+            state = channel.step(state, mats, rng)
+        assert state == (0, 1)
 
     def test_deterministic_flip(self):
         mats = [channel.TransitionMatrix(1.0, 1.0)]
-        state = channel.EnvState((0,), derive_rng(1))
+        state, rng = (0,), derive_rng(1)
         seen = []
         for _ in range(4):
-            state = channel.step(state, mats)
-            seen.append(state.true_occupancy[0])
+            state = channel.step(state, mats, rng)
+            seen.append(state[0])
         assert seen == [1, 0, 1, 0]
 
     def test_long_run_busy_fraction(self):
@@ -59,11 +59,11 @@ class TestStep:
 
     def test_preserves_length_and_alphabet(self):
         mats = [channel.TransitionMatrix(0.4, 0.2)] * 5
-        state = channel.EnvState((0, 1, 0, 1, 0), derive_rng(2))
+        state, rng = (0, 1, 0, 1, 0), derive_rng(2)
         for _ in range(200):
-            state = channel.step(state, mats)
-            assert len(state.true_occupancy) == 5
-            assert set(state.true_occupancy) <= {0, 1}
+            state = channel.step(state, mats, rng)
+            assert len(state) == 5
+            assert set(state) <= {0, 1}
 
     def test_empirical_transition_frequencies(self):
         p01, p10 = 0.2, 0.3
@@ -78,9 +78,8 @@ class TestStep:
         assert est10 == pytest.approx(p10, abs=0.02)
 
     def test_matrix_count_mismatch(self):
-        state = channel.EnvState((0, 1), derive_rng(0))
         with pytest.raises(ValueError):
-            channel.step(state, [channel.TransitionMatrix(0.1, 0.1)])
+            channel.step((0, 1), [channel.TransitionMatrix(0.1, 0.1)], derive_rng(0))
 
 
 class TestSampleOccupancy:
@@ -114,7 +113,7 @@ def reference_trajectory(matrices, horizon, seed):
     """One np.where step per slot, as the chains were stepped before the
     horizon-at-once draw."""
     rng = derive_rng(seed, 0xC4A1)
-    state = channel.initial_state(matrices, rng).true_occupancy
+    state = channel.initial_state(matrices, rng)
     out = [state]
     for _ in range(horizon - 1):
         bits = np.asarray(state)
@@ -137,11 +136,10 @@ def test_trajectories_match_per_step_reference(horizon):
     got = channel.sample_occupancy(mats, horizon, seed=17)
     assert got == want
     assert all(type(b) is int for s in got for b in s)
-    state = channel.initial_state(mats, derive_rng(17, 0xC4A1))
-    stepped = [state.true_occupancy]
+    rng = derive_rng(17, 0xC4A1)
+    stepped = [channel.initial_state(mats, rng)]
     for _ in range(horizon - 1):
-        state = channel.step(state, mats)
-        stepped.append(state.true_occupancy)
+        stepped.append(channel.step(stepped[-1], mats, rng))
     assert stepped == want
 
 

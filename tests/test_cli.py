@@ -149,6 +149,29 @@ class TestExitCodes:
         assert cli_dispatch(["eval-sensing", "--config", cfg, "--out", out,
                              "--model", ckpt]) == 0
 
+    def test_train_agent_refuses_an_untrainable_variant(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)  # agent.variant "random", no --variant
+        out = tmp_path / "run"
+        assert cli_dispatch(["train-agent", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("agent.variant: ")
+        assert not out.exists()
+
+    def test_train_agent_refuses_more_uavs_than_configured(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, radio={"num_subchannels": 4, "num_uavs": 1})
+        out = tmp_path / "run"
+        assert cli_dispatch(["train-agent", "--config", cfg, "--variant", "dqn",
+                             "--uavs", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("--uavs: ")
+        assert not out.exists()
+
+    def test_empty_per_entry_lists_are_config_errors(self, tmp_path, capsys):
+        for key, count in (("channels", 4), ("sensing", 3)):
+            cfg = write_config(tmp_path, **{key: []})
+            assert cli_dispatch(["simulate", "--config", cfg,
+                                 "--out", str(tmp_path / "run")]) == 1
+            assert (f"{key}: expected {count} entries, got 0"
+                    in capsys.readouterr().err.splitlines())
+
     def test_seed_flag_out_of_range_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         for seed in ("-1", str(2 ** 64)):
@@ -185,7 +208,16 @@ NON_FINITE = [
 ]
 
 
-@pytest.mark.parametrize("field,overrides", NON_FINITE, ids=[f for f, _ in NON_FINITE])
+# integers that JSON admits but that overflow a float
+TOO_LARGE = [
+    ("timing.t_s", {"timing": {"t_s": 10 ** 350}}),
+    ("agent.hidden", {"agent": {"variant": "random", "hidden": [10 ** 350]}}),
+]
+
+
+@pytest.mark.parametrize("field,overrides", NON_FINITE + TOO_LARGE,
+                         ids=[f for f, _ in NON_FINITE]
+                         + [f"{f}-too-large" for f, _ in TOO_LARGE])
 def test_non_finite_numbers_are_config_errors(field, overrides, tmp_path, capsys):
     cfg = write_config(tmp_path, **overrides)
     out = tmp_path / "run"

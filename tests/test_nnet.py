@@ -88,8 +88,8 @@ class TestOptimizers:
         net = nnet.build_network([2, 2], ["identity"], seed=1)
         before = net.layers[0].w.copy()
         state = nnet.OptimizerState(learning_rate=0.1)
-        zero = [(np.zeros_like(net.layers[0].w), np.zeros_like(net.layers[0].b))]
-        nnet.optimizer_step(net, zero, state)
+        net.gradient()[0][:] = 0.0
+        nnet.optimizer_step(net, state)
         assert np.array_equal(net.layers[0].w, before)
 
     def test_adam_first_step_magnitude_is_lr(self):
@@ -97,7 +97,8 @@ class TestOptimizers:
         for g in (1e-3, 1.0, 1e3):
             net = linear_net(0.0, 0.0)
             state = nnet.OptimizerState(learning_rate=0.01)
-            nnet.optimizer_step(net, [(np.array([[g]]), np.array([0.0]))], state)
+            net.gradient()[0][:] = (g, 0.0)  # dW then db
+            nnet.optimizer_step(net, state)
             assert abs(net.layers[0].w[0, 0]) == pytest.approx(0.01, rel=1e-4)
 
 
@@ -161,7 +162,7 @@ class TestFlatParameters:
             grads = nnet.backward(net, x, y, nnet.MSE)
             reference_step(ref, [(gw.copy(), gb.copy()) for gw, gb in grads],
                            ref_state, ref_slots)
-            nnet.optimizer_step(net, grads, state)
+            nnet.optimizer_step(net, state)
             for layer, (w, b) in zip(net.layers, ref):
                 assert np.array_equal(layer.w, w) and np.array_equal(layer.b, b)
 
@@ -249,11 +250,11 @@ class TestLearnability:
             state = nnet.OptimizerState(learning_rate=0.02)
             loss = np.inf
             for _ in range(5000):
-                grads = nnet.backward(net, xs, ys, nnet.BCE)
+                nnet.backward(net, xs, ys, nnet.BCE)
                 loss = nnet.loss_value(net, xs, ys, nnet.BCE)
                 if loss < 0.05:
                     break
-                nnet.optimizer_step(net, grads, state)
+                nnet.optimizer_step(net, state)
             if loss < 0.05:
                 successes += 1
         assert successes >= 2

@@ -7,6 +7,7 @@ import pytest
 
 from uavdsa import scheduler as sch
 from uavdsa.channel import TransitionMatrix
+from uavdsa.core import Assignment
 from uavdsa.seeds import derive_rng
 
 CHI2_99 = {1: 6.63, 2: 9.21, 3: 11.34, 4: 13.28, 16: 32.0}
@@ -337,9 +338,19 @@ class TestTrainAgent:
     def test_every_action_feasible_for_its_state(self):
         env = sch.preset_scheduling_env(4, num_uavs=2)
         agent = sch.RandomAgent(num_subchannels=4)
-        # _assert_feasible raises on any violation, so completion is the check
+        # feasible_assignment raises on any violation, so completion is the check
         log = sch.train_agent(agent, env, episodes=4, slots_per_episode=200, seed=3)
         assert len(log) == 4
+
+    def test_feasible_assignment_keeps_non_idle_pairs_or_raises(self):
+        got = sch.feasible_assignment([(0, 0), (1, 2), (2, 1)], (0, 0, 1))
+        assert got == Assignment.of((1, 2), (2, 1))
+        assert sch.feasible_assignment([(0, 0), (1, 0)], None) == Assignment()
+        for pairs, state in (([(0, 1)], None),  # transmitting from INITIAL
+                             ([(0, 3)], (0, 0, 1)),  # predicted busy
+                             ([(0, 1), (1, 1)], (0, 0, 1))):  # channel shared
+            with pytest.raises(RuntimeError):
+                sch.feasible_assignment(pairs, state)
 
     def test_divergence_guard(self):
         env = sch.preset_scheduling_env(2)

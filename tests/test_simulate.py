@@ -135,6 +135,16 @@ class TestSaveReport:
         with pytest.raises(RuntimeError, match="audit|match"):
             simulate.save_report(report, cfg, str(tmp_path))
 
+    @pytest.mark.parametrize("score", ["utility", "energy_efficiency"])
+    def test_audit_rescores_every_slot(self, score, tmp_path):
+        cfg = validate_config(config_dict())
+        report = simulate.run_simulation(cfg)
+        led = next(led for led in report.ledgers if led.collision)
+        setattr(led, score, getattr(led, score) + 1.0)
+        with pytest.raises(RuntimeError, match=f"slot {led.slot}: "):
+            simulate.save_report(report, cfg, str(tmp_path))
+        assert not (tmp_path / "ledgers.csv").exists()
+
     def test_ledger_csv_row_count(self, tmp_path):
         cfg = validate_config(config_dict(episodes=2, slots_per_episode=15))
         report = simulate.run_simulation(cfg)
@@ -196,11 +206,13 @@ def test_sense_matches_per_capture_reports(m, n):
 
 
 def test_energy_model_without_thresholds_is_refused_on_both_paths():
-    synth = iqsynth.SynthConfig(seed=3, num_subchannels=4, samples_per_observation=64,
-                                subcarriers_per_subchannel=16)
-    model = sensing.SensingModel(kind="energy-threshold", num_subchannels=4)
-    obs = iqsynth.synthesize_observation((0, 1, 0, 1), 5.0, synth, derive_rng(1))
-    with pytest.raises(ValueError, match="has no thresholds"):
-        sensing.predict_occupancy(model, obs)
-    with pytest.raises(ValueError, match="has no thresholds"):
-        simulate.sense([model], (0, 1, 0, 1), [5.0], synth, derive_rng(1))
+    """A sensing model is complete when built, so neither predict_occupancy
+    nor the slot's sensing pass can be handed one that cannot detect."""
+    for thresholds in (None, np.full(3, 1.0)):
+        with pytest.raises(ValueError, match="has no thresholds for its 4"):
+            sensing.SensingModel(kind="energy-threshold", num_subchannels=4,
+                                 thresholds=thresholds)
+    for network in (None, nnet.build_network([8, 3], ["sigmoid"], seed=0)):
+        with pytest.raises(ValueError, match="has no network with 4 outputs"):
+            sensing.SensingModel(kind="dense-classifier", num_subchannels=4,
+                                 network=network)
