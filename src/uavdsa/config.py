@@ -11,10 +11,12 @@ Schema (defaults in parentheses):
     seed                  u64, required (--seed overrides it, same range)
     out_dir               str ("out")
     radio: {v_cc (1.0), p_tx (0.5), subchannel_bandwidth (540000.0),
-            num_subchannels (4), num_uavs (3), system_bandwidth (null)}
+            num_subchannels (4, <= 1024; <= 16 for the DQN family),
+            num_uavs (3, <= 256), system_bandwidth (null)}
     timing: {t_req (0.001), t_s (0.005), t_b (0.002), t_a (0.042)}
     channels              list of {p01, p10}, one per sub-channel, or a
-                          single object applied to all ({p01: 0.2, p10: 0.3})
+                          single object applied to all ({p01: 0.2, p10: 0.3});
+                          p01 = p10 = 0 is refused (no stationary distribution)
     link: {sensing_sinr_db  list[K] (strong preset, last UAV 10 dB weaker),
            access_sinr_db   K x M table (10 dB everywhere)}
     fusion_n              int in [1, K] (2, clamped to K)
@@ -32,7 +34,7 @@ Schema (defaults in parentheses):
             epsilon0 (1.0), epsilon_min (0.05), epsilon_decay (null),
             alpha (null), alpha_power (0.7),
             checkpoint (null; refused for "random")}
-    dataset: {fft_size (1024), subcarriers_per_subchannel (null -> fft/M),
+    dataset: {fft_size (1024, <= 65536), subcarriers_per_subchannel (null -> fft/M),
               sinr_grid_db ([-10, 0, 10, 20]), count_per_sinr (600),
               eval_count (150), interference_gains_db ([])}
     request_probability   float in [0, 1] (1.0)
@@ -48,12 +50,18 @@ from .channel import LinkModel, TransitionMatrix, default_link_model
 from .core import RadioParams, SlotTiming
 from .fusion import FusionRule
 from .iqsynth import SynthConfig
-from .scheduler import TABULAR_MAX_SUBCHANNELS
+from .scheduler import DQN_MAX_SUBCHANNELS, TABULAR_MAX_SUBCHANNELS
 from .sensing import INPUT_MODES
 
 SEED_MAX = 2 ** 64 - 1
+# Sizes that tables and captures are allocated from; larger values stop at
+# validation instead of overflowing or exhausting memory at run time.
+MAX_SUBCHANNELS = 1024
+MAX_UAVS = 256
+MAX_FFT_SIZE = 2 ** 16
 SENSING_KINDS = ("perfect", "energy-threshold", "dense-classifier")
-AGENT_VARIANTS = ("dqn", "ddqn", "ddqn-soft", "qtable", "random")
+DQN_VARIANTS = ("dqn", "ddqn", "ddqn-soft")
+AGENT_VARIANTS = (*DQN_VARIANTS, "qtable", "random")
 
 
 class ConfigError(ValueError):
@@ -251,8 +259,8 @@ def validate_config(raw: dict, seed_override: int | None = None,
     radio_sec = _Section(raw.get("radio", {}), "radio", problems)
     radio_sec.check_keys({"v_cc", "p_tx", "subchannel_bandwidth",
                           "num_subchannels", "num_uavs", "system_bandwidth"})
-    m = radio_sec.value("num_subchannels", 4, int, low=1)
-    k = radio_sec.value("num_uavs", 3, int, low=1)
+    m = radio_sec.value("num_subchannels", 4, int, low=1, high=MAX_SUBCHANNELS)
+    k = radio_sec.value("num_uavs", 3, int, low=1, high=MAX_UAVS)
     radio_kw = dict(
         v_cc=radio_sec.value("v_cc", 1.0, float),
         p_tx=radio_sec.value("p_tx", 0.5, float),
@@ -277,6 +285,9 @@ def validate_config(raw: dict, seed_override: int | None = None,
         sec.check_keys({"p01", "p10"})
         p01 = sec.value("p01", 0.2, float, low=0.0, high=1.0)
         p10 = sec.value("p10", 0.3, float, low=0.0, high=1.0)
+        if p01 == p10 == 0.0:
+            problems.append(f"channels[{i}]: p01 = p10 = 0 never changes state, "
+                            f"so it has no stationary distribution to start from")
         matrices.append(TransitionMatrix(p01=p01, p10=p10))
 
     link_sec = _Section(raw.get("link", {}), "link", problems)
@@ -331,6 +342,10 @@ def validate_config(raw: dict, seed_override: int | None = None,
         problems.append(
             f"agent.variant: qtable is limited to M <= {TABULAR_MAX_SUBCHANNELS} "
             f"sub-channels (got M={m})")
+    if variant in DQN_VARIANTS and m > DQN_MAX_SUBCHANNELS:
+        problems.append(
+            f"radio.num_subchannels: {variant} is limited to M <= {DQN_MAX_SUBCHANNELS} "
+            f"sub-channels, since its state feature table has 2^M + 1 rows (got M={m})")
     agent_hidden = agent_sec.number_list("hidden", (64.0, 64.0), item_low=1, whole=True)
     agent = AgentSpec(
         variant=variant,
@@ -360,7 +375,7 @@ def validate_config(raw: dict, seed_override: int | None = None,
     ds_sec = _Section(raw.get("dataset", {}), "dataset", problems)
     ds_sec.check_keys({"fft_size", "subcarriers_per_subchannel", "sinr_grid_db",
                        "count_per_sinr", "eval_count", "interference_gains_db"})
-    fft_size = ds_sec.value("fft_size", 1024, int, low=1)
+    fft_size = ds_sec.value("fft_size", 1024, int, low=1, high=MAX_FFT_SIZE)
     subcarriers = ds_sec.value("subcarriers_per_subchannel", None, int, low=1, nullable=True)
     if subcarriers is None:
         subcarriers = max(1, fft_size // m)

@@ -12,6 +12,19 @@ waveform plus white noise of that variance per sample (the energy-detector
 model of Urkowitz 1967). Because the floor is defined per subcarrier, the
 realized SINR does not depend on how many sub-channels happen to be busy.
 
+Band energies of a sensing pass are drawn from their exact law instead.
+The energy of a band of B bins is E = sum |X_j|^2 over its bins. With
+sigma2 = noise_power(sinr), every bin holds circular Gaussian noise of
+variance sigma2, and a busy band's s active bins add a symbol of unit
+modulus. So E = (sigma2 / 2) * chi2_{2B}(lambda), a noncentral chi-square
+with 2B degrees of freedom and noncentrality lambda = 2 s / sigma2 when
+the band is busy, 0 when it is vacant: the energy-detector statistic of
+Urkowitz (1967) and Digham, Alouini & Simon (2007). The law is exact, not
+an approximation, because QPSK symbols have unit modulus, so their phases
+drop out; B comes from band_edges, so uneven partitions and guard bins
+(s < B) are exact too. It holds only without neighbor-cell interference,
+which the sensing pass does not apply.
+
 Draw order (documented for bit-exact replay): one synthesize_spectra call
 for K captures of one label makes two draws from its generator, in this
 order:
@@ -22,12 +35,24 @@ order:
             quadrants of the B busy sub-channels of every row, in channel
             order (no values are drawn when every sub-channel is vacant)
 
-synthesize_observation (K = 1) draws exactly this. clean_spectrum draws
-one (B, subcarriers) block of quadrants per call. generate_dataset draws,
-from each observation's own generator: the label, its synthesize_spectra
-row, every neighbor label, then each neighbor's clean_spectrum quadrants.
-Neighbor-cell interference is added to the spectrum before the one inverse
-transform, and only datasets carry it.
+One draw_band_energies call for K captures draws the law above in the
+form (sigma2 / 2) * (chi2_{2B-1} + (Z + sqrt(lambda))^2), computed as
+(sigma2 / 2) * C + (sqrt(sigma2 / 2) * Z + sqrt(s))^2 for a busy band
+(no sqrt(s) for a vacant one), again in two draws:
+
+    central: C = rng.chisquare(2B - 1, size=(K, M)), each band with its B
+    shift:   Z = rng.standard_normal((K, M)), one per band
+
+A sensing pass (simulate.sense) makes one draw_band_energies call for its
+energy-detector rows, then one synthesize_spectra call for its classifier
+rows, each in UAV order; a call with no rows draws nothing.
+
+synthesize_observation (K = 1) draws exactly what synthesize_spectra does.
+clean_spectrum draws one (B, subcarriers) block of quadrants per call.
+generate_dataset draws, from each observation's own generator: the label,
+its synthesize_spectra row, every neighbor label, then each neighbor's
+clean_spectrum quadrants. Neighbor-cell interference is added to the
+spectrum before the one inverse transform, and only datasets carry it.
 
 Dataset file format (little-endian, documented for bit-exact replay):
 
@@ -82,6 +107,15 @@ class SynthConfig:
                                     self.subcarriers_per_subchannel))
         bins.flags.writeable = False
         return bins
+
+    @cached_property
+    def central_dof(self) -> np.ndarray:
+        """(M,) degrees of freedom 2B - 1 of each band's central chi-square
+        part, B the band's bin count."""
+        dof = np.array([2 * (b - a) - 1 for a, b in
+                        band_edges(self.samples_per_observation, self.num_subchannels)])
+        dof.flags.writeable = False
+        return dof
 
 
 @dataclass
@@ -164,6 +198,23 @@ def synthesize_spectra(label, sinrs_db, config: SynthConfig,
     spectra = noise.view(complex).reshape(noise.shape[:2])
     _fill_busy(spectra, busy, config, rng)
     return spectra
+
+
+def draw_band_energies(label, sinrs_db, config: SynthConfig,
+                       rng: np.random.Generator) -> np.ndarray:
+    """(K, M) band energies of K captures of one label, row k at
+    sinrs_db[k], drawn from their exact law (module docstring): what
+    spectrum_band_energies of synthesize_spectra gives, in distribution,
+    without the N bins of each capture."""
+    busy = np.asarray(occupancy_vector(label, config.num_subchannels))
+    half = np.array([noise_power(sinr_db) / 2.0 for sinr_db in sinrs_db])[:, None]
+    energies = rng.chisquare(config.central_dof, size=(len(half), len(busy)))
+    energies *= half
+    amplitude = rng.standard_normal(energies.shape)
+    amplitude *= np.sqrt(half)
+    amplitude += np.sqrt(config.subcarriers_per_subchannel) * busy
+    energies += amplitude * amplitude
+    return energies
 
 
 def synthesize_observation(label, sinr_db: float, config: SynthConfig,

@@ -29,6 +29,8 @@ from .seeds import derive_rng
 AgentState = tuple[int, ...] | None  # None is the INITIAL marker
 
 TABULAR_MAX_SUBCHANNELS = 12
+# feature_table(M) holds (2^M + 1) x M floats: 8.4 MB at M = 16, 168 MB at M = 20
+DQN_MAX_SUBCHANNELS = 16
 VALUE_ITERATION_MAX_SUBCHANNELS = 10
 Q_DIVERGENCE_LIMIT = 1e6
 

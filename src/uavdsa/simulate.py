@@ -28,13 +28,12 @@ from .core import (Assignment, SlotLedger, UndefinedEnergyEfficiencyError,
                    access_cost, collision_indicator, energy_efficiency,
                    sensing_cost, slot_utility, throughput)
 from .fusion import fuse
-from .iqsynth import IQObservation, synthesize_spectra
+from .iqsynth import IQObservation, draw_band_energies, synthesize_spectra
 from .scheduler import (DqnAgent, QTable, RandomAgent, feasible_assignment,
                         load_agent, load_qtable, valid_actions)
 from .seeds import derive_rng
-from .sensing import (SensingModel, confusion_counts, energy_detect,
-                      metrics_from_counts, predict_occupancy, spectrum_band_energies,
-                      write_metrics_csv)
+from .sensing import (SensingModel, confusion_counts, metrics_from_counts,
+                      predict_occupancy, write_metrics_csv)
 
 LEDGER_COLUMNS = ("slot", "utility", "ee", "collisions", "holes_detected",
                   "holes_true")
@@ -128,25 +127,27 @@ def sense(models, label, sinrs_db, synth, rng) -> list[tuple[int, ...]]:
     sinrs_db[k] and reports what models[k] detects; None is the perfect
     sensor, which reports the label and draws nothing from rng.
 
-    The spectra of all sensing UAVs come from one synthesize_spectra call
-    (one row per UAV, in UAV order). Energy detectors threshold the band
-    energies of their rows directly; only classifier rows are
-    inverse-transformed, with one ifft, and each classifier runs its own
-    forward pass, which keeps its output bitwise that of a single capture.
+    Energy detectors come first: one draw_band_energies call gives the
+    band energies of all of them (one row per UAV, in UAV order), drawn
+    from their exact law, and one comparison against the stacked
+    thresholds detects. Classifiers then get one synthesize_spectra call
+    and one inverse FFT, and each runs its own forward pass, which keeps
+    its output bitwise that of a single capture. The iqsynth module
+    docstring gives the draw order.
     """
-    sensed = [k for k, model in enumerate(models) if model is not None]
-    spectra = synthesize_spectra(label, [sinrs_db[k] for k in sensed], synth, rng)
     reports = [label] * len(models)
-    rows = [i for i, k in enumerate(sensed) if models[k].kind == "energy-threshold"]
-    if rows:
-        energies = spectrum_band_energies(spectra[rows], synth.num_subchannels)
-        for i, row in zip(rows, energies):
-            reports[sensed[i]] = energy_detect(row, models[sensed[i]].thresholds)
-    rows = [i for i, k in enumerate(sensed) if models[k].kind == "dense-classifier"]
-    if rows:
-        captures = np.fft.ifft(spectra[rows], norm="ortho")
-        for i, capture in zip(rows, captures):
-            k = sensed[i]
+    energy = [k for k, model in enumerate(models)
+              if model is not None and model.kind == "energy-threshold"]
+    if energy:
+        energies = draw_band_energies(label, [sinrs_db[k] for k in energy], synth, rng)
+        thresholds = np.array([models[k].thresholds for k in energy])
+        for k, report in zip(energy, (energies >= thresholds).astype(int).tolist()):
+            reports[k] = tuple(report)
+    classifiers = [k for k, model in enumerate(models)
+                   if model is not None and model.kind == "dense-classifier"]
+    if classifiers:
+        spectra = synthesize_spectra(label, [sinrs_db[k] for k in classifiers], synth, rng)
+        for k, capture in zip(classifiers, np.fft.ifft(spectra, norm="ortho")):
             reports[k] = predict_occupancy(models[k], IQObservation(
                 samples=capture, label=label, sinr_db=float(sinrs_db[k])))
     return reports

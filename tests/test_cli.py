@@ -226,6 +226,38 @@ def test_non_finite_numbers_are_config_errors(field, overrides, tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "gen-dataset", "eval-sensing"])
+def test_frozen_chain_is_a_config_error(command, tmp_path, capsys):
+    # p01 = p10 = 0 has no stationary distribution to draw slot 0 or labels from
+    channels = [{"p01": 0.2, "p10": 0.3}, {"p01": 0.0, "p10": 0.0},
+                {"p01": 0.2, "p10": 0.3}, {"p01": 0.0, "p10": 0.0}]
+    cfg = write_config(tmp_path, channels=channels)
+    out = tmp_path / "run"
+    assert cli_dispatch([command, "--config", cfg, "--out", str(out)]) == 1
+    problems = capsys.readouterr().err.splitlines()
+    assert [p.split(":")[0] for p in problems] == ["channels[1]", "channels[3]"]
+    assert not out.exists()
+
+
+# (field path, config overrides): integers that used to overflow or to size
+# tables at run time
+TOO_BIG = [
+    ("radio.num_subchannels", {"radio": {"num_subchannels": 10 ** 30}}),
+    ("radio.num_uavs", {"radio": {"num_uavs": 10 ** 30}}),
+    ("dataset.fft_size", {"dataset": {"fft_size": 2 ** 40}}),
+]
+
+
+@pytest.mark.parametrize("field,overrides", TOO_BIG,
+                         ids=[f"{f}-{i}" for i, (f, _) in enumerate(TOO_BIG)])
+def test_oversized_integers_are_config_errors(field, overrides, tmp_path, capsys):
+    cfg = write_config(tmp_path, **overrides)
+    out = tmp_path / "run"
+    assert cli_dispatch(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert any(p.startswith(f"{field}: ") for p in capsys.readouterr().err.splitlines())
+    assert not out.exists()
+
+
 class TestPipeline:
     def test_full_pipeline(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

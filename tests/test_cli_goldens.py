@@ -86,7 +86,7 @@ GOLDEN = {
     },
     "eval-sensing": {
         "sensing_metrics.csv":
-            "77f726d7db3a8a39d711079a680d16143c0432f77784c8433e9f5dc7a758ef18",
+            "d2bebcb1d98553850bb267e80a9d007e7c717c5207834e8669b9e56de6c2516a",
     },
     "eval-sensing-model": {
         "sensing_metrics.csv":
@@ -112,27 +112,27 @@ GOLDEN = {
     },
     "simulate-dqn": {
         "ledgers.csv":
-            "b5c91a3250939bf0b1dcb910057704af49514680a4e97997dae67ab39c517613",
+            "b001914fe6fe3a56e672d85df569cbb1e7149f9e278a5bc822770eee87a371eb",
         "report.json":
-            "4871a188bb8dff32b6747f13c19096e5b75c11c68041cee1d777e4d9f61baa81",
+            "cd4a3e176ba533b42a07e6f47e4ce10541462e412d94d62ffecea1ba3a263181",
         "sensing_metrics.csv":
-            "6cd43ecdbb77169366dc49fc39f46d930fc78a649fd01ca006c447f5c23c94a8",
+            "033ee6688348dc47ae1ca27666e8ac75fe756f308b7a6c0585e8d2d99f27b7b0",
     },
     "simulate-qtable": {
         "ledgers.csv":
-            "512c45313f5c3ae24ea009278566146159b41caa0512f850e2068a3cc6a24e7b",
+            "02f8214b9a1bd362f17f95835e91ae6e2e6f9cf0a7b7b19b3909f9cca6a7178d",
         "report.json":
-            "6193be722de7b7c5baaa9675a65118d926a33f612020919678c7a72cd302c52a",
+            "4af2464a8649e11f9c904e97f3ee4ef9d61e0e80c5599545b1f6375924a09a1d",
         "sensing_metrics.csv":
-            "24780b0f9483cace0d13389b6f9fea3b0a01824afe8b1498a543c99aef0b6827",
+            "6dc1bca8899ced57feea18a1892bc381d804068aab9f98a6646da7d6bd7b84ab",
     },
     "simulate-random": {
         "ledgers.csv":
-            "c8cac1026d5f905068d4556acb9f308249fc91316b711a67639e2834d23f3647",
+            "bf449371477042c0a4434ea2365459d56157b116baa950b59fc24297ab514b5b",
         "report.json":
-            "399288dba1385c2349edb2eb8fb09075286dbd503b90daddc5ad396b3db8b884",
+            "27b993311f44a6be3bd0d944c3d2e51e719188e417909176f3af28c868f01923",
         "sensing_metrics.csv":
-            "7692539dbfeabbd7e0b10f8f6b0afe5e6f1d3e59de50f5fc1a1a537ae41bc5ea",
+            "d7c53ab98b0ee9f3e71588247e5012e55a23794034b8b29034d16ca593c280df",
     },
 }
 

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uavdsa.config import ConfigError, load_config, validate_config
 
@@ -139,6 +141,13 @@ OUT_OF_BOUNDS = [
     ("config.seed", {"seed": 2 ** 64}),
     ("agent.hidden", {"agent": {"hidden": [64.5]}}),
     ("sensing[0].hidden", {"sensing": {"hidden": [128, 16.5]}}),
+    ("radio.num_subchannels", {"radio": {"num_subchannels": 1025},
+                               "agent": {"variant": "random"}}),
+    ("radio.num_uavs", {"radio": {"num_uavs": 257}}),
+    ("dataset.fft_size", {"dataset": {"fft_size": 2 ** 17}}),
+    ("radio.num_subchannels", {"radio": {"num_subchannels": 17},
+                               "agent": {"variant": "dqn"}}),
+    ("channels[0]", {"channels": {"p01": 0.0, "p10": 0.0}}),
 ]
 
 
@@ -156,6 +165,15 @@ def test_bounds_admit_their_edges():
         sensing={"decision_threshold": 0.999, "learning_rate": 1e-9}))
     assert cfg.seed == 2 ** 64 - 1
     assert cfg.agent.hidden == (64, 8)
+    cfg = validate_config(minimal(radio={"num_subchannels": 16, "num_uavs": 256},
+                                  agent={"variant": "ddqn-soft"}, fusion_n=1,
+                                  dataset={"fft_size": 2 ** 16},
+                                  channels={"p01": 0.0, "p10": 1.0}))
+    assert cfg.radio.num_subchannels == 16
+    assert cfg.synth.samples_per_observation == 2 ** 16
+    cfg = validate_config(minimal(radio={"num_subchannels": 1024},
+                                  agent={"variant": "random"}))
+    assert cfg.radio.num_subchannels == 1024
 
 
 class TestLoadConfig:
@@ -174,3 +192,68 @@ class TestLoadConfig:
         p.write_text(json.dumps(minimal(episodes=3)))
         cfg = load_config(str(p))
         assert cfg.episodes == 3
+
+
+# The documented keys of every section, so that generated configs reach
+# the checks behind the key checks.
+SCHEMA = {
+    "seed": None, "out_dir": None, "fusion_n": None, "request_probability": None,
+    "episodes": None, "slots_per_episode": None,
+    "radio": ("v_cc", "p_tx", "subchannel_bandwidth", "num_subchannels",
+              "num_uavs", "system_bandwidth"),
+    "timing": ("t_req", "t_s", "t_b", "t_a"),
+    "channels": ("p01", "p10"),
+    "link": ("sensing_sinr_db", "access_sinr_db"),
+    "sensing": ("kind", "decision_threshold", "input_mode", "thresholds",
+                "model_path", "hidden", "epochs", "batch_size", "learning_rate"),
+    "agent": ("variant", "uavs", "gamma", "hidden", "replay_capacity", "batch_size",
+              "target_update_period", "tau", "learning_rate", "epsilon0",
+              "epsilon_min", "epsilon_decay", "alpha", "alpha_power", "checkpoint"),
+    "dataset": ("fft_size", "subcarriers_per_subchannel", "sinr_grid_db",
+                "count_per_sinr", "eval_count", "interference_gains_db"),
+}
+# per-entry sections also take a list of objects
+PER_ENTRY = ("channels", "sensing")
+
+# zeros, edges and integers too large for an index, a float or any table
+EDGE_INTS = st.sampled_from([0, 1, 2, 3, 16, 17, 2 ** 16, 2 ** 63, 2 ** 64,
+                             10 ** 30, 10 ** 400, -1, -(10 ** 30)])
+SCALARS = st.one_of(
+    EDGE_INTS, st.integers(), st.floats(), st.none(), st.booleans(),
+    st.sampled_from(["perfect", "energy-threshold", "dense-classifier", "random",
+                     "qtable", "dqn", "ddqn-soft", "iq", "band-energy", ""]),
+)
+JUNK = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(max_size=3), inner, max_size=2)),
+    max_leaves=6)
+VALUES = st.one_of(EDGE_INTS, SCALARS, st.lists(SCALARS, max_size=5), JUNK)
+
+
+@st.composite
+def raw_configs(draw):
+    """A seed, then any of the documented sections: mostly objects over
+    their own keys (lists of them where the schema allows), sometimes junk."""
+    raw = {"seed": draw(st.one_of(st.integers(0, 2 ** 64 - 1), VALUES))}
+    for key in draw(st.lists(st.sampled_from(sorted(SCHEMA)), unique=True)):
+        keys = SCHEMA[key]
+        if keys is None:
+            raw[key] = draw(VALUES)
+            continue
+        obj = st.fixed_dictionaries({}, optional={k: VALUES for k in keys})
+        shapes = [obj, st.lists(obj, max_size=4)] if key in PER_ENTRY else [obj]
+        raw[key] = draw(st.one_of(*shapes, JUNK))
+    return raw
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(raw_configs())
+def test_any_json_config_validates_or_raises_config_error(raw):
+    """Whatever a JSON object holds under the documented keys, including
+    huge integers, zeros, wrong types and nested junk, validate_config
+    returns a config or raises ConfigError, never another exception."""
+    try:
+        validate_config(raw)
+    except ConfigError as exc:
+        assert exc.problems

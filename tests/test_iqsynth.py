@@ -1,3 +1,4 @@
+import math
 import re
 import struct
 
@@ -342,6 +343,23 @@ def reference_spectra(label, sinrs_db, cfg, rng):
     return rows
 
 
+def reference_energy_draws(label, sinrs_db, cfg, rng):
+    """draw_band_energies written out per capture and per band, in its
+    documented draw order: every (row, band)'s chi-square draw with that
+    band's own 2B - 1 degrees of freedom, then every (row, band)'s normal
+    shift, each in row-major order, combined in Python floats."""
+    edges = iqsynth.band_edges(cfg.samples_per_observation, cfg.num_subchannels)
+    central = [[rng.chisquare(2 * (b - a) - 1) for a, b in edges] for _ in sinrs_db]
+    shift = [[rng.standard_normal() for _ in edges] for _ in sinrs_db]
+    amplitude = math.sqrt(cfg.subcarriers_per_subchannel)
+    rows = []
+    for sinr_db, c_row, z_row in zip(sinrs_db, central, shift):
+        half = 10.0 ** (-sinr_db / 10.0) / 2.0
+        rows.append([half * c + (math.sqrt(half) * z + amplitude * busy) ** 2
+                     for c, z, busy in zip(c_row, z_row, label)])
+    return np.array(rows).reshape(len(sinrs_db), cfg.num_subchannels)
+
+
 def reference_band_energies(spectrum, m):
     """Squared magnitudes, then a slice sum per band."""
     power = np.abs(spectrum) ** 2
@@ -458,3 +476,59 @@ def test_noise_only_captures_are_white(sinr_db):
             assert abs(np.mean(part ** 2) / (sigma2 / 2) - 1.0) <= Z * np.sqrt(2.0 / count)
         lag1 = np.mean(x[:, 1:] * np.conj(x[:, :-1])) / sigma2
         assert abs(lag1) <= Z / np.sqrt(captures * (n - 1))
+
+
+@pytest.mark.parametrize("m,n", [(1, 64), (4, 64), (5, 64), (16, 1024)])
+def test_band_energy_draws_follow_their_documented_order(m, n):
+    """draw_band_energies is bitwise its per-band reference and leaves the
+    generator where that reference does, for any label and row count; a
+    call with no rows draws nothing."""
+    cfg = iqsynth.SynthConfig(seed=1, num_subchannels=m, samples_per_observation=n,
+                              subcarriers_per_subchannel=n // m - 1)
+    labels = [(0,) * m, (1,) * m, tuple(i % 2 for i in range(m))]
+    for k in (0, 1, 3):
+        sinrs = (-10.0, 0.0, 7.5)[:k]
+        for label in labels:
+            seed = (m, n, k, labels.index(label))
+            rng, ref_rng = derive_rng(*seed), derive_rng(*seed)
+            energies = iqsynth.draw_band_energies(label, sinrs, cfg, rng)
+            want = reference_energy_draws(label, sinrs, cfg, ref_rng)
+            assert energies.shape == (k, m)
+            assert np.array_equal(bits(energies), bits(want))
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+    rng = derive_rng(0)
+    state = rng.bit_generator.state
+    iqsynth.draw_band_energies(labels[2], [], cfg, rng)
+    assert rng.bit_generator.state == state
+
+
+# (M, N, subcarriers): 4 guard bins per band; the uneven 12/13-bin
+# partition of N = 64 into 5 bands, one band without guards; wide bands
+LAW_CONFIGS = [(4, 64, 12), (5, 64, 12), (4, 256, 64)]
+
+
+@pytest.mark.parametrize("m,n,sc", LAW_CONFIGS)
+@pytest.mark.parametrize("sinr_db", [-10.0, 0.0, 10.0, 20.0])
+def test_band_energy_law_matches_synthesized_spectra(m, n, sc, sinr_db):
+    """Band energies drawn from their exact law are distributed as those
+    of synthesized spectra (mean, variance and KS distance per band), and
+    their moments are the law's: mean B sigma2 + s and variance
+    sigma2^2 B + 2 s sigma2 for a busy band, s = 0 for a vacant one."""
+    from uavdsa.sensing import spectrum_band_energies
+    cfg = iqsynth.SynthConfig(seed=1, num_subchannels=m, samples_per_observation=n,
+                              subcarriers_per_subchannel=sc)
+    label, captures = tuple(int(i % 2 == 1) for i in range(m)), 20000
+    key = (m, n, int(sinr_db) + 10)
+    new = iqsynth.draw_band_energies(label, [sinr_db] * captures, cfg, derive_rng(21, *key))
+    old = spectrum_band_energies(iqsynth.synthesize_spectra(
+        label, [sinr_db] * captures, cfg, derive_rng(22, *key)), m)
+    sigma2 = iqsynth.noise_power(sinr_db)
+    for band, ((start, stop), busy) in enumerate(zip(iqsynth.band_edges(n, m), label)):
+        a, b = new[:, band], old[:, band]
+        assert abs(a.mean() - b.mean()) <= Z * np.sqrt((a.var() + b.var()) / captures)
+        assert abs(a.var() - b.var()) <= Z * np.hypot(variance_se(a), variance_se(b))
+        assert ks_statistic(a, b) <= KS_C * np.sqrt(2.0 / captures)
+        width, signal = stop - start, sc * busy
+        variance = sigma2 ** 2 * width + 2 * signal * sigma2
+        assert abs(a.mean() - (width * sigma2 + signal)) <= Z * np.sqrt(variance / captures)
+        assert abs(a.var() - variance) <= Z * variance_se(a)

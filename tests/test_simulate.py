@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from test_iqsynth import reference_band_energies, reference_spectra
+from test_iqsynth import reference_energy_draws, reference_spectra
 from uavdsa import iqsynth, nnet, sensing, simulate
 from uavdsa import scheduler as sch
 from uavdsa.config import validate_config
@@ -172,18 +172,20 @@ class TestSensingKindsInSimulation:
 @pytest.mark.parametrize("m,n", [(4, 256), (5, 64)])
 def test_sense_matches_per_capture_reports(m, n):
     """One sensing pass reports, and draws, exactly what the documented
-    draw order gives: energy detectors threshold their rows' spectra, and
-    each classifier sees the inverse transform of its own row."""
+    draw order gives: the energy detectors' band energies first, drawn
+    from their exact law, then the classifiers' spectra, each classifier
+    seeing the inverse transform of its own row."""
     synth = iqsynth.SynthConfig(seed=3, num_subchannels=m, samples_per_observation=n,
                                 subcarriers_per_subchannel=n // m)
     network = nnet.build_network([m, 8, m], ["relu", "sigmoid"], seed=5)
     energy = sensing.SensingModel(kind="energy-threshold", num_subchannels=m,
-                                  thresholds=np.full(m, 1.2))
+                                  thresholds=np.full(m, 1.2 * n / m))
     classifier = sensing.SensingModel(kind="dense-classifier", num_subchannels=m,
                                       network=network, input_mode="band-energy")
     models = [energy, None, classifier, energy, classifier]
     sinrs = [0.0, 20.0, -3.0, 5.0, 10.0]
-    sensed = [k for k, model in enumerate(models) if model is not None]
+    energy_rows = [k for k, model in enumerate(models) if model is energy]
+    classifier_rows = [k for k, model in enumerate(models) if model is classifier]
     rng, ref_rng = derive_rng(9), derive_rng(9)
     seen = set()
     for slot in range(40):
@@ -191,17 +193,19 @@ def test_sense_matches_per_capture_reports(m, n):
         assert tuple(int(b) for b in rng.random(m) < 0.5) == label
         got = simulate.sense(models, label, sinrs, synth, rng)
         want = [label] * len(models)
-        spectra = reference_spectra(label, [sinrs[k] for k in sensed], synth, ref_rng)
-        for k, spectrum in zip(sensed, spectra):
-            if models[k] is energy:
-                want[k] = tuple(int(e >= t) for e, t in
-                                zip(reference_band_energies(spectrum, m), energy.thresholds))
-            else:
-                want[k] = sensing.predict_occupancy(models[k], iqsynth.IQObservation(
-                    np.fft.ifft(spectrum, norm="ortho"), label, sinrs[k]))
+        energies = reference_energy_draws(label, [sinrs[k] for k in energy_rows],
+                                          synth, ref_rng)
+        for k, row in zip(energy_rows, energies):
+            want[k] = tuple(int(e >= t) for e, t in zip(row, energy.thresholds))
+        spectra = reference_spectra(label, [sinrs[k] for k in classifier_rows], synth,
+                                    ref_rng)
+        for k, spectrum in zip(classifier_rows, spectra):
+            want[k] = sensing.predict_occupancy(models[k], iqsynth.IQObservation(
+                np.fft.ifft(spectrum, norm="ortho"), label, sinrs[k]))
         assert got == want
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-        seen.update(want)
+        seen.update(want[k] for k in energy_rows)
+        seen.update(want[k] for k in classifier_rows)
     assert len(seen) > 2  # the detectors did not all report one constant vector
 
 
