@@ -6,6 +6,8 @@ State convention everywhere: 0 = vacant, 1 = busy.
 """
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import accumulate
 
 import numpy as np
 
@@ -80,14 +82,16 @@ def step(occupancy: tuple[int, ...], matrices: list[TransitionMatrix],
     return tuple(_next_state(b, u, m) for b, u, m in zip(occupancy, draws, matrices))
 
 
-def initial_state(matrices: list[TransitionMatrix],
-                  rng: np.random.Generator) -> tuple[int, ...]:
-    """Slot-0 occupancy with each channel drawn from its stationary distribution."""
-    bits = []
-    for m in matrices:
-        p_vacant, _ = stationary_distribution(m)
-        bits.append(0 if rng.random() < p_vacant else 1)
-    return tuple(bits)
+def stationary_sampler(matrices: list[TransitionMatrix]):
+    """Callable(rng) drawing an occupancy vector from the chains' stationary
+    distributions: channel m is busy iff its one uniform is >= P(vacant).
+    It draws each episode's slot-0 occupancy and each dataset label."""
+    p_vacant = np.array([stationary_distribution(m)[0] for m in matrices])
+
+    def draw(rng: np.random.Generator) -> tuple[int, ...]:
+        return tuple(int(b) for b in (rng.random(len(p_vacant)) >= p_vacant))
+
+    return draw
 
 
 def sample_occupancy(
@@ -103,27 +107,10 @@ def sample_occupancy(
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     rng = derive_rng(seed, 0xC4A1)
-    start = initial_state(matrices, rng)
-    columns = []
-    for b, matrix, draws in zip(start, matrices,
-                                rng.random((horizon - 1, len(matrices))).T.tolist()):
-        column = []
-        for u in draws:
-            b = _next_state(b, u, matrix)
-            column.append(b)
-        columns.append(column)
-    return [start] + list(zip(*columns))
-
-
-def stationary_sampler(matrices: list[TransitionMatrix]):
-    """Callable(rng) drawing an occupancy vector with channels independent
-    at their stationary busy rates; used as a dataset label source."""
-    p_vacant = np.array([stationary_distribution(m)[0] for m in matrices])
-
-    def draw(rng: np.random.Generator) -> tuple[int, ...]:
-        return tuple(int(b) for b in (rng.random(len(p_vacant)) >= p_vacant))
-
-    return draw
+    start = stationary_sampler(matrices)(rng)
+    draws = rng.random((horizon - 1, len(matrices))).T.tolist()
+    return list(zip(*(accumulate(column, partial(_next_state, matrix=matrix), initial=b)
+                      for b, matrix, column in zip(start, matrices, draws))))
 
 
 def default_link_model(num_uavs: int, num_subchannels: int) -> LinkModel:

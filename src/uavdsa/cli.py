@@ -21,14 +21,13 @@ import numpy as np
 from . import nnet
 from .channel import stationary_sampler
 from .config import ConfigError, SimConfig, load_config
-from .fusion import fuse
 from .iqsynth import DATASET_MAX_SUBCHANNELS, generate_dataset, load_dataset, save_dataset
 from .scheduler import (SchedulingEnv, TRAINING_COLUMNS, normalized_reward_table,
                         save_agent, save_qtable, train_agent, write_training_csv)
 from .seeds import derive_rng
-from .sensing import (TrainParams, evaluate_model, micro_metrics, train_classifier,
-                      write_metrics_csv)
-from .simulate import build_sensing_model, new_agent, run_simulation, save_report, sense
+from .sensing import TrainParams, evaluate_model, train_classifier, write_metrics_csv
+from .simulate import (build_sensing_model, metric_rows, new_agent, run_simulation,
+                       save_report, sensing_trial)
 
 AGENT_TRAIN_VARIANTS = ("qtable", "dqn", "ddqn", "ddqn-soft")
 
@@ -106,22 +105,11 @@ def cmd_eval_sensing(config: SimConfig, args) -> int:
     rows = []
     for g in config.synth.sinr_grid_db:
         sinrs = [g + offset for offset in offsets]
-        per_uav = [[] for _ in models]
-        fused_preds, truths = [], []
+        counts = [[0, 0, 0, 0] for _ in range(len(models) + 1)]
         for _ in range(config.eval_count):
-            label = source(rng)
-            truths.append(label)
-            reports = sense(models, label, sinrs, config.synth, rng)
-            for k, rep in enumerate(reports):
-                per_uav[k].append(rep)
-            fused_preds.append(fuse(reports, config.fusion))
-        for k, preds in enumerate(per_uav):
-            met = micro_metrics(preds, truths)
-            rows.append((k, sinrs[k], met.micro_precision, met.micro_recall,
-                         met.micro_f1, specs[k].kind, 0))
-        met = micro_metrics(fused_preds, truths)
-        rows.append(("fused", g, met.micro_precision, met.micro_recall,
-                     met.micro_f1, f"n={config.fusion.n}", 1))
+            sensing_trial(models, source(rng), sinrs, config, rng, counts)
+        rows += metric_rows(counts, sinrs, g, [spec.kind for spec in specs],
+                            config.fusion.n)
 
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "sensing_metrics.csv")

@@ -25,11 +25,11 @@ Schema (defaults in parentheses):
          decision_threshold (0.5, in (0, 1)), input_mode ("iq" | "band-energy"),
          thresholds (null; list[M], required for energy-threshold),
          model_path (null; required for dense-classifier),
-         hidden ([128, 128], whole numbers), epochs (30), batch_size (32),
+         hidden ([128, 128], whole numbers <= 1024), epochs (30), batch_size (32),
          learning_rate (0.001, > 0)}
     agent: {variant ("ddqn-soft" | "ddqn" | "dqn" | "qtable" | "random"),
-            uavs (1), gamma (0.9, in [0, 1)), hidden ([64, 64], whole numbers),
-            replay_capacity (10000), batch_size (32, <= replay_capacity),
+            uavs (1), gamma (0.9, in [0, 1)), hidden ([64, 64], whole numbers <= 1024),
+            replay_capacity (10000, <= 10^6), batch_size (32, <= replay_capacity),
             target_update_period (100), tau (0.01), learning_rate (0.001, > 0),
             epsilon0 (1.0), epsilon_min (0.05), epsilon_decay (null),
             alpha (null), alpha_power (0.7),
@@ -54,11 +54,13 @@ from .scheduler import DQN_MAX_SUBCHANNELS, TABULAR_MAX_SUBCHANNELS
 from .sensing import INPUT_MODES
 
 SEED_MAX = 2 ** 64 - 1
-# Sizes that tables and captures are allocated from; larger values stop at
-# validation instead of overflowing or exhausting memory at run time.
+# Sizes that tables, captures and networks are allocated from; larger values
+# stop at validation instead of overflowing or exhausting memory at run time.
 MAX_SUBCHANNELS = 1024
 MAX_UAVS = 256
 MAX_FFT_SIZE = 2 ** 16
+MAX_HIDDEN_WIDTH = 1024
+MAX_REPLAY_CAPACITY = 10 ** 6
 SENSING_KINDS = ("perfect", "energy-threshold", "dense-classifier")
 DQN_VARIANTS = ("dqn", "ddqn", "ddqn-soft")
 AGENT_VARIANTS = (*DQN_VARIANTS, "qtable", "random")
@@ -319,6 +321,8 @@ def validate_config(raw: dict, seed_override: int | None = None,
         if kind == "dense-classifier" and model_path is None:
             problems.append(f"sensing[{i}].model_path: required for dense-classifier")
         hidden = sec.number_list("hidden", (128.0, 128.0), item_low=1, whole=True)
+        if any(h > MAX_HIDDEN_WIDTH for h in hidden):
+            problems.append(f"sensing[{i}].hidden: entries must be <= {MAX_HIDDEN_WIDTH}")
         sensing_specs.append(SensingSpec(
             kind=kind,
             decision_threshold=sec.value("decision_threshold", 0.5, float,
@@ -347,12 +351,15 @@ def validate_config(raw: dict, seed_override: int | None = None,
             f"radio.num_subchannels: {variant} is limited to M <= {DQN_MAX_SUBCHANNELS} "
             f"sub-channels, since its state feature table has 2^M + 1 rows (got M={m})")
     agent_hidden = agent_sec.number_list("hidden", (64.0, 64.0), item_low=1, whole=True)
+    if any(h > MAX_HIDDEN_WIDTH for h in agent_hidden):
+        problems.append(f"agent.hidden: entries must be <= {MAX_HIDDEN_WIDTH}")
     agent = AgentSpec(
         variant=variant,
         uavs=agent_sec.value("uavs", 1, int, low=1, high=k),
         gamma=agent_sec.value("gamma", 0.9, float, low=0.0, below=1.0),
         hidden=tuple(int(h) for h in agent_hidden),
-        replay_capacity=agent_sec.value("replay_capacity", 10_000, int, low=1),
+        replay_capacity=agent_sec.value("replay_capacity", 10_000, int, low=1,
+                                        high=MAX_REPLAY_CAPACITY),
         batch_size=agent_sec.value("batch_size", 32, int, low=1),
         target_update_period=agent_sec.value("target_update_period", 100, int, low=1),
         tau=agent_sec.value("tau", 0.01, float, low=0.0, high=1.0),

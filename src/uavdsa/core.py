@@ -72,6 +72,16 @@ def occupancy_vector(bits: Iterable[int], num_subchannels: int | None = None) ->
     return vec
 
 
+def occupancy_mask(bits: Iterable[int]) -> int:
+    """Integer bit mask of an occupancy vector: sub-channel m is bit 2^(m-1)."""
+    return sum(bit << i for i, bit in enumerate(bits))
+
+
+def mask_occupancy(mask: int, num_subchannels: int) -> tuple[int, ...]:
+    """The M-entry occupancy vector whose occupancy_mask is `mask`."""
+    return tuple((mask >> i) & 1 for i in range(num_subchannels))
+
+
 @dataclass(frozen=True)
 class Assignment:
     """Set of (uav, subchannel) pairs, y_km = 1 iff the pair is present.

@@ -73,7 +73,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import occupancy_vector
+from .core import mask_occupancy, occupancy_mask, occupancy_vector
 from .seeds import derive_rng
 
 _OBS_KEY = 0x0B5
@@ -276,14 +276,6 @@ DATASET_VERSION = 1
 DATASET_MAX_SUBCHANNELS = 32  # a record stores its label as a u32 bit mask
 
 
-def label_mask(label) -> int:
-    return sum(bit << i for i, bit in enumerate(label))
-
-
-def mask_label(mask: int, num_subchannels: int) -> tuple[int, ...]:
-    return tuple((mask >> i) & 1 for i in range(num_subchannels))
-
-
 def _record_dtype(n: int) -> np.dtype:
     """One IQDS record: label mask, SINR, then N interleaved (real, imag)
     pairs, so that the iq field viewed as complex64 holds the samples."""
@@ -294,7 +286,7 @@ def save_dataset(dataset: Dataset, path: str, num_uavs: int = 1) -> None:
     cfg = dataset.config
     records = np.empty(len(dataset.observations),
                        dtype=_record_dtype(cfg.samples_per_observation))
-    records["mask"] = [label_mask(obs.label) for obs in dataset.observations]
+    records["mask"] = [occupancy_mask(obs.label) for obs in dataset.observations]
     records["sinr_db"] = [obs.sinr_db for obs in dataset.observations]
     for row, obs in zip(records["iq"].view(np.complex64), dataset.observations):
         row[:] = obs.samples
@@ -351,7 +343,7 @@ def load_dataset(path: str) -> Dataset:
     # hole in the heap and raise the process's peak memory.
     records = np.memmap(path, dtype=dtype, mode="r", offset=offset, shape=(count,))
     observations = [
-        IQObservation(samples=iq.astype(complex), label=mask_label(mask, m),
+        IQObservation(samples=iq.astype(complex), label=mask_occupancy(mask, m),
                       sinr_db=sinr_db)
         for iq, mask, sinr_db in zip(records["iq"].view(np.complex64),
                                      records["mask"].tolist(), records["sinr_db"].tolist())

@@ -22,8 +22,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import nnet
-from .channel import TransitionMatrix, initial_state, step, stationary_distribution
-from .core import Assignment, collision_indicator, slot_utility, validate_assignment
+from .channel import TransitionMatrix, stationary_distribution, stationary_sampler, step
+from .core import (Assignment, collision_indicator, mask_occupancy, occupancy_mask,
+                   slot_utility, validate_assignment)
 from .seeds import derive_rng
 
 AgentState = tuple[int, ...] | None  # None is the INITIAL marker
@@ -49,19 +50,19 @@ def table_shape(num_subchannels: int) -> tuple[int, int]:
 
 
 def state_index(state: AgentState, num_subchannels: int) -> int:
-    """Dense table index: sub-channel m contributes bit 2^(m-1); INITIAL
-    maps to the extra index 2^M."""
+    """Dense table index: the state's occupancy_mask; INITIAL maps to the
+    extra index 2^M."""
     if state is None:
         return 2 ** num_subchannels
     if len(state) != num_subchannels:
         raise ValueError("state length does not match M")
-    return sum(bit << i for i, bit in enumerate(state))
+    return occupancy_mask(state)
 
 
 def index_state(index: int, num_subchannels: int) -> AgentState:
     if index == 2 ** num_subchannels:
         return None
-    return tuple((index >> i) & 1 for i in range(num_subchannels))
+    return mask_occupancy(index, num_subchannels)
 
 
 def state_features(state: AgentState, num_subchannels: int) -> np.ndarray:
@@ -422,6 +423,7 @@ class SchedulingEnv:
         self.reward_table = np.asarray(reward_table, dtype=float)
         if self.reward_table.ndim != 2 or self.reward_table.shape[1] != len(self.matrices):
             raise ValueError("reward table must be K x M")
+        self.stationary = stationary_sampler(self.matrices)
         self.occupancy = self.rng = None  # set by reset
 
     @property
@@ -435,7 +437,7 @@ class SchedulingEnv:
     def reset(self, rng: np.random.Generator) -> AgentState:
         """Start an episode whose chains are driven by rng."""
         self.rng = rng
-        self.occupancy = initial_state(self.matrices, rng)
+        self.occupancy = self.stationary(rng)
         return None
 
     def step(self, actions: Sequence[int]):

@@ -41,8 +41,10 @@ def band_energies(observation, num_subchannels: int) -> np.ndarray:
     return spectrum_band_energies(np.fft.fft(samples, norm="ortho"), num_subchannels)
 
 
-def energy_detect(energies: np.ndarray, thresholds: np.ndarray) -> tuple[int, ...]:
-    """Busy (1) wherever the band energy reaches its threshold."""
+def energy_detect(energies: np.ndarray, thresholds: np.ndarray) -> tuple:
+    """Busy (1) wherever the band energy reaches its threshold: a tuple of
+    M bits for energies (M,), one list of M bits per row for a stack
+    (..., M) with thresholds of the same shape."""
     energies = np.asarray(energies, dtype=float)
     thresholds = np.asarray(thresholds, dtype=float)
     if energies.shape != thresholds.shape:

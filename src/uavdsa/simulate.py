@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nnet
-from .channel import db_to_linear, initial_state, step
+from .channel import db_to_linear, stationary_sampler, step
 from .config import ConfigError, SensingSpec, SimConfig
 from .core import (Assignment, SlotLedger, UndefinedEnergyEfficiencyError,
                    access_cost, collision_indicator, energy_efficiency,
@@ -32,8 +32,8 @@ from .iqsynth import IQObservation, draw_band_energies, synthesize_spectra
 from .scheduler import (DqnAgent, QTable, RandomAgent, feasible_assignment,
                         load_agent, load_qtable, valid_actions)
 from .seeds import derive_rng
-from .sensing import (SensingModel, confusion_counts, metrics_from_counts,
-                      predict_occupancy, write_metrics_csv)
+from .sensing import (SensingModel, confusion_counts, energy_detect,
+                      metrics_from_counts, predict_occupancy, write_metrics_csv)
 
 LEDGER_COLUMNS = ("slot", "utility", "ee", "collisions", "holes_detected",
                   "holes_true")
@@ -129,7 +129,7 @@ def sense(models, label, sinrs_db, synth, rng) -> list[tuple[int, ...]]:
 
     Energy detectors come first: one draw_band_energies call gives the
     band energies of all of them (one row per UAV, in UAV order), drawn
-    from their exact law, and one comparison against the stacked
+    from their exact law, and one energy_detect call against the stacked
     thresholds detects. Classifiers then get one synthesize_spectra call
     and one inverse FFT, and each runs its own forward pass, which keeps
     its output bitwise that of a single capture. The iqsynth module
@@ -141,7 +141,7 @@ def sense(models, label, sinrs_db, synth, rng) -> list[tuple[int, ...]]:
     if energy:
         energies = draw_band_energies(label, [sinrs_db[k] for k in energy], synth, rng)
         thresholds = np.array([models[k].thresholds for k in energy])
-        for k, report in zip(energy, (energies >= thresholds).astype(int).tolist()):
+        for k, report in zip(energy, energy_detect(energies, thresholds)):
             reports[k] = tuple(report)
     classifiers = [k for k, model in enumerate(models)
                    if model is not None and model.kind == "dense-classifier"]
@@ -151,6 +151,36 @@ def sense(models, label, sinrs_db, synth, rng) -> list[tuple[int, ...]]:
             reports[k] = predict_occupancy(models[k], IQObservation(
                 samples=capture, label=label, sinr_db=float(sinrs_db[k])))
     return reports
+
+
+def sensing_trial(models, label, sinrs_db, config: SimConfig, rng,
+                  counts) -> tuple[int, ...]:
+    """The fused vector of one sense and fuse pass on a true label. Each
+    report's and the fused vector's confusion counts against the label are
+    added into counts: one [TP, FP, FN, TN] tally per UAV, then the fused one."""
+    reports = sense(models, label, sinrs_db, config.synth, rng)
+    fused = fuse(reports, config.fusion)
+    for tally, h in zip(counts, reports + [fused]):
+        confusion_counts((h,), (label,), counts=tally)
+    return fused
+
+
+def _metric_row(counts):
+    """(precision, recall, F1) of pooled counts; None where undefined."""
+    met = metrics_from_counts(*counts)
+    return (met.micro_precision if met.precision_defined else None,
+            met.micro_recall if met.recall_defined else None,
+            met.micro_f1 if met.f1_defined else None)
+
+
+def metric_rows(counts, uav_sinrs_db, fused_sinr_db, kinds, n: int) -> list[tuple]:
+    """sensing_metrics.csv rows of sensing_trial's K + 1 tallies: UAV k's at
+    uav_sinrs_db[k] with detector kinds[k], then the fused one at
+    fused_sinr_db. An undefined ratio is None: an empty cell in the CSV."""
+    rows = [(k, sinr, *_metric_row(tally), kind, 0)
+            for k, (tally, sinr, kind) in enumerate(zip(counts[:-1], uav_sinrs_db, kinds))]
+    rows.append(("fused", fused_sinr_db, *_metric_row(counts[-1]), f"n={n}", 1))
+    return rows
 
 
 def slot_scores(collision, throughput, access_cost, sensing_costs) -> tuple[float, float]:
@@ -186,10 +216,11 @@ class Simulation:
         self.slot = 0
         keys = [f"uav_{k}" for k in range(config.radio.num_uavs)] + ["fused"]
         self.counts = {key: [0, 0, 0, 0] for key in keys}  # per-UAV, then fused
+        self.stationary = stationary_sampler(config.matrices)
         self.reset_episode()
 
     def reset_episode(self) -> None:
-        self.occupancy = initial_state(self.cfg.matrices, self.rng)
+        self.occupancy = self.stationary(self.rng)
         self.prev_fused = None
         self.pending = Assignment()
 
@@ -202,11 +233,8 @@ class Simulation:
         requesting = [k for k in range(k_uavs)
                       if self.rng.random() < cfg.request_probability]
 
-        reports = sense(self.models, truth, cfg.link.sensing_sinr_db, cfg.synth,
-                        self.rng)
-        fused = fuse(reports, cfg.fusion)
-        for tally, h in zip(self.counts.values(), reports + [fused]):
-            confusion_counts((h,), (truth,), counts=tally)
+        fused = sensing_trial(self.models, truth, cfg.link.sensing_sinr_db, cfg,
+                              self.rng, self.counts.values())
 
         pending_next = Assignment()
         if requesting:
@@ -291,14 +319,6 @@ def _audit(report: RunReport) -> None:
         raise RuntimeError("report aggregates do not match their ledgers")
 
 
-def _metric_row(counts):
-    """(precision, recall, F1) of pooled counts; None where undefined."""
-    met = metrics_from_counts(*counts)
-    return (met.micro_precision if met.precision_defined else None,
-            met.micro_recall if met.recall_defined else None,
-            met.micro_f1 if met.f1_defined else None)
-
-
 def save_report(report: RunReport, config: SimConfig, out_dir: str) -> None:
     """Persist ledgers.csv, report.json and sensing_metrics.csv; audited."""
     _audit(report)
@@ -311,12 +331,9 @@ def save_report(report: RunReport, config: SimConfig, out_dir: str) -> None:
             f.write(f"{led.slot},{led.utility!r},{led.energy_efficiency!r},"
                     f"{n_coll},{led.holes_detected},{led.holes_true}\n")
 
-    sensing = {}
-    for key, counts in report.sensing_counts.items():
-        precision, recall, f1 = _metric_row(counts)
-        sensing[key] = {"tp": counts[0], "fp": counts[1], "fn": counts[2],
-                        "tn": counts[3], "precision": precision,
-                        "recall": recall, "f1": f1}
+    sensing = {key: dict(zip(("tp", "fp", "fn", "tn", "precision", "recall", "f1"),
+                             (*counts, *_metric_row(counts))))
+               for key, counts in report.sensing_counts.items()}
     payload = {
         "seed": report.seed,
         "slots": report.slots,
@@ -331,12 +348,6 @@ def save_report(report: RunReport, config: SimConfig, out_dir: str) -> None:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
 
-    rows = []
-    for k in range(config.radio.num_uavs):
-        precision, recall, f1 = _metric_row(report.sensing_counts[f"uav_{k}"])
-        rows.append((k, config.link.sensing_sinr_db[k], precision, recall, f1,
-                     config.sensing[k].kind, 0))
-    precision, recall, f1 = _metric_row(report.sensing_counts["fused"])
-    rows.append(("fused", "", precision, recall, f1,
-                 f"n={config.fusion.n}", 1))
+    rows = metric_rows(list(report.sensing_counts.values()), config.link.sensing_sinr_db,
+                       "", [spec.kind for spec in config.sensing], config.fusion.n)
     write_metrics_csv(os.path.join(out_dir, "sensing_metrics.csv"), rows)

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -239,23 +240,47 @@ def test_frozen_chain_is_a_config_error(command, tmp_path, capsys):
     assert not out.exists()
 
 
-# (field path, config overrides): integers that used to overflow or to size
-# tables at run time
+# (field path, config overrides, subcommand): integers that used to overflow
+# or to size tables, networks and replay rings at run time
 TOO_BIG = [
-    ("radio.num_subchannels", {"radio": {"num_subchannels": 10 ** 30}}),
-    ("radio.num_uavs", {"radio": {"num_uavs": 10 ** 30}}),
-    ("dataset.fft_size", {"dataset": {"fft_size": 2 ** 40}}),
+    ("radio.num_subchannels", {"radio": {"num_subchannels": 10 ** 30}}, "simulate"),
+    ("radio.num_uavs", {"radio": {"num_uavs": 10 ** 30}}, "simulate"),
+    ("dataset.fft_size", {"dataset": {"fft_size": 2 ** 40}}, "simulate"),
+    ("agent.hidden", {"agent": {"hidden": [10 ** 12]}}, "simulate"),
+    ("sensing[0].hidden", {"sensing": {"kind": "perfect", "hidden": [10 ** 12]}},
+     "train-sensor"),
+    ("agent.replay_capacity", {"agent": {"variant": "dqn", "replay_capacity": 10 ** 14}},
+     "train-agent"),
 ]
 
 
-@pytest.mark.parametrize("field,overrides", TOO_BIG,
-                         ids=[f"{f}-{i}" for i, (f, _) in enumerate(TOO_BIG)])
-def test_oversized_integers_are_config_errors(field, overrides, tmp_path, capsys):
+@pytest.mark.parametrize("field,overrides,command", TOO_BIG,
+                         ids=[f"{f}-{i}" for i, (f, _, _) in enumerate(TOO_BIG)])
+def test_oversized_integers_are_config_errors(field, overrides, command, tmp_path,
+                                              capsys):
     cfg = write_config(tmp_path, **overrides)
     out = tmp_path / "run"
-    assert cli_dispatch(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert cli_dispatch([command, "--config", cfg, "--out", str(out)]) == 1
     assert any(p.startswith(f"{field}: ") for p in capsys.readouterr().err.splitlines())
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval-sensing", "simulate"])
+def test_undefined_precision_is_an_empty_cell(command, tmp_path, capsys):
+    # thresholds of 0 report every band busy, so UAV 0 never predicts the
+    # positive (vacant) class and its precision is undefined
+    sensing = [{"kind": "energy-threshold", "thresholds": [0.0] * 4},
+               {"kind": "energy-threshold", "thresholds": [8.0] * 4},
+               {"kind": "perfect"}]
+    cfg = write_config(tmp_path, sensing=sensing)
+    out = tmp_path / "run"
+    assert cli_dispatch([command, "--config", cfg, "--out", str(out)]) == 0
+    with open(out / "sensing_metrics.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    uav0 = [row for row in rows if row["uav"] == "0"]
+    assert uav0 and all(row["precision"] == "" for row in uav0)
+    assert all(float(row["recall"]) == 0.0 for row in uav0)
+    assert all(float(row["precision"]) == 1.0 for row in rows if row["uav"] == "2")
 
 
 class TestPipeline:

@@ -86,7 +86,7 @@ GOLDEN = {
     },
     "eval-sensing": {
         "sensing_metrics.csv":
-            "d2bebcb1d98553850bb267e80a9d007e7c717c5207834e8669b9e56de6c2516a",
+            "7279d22e186383aeca860dd3fed378aeb7bc4ed8a9d2542ae5ffd17f3c794b57",
     },
     "eval-sensing-model": {
         "sensing_metrics.csv":

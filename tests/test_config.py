@@ -148,6 +148,9 @@ OUT_OF_BOUNDS = [
     ("radio.num_subchannels", {"radio": {"num_subchannels": 17},
                                "agent": {"variant": "dqn"}}),
     ("channels[0]", {"channels": {"p01": 0.0, "p10": 0.0}}),
+    ("agent.hidden", {"agent": {"hidden": [64, 1025]}}),
+    ("sensing[0].hidden", {"sensing": {"hidden": [1025]}}),
+    ("agent.replay_capacity", {"agent": {"replay_capacity": 10 ** 6 + 1}}),
 ]
 
 
@@ -174,6 +177,10 @@ def test_bounds_admit_their_edges():
     cfg = validate_config(minimal(radio={"num_subchannels": 1024},
                                   agent={"variant": "random"}))
     assert cfg.radio.num_subchannels == 1024
+    cfg = validate_config(minimal(agent={"hidden": [1024], "replay_capacity": 10 ** 6},
+                                  sensing={"hidden": [1024, 1024]}))
+    assert cfg.agent.hidden == (1024,) and cfg.agent.replay_capacity == 10 ** 6
+    assert cfg.sensing[0].hidden == (1024, 1024)
 
 
 class TestLoadConfig:

@@ -1,0 +1,138 @@
+"""File-format property of every binary file the package writes: UNNC
+network checkpoints, UAGC agent checkpoints, UQTB q-tables and IQDS
+datasets.
+
+A saved file loads back to an object that saves to the same bytes. Every
+proper prefix of it, and the file with bytes appended, is refused with a
+ValueError that names the file. The one exception is the documented gap
+of IQDS v1, whose header stores no record count: a file cut on a record
+boundary, or extended by whole records, loads as that many records.
+"""
+
+import os
+import re
+import struct
+import tempfile
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+import pytest
+
+from uavdsa import iqsynth, nnet
+from uavdsa import scheduler as sch
+
+SEEDS = st.integers(0, 2 ** 32 - 1)
+UNIT = st.floats(0.0, 1.0)
+
+
+@st.composite
+def networks(draw):
+    dims = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+    acts = draw(st.lists(st.sampled_from(nnet.ACTIVATIONS),
+                         min_size=len(dims) - 1, max_size=len(dims) - 1))
+    return nnet.build_network(dims, acts, seed=draw(SEEDS))
+
+
+@st.composite
+def agents(draw):
+    return sch.DqnAgent(
+        num_subchannels=draw(st.integers(1, 3)),
+        variant=draw(st.sampled_from(["dqn", "ddqn", "ddqn-soft"])),
+        gamma=draw(st.floats(0.0, 0.99)),
+        hidden=tuple(draw(st.lists(st.integers(1, 4), max_size=2))),
+        batch_size=draw(st.integers(1, 64)),
+        target_update_period=draw(st.integers(1, 500)),
+        tau=draw(UNIT), learning_rate=draw(st.floats(1e-6, 1.0)),
+        epsilon0=draw(UNIT), epsilon_min=draw(UNIT),
+        epsilon_decay=draw(st.none() | st.floats(1e-3, 1.0)),
+        seed=draw(SEEDS))
+
+
+@st.composite
+def qtables(draw):
+    table = sch.QTable(num_subchannels=draw(st.integers(1, 3)),
+                       gamma=draw(st.floats(0.0, 0.99)),
+                       alpha=draw(st.none() | st.floats(1e-3, 1.0)),
+                       alpha_power=draw(UNIT))
+    rng = np.random.default_rng(draw(SEEDS))
+    table.table[:] = rng.normal(size=table.table.shape)
+    table.visits[:] = rng.integers(0, 1000, size=table.visits.shape)
+    return table
+
+
+@st.composite
+def datasets(draw):
+    m = draw(st.integers(1, 4))
+    config = iqsynth.SynthConfig(
+        seed=draw(SEEDS), num_subchannels=m,
+        samples_per_observation=draw(st.sampled_from([4, 8])),
+        subcarriers_per_subchannel=1,
+        sinr_grid_db=tuple(draw(st.lists(st.floats(-20.0, 30.0), min_size=1,
+                                         max_size=2))))
+    source = lambda rng: tuple(int(b) for b in rng.integers(0, 2, size=m))  # noqa: E731
+    return iqsynth.generate_dataset(config, source, draw(st.integers(1, 2)))
+
+
+# name -> (strategy, save(obj, path), load(path))
+FORMATS = {
+    "UNNC": (networks(), nnet.save_checkpoint, nnet.load_checkpoint),
+    "UAGC": (agents(), sch.save_agent, sch.load_agent),
+    "UQTB": (qtables(), sch.save_qtable, sch.load_qtable),
+    "IQDS": (datasets(), iqsynth.save_dataset, iqsynth.load_dataset),
+}
+
+
+def _iqds_layout(data: bytes) -> tuple[int, int]:
+    """(header size, record size) of an IQDS file's bytes: N and the grid
+    length are the fourth and sixth u32 fields."""
+    n, _k, grid_len = struct.unpack_from("<III", data, 12)
+    return 4 + 20 + 4 * grid_len + 8, 8 + 8 * n
+
+
+@pytest.mark.parametrize("fmt", list(FORMATS))
+@settings(max_examples=8, derandomize=True, database=None, deadline=None)
+@given(data=st.data(), tail=st.binary(min_size=1, max_size=80))
+def test_files_round_trip_and_refuse_cuts_and_trailing_bytes(fmt, data, tail):
+    strategy, save, load = FORMATS[fmt]
+    with tempfile.TemporaryDirectory() as tmp:
+        good, bad, again = (os.path.join(tmp, name) for name in ("good", "bad", "again"))
+
+        def contents(path):
+            with open(path, "rb") as f:
+                return f.read()
+
+        def variant(blob):
+            with open(bad, "wb") as f:
+                f.write(blob)
+            return bad
+
+        def saved_again(obj):
+            save(obj, again)
+            return contents(again)
+
+        save(data.draw(strategy), good)
+        file = contents(good)
+        assert file[:4] == fmt.encode()
+        assert saved_again(load(good)) == file
+
+        record_ends = set()  # the IQDS v1 gap: cuts that load as leading records
+        if fmt == "IQDS":
+            header, record = _iqds_layout(file)
+            record_ends = set(range(header, len(file), record))
+            extended = file + file[-record:]
+            assert saved_again(load(variant(extended))) == extended
+
+        for cut in range(len(file)):
+            if cut in record_ends:
+                assert saved_again(load(variant(file[:cut]))) == file[:cut]
+                continue
+            with pytest.raises(ValueError, match=re.escape(bad)):
+                load(variant(file[:cut]))
+
+        if fmt == "IQDS" and len(tail) % record == 0:
+            assert len(load(variant(file + tail)).observations) == \
+                len(load(good).observations) + len(tail) // record
+        else:
+            with pytest.raises(ValueError, match=re.escape(bad)):
+                load(variant(file + tail))

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from uavdsa import iqsynth
+from uavdsa import core, iqsynth
 from uavdsa.channel import TransitionMatrix, stationary_sampler
 from uavdsa.seeds import derive_rng
 
@@ -249,9 +249,9 @@ class TestGenerateDataset:
 
     def test_mask_roundtrip(self):
         label = (1, 0, 1, 1, 0, 0, 0, 1)
-        mask = iqsynth.label_mask(label)
+        mask = core.occupancy_mask(label)
         assert mask == 0b10001101
-        assert iqsynth.mask_label(mask, 8) == label
+        assert core.mask_occupancy(mask, 8) == label
 
     def test_rejects_bad_count(self):
         cfg = small_config()
