@@ -11,8 +11,6 @@ from itertools import accumulate
 
 import numpy as np
 
-from .seeds import derive_rng
-
 
 @dataclass(frozen=True)
 class TransitionMatrix:
@@ -94,23 +92,22 @@ def stationary_sampler(matrices: list[TransitionMatrix]):
     return draw
 
 
-def sample_occupancy(
-    matrices: list[TransitionMatrix], horizon: int, seed: int
-) -> list[tuple[int, ...]]:
-    """Length-`horizon` trajectory of true occupancy vectors, started from
-    the stationary distribution; reproducible per seed.
-
-    The result equals horizon - 1 step calls: the uniforms come from one
-    rng.random((horizon - 1, M)) draw, which yields the same stream, and
-    each channel's chain is then walked on its own column of draws.
-    """
+def sample_occupancy(matrices: list[TransitionMatrix], horizon: int,
+                     rng: np.random.Generator, start: tuple[int, ...] | None = None
+                     ) -> list[tuple[int, ...]]:
+    """Length-`horizon` trajectory of true occupancy vectors driven by rng:
+    a stationary draw and its successors, or, after a given previous
+    state `start`, the next horizon states. The result equals that many
+    step calls: one rng.random((steps, M)) draw yields the same uniforms,
+    and each channel's chain is then walked on its own column of draws."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    rng = derive_rng(seed, 0xC4A1)
-    start = stationary_sampler(matrices)(rng)
-    draws = rng.random((horizon - 1, len(matrices))).T.tolist()
+    fresh = start is None
+    if fresh:
+        start = stationary_sampler(matrices)(rng)
+    draws = rng.random((horizon - fresh, len(matrices))).T.tolist()
     return list(zip(*(accumulate(column, partial(_next_state, matrix=matrix), initial=b)
-                      for b, matrix, column in zip(start, matrices, draws))))
+                      for b, matrix, column in zip(start, matrices, draws))))[not fresh:]
 
 
 def default_link_model(num_uavs: int, num_subchannels: int) -> LinkModel:

@@ -26,8 +26,9 @@ from .scheduler import (SchedulingEnv, TRAINING_COLUMNS, normalized_reward_table
                         save_agent, save_qtable, train_agent, write_training_csv)
 from .seeds import derive_rng
 from .sensing import TrainParams, evaluate_model, train_classifier, write_metrics_csv
-from .simulate import (build_sensing_model, metric_rows, new_agent, run_simulation,
-                       save_report, sensing_trial)
+from .simulate import (EVAL_KEY, TRUTH, block_slots, build_sensing_model, metric_rows,
+                       new_agent, run_simulation, save_report, sensing_streams,
+                       sensing_trials)
 
 AGENT_TRAIN_VARIANTS = ("qtable", "dqn", "ddqn", "ddqn-soft")
 
@@ -99,16 +100,20 @@ def cmd_eval_sensing(config: SimConfig, args) -> int:
                                   else f"sensing[{k}].model_path")
               for k, spec in enumerate(specs)]
     source = stationary_sampler(list(config.matrices))
-    rng = derive_rng(config.seed, 0xE7A1)
+    labels_rng = derive_rng(config.seed, EVAL_KEY, TRUTH)
+    streams = sensing_streams(config.seed, EVAL_KEY)
+    size = block_slots(models, config.synth)
     offsets = [s - config.link.sensing_sinr_db[0] for s in config.link.sensing_sinr_db]
 
     rows = []
     for g in config.synth.sinr_grid_db:
         sinrs = [g + offset for offset in offsets]
-        counts = [[0, 0, 0, 0] for _ in range(len(models) + 1)]
-        for _ in range(config.eval_count):
-            sensing_trial(models, source(rng), sinrs, config, rng, counts)
-        rows += metric_rows(counts, sinrs, g, [spec.kind for spec in specs],
+        counts = np.zeros((len(models) + 1, 4), dtype=np.int64)
+        for start in range(0, config.eval_count, size):
+            labels = [source(labels_rng)
+                      for _ in range(min(size, config.eval_count - start))]
+            sensing_trials(models, labels, sinrs, config, streams, counts)
+        rows += metric_rows(counts.tolist(), sinrs, g, [spec.kind for spec in specs],
                             config.fusion.n)
 
     os.makedirs(config.out_dir, exist_ok=True)

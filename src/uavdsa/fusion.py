@@ -8,6 +8,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class FusionRule:
@@ -21,8 +23,15 @@ class FusionRule:
             raise ValueError(f"n must lie in [1, {self.num_uavs}]")
 
 
-def _vacant_votes(reports: Sequence[Sequence[int] | None], num_uavs: int) -> tuple[list[int], int]:
-    """Per-channel count of vacant votes over the reports that arrived."""
+def vote(reports, n: int) -> np.ndarray:
+    """The one n-out-of-N vote: fused vectors (..., M) of report stacks
+    (..., K, M), a sub-channel vacant (0) iff at least n of the K reports
+    call it vacant."""
+    return (np.count_nonzero(np.asarray(reports) == 0, axis=-2) < n).astype(np.int8)
+
+
+def _present(reports: Sequence[Sequence[int] | None], num_uavs: int) -> np.ndarray:
+    """(K', M) stack of the reports that arrived."""
     if len(reports) != num_uavs:
         raise ValueError(f"expected {num_uavs} reports, got {len(reports)}")
     present = [r for r in reports if r is not None]
@@ -33,11 +42,9 @@ def _vacant_votes(reports: Sequence[Sequence[int] | None], num_uavs: int) -> tup
         )
     if not present:
         raise ValueError("no reports to fuse")
-    m = len(present[0])
-    if any(len(r) != m for r in present):
+    if any(len(r) != len(present[0]) for r in present):
         raise ValueError("reports have mismatched lengths")
-    votes = [sum(1 for r in present if r[ch] == 0) for ch in range(m)]
-    return votes, len(present)
+    return np.array(present)
 
 
 def fuse(reports: Sequence[Sequence[int] | None], rule: FusionRule) -> tuple[int, ...]:
@@ -46,16 +53,12 @@ def fuse(reports: Sequence[Sequence[int] | None], rule: FusionRule) -> tuple[int
     A None entry marks a UAV that did not broadcast; it is excluded and n
     is clamped to the surviving report count for that slot.
     """
-    votes, n_present = _vacant_votes(reports, rule.num_uavs)
-    n = min(rule.n, n_present)
-    return tuple(0 if v >= n else 1 for v in votes)
+    stack = _present(reports, rule.num_uavs)
+    return tuple(vote(stack, min(rule.n, len(stack))).tolist())
 
 
 def fusion_table(reports: Sequence[Sequence[int] | None], num_uavs: int) -> list[tuple[int, ...]]:
-    """Fused vectors for every n in 1..num_uavs, from one vote-count pass."""
-    votes, n_present = _vacant_votes(reports, num_uavs)
-    table = []
-    for n in range(1, num_uavs + 1):
-        eff = min(n, n_present)
-        table.append(tuple(0 if v >= eff else 1 for v in votes))
-    return table
+    """Fused vectors for every n in 1..num_uavs, over one stack of reports."""
+    stack = _present(reports, num_uavs)
+    return [tuple(vote(stack, min(n, len(stack))).tolist())
+            for n in range(1, num_uavs + 1)]

@@ -35,17 +35,18 @@ order:
             quadrants of the B busy sub-channels of every row, in channel
             order (no values are drawn when every sub-channel is vacant)
 
-One draw_band_energies call for K captures draws the law above in the
-form (sigma2 / 2) * (chi2_{2B-1} + (Z + sqrt(lambda))^2), computed as
-(sigma2 / 2) * C + (sqrt(sigma2 / 2) * Z + sqrt(s))^2 for a busy band
-(no sqrt(s) for a vacant one), again in two draws:
+One draw_band_energies call for K captures of each of T labels draws the
+law above as (sigma2 / 2) * C + (sqrt(sigma2 / 2) * Z + sqrt(s))^2 (no
+sqrt(s) for a vacant band), one draw from each of two generators:
 
-    central: C = rng.chisquare(2B - 1, size=(K, M)), each band with its B
-    shift:   Z = rng.standard_normal((K, M)), one per band
+    central: C = central_rng.chisquare(2B - 1, size=(T, K, M)), band by band
+    shift:   Z = shift_rng.standard_normal((T, K, M))
 
-A sensing pass (simulate.sense) makes one draw_band_energies call for its
-energy-detector rows, then one synthesize_spectra call for its classifier
-rows, each in UAV order; a call with no rows draws nothing.
+Each is one pass in (label, row, band) order, so consecutive blocks of
+labels draw what one call over all of them draws. A block sensing pass
+(simulate.sense) makes that call for its energy-detector rows, in UAV
+order, then one synthesize_spectra call per label for its classifier rows,
+from a third generator; a call with no rows draws nothing.
 
 synthesize_observation (K = 1) draws exactly what synthesize_spectra does.
 clean_spectrum draws one (B, subcarriers) block of quadrants per call.
@@ -107,15 +108,6 @@ class SynthConfig:
                                     self.subcarriers_per_subchannel))
         bins.flags.writeable = False
         return bins
-
-    @cached_property
-    def central_dof(self) -> np.ndarray:
-        """(M,) degrees of freedom 2B - 1 of each band's central chi-square
-        part, B the band's bin count."""
-        dof = np.array([2 * (b - a) - 1 for a, b in
-                        band_edges(self.samples_per_observation, self.num_subchannels)])
-        dof.flags.writeable = False
-        return dof
 
 
 @dataclass
@@ -200,17 +192,20 @@ def synthesize_spectra(label, sinrs_db, config: SynthConfig,
     return spectra
 
 
-def draw_band_energies(label, sinrs_db, config: SynthConfig,
-                       rng: np.random.Generator) -> np.ndarray:
-    """(K, M) band energies of K captures of one label, row k at
-    sinrs_db[k], drawn from their exact law (module docstring): what
-    spectrum_band_energies of synthesize_spectra gives, in distribution,
-    without the N bins of each capture."""
-    busy = np.asarray(occupancy_vector(label, config.num_subchannels))
+def draw_band_energies(labels, sinrs_db, config: SynthConfig,
+                       central_rng: np.random.Generator,
+                       shift_rng: np.random.Generator) -> np.ndarray:
+    """(T, K, M) band energies of K captures of each of T labels (T, M),
+    row k at sinrs_db[k], drawn from their exact law (module docstring):
+    what spectrum_band_energies of synthesize_spectra gives, in
+    distribution, without the N bins of each capture."""
+    m = config.num_subchannels
+    busy = np.asarray(labels).reshape(-1, 1, m)
     half = np.array([noise_power(sinr_db) / 2.0 for sinr_db in sinrs_db])[:, None]
-    energies = rng.chisquare(config.central_dof, size=(len(half), len(busy)))
+    dof = [2 * (b - a) - 1 for a, b in band_edges(config.samples_per_observation, m)]
+    energies = central_rng.chisquare(dof, size=(len(busy), len(half), m))
     energies *= half
-    amplitude = rng.standard_normal(energies.shape)
+    amplitude = shift_rng.standard_normal(energies.shape)
     amplitude *= np.sqrt(half)
     amplitude += np.sqrt(config.subcarriers_per_subchannel) * busy
     energies += amplitude * amplitude
@@ -305,9 +300,11 @@ def load_dataset(path: str) -> Dataset:
 
     The subcarrier block width is not stored and reloads at its default
     (fft size // M); it only matters for further synthesis, not for the
-    stored samples. A partial header or record raises a ValueError that
-    names the file; a file that lacks only whole trailing records cannot
-    be told apart, because the header stores no record count.
+    stored samples. A partial header or record, a record whose label mask
+    has bits at or above M, and a record whose SINR is not a grid value
+    raise a ValueError that names the file (and the record); a file that
+    lacks only whole trailing records cannot be told apart, because the
+    header stores no record count.
     """
 
     def header(f, size: int) -> bytes:
@@ -322,8 +319,8 @@ def load_dataset(path: str) -> Dataset:
         version, m, n, _k, grid_len = struct.unpack("<IIIII", header(f, 20))
         if version != DATASET_VERSION:
             raise ValueError(f"{path}: unsupported dataset version {version}")
-        grid = tuple(float(v) for v in np.frombuffer(header(f, 4 * grid_len),
-                                                     dtype="<f4"))
+        grid32 = np.frombuffer(header(f, 4 * grid_len), dtype="<f4")
+        grid = tuple(float(v) for v in grid32)
         (seed,) = struct.unpack("<Q", header(f, 8))
         if m < 1:
             raise ValueError(f"{path}: header has M={m} sub-channels")
@@ -342,6 +339,11 @@ def load_dataset(path: str) -> Dataset:
     # Mapped, not read: a buffer of the whole file would stay behind as a
     # hole in the heap and raise the process's peak memory.
     records = np.memmap(path, dtype=dtype, mode="r", offset=offset, shape=(count,))
+    for bad, problem in ((records["mask"].astype(np.uint64) >> m != 0,
+                          f"label mask has bits at or above M={m}"),
+                         (~np.isin(records["sinr_db"], grid32), "SINR is not a grid value")):
+        if bad.any():
+            raise ValueError(f"{path}: record {np.argmax(bad)}: {problem}")
     observations = [
         IQObservation(samples=iq.astype(complex), label=mask_occupancy(mask, m),
                       sinr_db=sinr_db)

@@ -43,11 +43,11 @@ def band_energies(observation, num_subchannels: int) -> np.ndarray:
 
 def energy_detect(energies: np.ndarray, thresholds: np.ndarray) -> tuple:
     """Busy (1) wherever the band energy reaches its threshold: a tuple of
-    M bits for energies (M,), one list of M bits per row for a stack
-    (..., M) with thresholds of the same shape."""
+    M bits for energies (M,), nested lists of bits for a stack (..., M)
+    whose trailing axes the thresholds' shape matches."""
     energies = np.asarray(energies, dtype=float)
     thresholds = np.asarray(thresholds, dtype=float)
-    if energies.shape != thresholds.shape:
+    if energies.shape[energies.ndim - thresholds.ndim:] != thresholds.shape:
         raise ValueError("one threshold per sub-channel required")
     return tuple((energies >= thresholds).astype(int).tolist())
 
@@ -78,17 +78,26 @@ class SensingModel:
             raise ValueError(f"dense-classifier model has no network with {m} outputs")
 
 
-def feature_vector(observation: IQObservation, num_subchannels: int,
-                   input_mode: str) -> np.ndarray:
-    """Standardized classifier input: raw I/Q flattened to 2N reals, or the
-    log band-energy profile."""
+def feature_vector(samples, num_subchannels: int, input_mode: str) -> np.ndarray:
+    """Standardized classifier input of captures (..., N), one row per
+    capture: raw I/Q flattened to 2N reals, or the log band-energy
+    profile, each row standardized on its own."""
+    samples = np.asarray(samples)
     if input_mode == "iq":
-        x = np.concatenate([observation.samples.real, observation.samples.imag])
+        x = np.concatenate([samples.real, samples.imag], axis=-1)
     elif input_mode == "band-energy":
-        x = np.log10(band_energies(observation, num_subchannels) + 1e-12)
+        x = np.log10(band_energies(samples, num_subchannels) + 1e-12)
     else:
         raise ValueError(f"unknown input mode {input_mode!r}")
-    return (x - x.mean()) / (x.std() + 1e-12)
+    return (x - x.mean(axis=-1, keepdims=True)) / (x.std(axis=-1, keepdims=True) + 1e-12)
+
+
+def classify(model: SensingModel, samples) -> np.ndarray:
+    """Reports (..., M) of a dense-classifier model on captures (..., N):
+    one standardized feature matrix and one forward pass."""
+    y = nnet.forward(model.network,
+                     feature_vector(samples, model.num_subchannels, model.input_mode))
+    return (y >= model.decision_threshold).astype(np.int8)
 
 
 def predict_occupancy(model: SensingModel, observation: IQObservation) -> tuple[int, ...]:
@@ -96,9 +105,7 @@ def predict_occupancy(model: SensingModel, observation: IQObservation) -> tuple[
     if model.kind == "energy-threshold":
         return energy_detect(band_energies(observation, model.num_subchannels),
                              model.thresholds)
-    x = feature_vector(observation, model.num_subchannels, model.input_mode)
-    y = nnet.forward(model.network, x)
-    return tuple(int(v >= model.decision_threshold) for v in y)
+    return tuple(classify(model, observation.samples).tolist())
 
 
 @dataclass
@@ -133,20 +140,27 @@ def metrics_from_counts(tp: int, fp: int, fn: int, tn: int) -> SensingMetrics:
     return m
 
 
+def confusion_tally(predictions, truths, positive_class: int = 0) -> np.ndarray:
+    """The one confusion count: (R, 4) [TP, FP, FN, TN] tallies of R
+    report columns, predictions (T, R, M) against truths (T, M), each
+    pooled over its T x M cells."""
+    negative = np.asarray(predictions) != positive_class
+    cells = 2 * negative + (np.asarray(truths)[:, None, :] != positive_class)
+    cells += 4 * np.arange(negative.shape[1])[:, None]  # one block of 4 bins per column
+    return np.bincount(cells.ravel(), minlength=4 * negative.shape[1]).reshape(-1, 4)
+
+
 def confusion_counts(predictions, truths, positive_class: int = 0,
                      counts: list[int] | None = None) -> list[int]:
     """[TP, FP, FN, TN] pooled over every (observation, sub-channel) cell,
     added into `counts` when a running tally is given."""
-    if len(predictions) != len(truths):
-        raise ValueError("predictions and truths differ in length")
-    if counts is None:
-        counts = [0, 0, 0, 0]
-    for pred, truth in zip(predictions, truths):
-        if len(pred) != len(truth):
-            raise ValueError("prediction/truth vectors differ in length")
-        for p, t in zip(pred, truth):
-            counts[2 * (p != positive_class) + (t != positive_class)] += 1
-    return counts
+    predictions, truths = np.atleast_2d(predictions), np.atleast_2d(truths)
+    if predictions.shape != truths.shape:
+        raise ValueError("predictions and truths differ in shape")
+    tally = confusion_tally(predictions[:, None], truths, positive_class)[0].tolist()
+    if counts is not None:
+        counts[:] = [a + b for a, b in zip(counts, tally)]
+    return tally if counts is None else counts
 
 
 def micro_metrics(predictions, truths, positive_class: int = 0) -> SensingMetrics:
@@ -177,7 +191,7 @@ def train_classifier(dataset: Dataset, params: TrainParams) -> SensingModel:
         raise ValueError("dataset has an empty train split")
     m_chan = dataset.config.num_subchannels
     feats = np.array([
-        feature_vector(dataset.observations[i], m_chan, params.input_mode)
+        feature_vector(dataset.observations[i].samples, m_chan, params.input_mode)
         for i in train_idx
     ])
     labels = np.array([dataset.observations[i].label for i in train_idx], dtype=float)

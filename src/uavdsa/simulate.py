@@ -4,15 +4,17 @@ Each slot (1) samples which UAVs request resources, (2) has every UAV
 sense the current occupancy and report its prediction, (3) fuses the
 reports, (4) lets the agent allocate sub-channels to the requesting UAVs
 for the next slot, (5) executes the allocation made in the previous slot
-against the occupancy that actually materialized, and (6) advances the
-occupancy chains. Transmissions therefore always run one slot behind the
-prediction they were based on, which is what the collision indicator
-scores.
-
-Before saving, every slot is rescored from its per-pair fields and must
-give the utility and EE its ledger records, and the run's aggregates
-must match those per-slot values (self-audit). All randomness flows from
-the config seed.
+against the occupancy that actually materialized (the collision indicator
+scores it), and (6) advances the occupancy chains. Steps (1)-(3) and (6)
+do not depend on the agent, so they run a block of slots at a time with
+array operations; run_slot does the rest, per slot. Before saving, every
+slot is rescored from its per-pair fields and the aggregates from those
+(self-audit). All randomness flows from the config seed, one substream
+derive_rng(seed, SIMULATE_KEY, purpose) per purpose (see the seeds module):
+TRUTH (occupancy), REQUESTS, CENTRAL and SHIFT (energy detectors'
+chi-square and normal draws), SPECTRA (classifier spectra) and AGENT. Each
+draws a block's slots in slot order, so outputs do not depend on the block
+size; eval-sensing draws TRUTH labels and the sensing streams under EVAL_KEY.
 """
 
 import json
@@ -22,21 +24,39 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nnet
-from .channel import db_to_linear, stationary_sampler, step
+from .channel import db_to_linear, sample_occupancy
 from .config import ConfigError, SensingSpec, SimConfig
 from .core import (Assignment, SlotLedger, UndefinedEnergyEfficiencyError,
                    access_cost, collision_indicator, energy_efficiency,
                    sensing_cost, slot_utility, throughput)
-from .fusion import fuse
-from .iqsynth import IQObservation, draw_band_energies, synthesize_spectra
+from .fusion import vote
+from .iqsynth import SynthConfig, draw_band_energies, synthesize_spectra
 from .scheduler import (DqnAgent, QTable, RandomAgent, feasible_assignment,
                         load_agent, load_qtable, valid_actions)
 from .seeds import derive_rng
-from .sensing import (SensingModel, confusion_counts, energy_detect,
-                      metrics_from_counts, predict_occupancy, write_metrics_csv)
+from .sensing import (SensingModel, classify, confusion_tally, energy_detect,
+                      metrics_from_counts, write_metrics_csv)
 
 LEDGER_COLUMNS = ("slot", "utility", "ee", "collisions", "holes_detected",
                   "holes_true")
+
+SIMULATE_KEY, EVAL_KEY = 0x51B, 0xE7A1
+TRUTH, REQUESTS, CENTRAL, SHIFT, SPECTRA, AGENT = range(6)
+# Elements in a block's largest array, K x N with a classifier, else K x M
+BLOCK_ELEMENTS = 1 << 15
+
+
+def sensing_streams(seed: int, key: int) -> tuple:
+    """The (CENTRAL, SHIFT, SPECTRA) generators of a sensing pass."""
+    return tuple(derive_rng(seed, key, purpose) for purpose in (CENTRAL, SHIFT, SPECTRA))
+
+
+def block_slots(models, synth: SynthConfig) -> int:
+    """Slots (or trials) per block of a sensing pass by `models`, >= 1."""
+    kinds = {getattr(model, "kind", None) for model in models}
+    width = (synth.samples_per_observation if "dense-classifier" in kinds
+             else synth.num_subchannels)
+    return max(1, BLOCK_ELEMENTS // (len(models) * width))
 
 
 @dataclass
@@ -122,46 +142,43 @@ def build_sensing_model(spec: SensingSpec, config: SimConfig,
                         input_mode=spec.input_mode)
 
 
-def sense(models, label, sinrs_db, synth, rng) -> list[tuple[int, ...]]:
-    """Every UAV's occupancy report on one true label: UAV k captures at
-    sinrs_db[k] and reports what models[k] detects; None is the perfect
-    sensor, which reports the label and draws nothing from rng.
-
-    Energy detectors come first: one draw_band_energies call gives the
-    band energies of all of them (one row per UAV, in UAV order), drawn
-    from their exact law, and one energy_detect call against the stacked
-    thresholds detects. Classifiers then get one synthesize_spectra call
-    and one inverse FFT, and each runs its own forward pass, which keeps
-    its output bitwise that of a single capture. The iqsynth module
-    docstring gives the draw order.
-    """
-    reports = [label] * len(models)
-    energy = [k for k, model in enumerate(models)
-              if model is not None and model.kind == "energy-threshold"]
+def sense(models, labels, sinrs_db, synth: SynthConfig, streams) -> np.ndarray:
+    """(T, K, M) reports of K UAVs on T true labels (T, M): UAV k captures
+    at sinrs_db[k] and reports what models[k] detects; None is the perfect
+    sensor, which reports the label and draws nothing. Energy detectors
+    share one draw_band_energies call and one energy_detect comparison;
+    classifiers share one synthesize_spectra call per label and one
+    inverse FFT, then each runs one forward pass (draw order: the iqsynth
+    module docstring)."""
+    central, shift, spectra_rng = streams
+    labels = np.asarray(labels, dtype=np.int8)
+    reports = np.repeat(labels[:, None, :], len(models), axis=1)
+    kinds = [getattr(model, "kind", None) for model in models]
+    energy = [k for k, kind in enumerate(kinds) if kind == "energy-threshold"]
     if energy:
-        energies = draw_band_energies(label, [sinrs_db[k] for k in energy], synth, rng)
-        thresholds = np.array([models[k].thresholds for k in energy])
-        for k, report in zip(energy, energy_detect(energies, thresholds)):
-            reports[k] = tuple(report)
-    classifiers = [k for k, model in enumerate(models)
-                   if model is not None and model.kind == "dense-classifier"]
+        energies = draw_band_energies(labels, [sinrs_db[k] for k in energy], synth,
+                                      central, shift)
+        reports[:, energy] = energy_detect(
+            energies, np.array([models[k].thresholds for k in energy]))
+    classifiers = [k for k, kind in enumerate(kinds) if kind == "dense-classifier"]
     if classifiers:
-        spectra = synthesize_spectra(label, [sinrs_db[k] for k in classifiers], synth, rng)
-        for k, capture in zip(classifiers, np.fft.ifft(spectra, norm="ortho")):
-            reports[k] = predict_occupancy(models[k], IQObservation(
-                samples=capture, label=label, sinr_db=float(sinrs_db[k])))
+        captures = np.fft.ifft([synthesize_spectra(label, [sinrs_db[k] for k in classifiers],
+                                                   synth, spectra_rng)
+                                for label in labels], norm="ortho")
+        for j, k in enumerate(classifiers):
+            reports[:, k] = classify(models[k], captures[:, j])
     return reports
 
 
-def sensing_trial(models, label, sinrs_db, config: SimConfig, rng,
-                  counts) -> tuple[int, ...]:
-    """The fused vector of one sense and fuse pass on a true label. Each
-    report's and the fused vector's confusion counts against the label are
-    added into counts: one [TP, FP, FN, TN] tally per UAV, then the fused one."""
-    reports = sense(models, label, sinrs_db, config.synth, rng)
-    fused = fuse(reports, config.fusion)
-    for tally, h in zip(counts, reports + [fused]):
-        confusion_counts((h,), (label,), counts=tally)
+def sensing_trials(models, labels, sinrs_db, config: SimConfig,
+                   streams, counts: np.ndarray) -> np.ndarray:
+    """(T, M) fused vectors of one block pass on true labels (T, M): sense,
+    then the n-out-of-N vote. Each UAV's and the fused confusion counts
+    against the labels are added into counts (K + 1, 4): one
+    [TP, FP, FN, TN] row per UAV, then the fused one."""
+    reports = sense(models, labels, sinrs_db, config.synth, streams)
+    fused = vote(reports, config.fusion.n)
+    counts += confusion_tally(np.concatenate([reports, fused[:, None]], axis=1), labels)
     return fused
 
 
@@ -174,7 +191,7 @@ def _metric_row(counts):
 
 
 def metric_rows(counts, uav_sinrs_db, fused_sinr_db, kinds, n: int) -> list[tuple]:
-    """sensing_metrics.csv rows of sensing_trial's K + 1 tallies: UAV k's at
+    """sensing_metrics.csv rows of sensing_trials' K + 1 tallies: UAV k's at
     uav_sinrs_db[k] with detector kinds[k], then the fused one at
     fused_sinr_db. An undefined ratio is None: an empty cell in the CSV."""
     rows = [(k, sinr, *_metric_row(tally), kind, 0)
@@ -200,7 +217,10 @@ def slot_scores(collision, throughput, access_cost, sensing_costs) -> tuple[floa
 class Simulation:
     def __init__(self, config: SimConfig):
         self.cfg = config
-        self.rng = derive_rng(config.seed, 0x51B)
+        self.truth_rng, self.request_rng, self.agent_rng = (
+            derive_rng(config.seed, SIMULATE_KEY, purpose)
+            for purpose in (TRUTH, REQUESTS, AGENT))
+        self.streams = sensing_streams(config.seed, SIMULATE_KEY)
         self.models = [build_sensing_model(s, config, f"sensing[{k}].model_path")
                        for k, s in enumerate(config.sensing)]
         self.agent = build_agent(config)
@@ -214,50 +234,52 @@ class Simulation:
             for k in range(config.radio.num_uavs)
         ]
         self.slot = 0
-        keys = [f"uav_{k}" for k in range(config.radio.num_uavs)] + ["fused"]
-        self.counts = {key: [0, 0, 0, 0] for key in keys}  # per-UAV, then fused
-        self.stationary = stationary_sampler(config.matrices)
-        self.reset_episode()
+        # [TP, FP, FN, TN] per UAV, then fused
+        self.counts = np.zeros((config.radio.num_uavs + 1, 4), dtype=np.int64)
 
-    def reset_episode(self) -> None:
-        self.occupancy = self.stationary(self.rng)
-        self.prev_fused = None
-        self.pending = Assignment()
-
-    def run_slot(self) -> SlotLedger:
+    def episode(self):
+        """Each slot's (true occupancy, requesting UAVs, fused vector) for
+        one episode, computed block by block; starts the episode afresh."""
         cfg = self.cfg
-        k_uavs = cfg.radio.num_uavs
-        m = cfg.radio.num_subchannels
-        truth = self.occupancy
+        slots, size = cfg.slots_per_episode, block_slots(self.models, cfg.synth)
+        self.prev_fused, self.pending = None, Assignment()
+        state = None  # before slot 0: the episode starts from a stationary draw
+        for start in range(0, slots, size):
+            t = min(size, slots - start)
+            truths = sample_occupancy(cfg.matrices, t, self.truth_rng, state)
+            state = truths[-1]
+            requests = (self.request_rng.random((t, cfg.radio.num_uavs))
+                        < cfg.request_probability)
+            fused = sensing_trials(self.models, truths, cfg.link.sensing_sinr_db, cfg,
+                                   self.streams, self.counts)
+            yield from zip(truths, ([k for k, r in enumerate(row) if r]
+                                    for row in requests.tolist()),
+                           map(tuple, fused.tolist()))
 
-        requesting = [k for k in range(k_uavs)
-                      if self.rng.random() < cfg.request_probability]
-
-        fused = sensing_trial(self.models, truth, cfg.link.sensing_sinr_db, cfg,
-                              self.rng, self.counts.values())
-
+    def run_slot(self, truth, requesting, fused) -> SlotLedger:
+        """One slot on its true occupancy, requesting UAVs and fused vector:
+        the agent allocates the detected holes for the next slot, and the
+        previous slot's allocation transmits and is scored."""
         pending_next = Assignment()
         if requesting:
-            actions, _ = self.agent.select(fused, valid_actions(fused, m), 0.0,
-                                           self.rng, k=len(requesting))
+            actions, _ = self.agent.select(fused, valid_actions(fused, len(fused)), 0.0,
+                                           self.agent_rng, k=len(requesting))
             pending_next = feasible_assignment(zip(requesting, actions), fused)
 
-        collision, bits, acc = {}, {}, {}
-        for uav, ch in sorted(self.pending.pairs):
-            collision[(uav, ch)] = collision_indicator(truth[ch - 1],
-                                                       self.prev_fused[ch - 1])
-            bits[(uav, ch)] = self.bits_table[uav][ch - 1]
-            acc[(uav, ch)] = self.ac_per_pair
-        sensing_costs = {k: self.sc_per_uav for k in range(k_uavs)}
+        pairs = sorted(self.pending.pairs)
+        collision = {(uav, ch): collision_indicator(truth[ch - 1], self.prev_fused[ch - 1])
+                     for uav, ch in pairs}
+        bits = {(uav, ch): self.bits_table[uav][ch - 1] for uav, ch in pairs}
+        acc = dict.fromkeys(pairs, self.ac_per_pair)
+        sensing_costs = dict.fromkeys(range(self.cfg.radio.num_uavs), self.sc_per_uav)
         utility, ee = slot_scores(collision, bits, acc, sensing_costs)
 
         ledger = SlotLedger(
             slot=self.slot, assignment=self.pending,
             collision=collision, throughput=bits, access_cost=acc,
             sensing_costs=sensing_costs, utility=utility, energy_efficiency=ee,
-            holes_detected=m - sum(fused), holes_true=m - sum(truth))
+            holes_detected=len(fused) - sum(fused), holes_true=len(truth) - sum(truth))
 
-        self.occupancy = step(self.occupancy, cfg.matrices, self.rng)
         self.prev_fused = fused
         self.pending = pending_next
         self.slot += 1
@@ -282,17 +304,15 @@ def recompute_aggregates(ledgers: list[SlotLedger]):
 def run_simulation(config: SimConfig) -> RunReport:
     sim = Simulation(config)
     ledgers = []
-    for episode in range(config.episodes):
-        if episode > 0:
-            sim.reset_episode()
-        for _ in range(config.slots_per_episode):
-            ledgers.append(sim.run_slot())
+    for _ in range(config.episodes):
+        ledgers += [sim.run_slot(*slot) for slot in sim.episode()]
     mean_utility, mean_ee, rate, transmissions, collisions = recompute_aggregates(ledgers)
+    keys = [f"uav_{k}" for k in range(config.radio.num_uavs)] + ["fused"]
     return RunReport(
         ledgers=ledgers, slots=len(ledgers), mean_utility=mean_utility,
         mean_ee=mean_ee, collision_rate=rate, transmissions=transmissions,
         collisions=collisions,
-        sensing_counts={key: tuple(c) for key, c in sim.counts.items()},
+        sensing_counts={key: tuple(c) for key, c in zip(keys, sim.counts.tolist())},
         seed=config.seed)
 
 
@@ -334,16 +354,10 @@ def save_report(report: RunReport, config: SimConfig, out_dir: str) -> None:
     sensing = {key: dict(zip(("tp", "fp", "fn", "tn", "precision", "recall", "f1"),
                              (*counts, *_metric_row(counts))))
                for key, counts in report.sensing_counts.items()}
-    payload = {
-        "seed": report.seed,
-        "slots": report.slots,
-        "mean_utility": report.mean_utility,
-        "mean_ee": None if np.isnan(report.mean_ee) else report.mean_ee,
-        "collision_rate": report.collision_rate,
-        "transmissions": report.transmissions,
-        "collisions": report.collisions,
-        "sensing": sensing,
-    }
+    payload = dict(seed=report.seed, slots=report.slots, mean_utility=report.mean_utility,
+                   mean_ee=None if np.isnan(report.mean_ee) else report.mean_ee,
+                   collision_rate=report.collision_rate, transmissions=report.transmissions,
+                   collisions=report.collisions, sensing=sensing)
     with open(os.path.join(out_dir, "report.json"), "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")

@@ -53,7 +53,7 @@ class TestStep:
     def test_long_run_busy_fraction(self):
         # closed form p01/(p01+p10) = 0.4, checked by long-run frequency
         mats = [channel.TransitionMatrix(0.2, 0.3)]
-        traj = channel.sample_occupancy(mats, 10 ** 6, seed=123)
+        traj = channel.sample_occupancy(mats, 10 ** 6, derive_rng(123, 0xC4A1))
         busy = np.mean([s[0] for s in traj])
         assert busy == pytest.approx(0.4, abs=0.01)
 
@@ -68,7 +68,7 @@ class TestStep:
     def test_empirical_transition_frequencies(self):
         p01, p10 = 0.2, 0.3
         traj = channel.sample_occupancy([channel.TransitionMatrix(p01, p10)],
-                                        10 ** 5, seed=9)
+                                        10 ** 5, derive_rng(9, 0xC4A1))
         bits = [s[0] for s in traj]
         from_vacant = [(a, b) for a, b in zip(bits, bits[1:]) if a == 0]
         from_busy = [(a, b) for a, b in zip(bits, bits[1:]) if a == 1]
@@ -85,28 +85,28 @@ class TestStep:
 class TestSampleOccupancy:
     def test_identity_from_stationary_is_constant(self):
         mats = [channel.TransitionMatrix(1.0, 0.0)]  # stationary: always busy
-        traj = channel.sample_occupancy(mats, 100, seed=4)
+        traj = channel.sample_occupancy(mats, 100, derive_rng(4, 0xC4A1))
         assert all(s == (1,) for s in traj)
 
     def test_same_seed_identical(self):
         mats = [channel.TransitionMatrix(0.2, 0.3)] * 3
-        assert channel.sample_occupancy(mats, 500, seed=7) == \
-            channel.sample_occupancy(mats, 500, seed=7)
+        assert channel.sample_occupancy(mats, 500, derive_rng(7, 0xC4A1)) == \
+            channel.sample_occupancy(mats, 500, derive_rng(7, 0xC4A1))
 
     def test_busy_rate_matches_stationary(self):
         mats = [channel.TransitionMatrix(0.25, 0.5), channel.TransitionMatrix(0.1, 0.1)]
-        traj = channel.sample_occupancy(mats, 10 ** 5, seed=11)
+        traj = channel.sample_occupancy(mats, 10 ** 5, derive_rng(11, 0xC4A1))
         rates = np.mean(traj, axis=0)
         for m, rate in zip(mats, rates):
             assert rate == pytest.approx(channel.stationary_distribution(m)[1], abs=0.02)
 
     def test_degenerate_propagates(self):
         with pytest.raises(ValueError):
-            channel.sample_occupancy([channel.TransitionMatrix(0.0, 0.0)], 10, seed=0)
+            channel.sample_occupancy([channel.TransitionMatrix(0.0, 0.0)], 10, derive_rng(0))
 
     def test_requires_positive_horizon(self):
         with pytest.raises(ValueError):
-            channel.sample_occupancy([channel.TransitionMatrix(0.2, 0.3)], 0, seed=0)
+            channel.sample_occupancy([channel.TransitionMatrix(0.2, 0.3)], 0, derive_rng(0))
 
 
 def reference_trajectory(matrices, horizon, seed):
@@ -133,7 +133,7 @@ MIXED_CHAINS = [(0.2, 0.3), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.5, 0.5),
 def test_trajectories_match_per_step_reference(horizon):
     mats = [channel.TransitionMatrix(*p) for p in MIXED_CHAINS]
     want = reference_trajectory(mats, horizon, seed=17)
-    got = channel.sample_occupancy(mats, horizon, seed=17)
+    got = channel.sample_occupancy(mats, horizon, derive_rng(17, 0xC4A1))
     assert got == want
     assert all(type(b) is int for s in got for b in s)
     rng = derive_rng(17, 0xC4A1)
@@ -141,6 +141,11 @@ def test_trajectories_match_per_step_reference(horizon):
     for _ in range(horizon - 1):
         stepped.append(channel.step(stepped[-1], mats, rng))
     assert stepped == want
+    rng = derive_rng(17, 0xC4A1)  # the same walk, continued in pieces from a given state
+    pieces = channel.sample_occupancy(mats, 1, rng)
+    while len(pieces) < horizon:
+        pieces += channel.sample_occupancy(mats, min(7, horizon - len(pieces)), rng, pieces[-1])
+    assert pieces == want
 
 
 class TestLinkModel:

@@ -86,11 +86,11 @@ GOLDEN = {
     },
     "eval-sensing": {
         "sensing_metrics.csv":
-            "7279d22e186383aeca860dd3fed378aeb7bc4ed8a9d2542ae5ffd17f3c794b57",
+            "e8b727ace3013c07412b63295861d1c875a8dc0fc4b2450f6cd977bea9e6528a",
     },
     "eval-sensing-model": {
         "sensing_metrics.csv":
-            "6cb26dc97be2e3c729c72e07baea699b98932a1a760cc87c60e1472cd279af6b",
+            "0ba08310791f7cff810d0a177946db1c26528f76d967bd3ed99128efe0163d82",
     },
     "train-ddqn-soft": {
         "training_ddqn-soft_2uav.csv":
@@ -112,27 +112,27 @@ GOLDEN = {
     },
     "simulate-dqn": {
         "ledgers.csv":
-            "b001914fe6fe3a56e672d85df569cbb1e7149f9e278a5bc822770eee87a371eb",
+            "5c4c791f747da6c56259d3233faaf3310b0eabd1fa9f54a3fef8e0a9fce3e8a2",
         "report.json":
-            "cd4a3e176ba533b42a07e6f47e4ce10541462e412d94d62ffecea1ba3a263181",
+            "625305805f3874451cc7e7599862e26043deb77b21cbc949b6f0222f6f23cc4e",
         "sensing_metrics.csv":
-            "033ee6688348dc47ae1ca27666e8ac75fe756f308b7a6c0585e8d2d99f27b7b0",
+            "fe7d6593a03908c752a9dbf712e406f9e655e2cfbce5b6ae510ef364c75c8224",
     },
     "simulate-qtable": {
         "ledgers.csv":
-            "02f8214b9a1bd362f17f95835e91ae6e2e6f9cf0a7b7b19b3909f9cca6a7178d",
+            "3c4a3e47bb11b8c41dfafad0ece3b641fe651b5d6d22fc86093fb041f069e488",
         "report.json":
-            "4af2464a8649e11f9c904e97f3ee4ef9d61e0e80c5599545b1f6375924a09a1d",
+            "9ecb1d0b7fc06b2e77837aa51401ccc2ddc6cd959fb6c25dd3457f2d4e8244c5",
         "sensing_metrics.csv":
-            "6dc1bca8899ced57feea18a1892bc381d804068aab9f98a6646da7d6bd7b84ab",
+            "fe7d6593a03908c752a9dbf712e406f9e655e2cfbce5b6ae510ef364c75c8224",
     },
     "simulate-random": {
         "ledgers.csv":
-            "bf449371477042c0a4434ea2365459d56157b116baa950b59fc24297ab514b5b",
+            "ee16cda0ed2b684be86e53ea3179bfe94030f997d3c15715ec8f9b0eace03825",
         "report.json":
-            "27b993311f44a6be3bd0d944c3d2e51e719188e417909176f3af28c868f01923",
+            "d155d8b8ddfed30ee702a152c5f5492933d791438e236cda7dcb412b4c9d6f8b",
         "sensing_metrics.csv":
-            "d7c53ab98b0ee9f3e71588247e5012e55a23794034b8b29034d16ca593c280df",
+            "fe7d6593a03908c752a9dbf712e406f9e655e2cfbce5b6ae510ef364c75c8224",
     },
 }
 

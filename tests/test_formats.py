@@ -6,7 +6,9 @@ A saved file loads back to an object that saves to the same bytes. Every
 proper prefix of it, and the file with bytes appended, is refused with a
 ValueError that names the file. The one exception is the documented gap
 of IQDS v1, whose header stores no record count: a file cut on a record
-boundary, or extended by whole records, loads as that many records.
+boundary, or extended by whole records, loads as that many records, as
+long as every appended record has a label mask below 2^M and a SINR on
+the header's grid; a record without is refused naming the file.
 """
 
 import os
@@ -90,6 +92,16 @@ def _iqds_layout(data: bytes) -> tuple[int, int]:
     return 4 + 20 + 4 * grid_len + 8, 8 + 8 * n
 
 
+def _valid_records(data: bytes, tail: bytes) -> bool:
+    """Whether every record of an IQDS tail has a label mask below 2^M and
+    a SINR among the header's grid values."""
+    m, n, _k, grid_len = struct.unpack_from("<IIII", data, 8)
+    grid = set(np.frombuffer(data, "<f4", grid_len, 24).tolist())
+    record = 8 + 8 * n
+    return all(mask >> m == 0 and sinr in grid for mask, sinr in (
+        struct.unpack_from("<If", tail, start) for start in range(0, len(tail), record)))
+
+
 @pytest.mark.parametrize("fmt", list(FORMATS))
 @settings(max_examples=8, derandomize=True, database=None, deadline=None)
 @given(data=st.data(), tail=st.binary(min_size=1, max_size=80))
@@ -130,9 +142,33 @@ def test_files_round_trip_and_refuse_cuts_and_trailing_bytes(fmt, data, tail):
             with pytest.raises(ValueError, match=re.escape(bad)):
                 load(variant(file[:cut]))
 
-        if fmt == "IQDS" and len(tail) % record == 0:
+        if fmt == "IQDS" and len(tail) % record == 0 and _valid_records(file, tail):
             assert len(load(variant(file + tail)).observations) == \
                 len(load(good).observations) + len(tail) // record
         else:
             with pytest.raises(ValueError, match=re.escape(bad)):
                 load(variant(file + tail))
+
+
+@pytest.mark.parametrize("field,value,problem", [
+    ("mask", 1 << 3, "label mask has bits at or above M=3"),
+    ("mask", 0xFFFFFFFF, "label mask has bits at or above M=3"),
+    ("sinr_db", 4.0, "SINR is not a grid value"),
+    ("sinr_db", np.nan, "SINR is not a grid value"),
+])
+def test_iqds_refuses_a_record_off_the_label_width_or_the_grid(field, value, problem, tmp_path):
+    """A record whose label mask has bits at or above M, or whose SINR is
+    not one of the header's grid values, is refused naming the file and
+    the record."""
+    config = iqsynth.SynthConfig(seed=1, num_subchannels=3, samples_per_observation=8,
+                                 subcarriers_per_subchannel=2, sinr_grid_db=(0.0, 5.0))
+    source = lambda rng: tuple(int(b) for b in rng.integers(0, 2, size=3))  # noqa: E731
+    path = str(tmp_path / "data.iq")
+    iqsynth.save_dataset(iqsynth.generate_dataset(config, source, 2), path)
+    records = np.memmap(path, dtype=iqsynth._record_dtype(8), mode="r+",
+                        offset=4 + 20 + 4 * 2 + 8, shape=(4,))
+    records[field][2] = value
+    records.flush()
+    del records
+    with pytest.raises(ValueError, match=re.escape(f"{path}: record 2: {problem}")):
+        iqsynth.load_dataset(path)

@@ -343,14 +343,15 @@ def reference_spectra(label, sinrs_db, cfg, rng):
     return rows
 
 
-def reference_energy_draws(label, sinrs_db, cfg, rng):
-    """draw_band_energies written out per capture and per band, in its
-    documented draw order: every (row, band)'s chi-square draw with that
-    band's own 2B - 1 degrees of freedom, then every (row, band)'s normal
-    shift, each in row-major order, combined in Python floats."""
+def reference_energy_draws(label, sinrs_db, cfg, central_rng, shift_rng):
+    """draw_band_energies of one label written out per capture and per
+    band, in its documented draw order: every (row, band)'s chi-square
+    draw with that band's own 2B - 1 degrees of freedom from central_rng,
+    then every (row, band)'s normal shift from shift_rng, each in
+    row-major order, combined in Python floats."""
     edges = iqsynth.band_edges(cfg.samples_per_observation, cfg.num_subchannels)
-    central = [[rng.chisquare(2 * (b - a) - 1) for a, b in edges] for _ in sinrs_db]
-    shift = [[rng.standard_normal() for _ in edges] for _ in sinrs_db]
+    central = [[central_rng.chisquare(2 * (b - a) - 1) for a, b in edges] for _ in sinrs_db]
+    shift = [[shift_rng.standard_normal() for _ in edges] for _ in sinrs_db]
     amplitude = math.sqrt(cfg.subcarriers_per_subchannel)
     rows = []
     for sinr_db, c_row, z_row in zip(sinrs_db, central, shift):
@@ -480,25 +481,29 @@ def test_noise_only_captures_are_white(sinr_db):
 
 @pytest.mark.parametrize("m,n", [(1, 64), (4, 64), (5, 64), (16, 1024)])
 def test_band_energy_draws_follow_their_documented_order(m, n):
-    """draw_band_energies is bitwise its per-band reference and leaves the
-    generator where that reference does, for any label and row count; a
-    call with no rows draws nothing."""
+    """draw_band_energies over a block of labels is bitwise its per-label,
+    per-band reference and leaves both generators where that reference
+    does, for any labels and row count; a call with no rows draws
+    nothing."""
     cfg = iqsynth.SynthConfig(seed=1, num_subchannels=m, samples_per_observation=n,
                               subcarriers_per_subchannel=n // m - 1)
     labels = [(0,) * m, (1,) * m, tuple(i % 2 for i in range(m))]
     for k in (0, 1, 3):
         sinrs = (-10.0, 0.0, 7.5)[:k]
-        for label in labels:
-            seed = (m, n, k, labels.index(label))
-            rng, ref_rng = derive_rng(*seed), derive_rng(*seed)
-            energies = iqsynth.draw_band_energies(label, sinrs, cfg, rng)
-            want = reference_energy_draws(label, sinrs, cfg, ref_rng)
-            assert energies.shape == (k, m)
-            assert np.array_equal(bits(energies), bits(want))
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
+        for t in (1, 3):
+            block = labels[3 - t:]
+            seed = (m, n, k, t)
+            rngs = derive_rng(*seed, 0), derive_rng(*seed, 1)
+            ref_rngs = derive_rng(*seed, 0), derive_rng(*seed, 1)
+            energies = iqsynth.draw_band_energies(block, sinrs, cfg, *rngs)
+            want = [reference_energy_draws(label, sinrs, cfg, *ref_rngs) for label in block]
+            assert energies.shape == (t, k, m)
+            assert np.array_equal(bits(energies), bits(np.array(want)))
+            for rng, ref_rng in zip(rngs, ref_rngs):
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
     rng = derive_rng(0)
     state = rng.bit_generator.state
-    iqsynth.draw_band_energies(labels[2], [], cfg, rng)
+    iqsynth.draw_band_energies(labels, [], cfg, rng, rng)
     assert rng.bit_generator.state == state
 
 
@@ -519,7 +524,8 @@ def test_band_energy_law_matches_synthesized_spectra(m, n, sc, sinr_db):
                               subcarriers_per_subchannel=sc)
     label, captures = tuple(int(i % 2 == 1) for i in range(m)), 20000
     key = (m, n, int(sinr_db) + 10)
-    new = iqsynth.draw_band_energies(label, [sinr_db] * captures, cfg, derive_rng(21, *key))
+    new = iqsynth.draw_band_energies([label], [sinr_db] * captures, cfg,
+                                     derive_rng(21, *key), derive_rng(23, *key))[0]
     old = spectrum_band_energies(iqsynth.synthesize_spectra(
         label, [sinr_db] * captures, cfg, derive_rng(22, *key)), m)
     sigma2 = iqsynth.noise_power(sinr_db)

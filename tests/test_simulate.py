@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 
 import numpy as np
@@ -171,9 +173,10 @@ class TestSensingKindsInSimulation:
 
 @pytest.mark.parametrize("m,n", [(4, 256), (5, 64)])
 def test_sense_matches_per_capture_reports(m, n):
-    """One sensing pass reports, and draws, exactly what the documented
-    draw order gives: the energy detectors' band energies first, drawn
-    from their exact law, then the classifiers' spectra, each classifier
+    """A block sensing pass reports, and draws, exactly what the documented
+    block order gives: the energy detectors' band energies of every label,
+    drawn from their exact law on the chi-square and normal streams, then
+    one spectra draw per label on the spectra stream, each classifier
     seeing the inverse transform of its own row."""
     synth = iqsynth.SynthConfig(seed=3, num_subchannels=m, samples_per_observation=n,
                                 subcarriers_per_subchannel=n // m)
@@ -186,27 +189,100 @@ def test_sense_matches_per_capture_reports(m, n):
     sinrs = [0.0, 20.0, -3.0, 5.0, 10.0]
     energy_rows = [k for k, model in enumerate(models) if model is energy]
     classifier_rows = [k for k, model in enumerate(models) if model is classifier]
-    rng, ref_rng = derive_rng(9), derive_rng(9)
+    streams = simulate.sensing_streams(9, simulate.SIMULATE_KEY)
+    ref_central, ref_shift, ref_spectra = simulate.sensing_streams(9, simulate.SIMULATE_KEY)
+    labels_rng = derive_rng(9)
     seen = set()
-    for slot in range(40):
-        label = tuple(int(b) for b in ref_rng.random(m) < 0.5)
-        assert tuple(int(b) for b in rng.random(m) < 0.5) == label
-        got = simulate.sense(models, label, sinrs, synth, rng)
-        want = [label] * len(models)
-        energies = reference_energy_draws(label, [sinrs[k] for k in energy_rows],
-                                          synth, ref_rng)
-        for k, row in zip(energy_rows, energies):
-            want[k] = tuple(int(e >= t) for e, t in zip(row, energy.thresholds))
-        spectra = reference_spectra(label, [sinrs[k] for k in classifier_rows], synth,
-                                    ref_rng)
-        for k, spectrum in zip(classifier_rows, spectra):
-            want[k] = sensing.predict_occupancy(models[k], iqsynth.IQObservation(
-                np.fft.ifft(spectrum, norm="ortho"), label, sinrs[k]))
-        assert got == want
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
-        seen.update(want[k] for k in energy_rows)
-        seen.update(want[k] for k in classifier_rows)
+    for size in (1, 5, 17, 1, 3):
+        labels = [tuple(int(b) for b in labels_rng.random(m) < 0.5) for _ in range(size)]
+        got = simulate.sense(models, labels, sinrs, synth, streams)
+        assert got.shape == (size, len(models), m)
+        for label, reports in zip(labels, got.tolist()):
+            want = [list(label)] * len(models)
+            energies = reference_energy_draws(label, [sinrs[k] for k in energy_rows],
+                                              synth, ref_central, ref_shift)
+            for k, row in zip(energy_rows, energies):
+                want[k] = [int(e >= t) for e, t in zip(row, energy.thresholds)]
+            spectra = reference_spectra(label, [sinrs[k] for k in classifier_rows], synth,
+                                        ref_spectra)
+            for k, spectrum in zip(classifier_rows, spectra):
+                want[k] = list(sensing.predict_occupancy(models[k], iqsynth.IQObservation(
+                    np.fft.ifft(spectrum, norm="ortho"), label, sinrs[k])))
+            assert reports == want
+            seen.update(tuple(want[k]) for k in energy_rows + classifier_rows)
+        for stream, ref_stream in zip(streams, (ref_central, ref_shift, ref_spectra)):
+            assert stream.bit_generator.state == ref_stream.bit_generator.state
     assert len(seen) > 2  # the detectors did not all report one constant vector
+
+
+def golden_like_config(tmp_path):
+    """The CLI goldens' pipeline geometry, all three sensor kinds, with a
+    classifier trained briefly on a small dataset, and an energy detector
+    at 0 dB whose threshold lies between the vacant and busy mean band
+    energies (64 and 128), so that its reports depend on every draw."""
+    from uavdsa.channel import TransitionMatrix, stationary_sampler
+    synth = iqsynth.SynthConfig(seed=7, num_subchannels=4, samples_per_observation=256,
+                                subcarriers_per_subchannel=64, sinr_grid_db=(-5.0, 5.0, 15.0))
+    data = iqsynth.generate_dataset(
+        synth, stationary_sampler([TransitionMatrix(0.2, 0.3)] * 4), 30)
+    model = sensing.train_classifier(data, sensing.TrainParams(
+        seed=7, hidden=(16,), epochs=3, input_mode="band-energy"))
+    ckpt = str(tmp_path / "sensor.ckpt")
+    nnet.save_checkpoint(model.network, ckpt)
+    return validate_config(config_dict(
+        dataset={"fft_size": 256, "sinr_grid_db": [-5, 5, 15], "eval_count": 23},
+        link={"sensing_sinr_db": [5.0, 0.0, 10.0]},
+        sensing=[{"kind": "dense-classifier", "input_mode": "band-energy",
+                  "model_path": ckpt, "hidden": [16]},
+                 {"kind": "energy-threshold", "thresholds": [96.0] * 4},
+                 {"kind": "perfect"}],
+        agent={"variant": "random"}, request_probability=0.6,
+        episodes=3, slots_per_episode=30))
+
+
+def test_outputs_do_not_depend_on_the_block_size(tmp_path, monkeypatch):
+    """simulate and eval-sensing write the same bytes whether a block holds
+    one slot, seven, or what the default budget gives."""
+    from uavdsa.cli import cmd_eval_sensing
+    cfg = golden_like_config(tmp_path)
+    per_slot = cfg.radio.num_uavs * cfg.synth.samples_per_observation  # a classifier senses
+    outputs = []
+    for slots in (1, 7, None):
+        if slots is not None:
+            monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", slots * per_slot)
+        else:
+            monkeypatch.undo()
+        models = [simulate.build_sensing_model(spec, cfg, "") for spec in cfg.sensing]
+        assert simulate.block_slots(models, cfg.synth) == (
+            slots or simulate.BLOCK_ELEMENTS // per_slot)
+        out = tmp_path / f"run_{slots}"
+        simulate.save_report(simulate.run_simulation(cfg), cfg, str(out / "simulate"))
+        eval_cfg = dataclasses.replace(cfg, out_dir=str(out / "eval"))
+        assert cmd_eval_sensing(eval_cfg, argparse.Namespace(model=None)) == 0
+        outputs.append({name: (out / name).read_bytes() for name in (
+            "simulate/ledgers.csv", "simulate/report.json", "simulate/sensing_metrics.csv",
+            "eval/sensing_metrics.csv")})
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("slots", [1, 7, None])
+def test_episode_trajectory_is_stepped_chain(slots, monkeypatch):
+    """Each episode's true occupancy is the stationary draw, then one
+    channel.step per slot, all on the TRUTH stream, whatever the block
+    size."""
+    from uavdsa.channel import stationary_sampler, step
+    if slots is not None:
+        monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", slots * 3 * 4)
+    cfg = validate_config(config_dict(channels={"p01": 0.3, "p10": 0.2},
+                                      episodes=3, slots_per_episode=25))
+    sim = simulate.Simulation(cfg)
+    rng = derive_rng(cfg.seed, simulate.SIMULATE_KEY, simulate.TRUTH)
+    for _ in range(cfg.episodes):
+        want = [stationary_sampler(cfg.matrices)(rng)]
+        for _ in range(cfg.slots_per_episode - 1):
+            want.append(step(want[-1], cfg.matrices, rng))
+        assert [truth for truth, _, _ in sim.episode()] == want
+    assert sim.truth_rng.bit_generator.state == rng.bit_generator.state
 
 
 def test_energy_model_without_thresholds_is_refused_on_both_paths():
