@@ -67,19 +67,6 @@ def _next_state(busy: int, u: float, matrix: TransitionMatrix) -> int:
     return int(u >= matrix.p10) if busy else int(u < matrix.p01)
 
 
-def step(occupancy: tuple[int, ...], matrices: list[TransitionMatrix],
-         rng: np.random.Generator) -> tuple[int, ...]:
-    """Advance every chain one slot: one uniform per channel from rng.
-
-    Channels transition independently, so repeated stepping is
-    deterministic for a fixed starting generator.
-    """
-    if len(matrices) != len(occupancy):
-        raise ValueError(f"expected {len(occupancy)} matrices, got {len(matrices)}")
-    draws = rng.random(len(matrices)).tolist()
-    return tuple(_next_state(b, u, m) for b, u, m in zip(occupancy, draws, matrices))
-
-
 def stationary_sampler(matrices: list[TransitionMatrix]):
     """Callable(rng) drawing an occupancy vector from the chains' stationary
     distributions: channel m is busy iff its one uniform is >= P(vacant).
@@ -97,11 +84,13 @@ def sample_occupancy(matrices: list[TransitionMatrix], horizon: int,
                      ) -> list[tuple[int, ...]]:
     """Length-`horizon` trajectory of true occupancy vectors driven by rng:
     a stationary draw and its successors, or, after a given previous
-    state `start`, the next horizon states. The result equals that many
-    step calls: one rng.random((steps, M)) draw yields the same uniforms,
-    and each channel's chain is then walked on its own column of draws."""
+    state `start`, the next horizon states. One rng.random((steps, M))
+    draw gives every step one uniform per channel, in slot order, and each
+    channel's chain is then walked on its own column of draws."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    if start is not None and len(start) != len(matrices):
+        raise ValueError(f"expected {len(start)} matrices, got {len(matrices)}")
     fresh = start is None
     if fresh:
         start = stationary_sampler(matrices)(rng)

@@ -36,7 +36,7 @@ Schema (defaults in parentheses):
             checkpoint (null; refused for "random")}
     dataset: {fft_size (1024, <= 65536), subcarriers_per_subchannel (null -> fft/M),
               sinr_grid_db ([-10, 0, 10, 20]), count_per_sinr (600),
-              eval_count (150), interference_gains_db ([])}
+              eval_count (150), interference_gains_db ([]; gen-dataset only)}
     request_probability   float in [0, 1] (1.0)
     episodes              int >= 0 (5)
     slots_per_episode     int >= 1 (100)

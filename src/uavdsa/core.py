@@ -105,32 +105,21 @@ class Assignment:
 
 @dataclass
 class SlotLedger:
-    """Per-slot record of what was transmitted and what it cost.
-
-    collision/throughput/access_cost are keyed by assignment pair;
-    sensing_costs is keyed by UAV (all sensing UAVs pay, assigned or not).
-    """
+    """Per-slot record of what was decided: the assignment that transmitted,
+    each pair's collision indicator, the slot's scores and its detected and
+    true hole counts. Throughputs and costs are the config's, not the slot's."""
 
     slot: int
     assignment: Assignment
     collision: dict[tuple[int, int], int]
-    throughput: dict[tuple[int, int], float]
-    access_cost: dict[tuple[int, int], float]
-    sensing_costs: dict[int, float]
     utility: float
     energy_efficiency: float
     holes_detected: int = 0
     holes_true: int = 0
 
     def __post_init__(self):
-        for r in self.collision.values():
-            if r not in (-1, 0, 1):
-                raise ValueError("collision indicator must be in {-1, 0, 1}")
-        for name, table in (("throughput", self.throughput),
-                            ("access_cost", self.access_cost),
-                            ("sensing_costs", self.sensing_costs)):
-            if any(v < 0 for v in table.values()):
-                raise ValueError(f"{name} entries must be non-negative")
+        if any(r not in (-1, 0, 1) for r in self.collision.values()):
+            raise ValueError("collision indicator must be in {-1, 0, 1}")
 
 
 def sensing_cost(timing: SlotTiming, radio: RadioParams) -> float:

@@ -301,8 +301,9 @@ def load_dataset(path: str) -> Dataset:
     The subcarrier block width is not stored and reloads at its default
     (fft size // M); it only matters for further synthesis, not for the
     stored samples. A partial header or record, a record whose label mask
-    has bits at or above M, and a record whose SINR is not a grid value
-    raise a ValueError that names the file (and the record); a file that
+    has bits at or above M, a record whose SINR is not a grid value, and a
+    record left over after the walk through the grid's strata raise a
+    ValueError that names the file (and the record); a file that
     lacks only whole trailing records cannot be told apart, because the
     header stores no record count.
     """
@@ -356,5 +357,8 @@ def load_dataset(path: str) -> Dataset:
         while pos < len(observations) and observations[pos].sinr_db == g:
             pos += 1
         sizes.append(pos - start)
+    if pos < len(observations):
+        raise ValueError(f"{path}: record {pos}: SINR {observations[pos].sinr_db:g} dB "
+                         f"outside its stratum")
     split = split_indices(sizes)
     return Dataset(observations=observations, split=split, config=config)

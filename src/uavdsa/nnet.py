@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .seeds import derive_rng
+
 ACTIVATIONS = ("identity", "relu", "sigmoid")
 _ACT_CODE = {name: i for i, name in enumerate(ACTIVATIONS)}
 
@@ -105,7 +107,7 @@ def build_network(dims: list[int], activations: list[str], seed: int) -> Network
     for sigmoid/identity; zero biases."""
     if len(activations) != len(dims) - 1:
         raise ValueError("need one activation per layer")
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x2E7)))
+    rng = derive_rng(seed, 0x2E7)
     layers = []
     for fan_in, fan_out, act in zip(dims, dims[1:], activations):
         scale = np.sqrt(2.0 / fan_in) if act == "relu" else np.sqrt(1.0 / fan_in)

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import nnet
-from .channel import TransitionMatrix, stationary_distribution, stationary_sampler, step
+from .channel import TransitionMatrix, sample_occupancy, stationary_distribution
 from .core import (Assignment, collision_indicator, mask_occupancy, occupancy_mask,
                    slot_utility, validate_assignment)
 from .seeds import derive_rng
@@ -411,50 +411,16 @@ def normalized_reward_table(access_sinr_db) -> np.ndarray:
 
 
 class SchedulingEnv:
-    """Slot-level allocation environment with perfect sensing.
-
-    Each step advances the occupancy chains once, scores the actions chosen
-    from the previous fused vector, and reveals the new occupancy as the
-    next agent state. Rewards are normalized slot utilities.
-    """
+    """Slot-level allocation MDP with perfect sensing: the K x M reward
+    table of normalized link rates over the M occupancy chains. train_agent
+    walks the chains; an action's reward is its collision indicator times
+    its table entry."""
 
     def __init__(self, matrices: list[TransitionMatrix], reward_table):
         self.matrices = list(matrices)
         self.reward_table = np.asarray(reward_table, dtype=float)
         if self.reward_table.ndim != 2 or self.reward_table.shape[1] != len(self.matrices):
             raise ValueError("reward table must be K x M")
-        self.stationary = stationary_sampler(self.matrices)
-        self.occupancy = self.rng = None  # set by reset
-
-    @property
-    def num_subchannels(self) -> int:
-        return len(self.matrices)
-
-    @property
-    def num_uavs(self) -> int:
-        return self.reward_table.shape[0]
-
-    def reset(self, rng: np.random.Generator) -> AgentState:
-        """Start an episode whose chains are driven by rng."""
-        self.rng = rng
-        self.occupancy = self.stationary(rng)
-        return None
-
-    def step(self, actions: Sequence[int]):
-        """Returns (utility, per-action rewards, collision count, next state)."""
-        self.occupancy = bits = step(self.occupancy, self.matrices, self.rng)
-        pairs, rewards = [], []
-        for uav, action in enumerate(actions):
-            if action == 0:
-                rewards.append(0.0)
-                continue
-            r = collision_indicator(bits[action - 1], 0)
-            gain = self.reward_table[uav, action - 1]
-            pairs.append((r, gain))
-            rewards.append(r * gain)
-        utility = slot_utility(pairs)
-        collisions = sum(1 for r, _ in pairs if r == -1)
-        return utility, tuple(rewards), collisions, bits
 
 
 def preset_scheduling_env(num_subchannels: int, num_uavs: int = 1) -> SchedulingEnv:
@@ -483,30 +449,34 @@ def train_agent(agent, env: SchedulingEnv, episodes: int, slots_per_episode: int
     matching TRAINING_COLUMNS. Reproducible per seed."""
     if episodes < 0 or slots_per_episode < 1:
         raise ValueError("need a positive horizon")
+    num_subchannels, num_uavs = len(env.matrices), len(env.reward_table)
     rng_env = derive_rng(seed, 0xE17)
     rng_agent = derive_rng(seed, 0xA9E)
     log = []
     for episode in range(episodes):
         epsilon = agent.epsilon_at(episode, episodes)
-        state = env.reset(rng_env)
         t0 = time.perf_counter()
+        # walk[0] is the unseen stationary start and walk[t + 1] slot t's
+        # occupancy; slot t plays from slot t - 1's (INITIAL before the first)
+        walk = sample_occupancy(env.matrices, slots_per_episode + 1, rng_env)
+        state = None
         cum_utility = 0.0
         collisions = 0
         q_sum = 0.0
-        for _ in range(slots_per_episode):
-            valid = valid_actions(state, env.num_subchannels)
-            actions, q_row = agent.select(state, valid, epsilon, rng_agent,
-                                          k=env.num_uavs)
+        for bits in walk[1:]:
+            valid = valid_actions(state, num_subchannels)
+            actions, q_row = agent.select(state, valid, epsilon, rng_agent, k=num_uavs)
             if np.abs(q_row).max() > Q_DIVERGENCE_LIMIT:
                 raise RuntimeError(f"Q-values diverged beyond {Q_DIVERGENCE_LIMIT:g}")
             feasible_assignment(enumerate(actions), state)
-            utility, rewards, ncoll, next_state = env.step(actions)
-            for action, reward in zip(actions, rewards):
-                agent.observe(state, action, reward, next_state, rng_agent)
-            cum_utility += utility
-            collisions += ncoll
+            outcomes = [(collision_indicator(bits[a - 1], 0), env.reward_table[uav, a - 1])
+                        if a else (0, 0.0) for uav, a in enumerate(actions)]
+            for action, (r, gain) in zip(actions, outcomes):
+                agent.observe(state, action, r * gain, bits, rng_agent)
+            cum_utility += slot_utility(outcomes)
+            collisions += sum(r == -1 for r, _ in outcomes)
             q_sum += max(q_row[a] for a in valid)
-            state = next_state
+            state = bits
         wall_ms = (time.perf_counter() - t0) * 1e3
         log.append((episode, cum_utility, collisions, epsilon,
                     q_sum / slots_per_episode, wall_ms))

@@ -7,7 +7,9 @@ workers. One substream serves one purpose; every key path in use:
 
     (seed, 0x0B5, i)      iqsynth.generate_dataset: observation i
     (seed, 0x5E25)        sensing.train_classifier: minibatch order
-    (seed, 0xE17)         scheduler.train_agent: start states and chain steps
+    (seed, 0x2E7)         nnet.build_network: initial weights; a classifier
+                          and an agent network built with equal seeds share it
+    (seed, 0xE17)         scheduler.train_agent: each episode's sample_occupancy walk
     (seed, 0xA9E)         scheduler.train_agent: agent draws and replay sampling
     (seed, 0x51B, p)      simulate, p = TRUTH 0 (occupancy), REQUESTS 1,
                           CENTRAL 2 and SHIFT 3 (energy detectors' chi-square

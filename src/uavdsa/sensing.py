@@ -150,22 +150,14 @@ def confusion_tally(predictions, truths, positive_class: int = 0) -> np.ndarray:
     return np.bincount(cells.ravel(), minlength=4 * negative.shape[1]).reshape(-1, 4)
 
 
-def confusion_counts(predictions, truths, positive_class: int = 0,
-                     counts: list[int] | None = None) -> list[int]:
-    """[TP, FP, FN, TN] pooled over every (observation, sub-channel) cell,
-    added into `counts` when a running tally is given."""
+def micro_metrics(predictions, truths, positive_class: int = 0) -> SensingMetrics:
+    """Micro metrics of the [TP, FP, FN, TN] counts pooled over every
+    (observation, sub-channel) cell of predictions and truths (n, M)."""
     predictions, truths = np.atleast_2d(predictions), np.atleast_2d(truths)
     if predictions.shape != truths.shape:
         raise ValueError("predictions and truths differ in shape")
-    tally = confusion_tally(predictions[:, None], truths, positive_class)[0].tolist()
-    if counts is not None:
-        counts[:] = [a + b for a, b in zip(counts, tally)]
-    return tally if counts is None else counts
-
-
-def micro_metrics(predictions, truths, positive_class: int = 0) -> SensingMetrics:
-    """Micro metrics of the pooled confusion counts."""
-    return metrics_from_counts(*confusion_counts(predictions, truths, positive_class))
+    return metrics_from_counts(
+        *confusion_tally(predictions[:, None], truths, positive_class)[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -227,13 +219,20 @@ def train_classifier(dataset: Dataset, params: TrainParams) -> SensingModel:
 
 def evaluate_model(model: SensingModel, dataset: Dataset, split: str = "test",
                    positive_class: int = 0, sinr_db: float | None = None) -> SensingMetrics:
-    """Micro metrics of a model on one split, optionally one SINR slice."""
-    idx = [i for i in dataset.split[split]
+    """Micro metrics of a model on one split, optionally one SINR slice:
+    one detection pass over the slice's (n, N) stack of captures. An empty
+    slice has undefined (NaN) metrics."""
+    obs = [dataset.observations[i] for i in dataset.split[split]
            if sinr_db is None
            or np.float32(dataset.observations[i].sinr_db) == np.float32(sinr_db)]
-    preds = [predict_occupancy(model, dataset.observations[i]) for i in idx]
-    truths = [dataset.observations[i].label for i in idx]
-    return micro_metrics(preds, truths, positive_class)
+    m, n = model.num_subchannels, dataset.config.samples_per_observation
+    samples = np.reshape([o.samples for o in obs], (len(obs), n))
+    if model.kind == "energy-threshold":
+        preds = energy_detect(band_energies(samples, m), model.thresholds)
+    else:
+        preds = classify(model, samples)
+    return micro_metrics(np.reshape(preds, (len(obs), m)),
+                         np.reshape([o.label for o in obs], (len(obs), m)), positive_class)
 
 
 METRICS_COLUMNS = ("uav", "sinr_db", "precision", "recall", "f1", "detector", "fused")

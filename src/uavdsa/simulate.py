@@ -8,13 +8,14 @@ against the occupancy that actually materialized (the collision indicator
 scores it), and (6) advances the occupancy chains. Steps (1)-(3) and (6)
 do not depend on the agent, so they run a block of slots at a time with
 array operations; run_slot does the rest, per slot. Before saving, every
-slot is rescored from its per-pair fields and the aggregates from those
-(self-audit). All randomness flows from the config seed, one substream
-derive_rng(seed, SIMULATE_KEY, purpose) per purpose (see the seeds module):
-TRUTH (occupancy), REQUESTS, CENTRAL and SHIFT (energy detectors'
-chi-square and normal draws), SPECTRA (classifier spectra) and AGENT. Each
-draws a block's slots in slot order, so outputs do not depend on the block
-size; eval-sensing draws TRUTH labels and the sensing streams under EVAL_KEY.
+slot is rescored from its collision indicators under the config's costs,
+and the aggregates from those (self-audit). All randomness flows from the
+config seed, one substream derive_rng(seed, SIMULATE_KEY, purpose) per
+purpose (see the seeds module): TRUTH (occupancy), REQUESTS, CENTRAL and
+SHIFT (energy detectors' chi-square and normal draws), SPECTRA (classifier
+spectra) and AGENT. Each draws a block's slots in slot order, so outputs do
+not depend on the block size; eval-sensing draws TRUTH labels and the
+sensing streams under EVAL_KEY.
 """
 
 import json
@@ -116,7 +117,12 @@ def build_sensing_model(spec: SensingSpec, config: SimConfig,
     """None stands for the perfect (oracle) sensor. A classifier checkpoint
     that cannot be read, has other than M outputs, or takes another input
     width than the input mode gives (2N for iq, M for band-energy) is a
-    ConfigError naming `field`, the setting the path came from."""
+    ConfigError naming `field`, the setting the path came from. Sensing
+    passes apply no interference, so a config that sets some is refused."""
+    if config.synth.interference_gains_db:
+        raise ConfigError(["dataset.interference_gains_db: only gen-dataset applies "
+                           "neighbor-cell interference; simulate and eval-sensing "
+                           "would ignore it"])
     m = config.radio.num_subchannels
     if spec.kind == "perfect":
         return None
@@ -200,18 +206,26 @@ def metric_rows(counts, uav_sinrs_db, fused_sinr_db, kinds, n: int) -> list[tupl
     return rows
 
 
-def slot_scores(collision, throughput, access_cost, sensing_costs) -> tuple[float, float]:
-    """(utility, energy efficiency) of one slot from its per-pair and
-    per-UAV tables; the EE is NaN when the slot consumed no energy."""
-    keys = sorted(collision)
-    utility = slot_utility((collision[key], throughput[key]) for key in keys)
-    try:
-        ee = energy_efficiency(
-            [(collision[key], throughput[key], access_cost[key]) for key in keys],
-            [sensing_costs[k] for k in sorted(sensing_costs)])
-    except UndefinedEnergyEfficiencyError:
-        ee = float("nan")
-    return utility, ee
+def slot_scorer(config: SimConfig):
+    """Callable(collision) -> (utility, energy efficiency) of one slot from
+    its pairs' collision indicators and the config's K x M throughput
+    table, per-pair access cost and K sensing costs (every UAV senses);
+    the EE is NaN when the slot consumed no energy."""
+    timing, radio = config.timing, config.radio
+    bits = [[throughput(timing, radio, db_to_linear(sinr)) for sinr in row]
+            for row in config.link.access_sinr_db]
+    ac = access_cost(timing, radio)
+    sensing_costs = [sensing_cost(timing, radio)] * radio.num_uavs
+
+    def score(collision) -> tuple[float, float]:
+        pairs = [(collision[uav, ch], bits[uav][ch - 1]) for uav, ch in sorted(collision)]
+        try:
+            ee = energy_efficiency([(r, big_r, ac) for r, big_r in pairs], sensing_costs)
+        except UndefinedEnergyEfficiencyError:
+            ee = float("nan")
+        return slot_utility(pairs), ee
+
+    return score
 
 
 class Simulation:
@@ -224,15 +238,7 @@ class Simulation:
         self.models = [build_sensing_model(s, config, f"sensing[{k}].model_path")
                        for k, s in enumerate(config.sensing)]
         self.agent = build_agent(config)
-        m = config.radio.num_subchannels
-        self.sc_per_uav = sensing_cost(config.timing, config.radio)
-        self.ac_per_pair = access_cost(config.timing, config.radio)
-        self.bits_table = [
-            [throughput(config.timing, config.radio,
-                        db_to_linear(config.link.access_sinr_db[k][ch]))
-             for ch in range(m)]
-            for k in range(config.radio.num_uavs)
-        ]
+        self.score = slot_scorer(config)
         self.slot = 0
         # [TP, FP, FN, TN] per UAV, then fused
         self.counts = np.zeros((config.radio.num_uavs + 1, 4), dtype=np.int64)
@@ -266,18 +272,12 @@ class Simulation:
                                            self.agent_rng, k=len(requesting))
             pending_next = feasible_assignment(zip(requesting, actions), fused)
 
-        pairs = sorted(self.pending.pairs)
         collision = {(uav, ch): collision_indicator(truth[ch - 1], self.prev_fused[ch - 1])
-                     for uav, ch in pairs}
-        bits = {(uav, ch): self.bits_table[uav][ch - 1] for uav, ch in pairs}
-        acc = dict.fromkeys(pairs, self.ac_per_pair)
-        sensing_costs = dict.fromkeys(range(self.cfg.radio.num_uavs), self.sc_per_uav)
-        utility, ee = slot_scores(collision, bits, acc, sensing_costs)
-
+                     for uav, ch in sorted(self.pending.pairs)}
+        utility, ee = self.score(collision)
         ledger = SlotLedger(
-            slot=self.slot, assignment=self.pending,
-            collision=collision, throughput=bits, access_cost=acc,
-            sensing_costs=sensing_costs, utility=utility, energy_efficiency=ee,
+            slot=self.slot, assignment=self.pending, collision=collision,
+            utility=utility, energy_efficiency=ee,
             holes_detected=len(fused) - sum(fused), holes_true=len(truth) - sum(truth))
 
         self.prev_fused = fused
@@ -320,16 +320,16 @@ def _same(a: float, b: float) -> bool:
     return a == b or (np.isnan(a) and np.isnan(b))
 
 
-def _audit(report: RunReport) -> None:
-    """The only place slots are rescored: each slot's per-pair fields must
-    give the utility and EE it records, and those must give the report's
-    aggregates."""
+def _audit(report: RunReport, config: SimConfig) -> None:
+    """The only place slots are rescored: each slot's collision indicators
+    under the config's costs must give the utility and EE it records, and
+    those must give the report's aggregates."""
+    score = slot_scorer(config)
     for led in report.ledgers:
-        utility, ee = slot_scores(led.collision, led.throughput, led.access_cost,
-                                  led.sensing_costs)
+        utility, ee = score(led.collision)
         if utility != led.utility or not _same(ee, led.energy_efficiency):
             raise RuntimeError(f"slot {led.slot}: recorded scores do not match "
-                               f"its per-pair fields")
+                               f"its collision indicators")
     mean_utility, mean_ee, rate, transmissions, collisions = recompute_aggregates(
         report.ledgers)
     if (mean_utility != report.mean_utility or not _same(mean_ee, report.mean_ee)
@@ -341,7 +341,7 @@ def _audit(report: RunReport) -> None:
 
 def save_report(report: RunReport, config: SimConfig, out_dir: str) -> None:
     """Persist ledgers.csv, report.json and sensing_metrics.csv; audited."""
-    _audit(report)
+    _audit(report, config)
     os.makedirs(out_dir, exist_ok=True)
 
     with open(os.path.join(out_dir, "ledgers.csv"), "w", newline="") as f:

@@ -34,21 +34,17 @@ class TestStationary:
 
 
 class TestStep:
+    """sample_occupancy continuing after a given previous state."""
+
     def test_identity_dynamics_absorbing(self):
         mats = [channel.TransitionMatrix(0.0, 0.0)] * 2
-        state, rng = (0, 1), derive_rng(1)
-        for _ in range(50):
-            state = channel.step(state, mats, rng)
-        assert state == (0, 1)
+        traj = channel.sample_occupancy(mats, 50, derive_rng(1), start=(0, 1))
+        assert traj == [(0, 1)] * 50
 
     def test_deterministic_flip(self):
         mats = [channel.TransitionMatrix(1.0, 1.0)]
-        state, rng = (0,), derive_rng(1)
-        seen = []
-        for _ in range(4):
-            state = channel.step(state, mats, rng)
-            seen.append(state[0])
-        assert seen == [1, 0, 1, 0]
+        traj = channel.sample_occupancy(mats, 4, derive_rng(1), start=(0,))
+        assert [state[0] for state in traj] == [1, 0, 1, 0]
 
     def test_long_run_busy_fraction(self):
         # closed form p01/(p01+p10) = 0.4, checked by long-run frequency
@@ -59,9 +55,8 @@ class TestStep:
 
     def test_preserves_length_and_alphabet(self):
         mats = [channel.TransitionMatrix(0.4, 0.2)] * 5
-        state, rng = (0, 1, 0, 1, 0), derive_rng(2)
-        for _ in range(200):
-            state = channel.step(state, mats, rng)
+        traj = channel.sample_occupancy(mats, 200, derive_rng(2), start=(0, 1, 0, 1, 0))
+        for state in traj:
             assert len(state) == 5
             assert set(state) <= {0, 1}
 
@@ -78,8 +73,9 @@ class TestStep:
         assert est10 == pytest.approx(p10, abs=0.02)
 
     def test_matrix_count_mismatch(self):
-        with pytest.raises(ValueError):
-            channel.step((0, 1), [channel.TransitionMatrix(0.1, 0.1)], derive_rng(0))
+        with pytest.raises(ValueError, match="expected 2 matrices, got 1"):
+            channel.sample_occupancy([channel.TransitionMatrix(0.1, 0.1)], 3, derive_rng(0),
+                                     start=(0, 1))
 
 
 class TestSampleOccupancy:
@@ -136,11 +132,6 @@ def test_trajectories_match_per_step_reference(horizon):
     got = channel.sample_occupancy(mats, horizon, derive_rng(17, 0xC4A1))
     assert got == want
     assert all(type(b) is int for s in got for b in s)
-    rng = derive_rng(17, 0xC4A1)
-    stepped = [channel.stationary_sampler(mats)(rng)]
-    for _ in range(horizon - 1):
-        stepped.append(channel.step(stepped[-1], mats, rng))
-    assert stepped == want
     rng = derive_rng(17, 0xC4A1)  # the same walk, continued in pieces from a given state
     pieces = channel.sample_occupancy(mats, 1, rng)
     while len(pieces) < horizon:

@@ -150,6 +150,20 @@ class TestExitCodes:
         assert cli_dispatch(["eval-sensing", "--config", cfg, "--out", out,
                              "--model", ckpt]) == 0
 
+    def test_interference_is_refused_where_it_is_ignored(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, dataset={"fft_size": 256, "count_per_sinr": 4,
+                                              "interference_gains_db": [-10.0]})
+        for command in ("simulate", "eval-sensing"):
+            assert cli_dispatch([command, "--config", cfg, "--out", str(out)]) == 1
+            assert capsys.readouterr().err.startswith("dataset.interference_gains_db: ")
+            assert not out.exists()
+        assert cli_dispatch(["gen-dataset", "--config", cfg, "--out", str(out)]) == 0
+        clean = write_config(tmp_path, dataset={"fft_size": 256, "count_per_sinr": 4})
+        clean_out = tmp_path / "clean"
+        assert cli_dispatch(["gen-dataset", "--config", clean, "--out", str(clean_out)]) == 0
+        assert (out / "dataset.iq").read_bytes() != (clean_out / "dataset.iq").read_bytes()
+
     def test_train_agent_refuses_an_untrainable_variant(self, tmp_path, capsys):
         cfg = write_config(tmp_path)  # agent.variant "random", no --variant
         out = tmp_path / "run"

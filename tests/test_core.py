@@ -156,6 +156,4 @@ class TestTypes:
     def test_ledger_rejects_bad_indicator(self):
         with pytest.raises(ValueError):
             core.SlotLedger(slot=0, assignment=core.Assignment.of((0, 1)),
-                            collision={(0, 1): 2}, throughput={(0, 1): 1.0},
-                            access_cost={(0, 1): 1.0}, sensing_costs={0: 1.0},
-                            utility=1.0, energy_efficiency=0.5)
+                            collision={(0, 1): 2}, utility=1.0, energy_efficiency=0.5)

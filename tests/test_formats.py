@@ -7,8 +7,9 @@ proper prefix of it, and the file with bytes appended, is refused with a
 ValueError that names the file. The one exception is the documented gap
 of IQDS v1, whose header stores no record count: a file cut on a record
 boundary, or extended by whole records, loads as that many records, as
-long as every appended record has a label mask below 2^M and a SINR on
-the header's grid; a record without is refused naming the file.
+long as every appended record continues the last stratum: a label mask
+below 2^M and the SINR of the grid's last value. Any other appended record
+is refused naming the file.
 """
 
 import os
@@ -93,12 +94,13 @@ def _iqds_layout(data: bytes) -> tuple[int, int]:
 
 
 def _valid_records(data: bytes, tail: bytes) -> bool:
-    """Whether every record of an IQDS tail has a label mask below 2^M and
-    a SINR among the header's grid values."""
+    """Whether every record of an IQDS tail continues the file's last
+    stratum: a label mask below 2^M and the grid's last SINR (every
+    stratum of a saved dataset holds records)."""
     m, n, _k, grid_len = struct.unpack_from("<IIII", data, 8)
-    grid = set(np.frombuffer(data, "<f4", grid_len, 24).tolist())
+    last = np.frombuffer(data, "<f4", grid_len, 24).tolist()[-1]
     record = 8 + 8 * n
-    return all(mask >> m == 0 and sinr in grid for mask, sinr in (
+    return all(mask >> m == 0 and sinr == last for mask, sinr in (
         struct.unpack_from("<If", tail, start) for start in range(0, len(tail), record)))
 
 
@@ -155,11 +157,13 @@ def test_files_round_trip_and_refuse_cuts_and_trailing_bytes(fmt, data, tail):
     ("mask", 0xFFFFFFFF, "label mask has bits at or above M=3"),
     ("sinr_db", 4.0, "SINR is not a grid value"),
     ("sinr_db", np.nan, "SINR is not a grid value"),
+    (None, None, "SINR 0 dB outside its stratum"),
 ])
 def test_iqds_refuses_a_record_off_the_label_width_or_the_grid(field, value, problem, tmp_path):
-    """A record whose label mask has bits at or above M, or whose SINR is
-    not one of the header's grid values, is refused naming the file and
-    the record."""
+    """A record whose label mask has bits at or above M, whose SINR is not
+    one of the header's grid values, or that sits outside its SINR's
+    stratum (field None: a copy of record 0 appended after the last one)
+    is refused naming the file and the record."""
     config = iqsynth.SynthConfig(seed=1, num_subchannels=3, samples_per_observation=8,
                                  subcarriers_per_subchannel=2, sinr_grid_db=(0.0, 5.0))
     source = lambda rng: tuple(int(b) for b in rng.integers(0, 2, size=3))  # noqa: E731
@@ -167,8 +171,15 @@ def test_iqds_refuses_a_record_off_the_label_width_or_the_grid(field, value, pro
     iqsynth.save_dataset(iqsynth.generate_dataset(config, source, 2), path)
     records = np.memmap(path, dtype=iqsynth._record_dtype(8), mode="r+",
                         offset=4 + 20 + 4 * 2 + 8, shape=(4,))
-    records[field][2] = value
-    records.flush()
-    del records
-    with pytest.raises(ValueError, match=re.escape(f"{path}: record 2: {problem}")):
+    if field is None:
+        first = records[0].tobytes()
+        del records
+        with open(path, "ab") as f:
+            f.write(first)
+    else:
+        records[field][2] = value
+        records.flush()
+        del records
+    record = 2 if field else 4
+    with pytest.raises(ValueError, match=re.escape(f"{path}: record {record}: {problem}")):
         iqsynth.load_dataset(path)

@@ -76,6 +76,25 @@ class TestEnergyDetect:
         metrics = sensing.evaluate_model(model, ds, split="test")
         assert metrics.micro_f1 >= 0.85
 
+    def test_evaluation_is_one_pass_over_the_slice(self):
+        # the slice's stacked captures give what one predict_occupancy per
+        # capture gives; a slice without observations has undefined metrics
+        ds = make_dataset(m=4, n=64, grid=(0.0, 10.0), count=40)
+        model = sensing.SensingModel(kind="energy-threshold", num_subchannels=4,
+                                     thresholds=np.full(4, 24.0))
+        for sinr in (0.0, 10.0, None):
+            idx = [i for i in ds.split["test"]
+                   if sinr is None or ds.observations[i].sinr_db == sinr]
+            want = sensing.micro_metrics(
+                [sensing.predict_occupancy(model, ds.observations[i]) for i in idx],
+                [ds.observations[i].label for i in idx])
+            got = sensing.evaluate_model(model, ds, sinr_db=sinr)
+            assert (got.tp, got.fp, got.fn, got.tn) == (want.tp, want.fp, want.fn, want.tn)
+            assert got.fp + got.fn > 0 or sinr == 10.0  # 0 dB makes mistakes
+        empty = sensing.evaluate_model(model, ds, sinr_db=5.0)
+        assert (empty.tp, empty.fp, empty.fn, empty.tn) == (0, 0, 0, 0)
+        assert not empty.f1_defined and np.isnan(empty.micro_f1)
+
 
 class TestMicroMetrics:
     def test_perfect_predictions(self):
@@ -93,12 +112,14 @@ class TestMicroMetrics:
         assert m.micro_recall == pytest.approx(2 / 3)
         assert m.micro_f1 == pytest.approx(2 / 3)
 
-    def test_counts_add_into_a_running_tally(self):
-        tally = [1, 1, 1, 1]
-        for pred, truth in (((0, 0), (0, 1)), ((0, 1), (0, 0))):
-            sensing.confusion_counts((pred,), (truth,), counts=tally)
-        assert tally == [3, 2, 2, 1]
-        assert sensing.confusion_counts([(0, 0), (0, 1)], [(0, 1), (0, 0)]) == [2, 1, 1, 0]
+    def test_counts_are_the_one_tally(self):
+        preds, truths = [(0, 0), (0, 1)], [(0, 1), (0, 0)]
+        m = sensing.micro_metrics(preds, truths)
+        assert [m.tp, m.fp, m.fn, m.tn] == [2, 1, 1, 0]
+        assert [m.tp, m.fp, m.fn, m.tn] == \
+            sensing.confusion_tally(np.array(preds)[:, None], truths)[0].tolist()
+        one = sensing.micro_metrics((0, 1), (0, 0))  # a single observation
+        assert (one.tp, one.fp, one.fn, one.tn) == (1, 0, 1, 0)
 
     def test_all_positive_recall_one(self):
         preds = [(0, 0, 0, 0)] * 50
