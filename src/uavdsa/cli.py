@@ -22,15 +22,16 @@ from . import nnet
 from .channel import stationary_sampler
 from .config import ConfigError, SimConfig, load_config
 from .iqsynth import DATASET_MAX_SUBCHANNELS, generate_dataset, load_dataset, save_dataset
-from .scheduler import (SchedulingEnv, TRAINING_COLUMNS, normalized_reward_table,
-                        save_agent, save_qtable, train_agent, write_training_csv)
+from .scheduler import (DQN_VARIANTS, SchedulingEnv, TRAINING_COLUMNS,
+                        normalized_reward_table, save_agent, save_qtable, train_agent,
+                        write_training_csv)
 from .seeds import derive_rng
 from .sensing import TrainParams, evaluate_model, train_classifier, write_metrics_csv
 from .simulate import (EVAL_KEY, TRUTH, block_slots, build_sensing_model, metric_rows,
                        new_agent, run_simulation, save_report, sensing_streams,
                        sensing_trials)
 
-AGENT_TRAIN_VARIANTS = ("qtable", "dqn", "ddqn", "ddqn-soft")
+AGENT_TRAIN_VARIANTS = ("qtable", *DQN_VARIANTS)
 
 
 def _say(msg: str) -> None:
@@ -166,6 +167,8 @@ def cmd_simulate(config: SimConfig, args) -> int:
     _say(f"simulate: {report.slots} slots in {time.perf_counter() - t0:.1f}s; "
          f"mean utility {report.mean_utility:.3f}, "
          f"collision rate {report.collision_rate:.4f}")
+    if config.agent.variant != "random" and config.agent.checkpoint is None:
+        _say(f"simulate: agent {config.agent.variant} is untrained (no agent.checkpoint)")
     print(os.path.join(config.out_dir, "report.json"))
     return 0
 

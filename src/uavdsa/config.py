@@ -50,7 +50,7 @@ from .channel import LinkModel, TransitionMatrix, default_link_model
 from .core import RadioParams, SlotTiming
 from .fusion import FusionRule
 from .iqsynth import SynthConfig
-from .scheduler import DQN_MAX_SUBCHANNELS, TABULAR_MAX_SUBCHANNELS
+from .scheduler import DQN_MAX_SUBCHANNELS, DQN_VARIANTS, TABULAR_MAX_SUBCHANNELS
 from .sensing import INPUT_MODES
 
 SEED_MAX = 2 ** 64 - 1
@@ -62,7 +62,6 @@ MAX_FFT_SIZE = 2 ** 16
 MAX_HIDDEN_WIDTH = 1024
 MAX_REPLAY_CAPACITY = 10 ** 6
 SENSING_KINDS = ("perfect", "energy-threshold", "dense-classifier")
-DQN_VARIANTS = ("dqn", "ddqn", "ddqn-soft")
 AGENT_VARIANTS = (*DQN_VARIANTS, "qtable", "random")
 
 

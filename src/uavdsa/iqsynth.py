@@ -99,6 +99,10 @@ class SynthConfig:
             raise ValueError("subcarriers_per_subchannel must be >= 1")
         if self.num_subchannels * self.subcarriers_per_subchannel > n:
             raise ValueError("sub-channel blocks exceed the transform length")
+        # compared as float32, as IQDS stores the grid and evaluation matches it
+        grid32 = np.float32(self.sinr_grid_db).tolist()
+        if len(set(grid32)) < len(grid32):
+            raise ValueError("sinr_grid_db repeats a value (compared as float32)")
 
     @cached_property
     def bin_layout(self) -> np.ndarray:

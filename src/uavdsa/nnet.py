@@ -210,15 +210,16 @@ def backward(net: Network, x: np.ndarray, target: np.ndarray, loss: LossSpec,
     return grads
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class OptimizerState:
-    """Adam; `slots` holds the first and second moments and `scratch` two
-    work vectors, each laid out like the network's flat parameters."""
+    """Adam with the ADAM_* constants; `slots` holds the first and second
+    moments and `scratch` two work vectors, each laid out like the
+    network's flat parameters."""
 
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     slots: list = field(default_factory=list)
     scratch: list = field(default_factory=list)
@@ -238,17 +239,17 @@ def optimizer_step(net: Network, state: OptimizerState):
     state.step_count += 1
     (m, v), (s1, s2) = state.slots, state.scratch
     t = state.step_count
-    m *= state.beta1
-    np.multiply(g, 1.0 - state.beta1, out=s1)
+    m *= ADAM_BETA1
+    np.multiply(g, 1.0 - ADAM_BETA1, out=s1)
     m += s1
-    v *= state.beta2
+    v *= ADAM_BETA2
     np.square(g, out=s1)
-    s1 *= 1.0 - state.beta2
+    s1 *= 1.0 - ADAM_BETA2
     v += s1
-    np.divide(m, 1.0 - state.beta1 ** t, out=s1)  # m_hat
-    np.divide(v, 1.0 - state.beta2 ** t, out=s2)  # v_hat
+    np.divide(m, 1.0 - ADAM_BETA1 ** t, out=s1)  # m_hat
+    np.divide(v, 1.0 - ADAM_BETA2 ** t, out=s2)  # v_hat
     np.sqrt(s2, out=s2)
-    s2 += state.eps
+    s2 += ADAM_EPS
     s1 *= state.learning_rate
     s1 /= s2
     net.params -= s1

@@ -34,6 +34,8 @@ TABULAR_MAX_SUBCHANNELS = 12
 DQN_MAX_SUBCHANNELS = 16
 VALUE_ITERATION_MAX_SUBCHANNELS = 10
 Q_DIVERGENCE_LIMIT = 1e6
+# DqnAgent variants; an agent checkpoint stores a variant as its index here
+DQN_VARIANTS = ("dqn", "ddqn", "ddqn-soft")
 
 
 class TabularComplexityError(ValueError):
@@ -271,7 +273,7 @@ class DqnAgent:
     train_steps: int = 0
 
     def __post_init__(self):
-        if self.variant not in ("dqn", "ddqn", "ddqn-soft"):
+        if self.variant not in DQN_VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must lie in [0, 1)")
@@ -592,8 +594,6 @@ def policy_expected_utility(matrices: list[TransitionMatrix], channel_rewards,
 
 AGENT_MAGIC = b"UAGC"
 AGENT_VERSION = 1
-_VARIANT_CODE = {"dqn": 0, "ddqn": 1, "ddqn-soft": 2}
-_CODE_VARIANT = {v: k for k, v in _VARIANT_CODE.items()}
 
 
 def save_agent(agent: DqnAgent, path: str) -> None:
@@ -605,7 +605,7 @@ def save_agent(agent: DqnAgent, path: str) -> None:
     header = struct.pack(
         "<4sIIIdddddIId",
         AGENT_MAGIC, AGENT_VERSION, agent.num_subchannels,
-        _VARIANT_CODE[agent.variant], agent.gamma, agent.epsilon0,
+        DQN_VARIANTS.index(agent.variant), agent.gamma, agent.epsilon0,
         agent.epsilon_min,
         -1.0 if agent.epsilon_decay is None else agent.epsilon_decay,
         agent.tau, agent.batch_size, agent.target_update_period,
@@ -630,12 +630,12 @@ def load_agent(path: str) -> DqnAgent:
      batch, period, lr) = struct.unpack_from(fmt, data)
     if version != AGENT_VERSION:
         raise ValueError(f"{path}: unsupported agent version {version}")
-    if variant_code not in _CODE_VARIANT:
+    if variant_code >= len(DQN_VARIANTS):
         raise ValueError(f"{path}: unknown agent variant code {variant_code}")
     primary = nnet.network_from_bytes(data, offset=header_size, source=path)
     try:
         return DqnAgent(
-            num_subchannels=m, variant=_CODE_VARIANT[variant_code], gamma=gamma,
+            num_subchannels=m, variant=DQN_VARIANTS[variant_code], gamma=gamma,
             hidden=tuple(l.w.shape[0] for l in primary.layers[1:]),
             epsilon0=eps0, epsilon_min=eps_min,
             epsilon_decay=None if decay < 0 else decay, tau=tau,

@@ -2,10 +2,11 @@
 
 Two detector kinds produce the per-UAV occupancy report: a per-band
 energy threshold baseline and a dense multi-label classifier (one sigmoid
-output per sub-channel, 1 = busy). Evaluation uses micro-averaged
-precision/recall pooled over all (observation, sub-channel) cells; the
-positive class defaults to vacant (0) since holes are the detection
-target.
+output per sub-channel, 1 = busy). Both work on stacks of captures
+(..., N) and return int8 reports (..., M); `detect` dispatches on the
+kind. Evaluation uses micro-averaged precision/recall pooled over all
+(observation, sub-channel) cells, with vacant (0) as the positive class,
+since holes are the detection target; an undefined ratio is NaN.
 """
 
 import csv
@@ -33,23 +34,19 @@ def spectrum_band_energies(spectra, num_subchannels: int) -> np.ndarray:
                     axis=-1)
 
 
-def band_energies(observation, num_subchannels: int) -> np.ndarray:
-    """Band energies of one capture (N,) or of a stack of captures
-    (..., N), shaped (..., M): the spectrum_band_energies of their
-    orthonormal DFT."""
-    samples = observation.samples if isinstance(observation, IQObservation) else np.asarray(observation)
+def band_energies(samples, num_subchannels: int) -> np.ndarray:
+    """Band energies of captures (..., N), shaped (..., M): the
+    spectrum_band_energies of their orthonormal DFT."""
     return spectrum_band_energies(np.fft.fft(samples, norm="ortho"), num_subchannels)
 
 
-def energy_detect(energies: np.ndarray, thresholds: np.ndarray) -> tuple:
-    """Busy (1) wherever the band energy reaches its threshold: a tuple of
-    M bits for energies (M,), nested lists of bits for a stack (..., M)
-    whose trailing axes the thresholds' shape matches."""
-    energies = np.asarray(energies, dtype=float)
-    thresholds = np.asarray(thresholds, dtype=float)
+def energy_detect(energies, thresholds) -> np.ndarray:
+    """Reports (..., M): busy (1) wherever a band energy reaches its
+    threshold; the thresholds' shape matches the energies' trailing axes."""
+    energies, thresholds = np.asarray(energies, float), np.asarray(thresholds, float)
     if energies.shape[energies.ndim - thresholds.ndim:] != thresholds.shape:
         raise ValueError("one threshold per sub-channel required")
-    return tuple((energies >= thresholds).astype(int).tolist())
+    return (energies >= thresholds).astype(np.int8)
 
 
 @dataclass
@@ -81,7 +78,8 @@ class SensingModel:
 def feature_vector(samples, num_subchannels: int, input_mode: str) -> np.ndarray:
     """Standardized classifier input of captures (..., N), one row per
     capture: raw I/Q flattened to 2N reals, or the log band-energy
-    profile, each row standardized on its own."""
+    profile, each row standardized on its own. In place, and without the
+    stacked captures, so a stack peaks at two feature-sized arrays."""
     samples = np.asarray(samples)
     if input_mode == "iq":
         x = np.concatenate([samples.real, samples.imag], axis=-1)
@@ -89,12 +87,19 @@ def feature_vector(samples, num_subchannels: int, input_mode: str) -> np.ndarray
         x = np.log10(band_energies(samples, num_subchannels) + 1e-12)
     else:
         raise ValueError(f"unknown input mode {input_mode!r}")
-    return (x - x.mean(axis=-1, keepdims=True)) / (x.std(axis=-1, keepdims=True) + 1e-12)
+    del samples  # before std's feature-sized temporary
+    mean, std = x.mean(axis=-1, keepdims=True), x.std(axis=-1, keepdims=True)
+    x -= mean
+    x /= std + 1e-12
+    return x
 
 
-def classify(model: SensingModel, samples) -> np.ndarray:
-    """Reports (..., M) of a dense-classifier model on captures (..., N):
-    one standardized feature matrix and one forward pass."""
+def detect(model: SensingModel, samples) -> np.ndarray:
+    """Reports (..., M) of either kind on captures (..., N): band energies
+    against the thresholds, or one standardized feature matrix and one
+    forward pass against the decision threshold."""
+    if model.kind == "energy-threshold":
+        return energy_detect(band_energies(samples, model.num_subchannels), model.thresholds)
     y = nnet.forward(model.network,
                      feature_vector(samples, model.num_subchannels, model.input_mode))
     return (y >= model.decision_threshold).astype(np.int8)
@@ -102,62 +107,48 @@ def classify(model: SensingModel, samples) -> np.ndarray:
 
 def predict_occupancy(model: SensingModel, observation: IQObservation) -> tuple[int, ...]:
     """Deterministic per-UAV occupancy report h_k for one capture."""
-    if model.kind == "energy-threshold":
-        return energy_detect(band_energies(observation, model.num_subchannels),
-                             model.thresholds)
-    return tuple(classify(model, observation.samples).tolist())
+    return tuple(detect(model, observation.samples).tolist())
 
 
 @dataclass
 class SensingMetrics:
     """Micro-averaged counts and scores over (observation, sub-channel)
-    cells. Undefined ratios are NaN with the matching flag cleared, never
-    silently zero."""
+    cells. An undefined ratio is NaN, never silently zero."""
 
     tp: int
     fp: int
     fn: int
     tn: int
-    micro_precision: float = float("nan")
-    micro_recall: float = float("nan")
-    micro_f1: float = float("nan")
-    precision_defined: bool = False
-    recall_defined: bool = False
-    f1_defined: bool = False
+    micro_precision: float
+    micro_recall: float
+    micro_f1: float
 
 
 def metrics_from_counts(tp: int, fp: int, fn: int, tn: int) -> SensingMetrics:
-    m = SensingMetrics(tp=tp, fp=fp, fn=fn, tn=tn)
-    if tp + fp > 0:
-        m.micro_precision = tp / (tp + fp)
-        m.precision_defined = True
-    if tp + fn > 0:
-        m.micro_recall = tp / (tp + fn)
-        m.recall_defined = True
-    if 2 * tp + fp + fn > 0:
-        m.micro_f1 = 2 * tp / (2 * tp + fp + fn)
-        m.f1_defined = True
-    return m
+    def ratio(num, den):
+        return num / den if den > 0 else float("nan")
+    return SensingMetrics(tp, fp, fn, tn, ratio(tp, tp + fp), ratio(tp, tp + fn),
+                          ratio(2 * tp, 2 * tp + fp + fn))
 
 
-def confusion_tally(predictions, truths, positive_class: int = 0) -> np.ndarray:
+def confusion_tally(predictions, truths) -> np.ndarray:
     """The one confusion count: (R, 4) [TP, FP, FN, TN] tallies of R
     report columns, predictions (T, R, M) against truths (T, M), each
     pooled over its T x M cells."""
-    negative = np.asarray(predictions) != positive_class
-    cells = 2 * negative + (np.asarray(truths)[:, None, :] != positive_class)
+    negative = np.asarray(predictions) != 0
+    cells = 2 * negative + (np.asarray(truths)[:, None, :] != 0)
     cells += 4 * np.arange(negative.shape[1])[:, None]  # one block of 4 bins per column
     return np.bincount(cells.ravel(), minlength=4 * negative.shape[1]).reshape(-1, 4)
 
 
-def micro_metrics(predictions, truths, positive_class: int = 0) -> SensingMetrics:
+def micro_metrics(predictions, truths) -> SensingMetrics:
     """Micro metrics of the [TP, FP, FN, TN] counts pooled over every
     (observation, sub-channel) cell of predictions and truths (n, M)."""
     predictions, truths = np.atleast_2d(predictions), np.atleast_2d(truths)
     if predictions.shape != truths.shape:
         raise ValueError("predictions and truths differ in shape")
     return metrics_from_counts(
-        *confusion_tally(predictions[:, None], truths, positive_class)[0].tolist())
+        *confusion_tally(predictions[:, None], truths)[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -182,10 +173,8 @@ def train_classifier(dataset: Dataset, params: TrainParams) -> SensingModel:
     if not train_idx:
         raise ValueError("dataset has an empty train split")
     m_chan = dataset.config.num_subchannels
-    feats = np.array([
-        feature_vector(dataset.observations[i].samples, m_chan, params.input_mode)
-        for i in train_idx
-    ])
+    feats = feature_vector([dataset.observations[i].samples for i in train_idx],
+                           m_chan, params.input_mode)
     labels = np.array([dataset.observations[i].label for i in train_idx], dtype=float)
 
     dims = [feats.shape[1], *params.hidden, m_chan]
@@ -218,21 +207,16 @@ def train_classifier(dataset: Dataset, params: TrainParams) -> SensingModel:
 
 
 def evaluate_model(model: SensingModel, dataset: Dataset, split: str = "test",
-                   positive_class: int = 0, sinr_db: float | None = None) -> SensingMetrics:
+                   sinr_db: float | None = None) -> SensingMetrics:
     """Micro metrics of a model on one split, optionally one SINR slice:
-    one detection pass over the slice's (n, N) stack of captures. An empty
+    one detect pass over the slice's (n, N) stack of captures. An empty
     slice has undefined (NaN) metrics."""
     obs = [dataset.observations[i] for i in dataset.split[split]
            if sinr_db is None
            or np.float32(dataset.observations[i].sinr_db) == np.float32(sinr_db)]
-    m, n = model.num_subchannels, dataset.config.samples_per_observation
-    samples = np.reshape([o.samples for o in obs], (len(obs), n))
-    if model.kind == "energy-threshold":
-        preds = energy_detect(band_energies(samples, m), model.thresholds)
-    else:
-        preds = classify(model, samples)
-    return micro_metrics(np.reshape(preds, (len(obs), m)),
-                         np.reshape([o.label for o in obs], (len(obs), m)), positive_class)
+    n, m = dataset.config.samples_per_observation, model.num_subchannels
+    return micro_metrics(detect(model, np.reshape([o.samples for o in obs], (len(obs), n))),
+                         np.reshape([o.label for o in obs], (len(obs), m)))
 
 
 METRICS_COLUMNS = ("uav", "sinr_db", "precision", "recall", "f1", "detector", "fused")

@@ -35,7 +35,7 @@ from .iqsynth import SynthConfig, draw_band_energies, synthesize_spectra
 from .scheduler import (DqnAgent, QTable, RandomAgent, feasible_assignment,
                         load_agent, load_qtable, valid_actions)
 from .seeds import derive_rng
-from .sensing import (SensingModel, classify, confusion_tally, energy_detect,
+from .sensing import (SensingModel, confusion_tally, detect, energy_detect,
                       metrics_from_counts, write_metrics_csv)
 
 LEDGER_COLUMNS = ("slot", "utility", "ee", "collisions", "holes_detected",
@@ -172,7 +172,7 @@ def sense(models, labels, sinrs_db, synth: SynthConfig, streams) -> np.ndarray:
                                                    synth, spectra_rng)
                                 for label in labels], norm="ortho")
         for j, k in enumerate(classifiers):
-            reports[:, k] = classify(models[k], captures[:, j])
+            reports[:, k] = detect(models[k], captures[:, j])
     return reports
 
 
@@ -189,11 +189,10 @@ def sensing_trials(models, labels, sinrs_db, config: SimConfig,
 
 
 def _metric_row(counts):
-    """(precision, recall, F1) of pooled counts; None where undefined."""
+    """(precision, recall, F1) of pooled counts; None where undefined (NaN)."""
     met = metrics_from_counts(*counts)
-    return (met.micro_precision if met.precision_defined else None,
-            met.micro_recall if met.recall_defined else None,
-            met.micro_f1 if met.f1_defined else None)
+    return tuple(None if np.isnan(v) else v
+                 for v in (met.micro_precision, met.micro_recall, met.micro_f1))
 
 
 def metric_rows(counts, uav_sinrs_db, fused_sinr_db, kinds, n: int) -> list[tuple]:

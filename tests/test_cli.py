@@ -187,6 +187,27 @@ class TestExitCodes:
             assert (f"{key}: expected {count} entries, got 0"
                     in capsys.readouterr().err.splitlines())
 
+    def test_simulate_says_when_the_agent_is_untrained(self, tmp_path, capsys):
+        # a learning variant without agent.checkpoint runs untrained, and
+        # says so after the summary; a random agent never says it
+        for variant, said in (("qtable", True), ("dqn", True), ("random", False)):
+            cfg = write_config(tmp_path, agent={"variant": variant})
+            assert cli_dispatch(["simulate", "--config", cfg,
+                                 "--out", str(tmp_path / variant)]) == 0
+            err = capsys.readouterr().err.splitlines()
+            assert err[0].startswith("simulate: 30 slots in ")
+            assert err[1:] == [f"simulate: agent {variant} is untrained "
+                               "(no agent.checkpoint)"] * said
+
+    def test_repeated_sinr_grid_value_is_config_error(self, tmp_path, capsys):
+        # a repeated grid value would merge two strata of the dataset
+        cfg = write_config(tmp_path, dataset={"fft_size": 256, "sinr_grid_db": [5, 5]})
+        out = tmp_path / "run"
+        for command in ("gen-dataset", "simulate"):
+            assert cli_dispatch([command, "--config", cfg, "--out", str(out)]) == 1
+            assert capsys.readouterr().err.startswith("dataset: sinr_grid_db repeats a value")
+            assert not out.exists()
+
     def test_seed_flag_out_of_range_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         for seed in ("-1", str(2 ** 64)):

@@ -71,8 +71,8 @@ def datasets(draw):
         seed=draw(SEEDS), num_subchannels=m,
         samples_per_observation=draw(st.sampled_from([4, 8])),
         subcarriers_per_subchannel=1,
-        sinr_grid_db=tuple(draw(st.lists(st.floats(-20.0, 30.0), min_size=1,
-                                         max_size=2))))
+        sinr_grid_db=tuple(draw(st.lists(st.floats(-20.0, 30.0, width=32), min_size=1,
+                                         max_size=2, unique=True))))
     source = lambda rng: tuple(int(b) for b in rng.integers(0, 2, size=m))  # noqa: E731
     return iqsynth.generate_dataset(config, source, draw(st.integers(1, 2)))
 
@@ -182,4 +182,20 @@ def test_iqds_refuses_a_record_off_the_label_width_or_the_grid(field, value, pro
         del records
     record = 2 if field else 4
     with pytest.raises(ValueError, match=re.escape(f"{path}: record {record}: {problem}")):
+        iqsynth.load_dataset(path)
+
+
+def test_iqds_refuses_a_repeated_grid_value(tmp_path):
+    """A header whose SINR grid repeats a value (as float32, as stored) is
+    refused naming the file, like any other header the config refuses."""
+    config = iqsynth.SynthConfig(seed=1, num_subchannels=3, samples_per_observation=8,
+                                 subcarriers_per_subchannel=2, sinr_grid_db=(0.0, 5.0))
+    source = lambda rng: tuple(int(b) for b in rng.integers(0, 2, size=3))  # noqa: E731
+    path = str(tmp_path / "data.iq")
+    iqsynth.save_dataset(iqsynth.generate_dataset(config, source, 2), path)
+    with open(path, "r+b") as f:
+        f.seek(4 + 20 + 4)  # the grid's second value
+        f.write(struct.pack("<f", 0.0))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: header has M=3, N=8: "
+                                                   "sinr_grid_db repeats a value")):
         iqsynth.load_dataset(path)

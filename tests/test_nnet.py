@@ -108,13 +108,13 @@ def reference_step(layers, grads, state, slots):
     lr, t = state.learning_rate, state.step_count
     for (w, b), (gw, gb), slot in zip(layers, grads, slots):
         for p, g, (m, v) in ((w, gw, slot[0]), (b, gb, slot[1])):
-            m *= state.beta1
-            m += (1.0 - state.beta1) * g
-            v *= state.beta2
-            v += (1.0 - state.beta2) * g ** 2
-            m_hat = m / (1.0 - state.beta1 ** t)
-            v_hat = v / (1.0 - state.beta2 ** t)
-            p -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+            m *= nnet.ADAM_BETA1
+            m += (1.0 - nnet.ADAM_BETA1) * g
+            v *= nnet.ADAM_BETA2
+            v += (1.0 - nnet.ADAM_BETA2) * g ** 2
+            m_hat = m / (1.0 - nnet.ADAM_BETA1 ** t)
+            v_hat = v / (1.0 - nnet.ADAM_BETA2 ** t)
+            p -= lr * m_hat / (np.sqrt(v_hat) + nnet.ADAM_EPS)
 
 
 class TestFlatParameters:

@@ -27,9 +27,8 @@ def best_constant_f1(truths, m):
 
 class TestBandEnergies:
     def test_zero_input(self):
-        obs = iqsynth.IQObservation(samples=np.zeros(64, dtype=complex),
-                                    label=(0,) * 4, sinr_db=0.0)
-        assert np.all(sensing.band_energies(obs, 4) == 0.0)
+        energies = sensing.band_energies(np.zeros((3, 64), dtype=complex), 4)
+        assert energies.shape == (3, 4) and np.all(energies == 0.0)
 
     def test_single_busy_band_concentration(self):
         cfg = iqsynth.SynthConfig(seed=1, num_subchannels=4,
@@ -56,8 +55,12 @@ class TestBandEnergies:
 class TestEnergyDetect:
     def test_all_below_and_all_above(self):
         thr = np.ones(4)
-        assert sensing.energy_detect(np.zeros(4), thr) == (0, 0, 0, 0)
-        assert sensing.energy_detect(np.full(4, 9.0), thr) == (1, 1, 1, 1)
+        for energy, bit in ((0.0, 0), (9.0, 1)):
+            reports = sensing.energy_detect(np.full((2, 3, 4), energy), thr)
+            assert reports.dtype == np.int8 and reports.shape == (2, 3, 4)
+            assert np.all(reports == bit)
+        with pytest.raises(ValueError):
+            sensing.energy_detect(np.zeros((2, 4)), np.ones(3))
 
     def test_monotone_in_threshold(self):
         energies = np.array([1.0, 5.0, 3.0, 0.5])
@@ -77,23 +80,27 @@ class TestEnergyDetect:
         assert metrics.micro_f1 >= 0.85
 
     def test_evaluation_is_one_pass_over_the_slice(self):
-        # the slice's stacked captures give what one predict_occupancy per
-        # capture gives; a slice without observations has undefined metrics
+        # for either kind, the slice's stacked captures give what one
+        # predict_occupancy per capture gives; a slice without
+        # observations has undefined (NaN) metrics
         ds = make_dataset(m=4, n=64, grid=(0.0, 10.0), count=40)
-        model = sensing.SensingModel(kind="energy-threshold", num_subchannels=4,
-                                     thresholds=np.full(4, 24.0))
-        for sinr in (0.0, 10.0, None):
-            idx = [i for i in ds.split["test"]
-                   if sinr is None or ds.observations[i].sinr_db == sinr]
-            want = sensing.micro_metrics(
-                [sensing.predict_occupancy(model, ds.observations[i]) for i in idx],
-                [ds.observations[i].label for i in idx])
-            got = sensing.evaluate_model(model, ds, sinr_db=sinr)
-            assert (got.tp, got.fp, got.fn, got.tn) == (want.tp, want.fp, want.fn, want.tn)
-            assert got.fp + got.fn > 0 or sinr == 10.0  # 0 dB makes mistakes
-        empty = sensing.evaluate_model(model, ds, sinr_db=5.0)
-        assert (empty.tp, empty.fp, empty.fn, empty.tn) == (0, 0, 0, 0)
-        assert not empty.f1_defined and np.isnan(empty.micro_f1)
+        network = nnet.build_network([4, 16, 4], ["relu", "sigmoid"], seed=3)
+        for kind in ("energy-threshold", "dense-classifier"):
+            model = sensing.SensingModel(kind=kind, num_subchannels=4,
+                                         thresholds=np.full(4, 24.0), network=network,
+                                         input_mode="band-energy")
+            for sinr in (0.0, 10.0, None):
+                idx = [i for i in ds.split["test"]
+                       if sinr is None or ds.observations[i].sinr_db == sinr]
+                want = sensing.micro_metrics(
+                    [sensing.predict_occupancy(model, ds.observations[i]) for i in idx],
+                    [ds.observations[i].label for i in idx])
+                got = sensing.evaluate_model(model, ds, sinr_db=sinr)
+                assert (got.tp, got.fp, got.fn, got.tn) == (want.tp, want.fp, want.fn, want.tn)
+                assert got.fp + got.fn > 0 or sinr == 10.0  # 0 dB makes mistakes
+            empty = sensing.evaluate_model(model, ds, sinr_db=5.0)
+            assert (empty.tp, empty.fp, empty.fn, empty.tn) == (0, 0, 0, 0)
+            assert np.isnan(empty.micro_precision) and np.isnan(empty.micro_f1)
 
 
 class TestMicroMetrics:
@@ -131,21 +138,17 @@ class TestMicroMetrics:
         assert m.micro_precision == pytest.approx(prevalence)
 
     def test_undefined_flagged_not_zero(self):
-        # no positive predictions and no positive truths
+        # no positive (vacant) predictions and no positive truths: NaN is
+        # the one marker of an undefined ratio
         m = sensing.micro_metrics([(1, 1)], [(1, 1)])
-        assert not m.precision_defined and math.isnan(m.micro_precision)
-        assert not m.recall_defined and math.isnan(m.micro_recall)
-        assert not m.f1_defined and math.isnan(m.micro_f1)
+        assert (m.tp, m.fp, m.fn, m.tn) == (0, 0, 0, 2)
+        assert math.isnan(m.micro_precision)
+        assert math.isnan(m.micro_recall)
+        assert math.isnan(m.micro_f1)
 
     def test_f1_zero_iff_no_tp(self):
         m = sensing.micro_metrics([(1, 0)], [(0, 1)])
         assert m.tp == 0 and m.micro_f1 == 0.0
-
-    def test_positive_class_configurable(self):
-        preds = [(1, 1)]
-        truths = [(1, 0)]
-        m = sensing.micro_metrics(preds, truths, positive_class=1)
-        assert (m.tp, m.fp) == (1, 1)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
