@@ -31,8 +31,8 @@ Schema (defaults in parentheses):
             uavs (1), gamma (0.9, in [0, 1)), hidden ([64, 64], whole numbers <= 1024),
             replay_capacity (10000, <= 10^6), batch_size (32, <= replay_capacity),
             target_update_period (100), tau (0.01), learning_rate (0.001, > 0),
-            epsilon0 (1.0), epsilon_min (0.05), epsilon_decay (null),
-            alpha (null), alpha_power (0.7),
+            epsilon0 (1.0), epsilon_min (0.05), epsilon_decay (null, in [0, 1]),
+            alpha (null, in (0, 1]), alpha_power (0.7),
             checkpoint (null; refused for "random")}
     dataset: {fft_size (1024, <= 65536), subcarriers_per_subchannel (null -> fft/M),
               sinr_grid_db ([-10, 0, 10, 20]), count_per_sinr (600),
@@ -365,8 +365,9 @@ def validate_config(raw: dict, seed_override: int | None = None,
         learning_rate=agent_sec.value("learning_rate", 1e-3, float, above=0.0),
         epsilon0=agent_sec.value("epsilon0", 1.0, float, low=0.0, high=1.0),
         epsilon_min=agent_sec.value("epsilon_min", 0.05, float, low=0.0, high=1.0),
-        epsilon_decay=agent_sec.value("epsilon_decay", None, float, nullable=True),
-        alpha=agent_sec.value("alpha", None, float, nullable=True),
+        epsilon_decay=agent_sec.value("epsilon_decay", None, float, low=0.0, high=1.0,
+                                      nullable=True),
+        alpha=agent_sec.value("alpha", None, float, above=0.0, high=1.0, nullable=True),
         alpha_power=agent_sec.value("alpha_power", 0.7, float, low=0.0, high=1.0),
         checkpoint=agent_sec.value("checkpoint", None, str, nullable=True),
     )

@@ -1,13 +1,13 @@
 """Closed-form slot quantities: costs, throughput, collision indicator,
-utility, energy efficiency, and assignment-constraint validation.
+utility and energy efficiency, plus the per-slot ledger of decisions.
 
 All functions are pure; every occupancy vector uses the convention
 0 = vacant, 1 = busy (a "spectrum hole" is a 0 bit).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class UndefinedEnergyEfficiencyError(ValueError):
@@ -88,29 +88,19 @@ class Assignment:
 
     Sub-channels are numbered 1..M (matching the action convention where 0
     means idle); sub-channel m corresponds to entry m-1 of an occupancy
-    vector. Uniqueness of UAVs and channels is *not* enforced here so that
-    validate_assignment can report violations; the scheduler only ever
-    constructs valid assignments.
+    vector. The scheduler's check_actions admits only feasible ones.
     """
 
-    pairs: frozenset[tuple[int, int]] = field(default_factory=frozenset)
-
-    @classmethod
-    def of(cls, *pairs: tuple[int, int]) -> "Assignment":
-        return cls(frozenset((int(k), int(m)) for k, m in pairs))
-
-    def __len__(self) -> int:
-        return len(self.pairs)
+    pairs: frozenset[tuple[int, int]]
 
 
 @dataclass
 class SlotLedger:
-    """Per-slot record of what was decided: the assignment that transmitted,
-    each pair's collision indicator, the slot's scores and its detected and
-    true hole counts. Throughputs and costs are the config's, not the slot's."""
+    """Per-slot record of what was decided: each transmitting pair's
+    collision indicator, the slot's scores and its detected and true hole
+    counts. Throughputs and costs are the config's, not the slot's."""
 
     slot: int
-    assignment: Assignment
     collision: dict[tuple[int, int], int]
     utility: float
     energy_efficiency: float
@@ -120,6 +110,11 @@ class SlotLedger:
     def __post_init__(self):
         if any(r not in (-1, 0, 1) for r in self.collision.values()):
             raise ValueError("collision indicator must be in {-1, 0, 1}")
+
+    @property
+    def assignment(self) -> Assignment:
+        """The pairs that transmitted: the keys of `collision`."""
+        return Assignment(frozenset(self.collision))
 
 
 def sensing_cost(timing: SlotTiming, radio: RadioParams) -> float:
@@ -183,37 +178,3 @@ def energy_efficiency(
         raise UndefinedEnergyEfficiencyError("slot consumed no energy; EE undefined")
     return num / den
 
-
-def validate_assignment(assignment: Assignment, fused: Sequence[int]) -> list[str]:
-    """Check the scheduling constraints against a fused occupancy vector.
-
-    Returns an empty list when the assignment is feasible, otherwise one
-    message per violated constraint: per-UAV uniqueness, per-channel
-    uniqueness, hole budget |pairs| <= M - (# busy), and vacancy of every
-    assigned sub-channel.
-    """
-    fused = occupancy_vector(fused)
-    m_total = len(fused)
-    violations: list[str] = []
-
-    seen_uavs: dict[int, list[int]] = {}
-    seen_channels: dict[int, list[int]] = {}
-    for k, m in sorted(assignment.pairs):
-        seen_uavs.setdefault(k, []).append(m)
-        seen_channels.setdefault(m, []).append(k)
-    for k, channels in sorted(seen_uavs.items()):
-        if len(channels) > 1:
-            violations.append(f"uav {k} assigned {len(channels)} sub-channels {channels}")
-    for m, uavs in sorted(seen_channels.items()):
-        if len(uavs) > 1:
-            violations.append(f"sub-channel {m} assigned to {len(uavs)} uavs {uavs}")
-
-    holes = m_total - sum(fused)
-    if len(assignment) > holes:
-        violations.append(f"{len(assignment)} pairs exceed hole count {holes}")
-    for k, m in sorted(assignment.pairs):
-        if not 1 <= m <= m_total:
-            violations.append(f"sub-channel {m} out of range 1..{m_total}")
-        elif fused[m - 1] != 0:
-            violations.append(f"sub-channel {m} assigned to uav {k} but predicted busy")
-    return violations

@@ -9,7 +9,8 @@ puts sub-channel 1 in the least significant bit, so the state space has
 Agents only ever execute actions that map to feasible assignments for the
 state they observed (idle is always feasible; a sub-channel action
 requires its predicted bit to be vacant), which keeps the scheduling
-constraints satisfied by construction.
+constraints satisfied by construction; check_actions holds every slot of
+training and simulation to that.
 """
 
 import csv
@@ -17,14 +18,13 @@ import math
 import struct
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import nnet
 from .channel import TransitionMatrix, sample_occupancy, stationary_distribution
-from .core import (Assignment, collision_indicator, mask_occupancy, occupancy_mask,
-                   slot_utility, validate_assignment)
+from .core import collision_indicator, mask_occupancy, occupancy_mask, slot_utility
 from .seeds import derive_rng
 
 AgentState = tuple[int, ...] | None  # None is the INITIAL marker
@@ -470,7 +470,7 @@ def train_agent(agent, env: SchedulingEnv, episodes: int, slots_per_episode: int
             actions, q_row = agent.select(state, valid, epsilon, rng_agent, k=num_uavs)
             if np.abs(q_row).max() > Q_DIVERGENCE_LIMIT:
                 raise RuntimeError(f"Q-values diverged beyond {Q_DIVERGENCE_LIMIT:g}")
-            feasible_assignment(enumerate(actions), state)
+            check_actions(actions, state)
             outcomes = [(collision_indicator(bits[a - 1], 0), env.reward_table[uav, a - 1])
                         if a else (0, 0.0) for uav, a in enumerate(actions)]
             for action, (r, gain) in zip(actions, outcomes):
@@ -485,20 +485,17 @@ def train_agent(agent, env: SchedulingEnv, episodes: int, slots_per_episode: int
     return log
 
 
-def feasible_assignment(uav_actions: Iterable[tuple[int, int]],
-                        state: AgentState) -> Assignment:
-    """The assignment of the non-idle (uav, action) pairs an agent chose
-    from `state`. Any constraint violation coming out of an agent is a
-    bug and raises RuntimeError; so does a non-idle action from INITIAL."""
-    assignment = Assignment.of(*((uav, a) for uav, a in uav_actions if a != 0))
-    if not assignment:
-        return assignment
-    if state is None:
-        raise RuntimeError("non-idle action taken from the INITIAL state")
-    violations = validate_assignment(assignment, state)
-    if violations:
-        raise RuntimeError(f"agent produced an infeasible assignment: {violations}")
-    return assignment
+def check_actions(actions: Sequence[int], state: AgentState) -> None:
+    """Raise RuntimeError unless the actions an agent chose from `state`,
+    one per UAV (0 = idle), are feasible: each non-idle action names a
+    sub-channel in 1..M that `state` predicts vacant, none is chosen twice,
+    and none is taken from INITIAL. With one action per UAV, no UAV gets
+    two sub-channels, and the hole budget |pairs| <= M - (# busy) follows."""
+    chosen = [a for a in actions if a]
+    if chosen and (state is None or len(set(chosen)) < len(chosen)
+                   or any(not 1 <= a <= len(state) or state[a - 1] for a in chosen)):
+        raise RuntimeError(f"agent chose infeasible actions {tuple(actions)} "
+                           f"from state {state}")
 
 
 def write_training_csv(path: str, rows) -> None:
@@ -686,8 +683,11 @@ def load_qtable(path: str) -> QTable:
                                             else "trailing bytes"))
     values = np.frombuffer(data, dtype="<f8", count=n, offset=offset)
     visits = np.frombuffer(data, dtype="<i8", count=n, offset=offset + 8 * n)
-    return QTable(num_subchannels=m, gamma=gamma,
-                  alpha=None if np.isnan(alpha) else alpha,
-                  alpha_power=alpha_power,
-                  table=values.reshape(shape).copy(),
-                  visits=visits.reshape(shape).astype(int).copy())
+    try:
+        return QTable(num_subchannels=m, gamma=gamma,
+                      alpha=None if np.isnan(alpha) else alpha,
+                      alpha_power=alpha_power,
+                      table=values.reshape(shape).copy(),
+                      visits=visits.reshape(shape).astype(int).copy())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -27,13 +27,13 @@ import numpy as np
 from . import nnet
 from .channel import db_to_linear, sample_occupancy
 from .config import ConfigError, SensingSpec, SimConfig
-from .core import (Assignment, SlotLedger, UndefinedEnergyEfficiencyError,
+from .core import (SlotLedger, UndefinedEnergyEfficiencyError,
                    access_cost, collision_indicator, energy_efficiency,
                    sensing_cost, slot_utility, throughput)
 from .fusion import vote
 from .iqsynth import SynthConfig, draw_band_energies, synthesize_spectra
-from .scheduler import (DqnAgent, QTable, RandomAgent, feasible_assignment,
-                        load_agent, load_qtable, valid_actions)
+from .scheduler import (DqnAgent, QTable, RandomAgent, check_actions, load_agent,
+                        load_qtable, valid_actions)
 from .seeds import derive_rng
 from .sensing import (SensingModel, confusion_tally, detect, energy_detect,
                       metrics_from_counts, write_metrics_csv)
@@ -247,7 +247,7 @@ class Simulation:
         one episode, computed block by block; starts the episode afresh."""
         cfg = self.cfg
         slots, size = cfg.slots_per_episode, block_slots(self.models, cfg.synth)
-        self.prev_fused, self.pending = None, Assignment()
+        self.prev_fused, self.pending = None, []
         state = None  # before slot 0: the episode starts from a stationary draw
         for start in range(0, slots, size):
             t = min(size, slots - start)
@@ -265,18 +265,18 @@ class Simulation:
         """One slot on its true occupancy, requesting UAVs and fused vector:
         the agent allocates the detected holes for the next slot, and the
         previous slot's allocation transmits and is scored."""
-        pending_next = Assignment()
+        pending_next = []  # (uav, sub-channel) pairs in UAV order
         if requesting:
             actions, _ = self.agent.select(fused, valid_actions(fused, len(fused)), 0.0,
                                            self.agent_rng, k=len(requesting))
-            pending_next = feasible_assignment(zip(requesting, actions), fused)
+            check_actions(actions, fused)
+            pending_next = [(uav, a) for uav, a in zip(requesting, actions) if a]
 
         collision = {(uav, ch): collision_indicator(truth[ch - 1], self.prev_fused[ch - 1])
-                     for uav, ch in sorted(self.pending.pairs)}
+                     for uav, ch in self.pending}
         utility, ee = self.score(collision)
         ledger = SlotLedger(
-            slot=self.slot, assignment=self.pending, collision=collision,
-            utility=utility, energy_efficiency=ee,
+            slot=self.slot, collision=collision, utility=utility, energy_efficiency=ee,
             holes_detected=len(fused) - sum(fused), holes_true=len(truth) - sum(truth))
 
         self.prev_fused = fused

@@ -276,7 +276,9 @@ def test_frozen_chain_is_a_config_error(command, tmp_path, capsys):
 
 
 # (field path, config overrides, subcommand): integers that used to overflow
-# or to size tables, networks and replay rings at run time
+# or to size tables, networks and replay rings at run time, then agent rates
+# that used to overflow the epsilon schedule, make it oscillate, or drive
+# the Q-values past the divergence guard
 TOO_BIG = [
     ("radio.num_subchannels", {"radio": {"num_subchannels": 10 ** 30}}, "simulate"),
     ("radio.num_uavs", {"radio": {"num_uavs": 10 ** 30}}, "simulate"),
@@ -286,6 +288,12 @@ TOO_BIG = [
      "train-sensor"),
     ("agent.replay_capacity", {"agent": {"variant": "dqn", "replay_capacity": 10 ** 14}},
      "train-agent"),
+    ("agent.epsilon_decay", {"agent": {"variant": "qtable", "epsilon_decay": 10.0},
+                             "episodes": 400}, "train-agent"),
+    ("agent.epsilon_decay", {"agent": {"variant": "qtable", "epsilon_decay": -0.5}},
+     "train-agent"),
+    ("agent.alpha", {"agent": {"variant": "qtable", "alpha": -1.0}}, "train-agent"),
+    ("agent.alpha", {"agent": {"variant": "qtable", "alpha": 5.0}}, "train-agent"),
 ]
 
 

@@ -181,6 +181,9 @@ def test_bounds_admit_their_edges():
                                   sensing={"hidden": [1024, 1024]}))
     assert cfg.agent.hidden == (1024,) and cfg.agent.replay_capacity == 10 ** 6
     assert cfg.sensing[0].hidden == (1024, 1024)
+    for decay, alpha in ((0.0, 1.0), (1.0, 1e-9)):
+        cfg = validate_config(minimal(agent={"epsilon_decay": decay, "alpha": alpha}))
+        assert (cfg.agent.epsilon_decay, cfg.agent.alpha) == (decay, alpha)
 
 
 class TestLoadConfig:

@@ -100,38 +100,6 @@ class TestEnergyEfficiency:
             core.energy_efficiency([], [])
 
 
-class TestValidateAssignment:
-    def test_ok(self):
-        a = core.Assignment.of((1, 1), (2, 2))
-        assert core.validate_assignment(a, [0, 0, 1, 1]) == []
-
-    def test_channel_assigned_twice(self):
-        a = core.Assignment.of((1, 1), (2, 1))
-        violations = core.validate_assignment(a, [0, 1, 1, 1])
-        assert any("sub-channel 1" in v and "2 uavs" in v for v in violations)
-
-    def test_no_holes(self):
-        a = core.Assignment.of((1, 1))
-        violations = core.validate_assignment(a, [1, 1])
-        assert any("hole count 0" in v for v in violations)
-        assert any("predicted busy" in v for v in violations)
-
-    def test_uav_assigned_twice(self):
-        a = core.Assignment.of((1, 1), (1, 2))
-        violations = core.validate_assignment(a, [0, 0])
-        assert any("uav 1" in v for v in violations)
-
-    def test_hole_budget_implied_by_ok(self):
-        # every feasible assignment satisfies |a| + popcount(f) <= M
-        fused = [0, 1, 0, 1]
-        a = core.Assignment.of((0, 1), (1, 3))
-        assert core.validate_assignment(a, fused) == []
-        assert len(a) + sum(fused) <= len(fused)
-
-    def test_empty_assignment_always_ok(self):
-        assert core.validate_assignment(core.Assignment.of(), [1, 1, 1]) == []
-
-
 class TestTypes:
     def test_slot_timing_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -155,5 +123,5 @@ class TestTypes:
 
     def test_ledger_rejects_bad_indicator(self):
         with pytest.raises(ValueError):
-            core.SlotLedger(slot=0, assignment=core.Assignment.of((0, 1)),
-                            collision={(0, 1): 2}, utility=1.0, energy_efficiency=0.5)
+            core.SlotLedger(slot=0, collision={(0, 1): 2}, utility=1.0,
+                            energy_efficiency=0.5)

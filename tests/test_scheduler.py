@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from uavdsa import scheduler as sch
+from uavdsa import simulate
 from uavdsa.channel import TransitionMatrix
-from uavdsa.core import Assignment
+from uavdsa.config import validate_config
 from uavdsa.seeds import derive_rng
 
 CHI2_99 = {1: 6.63, 2: 9.21, 3: 11.34, 4: 13.28, 16: 32.0}
@@ -338,19 +339,9 @@ class TestTrainAgent:
     def test_every_action_feasible_for_its_state(self):
         env = sch.preset_scheduling_env(4, num_uavs=2)
         agent = sch.RandomAgent(num_subchannels=4)
-        # feasible_assignment raises on any violation, so completion is the check
+        # check_actions raises on any violation, so completion is the check
         log = sch.train_agent(agent, env, episodes=4, slots_per_episode=200, seed=3)
         assert len(log) == 4
-
-    def test_feasible_assignment_keeps_non_idle_pairs_or_raises(self):
-        got = sch.feasible_assignment([(0, 0), (1, 2), (2, 1)], (0, 0, 1))
-        assert got == Assignment.of((1, 2), (2, 1))
-        assert sch.feasible_assignment([(0, 0), (1, 0)], None) == Assignment()
-        for pairs, state in (([(0, 1)], None),  # transmitting from INITIAL
-                             ([(0, 3)], (0, 0, 1)),  # predicted busy
-                             ([(0, 1), (1, 1)], (0, 0, 1))):  # channel shared
-            with pytest.raises(RuntimeError):
-                sch.feasible_assignment(pairs, state)
 
     def test_divergence_guard(self):
         env = sch.preset_scheduling_env(2)
@@ -358,6 +349,74 @@ class TestTrainAgent:
         agent.table[:] = 2e6
         with pytest.raises(RuntimeError, match="diverged"):
             sch.train_agent(agent, env, episodes=1, slots_per_episode=10, seed=0)
+
+
+# (case, actions one per UAV, state they were chosen from, feasible)
+ACTION_CASES = [
+    ("ok", (1, 2), (0, 0, 1, 1), True),
+    ("hole-budget-implied-by-ok", (1, 0, 3), (0, 1, 0, 1), True),
+    ("all-idle-always-ok", (0, 0, 0), (1, 1, 1), True),
+    ("idle-from-initial", (0, 0), None, True),
+    ("channel-assigned-twice", (1, 1), (0, 1, 1, 1), False),
+    ("no-holes", (1,), (1, 1), False),
+    ("predicted-busy", (0, 2, 3), (0, 0, 1), False),
+    ("transmit-from-initial", (1,), None, False),
+    ("out-of-range", (4,), (0, 0, 0), False),
+    ("below-range", (0, -1), (0, 0, 0), False),
+]
+
+
+@pytest.mark.parametrize("actions,state,feasible", [c[1:] for c in ACTION_CASES],
+                         ids=[c[0] for c in ACTION_CASES])
+def test_check_actions(actions, state, feasible):
+    if not feasible:
+        with pytest.raises(RuntimeError, match=re.escape(f"{actions} from state {state}")):
+            sch.check_actions(actions, state)
+        return
+    sch.check_actions(actions, state)
+    if state is not None:  # the hole budget |pairs| <= M - (# busy) follows
+        assert sum(a != 0 for a in actions) + sum(state) <= len(state)
+
+
+class PlantedAgent(sch.RandomAgent):
+    """Idles except where `plant(state, k)` returns an infeasible choice."""
+
+    def __init__(self, num_subchannels, plant):
+        super().__init__(num_subchannels)
+        self.plant = plant
+
+    def select(self, state, valid, epsilon, rng, k=1):
+        actions = self.plant(state, k) or (0,) * k
+        return actions, self.q_row(state)
+
+
+# each plant idles (returns a false value) until the state lets it break its rule
+PLANTS = {
+    "busy": lambda s, k: s and 1 in s and (s.index(1) + 1,) + (0,) * (k - 1),
+    "shared": lambda s, k: s and 0 in s and (s.index(0) + 1,) * 2 + (0,) * (k - 2),
+    "from-initial": lambda s, k: s is None and (1,) + (0,) * (k - 1),
+}
+
+
+@pytest.mark.parametrize("plant", sorted(PLANTS))
+def test_train_agent_refuses_a_planted_violation(plant):
+    env = sch.preset_scheduling_env(4, num_uavs=2)
+    with pytest.raises(RuntimeError, match="infeasible actions"):
+        sch.train_agent(PlantedAgent(4, PLANTS[plant]), env, episodes=1,
+                        slots_per_episode=50, seed=3)
+
+
+# simulate allocates only from a fused vector, never from INITIAL
+@pytest.mark.parametrize("plant", ["busy", "shared"])
+def test_run_simulation_refuses_a_planted_violation(plant, monkeypatch):
+    cfg = validate_config({"seed": 5, "radio": {"num_subchannels": 4, "num_uavs": 3},
+                           "dataset": {"fft_size": 256}, "sensing": {"kind": "perfect"},
+                           "agent": {"variant": "random"}, "episodes": 1,
+                           "slots_per_episode": 50})
+    monkeypatch.setattr(simulate, "build_agent",
+                        lambda config: PlantedAgent(4, PLANTS[plant]))
+    with pytest.raises(RuntimeError, match="infeasible actions"):
+        simulate.run_simulation(cfg)
 
 
 class TestCheckpoints:
@@ -418,6 +477,7 @@ MALFORMED = [
     ("qtable", "truncated header", lambda d: d[:QTABLE_HEADER - 1]),
     ("qtable", "truncated table", lambda d: d[:-8]),
     ("qtable", "trailing bytes", lambda d: d + b"\0"),
+    ("qtable", "gamma out of range", lambda d: d[:12] + struct.pack("<d", 1.5) + d[20:]),
 ]
 
 

@@ -36,7 +36,7 @@ class TestRunSlot:
         assert report.transmissions == 0
         assert report.mean_utility == 0.0
         for led in report.ledgers:
-            assert len(led.assignment) == 0
+            assert not led.assignment.pairs
             assert led.energy_efficiency == 0.0  # defined: sensing was charged
 
     def test_ledger_utility_recomputes_from_own_fields(self):
