@@ -60,8 +60,8 @@ def cmd_train_sensor(config: SimConfig, args) -> int:
     data_path = args.data or os.path.join(config.out_dir, "dataset.iq")
     dataset = load_dataset(data_path)
     if dataset.config.num_subchannels != config.radio.num_subchannels:
-        raise ValueError(f"{data_path}: dataset has M={dataset.config.num_subchannels}, "
-                         f"config has M={config.radio.num_subchannels}")
+        raise ConfigError([f"radio.num_subchannels: M={config.radio.num_subchannels}, but "
+                           f"{data_path} has M={dataset.config.num_subchannels}"])
     spec = config.sensing[0]
     params = TrainParams(seed=config.seed, hidden=spec.hidden, epochs=spec.epochs,
                          batch_size=spec.batch_size,

@@ -10,10 +10,6 @@ import math
 from typing import Iterable
 
 
-class UndefinedEnergyEfficiencyError(ValueError):
-    """Raised when the slot energy denominator is zero."""
-
-
 @dataclass(frozen=True)
 class SlotTiming:
     """Durations (seconds) of the four sub-slots: request, sensing,
@@ -165,8 +161,8 @@ def energy_efficiency(
     """Slot EE: sum(r * R) / (sum(AC over assigned pairs) + sum(SC)).
 
     transmissions yields (r, R, AC) per assigned pair; sensing_costs yields
-    one SC per sensing UAV. Raises UndefinedEnergyEfficiencyError when the
-    energy denominator is zero.
+    one SC per sensing UAV. The EE is undefined, NaN, when the energy
+    denominator is zero (as with t_s = 0 in a slot where no pair transmits).
     """
     num = 0.0
     den = 0.0
@@ -174,7 +170,5 @@ def energy_efficiency(
         num += r * big_r
         den += ac
     den += sum(sensing_costs)
-    if den <= 0:
-        raise UndefinedEnergyEfficiencyError("slot consumed no energy; EE undefined")
-    return num / den
+    return num / den if den > 0 else math.nan
 

@@ -197,16 +197,20 @@ def backward(net: Network, x: np.ndarray, target: np.ndarray, loss: LossSpec,
     else:
         delta = 2.0 * (y - t) / n_total * _activation_grad(pre[-1], y, last.activation)
 
-    _, grads = net.gradient()
+    flat, grads = net.gradient()
     for i in range(len(net.layers) - 1, -1, -1):
-        if not np.isfinite(delta).all():
-            raise NonFiniteLossError(f"non-finite gradient signal at layer {i}")
         gw, gb = grads[i]
         np.matmul(post[i].T, delta, out=gw)
         delta.sum(axis=0, out=gb)
         if i > 0:
             delta = (delta @ net.layers[i].w.T) * _activation_grad(
                 pre[i - 1], post[i], net.layers[i - 1].activation)
+    # a non-finite delta at layer i makes db_i non-finite, so one check of
+    # the flat buffer catches it; only then is the top-most such layer found
+    if not np.isfinite(flat).all():
+        i = max(i for i, (gw, gb) in enumerate(grads)
+                if not (np.isfinite(gw).all() and np.isfinite(gb).all()))
+        raise NonFiniteLossError(f"non-finite gradient signal at layer {i}")
     return grads
 
 

@@ -281,6 +281,9 @@ class DqnAgent:
             raise ValueError("tau must lie in [0, 1]")
         if self.replay_capacity < 1:
             raise ValueError("capacity must be >= 1")
+        for name in ("batch_size", "target_update_period"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         dims = [self.num_subchannels, *self.hidden, self.num_subchannels + 1]
         acts = ["relu"] * len(self.hidden) + ["identity"]
         if self.primary is None:
@@ -315,14 +318,18 @@ class DqnAgent:
         replay_push(ring, state_index(s, m), a, r, state_index(s_next, m))
         if len(ring) < self.batch_size:
             return
-        idx = replay_sample(ring, self.batch_size, rng)
+        n = self.batch_size
+        idx = replay_sample(ring, n, rng)
+        # one primary pass over [batch; next states] (its rows are computed
+        # independently, bit for bit) and one target pass over the next states
+        feats = self.features[np.concatenate((ring.states[idx], ring.next_states[idx]))]
+        pre, post = nnet.forward_trace(self.primary, feats)
         targets_y = ddqn_targets(self, ring.rewards[idx],
-                                 self.features[ring.next_states[idx]])
-        feats = self.features[ring.states[idx]]
-        trace = nnet.forward_trace(self.primary, feats)
-        target_mat = trace[1][-1].copy()
-        target_mat[np.arange(self.batch_size), ring.actions[idx]] = targets_y
-        nnet.backward(self.primary, feats, target_mat, nnet.MSE, trace)
+                                 nnet.forward(self.target, feats[n:]), post[-1][n:])
+        target_mat = post[-1][:n].copy()
+        target_mat[np.arange(n), ring.actions[idx]] = targets_y
+        nnet.backward(self.primary, feats[:n], target_mat, nnet.MSE,
+                      ([z[:n] for z in pre], [a[:n] for a in post]))
         nnet.optimizer_step(self.primary, self.optimizer)
         self.train_steps += 1
         if self.variant == "ddqn-soft":
@@ -335,24 +342,20 @@ class DqnAgent:
                                  self.epsilon_decay, episode, episodes)
 
 
-def ddqn_targets(agent: DqnAgent, rewards: np.ndarray,
-                 next_features: np.ndarray) -> np.ndarray:
-    """Per-example regression targets y_i from the rewards and the
-    next-state feature rows of a batch.
+def ddqn_targets(agent: DqnAgent, rewards: np.ndarray, q_target_next: np.ndarray,
+                 q_primary_next: np.ndarray) -> np.ndarray:
+    """Per-example regression targets y_i from a batch's rewards and the
+    target and primary networks' Q rows of its next states.
 
     Double mode evaluates the primary network's argmax action under the
-    target network; vanilla mode takes the target network's max. The task
-    is continuing, so there is no terminal masking.
+    target network; vanilla mode takes the target network's max and
+    ignores the primary rows. The task is continuing, so there is no
+    terminal masking.
     """
-    if len(rewards) == 0:
-        raise ValueError("batch must be non-empty")
-    q_target = nnet.forward(agent.target, next_features)
     if agent.variant == "dqn":
-        boot = q_target.max(axis=1)
+        boot = q_target_next.max(axis=1)
     else:
-        q_primary = nnet.forward(agent.primary, next_features)
-        best = q_primary.argmax(axis=1)
-        boot = q_target[np.arange(len(rewards)), best]
+        boot = q_target_next[np.arange(len(rewards)), q_primary_next.argmax(axis=1)]
     return rewards + agent.gamma * boot
 
 

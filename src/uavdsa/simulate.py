@@ -27,8 +27,7 @@ import numpy as np
 from . import nnet
 from .channel import db_to_linear, sample_occupancy
 from .config import ConfigError, SensingSpec, SimConfig
-from .core import (SlotLedger, UndefinedEnergyEfficiencyError,
-                   access_cost, collision_indicator, energy_efficiency,
+from .core import (SlotLedger, access_cost, collision_indicator, energy_efficiency,
                    sensing_cost, slot_utility, throughput)
 from .fusion import vote
 from .iqsynth import SynthConfig, draw_band_energies, synthesize_spectra
@@ -218,11 +217,8 @@ def slot_scorer(config: SimConfig):
 
     def score(collision) -> tuple[float, float]:
         pairs = [(collision[uav, ch], bits[uav][ch - 1]) for uav, ch in sorted(collision)]
-        try:
-            ee = energy_efficiency([(r, big_r, ac) for r, big_r in pairs], sensing_costs)
-        except UndefinedEnergyEfficiencyError:
-            ee = float("nan")
-        return slot_utility(pairs), ee
+        return (slot_utility(pairs),
+                energy_efficiency([(r, big_r, ac) for r, big_r in pairs], sensing_costs))
 
     return score
 

@@ -2,10 +2,13 @@ import csv
 import json
 import os
 
+import struct
+
 import pytest
 
 from uavdsa.cli import cli_dispatch
 from uavdsa.config import load_config
+from uavdsa.scheduler import DqnAgent, load_agent, save_agent
 
 
 def write_config(tmp_path, **overrides):
@@ -60,6 +63,31 @@ class TestExitCodes:
         # train-sensor with no dataset file on disk
         assert cli_dispatch(["train-sensor", "--config", cfg,
                              "--out", str(tmp_path / "empty")]) == 2
+
+    def test_dataset_of_another_m_is_config_error(self, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        cfg = write_config(tmp_path, radio={"num_subchannels": 2, "num_uavs": 1},
+                           sensing={"kind": "perfect"})
+        assert cli_dispatch(["gen-dataset", "--config", cfg, "--out", out]) == 0
+        cfg = write_config(tmp_path, radio={"num_subchannels": 4, "num_uavs": 1},
+                           sensing={"kind": "perfect"})
+        capsys.readouterr()
+        assert cli_dispatch(["train-sensor", "--config", cfg, "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("radio.num_subchannels: M=4, ")
+
+    @pytest.mark.parametrize("offset", [56, 60])  # batch_size, target_update_period
+    def test_agent_checkpoint_with_a_zero_count_is_refused(self, offset, tmp_path, capsys):
+        ckpt = tmp_path / "agent.ckpt"
+        save_agent(DqnAgent(num_subchannels=4, variant="dqn"), str(ckpt))
+        data = bytearray(ckpt.read_bytes())
+        struct.pack_into("<I", data, offset, 0)
+        ckpt.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=f"^{ckpt}: "):
+            load_agent(str(ckpt))
+        cfg = write_config(tmp_path, agent={"variant": "dqn", "checkpoint": str(ckpt)})
+        assert cli_dispatch(["simulate", "--config", cfg,
+                             "--out", str(tmp_path / "run")]) == 1
+        assert "agent.checkpoint" in capsys.readouterr().err
 
     def test_batch_larger_than_replay_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, agent={"replay_capacity": 8, "batch_size": 32})

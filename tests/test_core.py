@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from uavdsa import core
@@ -96,8 +98,7 @@ class TestEnergyEfficiency:
         assert core.energy_efficiency([(-1, 10.0, 2.0)], [3.0]) == pytest.approx(-2.0)
 
     def test_zero_denominator(self):
-        with pytest.raises(core.UndefinedEnergyEfficiencyError):
-            core.energy_efficiency([], [])
+        assert math.isnan(core.energy_efficiency([], []))
 
 
 class TestTypes:

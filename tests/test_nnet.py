@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uavdsa import nnet
 
@@ -38,6 +40,21 @@ class TestForward:
         net = nnet.build_network([3, 2], ["identity"], seed=0)
         with pytest.raises(ValueError):
             nnet.forward(net, np.zeros(4))
+
+
+@pytest.mark.parametrize("hidden", [(64, 64), (128, 128)])
+@pytest.mark.parametrize("m", [2, 4, 8, 16])
+@settings(max_examples=10, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_trace_rows_equal_separate_passes(m, hidden, seed):
+    # the learner step traces [batch; next states] at once and slices it
+    rng = np.random.default_rng(seed)
+    net = nnet.build_network([m, *hidden, m + 1], ["relu", "relu", "identity"], seed=seed)
+    a, b = rng.normal(size=(32, m)), rng.choice([0.0, 0.5, 1.0], size=(32, m))
+    pre, post = nnet.forward_trace(net, np.vstack((a, b)))
+    (pre_a, post_a), (pre_b, post_b) = nnet.forward_trace(net, a), nnet.forward_trace(net, b)
+    for whole, top, bottom in zip(pre + post, pre_a + post_a, pre_b + post_b):
+        assert np.array_equal(whole[:32], top) and np.array_equal(whole[32:], bottom)
 
 
 class TestBackward:
@@ -81,6 +98,16 @@ class TestBackward:
         with np.errstate(over="ignore"), \
                 pytest.raises(nnet.NonFiniteLossError, match="layer"):
             nnet.backward(net, np.array([1e200]), np.array([0.0]), nnet.MSE)
+
+    # (1e-300, 1e308): the output error is finite and overflows only below
+    # layer 1; (1e200, 1e200): the output overflows, so both layers break
+    @pytest.mark.parametrize("w0, w1, layer", [(1e-300, 1e308, 0), (1e200, 1e200, 1)])
+    def test_nonfinite_names_the_top_most_layer(self, w0, w1, layer):
+        net = nnet.Network([nnet.Layer(np.array([[w0]]), np.zeros(1), "identity"),
+                            nnet.Layer(np.array([[w1]]), np.zeros(1), "identity")])
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(nnet.NonFiniteLossError, match=f"at layer {layer}$"):
+            nnet.backward(net, np.array([1.0]), np.array([0.0]), nnet.MSE)
 
 
 class TestOptimizers:

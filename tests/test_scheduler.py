@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from uavdsa import nnet
 from uavdsa import scheduler as sch
 from uavdsa import simulate
 from uavdsa.channel import TransitionMatrix
@@ -119,38 +120,63 @@ class TestQUpdate:
 
 
 class TestDdqnTargets:
-    def _agent(self, variant):
-        return sch.DqnAgent(num_subchannels=1, variant=variant, gamma=0.9, seed=0)
+    # two next states, gamma 0.9: the primary prefers action 1 in both rows
+    Q_TARGET = np.array([[0.3, 0.2], [0.1, 0.4]])
+    Q_PRIMARY = np.array([[0.1, 0.5], [0.0, 0.6]])
+
+    def _agent(self, variant, gamma=0.9):
+        return sch.DqnAgent(num_subchannels=1, variant=variant, gamma=gamma, seed=0)
 
     def test_gamma_zero_returns_rewards(self):
-        agent = self._agent("ddqn")
-        agent.gamma = 0.0
-        y = sch.ddqn_targets(agent, np.array([1.0, -2.0, 0.5]), np.zeros((3, 1)))
-        assert np.allclose(y, [1.0, -2.0, 0.5])
-
-    def _pinned_agent(self, variant):
-        # primary(s') = [0.1, 0.5], target(s') = [0.3, 0.2] for every input
-        agent = self._agent(variant)
-        for net, outs in ((agent.primary, (0.1, 0.5)), (agent.target, (0.3, 0.2))):
-            for layer in net.layers:
-                layer.w[:] = 0.0
-                layer.b[:] = 0.0
-            net.layers[-1].b[:] = outs
-        return agent
+        y = sch.ddqn_targets(self._agent("ddqn", gamma=0.0), np.array([1.0, -2.0]),
+                             self.Q_TARGET, self.Q_PRIMARY)
+        assert np.array_equal(y, [1.0, -2.0])
 
     def test_double_decouples_selection_from_evaluation(self):
-        agent = self._pinned_agent("ddqn")
-        y = sch.ddqn_targets(agent, np.array([1.0]), np.zeros((1, 1)))
-        assert y[0] == pytest.approx(1.18)  # 1 + 0.9 * target[argmax primary]
+        y = sch.ddqn_targets(self._agent("ddqn"), np.array([1.0, 1.0]),
+                             self.Q_TARGET, self.Q_PRIMARY)
+        assert y == pytest.approx([1.18, 1.36])  # 1 + 0.9 * target[argmax primary]
 
     def test_vanilla_uses_target_max(self):
-        agent = self._pinned_agent("dqn")
-        y = sch.ddqn_targets(agent, np.array([1.0]), np.zeros((1, 1)))
-        assert y[0] == pytest.approx(1.27)  # 1 + 0.9 * max target
+        y = sch.ddqn_targets(self._agent("dqn"), np.array([1.0, 1.0]),
+                             self.Q_TARGET, self.Q_PRIMARY)
+        assert y == pytest.approx([1.27, 1.36])  # 1 + 0.9 * max target
 
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            sch.ddqn_targets(self._agent("dqn"), np.zeros(0), np.zeros((0, 1)))
+
+class TestDqnAgent:
+    def test_refuses_empty_batch_and_zero_target_period(self):
+        for field in ("batch_size", "target_update_period"):
+            with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+                sch.DqnAgent(num_subchannels=1, **{field: 0})
+
+    @pytest.mark.parametrize("variant", sch.DQN_VARIANTS)
+    def test_gradient_step_makes_one_pass_per_network(self, variant, monkeypatch):
+        agent = sch.DqnAgent(num_subchannels=2, variant=variant, hidden=(4,),
+                             batch_size=3, seed=0)
+        traces, forwards = [], []
+        trace, forward = nnet.forward_trace, nnet.forward
+        role = {id(agent.primary): "primary", id(agent.target): "target"}
+
+        def spy_trace(net, x):  # every pass, nnet.forward's included
+            traces.append((role[id(net)], len(x)))
+            return trace(net, x)
+
+        def spy_forward(net, x):
+            forwards.append((role[id(net)], len(x)))
+            return forward(net, x)
+
+        monkeypatch.setattr(nnet, "forward_trace", spy_trace)
+        monkeypatch.setattr(nnet, "forward", spy_forward)
+        rng = derive_rng(0)
+        for _ in range(3):  # the third fills the batch: one gradient step
+            agent.observe((0, 1), 1, 1.0, (1, 0), rng)
+        assert agent.train_steps == 1
+        assert forwards == [("target", 3)]
+        assert traces == [("primary", 6), ("target", 3)]
+        traces.clear()
+        forwards.clear()
+        sch.ddqn_targets(agent, np.ones(3), np.zeros((3, 3)), np.zeros((3, 3)))
+        assert traces == forwards == []
 
 
 class TestSoftUpdate:
@@ -166,7 +192,6 @@ class TestSoftUpdate:
         assert np.allclose(
             np.asarray([l.w for l in target.layers][0]),
             np.asarray([l.w for l in primary.layers][0]))
-        from uavdsa import nnet
         assert np.allclose(nnet.forward(target, x), nnet.forward(primary, x))
 
     def test_tau_zero_no_op(self):

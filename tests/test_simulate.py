@@ -39,6 +39,14 @@ class TestRunSlot:
             assert not led.assignment.pairs
             assert led.energy_efficiency == 0.0  # defined: sensing was charged
 
+    def test_slot_without_energy_records_nan_ee(self, tmp_path):
+        cfg = validate_config(config_dict(request_probability=0.0, episodes=1,
+                                          slots_per_episode=10,
+                                          timing={"t_s": 0.0}))
+        report = simulate.run_simulation(cfg)
+        assert all(np.isnan(led.energy_efficiency) for led in report.ledgers)
+        simulate.save_report(report, cfg, str(tmp_path))  # the audit accepts NaN
+
     def test_ledger_utility_recomputes_from_own_fields(self):
         cfg = validate_config(config_dict())
         report = simulate.run_simulation(cfg)
