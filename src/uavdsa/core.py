@@ -104,7 +104,7 @@ class SlotLedger:
     holes_true: int = 0
 
     def __post_init__(self):
-        if any(r not in (-1, 0, 1) for r in self.collision.values()):
+        if not {-1, 0, 1}.issuperset(self.collision.values()):
             raise ValueError("collision indicator must be in {-1, 0, 1}")
 
     @property

@@ -10,7 +10,7 @@ Agents only ever execute actions that map to feasible assignments for the
 state they observed (idle is always feasible; a sub-channel action
 requires its predicted bit to be vacant), which keeps the scheduling
 constraints satisfied by construction; check_actions holds every slot of
-training and simulation to that.
+training and simulation to that, one block of slots at a time.
 """
 
 import csv
@@ -376,11 +376,8 @@ class RandomAgent:
 
     num_subchannels: int
 
-    def q_row(self, state: AgentState) -> np.ndarray:
-        return np.zeros(self.num_subchannels + 1)
-
     def select(self, state, valid, epsilon, rng, k=1):
-        row = self.q_row(state)
+        row = np.zeros(self.num_subchannels + 1)
         return masked_actions(row, valid, k, 1.0, rng), row
 
     def observe(self, s, a, r, s_next, rng=None) -> None:
@@ -457,6 +454,7 @@ def train_agent(agent, env: SchedulingEnv, episodes: int, slots_per_episode: int
     num_subchannels, num_uavs = len(env.matrices), len(env.reward_table)
     rng_env = derive_rng(seed, 0xE17)
     rng_agent = derive_rng(seed, 0xA9E)
+    initial = (1,) * num_subchannels  # check_actions' row for INITIAL
     log = []
     for episode in range(episodes):
         epsilon = agent.epsilon_at(episode, episodes)
@@ -473,7 +471,7 @@ def train_agent(agent, env: SchedulingEnv, episodes: int, slots_per_episode: int
             actions, q_row = agent.select(state, valid, epsilon, rng_agent, k=num_uavs)
             if np.abs(q_row).max() > Q_DIVERGENCE_LIMIT:
                 raise RuntimeError(f"Q-values diverged beyond {Q_DIVERGENCE_LIMIT:g}")
-            check_actions(actions, state)
+            check_actions([actions], [initial if state is None else state])
             outcomes = [(collision_indicator(bits[a - 1], 0), env.reward_table[uav, a - 1])
                         if a else (0, 0.0) for uav, a in enumerate(actions)]
             for action, (r, gain) in zip(actions, outcomes):
@@ -488,17 +486,58 @@ def train_agent(agent, env: SchedulingEnv, episodes: int, slots_per_episode: int
     return log
 
 
-def check_actions(actions: Sequence[int], state: AgentState) -> None:
-    """Raise RuntimeError unless the actions an agent chose from `state`,
-    one per UAV (0 = idle), are feasible: each non-idle action names a
-    sub-channel in 1..M that `state` predicts vacant, none is chosen twice,
-    and none is taken from INITIAL. With one action per UAV, no UAV gets
-    two sub-channels, and the hole budget |pairs| <= M - (# busy) follows."""
-    chosen = [a for a in actions if a]
-    if chosen and (state is None or len(set(chosen)) < len(chosen)
-                   or any(not 1 <= a <= len(state) or state[a - 1] for a in chosen)):
-        raise RuntimeError(f"agent chose infeasible actions {tuple(actions)} "
-                           f"from state {state}")
+def check_actions(actions, states) -> None:
+    """Raise RuntimeError unless every slot's actions are feasible for the
+    state they were chosen from: (T, K) actions, one per UAV (0 = idle),
+    against (T, M) predicted occupancy vectors. Each non-idle action names a
+    sub-channel in 1..M that its state predicts vacant, and none is chosen
+    twice in a slot; callers pass INITIAL as an all-busy row, since no hole
+    is detected before the first fused report. With one action per UAV, no
+    UAV gets two sub-channels, and the hole budget |pairs| <= M - (# busy)
+    follows."""
+    actions, states = np.asarray(actions), np.asarray(states)
+    m = states.shape[1]
+    takers = (actions[:, :, None] == np.arange(1, m + 1)).sum(axis=1)  # (T, M)
+    bad = (takers > (states == 0)).any(axis=1) | ((actions < 0) | (actions > m)).any(axis=1)
+    if bad.any():
+        t = int(bad.argmax())
+        raise RuntimeError(f"agent chose infeasible actions {tuple(actions[t].tolist())} "
+                           f"from state {tuple(states[t].tolist())}")
+
+
+def block_actions(agent, states: np.ndarray, requests: np.ndarray,
+                  rng: np.random.Generator, memo: dict) -> np.ndarray:
+    """(T, K) actions of T slots: slot t's j-th requesting UAV (requests
+    (T, K), in UAV order) takes its j-th pick from the holes of states[t],
+    and the other UAVs idle (0). A RandomAgent's picks sort the slot's valid
+    actions by its row of one rng.random((T, M + 1)) draw of keys (busy ones
+    masked, idle padding): a uniform ordering. Another agent's picks for k
+    requesters are its greedy select(state, valid, 0.0, rng, k), made once
+    per (state, k) and kept in memo, which only a non-learning agent may
+    share across calls."""
+    t, m = states.shape
+    k = requests.shape[1]
+    if isinstance(agent, RandomAgent):
+        keys = rng.random((t, m + 1))
+        keys[:, 1:][states != 0] = 2.0  # after every valid action's key
+        order = np.argsort(keys, axis=1, kind="stable")
+        valid = m + 1 - states.sum(axis=1, dtype=np.int64)
+        order[np.arange(m + 1) >= valid[:, None]] = 0
+        picks = np.zeros((t, max(k, m + 1)), dtype=np.int64)
+        picks[:, :m + 1] = order
+    else:
+        counts = requests.sum(axis=1)
+        codes = (states.astype(np.int64) << np.arange(m)).sum(axis=1) * (k + 1) + counts
+        uniques, inverse = np.unique(codes, return_inverse=True)
+        for code in uniques.tolist():
+            if code not in memo:
+                state, n = mask_occupancy(code // (k + 1), m), code % (k + 1)
+                chosen = agent.select(state, valid_actions(state, m), 0.0, rng, k=n)[0] if n else ()
+                memo[code] = (list(chosen) + [0] * k)[:k]
+        picks = np.array([memo[code] for code in uniques.tolist()],
+                         dtype=np.int64).reshape(-1, k)[inverse]
+    ranks = np.maximum(np.cumsum(requests, axis=1) - 1, 0)
+    return np.where(requests, np.take_along_axis(picks, ranks, axis=1), 0)
 
 
 def write_training_csv(path: str, rows) -> None:

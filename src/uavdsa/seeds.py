@@ -14,7 +14,7 @@ workers. One substream serves one purpose; every key path in use:
     (seed, 0x51B, p)      simulate, p = TRUTH 0 (occupancy), REQUESTS 1,
                           CENTRAL 2 and SHIFT 3 (energy detectors' chi-square
                           and normal draws), SPECTRA 4 (classifier spectra),
-                          AGENT 5 (the agent's draws)
+                          AGENT 5 (the random agent's key blocks)
     (seed, 0xE7A1, p)     eval-sensing, p = TRUTH 0 (labels), 2, 3 and 4 as above
 """
 

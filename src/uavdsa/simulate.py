@@ -5,21 +5,26 @@ sense the current occupancy and report its prediction, (3) fuses the
 reports, (4) lets the agent allocate sub-channels to the requesting UAVs
 for the next slot, (5) executes the allocation made in the previous slot
 against the occupancy that actually materialized (the collision indicator
-scores it), and (6) advances the occupancy chains. Steps (1)-(3) and (6)
-do not depend on the agent, so they run a block of slots at a time with
-array operations; run_slot does the rest, per slot. Before saving, every
-slot is rescored from its collision indicators under the config's costs,
-and the aggregates from those (self-audit). All randomness flows from the
-config seed, one substream derive_rng(seed, SIMULATE_KEY, purpose) per
-purpose (see the seeds module): TRUTH (occupancy), REQUESTS, CENTRAL and
-SHIFT (energy detectors' chi-square and normal draws), SPECTRA (classifier
-spectra) and AGENT. Each draws a block's slots in slot order, so outputs do
-not depend on the block size; eval-sensing draws TRUTH labels and the
-sensing streams under EVAL_KEY.
+scores it), and (6) advances the occupancy chains. Every step runs a block
+of slots at a time with array operations: episode does (1)-(3) and (6),
+and run_slot runs a whole block of (4) and (5), one agent call, one
+feasibility check and one scoring pass per block, appending the block to
+the run's ledger columns. Before saving, every slot is rescored one at a
+time from its collision indicators under the config's costs, and the
+aggregates from those (self-audit). All randomness flows from the config
+seed, one substream derive_rng(seed, SIMULATE_KEY, purpose) per purpose
+(see the seeds module): TRUTH (occupancy), REQUESTS, CENTRAL and SHIFT
+(energy detectors' chi-square and normal draws), SPECTRA (classifier
+spectra) and AGENT (the random agent's one (T, M + 1) block of keys per
+block; a learning agent's greedy choices draw nothing that reaches an
+output). Each draws a block's slots in slot order, so outputs do not
+depend on the block size; eval-sensing draws TRUTH labels and the sensing
+streams under EVAL_KEY.
 """
 
 import json
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,12 +32,12 @@ import numpy as np
 from . import nnet
 from .channel import db_to_linear, sample_occupancy
 from .config import ConfigError, SensingSpec, SimConfig
-from .core import (SlotLedger, access_cost, collision_indicator, energy_efficiency,
-                   sensing_cost, slot_utility, throughput)
+from .core import (SlotLedger, access_cost, energy_efficiency, sensing_cost,
+                   slot_utility, throughput)
 from .fusion import vote
 from .iqsynth import SynthConfig, draw_band_energies, synthesize_spectra
-from .scheduler import (DqnAgent, QTable, RandomAgent, check_actions, load_agent,
-                        load_qtable, valid_actions)
+from .scheduler import (DqnAgent, QTable, RandomAgent, block_actions, check_actions,
+                        load_agent, load_qtable)
 from .seeds import derive_rng
 from .sensing import (SensingModel, confusion_tally, detect, energy_detect,
                       metrics_from_counts, write_metrics_csv)
@@ -61,8 +66,18 @@ def block_slots(models, synth: SynthConfig) -> int:
 
 @dataclass
 class RunReport:
-    ledgers: list[SlotLedger]
-    slots: int
+    """A run's ledger columns, row s for slot s: the sub-channel each UAV
+    transmitted on (channels, (S, K), 0 where it did not) and that pair's
+    collision indicator (collision, (S, K)), the slot's utility and EE,
+    and its detected and true hole counts; then the aggregates of those
+    scores and the per-UAV and fused sensing confusion counts."""
+
+    channels: np.ndarray
+    collision: np.ndarray
+    utility: np.ndarray
+    energy_efficiency: np.ndarray
+    holes_detected: np.ndarray
+    holes_true: np.ndarray
     mean_utility: float
     mean_ee: float
     collision_rate: float
@@ -70,6 +85,33 @@ class RunReport:
     collisions: int
     sensing_counts: dict[str, tuple[int, int, int, int]]
     seed: int
+
+    @property
+    def slots(self) -> int:
+        return len(self.utility)
+
+    @property
+    def ledgers(self) -> "Ledgers":
+        return Ledgers(self)
+
+
+class Ledgers(Sequence):
+    """A report's slots as SlotLedger views, each built from the columns
+    when it is read."""
+
+    def __init__(self, report: RunReport):
+        self.report = report
+
+    def __len__(self) -> int:
+        return len(self.report.utility)
+
+    def __getitem__(self, slot: int) -> SlotLedger:
+        r = self.report
+        slot = range(len(r.utility))[slot]  # IndexError past the end ends iteration
+        pairs = zip(r.channels[slot].tolist(), r.collision[slot].tolist())
+        return SlotLedger(slot, {(uav, ch): c for uav, (ch, c) in enumerate(pairs) if ch},
+                          r.utility.item(slot), r.energy_efficiency.item(slot),
+                          r.holes_detected.item(slot), r.holes_true.item(slot))
 
 
 def new_agent(config: SimConfig, variant: str):
@@ -204,23 +246,13 @@ def metric_rows(counts, uav_sinrs_db, fused_sinr_db, kinds, n: int) -> list[tupl
     return rows
 
 
-def slot_scorer(config: SimConfig):
-    """Callable(collision) -> (utility, energy efficiency) of one slot from
-    its pairs' collision indicators and the config's K x M throughput
-    table, per-pair access cost and K sensing costs (every UAV senses);
-    the EE is NaN when the slot consumed no energy."""
+def score_table(config: SimConfig):
+    """(bits, ac, sensing_costs): the config's K x M throughput table, the
+    per-pair access cost and the K sensing costs (every UAV senses)."""
     timing, radio = config.timing, config.radio
-    bits = [[throughput(timing, radio, db_to_linear(sinr)) for sinr in row]
-            for row in config.link.access_sinr_db]
-    ac = access_cost(timing, radio)
-    sensing_costs = [sensing_cost(timing, radio)] * radio.num_uavs
-
-    def score(collision) -> tuple[float, float]:
-        pairs = [(collision[uav, ch], bits[uav][ch - 1]) for uav, ch in sorted(collision)]
-        return (slot_utility(pairs),
-                energy_efficiency([(r, big_r, ac) for r, big_r in pairs], sensing_costs))
-
-    return score
+    bits = np.array([[throughput(timing, radio, db_to_linear(sinr)) for sinr in row]
+                     for row in config.link.access_sinr_db])
+    return bits, access_cost(timing, radio), [sensing_cost(timing, radio)] * radio.num_uavs
 
 
 class Simulation:
@@ -233,80 +265,91 @@ class Simulation:
         self.models = [build_sensing_model(s, config, f"sensing[{k}].model_path")
                        for k, s in enumerate(config.sensing)]
         self.agent = build_agent(config)
-        self.score = slot_scorer(config)
-        self.slot = 0
+        self.choices = {}  # block_actions' memo: simulate never trains its agent
+        self.bits, self.access_cost, sensing_costs = score_table(config)
+        self.sensing_cost = sum(sensing_costs)
+        k = config.radio.num_uavs
+        # each block's RunReport columns, after an empty one: a run may have no slots
+        self.blocks = [(np.zeros((0, k), np.int64), np.zeros((0, k), np.int8), np.zeros(0),
+                        np.zeros(0), np.zeros(0, np.int64), np.zeros(0, np.int64))]
         # [TP, FP, FN, TN] per UAV, then fused
-        self.counts = np.zeros((config.radio.num_uavs + 1, 4), dtype=np.int64)
+        self.counts = np.zeros((k + 1, 4), dtype=np.int64)
 
     def episode(self):
-        """Each slot's (true occupancy, requesting UAVs, fused vector) for
-        one episode, computed block by block; starts the episode afresh."""
+        """Each block of one episode: its slots' true occupancy (T, M),
+        requesting UAVs (T, K) and fused vectors (T, M); starts the
+        episode afresh."""
         cfg = self.cfg
+        k, m = cfg.radio.num_uavs, cfg.radio.num_subchannels
         slots, size = cfg.slots_per_episode, block_slots(self.models, cfg.synth)
-        self.prev_fused, self.pending = None, []
+        # nothing is allocated before slot 0, so nothing transmits in it
+        self.pending = np.zeros((1, k), dtype=np.int64)
+        self.prev_fused = np.ones((1, m), dtype=np.int8)
         state = None  # before slot 0: the episode starts from a stationary draw
         for start in range(0, slots, size):
             t = min(size, slots - start)
-            truths = sample_occupancy(cfg.matrices, t, self.truth_rng, state)
-            state = truths[-1]
-            requests = (self.request_rng.random((t, cfg.radio.num_uavs))
-                        < cfg.request_probability)
-            fused = sensing_trials(self.models, truths, cfg.link.sensing_sinr_db, cfg,
-                                   self.streams, self.counts)
-            yield from zip(truths, ([k for k, r in enumerate(row) if r]
-                                    for row in requests.tolist()),
-                           map(tuple, fused.tolist()))
+            walk = sample_occupancy(cfg.matrices, t, self.truth_rng, state)
+            state = walk[-1]
+            truths = np.array(walk, dtype=np.int8)
+            requests = self.request_rng.random((t, k)) < cfg.request_probability
+            yield truths, requests, sensing_trials(
+                self.models, truths, cfg.link.sensing_sinr_db, cfg, self.streams, self.counts)
 
-    def run_slot(self, truth, requesting, fused) -> SlotLedger:
-        """One slot on its true occupancy, requesting UAVs and fused vector:
-        the agent allocates the detected holes for the next slot, and the
-        previous slot's allocation transmits and is scored."""
-        pending_next = []  # (uav, sub-channel) pairs in UAV order
-        if requesting:
-            actions, _ = self.agent.select(fused, valid_actions(fused, len(fused)), 0.0,
-                                           self.agent_rng, k=len(requesting))
-            check_actions(actions, fused)
-            pending_next = [(uav, a) for uav, a in zip(requesting, actions) if a]
+    def run_slot(self, truths, requests, fused) -> None:
+        """A block of slots on their true occupancy (T, M), requesting UAVs
+        (T, K) and fused vectors (T, M): the agent allocates each slot's
+        detected holes for the next slot (one block_actions call and one
+        check_actions for the block), and each slot transmits the previous
+        slot's allocation, whose collision indicators score it. Appends the
+        block's RunReport columns to blocks."""
+        actions = block_actions(self.agent, fused, requests, self.agent_rng, self.choices)
+        check_actions(actions, fused)
+        sent = np.concatenate((self.pending, actions[:-1]))
+        targeted = np.concatenate((self.prev_fused, fused[:-1]))
+        self.pending, self.prev_fused = actions[-1:], fused[-1:]
 
-        collision = {(uav, ch): collision_indicator(truth[ch - 1], self.prev_fused[ch - 1])
-                     for uav, ch in self.pending}
-        utility, ee = self.score(collision)
-        ledger = SlotLedger(
-            slot=self.slot, collision=collision, utility=utility, energy_efficiency=ee,
-            holes_detected=len(fused) - sum(fused), holes_true=len(truth) - sum(truth))
+        rows, channel = np.arange(len(sent))[:, None], np.maximum(sent - 1, 0)
+        # the collision indicator: +1 where a predicted hole stayed vacant,
+        # -1 where a primary returned, 0 on a channel predicted busy
+        collision = np.where((sent > 0) & (targeted[rows, channel] == 0),
+                             1 - 2 * truths[rows, channel], 0).astype(np.int8)
+        # running sums over the pairs in UAV order, the order slot_utility and
+        # energy_efficiency add them in (+ 0.0 turns a lone -0.0 into their 0.0)
+        gains = collision * self.bits[np.arange(sent.shape[1]), channel]
+        utility = gains.cumsum(1)[:, -1] + 0.0
+        energy = np.where(sent > 0, self.access_cost, 0.0).cumsum(1)[:, -1] + self.sensing_cost
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ee = np.where(energy > 0, utility / energy, np.nan)
+        m = fused.shape[1]
+        self.blocks.append((sent, collision, utility, ee, m - fused.sum(1, dtype=np.int64),
+                            m - truths.sum(1, dtype=np.int64)))
 
-        self.prev_fused = fused
-        self.pending = pending_next
-        self.slot += 1
-        return ledger
 
-
-def recompute_aggregates(ledgers: list[SlotLedger]):
+def recompute_aggregates(channels, collision, utility, ee):
     """(mean utility, mean EE, collision rate, transmissions, collisions) of
-    the per-slot utility, EE and collision values the ledgers hold; slots
-    with an undefined (NaN) EE are left out of the mean EE."""
-    if not ledgers:
+    a report's (S, K) transmitted-channel and collision-indicator columns
+    and its per-slot utility and EE; slots with an undefined (NaN) EE are
+    left out of the mean EE."""
+    if not len(utility):
         return 0.0, float("nan"), 0.0, 0, 0
-    ees = [led.energy_efficiency for led in ledgers if not np.isnan(led.energy_efficiency)]
-    transmissions = sum(len(led.collision) for led in ledgers)
-    collisions = sum(1 for led in ledgers for r in led.collision.values() if r == -1)
-    mean_utility = float(np.mean([led.utility for led in ledgers]))
-    mean_ee = float(np.mean(ees)) if ees else float("nan")
+    ees = ee[~np.isnan(ee)]
+    transmissions = int(np.count_nonzero(channels))
+    collisions = int(np.count_nonzero(collision == -1))
+    mean_utility = float(np.mean(utility))
+    mean_ee = float(np.mean(ees)) if len(ees) else float("nan")
     rate = collisions / transmissions if transmissions else 0.0
     return mean_utility, mean_ee, rate, transmissions, collisions
 
 
 def run_simulation(config: SimConfig) -> RunReport:
     sim = Simulation(config)
-    ledgers = []
     for _ in range(config.episodes):
-        ledgers += [sim.run_slot(*slot) for slot in sim.episode()]
-    mean_utility, mean_ee, rate, transmissions, collisions = recompute_aggregates(ledgers)
+        for block in sim.episode():
+            sim.run_slot(*block)
+    columns = [np.concatenate(blocks) for blocks in zip(*sim.blocks)]
     keys = [f"uav_{k}" for k in range(config.radio.num_uavs)] + ["fused"]
     return RunReport(
-        ledgers=ledgers, slots=len(ledgers), mean_utility=mean_utility,
-        mean_ee=mean_ee, collision_rate=rate, transmissions=transmissions,
-        collisions=collisions,
+        *columns, *recompute_aggregates(*columns[:4]),
         sensing_counts={key: tuple(c) for key, c in zip(keys, sim.counts.tolist())},
         seed=config.seed)
 
@@ -316,17 +359,25 @@ def _same(a: float, b: float) -> bool:
 
 
 def _audit(report: RunReport, config: SimConfig) -> None:
-    """The only place slots are rescored: each slot's collision indicators
-    under the config's costs must give the utility and EE it records, and
-    those must give the report's aggregates."""
-    score = slot_scorer(config)
-    for led in report.ledgers:
-        utility, ee = score(led.collision)
-        if utility != led.utility or not _same(ee, led.energy_efficiency):
-            raise RuntimeError(f"slot {led.slot}: recorded scores do not match "
+    """The only place slots are rescored independently: each slot's
+    collision indicators, scored one slot at a time through the scalar
+    slot_utility and energy_efficiency under the config's costs, must give
+    the utility and EE its columns record, and those must give the
+    report's aggregates."""
+    bits, ac, sensing_costs = score_table(config)
+    bits = bits.tolist()
+    for slot, (channels, collision, utility, ee) in enumerate(zip(
+            report.channels.tolist(), report.collision.tolist(), report.utility.tolist(),
+            report.energy_efficiency.tolist())):
+        pairs = [(r, bits[uav][ch - 1])
+                 for uav, (ch, r) in enumerate(zip(channels, collision)) if ch]
+        if (slot_utility(pairs) != utility
+                or not _same(energy_efficiency([(r, big_r, ac) for r, big_r in pairs],
+                                               sensing_costs), ee)):
+            raise RuntimeError(f"slot {slot}: recorded scores do not match "
                                f"its collision indicators")
     mean_utility, mean_ee, rate, transmissions, collisions = recompute_aggregates(
-        report.ledgers)
+        report.channels, report.collision, report.utility, report.energy_efficiency)
     if (mean_utility != report.mean_utility or not _same(mean_ee, report.mean_ee)
             or rate != report.collision_rate
             or transmissions != report.transmissions
@@ -341,10 +392,11 @@ def save_report(report: RunReport, config: SimConfig, out_dir: str) -> None:
 
     with open(os.path.join(out_dir, "ledgers.csv"), "w", newline="") as f:
         f.write(",".join(LEDGER_COLUMNS) + "\n")
-        for led in report.ledgers:
-            n_coll = sum(1 for r in led.collision.values() if r == -1)
-            f.write(f"{led.slot},{led.utility!r},{led.energy_efficiency!r},"
-                    f"{n_coll},{led.holes_detected},{led.holes_true}\n")
+        f.writelines(f"{slot},{utility!r},{ee!r},{n_coll},{detected},{true}\n"
+                     for slot, (utility, ee, n_coll, detected, true) in enumerate(zip(
+                         report.utility.tolist(), report.energy_efficiency.tolist(),
+                         np.count_nonzero(report.collision == -1, axis=1).tolist(),
+                         report.holes_detected.tolist(), report.holes_true.tolist())))
 
     sensing = {key: dict(zip(("tp", "fp", "fn", "tn", "precision", "recall", "f1"),
                              (*counts, *_metric_row(counts))))

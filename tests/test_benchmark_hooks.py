@@ -5,7 +5,9 @@ methods it finds through vars(cls), and benchmarks/run.py swaps out
 cli.run_simulation to keep the run reports for its audit. A method moved
 out of its class body, or a stage that stops calling through the cli
 global, breaks `python3 benchmarks/run.py --trace 1` without failing any
-other test.
+other test. Likewise, a run report whose ledgers lose an attribute the
+benchmark's external audit reads, or a ledgers.csv that loses a row, fails
+here rather than as failed benchmark operations.
 """
 
 import json
@@ -16,6 +18,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 
 import layers  # noqa: E402
 import spans  # noqa: E402
+import workloads  # noqa: E402
 from uavdsa import cli  # noqa: E402
 from uavdsa.scheduler import DqnAgent  # noqa: E402
 from uavdsa.simulate import Simulation  # noqa: E402
@@ -61,3 +64,28 @@ def test_cmd_simulate_calls_run_simulation_through_the_cli_global(tmp_path, caps
     monkeypatch.setattr(cli, "run_simulation", capture)
     assert simulate(tmp_path) == 0
     assert len(reports) == 1 and reports[0].slots == CONFIG["slots_per_episode"]
+
+
+def test_simulate_energy_pass_satisfies_the_benchmark_check(tmp_path, capsys, monkeypatch):
+    workload = workloads.WORKLOADS["simulate-energy"]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(workload.config(1)))
+    reports = []
+    run_simulation = cli.run_simulation
+
+    def capture(config):
+        reports.append(run_simulation(config))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "run_simulation", capture)
+    out = tmp_path / "run"
+    for stage in workload.stages:
+        assert cli.cli_dispatch(stage.argv(str(out)) + ["--config", str(path),
+                                                        "--out", str(out)]) == 0
+    assert workload.check(str(out), reports) == []
+    assert reports[0].transmissions > 0
+
+    ledgers = out / "ledgers.csv"
+    ledgers.write_text("".join(ledgers.read_text().splitlines(keepends=True)[:-1]))
+    assert [stage for stage, problem in workload.check(str(out), reports)
+            if "ledgers.csv has" in problem] == ["simulate"]

@@ -128,9 +128,9 @@ GOLDEN = {
     },
     "simulate-random": {
         "ledgers.csv":
-            "ee16cda0ed2b684be86e53ea3179bfe94030f997d3c15715ec8f9b0eace03825",
+            "7f7e578cbb3c40c160de0a39b487c8b3e838ea3965a6fbf352a19eba3468a179",
         "report.json":
-            "d155d8b8ddfed30ee702a152c5f5492933d791438e236cda7dcb412b4c9d6f8b",
+            "c01bdbc9637b7b6019a1839e7037ea433566fe7bb97e10ce12b70977bca94c6b",
         "sensing_metrics.csv":
             "fe7d6593a03908c752a9dbf712e406f9e655e2cfbce5b6ae510ef364c75c8224",
     },

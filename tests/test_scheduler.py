@@ -394,25 +394,89 @@ ACTION_CASES = [
 @pytest.mark.parametrize("actions,state,feasible", [c[1:] for c in ACTION_CASES],
                          ids=[c[0] for c in ACTION_CASES])
 def test_check_actions(actions, state, feasible):
+    # a one-slot block; INITIAL is passed as an all-busy row
+    state = (1,) * 4 if state is None else state
     if not feasible:
         with pytest.raises(RuntimeError, match=re.escape(f"{actions} from state {state}")):
-            sch.check_actions(actions, state)
+            sch.check_actions([actions], [state])
         return
-    sch.check_actions(actions, state)
-    if state is not None:  # the hole budget |pairs| <= M - (# busy) follows
-        assert sum(a != 0 for a in actions) + sum(state) <= len(state)
+    sch.check_actions([actions], [state])
+    # the hole budget |pairs| <= M - (# busy) follows
+    assert sum(a != 0 for a in actions) + sum(state) <= len(state)
 
 
-class PlantedAgent(sch.RandomAgent):
-    """Idles except where `plant(state, k)` returns an infeasible choice."""
+def test_check_actions_names_the_first_infeasible_slot_of_a_block():
+    states = [(0, 0, 1), (0, 1, 0), (1, 1, 0), (0, 0, 0)]
+    actions = [(1, 2), (3, 0), (1, 0), (2, 2)]  # slot 2 takes a busy channel, slot 3 shares one
+    with pytest.raises(RuntimeError, match=re.escape("(1, 0) from state (1, 1, 0)")):
+        sch.check_actions(actions, states)
+    sch.check_actions(actions[:2], states[:2])
+
+
+def place(picks, requesting, k):
+    """The per-slot rule: the j-th requesting UAV takes picks[j], idle past them."""
+    row = [0] * k
+    for j, uav in enumerate(u for u, r in enumerate(requesting) if r):
+        row[uav] = picks[j] if j < len(picks) else 0
+    return row
+
+
+def test_random_block_actions_follow_the_per_slot_rule():
+    """Slot t's keys are row t of one rng.random((T, M + 1)) draw, and its
+    valid actions sorted by key are the requesting UAVs' actions; two
+    blocks draw what one does. K > M + 1, so idle pads."""
+    m, k, t = 4, 6, 300
+    rng = derive_rng(5)
+    states = (rng.random((t, m)) < 0.5).astype(np.int8)
+    requests = rng.random((t, k)) < 0.6
+    agent = sch.RandomAgent(num_subchannels=m)
+    got = sch.block_actions(agent, states, requests, derive_rng(6), {})
+    keys = derive_rng(6).random((t, m + 1))
+    for row, state, requesting, key in zip(got.tolist(), states.tolist(), requests.tolist(),
+                                           keys.tolist()):
+        order = sorted(sch.valid_actions(tuple(state), m), key=lambda a: key[a])
+        assert row == place(order, requesting, k)
+    split = derive_rng(6)
+    assert np.array_equal(got, np.concatenate([
+        sch.block_actions(agent, states[:77], requests[:77], split, {}),
+        sch.block_actions(agent, states[77:], requests[77:], split, {})]))
+
+
+def test_learning_block_actions_are_memoized_greedy_selects():
+    m, k, t = 3, 3, 200
+    agent = sch.QTable(num_subchannels=m)
+    agent.table[:] = derive_rng(1).normal(size=agent.table.shape)
+    rng = derive_rng(2)
+    states = (rng.random((t, m)) < 0.5).astype(np.int8)
+    requests = rng.random((t, k)) < 0.5
+    memo = {}
+    got = sch.block_actions(agent, states, requests, derive_rng(3), memo)
+    for row, state, requesting in zip(got.tolist(), states.tolist(), requests.tolist()):
+        state = tuple(state)
+        picks, _ = agent.select(state, sch.valid_actions(state, m), 0.0, derive_rng(0),
+                                k=sum(requesting))
+        assert row == place(picks, requesting, k)
+    assert len(memo) == len({(tuple(s), sum(r))
+                             for s, r in zip(states.tolist(), requests.tolist())})
+
+
+class PlantedAgent:
+    """Idles except where `plant(state, k)` returns an infeasible choice.
+    Not a RandomAgent, whose block draw in simulate never calls select."""
 
     def __init__(self, num_subchannels, plant):
-        super().__init__(num_subchannels)
+        self.num_subchannels = num_subchannels
         self.plant = plant
 
     def select(self, state, valid, epsilon, rng, k=1):
         actions = self.plant(state, k) or (0,) * k
-        return actions, self.q_row(state)
+        return actions, np.zeros(self.num_subchannels + 1)
+
+    def observe(self, s, a, r, s_next, rng=None):
+        pass
+
+    def epsilon_at(self, episode, episodes):
+        return 1.0
 
 
 # each plant idles (returns a false value) until the state lets it break its rule

@@ -227,6 +227,15 @@ class TestTrainClassifier:
         for l1, l2 in zip(m1.network.layers, m2.network.layers):
             assert np.array_equal(l1.w, l2.w) and np.array_equal(l1.b, l2.b)
 
+    def test_divergence_stops_at_the_gradient_check(self):
+        # backward refuses a non-finite gradient before any loss is non-finite
+        ds = make_dataset(m=4, n=64, count=60)
+        params = sensing.TrainParams(seed=7, hidden=(8,), epochs=3, learning_rate=1e300,
+                                     input_mode="band-energy")
+        with np.errstate(all="ignore"), pytest.raises(nnet.NonFiniteLossError,
+                                                      match="non-finite gradient signal"):
+            sensing.train_classifier(ds, params)
+
     def test_empty_train_split_rejected(self):
         ds = make_dataset(m=4, n=64, count=20)
         ds.split["train"] = ()

@@ -152,9 +152,9 @@ class TestSaveReport:
     def test_audit_rescores_every_slot(self, score, tmp_path):
         cfg = validate_config(config_dict())
         report = simulate.run_simulation(cfg)
-        led = next(led for led in report.ledgers if led.collision)
-        setattr(led, score, getattr(led, score) + 1.0)
-        with pytest.raises(RuntimeError, match=f"slot {led.slot}: "):
+        slot = next(led.slot for led in report.ledgers if led.collision)
+        getattr(report, score)[slot] += 1.0  # the ledger columns, which views read
+        with pytest.raises(RuntimeError, match=f"slot {slot}: "):
             simulate.save_report(report, cfg, str(tmp_path))
         assert not (tmp_path / "ledgers.csv").exists()
 
@@ -253,9 +253,16 @@ def golden_like_config(tmp_path):
 
 def test_outputs_do_not_depend_on_the_block_size(tmp_path, monkeypatch):
     """simulate and eval-sensing write the same bytes whether a block holds
-    one slot, seven, or what the default budget gives."""
+    one slot, seven, or what the default budget gives, with the random
+    agent's block draw and with a q-table checkpoint's memoized choices."""
     from uavdsa.cli import cmd_eval_sensing
     cfg = golden_like_config(tmp_path)
+    table = sch.QTable(num_subchannels=4)
+    sch.train_agent(table, sch.preset_scheduling_env(4), episodes=3, slots_per_episode=50,
+                    seed=1)
+    sch.save_qtable(table, str(tmp_path / "agent.qtb"))
+    trained = dataclasses.replace(cfg, agent=dataclasses.replace(
+        cfg.agent, variant="qtable", checkpoint=str(tmp_path / "agent.qtb")))
     per_slot = cfg.radio.num_uavs * cfg.synth.samples_per_observation  # a classifier senses
     outputs = []
     for slots in (1, 7, None):
@@ -267,13 +274,15 @@ def test_outputs_do_not_depend_on_the_block_size(tmp_path, monkeypatch):
         assert simulate.block_slots(models, cfg.synth) == (
             slots or simulate.BLOCK_ELEMENTS // per_slot)
         out = tmp_path / f"run_{slots}"
-        simulate.save_report(simulate.run_simulation(cfg), cfg, str(out / "simulate"))
+        for name, run_cfg in (("simulate", cfg), ("qtable", trained)):
+            simulate.save_report(simulate.run_simulation(run_cfg), run_cfg, str(out / name))
         eval_cfg = dataclasses.replace(cfg, out_dir=str(out / "eval"))
         assert cmd_eval_sensing(eval_cfg, argparse.Namespace(model=None)) == 0
         outputs.append({name: (out / name).read_bytes() for name in (
             "simulate/ledgers.csv", "simulate/report.json", "simulate/sensing_metrics.csv",
-            "eval/sensing_metrics.csv")})
+            "qtable/ledgers.csv", "qtable/report.json", "eval/sensing_metrics.csv")})
     assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0]["simulate/ledgers.csv"] != outputs[0]["qtable/ledgers.csv"]
 
 
 @pytest.mark.parametrize("slots", [1, 7, None])
@@ -289,7 +298,7 @@ def test_episode_trajectory_is_stepped_chain(slots, monkeypatch):
     rng = derive_rng(cfg.seed, simulate.SIMULATE_KEY, simulate.TRUTH)
     for _ in range(cfg.episodes):
         want = sample_occupancy(cfg.matrices, cfg.slots_per_episode, rng)
-        assert [truth for truth, _, _ in sim.episode()] == want
+        assert [tuple(row) for truths, _, _ in sim.episode() for row in truths.tolist()] == want
     assert sim.truth_rng.bit_generator.state == rng.bit_generator.state
 
 
