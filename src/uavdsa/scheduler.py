@@ -10,7 +10,8 @@ Agents only ever execute actions that map to feasible assignments for the
 state they observed (idle is always feasible; a sub-channel action
 requires its predicted bit to be vacant), which keeps the scheduling
 constraints satisfied by construction; check_actions holds every slot of
-training and simulation to that, one block of slots at a time.
+training and simulation to that, a training episode or a simulated block
+of slots at a time.
 """
 
 import csv
@@ -454,7 +455,6 @@ def train_agent(agent, env: SchedulingEnv, episodes: int, slots_per_episode: int
     num_subchannels, num_uavs = len(env.matrices), len(env.reward_table)
     rng_env = derive_rng(seed, 0xE17)
     rng_agent = derive_rng(seed, 0xA9E)
-    initial = (1,) * num_subchannels  # check_actions' row for INITIAL
     log = []
     for episode in range(episodes):
         epsilon = agent.epsilon_at(episode, episodes)
@@ -466,12 +466,13 @@ def train_agent(agent, env: SchedulingEnv, episodes: int, slots_per_episode: int
         cum_utility = 0.0
         collisions = 0
         q_sum = 0.0
+        chosen = []  # each slot's actions, checked in one call per episode
         for bits in walk[1:]:
             valid = valid_actions(state, num_subchannels)
             actions, q_row = agent.select(state, valid, epsilon, rng_agent, k=num_uavs)
             if np.abs(q_row).max() > Q_DIVERGENCE_LIMIT:
                 raise RuntimeError(f"Q-values diverged beyond {Q_DIVERGENCE_LIMIT:g}")
-            check_actions([actions], [initial if state is None else state])
+            chosen.append(actions)
             outcomes = [(collision_indicator(bits[a - 1], 0), env.reward_table[uav, a - 1])
                         if a else (0, 0.0) for uav, a in enumerate(actions)]
             for action, (r, gain) in zip(actions, outcomes):
@@ -480,6 +481,7 @@ def train_agent(agent, env: SchedulingEnv, episodes: int, slots_per_episode: int
             collisions += sum(r == -1 for r, _ in outcomes)
             q_sum += max(q_row[a] for a in valid)
             state = bits
+        check_actions(chosen, [(1,) * num_subchannels, *walk[1:-1]])  # INITIAL: all busy
         wall_ms = (time.perf_counter() - t0) * 1e3
         log.append((episode, cum_utility, collisions, epsilon,
                     q_sum / slots_per_episode, wall_ms))
