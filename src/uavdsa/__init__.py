@@ -13,6 +13,7 @@ Modules:
     config     JSON run configuration and validation
     simulate   the slot loop (request, sense, fuse, allocate, access)
     cli        command-line front end
+    seeds      keyed RNG substreams, one per purpose
 """
 
 __version__ = "0.1.0"

@@ -41,9 +41,6 @@ class LinkModel:
     access_sinr_db: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        vals = list(self.sensing_sinr_db) + [v for row in self.access_sinr_db for v in row]
-        if not all(np.isfinite(vals)):
-            raise ValueError("SINR tables must be finite")
         widths = {len(row) for row in self.access_sinr_db}
         if len(self.access_sinr_db) != len(self.sensing_sinr_db) or len(widths) > 1:
             raise ValueError("access table must be K x M with K matching sensing table")

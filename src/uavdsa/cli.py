@@ -3,7 +3,8 @@
 Subcommands: gen-dataset, train-sensor, eval-sensing, train-agent,
 simulate, report. Every subcommand accepts --config PATH, --seed U64 (seed
 override) and --out DIR (output directory override). Exit codes: 0
-success, 1 usage or configuration error, 2 runtime failure.
+success, 1 usage or configuration error (a malformed config, checkpoint or
+dataset file among them), 2 runtime failure.
 
 All output files are byte-reproducible for a fixed (config, seed);
 wall-clock timings go to stderr only.
@@ -58,7 +59,10 @@ def cmd_gen_dataset(config: SimConfig, args) -> int:
 def cmd_train_sensor(config: SimConfig, args) -> int:
     t0 = time.perf_counter()
     data_path = args.data or os.path.join(config.out_dir, "dataset.iq")
-    dataset = load_dataset(data_path)
+    try:
+        dataset = load_dataset(data_path)
+    except ValueError as exc:
+        raise ConfigError([f"--data: {exc}"]) from None
     if dataset.config.num_subchannels != config.radio.num_subchannels:
         raise ConfigError([f"radio.num_subchannels: M={config.radio.num_subchannels}, but "
                            f"{data_path} has M={dataset.config.num_subchannels}"])
@@ -135,8 +139,11 @@ def cmd_train_agent(config: SimConfig, args) -> int:
     if uavs > config.radio.num_uavs:
         raise ConfigError([f"--uavs: {uavs} exceeds radio.num_uavs "
                            f"({config.radio.num_uavs})"])
-    table = normalized_reward_table(
-        [config.link.access_sinr_db[k] for k in range(uavs)])
+    try:
+        table = normalized_reward_table(config.link.access_sinr_db[:uavs])
+    except ValueError as exc:
+        raise ConfigError([f"link.access_sinr_db: {exc} among the {uavs} trained "
+                           f"UAV(s)"]) from None
     env = SchedulingEnv(list(config.matrices), table)
     agent = new_agent(config, variant)
     log = train_agent(agent, env, config.episodes, config.slots_per_episode,

@@ -51,8 +51,6 @@ class RadioParams:
     def __post_init__(self):
         if self.v_cc <= 0 or self.p_tx <= 0 or self.subchannel_bandwidth <= 0:
             raise ValueError("v_cc, p_tx and subchannel_bandwidth must be positive")
-        if self.num_subchannels < 1 or self.num_uavs < 1:
-            raise ValueError("num_subchannels and num_uavs must be >= 1")
         if self.system_bandwidth is not None:
             if self.num_subchannels * self.subchannel_bandwidth > self.system_bandwidth:
                 raise ValueError("sub-channels exceed the declared system bandwidth")

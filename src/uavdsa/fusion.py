@@ -40,8 +40,6 @@ def _present(reports: Sequence[Sequence[int] | None], num_uavs: int) -> np.ndarr
             f"{len(reports) - len(present)} report(s) missing; fusing over {len(present)}",
             stacklevel=3,
         )
-    if not present:
-        raise ValueError("no reports to fuse")
     if any(len(r) != len(present[0]) for r in present):
         raise ValueError("reports have mismatched lengths")
     return np.array(present)

@@ -138,13 +138,12 @@ def band_edges(fft_size: int, num_subchannels: int) -> list[tuple[int, int]]:
 
 def active_bins(fft_size: int, num_subchannels: int, subcarriers: int) -> list[np.ndarray]:
     """Per-sub-channel occupied bins: `subcarriers` consecutive bins centered
-    inside that sub-channel's band, leaving the remainder as guards."""
+    inside that sub-channel's band, leaving the remainder as guards. The
+    block fits every band when subcarriers <= fft_size // num_subchannels,
+    as SynthConfig ensures."""
     bins = []
     for start, stop in band_edges(fft_size, num_subchannels):
-        width = stop - start
-        if subcarriers > width:
-            raise ValueError("subcarrier block wider than its band")
-        lead = (width - subcarriers) // 2
+        lead = (stop - start - subcarriers) // 2
         bins.append(np.arange(start + lead, start + lead + subcarriers))
     return bins
 

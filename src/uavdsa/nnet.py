@@ -124,11 +124,11 @@ def _apply_activation(z: np.ndarray, act: str) -> np.ndarray:
     return z
 
 
-def _activation_grad(z: np.ndarray, a: np.ndarray, act: str) -> np.ndarray:
+def _activation_grad(z: np.ndarray, act: str) -> np.ndarray:
     if act == "relu":
         return (z > 0.0).astype(float)
-    if act == "sigmoid":
-        return a * (1.0 - a)
+    if act == "sigmoid":  # its gradient enters only through the bce shortcut
+        raise ValueError("a sigmoid layer is trainable only as the output of a bce loss")
     return np.ones_like(z)
 
 
@@ -195,7 +195,7 @@ def backward(net: Network, x: np.ndarray, target: np.ndarray, loss: LossSpec,
             raise ValueError("bce expects a sigmoid output layer")
         delta = (y - t) / n_total  # sigmoid+bce cancellation, exact
     else:
-        delta = 2.0 * (y - t) / n_total * _activation_grad(pre[-1], y, last.activation)
+        delta = 2.0 * (y - t) / n_total * _activation_grad(pre[-1], last.activation)
 
     flat, grads = net.gradient()
     for i in range(len(net.layers) - 1, -1, -1):
@@ -204,7 +204,7 @@ def backward(net: Network, x: np.ndarray, target: np.ndarray, loss: LossSpec,
         delta.sum(axis=0, out=gb)
         if i > 0:
             delta = (delta @ net.layers[i].w.T) * _activation_grad(
-                pre[i - 1], post[i], net.layers[i - 1].activation)
+                pre[i - 1], net.layers[i - 1].activation)
     # a non-finite delta at layer i makes db_i non-finite, so one check of
     # the flat buffer catches it; only then is the top-most such layer found
     if not np.isfinite(flat).all():
@@ -267,8 +267,6 @@ def gradient_check(net: Network, x: np.ndarray, target: np.ndarray,
     Gradient pairs that are both below 1e-7 in magnitude count as matching
     (dead ReLU paths are exactly zero on both sides).
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     grads = backward(net, x, target, loss)
     worst = 0.0
     for layer, (gw, gb) in zip(net.layers, grads):

@@ -122,8 +122,6 @@ class ReplayRing:
     next_states: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.capacity < 1:
-            raise ValueError("capacity must be >= 1")
         self.states = np.zeros(self.capacity, dtype=np.intp)
         self.actions = np.zeros(self.capacity, dtype=np.intp)
         self.rewards = np.zeros(self.capacity)
@@ -199,8 +197,6 @@ class QTable:
             self.table = np.zeros(shape)
         if self.visits is None:
             self.visits = np.zeros(shape, dtype=int)
-        if self.table.shape != shape or self.visits.shape != shape:
-            raise ValueError(f"table must have shape {shape}")
 
     def q_row(self, state: AgentState) -> np.ndarray:
         return self.table[state_index(state, self.num_subchannels)]
@@ -211,8 +207,6 @@ class QTable:
 
     def observe(self, s: AgentState, a: int, r: float, s_next: AgentState,
                 rng=None) -> None:
-        if not math.isfinite(r):
-            raise ValueError("reward must be finite")
         q_update(self, s, a, r, s_next)
 
     def epsilon_at(self, episode: int, episodes: int) -> float:
@@ -243,7 +237,8 @@ def q_update(table: QTable, s: AgentState, a: int, r: float,
 class DqnAgent:
     """Primary/target networks over the M-bit state, with experience replay.
 
-    variant selects the bootstrap and target-update style: "dqn" is the
+    variant, one of DQN_VARIANTS, selects the bootstrap and target-update
+    style: "dqn" is the
     vanilla max-over-target bootstrap with hard copies, "ddqn" decouples
     selection from evaluation, "ddqn-soft" additionally replaces the hard
     copy with polyak averaging.
@@ -274,14 +269,10 @@ class DqnAgent:
     train_steps: int = 0
 
     def __post_init__(self):
-        if self.variant not in DQN_VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must lie in [0, 1)")
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError("tau must lie in [0, 1]")
-        if self.replay_capacity < 1:
-            raise ValueError("capacity must be >= 1")
         for name in ("batch_size", "target_update_period"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -291,8 +282,6 @@ class DqnAgent:
             self.primary = nnet.build_network(dims, acts, seed=self.seed)
         if self.target is None:
             self.target = nnet.clone_weights(self.primary)
-        if [l.w.shape for l in self.primary.layers] != [l.w.shape for l in self.target.layers]:
-            raise ValueError("primary and target networks must share dimensions")
         if self.primary.input_dim != self.num_subchannels:
             raise ValueError("input width must be M")
         if self.primary.output_dim != self.num_subchannels + 1:
@@ -362,10 +351,6 @@ def ddqn_targets(agent: DqnAgent, rewards: np.ndarray, q_target_next: np.ndarray
 
 def soft_update(target: nnet.Network, primary: nnet.Network, tau: float) -> nnet.Network:
     """Polyak averaging in place: theta' <- tau * theta + (1 - tau) * theta'."""
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError("tau must lie in [0, 1]")
-    if [l.w.shape for l in target.layers] != [l.w.shape for l in primary.layers]:
-        raise ValueError("networks differ in dimensions")
     target.params *= 1.0 - tau
     target.params += tau * primary.params
     return target
@@ -422,16 +407,12 @@ class SchedulingEnv:
     def __init__(self, matrices: list[TransitionMatrix], reward_table):
         self.matrices = list(matrices)
         self.reward_table = np.asarray(reward_table, dtype=float)
-        if self.reward_table.ndim != 2 or self.reward_table.shape[1] != len(self.matrices):
-            raise ValueError("reward table must be K x M")
 
 
 def preset_scheduling_env(num_subchannels: int, num_uavs: int = 1) -> SchedulingEnv:
-    """Bundled small MDPs: p01=0.2 / p10=0.3 per channel, with distinct
-    per-channel link qualities so the greedy choice matters."""
+    """Bundled small MDPs for M=2 and M=4: p01=0.2 / p10=0.3 per channel,
+    with distinct per-channel link qualities so the greedy choice matters."""
     sinr_by_m = {2: [15.0, 5.0], 4: [20.0, 12.0, 6.0, 0.0]}
-    if num_subchannels not in sinr_by_m:
-        raise ValueError("presets exist for M=2 and M=4")
     matrices = [TransitionMatrix(0.2, 0.3) for _ in range(num_subchannels)]
     row = sinr_by_m[num_subchannels]
     table = normalized_reward_table([row] * num_uavs)
@@ -450,8 +431,6 @@ def train_agent(agent, env: SchedulingEnv, episodes: int, slots_per_episode: int
                 seed: int) -> list[tuple]:
     """Run the slot loop of the allocation MDP and return per-episode rows
     matching TRAINING_COLUMNS. Reproducible per seed."""
-    if episodes < 0 or slots_per_episode < 1:
-        raise ValueError("need a positive horizon")
     num_subchannels, num_uavs = len(env.matrices), len(env.reward_table)
     rng_env = derive_rng(seed, 0xE17)
     rng_agent = derive_rng(seed, 0xA9E)

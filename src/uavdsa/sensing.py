@@ -60,12 +60,8 @@ class SensingModel:
     training_curve: list[float] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.kind not in ("energy-threshold", "dense-classifier"):
-            raise ValueError(f"unknown sensing model kind {self.kind!r}")
         if not 0.0 < self.decision_threshold < 1.0:
             raise ValueError("decision_threshold must lie in (0, 1)")
-        if self.input_mode not in INPUT_MODES:
-            raise ValueError(f"unknown input mode {self.input_mode!r}")
         m = self.num_subchannels
         if self.kind == "energy-threshold":
             if self.thresholds is None or np.shape(self.thresholds) != (m,):

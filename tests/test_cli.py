@@ -6,9 +6,10 @@ import struct
 
 import pytest
 
-from uavdsa.cli import cli_dispatch
+from uavdsa import nnet
+from uavdsa.cli import cli_dispatch, main
 from uavdsa.config import load_config
-from uavdsa.scheduler import DqnAgent, load_agent, save_agent
+from uavdsa.scheduler import DqnAgent, QTable, load_agent, save_agent, save_qtable
 
 
 def write_config(tmp_path, **overrides):
@@ -352,6 +353,133 @@ def test_undefined_precision_is_an_empty_cell(command, tmp_path, capsys):
     assert uav0 and all(row["precision"] == "" for row in uav0)
     assert all(float(row["recall"]) == 0.0 for row in uav0)
     assert all(float(row["precision"]) == 1.0 for row in rows if row["uav"] == "2")
+
+
+def _agent_file(path, primary=None):
+    agent = DqnAgent(num_subchannels=4, variant="dqn", hidden=(3,))
+    if primary is not None:  # set after construction, which would refuse it
+        agent.primary = primary
+    save_agent(agent, str(path))
+
+
+def _sensor_file(path, outputs=4):
+    nnet.save_checkpoint(nnet.build_network([4, 3, outputs], ["relu", "sigmoid"], seed=0),
+                         str(path))
+
+
+def _patched(write, fmt, offset, value):
+    def make(path):
+        write(path)
+        data = bytearray(path.read_bytes())
+        struct.pack_into(fmt, data, offset, value)
+        path.write_bytes(bytes(data))
+    return make
+
+
+# (the setting that names the file, its config overrides)
+CHECKPOINT_USES = {
+    "dqn": ("agent.checkpoint", lambda p: {"agent": {"variant": "dqn", "checkpoint": p}}),
+    "qtable": ("agent.checkpoint",
+               lambda p: {"agent": {"variant": "qtable", "checkpoint": p}}),
+    "sensor": ("sensing[0].model_path",
+               lambda p: {"sensing": {"kind": "dense-classifier",
+                                      "input_mode": "band-energy", "model_path": p}}),
+}
+
+# (use, writer of the defective file, problem): UAGC header offsets 4 version,
+# 16 gamma, 48 tau, 64 learning rate; UQTB 4 version, 8 M; UNNC 4 version,
+# 8 layer count, 36 the first weight of a two-layer block
+MALFORMED_CHECKPOINTS = [
+    ("dqn", _patched(_agent_file, "<I", 4, 2), "unsupported agent version 2"),
+    ("dqn", _patched(_agent_file, "<d", 16, 1.0), "gamma must lie in [0, 1)"),
+    ("dqn", _patched(_agent_file, "<d", 48, 2.0), "tau must lie in [0, 1]"),
+    ("dqn", _patched(_agent_file, "<d", 64, 0.0), "learning rate must be positive"),
+    ("dqn", lambda p: _agent_file(p, nnet.build_network([4, 3, 4], ["relu", "identity"],
+                                                        seed=0)),
+     "output width must be M + 1"),
+    ("qtable", _patched(lambda p: save_qtable(QTable(num_subchannels=4), str(p)),
+                        "<I", 4, 2), "unsupported q-table version 2"),
+    ("qtable", _patched(lambda p: save_qtable(QTable(num_subchannels=4), str(p)),
+                        "<I", 8, 13), "q-table for M=13 exceeds the tabular limit M <= 12"),
+    ("sensor", _patched(_sensor_file, "<I", 4, 2), "unsupported checkpoint version 2"),
+    ("sensor", _patched(_sensor_file, "<I", 8, 0), "network has no layers"),
+    ("sensor", _patched(_sensor_file, "<f", 36, float("nan")), "weights must be finite"),
+    ("sensor", lambda p: _sensor_file(p, outputs=3), "classifier has 3 outputs, config has M=4"),
+]
+
+
+@pytest.mark.parametrize("use,write,problem", MALFORMED_CHECKPOINTS, ids=[
+    "agent-version", "agent-gamma", "agent-tau", "agent-learning-rate", "agent-output-width",
+    "qtable-version", "qtable-m-limit", "network-version", "network-no-layers",
+    "network-non-finite", "classifier-output-width"])
+def test_malformed_checkpoints_are_config_errors(use, write, problem, tmp_path, capsys):
+    ckpt = tmp_path / "file.ckpt"
+    write(ckpt)
+    field, overrides = CHECKPOINT_USES[use]
+    cfg = write_config(tmp_path, **overrides(str(ckpt)))
+    out = tmp_path / "run"
+    assert cli_dispatch(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"{field}: {ckpt}: {problem}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("defect,problem", [
+    (lambda data: struct.pack_into("<I", data, 4, 7) or data, "unsupported dataset version 7"),
+    (lambda data: data[:-3], "truncated record 23"),
+], ids=["version", "truncated-record"])
+def test_malformed_dataset_is_a_config_error(defect, problem, tmp_path, capsys):
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, dataset={"fft_size": 64, "count_per_sinr": 6},
+                       sensing={"kind": "perfect", "epochs": 1, "hidden": [4]})
+    assert cli_dispatch(["gen-dataset", "--config", cfg, "--out", str(out)]) == 0
+    data = out / "dataset.iq"
+    data.write_bytes(bytes(defect(bytearray(data.read_bytes()))))
+    capsys.readouterr()
+    assert cli_dispatch(["train-sensor", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"--data: {data}: {problem}")
+    assert not (out / "sensor.ckpt").exists()
+
+
+def test_train_agent_refuses_links_without_capacity(tmp_path, capsys):
+    # log2(1 + 10^-20) == 0.0, so no link of the trained UAV carries a bit
+    link = {"sensing_sinr_db": [10.0] * 3, "access_sinr_db": [[-200.0] * 4] * 3}
+    cfg = write_config(tmp_path, link=link)
+    out = tmp_path / "run"
+    assert cli_dispatch(["train-agent", "--config", cfg, "--variant", "dqn",
+                         "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("link.access_sinr_db: ")
+    assert not out.exists()
+    # simulate scores those links as carrying nothing
+    assert cli_dispatch(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    with open(out / "report.json") as f:
+        assert json.load(f)["mean_utility"] == 0.0
+
+
+@pytest.mark.parametrize("overrides,problem", [
+    ({"sensing": {"kind": "energy-threshold", "thresholds": [8.0, -1.0, 8.0, 8.0]}},
+     "sensing[0].thresholds: entries must be >= 0.0"),
+    ({"agent": {"variant": "random", "hidden": [64, 0]}}, "agent.hidden: entries must be >= 1"),
+], ids=["thresholds", "hidden"])
+def test_list_entries_below_their_bound_are_config_errors(overrides, problem, tmp_path,
+                                                          capsys):
+    cfg = write_config(tmp_path, **overrides)
+    assert cli_dispatch(["simulate", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err.startswith(problem + "\n")
+
+
+def test_config_that_is_not_an_object_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    assert cli_dispatch(["simulate", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"config: {cfg} must contain a JSON object\n"
+
+
+def test_main_exits_with_the_dispatch_code(monkeypatch, capsys):
+    monkeypatch.setattr("sys.argv", ["uavdsa", "simulate"])
+    with pytest.raises(SystemExit) as exit_:
+        main()
+    assert exit_.value.code == 1
+    assert capsys.readouterr().err == "simulate: --config is required\n"
 
 
 class TestPipeline:

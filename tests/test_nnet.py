@@ -303,3 +303,31 @@ class TestSpecs:
         net = nnet.build_network([2, 2], ["identity"], seed=0)
         with pytest.raises(ValueError):
             nnet.backward(net, np.zeros(2), np.zeros(2), nnet.BCE)
+
+
+def _backward_of(dims, acts, target, loss):
+    return lambda: nnet.backward(nnet.build_network(dims, acts, seed=0),
+                                 np.zeros(dims[0]), target, loss)
+
+
+# (misuse, message): each would otherwise go on silently wrong: an unknown
+# activation would pass as identity, a short bias would broadcast, a short
+# activation list would drop layers, a target would broadcast against the
+# output, and a sigmoid outside a bce head would be differentiated as identity
+MISUSES = [
+    (lambda: nnet.Layer(np.zeros((2, 2)), np.zeros(2), "tanh"), "unknown activation"),
+    (lambda: nnet.Layer(np.zeros((2, 3)), np.zeros(1), "relu"), "inconsistent layer shapes"),
+    (lambda: nnet.build_network([2, 3, 1], ["relu"], seed=0), "one activation per layer"),
+    (_backward_of([2, 3], ["identity"], np.zeros(1), nnet.MSE), "target shape"),
+    (_backward_of([2, 2], ["sigmoid"], np.zeros(2), nnet.MSE), "output of a bce loss"),
+    (_backward_of([2, 3, 2], ["sigmoid", "identity"], np.zeros(2), nnet.MSE),
+     "output of a bce loss"),
+]
+
+
+@pytest.mark.parametrize("misuse,message", MISUSES, ids=[
+    "activation", "layer-shapes", "activation-count", "target-shape", "sigmoid-mse-head",
+    "sigmoid-hidden"])
+def test_misuse_is_refused(misuse, message):
+    with pytest.raises(ValueError, match=message):
+        misuse()

@@ -30,6 +30,11 @@ class TestStateEncoding:
         for idx in range(2 ** 3 + 1):
             assert sch.state_index(sch.index_state(idx, 3), 3) == idx
 
+    def test_state_of_another_length_is_refused(self):
+        # (1,) read as M=2 would index the row of (1, 0)
+        with pytest.raises(ValueError, match="state length does not match M"):
+            sch.state_index((1,), 2)
+
     def test_network_features(self):
         assert np.array_equal(sch.state_features((1, 0, 1), 3), [1.0, 0.0, 1.0])
         assert np.array_equal(sch.state_features(None, 3), [0.5, 0.5, 0.5])
@@ -330,6 +335,18 @@ class TestValueIteration:
         policy = np.zeros(4, dtype=int)
         assert sch.policy_expected_utility(env.matrices, env.reward_table[0],
                                            policy) == 0.0
+
+    # gamma = 1 would never converge, extra rewards would be ignored, and an
+    # infeasible action would score -inf (or NaN where a state has no weight)
+    @pytest.mark.parametrize("misuse,message", [
+        (lambda mats: sch.value_iteration(mats, [1.0, 1.0], 1.0), "gamma"),
+        (lambda mats: sch.value_iteration(mats, [1.0, 1.0, 1.0], 0.9), "one reward per"),
+        (lambda mats: sch.policy_expected_utility(mats, [1.0, 1.0], np.full(4, 1)),
+         "infeasible action"),
+    ], ids=["gamma", "rewards", "policy"])
+    def test_oracle_refuses_misuse(self, misuse, message):
+        with pytest.raises(ValueError, match=message):
+            misuse([TransitionMatrix(0.2, 0.3)] * 2)
 
 
 class TestEpsilonSchedule:

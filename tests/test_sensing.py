@@ -190,6 +190,21 @@ class TestPredictOccupancy:
             assert f1 <= baseline + 0.1
 
 
+    @pytest.mark.parametrize("threshold", [0.0, 1.0])
+    def test_decision_threshold_outside_the_unit_interval_is_refused(self, threshold):
+        # against a sigmoid output, such a threshold makes the reports constant
+        with pytest.raises(ValueError, match="decision_threshold"):
+            sensing.SensingModel(
+                kind="dense-classifier", num_subchannels=2,
+                network=nnet.build_network([2, 2], ["sigmoid"], seed=0),
+                decision_threshold=threshold)
+
+    def test_unknown_input_mode_is_refused(self):
+        # the one owner of the input modes; any other would pass as band-energy
+        with pytest.raises(ValueError, match="unknown input mode 'fft'"):
+            sensing.feature_vector(np.ones((3, 8), dtype=complex), 2, "fft")
+
+
 class TestTrainClassifier:
     def test_loss_decreases_on_learnable_data(self):
         # 20 dB, 2k samples; strict decrease over the first 3 epochs in at

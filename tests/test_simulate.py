@@ -61,6 +61,7 @@ class TestRunSlot:
         cfg = validate_config(config_dict())
         report = simulate.run_simulation(cfg)
         m = cfg.radio.num_subchannels
+        assert len(report.ledgers) == report.slots == 80
         for led in report.ledgers:
             assert 0 <= led.holes_detected <= m
             assert 0 <= led.holes_true <= m
