@@ -6,8 +6,6 @@ State convention everywhere: 0 = vacant, 1 = busy.
 """
 
 from dataclasses import dataclass
-from functools import partial
-from itertools import accumulate
 
 import numpy as np
 
@@ -58,12 +56,6 @@ def stationary_distribution(matrix: TransitionMatrix) -> tuple[float, float]:
     return matrix.p10 / s, matrix.p01 / s
 
 
-def _next_state(busy: int, u: float, matrix: TransitionMatrix) -> int:
-    """The transition rule: with u the channel's uniform draw, a vacant
-    channel turns busy iff u < p01 and a busy one stays busy iff u >= p10."""
-    return int(u >= matrix.p10) if busy else int(u < matrix.p01)
-
-
 def stationary_sampler(matrices: list[TransitionMatrix]):
     """Callable(rng) drawing an occupancy vector from the chains' stationary
     distributions: channel m is busy iff its one uniform is >= P(vacant).
@@ -77,23 +69,44 @@ def stationary_sampler(matrices: list[TransitionMatrix]):
 
 
 def sample_occupancy(matrices: list[TransitionMatrix], horizon: int,
-                     rng: np.random.Generator, start: tuple[int, ...] | None = None
-                     ) -> list[tuple[int, ...]]:
-    """Length-`horizon` trajectory of true occupancy vectors driven by rng:
+                     rng: np.random.Generator, start=None) -> np.ndarray:
+    """(horizon, M) int8 trajectory of true occupancy vectors driven by rng:
     a stationary draw and its successors, or, after a given previous
     state `start`, the next horizon states. One rng.random((steps, M))
-    draw gives every step one uniform per channel, in slot order, and each
-    channel's chain is then walked on its own column of draws."""
+    draw gives every step one uniform u per channel, in slot order.
+
+    The transition rule: a vacant channel turns busy iff u < p01, and a
+    busy one stays busy iff u >= p10. So each step maps a channel's state
+    through a constant (both tests agree), a flip (only u < p01 holds) or
+    the identity (only u >= p10 holds), and the state after a step is the
+    value of the last constant map (or the start) XOR the parity of the
+    flips since then: array code, with no loop over slots or channels."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if start is not None and len(start) != len(matrices):
         raise ValueError(f"expected {len(start)} matrices, got {len(matrices)}")
-    fresh = start is None
+    fresh, m = start is None, len(matrices)
     if fresh:
         start = stationary_sampler(matrices)(rng)
-    draws = rng.random((horizon - fresh, len(matrices))).T.tolist()
-    return list(zip(*(accumulate(column, partial(_next_state, matrix=matrix), initial=b)
-                      for b, matrix, column in zip(start, matrices, draws))))[not fresh:]
+    steps = horizon - fresh
+    u = rng.random((steps, m))
+    p01, p10 = np.array([(matrix.p01, matrix.p10) for matrix in matrices]).T
+    to_busy, stays_busy = u < p01, u >= p10
+    parity = np.logical_xor.accumulate(to_busy, axis=0)  # of the u < p01 steps so far
+    # row 0 is the start; row s >= 1 is step s's constant, if it has one,
+    # XOR the parity up to s
+    base = np.empty((steps + 1, m), bool)
+    base[0] = start
+    np.not_equal(to_busy, parity, out=base[1:])
+    # the last constant map at or before each step, 0 if none since the start
+    last = np.maximum.accumulate(
+        np.where(to_busy == stays_busy, np.arange(1, steps + 1)[:, None], 0), axis=0)
+    # each u < p01 step after that map is a flip: the flips since it have
+    # the parity of base's row XOR the parity now
+    walk = np.empty((steps + 1, m), np.int8)
+    walk[0] = start
+    np.not_equal(base.ravel()[last * m + np.arange(m)], parity, out=walk[1:])
+    return walk[not fresh:]
 
 
 def default_link_model(num_uavs: int, num_subchannels: int) -> LinkModel:

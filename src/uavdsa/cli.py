@@ -3,8 +3,8 @@
 Subcommands: gen-dataset, train-sensor, eval-sensing, train-agent,
 simulate, report. Every subcommand accepts --config PATH, --seed U64 (seed
 override) and --out DIR (output directory override). Exit codes: 0
-success, 1 usage or configuration error (a malformed config, checkpoint or
-dataset file among them), 2 runtime failure.
+success, 1 usage or configuration error (a malformed config, checkpoint,
+dataset file or training log among them), 2 runtime failure.
 
 All output files are byte-reproducible for a fixed (config, seed);
 wall-clock timings go to stderr only.
@@ -181,22 +181,25 @@ def cmd_simulate(config: SimConfig, args) -> int:
 
 
 def cmd_report(args) -> int:
+    logs = []  # every input is read and checked before comparison.csv is opened
+    for src in args.files:
+        try:
+            with open(src, newline="") as fin:
+                rows = list(csv.reader(fin))
+        except OSError as exc:
+            raise ConfigError([f"{src}: cannot read: {exc.strerror}"]) from None
+        if not rows or tuple(rows[0]) != TRAINING_COLUMNS:
+            raise ConfigError([f"{src}: not a training log "
+                               f"(expected columns {','.join(TRAINING_COLUMNS)})"])
+        logs.append((os.path.splitext(os.path.basename(src))[0], rows[1:]))
     out_dir = args.out or "out"
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "comparison.csv")
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(("source",) + TRAINING_COLUMNS)
-        for src in args.files:
-            stem = os.path.splitext(os.path.basename(src))[0]
-            with open(src, newline="") as fin:
-                reader = csv.reader(fin)
-                header = next(reader, None)
-                if header is None or tuple(header) != TRAINING_COLUMNS:
-                    raise ValueError(f"{src}: not a training log "
-                                     f"(expected columns {','.join(TRAINING_COLUMNS)})")
-                for row in reader:
-                    writer.writerow([stem] + row)
+        for stem, rows in logs:
+            writer.writerows([stem] + row for row in rows)
     print(path)
     return 0
 

@@ -313,10 +313,12 @@ def validate_config(raw: dict, seed_override: int | None = None,
                         "model_path", "hidden", "epochs", "batch_size",
                         "learning_rate"})
         kind = sec.choice("kind", "perfect", SENSING_KINDS)
-        thresholds = sec.number_list("thresholds", None, length=m, item_low=0.0)
-        model_path = sec.value("model_path", None, str, nullable=True)
-        if kind == "energy-threshold" and thresholds is None:
+        thresholds = None  # absent or null; a refused list is reported once, by number_list
+        if sec.data.get("thresholds") is not None:
+            thresholds = sec.number_list("thresholds", None, length=m, item_low=0.0)
+        elif kind == "energy-threshold":
             problems.append(f"sensing[{i}].thresholds: required for energy-threshold")
+        model_path = sec.value("model_path", None, str, nullable=True)
         if kind == "dense-classifier" and model_path is None:
             problems.append(f"sensing[{i}].model_path: required for dense-classifier")
         hidden = sec.number_list("hidden", (128.0, 128.0), item_low=1, whole=True)

@@ -215,18 +215,23 @@ def backward(net: Network, x: np.ndarray, target: np.ndarray, loss: LossSpec,
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+ADAM_BLOCK = 1 << 14  # elements: one block of the six Adam vectors fits in a 2 MB L2
 
 
 @dataclass
 class OptimizerState:
-    """Adam with the ADAM_* constants; `slots` holds the first and second
-    moments and `scratch` two work vectors, each laid out like the
-    network's flat parameters."""
+    """Adam with the ADAM_* constants. `slots` holds the first and second
+    moments, laid out like the network's flat parameters, and `scratch`
+    two work vectors of one block (or of the whole vector, if shorter).
+    `blocks` holds, for each ADAM_BLOCK
+    elements of the flat vectors, the views (params, gradient, m, v, s1,
+    s2) a step updates; all are built by the first step."""
 
     learning_rate: float
     step_count: int = 0
     slots: list = field(default_factory=list)
     scratch: list = field(default_factory=list)
+    blocks: list = field(default_factory=list)
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -235,28 +240,33 @@ class OptimizerState:
 
 def optimizer_step(net: Network, state: OptimizerState):
     """In-place Adam update from the network's gradient buffer (what the
-    last `backward` wrote); returns (net, state) for chaining."""
-    g, _ = net.gradient()
+    last `backward` wrote), one block at a time, so the 14 passes over a
+    block run while it is in cache; returns (net, state) for chaining."""
     if not state.slots:
+        n = net.params.size
         state.slots = [np.zeros_like(net.params) for _ in range(2)]
-        state.scratch = [np.empty_like(net.params) for _ in range(2)]
+        state.scratch = [np.empty(min(n, ADAM_BLOCK)) for _ in range(2)]
+        flat = (net.params, net.gradient()[0], *state.slots)
+        state.blocks = [[a[i:i + ADAM_BLOCK] for a in flat] +
+                        [s[:min(n - i, ADAM_BLOCK)] for s in state.scratch]
+                        for i in range(0, n, ADAM_BLOCK)]
     state.step_count += 1
-    (m, v), (s1, s2) = state.slots, state.scratch
     t = state.step_count
-    m *= ADAM_BETA1
-    np.multiply(g, 1.0 - ADAM_BETA1, out=s1)
-    m += s1
-    v *= ADAM_BETA2
-    np.square(g, out=s1)
-    s1 *= 1.0 - ADAM_BETA2
-    v += s1
-    np.divide(m, 1.0 - ADAM_BETA1 ** t, out=s1)  # m_hat
-    np.divide(v, 1.0 - ADAM_BETA2 ** t, out=s2)  # v_hat
-    np.sqrt(s2, out=s2)
-    s2 += ADAM_EPS
-    s1 *= state.learning_rate
-    s1 /= s2
-    net.params -= s1
+    for p, g, m, v, s1, s2 in state.blocks:
+        m *= ADAM_BETA1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=s1)
+        m += s1
+        v *= ADAM_BETA2
+        np.square(g, out=s1)
+        s1 *= 1.0 - ADAM_BETA2
+        v += s1
+        np.divide(m, 1.0 - ADAM_BETA1 ** t, out=s1)  # m_hat
+        np.divide(v, 1.0 - ADAM_BETA2 ** t, out=s2)  # v_hat
+        np.sqrt(s2, out=s2)
+        s2 += ADAM_EPS
+        s1 *= state.learning_rate
+        s1 /= s2
+        p -= s1
     return net, state
 
 

@@ -439,8 +439,10 @@ def train_agent(agent, env: SchedulingEnv, episodes: int, slots_per_episode: int
         epsilon = agent.epsilon_at(episode, episodes)
         t0 = time.perf_counter()
         # walk[0] is the unseen stationary start and walk[t + 1] slot t's
-        # occupancy; slot t plays from slot t - 1's (INITIAL before the first)
-        walk = sample_occupancy(env.matrices, slots_per_episode + 1, rng_env)
+        # occupancy, as tuples since the learners key on states; slot t plays
+        # from slot t - 1's (INITIAL before the first)
+        walk = [tuple(bits) for bits in
+                sample_occupancy(env.matrices, slots_per_episode + 1, rng_env).tolist()]
         state = None
         cum_utility = 0.0
         collisions = 0

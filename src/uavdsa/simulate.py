@@ -288,9 +288,8 @@ class Simulation:
         state = None  # before slot 0: the episode starts from a stationary draw
         for start in range(0, slots, size):
             t = min(size, slots - start)
-            walk = sample_occupancy(cfg.matrices, t, self.truth_rng, state)
-            state = walk[-1]
-            truths = np.array(walk, dtype=np.int8)
+            truths = sample_occupancy(cfg.matrices, t, self.truth_rng, state)
+            state = truths[-1]
             requests = self.request_rng.random((t, k)) < cfg.request_probability
             yield truths, requests, sensing_trials(
                 self.models, truths, cfg.link.sensing_sinr_db, cfg, self.streams, self.counts)

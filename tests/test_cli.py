@@ -9,7 +9,8 @@ import pytest
 from uavdsa import nnet
 from uavdsa.cli import cli_dispatch, main
 from uavdsa.config import load_config
-from uavdsa.scheduler import DqnAgent, QTable, load_agent, save_agent, save_qtable
+from uavdsa.scheduler import (TRAINING_COLUMNS, DqnAgent, QTable, load_agent, save_agent,
+                              save_qtable)
 
 
 def write_config(tmp_path, **overrides):
@@ -455,16 +456,17 @@ def test_train_agent_refuses_links_without_capacity(tmp_path, capsys):
         assert json.load(f)["mean_utility"] == 0.0
 
 
-@pytest.mark.parametrize("overrides,problem", [
+@pytest.mark.parametrize("overrides,problems", [
     ({"sensing": {"kind": "energy-threshold", "thresholds": [8.0, -1.0, 8.0, 8.0]}},
-     "sensing[0].thresholds: entries must be >= 0.0"),
-    ({"agent": {"variant": "random", "hidden": [64, 0]}}, "agent.hidden: entries must be >= 1"),
+     [f"sensing[{i}].thresholds: entries must be >= 0.0" for i in range(3)]),
+    ({"agent": {"variant": "random", "hidden": [64, 0]}}, ["agent.hidden: entries must be >= 1"]),
 ], ids=["thresholds", "hidden"])
-def test_list_entries_below_their_bound_are_config_errors(overrides, problem, tmp_path,
+def test_list_entries_below_their_bound_are_config_errors(overrides, problems, tmp_path,
                                                           capsys):
+    """Each refused list is one line per entry that holds it, nothing more."""
     cfg = write_config(tmp_path, **overrides)
     assert cli_dispatch(["simulate", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
-    assert capsys.readouterr().err.startswith(problem + "\n")
+    assert capsys.readouterr().err.splitlines() == problems
 
 
 def test_config_that_is_not_an_object_is_refused(tmp_path, capsys):
@@ -516,7 +518,16 @@ class TestPipeline:
     def test_report_rejects_non_training_csv(self, tmp_path, capsys):
         bad = tmp_path / "x.csv"
         bad.write_text("a,b\n1,2\n")
-        assert cli_dispatch(["report", "--out", str(tmp_path), str(bad)]) == 2
+        good = tmp_path / "training_dqn_1uav.csv"
+        good.write_text(",".join(TRAINING_COLUMNS) + "\n")
+        assert cli_dispatch(["report", "--out", str(tmp_path), str(good), str(bad)]) == 1
+        assert capsys.readouterr().err == (
+            f"{bad}: not a training log (expected columns {','.join(TRAINING_COLUMNS)})\n")
+        assert not (tmp_path / "comparison.csv").exists()
+        missing = tmp_path / "missing.csv"
+        assert cli_dispatch(["report", "--out", str(tmp_path), str(good), str(missing)]) == 1
+        assert capsys.readouterr().err == f"{missing}: cannot read: No such file or directory\n"
+        assert not (tmp_path / "comparison.csv").exists()
 
 
 class TestDeterminism:

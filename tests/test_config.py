@@ -72,6 +72,10 @@ class TestValidation:
         raw = minimal(sensing={"kind": "energy-threshold"})
         with pytest.raises(ConfigError, match="thresholds: required"):
             validate_config(raw)
+        with pytest.raises(ConfigError) as exc:  # null is as good as absent
+            validate_config(minimal(sensing={"kind": "energy-threshold", "thresholds": None}))
+        assert exc.value.problems == [f"sensing[{i}].thresholds: required for energy-threshold"
+                                      for i in range(3)]
 
     def test_classifier_requires_model_path(self):
         raw = minimal(sensing={"kind": "dense-classifier"})

@@ -144,6 +144,11 @@ def reference_step(layers, grads, state, slots):
             p -= lr * m_hat / (np.sqrt(v_hat) + nnet.ADAM_EPS)
 
 
+def flat_of(pairs):
+    """Per-layer (w, b) arrays laid out as one flat vector, like `params`."""
+    return np.concatenate([a.ravel() for pair in pairs for a in pair])
+
+
 class TestFlatParameters:
     def test_layers_are_views_of_one_vector(self):
         net = nnet.build_network([3, 4, 2], ["relu", "identity"], seed=0)
@@ -192,6 +197,31 @@ class TestFlatParameters:
             nnet.optimizer_step(net, state)
             for layer, (w, b) in zip(net.layers, ref):
                 assert np.array_equal(layer.w, w) and np.array_equal(layer.b, b)
+
+
+    def test_blocked_update_is_bitwise_the_per_layer_update(self):
+        """Two full Adam blocks and a ragged tail: every block's params and
+        moments match the per-layer reference bit for bit."""
+        net = nnet.build_network([600, 64, 4], ["relu", "identity"], seed=4)
+        n = net.params.size
+        assert n // nnet.ADAM_BLOCK == 2 and n % nnet.ADAM_BLOCK == 5956
+        ref = [(l.w.copy(), l.b.copy()) for l in net.layers]
+        ref_slots = [tuple([np.zeros_like(p), np.zeros_like(p)] for p in pair)
+                     for pair in ref]
+        state = nnet.OptimizerState(learning_rate=0.01)
+        ref_state = nnet.OptimizerState(learning_rate=0.01)
+        rng = np.random.default_rng(4)
+        for _ in range(6):
+            x, y = rng.normal(size=(8, 600)), rng.normal(size=(8, 4))
+            grads = nnet.backward(net, x, y, nnet.MSE)
+            reference_step(ref, [(gw.copy(), gb.copy()) for gw, gb in grads],
+                           ref_state, ref_slots)
+            nnet.optimizer_step(net, state)
+            expected = [flat_of(pairs) for pairs in (
+                ref, [(w[0], b[0]) for w, b in ref_slots], [(w[1], b[1]) for w, b in ref_slots])]
+            for got, want in zip((net.params, *state.slots), expected):
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert len(state.blocks) == 3
 
 
 class TestGradientCheck:
