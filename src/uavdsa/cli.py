@@ -61,7 +61,7 @@ def cmd_train_sensor(config: SimConfig, args) -> int:
     data_path = args.data or os.path.join(config.out_dir, "dataset.iq")
     try:
         dataset = load_dataset(data_path)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError([f"--data: {exc}"]) from None
     if dataset.config.num_subchannels != config.radio.num_subchannels:
         raise ConfigError([f"radio.num_subchannels: M={config.radio.num_subchannels}, but "

@@ -9,17 +9,17 @@ scores it), and (6) advances the occupancy chains. Every step runs a block
 of slots at a time with array operations: episode does (1)-(3) and (6),
 and run_slot runs a whole block of (4) and (5), one agent call, one
 feasibility check and one scoring pass per block, appending the block to
-the run's ledger columns. Before saving, every slot is rescored one at a
-time from its collision indicators under the config's costs, and the
-aggregates from those (self-audit). All randomness flows from the config
-seed, one substream derive_rng(seed, SIMULATE_KEY, purpose) per purpose
-(see the seeds module): TRUTH (occupancy), REQUESTS, CENTRAL and SHIFT
-(energy detectors' chi-square and normal draws), SPECTRA (classifier
-spectra) and AGENT (the random agent's one (T, M + 1) block of keys per
-block; a learning agent's greedy choices draw nothing that reaches an
-output). Each draws a block's slots in slot order, so outputs do not
-depend on the block size; eval-sensing draws TRUTH labels and the sensing
-streams under EVAL_KEY.
+the run's ledger columns. Before saving, each distinct slot pattern is
+scored once from its collision indicators under the config's costs, and
+every slot is checked against it; the aggregates are checked against the
+slots' scores (self-audit). All randomness flows from the config seed, one
+substream derive_rng(seed, SIMULATE_KEY, purpose) per purpose (see the
+seeds module): TRUTH (occupancy), REQUESTS, CENTRAL and SHIFT (energy
+detectors' chi-square and normal draws), SPECTRA (classifier spectra) and
+AGENT (the random agent's one (T, M + 1) block of keys per block; a
+learning agent's greedy choices draw nothing that reaches an output). Each
+draws a block's slots in slot order, so outputs do not depend on the block
+size; eval-sensing draws TRUTH labels and the sensing streams under EVAL_KEY.
 """
 
 import json
@@ -353,28 +353,36 @@ def run_simulation(config: SimConfig) -> RunReport:
         seed=config.seed)
 
 
-def _same(a: float, b: float) -> bool:
-    return a == b or (np.isnan(a) and np.isnan(b))
+def _same(a, b):
+    """Elementwise a == b, with NaN equal to NaN; scalars or arrays."""
+    return (a == b) | (np.isnan(a) & np.isnan(b))
 
 
 def _audit(report: RunReport, config: SimConfig) -> None:
-    """The only place slots are rescored independently: each slot's
-    collision indicators, scored one slot at a time through the scalar
-    slot_utility and energy_efficiency under the config's costs, must give
-    the utility and EE its columns record, and those must give the
-    report's aggregates."""
+    """The only place slots are rescored independently: each distinct slot
+    pattern, the exact bytes of a slot's (channels, collision) rows, is
+    scored once through the scalar slot_utility and energy_efficiency under
+    the config's costs, and every slot is checked against it: the utility
+    and EE its columns record must equal its pattern's, and those must give
+    the report's aggregates."""
     bits, ac, sensing_costs = score_table(config)
     bits = bits.tolist()
-    for slot, (channels, collision, utility, ee) in enumerate(zip(
-            report.channels.tolist(), report.collision.tolist(), report.utility.tolist(),
-            report.energy_efficiency.tolist())):
+    rows = np.hstack([np.ascontiguousarray(column).view(np.uint8)
+                      for column in (report.channels, report.collision)])
+    _, first, pattern = np.unique(rows.view(np.dtype((np.void, rows.shape[1])))[:, 0],
+                                  return_index=True, return_inverse=True)
+    scores = []
+    for channels, collision in zip(report.channels[first].tolist(),
+                                   report.collision[first].tolist()):
         pairs = [(r, bits[uav][ch - 1])
                  for uav, (ch, r) in enumerate(zip(channels, collision)) if ch]
-        if (slot_utility(pairs) != utility
-                or not _same(energy_efficiency([(r, big_r, ac) for r, big_r in pairs],
-                                               sensing_costs), ee)):
-            raise RuntimeError(f"slot {slot}: recorded scores do not match "
-                               f"its collision indicators")
+        scores.append((slot_utility(pairs), energy_efficiency(
+            [(r, big_r, ac) for r, big_r in pairs], sensing_costs)))
+    utility, ee = np.array(scores).reshape(-1, 2)[pattern].T  # (-1, 2): a run may have no slots
+    wrong = (utility != report.utility) | ~_same(ee, report.energy_efficiency)
+    if wrong.any():
+        raise RuntimeError(f"slot {wrong.argmax()}: recorded scores do not match "
+                           f"its collision indicators")
     mean_utility, mean_ee, rate, transmissions, collisions = recompute_aggregates(
         report.channels, report.collision, report.utility, report.energy_efficiency)
     if (mean_utility != report.mean_utility or not _same(mean_ee, report.mean_ee)
@@ -384,6 +392,14 @@ def _audit(report: RunReport, config: SimConfig) -> None:
         raise RuntimeError("report aggregates do not match their ledgers")
 
 
+def _reprs(column: np.ndarray) -> list[str]:
+    """repr of each float of a float64 column, each distinct 64-bit pattern
+    formatted once (so 0.0, -0.0 and NaN keep their own)."""
+    values, inverse = np.unique(column.view(np.uint64), return_inverse=True)
+    return np.array([repr(v) for v in values.view(np.float64).tolist()],
+                    dtype=object)[inverse].tolist()
+
+
 def save_report(report: RunReport, config: SimConfig, out_dir: str) -> None:
     """Persist ledgers.csv, report.json and sensing_metrics.csv; audited."""
     _audit(report, config)
@@ -391,9 +407,9 @@ def save_report(report: RunReport, config: SimConfig, out_dir: str) -> None:
 
     with open(os.path.join(out_dir, "ledgers.csv"), "w", newline="") as f:
         f.write(",".join(LEDGER_COLUMNS) + "\n")
-        f.writelines(f"{slot},{utility!r},{ee!r},{n_coll},{detected},{true}\n"
+        f.writelines(f"{slot},{utility},{ee},{n_coll},{detected},{true}\n"
                      for slot, (utility, ee, n_coll, detected, true) in enumerate(zip(
-                         report.utility.tolist(), report.energy_efficiency.tolist(),
+                         _reprs(report.utility), _reprs(report.energy_efficiency),
                          np.count_nonzero(report.collision == -1, axis=1).tolist(),
                          report.holes_detected.tolist(), report.holes_true.tolist())))
 

@@ -6,7 +6,7 @@ import struct
 
 import pytest
 
-from uavdsa import nnet
+from uavdsa import cli, nnet, simulate
 from uavdsa.cli import cli_dispatch, main
 from uavdsa.config import load_config
 from uavdsa.scheduler import (TRAINING_COLUMNS, DqnAgent, QTable, load_agent, save_agent,
@@ -60,11 +60,27 @@ class TestExitCodes:
     def test_missing_required_config_flag(self, capsys):
         assert cli_dispatch(["simulate"]) == 1
 
-    def test_runtime_failure_is_2(self, tmp_path, capsys):
+    def test_runtime_failure_is_2(self, tmp_path, monkeypatch, capsys):
         cfg = write_config(tmp_path)
-        # train-sensor with no dataset file on disk
-        assert cli_dispatch(["train-sensor", "--config", cfg,
-                             "--out", str(tmp_path / "empty")]) == 2
+
+        def faulty_run(config):  # a fault inside the program: the self-audit refuses it
+            report = simulate.run_simulation(config)
+            report.mean_utility += 1.0
+            return report
+
+        monkeypatch.setattr(cli, "run_simulation", faulty_run)
+        assert cli_dispatch(["simulate", "--config", cfg,
+                             "--out", str(tmp_path / "run")]) == 2
+        assert (capsys.readouterr().err
+                == "simulate: report aggregates do not match their ledgers\n")
+
+    def test_missing_dataset_is_a_data_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        data, out = tmp_path / "missing.iq", tmp_path / "run"
+        assert cli_dispatch(["train-sensor", "--config", cfg, "--data", str(data),
+                             "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("--data: [Errno 2] ")
+        assert not out.exists()
 
     def test_dataset_of_another_m_is_config_error(self, tmp_path, capsys):
         out = str(tmp_path / "run")

@@ -159,6 +159,62 @@ class TestSaveReport:
             simulate.save_report(report, cfg, str(tmp_path))
         assert not (tmp_path / "ledgers.csv").exists()
 
+    @pytest.mark.parametrize("score,change", [("utility", 1.0), ("energy_efficiency", 1.0),
+                                              ("energy_efficiency", np.nan)],
+                             ids=["utility", "ee", "ee-nan"])
+    def test_audit_checks_every_slot_of_a_pattern(self, score, change, tmp_path):
+        """A slot whose (channels, collision) rows repeat an earlier slot's is
+        checked too, not only the first slot of its pattern."""
+        cfg = validate_config(config_dict())
+        report = simulate.run_simulation(cfg)
+        slots = {}
+        for slot, (channels, collision) in enumerate(zip(report.channels.tolist(),
+                                                          report.collision.tolist())):
+            if any(channels):
+                slots.setdefault((tuple(channels), tuple(collision)), []).append(slot)
+        repeated = max(slots.values(), key=len)
+        assert len(repeated) > 2
+        getattr(report, score)[repeated[-1]] += change
+        with pytest.raises(RuntimeError, match=f"slot {repeated[-1]}: "):
+            simulate.save_report(report, cfg, str(tmp_path))
+        assert not (tmp_path / "ledgers.csv").exists()
+
+    def test_audit_refuses_a_number_for_an_undefined_ee(self, tmp_path):
+        cfg = validate_config(config_dict(request_probability=0.0, episodes=1,
+                                          slots_per_episode=10, timing={"t_s": 0.0}))
+        report = simulate.run_simulation(cfg)
+        report.energy_efficiency[-1] = 0.0  # every slot has the one pattern: no pairs
+        with pytest.raises(RuntimeError, match="slot 9: "):
+            simulate.save_report(report, cfg, str(tmp_path))
+
+    def test_ledger_csv_formats_every_float_as_its_repr(self, tmp_path):
+        """A report built by hand, audited: utilities 0.0, -0.0 (equal to the
+        0.0 its slot scores), repeated and distinct values; EEs NaN (no
+        energy spent), a negative NaN, 0.0 and -0.0. Each cell is the
+        repr of its own value."""
+        cfg = validate_config(config_dict(
+            radio={"num_subchannels": 2, "num_uavs": 1}, timing={"t_s": 0.0},
+            link={"sensing_sinr_db": [10.0], "access_sinr_db": [[20.0, 5.0]]}))
+        table, ac, _ = simulate.score_table(cfg)
+        bits = table[0].tolist()
+        # (channel, collision indicator, recorded utility, recorded EE) per slot
+        slots = [(0, 0, 0.0, np.nan), (1, 1, bits[0], bits[0] / ac), (0, 0, -0.0, -np.nan),
+                 (2, -1, -bits[1], -bits[1] / ac), (1, 0, 0.0, 0.0), (1, 0, -0.0, -0.0),
+                 (1, 1, bits[0], bits[0] / ac), (2, 1, bits[1], bits[1] / ac),
+                 (0, 0, 0.0, np.nan)]
+        channels, collision, utility, ee = (np.array(column) for column in zip(*slots))
+        channels, collision = channels[:, None], collision[:, None].astype(np.int8)
+        holes = np.arange(len(slots)) % 3
+        report = simulate.RunReport(
+            channels, collision, utility, ee, holes, 2 - holes,
+            *simulate.recompute_aggregates(channels, collision, utility, ee),
+            sensing_counts={"uav_0": (0, 0, 0, 0), "fused": (0, 0, 0, 0)}, seed=cfg.seed)
+        simulate.save_report(report, cfg, str(tmp_path))
+        want = "slot,utility,ee,collisions,holes_detected,holes_true\n" + "".join(
+            f"{slot},{u!r},{e!r},{int(r == -1)},{h},{2 - h}\n"
+            for slot, ((_, r, u, e), h) in enumerate(zip(slots, holes.tolist())))
+        assert (tmp_path / "ledgers.csv").read_bytes() == want.encode()
+
     def test_ledger_csv_row_count(self, tmp_path):
         cfg = validate_config(config_dict(episodes=2, slots_per_episode=15))
         report = simulate.run_simulation(cfg)
