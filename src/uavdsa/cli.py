@@ -4,7 +4,12 @@ Subcommands: gen-dataset, train-sensor, eval-sensing, train-agent,
 simulate, report. Every subcommand accepts --config PATH, --seed U64 (seed
 override) and --out DIR (output directory override). Exit codes: 0
 success, 1 usage or configuration error (a malformed config, checkpoint,
-dataset file or training log among them), 2 runtime failure.
+dataset file or training log among them, or an output directory that is
+a file), 2 runtime failure.
+
+cli_dispatch builds the argument parser on its first call and reuses it
+for every later call in the process; each call gets a fresh namespace, and
+its subcommand's cmd_* handler is looked up when the call is dispatched.
 
 All output files are byte-reproducible for a fixed (config, seed);
 wall-clock timings go to stderr only.
@@ -13,6 +18,7 @@ wall-clock timings go to stderr only.
 import argparse
 import csv
 import dataclasses
+import functools
 import os
 import sys
 import time
@@ -37,6 +43,17 @@ AGENT_TRAIN_VARIANTS = ("qtable", *DQN_VARIANTS)
 
 def _say(msg: str) -> None:
     print(msg, file=sys.stderr)
+
+
+def _check_out_dir(path: str, field: str) -> None:
+    """Refuse an output directory that cannot be made because it, or its
+    nearest existing ancestor, is not a directory; `field` names the
+    setting it came from."""
+    head = path
+    while head and not os.path.exists(head):
+        head = os.path.dirname(head)
+    if head and not os.path.isdir(head):
+        raise ConfigError([f"{field}: {head} is not a directory"])
 
 
 def cmd_gen_dataset(config: SimConfig, args) -> int:
@@ -101,8 +118,9 @@ def cmd_eval_sensing(config: SimConfig, args) -> int:
     if args.model:
         specs = [dataclasses.replace(spec, kind="dense-classifier",
                                      model_path=args.model) for spec in specs]
+    networks = {}
     models = [build_sensing_model(spec, config, "--model" if args.model
-                                  else f"sensing[{k}].model_path")
+                                  else f"sensing[{k}].model_path", networks)
               for k, spec in enumerate(specs)]
     source = stationary_sampler(list(config.matrices))
     labels_rng = derive_rng(config.seed, EVAL_KEY, TRUTH)
@@ -181,6 +199,8 @@ def cmd_simulate(config: SimConfig, args) -> int:
 
 
 def cmd_report(args) -> int:
+    out_dir = args.out or "out"
+    _check_out_dir(out_dir, "--out")
     logs = []  # every input is read and checked before comparison.csv is opened
     for src in args.files:
         try:
@@ -192,7 +212,6 @@ def cmd_report(args) -> int:
             raise ConfigError([f"{src}: not a training log "
                                f"(expected columns {','.join(TRAINING_COLUMNS)})"])
         logs.append((os.path.splitext(os.path.basename(src))[0], rows[1:]))
-    out_dir = args.out or "out"
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "comparison.csv")
     with open(path, "w", newline="") as f:
@@ -216,52 +235,54 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("gen-dataset", parents=[common],
-                   help="synthesize the labeled I/Q dataset").set_defaults(
-        handler=cmd_gen_dataset, needs_config=True)
+                   help="synthesize the labeled I/Q dataset")
 
     p = sub.add_parser("train-sensor", parents=[common],
                        help="train the dense sensing classifier")
     p.add_argument("--data", help="dataset file (default: OUT/dataset.iq)")
-    p.set_defaults(handler=cmd_train_sensor, needs_config=True)
 
     p = sub.add_parser("eval-sensing", parents=[common],
                        help="per-UAV and fused metrics across the SINR grid")
     p.add_argument("--model", help="use this classifier checkpoint for every UAV")
-    p.set_defaults(handler=cmd_eval_sensing, needs_config=True)
 
     p = sub.add_parser("train-agent", parents=[common],
                        help="train a spectrum allocation agent")
     p.add_argument("--variant", choices=AGENT_TRAIN_VARIANTS)
     p.add_argument("--uavs", type=int, choices=(1, 2))
-    p.set_defaults(handler=cmd_train_agent, needs_config=True)
 
     sub.add_parser("simulate", parents=[common],
-                   help="run the full sensing/fusion/access loop").set_defaults(
-        handler=cmd_simulate, needs_config=True)
+                   help="run the full sensing/fusion/access loop")
 
     p = sub.add_parser("report", parents=[common],
                        help="merge training logs into a comparison table")
     p.add_argument("files", nargs="+", help="training log CSVs")
-    p.set_defaults(handler=cmd_report, needs_config=False)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built by the first dispatch."""
+    return build_parser()
+
+
 def cli_dispatch(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
 
+    # looked up per call, so that a cmd_* patched after the parser was built runs
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        if not args.needs_config:
-            return args.handler(args)
+        if args.command == "report":
+            return handler(args)
         if not args.config:
             _say(f"{args.command}: --config is required")
             return 1
         config = load_config(args.config, args.seed, args.out)
-        return args.handler(config, args)
+        _check_out_dir(config.out_dir, "out_dir" if args.out is None else "--out")
+        return handler(config, args)
     except ConfigError as exc:
         for problem in exc.problems:
             _say(problem)

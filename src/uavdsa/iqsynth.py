@@ -25,15 +25,21 @@ drop out; B comes from band_edges, so uneven partitions and guard bins
 (s < B) are exact too. It holds only without neighbor-cell interference,
 which the sensing pass does not apply.
 
-Draw order (documented for bit-exact replay): one synthesize_spectra call
-for K captures of one label makes two draws from its generator, in this
-order:
+Draw order (documented for bit-exact replay): one synthesize_block call
+for K captures of each of T labels makes two draws per label, label by
+label, from that label's generator, in this order:
 
-    noise:  rng.standard_normal((K, N, 2)), the (real, imag) parts of
-            every bin, row k then scaled by sqrt(noise_power(sinr_k) / 2)
+    noise:  rng.standard_normal(out=...) into the label's (K, N) row of
+            the block, the (real, imag) parts of every bin, row k later
+            scaled by sqrt(noise_power(sinr_k) / 2)
     signal: rng.integers(0, 4, size=(K, B, subcarriers)), the QPSK
-            quadrants of the B busy sub-channels of every row, in channel
-            order (no values are drawn when every sub-channel is vacant)
+            quadrants of the label's B busy sub-channels of every row, in
+            channel order (no values are drawn when every sub-channel is
+            vacant)
+
+So labels that share one generator draw what one call per label, in
+label order, draws. synthesize_spectra (T = 1) and synthesize_observation
+(T = K = 1) draw exactly what synthesize_block does for one label.
 
 One draw_band_energies call for K captures of each of T labels draws the
 law above as (sigma2 / 2) * C + (sqrt(sigma2 / 2) * Z + sqrt(s))^2 (no
@@ -45,15 +51,16 @@ sqrt(s) for a vacant band), one draw from each of two generators:
 Each is one pass in (label, row, band) order, so consecutive blocks of
 labels draw what one call over all of them draws. A block sensing pass
 (simulate.sense) makes that call for its energy-detector rows, in UAV
-order, then one synthesize_spectra call per label for its classifier rows,
-from a third generator; a call with no rows draws nothing.
+order, then one synthesize_block call for its classifier rows, every
+label drawing from a third generator; a call with no rows draws nothing.
 
-synthesize_observation (K = 1) draws exactly what synthesize_spectra does.
 clean_spectrum draws one (B, subcarriers) block of quadrants per call.
-generate_dataset draws, from each observation's own generator: the label,
-its synthesize_spectra row, every neighbor label, then each neighbor's
-clean_spectrum quadrants. Neighbor-cell interference is added to the
-spectrum before the one inverse transform, and only datasets carry it.
+generate_dataset makes one synthesize_block call (K = 1) per SINR
+stratum, each label drawing from its observation's own generator, which
+draws, in order: the label, its synthesize_block row, every neighbor
+label, then each neighbor's clean_spectrum quadrants. Neighbor-cell
+interference is added to the spectrum before the one inverse transform,
+and only datasets carry it.
 
 Dataset file format (little-endian, documented for bit-exact replay):
 
@@ -154,22 +161,13 @@ _QPSK = np.exp(1j * (np.pi / 4 + np.arange(4) * np.pi / 2))
 _QPSK.flags.writeable = False
 
 
-def _fill_busy(spectra: np.ndarray, busy, config: SynthConfig,
-               rng: np.random.Generator) -> None:
-    """Add unit-power QPSK symbols on the active bins of each busy
-    sub-channel of every row of spectra (..., N): one draw of quadrants
-    shaped (..., busy, subcarriers)."""
-    quadrant = rng.integers(0, 4, size=(*spectra.shape[:-1], len(busy),
-                                        config.subcarriers_per_subchannel))
-    spectra[..., config.bin_layout[busy]] += _QPSK[quadrant]
-
-
 def clean_spectrum(label, config: SynthConfig, rng: np.random.Generator) -> np.ndarray:
     """Frequency-domain construction: unit-power QPSK on the active bins of
     busy sub-channels, exact zeros everywhere else."""
-    label = occupancy_vector(label, config.num_subchannels)
+    busy = np.flatnonzero(occupancy_vector(label, config.num_subchannels))
     spectrum = np.zeros(config.samples_per_observation, dtype=complex)
-    _fill_busy(spectrum, np.flatnonzero(label), config, rng)
+    spectrum[config.bin_layout[busy]] = _QPSK[
+        rng.integers(0, 4, size=(len(busy), config.subcarriers_per_subchannel))]
     return spectrum
 
 
@@ -179,20 +177,45 @@ def noise_power(sinr_db: float) -> float:
     return 10.0 ** (-sinr_db / 10.0)
 
 
+def synthesize_block(labels, sinrs_db, config: SynthConfig, rngs) -> np.ndarray:
+    """(T, K, N) orthonormal spectra of K captures of each of T labels
+    (T, M), row k at sinrs_db[k]: QPSK on the busy sub-channels' active
+    bins plus complex Gaussian noise of variance noise_power(sinrs_db[k])
+    in every bin. Label t draws from rngs[t] (one generator may serve
+    several labels) in the order the module docstring gives, straight
+    into its row of the block; the noise is then scaled and the symbols
+    added over the whole block. An all-vacant label yields noise-only
+    spectra at the same reference noise floor."""
+    labels = np.asarray(labels)
+    m, sc = config.num_subchannels, config.subcarriers_per_subchannel
+    if labels.ndim != 2 or labels.shape[1] != m:
+        raise ValueError(f"expected labels of length {m}, got shape {labels.shape}")
+    if ((labels != 0) & (labels != 1)).any():
+        raise ValueError("occupancy entries must be 0 or 1")
+    if len(rngs) != len(labels):
+        raise ValueError(f"{len(rngs)} generators for {len(labels)} labels")
+    scale = np.array([np.sqrt(noise_power(sinr_db) / 2.0) for sinr_db in sinrs_db])
+    spectra = np.empty((len(labels), len(scale), config.samples_per_observation),
+                       dtype=complex)
+    parts = spectra.view(np.float64)  # (T, K, 2N): the (real, imag) parts of every bin
+    quadrants = []
+    for row, busy, rng in zip(parts, np.count_nonzero(labels, axis=1).tolist(), rngs):
+        rng.standard_normal(out=row)
+        quadrants.append(rng.integers(0, 4, size=(len(scale), busy, sc)))
+    parts *= scale[:, None]
+    if quadrants:
+        # every busy (label, row, sub-channel) triple, in the order they were drawn
+        t, k, ch = np.nonzero(np.broadcast_to(labels[:, None], (*spectra.shape[:2], m)))
+        spectra[t[:, None], k[:, None], config.bin_layout[ch]] += _QPSK[
+            np.concatenate(quadrants, axis=None).reshape(-1, sc)]
+    return spectra
+
+
 def synthesize_spectra(label, sinrs_db, config: SynthConfig,
                        rng: np.random.Generator) -> np.ndarray:
-    """(K, N) orthonormal spectra of captures of one label, row k at
-    sinrs_db[k]: QPSK on the busy sub-channels' active bins plus complex
-    Gaussian noise of variance noise_power(sinrs_db[k]) in every bin,
-    drawn in the order the module docstring gives. An all-vacant label
-    yields noise-only spectra at the same reference noise floor."""
-    busy = np.flatnonzero(occupancy_vector(label, config.num_subchannels))
-    scale = np.array([np.sqrt(noise_power(sinr_db) / 2.0) for sinr_db in sinrs_db])
-    noise = rng.standard_normal((len(scale), config.samples_per_observation, 2))
-    noise *= scale[:, None, None]
-    spectra = noise.view(complex).reshape(noise.shape[:2])
-    _fill_busy(spectra, busy, config, rng)
-    return spectra
+    """(K, N) spectra of captures of one label, row k at sinrs_db[k]: the
+    one-label synthesize_block."""
+    return synthesize_block([label], sinrs_db, config, [rng])[0]
 
 
 def draw_band_energies(labels, sinrs_db, config: SynthConfig,
@@ -217,8 +240,8 @@ def draw_band_energies(labels, sinrs_db, config: SynthConfig,
 
 def synthesize_observation(label, sinr_db: float, config: SynthConfig,
                            rng: np.random.Generator) -> IQObservation:
-    """One labeled capture: the inverse transform of the K = 1
-    synthesize_spectra row."""
+    """One labeled capture: the inverse transform of the one-label, K = 1
+    synthesize_block row."""
     samples = np.fft.ifft(synthesize_spectra(label, (sinr_db,), config, rng)[0], norm="ortho")
     return IQObservation(samples=samples, label=occupancy_vector(label),
                          sinr_db=float(sinr_db))
@@ -244,27 +267,28 @@ def generate_dataset(config: SynthConfig, occupancy_source, count_per_sinr: int)
 
     occupancy_source is a callable(rng) -> label. Each observation draws
     from a substream keyed by (seed, observation index), so the dataset is
-    reproducible independent of generation order. Each neighbor cell adds
-    a clean spectrum of a label drawn from the same source, scaled by
-    10^(gain/20) in amplitude; the label still describes the serving cell.
+    reproducible independent of generation order; each SINR stratum is
+    one synthesize_block call. Each neighbor cell adds a clean spectrum of
+    a label drawn from the same source, scaled by 10^(gain/20) in
+    amplitude; the label still describes the serving cell.
     """
     if count_per_sinr < 1:
         raise ValueError("count_per_sinr must be >= 1")
     gains = config.interference_gains_db
     observations = []
-    idx = 0
-    for sinr_db in config.sinr_grid_db:
-        for _ in range(count_per_sinr):
-            rng = derive_rng(config.seed, _OBS_KEY, idx)
-            label = occupancy_source(rng)
-            spectrum = synthesize_spectra(label, (sinr_db,), config, rng)[0]
+    for stratum, sinr_db in enumerate(config.sinr_grid_db):
+        rngs = [derive_rng(config.seed, _OBS_KEY, stratum * count_per_sinr + i)
+                for i in range(count_per_sinr)]
+        labels = [occupancy_source(rng) for rng in rngs]
+        spectra = synthesize_block(labels, (sinr_db,), config, rngs)
+        for spectrum, rng in zip(spectra[:, 0], rngs):
             neighbors = [occupancy_source(rng) for _ in gains]
             for neighbor, gain in zip(neighbors, gains):
                 spectrum += 10.0 ** (gain / 20.0) * clean_spectrum(neighbor, config, rng)
-            observations.append(IQObservation(
-                samples=np.fft.ifft(spectrum, norm="ortho"),
-                label=occupancy_vector(label), sinr_db=float(sinr_db)))
-            idx += 1
+        captures = np.fft.ifft(spectra, norm="ortho", out=spectra)[:, 0]
+        observations += [IQObservation(samples=samples, label=occupancy_vector(label),
+                                       sinr_db=float(sinr_db))
+                         for samples, label in zip(captures, labels)]
     split = split_indices([count_per_sinr] * len(config.sinr_grid_db))
     return Dataset(observations=observations, split=split, config=config)
 

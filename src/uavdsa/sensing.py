@@ -90,15 +90,22 @@ def feature_vector(samples, num_subchannels: int, input_mode: str) -> np.ndarray
     return x
 
 
+def classify(model: SensingModel, samples) -> np.ndarray:
+    """Busy probabilities (..., M) of a classifier on captures (..., N):
+    one standardized feature matrix and one forward pass over all of its
+    rows, whatever the leading shape."""
+    x = feature_vector(samples, model.num_subchannels, model.input_mode)
+    y = nnet.forward(model.network, x.reshape(-1, x.shape[-1]) if x.ndim > 2 else x)
+    return y.reshape(*x.shape[:-1], model.num_subchannels)
+
+
 def detect(model: SensingModel, samples) -> np.ndarray:
     """Reports (..., M) of either kind on captures (..., N): band energies
-    against the thresholds, or one standardized feature matrix and one
-    forward pass against the decision threshold."""
+    against the thresholds, or the classifier's probabilities against the
+    decision threshold."""
     if model.kind == "energy-threshold":
         return energy_detect(band_energies(samples, model.num_subchannels), model.thresholds)
-    y = nnet.forward(model.network,
-                     feature_vector(samples, model.num_subchannels, model.input_mode))
-    return (y >= model.decision_threshold).astype(np.int8)
+    return (classify(model, samples) >= model.decision_threshold).astype(np.int8)
 
 
 def predict_occupancy(model: SensingModel, observation: IQObservation) -> tuple[int, ...]:

@@ -35,11 +35,11 @@ from .config import ConfigError, SensingSpec, SimConfig
 from .core import (SlotLedger, access_cost, energy_efficiency, sensing_cost,
                    slot_utility, throughput)
 from .fusion import vote
-from .iqsynth import SynthConfig, draw_band_energies, synthesize_spectra
+from .iqsynth import SynthConfig, draw_band_energies, synthesize_block
 from .scheduler import (DqnAgent, QTable, RandomAgent, block_actions, check_actions,
                         load_agent, load_qtable)
 from .seeds import derive_rng
-from .sensing import (SensingModel, confusion_tally, detect, energy_detect,
+from .sensing import (SensingModel, classify, confusion_tally, energy_detect,
                       metrics_from_counts, write_metrics_csv)
 
 LEDGER_COLUMNS = ("slot", "utility", "ee", "collisions", "holes_detected",
@@ -153,13 +153,16 @@ def build_agent(config: SimConfig):
     return agent
 
 
-def build_sensing_model(spec: SensingSpec, config: SimConfig,
-                        field: str) -> SensingModel | None:
+def build_sensing_model(spec: SensingSpec, config: SimConfig, field: str,
+                        networks: dict) -> SensingModel | None:
     """None stands for the perfect (oracle) sensor. A classifier checkpoint
     that cannot be read, has other than M outputs, or takes another input
     width than the input mode gives (2N for iq, M for band-energy) is a
-    ConfigError naming `field`, the setting the path came from. Sensing
-    passes apply no interference, so a config that sets some is refused."""
+    ConfigError naming `field`, the setting the path came from. networks
+    maps the model paths already loaded to their networks: models built
+    with one dict load each distinct path once and share its network.
+    Sensing passes apply no interference, so a config that sets some is
+    refused."""
     if config.synth.interference_gains_db:
         raise ConfigError(["dataset.interference_gains_db: only gen-dataset applies "
                            "neighbor-cell interference; simulate and eval-sensing "
@@ -172,10 +175,12 @@ def build_sensing_model(spec: SensingSpec, config: SimConfig,
                             thresholds=np.asarray(spec.thresholds, dtype=float),
                             decision_threshold=spec.decision_threshold,
                             input_mode=spec.input_mode)
-    try:
-        network = nnet.load_checkpoint(spec.model_path)
-    except (OSError, ValueError) as exc:
-        raise ConfigError([f"{field}: {exc}"]) from None
+    network = networks.get(spec.model_path)
+    if network is None:
+        try:
+            network = networks[spec.model_path] = nnet.load_checkpoint(spec.model_path)
+        except (OSError, ValueError) as exc:
+            raise ConfigError([f"{field}: {exc}"]) from None
     if network.output_dim != m:
         raise ConfigError([f"{field}: {spec.model_path}: classifier has "
                            f"{network.output_dim} outputs, config has M={m}"])
@@ -193,10 +198,12 @@ def sense(models, labels, sinrs_db, synth: SynthConfig, streams) -> np.ndarray:
     """(T, K, M) reports of K UAVs on T true labels (T, M): UAV k captures
     at sinrs_db[k] and reports what models[k] detects; None is the perfect
     sensor, which reports the label and draws nothing. Energy detectors
-    share one draw_band_energies call and one energy_detect comparison;
-    classifiers share one synthesize_spectra call per label and one
-    inverse FFT, then each runs one forward pass (draw order: the iqsynth
-    module docstring)."""
+    share one draw_band_energies call and one energy_detect comparison.
+    Classifiers share one synthesize_block call and one inverse FFT; the
+    classifiers that share a network (and input mode) then run one feature
+    matrix and one forward pass over their T x G captures, each UAV
+    comparing its outputs with its own decision threshold (draw order: the
+    iqsynth module docstring)."""
     central, shift, spectra_rng = streams
     labels = np.asarray(labels, dtype=np.int8)
     reports = np.repeat(labels[:, None, :], len(models), axis=1)
@@ -209,11 +216,17 @@ def sense(models, labels, sinrs_db, synth: SynthConfig, streams) -> np.ndarray:
             energies, np.array([models[k].thresholds for k in energy]))
     classifiers = [k for k, kind in enumerate(kinds) if kind == "dense-classifier"]
     if classifiers:
-        captures = np.fft.ifft([synthesize_spectra(label, [sinrs_db[k] for k in classifiers],
-                                                   synth, spectra_rng)
-                                for label in labels], norm="ortho")
+        captures = synthesize_block(labels, [sinrs_db[k] for k in classifiers], synth,
+                                    [spectra_rng] * len(labels))
+        np.fft.ifft(captures, norm="ortho", out=captures)
+        groups = {}  # capture columns of the classifiers sharing one network
         for j, k in enumerate(classifiers):
-            reports[:, k] = detect(models[k], captures[:, j])
+            groups.setdefault((id(models[k].network), models[k].input_mode), []).append(j)
+        for columns in groups.values():
+            uavs = [classifiers[j] for j in columns]
+            outputs = classify(models[uavs[0]], captures[:, columns])  # (T, G, M)
+            reports[:, uavs] = outputs >= np.array(
+                [models[k].decision_threshold for k in uavs])[:, None]
     return reports
 
 
@@ -262,7 +275,8 @@ class Simulation:
             derive_rng(config.seed, SIMULATE_KEY, purpose)
             for purpose in (TRUTH, REQUESTS, AGENT))
         self.streams = sensing_streams(config.seed, SIMULATE_KEY)
-        self.models = [build_sensing_model(s, config, f"sensing[{k}].model_path")
+        networks = {}
+        self.models = [build_sensing_model(s, config, f"sensing[{k}].model_path", networks)
                        for k, s in enumerate(config.sensing)]
         self.agent = build_agent(config)
         self.choices = {}  # block_actions' memo: simulate never trains its agent

@@ -566,3 +566,107 @@ class TestDeterminism:
                                  "--seed", seed]) == 0
             outs.append(open(os.path.join(out, "dataset.iq"), "rb").read())
         assert outs[0] != outs[1]
+
+
+# (argv after the subcommand, beyond --config and --out): every subcommand writes
+WRITERS = {
+    "gen-dataset": [],
+    "train-sensor": [],
+    "eval-sensing": [],
+    "train-agent": ["--variant", "qtable"],
+    "simulate": [],
+}
+
+
+class TestOutputPath:
+    @pytest.mark.parametrize("command", [*WRITERS, "report"])
+    @pytest.mark.parametrize("nested", [False, True], ids=["file", "under-file"])
+    def test_out_that_is_a_file_is_refused_before_any_work(self, command, nested,
+                                                           tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        out = taken / "run" if nested else taken
+        if command == "report":
+            argv = ["report", "--out", str(out), str(tmp_path / "missing.csv")]
+        else:
+            argv = [command, "--config", write_config(tmp_path), "--out", str(out),
+                    *WRITERS[command]]
+        assert cli_dispatch(argv) == 1
+        assert capsys.readouterr().err == f"--out: {taken} is not a directory\n"
+        assert taken.read_text() == "kept\n"
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            ["taken"] + (["cfg.json"] if command != "report" else []))
+
+    def test_out_dir_from_the_config_is_named(self, tmp_path, capsys, monkeypatch):
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        ran, run_simulation = [], cli.run_simulation
+        monkeypatch.setattr(cli, "run_simulation",
+                            lambda config: ran.append(config) or run_simulation(config))
+        cfg = write_config(tmp_path, out_dir=str(taken))
+        assert cli_dispatch(["simulate", "--config", cfg]) == 1
+        assert capsys.readouterr().err == f"out_dir: {taken} is not a directory\n"
+        assert ran == []  # refused before the run, not after it
+        assert cli_dispatch(["simulate", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+        assert len(ran) == 1 and taken.read_text() == "kept\n"
+
+
+class TestParserReuse:
+    """cli_dispatch builds its parser once per process: no option of one
+    call reaches the next, a usage error leaves the next call unharmed,
+    and each call runs the cmd_* handler the cli module holds then."""
+
+    def test_options_do_not_leak_between_calls(self, tmp_path, monkeypatch):
+        seen = []
+
+        def record(config, args):
+            seen.append((args.command, config.seed, vars(args)))
+            return 0
+
+        for name in ("cmd_train_sensor", "cmd_eval_sensing", "cmd_simulate"):
+            monkeypatch.setattr(cli, name, record)
+        cfg, out = write_config(tmp_path), str(tmp_path / "run")
+        for argv in (["train-sensor", "--data", "a.iq", "--seed", "5"], ["train-sensor"],
+                     ["eval-sensing", "--model", "m.ckpt", "--seed", "6"], ["eval-sensing"],
+                     ["simulate", "--seed", "7"], ["simulate"]):
+            assert cli_dispatch(argv + ["--config", cfg, "--out", out]) == 0
+        assert [(command, seed) for command, seed, _ in seen] == [
+            ("train-sensor", 5), ("train-sensor", 42), ("eval-sensing", 6),
+            ("eval-sensing", 42), ("simulate", 7), ("simulate", 42)]
+        assert [args.get("data") for _, _, args in seen[:2]] == ["a.iq", None]
+        assert [args.get("model") for _, _, args in seen[2:4]] == ["m.ckpt", None]
+        assert all(args["seed"] is None for _, _, args in seen[1::2])
+
+    def test_usage_error_leaves_the_next_call_unharmed(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        trees = []
+        for name, bad in (("a", ["simulate", "--bogus"]),
+                          ("b", ["train-agent", "--variant", "nope", "--config", cfg])):
+            out = str(tmp_path / name)
+            assert cli_dispatch(bad) == 1
+            assert cli_dispatch(["simulate", "--config", cfg, "--out", out]) == 0
+            trees.append(tree_bytes(out))
+        assert trees[0] == trees[1]
+        with open(os.path.join(tmp_path, "a", "report.json")) as f:
+            assert json.load(f)["seed"] == 42
+
+    def test_a_patched_handler_runs(self, tmp_path, monkeypatch, capsys):
+        cfg = write_config(tmp_path)
+        assert cli_dispatch(["simulate", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+        monkeypatch.setattr(cli, "build_parser", None)  # the parser is not built again
+        calls = []
+        monkeypatch.setattr(cli, "cmd_simulate", lambda config, args: calls.append(args) or 3)
+        assert cli_dispatch(["simulate", "--config", cfg, "--out", str(tmp_path / "b")]) == 3
+        assert len(calls) == 1 and not (tmp_path / "b").exists()
+
+
+def test_eval_sensing_model_is_loaded_once(tmp_path, monkeypatch, capsys):
+    ckpt = str(tmp_path / "sensor.ckpt")
+    nnet.save_checkpoint(nnet.build_network([4, 8, 4], ["relu", "sigmoid"], seed=2), ckpt)
+    loads = []
+    load = nnet.load_checkpoint
+    monkeypatch.setattr(nnet, "load_checkpoint", lambda path: loads.append(path) or load(path))
+    cfg = write_config(tmp_path)
+    assert cli_dispatch(["eval-sensing", "--config", cfg, "--out", str(tmp_path / "run"),
+                         "--model", ckpt]) == 0
+    assert loads == [ckpt]

@@ -413,6 +413,95 @@ def test_batched_captures_are_bitwise_per_capture(m, n):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+
+@pytest.mark.parametrize("m,n", [(1, 64), (4, 256), (5, 64), (16, 1024)])
+@pytest.mark.parametrize("shared", [False, True], ids=["own", "shared"])
+def test_block_synthesis_is_bitwise_per_label(m, n, shared):
+    """synthesize_block over T labels is, bit for bit, reference_spectra of
+    each label in turn on that label's generator, and leaves every
+    generator where that reference does: K of 0 to 3 rows, all-vacant and
+    all-busy labels among mixed ones, a generator of its own per label or
+    one shared by all. With a shared generator, consecutive blocks of any
+    sizes draw what one block over all the labels draws."""
+    cfg = iqsynth.SynthConfig(seed=1, num_subchannels=m, samples_per_observation=n,
+                              subcarriers_per_subchannel=n // m)
+    labels = [(0,) * m, (1,) * m, tuple(i % 2 for i in range(m)), (0,) * m,
+              tuple(int(i % 3 != 1) for i in range(m)), (1,) * m]
+    for k in (0, 1, 3):
+        sinrs = (-10.0, 0.0, 7.5)[:k]
+        keys = [(m, n, k, t) for t in range(len(labels))]
+        if shared:
+            rngs, ref_rngs = [derive_rng(m, n, k)] * len(labels), [derive_rng(m, n, k)]
+        else:
+            rngs, ref_rngs = [derive_rng(*key) for key in keys], [derive_rng(*key) for key in keys]
+        spectra = iqsynth.synthesize_block(labels, sinrs, cfg, rngs)
+        want = [reference_spectra(label, sinrs, cfg, ref_rngs[t % len(ref_rngs)])
+                for t, label in enumerate(labels)]
+        assert spectra.shape == (len(labels), k, n)
+        assert np.array_equal(bits(spectra), bits(np.array(want, complex).reshape(spectra.shape)))
+        for rng, ref_rng in zip(rngs, ref_rngs):
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+    if shared:
+        for sizes in ((1, 5), (2, 3, 1), (6,)):
+            rng, ref_rng = derive_rng(m, n, 9), derive_rng(m, n, 9)
+            whole = iqsynth.synthesize_block(labels, (3.0, -2.0), cfg, [ref_rng] * len(labels))
+            starts = np.cumsum((0,) + sizes)
+            parts = [iqsynth.synthesize_block(labels[a:b], (3.0, -2.0), cfg, [rng] * (b - a))
+                     for a, b in zip(starts, starts[1:])]
+            assert np.array_equal(bits(np.concatenate(parts)), bits(whole))
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_block_synthesis_refuses_malformed_labels():
+    cfg = small_config()
+    rng = derive_rng(0)
+    state = rng.bit_generator.state
+    for labels, problem in (([(0, 1, 0)], "labels of length 4"),
+                            ([(0, 1, 2, 0)], "must be 0 or 1"),
+                            ([(0, 1, 1, 0)] * 2, "1 generators for 2 labels")):
+        with pytest.raises(ValueError, match=problem):
+            iqsynth.synthesize_block(labels, (0.0,), cfg, [rng])
+    assert rng.bit_generator.state == state
+    empty = iqsynth.synthesize_block(np.zeros((0, 4), np.int8), (0.0, 5.0), cfg, [])
+    assert empty.shape == (0, 2, cfg.samples_per_observation)
+
+
+def reference_clean_spectrum(label, cfg, rng):
+    """clean_spectrum written out per sub-channel, one np.exp each."""
+    spectrum = np.zeros(cfg.samples_per_observation, dtype=complex)
+    bins = iqsynth.active_bins(cfg.samples_per_observation, cfg.num_subchannels,
+                               cfg.subcarriers_per_subchannel)
+    for ch, busy in enumerate(label):
+        if busy:
+            quadrant = rng.integers(0, 4, size=cfg.subcarriers_per_subchannel)
+            spectrum[bins[ch]] += np.exp(1j * (np.pi / 4 + quadrant * np.pi / 2))
+    return spectrum
+
+
+@pytest.mark.parametrize("gains", [(), (-3.0,), (0.0, -6.0, -20.0)], ids=["none", "one", "three"])
+def test_dataset_is_bitwise_its_per_observation_reference(gains, monkeypatch):
+    """generate_dataset, one block per SINR stratum, writes bit for bit what
+    the documented per-observation order gives: the label, its spectrum
+    row, every neighbor label, then each neighbor's clean spectrum added
+    in turn, then one inverse transform; every observation's generator
+    ends where that reference leaves it."""
+    cfg = small_config(interference_gains_db=gains, sinr_grid_db=(-5.0, 0.0, 20.0))
+    source = stationary_sampler([TransitionMatrix(0.3, 0.3)] * 4)
+    ds, rngs = generate_recording_rngs(cfg, source, 20, monkeypatch)
+    assert len(ds.observations) == len(rngs) == 60
+    for idx, (obs, rng) in enumerate(zip(ds.observations, rngs)):
+        want_rng = derive_rng(cfg.seed, iqsynth._OBS_KEY, idx)
+        label = source(want_rng)
+        sinr_db = cfg.sinr_grid_db[idx // 20]
+        spectrum = reference_spectra(label, (sinr_db,), cfg, want_rng)[0]
+        neighbors = [source(want_rng) for _ in gains]
+        for neighbor, gain in zip(neighbors, gains):
+            spectrum += 10.0 ** (gain / 20.0) * reference_clean_spectrum(neighbor, cfg,
+                                                                          want_rng)
+        assert (obs.label, obs.sinr_db) == (label, sinr_db)
+        assert np.array_equal(bits(obs.samples), bits(np.fft.ifft(spectrum, norm="ortho")))
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+
 def ks_statistic(a, b):
     """Two-sample Kolmogorov-Smirnov distance between empirical CDFs."""
     a, b = np.sort(a), np.sort(b)

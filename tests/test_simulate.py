@@ -5,10 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from test_iqsynth import reference_energy_draws, reference_spectra
+from test_iqsynth import bits, reference_energy_draws, reference_spectra
 from uavdsa import iqsynth, nnet, sensing, simulate
 from uavdsa import scheduler as sch
-from uavdsa.channel import db_to_linear, sample_occupancy
+from uavdsa.channel import TransitionMatrix, db_to_linear, sample_occupancy
 from uavdsa.config import validate_config
 from uavdsa.core import slot_utility, throughput
 from uavdsa.seeds import derive_rng
@@ -283,6 +283,76 @@ def test_sense_matches_per_capture_reports(m, n):
     assert len(seen) > 2  # the detectors did not all report one constant vector
 
 
+
+# (M, N, layer widths, input mode): the benchmark's sensor-pipeline
+# classifier and the CLI goldens' band-energy classifier
+SHARED_NETWORKS = [(16, 1024, [2048, 128, 128, 16], "iq"),
+                   (4, 256, [4, 16, 16, 4], "band-energy")]
+
+
+@pytest.mark.parametrize("m,n,dims,mode", SHARED_NETWORKS, ids=["iq", "band-energy"])
+def test_classifiers_sharing_a_network_run_one_forward(m, n, dims, mode, monkeypatch):
+    """Three UAVs sharing one network report, bit for bit, what a detect
+    call per UAV on its own column of the block's captures reports, each
+    against its own decision threshold, from one forward pass over the
+    T x G rows; its outputs equal those of one forward per UAV. An energy
+    detector between them keeps its own draws. An empty block reports
+    nothing and draws nothing."""
+    synth = iqsynth.SynthConfig(seed=3, num_subchannels=m, samples_per_observation=n,
+                                subcarriers_per_subchannel=n // m)
+    network = nnet.build_network(dims, ["relu"] * (len(dims) - 2) + ["sigmoid"], seed=5)
+    shared = [sensing.SensingModel(kind="dense-classifier", num_subchannels=m,
+                                   network=network, input_mode=mode,
+                                   decision_threshold=threshold)
+              for threshold in (0.45, 0.5, 0.55)]
+    energy = sensing.SensingModel(kind="energy-threshold", num_subchannels=m,
+                                  thresholds=np.full(m, 1.2 * n / m))
+    models = [shared[0], energy, shared[1], shared[2]]
+    sinrs = [0.0, 5.0, 10.0, -3.0]
+    labels = sample_occupancy([TransitionMatrix(0.3, 0.3)] * m, 10, derive_rng(4))
+    streams = simulate.sensing_streams(9, simulate.SIMULATE_KEY)
+    _, _, ref_spectra = simulate.sensing_streams(9, simulate.SIMULATE_KEY)
+    forwards, forward = [], nnet.forward
+    monkeypatch.setattr(nnet, "forward",
+                        lambda net, x: forwards.append(x.shape) or forward(net, x))
+    got = simulate.sense(models, labels, sinrs, synth, streams)
+    assert forwards == [(10 * 3, dims[0])]
+    captures = np.fft.ifft(iqsynth.synthesize_block(
+        labels, [sinrs[k] for k in (0, 2, 3)], synth, [ref_spectra] * 10), norm="ortho")
+    outputs = sensing.classify(shared[0], captures)
+    for j, k in enumerate((0, 2, 3)):
+        assert np.array_equal(got[:, k], sensing.detect(models[k], captures[:, j]))
+        assert np.array_equal(bits(outputs[:, j]),
+                              bits(sensing.classify(models[k], captures[:, j])))
+    assert not np.array_equal(got[:, 0], got[:, 3])  # the thresholds told them apart
+    assert streams[2].bit_generator.state == ref_spectra.bit_generator.state
+
+    states = [stream.bit_generator.state for stream in streams]
+    empty = simulate.sense(models, np.zeros((0, m), np.int8), sinrs, synth, streams)
+    assert empty.shape == (0, 4, m)
+    assert [stream.bit_generator.state for stream in streams] == states
+
+
+def test_each_model_path_is_loaded_once(tmp_path, monkeypatch):
+    """A simulation loads each distinct classifier path once, and the UAVs
+    that name it share its network."""
+    net = nnet.build_network([4, 8, 4], ["relu", "sigmoid"], seed=1)
+    paths = [str(tmp_path / name) for name in ("a.ckpt", "b.ckpt")]
+    for path in paths:
+        nnet.save_checkpoint(net, path)
+    loads = []
+    load = nnet.load_checkpoint
+    monkeypatch.setattr(nnet, "load_checkpoint", lambda path: loads.append(path) or load(path))
+    cfg = validate_config(config_dict(
+        sensing=[{"kind": "dense-classifier", "input_mode": "band-energy", "model_path": path,
+                  "decision_threshold": threshold}
+                 for path, threshold in ((paths[0], 0.5), (paths[1], 0.5), (paths[0], 0.3))],
+        episodes=1, slots_per_episode=5))
+    sim = simulate.Simulation(cfg)
+    assert loads == paths
+    assert sim.models[0].network is sim.models[2].network is not sim.models[1].network
+    assert [model.decision_threshold for model in sim.models] == [0.5, 0.5, 0.3]
+
 def golden_like_config(tmp_path):
     """The CLI goldens' pipeline geometry, all three sensor kinds, with a
     classifier trained briefly on a small dataset, and an energy detector
@@ -327,7 +397,7 @@ def test_outputs_do_not_depend_on_the_block_size(tmp_path, monkeypatch):
             monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", slots * per_slot)
         else:
             monkeypatch.undo()
-        models = [simulate.build_sensing_model(spec, cfg, "") for spec in cfg.sensing]
+        models = [simulate.build_sensing_model(spec, cfg, "", {}) for spec in cfg.sensing]
         assert simulate.block_slots(models, cfg.synth) == (
             slots or simulate.BLOCK_ELEMENTS // per_slot)
         out = tmp_path / f"run_{slots}"
