@@ -200,7 +200,7 @@ def cmd_simulate(config: SimConfig, args) -> int:
 
 def cmd_report(args) -> int:
     out_dir = args.out or "out"
-    _check_out_dir(out_dir, "--out")
+    _check_out_dir(out_dir, "--out" if args.out else "--out (default)")
     logs = []  # every input is read and checked before comparison.csv is opened
     for src in args.files:
         try:
@@ -223,7 +223,9 @@ def cmd_report(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of this process, built by the first dispatch."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to the JSON run configuration")
     common.add_argument("--seed", type=int, help="seed override")
@@ -260,15 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of this process, built by the first dispatch."""
-    return build_parser()
-
-
 def cli_dispatch(argv) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
 

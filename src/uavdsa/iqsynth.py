@@ -38,8 +38,8 @@ label, from that label's generator, in this order:
             vacant)
 
 So labels that share one generator draw what one call per label, in
-label order, draws. synthesize_spectra (T = 1) and synthesize_observation
-(T = K = 1) draw exactly what synthesize_block does for one label.
+label order, draws. synthesize_observation (T = K = 1) draws exactly
+what synthesize_block does for one label.
 
 One draw_band_energies call for K captures of each of T labels draws the
 law above as (sigma2 / 2) * C + (sqrt(sigma2 / 2) * Z + sqrt(s))^2 (no
@@ -211,19 +211,12 @@ def synthesize_block(labels, sinrs_db, config: SynthConfig, rngs) -> np.ndarray:
     return spectra
 
 
-def synthesize_spectra(label, sinrs_db, config: SynthConfig,
-                       rng: np.random.Generator) -> np.ndarray:
-    """(K, N) spectra of captures of one label, row k at sinrs_db[k]: the
-    one-label synthesize_block."""
-    return synthesize_block([label], sinrs_db, config, [rng])[0]
-
-
 def draw_band_energies(labels, sinrs_db, config: SynthConfig,
                        central_rng: np.random.Generator,
                        shift_rng: np.random.Generator) -> np.ndarray:
     """(T, K, M) band energies of K captures of each of T labels (T, M),
     row k at sinrs_db[k], drawn from their exact law (module docstring):
-    what spectrum_band_energies of synthesize_spectra gives, in
+    what spectrum_band_energies of synthesize_block gives, in
     distribution, without the N bins of each capture."""
     m = config.num_subchannels
     busy = np.asarray(labels).reshape(-1, 1, m)
@@ -242,7 +235,8 @@ def synthesize_observation(label, sinr_db: float, config: SynthConfig,
                            rng: np.random.Generator) -> IQObservation:
     """One labeled capture: the inverse transform of the one-label, K = 1
     synthesize_block row."""
-    samples = np.fft.ifft(synthesize_spectra(label, (sinr_db,), config, rng)[0], norm="ortho")
+    samples = np.fft.ifft(synthesize_block([label], (sinr_db,), config, [rng])[0, 0],
+                          norm="ortho")
     return IQObservation(samples=samples, label=occupancy_vector(label),
                          sinr_db=float(sinr_db))
 
@@ -285,7 +279,7 @@ def generate_dataset(config: SynthConfig, occupancy_source, count_per_sinr: int)
             neighbors = [occupancy_source(rng) for _ in gains]
             for neighbor, gain in zip(neighbors, gains):
                 spectrum += 10.0 ** (gain / 20.0) * clean_spectrum(neighbor, config, rng)
-        captures = np.fft.ifft(spectra, norm="ortho", out=spectra)[:, 0]
+        captures = np.fft.ifft(spectra, norm="ortho")[:, 0]
         observations += [IQObservation(samples=samples, label=occupancy_vector(label),
                                        sinr_db=float(sinr_db))
                          for samples, label in zip(captures, labels)]

@@ -216,9 +216,9 @@ def sense(models, labels, sinrs_db, synth: SynthConfig, streams) -> np.ndarray:
             energies, np.array([models[k].thresholds for k in energy]))
     classifiers = [k for k, kind in enumerate(kinds) if kind == "dense-classifier"]
     if classifiers:
-        captures = synthesize_block(labels, [sinrs_db[k] for k in classifiers], synth,
-                                    [spectra_rng] * len(labels))
-        np.fft.ifft(captures, norm="ortho", out=captures)
+        captures = np.fft.ifft(synthesize_block(labels, [sinrs_db[k] for k in classifiers],
+                                                synth, [spectra_rng] * len(labels)),
+                               norm="ortho")
         groups = {}  # capture columns of the classifiers sharing one network
         for j, k in enumerate(classifiers):
             groups.setdefault((id(models[k].network), models[k].input_mode), []).append(j)

@@ -597,6 +597,15 @@ class TestOutputPath:
         assert sorted(os.listdir(tmp_path)) == sorted(
             ["taken"] + (["cfg.json"] if command != "report" else []))
 
+    def test_report_default_out_is_named_as_the_default(self, tmp_path, capsys,
+                                                        monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out").write_text("kept\n")
+        assert cli_dispatch(["report", str(tmp_path / "missing.csv")]) == 1
+        assert capsys.readouterr().err == "--out (default): out is not a directory\n"
+        assert (tmp_path / "out").read_text() == "kept\n"
+        assert os.listdir(tmp_path) == ["out"]
+
     def test_out_dir_from_the_config_is_named(self, tmp_path, capsys, monkeypatch):
         taken = tmp_path / "taken"
         taken.write_text("kept\n")
@@ -653,7 +662,7 @@ class TestParserReuse:
     def test_a_patched_handler_runs(self, tmp_path, monkeypatch, capsys):
         cfg = write_config(tmp_path)
         assert cli_dispatch(["simulate", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
-        monkeypatch.setattr(cli, "build_parser", None)  # the parser is not built again
+        assert cli.build_parser() is cli.build_parser()  # the parser is not built again
         calls = []
         monkeypatch.setattr(cli, "cmd_simulate", lambda config, args: calls.append(args) or 3)
         assert cli_dispatch(["simulate", "--config", cfg, "--out", str(tmp_path / "b")]) == 3

@@ -113,7 +113,7 @@ def time_domain_interference(cfg, source, count_per_sinr):
         for _ in range(count_per_sinr):
             rng = derive_rng(cfg.seed, iqsynth._OBS_KEY, idx)
             label = source(rng)
-            samples = np.fft.ifft(iqsynth.synthesize_spectra(label, (sinr_db,), cfg, rng),
+            samples = np.fft.ifft(iqsynth.synthesize_block([label], (sinr_db,), cfg, [rng])[0],
                                   norm="ortho")[0]
             neighbors = [source(rng) for _ in cfg.interference_gains_db]
             for neighbor, gain in zip(neighbors, cfg.interference_gains_db):
@@ -384,7 +384,7 @@ def test_batched_captures_are_bitwise_per_capture(m, n):
         for label in labels:
             seed = (m, n, k, labels.index(label))
             rng, ref_rng = derive_rng(*seed), derive_rng(*seed)
-            spectra = iqsynth.synthesize_spectra(label, sinrs, cfg, rng)
+            spectra = iqsynth.synthesize_block([label], sinrs, cfg, [rng])[0]
             want = reference_spectra(label, sinrs, cfg, ref_rng)
             assert spectra.shape == (k, n)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -532,8 +532,8 @@ def test_frequency_domain_band_energies_match_time_domain_synthesis(sinr_db):
     cfg = iqsynth.SynthConfig(seed=1, num_subchannels=4, samples_per_observation=64,
                               subcarriers_per_subchannel=12)  # 4 guard bins per band
     label, captures = (0, 1, 0, 1), 4000
-    spectra = iqsynth.synthesize_spectra(label, [sinr_db] * captures, cfg,
-                                         derive_rng(11, int(sinr_db) + 10))
+    spectra = iqsynth.synthesize_block([label], [sinr_db] * captures, cfg,
+                                       [derive_rng(11, int(sinr_db) + 10)])[0]
     new = spectrum_band_energies(spectra, 4)
     rng = derive_rng(12, int(sinr_db) + 10)
     old = np.array([band_energies(x, 4) for x in
@@ -556,8 +556,8 @@ def test_noise_only_captures_are_white(sinr_db):
     cfg = small_config()
     captures, n = 400, cfg.samples_per_observation
     sigma2 = iqsynth.noise_power(sinr_db)
-    new = np.fft.ifft(iqsynth.synthesize_spectra((0,) * 4, [sinr_db] * captures, cfg,
-                                                 derive_rng(13)), norm="ortho")
+    new = np.fft.ifft(iqsynth.synthesize_block([(0,) * 4], [sinr_db] * captures, cfg,
+                                               [derive_rng(13)])[0], norm="ortho")
     old = np.array(time_domain_captures((0,) * 4, [sinr_db] * captures, cfg, derive_rng(14)))
     count = captures * n
     for x in (new, old):
@@ -615,8 +615,8 @@ def test_band_energy_law_matches_synthesized_spectra(m, n, sc, sinr_db):
     key = (m, n, int(sinr_db) + 10)
     new = iqsynth.draw_band_energies([label], [sinr_db] * captures, cfg,
                                      derive_rng(21, *key), derive_rng(23, *key))[0]
-    old = spectrum_band_energies(iqsynth.synthesize_spectra(
-        label, [sinr_db] * captures, cfg, derive_rng(22, *key)), m)
+    old = spectrum_band_energies(iqsynth.synthesize_block(
+        [label], [sinr_db] * captures, cfg, [derive_rng(22, *key)])[0], m)
     sigma2 = iqsynth.noise_power(sinr_db)
     for band, ((start, stop), busy) in enumerate(zip(iqsynth.band_edges(n, m), label)):
         a, b = new[:, band], old[:, band]
