@@ -30,8 +30,7 @@ from .channel import stationary_sampler
 from .config import ConfigError, SimConfig, load_config
 from .iqsynth import DATASET_MAX_SUBCHANNELS, generate_dataset, load_dataset, save_dataset
 from .scheduler import (DQN_VARIANTS, SchedulingEnv, TRAINING_COLUMNS,
-                        normalized_reward_table, save_agent, save_qtable, train_agent,
-                        write_training_csv)
+                        normalized_reward_table, save_agent, train_agent, write_training_csv)
 from .seeds import derive_rng
 from .sensing import TrainParams, evaluate_model, train_classifier, write_metrics_csv
 from .simulate import (EVAL_KEY, TRUTH, block_slots, build_sensing_model, metric_rows,
@@ -148,6 +147,9 @@ def cmd_eval_sensing(config: SimConfig, args) -> int:
 
 
 def cmd_train_agent(config: SimConfig, args) -> int:
+    if config.agent.checkpoint is not None:
+        raise ConfigError([f"agent.checkpoint: train-agent trains a fresh agent and "
+                           f"cannot resume from {config.agent.checkpoint}"])
     t0 = time.perf_counter()
     variant = args.variant or config.agent.variant
     if variant not in AGENT_TRAIN_VARIANTS:
@@ -171,10 +173,7 @@ def cmd_train_agent(config: SimConfig, args) -> int:
     log_path = os.path.join(config.out_dir, f"training_{stem}.csv")
     write_training_csv(log_path, log)
     ckpt = os.path.join(config.out_dir, f"agent_{stem}.ckpt")
-    if variant == "qtable":
-        save_qtable(agent, ckpt)
-    else:
-        save_agent(agent, ckpt)
+    save_agent(agent, ckpt)
     if log:
         tail = [row[1] for row in log[-min(100, len(log)):]]
         _say(f"train-agent: final-{len(tail)} mean episode utility "

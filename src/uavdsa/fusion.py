@@ -4,7 +4,6 @@ A sub-channel is declared vacant iff at least n of the N received reports
 call it vacant; n=1 is the OR rule, n=N the AND rule.
 """
 
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,33 +29,25 @@ def vote(reports, n: int) -> np.ndarray:
     return (np.count_nonzero(np.asarray(reports) == 0, axis=-2) < n).astype(np.int8)
 
 
-def _present(reports: Sequence[Sequence[int] | None], num_uavs: int) -> np.ndarray:
-    """(K', M) stack of the reports that arrived."""
+def _stack(reports: Sequence[Sequence[int]], num_uavs: int) -> np.ndarray:
+    """(K, M) stack of one slot's reports, one from each UAV."""
     if len(reports) != num_uavs:
         raise ValueError(f"expected {num_uavs} reports, got {len(reports)}")
-    present = [r for r in reports if r is not None]
-    if len(present) < len(reports):
-        warnings.warn(
-            f"{len(reports) - len(present)} report(s) missing; fusing over {len(present)}",
-            stacklevel=3,
-        )
-    if any(len(r) != len(present[0]) for r in present):
+    if any(len(r) != len(reports[0]) for r in reports):
         raise ValueError("reports have mismatched lengths")
-    return np.array(present)
+    return np.array(reports)
 
 
-def fuse(reports: Sequence[Sequence[int] | None], rule: FusionRule) -> tuple[int, ...]:
+def fuse(reports: Sequence[Sequence[int]], rule: FusionRule) -> tuple[int, ...]:
     """Fused occupancy vector: channel vacant (0) iff vacant votes >= n.
 
-    A None entry marks a UAV that did not broadcast; it is excluded and n
-    is clamped to the surviving report count for that slot.
+    Every one of the rule's num_uavs reports must be present, all of one
+    length; otherwise a ValueError is raised.
     """
-    stack = _present(reports, rule.num_uavs)
-    return tuple(vote(stack, min(rule.n, len(stack))).tolist())
+    return tuple(vote(_stack(reports, rule.num_uavs), rule.n).tolist())
 
 
-def fusion_table(reports: Sequence[Sequence[int] | None], num_uavs: int) -> list[tuple[int, ...]]:
+def fusion_table(reports: Sequence[Sequence[int]], num_uavs: int) -> list[tuple[int, ...]]:
     """Fused vectors for every n in 1..num_uavs, over one stack of reports."""
-    stack = _present(reports, num_uavs)
-    return [tuple(vote(stack, min(n, len(stack))).tolist())
-            for n in range(1, num_uavs + 1)]
+    stack = _stack(reports, num_uavs)
+    return [tuple(vote(stack, n).tolist()) for n in range(1, num_uavs + 1)]

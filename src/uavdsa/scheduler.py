@@ -207,26 +207,18 @@ class QTable:
 
     def observe(self, s: AgentState, a: int, r: float, s_next: AgentState,
                 rng=None) -> None:
-        q_update(self, s, a, r, s_next)
+        """One Q-learning backup: Q(s,a) += alpha * (r + gamma max_a' Q(s',a') - Q(s,a))."""
+        si = state_index(s, self.num_subchannels)
+        sj = state_index(s_next, self.num_subchannels)
+        self.visits[si, a] += 1
+        alpha = (self.alpha if self.alpha is not None
+                 else float(self.visits[si, a]) ** -self.alpha_power)
+        target = r + self.gamma * self.table[sj].max()
+        self.table[si, a] += alpha * (target - self.table[si, a])
 
     def epsilon_at(self, episode: int, episodes: int) -> float:
         return _epsilon_schedule(self.epsilon0, self.epsilon_min,
                                  self.epsilon_decay, episode, episodes)
-
-
-def q_update(table: QTable, s: AgentState, a: int, r: float,
-             s_next: AgentState) -> QTable:
-    """One Q-learning backup: Q(s,a) += alpha * (r + gamma max_a' Q(s',a') - Q(s,a))."""
-    si = state_index(s, table.num_subchannels)
-    sj = state_index(s_next, table.num_subchannels)
-    table.visits[si, a] += 1
-    if table.alpha is not None:
-        alpha = table.alpha
-    else:
-        alpha = float(table.visits[si, a]) ** -table.alpha_power
-    target = r + table.gamma * table.table[sj].max()
-    table.table[si, a] += alpha * (target - table.table[si, a])
-    return table
 
 
 # ---------------------------------------------------------------------------
@@ -358,19 +350,10 @@ def soft_update(target: nnet.Network, primary: nnet.Network, tau: float) -> nnet
 
 @dataclass
 class RandomAgent:
-    """Uniform over valid actions; no learning. Baseline policy."""
+    """Uniform over valid actions; no learning. Baseline policy, whose picks
+    block_actions draws itself."""
 
     num_subchannels: int
-
-    def select(self, state, valid, epsilon, rng, k=1):
-        row = np.zeros(self.num_subchannels + 1)
-        return masked_actions(row, valid, k, 1.0, rng), row
-
-    def observe(self, s, a, r, s_next, rng=None) -> None:
-        pass
-
-    def epsilon_at(self, episode: int, episodes: int) -> float:
-        return 1.0
 
 
 def _epsilon_schedule(eps0: float, eps_min: float, decay: float | None,
@@ -614,105 +597,82 @@ def policy_expected_utility(matrices: list[TransitionMatrix], channel_rewards,
 # Agent checkpoints
 
 
-AGENT_MAGIC = b"UAGC"
-AGENT_VERSION = 1
+AGENT_MAGIC, QTABLE_MAGIC = b"UAGC", b"UQTB"
+AGENT_VERSION = 1  # of both formats
+# magic -> (header layout, the kind's name in messages)
+AGENT_HEADERS = {AGENT_MAGIC: ("<4sIIIdddddIId", "agent"),
+                 QTABLE_MAGIC: ("<4sIIddd", "q-table")}
 
 
-def save_agent(agent: DqnAgent, path: str) -> None:
-    """Agent hyperparameter header followed by the primary network block.
-
-    The target network is rebuilt as a copy on load; the replay buffer is
-    not persisted.
-    """
-    header = struct.pack(
-        "<4sIIIdddddIId",
-        AGENT_MAGIC, AGENT_VERSION, agent.num_subchannels,
-        DQN_VARIANTS.index(agent.variant), agent.gamma, agent.epsilon0,
-        agent.epsilon_min,
-        -1.0 if agent.epsilon_decay is None else agent.epsilon_decay,
-        agent.tau, agent.batch_size, agent.target_update_period,
-        agent.learning_rate)
+def save_agent(agent: DqnAgent | QTable, path: str) -> None:
+    """Write a learning agent. A DqnAgent is UAGC: its hyperparameter
+    header, then the primary network block (the target network is rebuilt
+    as a copy on load; the replay buffer is not persisted). A QTable is
+    UQTB: its header, then the table as <f8 and the visit counts as <i8,
+    both row-major."""
+    if isinstance(agent, QTable):
+        alpha = float("nan") if agent.alpha is None else agent.alpha
+        magic, fields = QTABLE_MAGIC, (agent.gamma, alpha, agent.alpha_power)
+        body = agent.table.astype("<f8").tobytes() + agent.visits.astype("<i8").tobytes()
+    else:
+        decay = -1.0 if agent.epsilon_decay is None else agent.epsilon_decay
+        magic, fields = AGENT_MAGIC, (
+            DQN_VARIANTS.index(agent.variant), agent.gamma, agent.epsilon0, agent.epsilon_min,
+            decay, agent.tau, agent.batch_size, agent.target_update_period,
+            agent.learning_rate)
+        body = nnet.network_to_bytes(agent.primary)
+    header = struct.pack(AGENT_HEADERS[magic][0], magic, AGENT_VERSION,
+                         agent.num_subchannels, *fields)
     with open(path, "wb") as f:
-        f.write(header)
-        f.write(nnet.network_to_bytes(agent.primary))
+        f.write(header + body)
 
 
-def load_agent(path: str) -> DqnAgent:
-    """Read an agent checkpoint; a malformed file raises a ValueError that
-    names it."""
+def load_agent(path: str) -> DqnAgent | QTable:
+    """Read an agent checkpoint of either kind, told apart by its magic. A
+    malformed file, or one whose values the agent's constructor refuses,
+    raises a ValueError that names it."""
     with open(path, "rb") as f:
         data = f.read()
-    fmt = "<4sIIIdddddIId"
-    header_size = struct.calcsize(fmt)
-    if data[:4] != AGENT_MAGIC:
+    if data[:4] not in AGENT_HEADERS:
         raise ValueError(f"{path}: not an agent checkpoint")
-    if len(data) < header_size:
-        raise ValueError(f"{path}: truncated agent header")
-    (_, version, m, variant_code, gamma, eps0, eps_min, decay, tau,
-     batch, period, lr) = struct.unpack_from(fmt, data)
+    fmt, kind = AGENT_HEADERS[data[:4]]
+    offset = struct.calcsize(fmt)
+    if len(data) < offset:
+        raise ValueError(f"{path}: truncated {kind} header")
+    _, version, m, *fields = struct.unpack_from(fmt, data)
     if version != AGENT_VERSION:
-        raise ValueError(f"{path}: unsupported agent version {version}")
-    if variant_code >= len(DQN_VARIANTS):
-        raise ValueError(f"{path}: unknown agent variant code {variant_code}")
-    primary = nnet.network_from_bytes(data, offset=header_size, source=path)
-    try:
-        return DqnAgent(
-            num_subchannels=m, variant=DQN_VARIANTS[variant_code], gamma=gamma,
+        raise ValueError(f"{path}: unsupported {kind} version {version}")
+    if kind == "agent":
+        code, gamma, eps0, eps_min, decay, tau, batch, period, lr = fields
+        if code >= len(DQN_VARIANTS):
+            raise ValueError(f"{path}: unknown agent variant code {code}")
+        primary = nnet.network_from_bytes(data, offset=offset, source=path)
+        cls, kwargs = DqnAgent, dict(
+            variant=DQN_VARIANTS[code], gamma=gamma,
             hidden=tuple(l.w.shape[0] for l in primary.layers[1:]),
             epsilon0=eps0, epsilon_min=eps_min,
             epsilon_decay=None if decay < 0 else decay, tau=tau,
             batch_size=batch, target_update_period=period, learning_rate=lr,
             primary=primary, target=nnet.clone_weights(primary))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
-QTABLE_MAGIC = b"UQTB"
-QTABLE_VERSION = 1
-
-
-def save_qtable(table: QTable, path: str) -> None:
-    header = struct.pack(
-        "<4sIIddd", QTABLE_MAGIC, QTABLE_VERSION, table.num_subchannels,
-        table.gamma, float("nan") if table.alpha is None else table.alpha,
-        table.alpha_power)
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(table.table.astype("<f8").tobytes(order="C"))
-        f.write(table.visits.astype("<i8").tobytes(order="C"))
-
-
-def load_qtable(path: str) -> QTable:
-    """Read a q-table checkpoint; a malformed file raises a ValueError that
-    names it."""
-    with open(path, "rb") as f:
-        data = f.read()
-    fmt = "<4sIIddd"
-    offset = struct.calcsize(fmt)
-    if data[:4] != QTABLE_MAGIC:
-        raise ValueError(f"{path}: not a q-table checkpoint")
-    if len(data) < offset:
-        raise ValueError(f"{path}: truncated q-table header")
-    _, version, m, gamma, alpha, alpha_power = struct.unpack_from(fmt, data)
-    if version != QTABLE_VERSION:
-        raise ValueError(f"{path}: unsupported q-table version {version}")
-    if m > TABULAR_MAX_SUBCHANNELS:
-        raise ValueError(f"{path}: q-table for M={m} exceeds the tabular limit "
-                         f"M <= {TABULAR_MAX_SUBCHANNELS}")
-    shape = table_shape(m)
-    n = shape[0] * shape[1]
-    expected = offset + 16 * n
-    if len(data) != expected:
-        raise ValueError(f"{path}: {len(data)} bytes where a q-table for M={m} needs "
-                         f"{expected}: " + ("truncated" if len(data) < expected
-                                            else "trailing bytes"))
-    values = np.frombuffer(data, dtype="<f8", count=n, offset=offset)
-    visits = np.frombuffer(data, dtype="<i8", count=n, offset=offset + 8 * n)
+    else:
+        gamma, alpha, alpha_power = fields
+        if m > TABULAR_MAX_SUBCHANNELS:
+            raise ValueError(f"{path}: q-table for M={m} exceeds the tabular limit "
+                             f"M <= {TABULAR_MAX_SUBCHANNELS}")
+        shape = table_shape(m)
+        n = shape[0] * shape[1]
+        expected = offset + 16 * n
+        if len(data) != expected:
+            raise ValueError(f"{path}: {len(data)} bytes where a q-table for M={m} needs "
+                             f"{expected}: " + ("truncated" if len(data) < expected
+                                                else "trailing bytes"))
+        values = np.frombuffer(data, dtype="<f8", count=n, offset=offset)
+        visits = np.frombuffer(data, dtype="<i8", count=n, offset=offset + 8 * n)
+        cls, kwargs = QTable, dict(
+            gamma=gamma, alpha=None if np.isnan(alpha) else alpha, alpha_power=alpha_power,
+            table=values.reshape(shape).copy(),
+            visits=visits.reshape(shape).astype(int).copy())
     try:
-        return QTable(num_subchannels=m, gamma=gamma,
-                      alpha=None if np.isnan(alpha) else alpha,
-                      alpha_power=alpha_power,
-                      table=values.reshape(shape).copy(),
-                      visits=visits.reshape(shape).astype(int).copy())
+        return cls(num_subchannels=m, **kwargs)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

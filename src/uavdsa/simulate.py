@@ -37,7 +37,7 @@ from .core import (SlotLedger, access_cost, energy_efficiency, sensing_cost,
 from .fusion import vote
 from .iqsynth import SynthConfig, draw_band_energies, synthesize_block
 from .scheduler import (DqnAgent, QTable, RandomAgent, block_actions, check_actions,
-                        load_agent, load_qtable)
+                        load_agent)
 from .seeds import derive_rng
 from .sensing import (SensingModel, classify, confusion_tally, energy_detect,
                       metrics_from_counts, write_metrics_csv)
@@ -136,16 +136,19 @@ def new_agent(config: SimConfig, variant: str):
 
 def build_agent(config: SimConfig):
     """The configured agent. A configured checkpoint is loaded; one that
-    cannot be read or was trained for another M is a ConfigError naming
-    agent.checkpoint."""
+    cannot be read, holds another kind of agent than the variant (a q-table
+    for a DQN variant, or the reverse) or was trained for another M is a
+    ConfigError naming agent.checkpoint."""
     spec = config.agent
     if spec.checkpoint is None:
         return new_agent(config, spec.variant)
-    load = load_qtable if spec.variant == "qtable" else load_agent
     try:
-        agent = load(spec.checkpoint)
+        agent = load_agent(spec.checkpoint)
     except (OSError, ValueError) as exc:
         raise ConfigError([f"agent.checkpoint: {exc}"]) from None
+    if isinstance(agent, QTable) != (spec.variant == "qtable"):
+        raise ConfigError([f"agent.checkpoint: {spec.checkpoint}: holds a "
+                           f"{type(agent).__name__}, config has variant {spec.variant}"])
     m = config.radio.num_subchannels
     if agent.num_subchannels != m:
         raise ConfigError([f"agent.checkpoint: {spec.checkpoint}: trained for "

@@ -9,8 +9,7 @@ import pytest
 from uavdsa import cli, nnet, simulate
 from uavdsa.cli import cli_dispatch, main
 from uavdsa.config import load_config
-from uavdsa.scheduler import (TRAINING_COLUMNS, DqnAgent, QTable, load_agent, save_agent,
-                              save_qtable)
+from uavdsa.scheduler import TRAINING_COLUMNS, DqnAgent, QTable, load_agent, save_agent
 
 
 def write_config(tmp_path, **overrides):
@@ -146,6 +145,30 @@ class TestExitCodes:
         assert cli_dispatch(["simulate", "--config", cfg, "--out", out]) == 1
         err = capsys.readouterr().err
         assert "agent.checkpoint" in err and "trained for M=4" in err
+
+    def test_train_agent_refuses_a_configured_checkpoint(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, agent={"variant": "dqn",
+                                            "checkpoint": "/no/such/agent.ckpt"})
+        assert cli_dispatch(["train-agent", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "agent.checkpoint: train-agent trains a fresh agent and cannot resume "
+            "from /no/such/agent.ckpt\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("saved,variant,holds", [
+        (QTable(num_subchannels=4), "dqn", "QTable"),
+        (DqnAgent(num_subchannels=4, variant="ddqn", hidden=(3,)), "qtable", "DqnAgent"),
+    ], ids=["qtable-for-dqn", "dqn-for-qtable"])
+    def test_checkpoint_of_another_kind_is_refused(self, saved, variant, holds, tmp_path,
+                                                   capsys):
+        ckpt, out = tmp_path / "agent.ckpt", tmp_path / "run"
+        save_agent(saved, str(ckpt))
+        cfg = write_config(tmp_path, agent={"variant": variant, "checkpoint": str(ckpt)})
+        assert cli_dispatch(["simulate", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"agent.checkpoint: {ckpt}: holds a {holds}, config has variant {variant}\n")
+        assert not out.exists()
 
     def test_unusable_checkpoints_name_their_field(self, tmp_path, capsys):
         out = str(tmp_path / "run")
@@ -414,9 +437,9 @@ MALFORMED_CHECKPOINTS = [
     ("dqn", lambda p: _agent_file(p, nnet.build_network([4, 3, 4], ["relu", "identity"],
                                                         seed=0)),
      "output width must be M + 1"),
-    ("qtable", _patched(lambda p: save_qtable(QTable(num_subchannels=4), str(p)),
+    ("qtable", _patched(lambda p: save_agent(QTable(num_subchannels=4), str(p)),
                         "<I", 4, 2), "unsupported q-table version 2"),
-    ("qtable", _patched(lambda p: save_qtable(QTable(num_subchannels=4), str(p)),
+    ("qtable", _patched(lambda p: save_agent(QTable(num_subchannels=4), str(p)),
                         "<I", 8, 13), "q-table for M=13 exceeds the tabular limit M <= 12"),
     ("sensor", _patched(_sensor_file, "<I", 4, 2), "unsupported checkpoint version 2"),
     ("sensor", _patched(_sensor_file, "<I", 8, 0), "network has no layers"),

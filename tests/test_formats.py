@@ -81,7 +81,7 @@ def datasets(draw):
 FORMATS = {
     "UNNC": (networks(), nnet.save_checkpoint, nnet.load_checkpoint),
     "UAGC": (agents(), sch.save_agent, sch.load_agent),
-    "UQTB": (qtables(), sch.save_qtable, sch.load_qtable),
+    "UQTB": (qtables(), sch.save_agent, sch.load_agent),
     "IQDS": (datasets(), iqsynth.save_dataset, iqsynth.load_dataset),
 }
 

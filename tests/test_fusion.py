@@ -1,5 +1,4 @@
 import itertools
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -66,12 +65,6 @@ class TestFuse:
         with pytest.raises(ValueError):
             fusion.fuse([(0,), (0, 1)], fusion.FusionRule(n=1, num_uavs=2))
 
-    def test_missing_report_warns_and_reduces_n(self):
-        rule = fusion.FusionRule(n=3, num_uavs=3)
-        with pytest.warns(UserWarning):
-            fused = fusion.fuse([(0,), (0,), None], rule)
-        assert fused == (0,)  # AND over the two reports that arrived
-
     def test_rule_bounds(self):
         with pytest.raises(ValueError):
             fusion.FusionRule(n=0, num_uavs=3)
@@ -93,28 +86,18 @@ class TestFusionTable:
 
 @st.composite
 def vote_cases(draw):
-    """K reports of M bits, at least one of them received, and a rule n."""
+    """K reports of M bits and a rule n."""
     k, m = draw(st.integers(1, 6)), draw(st.integers(1, 8))
     reports = draw(st.lists(st.tuples(*[st.integers(0, 1)] * m), min_size=k, max_size=k))
-    missing = draw(st.lists(st.booleans(), min_size=k, max_size=k).filter(
-        lambda gone: not all(gone)))
-    n = draw(st.integers(1, k))
-    return [None if gone else r for r, gone in zip(reports, missing)], n
+    return reports, draw(st.integers(1, k))
 
 
 @settings(max_examples=300, derandomize=True, database=None)
 @given(vote_cases())
 def test_fuse_and_fusion_table_agree_with_brute_force_vote(case):
-    """Missing reports drop out and n is clamped to the reports received;
-    each missing-report call warns once."""
     reports, n = case
     k = len(reports)
-    present = [r for r in reports if r is not None]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        fused = fusion.fuse(reports, fusion.FusionRule(n=n, num_uavs=k))
-        table = fusion.fusion_table(reports, k)
-    assert len(caught) == (2 if len(present) < k else 0)
-    assert fused == brute_force_rule(present, min(n, len(present)))
-    assert table == [brute_force_rule(present, min(j, len(present)))
-                     for j in range(1, k + 1)]
+    assert fusion.fuse(reports, fusion.FusionRule(n=n, num_uavs=k)) == \
+        brute_force_rule(reports, n)
+    assert fusion.fusion_table(reports, k) == [brute_force_rule(reports, j)
+                                               for j in range(1, k + 1)]

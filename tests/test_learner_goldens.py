@@ -81,10 +81,7 @@ def run_case(name: str, out_dir) -> tuple[str, str]:
     csv_path = f"{out_dir}/training_{name}.csv"
     ckpt_path = f"{out_dir}/agent_{name}.ckpt"
     sch.write_training_csv(csv_path, log)
-    if variant == "qtable":
-        sch.save_qtable(agent, ckpt_path)
-    else:
-        sch.save_agent(agent, ckpt_path)
+    sch.save_agent(agent, ckpt_path)
     return _digest(csv_path), _digest(ckpt_path)
 
 

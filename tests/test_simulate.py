@@ -387,7 +387,7 @@ def test_outputs_do_not_depend_on_the_block_size(tmp_path, monkeypatch):
     table = sch.QTable(num_subchannels=4)
     sch.train_agent(table, sch.preset_scheduling_env(4), episodes=3, slots_per_episode=50,
                     seed=1)
-    sch.save_qtable(table, str(tmp_path / "agent.qtb"))
+    sch.save_agent(table, str(tmp_path / "agent.qtb"))
     trained = dataclasses.replace(cfg, agent=dataclasses.replace(
         cfg.agent, variant="qtable", checkpoint=str(tmp_path / "agent.qtb")))
     per_slot = cfg.radio.num_uavs * cfg.synth.samples_per_observation  # a classifier senses
