@@ -5,9 +5,9 @@ All functions are pure; every occupancy vector uses the convention
 0 = vacant, 1 = busy (a "spectrum hole" is a 0 bit).
 """
 
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 import math
-from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -109,6 +109,20 @@ class SlotLedger:
     def assignment(self) -> Assignment:
         """The pairs that transmitted: the keys of `collision`."""
         return Assignment(frozenset(self.collision))
+
+
+@dataclass(frozen=True)
+class RowView(Sequence):
+    """Rows of columnar data as read-only objects, row(i) building row i."""
+
+    size: int
+    row: Callable[[int], object]
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, i: int):
+        return self.row(range(self.size)[i])  # IndexError past the end ends iteration
 
 
 def sensing_cost(timing: SlotTiming, radio: RadioParams) -> float:

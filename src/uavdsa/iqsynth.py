@@ -55,8 +55,8 @@ order, then one synthesize_block call for its classifier rows, every
 label drawing from a third generator; a call with no rows draws nothing.
 
 clean_spectrum draws one (B, subcarriers) block of quadrants per call.
-generate_dataset makes one synthesize_block call (K = 1) per SINR
-stratum, each label drawing from its observation's own generator, which
+generate_dataset makes one synthesize_block call (K = 1) per block of a
+SINR stratum's labels, each from its observation's own generator, which
 draws, in order: the label, its synthesize_block row, every neighbor
 label, then each neighbor's clean_spectrum quadrants. Neighbor-cell
 interference is added to the spectrum before the one inverse transform,
@@ -81,12 +81,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import mask_occupancy, occupancy_mask, occupancy_vector
+from .core import RowView, occupancy_vector
 from .seeds import derive_rng
 
 _OBS_KEY = 0x0B5
 TRAIN_FRACTION = 0.70
 VAL_FRACTION = 0.15
+BLOCK_ELEMENTS = 1 << 15  # in a block's largest array (of captures, records or features)
 
 
 @dataclass(frozen=True)
@@ -121,7 +122,7 @@ class SynthConfig:
         return bins
 
 
-@dataclass
+@dataclass(frozen=True)
 class IQObservation:
     samples: np.ndarray  # complex, length N
     label: tuple[int, ...]
@@ -130,9 +131,19 @@ class IQObservation:
 
 @dataclass
 class Dataset:
-    observations: list[IQObservation]
+    """Labeled captures as columns, row i for observation i: samples (n, N), complex128
+    generated or the file's complex64 loaded; labels (n, M) int8; sinr_db (n,) float64."""
+    samples: np.ndarray
+    labels: np.ndarray
+    sinr_db: np.ndarray
     split: dict[str, tuple[int, ...]]
     config: SynthConfig
+
+    @property
+    def observations(self) -> RowView:
+        """The rows as IQObservation views with complex128 samples."""
+        return RowView(len(self.sinr_db), lambda i: IQObservation(
+            self.samples[i].astype(complex), tuple(self.labels[i].tolist()), self.sinr_db.item(i)))
 
 
 def band_edges(fft_size: int, num_subchannels: int) -> list[tuple[int, int]]:
@@ -237,8 +248,7 @@ def synthesize_observation(label, sinr_db: float, config: SynthConfig,
     synthesize_block row."""
     samples = np.fft.ifft(synthesize_block([label], (sinr_db,), config, [rng])[0, 0],
                           norm="ortho")
-    return IQObservation(samples=samples, label=occupancy_vector(label),
-                         sinr_db=float(sinr_db))
+    return IQObservation(samples, occupancy_vector(label), float(sinr_db))
 
 
 def split_indices(strata_sizes: list[int]) -> dict[str, tuple[int, ...]]:
@@ -248,10 +258,9 @@ def split_indices(strata_sizes: list[int]) -> dict[str, tuple[int, ...]]:
     for size in strata_sizes:
         n_train = int(TRAIN_FRACTION * size)
         n_val = int(VAL_FRACTION * size)
-        idx = list(range(base, base + size))
-        train += idx[:n_train]
-        val += idx[n_train:n_train + n_val]
-        test += idx[n_train + n_val:]
+        train += range(base, base + n_train)
+        val += range(base + n_train, base + n_train + n_val)
+        test += range(base + n_train + n_val, base + size)
         base += size
     return {"train": tuple(train), "val": tuple(val), "test": tuple(test)}
 
@@ -261,30 +270,31 @@ def generate_dataset(config: SynthConfig, occupancy_source, count_per_sinr: int)
 
     occupancy_source is a callable(rng) -> label. Each observation draws
     from a substream keyed by (seed, observation index), so the dataset is
-    reproducible independent of generation order; each SINR stratum is
-    one synthesize_block call. Each neighbor cell adds a clean spectrum of
-    a label drawn from the same source, scaled by 10^(gain/20) in
-    amplitude; the label still describes the serving cell.
+    reproducible independent of generation order and of how a stratum's
+    rows are split into synthesize_block calls. Each neighbor cell adds a
+    clean spectrum of a label drawn from the same source, scaled by
+    10^(gain/20) in amplitude; the label still describes the serving cell.
     """
     if count_per_sinr < 1:
         raise ValueError("count_per_sinr must be >= 1")
-    gains = config.interference_gains_db
-    observations = []
-    for stratum, sinr_db in enumerate(config.sinr_grid_db):
-        rngs = [derive_rng(config.seed, _OBS_KEY, stratum * count_per_sinr + i)
-                for i in range(count_per_sinr)]
-        labels = [occupancy_source(rng) for rng in rngs]
-        spectra = synthesize_block(labels, (sinr_db,), config, rngs)
-        for spectrum, rng in zip(spectra[:, 0], rngs):
-            neighbors = [occupancy_source(rng) for _ in gains]
-            for neighbor, gain in zip(neighbors, gains):
-                spectrum += 10.0 ** (gain / 20.0) * clean_spectrum(neighbor, config, rng)
-        captures = np.fft.ifft(spectra, norm="ortho")[:, 0]
-        observations += [IQObservation(samples=samples, label=occupancy_vector(label),
-                                       sinr_db=float(sinr_db))
-                         for samples, label in zip(captures, labels)]
-    split = split_indices([count_per_sinr] * len(config.sinr_grid_db))
-    return Dataset(observations=observations, split=split, config=config)
+    gains, grid = config.interference_gains_db, config.sinr_grid_db
+    size, n = len(grid) * count_per_sinr, config.samples_per_observation
+    samples = np.empty((size, n), dtype=complex)
+    labels = np.empty((size, config.num_subchannels), dtype=np.int8)
+    blocks = -(-count_per_sinr * n // BLOCK_ELEMENTS)  # per stratum
+    for stratum, sinr_db in enumerate(grid):
+        for rows in np.array_split(np.arange(count_per_sinr) + stratum * count_per_sinr, blocks):
+            rngs = [derive_rng(config.seed, _OBS_KEY, i) for i in rows.tolist()]
+            block_labels = [occupancy_source(rng) for rng in rngs]
+            spectra = synthesize_block(block_labels, (sinr_db,), config, rngs)[:, 0]
+            for spectrum, rng in zip(spectra, rngs):
+                neighbors = [occupancy_source(rng) for _ in gains]
+                for neighbor, gain in zip(neighbors, gains):
+                    spectrum += 10.0 ** (gain / 20.0) * clean_spectrum(neighbor, config, rng)
+            samples[rows] = np.fft.ifft(spectra, norm="ortho")
+            labels[rows] = block_labels
+    return Dataset(samples, labels, np.repeat(np.asarray(grid, dtype=float), count_per_sinr),
+                   split_indices([count_per_sinr] * len(grid)), config)
 
 
 DATASET_MAGIC = b"IQDS"
@@ -299,13 +309,13 @@ def _record_dtype(n: int) -> np.dtype:
 
 
 def save_dataset(dataset: Dataset, path: str, num_uavs: int = 1) -> None:
+    """Write a dataset's IQDS file, its records one block at a time."""
     cfg = dataset.config
-    records = np.empty(len(dataset.observations),
-                       dtype=_record_dtype(cfg.samples_per_observation))
-    records["mask"] = [occupancy_mask(obs.label) for obs in dataset.observations]
-    records["sinr_db"] = [obs.sinr_db for obs in dataset.observations]
-    for row, obs in zip(records["iq"].view(np.complex64), dataset.observations):
-        row[:] = obs.samples
+    if cfg.num_subchannels > DATASET_MAX_SUBCHANNELS:
+        raise ValueError(f"M={cfg.num_subchannels} sub-channels do not fit a u32 label mask")
+    block = np.empty(max(1, BLOCK_ELEMENTS // cfg.samples_per_observation),
+                     dtype=_record_dtype(cfg.samples_per_observation))
+    size = len(dataset.sinr_db)
     with open(path, "wb") as f:
         f.write(DATASET_MAGIC)
         f.write(struct.pack("<IIIII", DATASET_VERSION, cfg.num_subchannels,
@@ -313,20 +323,25 @@ def save_dataset(dataset: Dataset, path: str, num_uavs: int = 1) -> None:
                             len(cfg.sinr_grid_db)))
         f.write(np.asarray(cfg.sinr_grid_db, dtype="<f4").tobytes())
         f.write(struct.pack("<Q", cfg.seed))
-        records.tofile(f)
+        for start in range(0, size, len(block)):
+            records, rows = block[:size - start], slice(start, start + len(block))
+            records["mask"] = dataset.labels[rows] @ (1 << np.arange(cfg.num_subchannels))
+            records["sinr_db"] = dataset.sinr_db[rows]
+            records["iq"].view(np.complex64)[:] = dataset.samples[rows]
+            records.tofile(f)
 
 
 def load_dataset(path: str) -> Dataset:
-    """Read a dataset file back; splits are recomputed from record order.
+    """Read a dataset file back, its splits recomputed from record order.
 
-    The subcarrier block width is not stored and reloads at its default
-    (fft size // M); it only matters for further synthesis, not for the
-    stored samples. A partial header or record, a record whose label mask
-    has bits at or above M, a record whose SINR is not a grid value, and a
-    record left over after the walk through the grid's strata raise a
-    ValueError that names the file (and the record); a file that
-    lacks only whole trailing records cannot be told apart, because the
-    header stores no record count.
+    One structured array holds the records, its iq field viewed as complex64
+    being the samples; it is not mapped, as a later write to the path would
+    truncate pages it still uses. The subcarrier block width is not stored:
+    it reloads as fft size // M. A partial header or record, a label mask
+    with bits at or above M, an SINR off the grid, and a record outside its
+    grid value's stratum raise a ValueError naming the file (and the
+    record). A file that lacks only whole trailing records cannot be told
+    apart: the header stores no record count.
     """
 
     def header(f, size: int) -> bytes:
@@ -351,35 +366,23 @@ def load_dataset(path: str) -> Dataset:
                                  subcarriers_per_subchannel=n // m, sinr_grid_db=grid)
         except ValueError as exc:
             raise ValueError(f"{path}: header has M={m}, N={n}: {exc}") from None
-        offset = f.tell()
-        size = os.fstat(f.fileno()).st_size - offset
-    dtype = _record_dtype(n)
-    count, partial = divmod(size, dtype.itemsize)
+        dtype = _record_dtype(n)
+        size = os.fstat(f.fileno()).st_size - f.tell()
+        records = np.empty(-(-size // dtype.itemsize), dtype)  # a partial record fits too
+        count, partial = divmod(f.readinto(records), dtype.itemsize)
     if partial:
         raise ValueError(f"{path}: truncated record {count}: "
                          f"{partial} of {dtype.itemsize} bytes")
-    # Mapped, not read: a buffer of the whole file would stay behind as a
-    # hole in the heap and raise the process's peak memory.
-    records = np.memmap(path, dtype=dtype, mode="r", offset=offset, shape=(count,))
+    records, sinr_db = records[:count], records["sinr_db"][:count].astype(float)
+    hits = records["sinr_db"][:, None] == grid32  # (count, grid_len)
+    strata = hits @ np.arange(len(grid))  # each record's grid index, once it has one
     for bad, problem in ((records["mask"].astype(np.uint64) >> m != 0,
                           f"label mask has bits at or above M={m}"),
-                         (~np.isin(records["sinr_db"], grid32), "SINR is not a grid value")):
+                         (~hits.any(axis=1), "SINR is not a grid value"),
+                         (np.diff(strata, prepend=0) < 0, "SINR {:g} dB outside its stratum")):
         if bad.any():
-            raise ValueError(f"{path}: record {np.argmax(bad)}: {problem}")
-    observations = [
-        IQObservation(samples=iq.astype(complex), label=mask_occupancy(mask, m),
-                      sinr_db=sinr_db)
-        for iq, mask, sinr_db in zip(records["iq"].view(np.complex64),
-                                     records["mask"].tolist(), records["sinr_db"].tolist())
-    ]
-    sizes, pos = [], 0
-    for g in grid:
-        start = pos
-        while pos < len(observations) and observations[pos].sinr_db == g:
-            pos += 1
-        sizes.append(pos - start)
-    if pos < len(observations):
-        raise ValueError(f"{path}: record {pos}: SINR {observations[pos].sinr_db:g} dB "
-                         f"outside its stratum")
-    split = split_indices(sizes)
-    return Dataset(observations=observations, split=split, config=config)
+            raise ValueError(f"{path}: record {np.argmax(bad)}: "
+                             + problem.format(sinr_db[np.argmax(bad)]))
+    labels = (records["mask"][:, None] >> np.arange(m, dtype=np.uint32) & 1).astype(np.int8)
+    return Dataset(records["iq"].view(np.complex64), labels, sinr_db,
+                   split_indices(np.bincount(strata, minlength=len(grid)).tolist()), config)

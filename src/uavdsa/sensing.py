@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nnet
-from .iqsynth import Dataset, IQObservation, band_edges
+from .iqsynth import BLOCK_ELEMENTS, Dataset, IQObservation, band_edges
 from .seeds import derive_rng
 
 INPUT_MODES = ("iq", "band-energy")
@@ -25,19 +25,18 @@ def spectrum_band_energies(spectra, num_subchannels: int) -> np.ndarray:
     """Energy per sub-channel band of orthonormal spectra (..., N), shaped
     (..., M): squared bin magnitudes summed over each band of the equal
     M-way bin partition."""
-    spectra = np.asarray(spectra)
-    n = spectra.shape[-1]
-    if n < num_subchannels:
-        raise ValueError("observation shorter than the number of sub-channels")
     power = np.abs(spectra) ** 2
+    if (n := power.shape[-1]) < num_subchannels:
+        raise ValueError("observation shorter than the number of sub-channels")
     return np.stack([power[..., a:b].sum(axis=-1) for a, b in band_edges(n, num_subchannels)],
                     axis=-1)
 
 
 def band_energies(samples, num_subchannels: int) -> np.ndarray:
-    """Band energies of captures (..., N), shaped (..., M): the
-    spectrum_band_energies of their orthonormal DFT."""
-    return spectrum_band_energies(np.fft.fft(samples, norm="ortho"), num_subchannels)
+    """Band energies of captures (..., N), shaped (..., M): the spectrum_band_energies
+    of their orthonormal DFT in complex128 (NumPy >= 2 transforms complex64 in single)."""
+    return spectrum_band_energies(np.fft.fft(np.asarray(samples, dtype=complex), norm="ortho"),
+                                  num_subchannels)
 
 
 def energy_detect(energies, thresholds) -> np.ndarray:
@@ -72,22 +71,25 @@ class SensingModel:
 
 
 def feature_vector(samples, num_subchannels: int, input_mode: str) -> np.ndarray:
-    """Standardized classifier input of captures (..., N), one row per
-    capture: raw I/Q flattened to 2N reals, or the log band-energy
-    profile, each row standardized on its own. In place, and without the
-    stacked captures, so a stack peaks at two feature-sized arrays."""
+    """Standardized float64 classifier input of captures (..., N), one row
+    per capture: raw I/Q flattened to 2N reals, or the log band-energy
+    profile, each row standardized on its own. In place, by blocks of rows
+    and without the stacked captures, so a stack peaks at one such array."""
     samples = np.asarray(samples)
-    if input_mode == "iq":
-        x = np.concatenate([samples.real, samples.imag], axis=-1)
+    if input_mode == "iq":  # float64 parts of complex64 captures are exact
+        x = np.concatenate([samples.real, samples.imag], axis=-1, dtype=float)
     elif input_mode == "band-energy":
         x = np.log10(band_energies(samples, num_subchannels) + 1e-12)
     else:
         raise ValueError(f"unknown input mode {input_mode!r}")
-    del samples  # before std's feature-sized temporary
-    mean, std = x.mean(axis=-1, keepdims=True), x.std(axis=-1, keepdims=True)
-    x -= mean
-    x /= std + 1e-12
-    return x
+    del samples
+    rows = x.reshape(-1, x.shape[-1])  # a copy only of a strided band-energy stack
+    size = max(1, BLOCK_ELEMENTS // rows.shape[1])
+    for block in (rows[start:start + size] for start in range(0, len(rows), size)):
+        mean, std = block.mean(axis=-1, keepdims=True), block.std(axis=-1, keepdims=True)
+        block -= mean
+        block /= std + 1e-12
+    return rows.reshape(x.shape)
 
 
 def classify(model: SensingModel, samples) -> np.ndarray:
@@ -172,13 +174,12 @@ def train_classifier(dataset: Dataset, params: TrainParams) -> SensingModel:
     per-epoch mean training loss is recorded on the returned model.
     Reproducible per params.seed.
     """
-    train_idx = dataset.split["train"]
-    if not train_idx:
+    train_idx = np.asarray(dataset.split["train"], dtype=np.intp)
+    if not train_idx.size:
         raise ValueError("dataset has an empty train split")
     m_chan = dataset.config.num_subchannels
-    feats = feature_vector([dataset.observations[i].samples for i in train_idx],
-                           m_chan, params.input_mode)
-    labels = np.array([dataset.observations[i].label for i in train_idx], dtype=float)
+    feats = feature_vector(dataset.samples[train_idx], m_chan, params.input_mode)
+    labels = dataset.labels[train_idx].astype(float)
 
     dims = [feats.shape[1], *params.hidden, m_chan]
     acts = ["relu"] * len(params.hidden) + ["sigmoid"]
@@ -207,15 +208,13 @@ def train_classifier(dataset: Dataset, params: TrainParams) -> SensingModel:
 
 def evaluate_model(model: SensingModel, dataset: Dataset, split: str = "test",
                    sinr_db: float | None = None) -> SensingMetrics:
-    """Micro metrics of a model on one split, optionally one SINR slice:
-    one detect pass over the slice's (n, N) stack of captures. An empty
-    slice has undefined (NaN) metrics."""
-    obs = [dataset.observations[i] for i in dataset.split[split]
-           if sinr_db is None
-           or np.float32(dataset.observations[i].sinr_db) == np.float32(sinr_db)]
-    n, m = dataset.config.samples_per_observation, model.num_subchannels
-    return micro_metrics(detect(model, np.reshape([o.samples for o in obs], (len(obs), n))),
-                         np.reshape([o.label for o in obs], (len(obs), m)))
+    """Micro metrics of a model on one split, optionally one SINR slice
+    (SINRs compared as float32): one detect pass over the slice's (n, N)
+    stack of captures. An empty slice has undefined (NaN) metrics."""
+    rows = np.asarray(dataset.split[split], dtype=np.intp)
+    if sinr_db is not None:
+        rows = rows[dataset.sinr_db[rows].astype(np.float32) == np.float32(sinr_db)]
+    return micro_metrics(detect(model, dataset.samples[rows]), dataset.labels[rows])
 
 
 METRICS_COLUMNS = ("uav", "sinr_db", "precision", "recall", "f1", "detector", "fused")
@@ -226,5 +225,4 @@ def write_metrics_csv(path: str, rows) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(METRICS_COLUMNS)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)

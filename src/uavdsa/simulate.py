@@ -24,7 +24,6 @@ size; eval-sensing draws TRUTH labels and the sensing streams under EVAL_KEY.
 
 import json
 import os
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +31,10 @@ import numpy as np
 from . import nnet
 from .channel import db_to_linear, sample_occupancy
 from .config import ConfigError, SensingSpec, SimConfig
-from .core import (SlotLedger, access_cost, energy_efficiency, sensing_cost,
+from .core import (RowView, SlotLedger, access_cost, energy_efficiency, sensing_cost,
                    slot_utility, throughput)
 from .fusion import vote
-from .iqsynth import SynthConfig, draw_band_energies, synthesize_block
+from .iqsynth import BLOCK_ELEMENTS, SynthConfig, draw_band_energies, synthesize_block
 from .scheduler import (DqnAgent, QTable, RandomAgent, block_actions, check_actions,
                         load_agent)
 from .seeds import derive_rng
@@ -47,8 +46,6 @@ LEDGER_COLUMNS = ("slot", "utility", "ee", "collisions", "holes_detected",
 
 SIMULATE_KEY, EVAL_KEY = 0x51B, 0xE7A1
 TRUTH, REQUESTS, CENTRAL, SHIFT, SPECTRA, AGENT = range(6)
-# Elements in a block's largest array, K x N with a classifier, else K x M
-BLOCK_ELEMENTS = 1 << 15
 
 
 def sensing_streams(seed: int, key: int) -> tuple:
@@ -91,27 +88,15 @@ class RunReport:
         return len(self.utility)
 
     @property
-    def ledgers(self) -> "Ledgers":
-        return Ledgers(self)
+    def ledgers(self) -> RowView:
+        """The slots as SlotLedger views, each built when it is read."""
+        return RowView(len(self.utility), self._ledger)
 
-
-class Ledgers(Sequence):
-    """A report's slots as SlotLedger views, each built from the columns
-    when it is read."""
-
-    def __init__(self, report: RunReport):
-        self.report = report
-
-    def __len__(self) -> int:
-        return len(self.report.utility)
-
-    def __getitem__(self, slot: int) -> SlotLedger:
-        r = self.report
-        slot = range(len(r.utility))[slot]  # IndexError past the end ends iteration
-        pairs = zip(r.channels[slot].tolist(), r.collision[slot].tolist())
+    def _ledger(self, slot: int) -> SlotLedger:
+        pairs = zip(self.channels[slot].tolist(), self.collision[slot].tolist())
         return SlotLedger(slot, {(uav, ch): c for uav, (ch, c) in enumerate(pairs) if ch},
-                          r.utility.item(slot), r.energy_efficiency.item(slot),
-                          r.holes_detected.item(slot), r.holes_true.item(slot))
+                          self.utility.item(slot), self.energy_efficiency.item(slot),
+                          self.holes_detected.item(slot), self.holes_true.item(slot))
 
 
 def new_agent(config: SimConfig, variant: str):
@@ -136,9 +121,9 @@ def new_agent(config: SimConfig, variant: str):
 
 def build_agent(config: SimConfig):
     """The configured agent. A configured checkpoint is loaded; one that
-    cannot be read, holds another kind of agent than the variant (a q-table
-    for a DQN variant, or the reverse) or was trained for another M is a
-    ConfigError naming agent.checkpoint."""
+    cannot be read, holds another agent than the variant (a q-table for a
+    DQN variant, the reverse, or another DQN variant) or was trained for
+    another M is a ConfigError naming agent.checkpoint."""
     spec = config.agent
     if spec.checkpoint is None:
         return new_agent(config, spec.variant)
@@ -146,9 +131,10 @@ def build_agent(config: SimConfig):
         agent = load_agent(spec.checkpoint)
     except (OSError, ValueError) as exc:
         raise ConfigError([f"agent.checkpoint: {exc}"]) from None
-    if isinstance(agent, QTable) != (spec.variant == "qtable"):
+    if (stored := getattr(agent, "variant", "qtable")) != spec.variant:
+        held = ("" if "qtable" in (stored, spec.variant) else f"{stored} ") + type(agent).__name__
         raise ConfigError([f"agent.checkpoint: {spec.checkpoint}: holds a "
-                           f"{type(agent).__name__}, config has variant {spec.variant}"])
+                           f"{held}, config has variant {spec.variant}"])
     m = config.radio.num_subchannels
     if agent.num_subchannels != m:
         raise ConfigError([f"agent.checkpoint: {spec.checkpoint}: trained for "

@@ -159,7 +159,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("saved,variant,holds", [
         (QTable(num_subchannels=4), "dqn", "QTable"),
         (DqnAgent(num_subchannels=4, variant="ddqn", hidden=(3,)), "qtable", "DqnAgent"),
-    ], ids=["qtable-for-dqn", "dqn-for-qtable"])
+        (DqnAgent(num_subchannels=4, variant="ddqn-soft", hidden=(3,)), "dqn",
+         "ddqn-soft DqnAgent"),
+    ], ids=["qtable-for-dqn", "dqn-for-qtable", "ddqn-soft-for-dqn"])
     def test_checkpoint_of_another_kind_is_refused(self, saved, variant, holds, tmp_path,
                                                    capsys):
         ckpt, out = tmp_path / "agent.ckpt", tmp_path / "run"
@@ -477,6 +479,25 @@ def test_malformed_dataset_is_a_config_error(defect, problem, tmp_path, capsys):
     capsys.readouterr()
     assert cli_dispatch(["train-sensor", "--config", cfg, "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"--data: {data}: {problem}")
+    assert not (out / "sensor.ckpt").exists()
+
+
+@pytest.mark.parametrize("count,header_only", [(1, False), (6, True)],
+                         ids=["one-per-sinr", "header-only"])
+def test_empty_train_split_is_a_data_error(count, header_only, tmp_path, capsys):
+    """A dataset with no training rows (strata of one observation, or a file
+    that holds only its header) is refused naming --data and the file."""
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, dataset={"fft_size": 64, "count_per_sinr": count},
+                       sensing={"kind": "perfect", "epochs": 1, "hidden": [4]})
+    assert cli_dispatch(["gen-dataset", "--config", cfg, "--out", str(out)]) == 0
+    data = out / "dataset.iq"
+    if header_only:  # magic, five u32 fields, the four-value grid and the seed
+        data.write_bytes(data.read_bytes()[:4 + 20 + 4 * 4 + 8])
+    capsys.readouterr()
+    assert cli_dispatch(["train-sensor", "--config", cfg, "--data", str(data),
+                         "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"--data: {data}: dataset has an empty train split\n"
     assert not (out / "sensor.ckpt").exists()
 
 

@@ -1,6 +1,8 @@
 import math
+import os
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,6 +248,41 @@ class TestGenerateDataset:
             assert a.label == b.label
             assert b.sinr_db == np.float32(a.sinr_db)
             assert np.allclose(a.samples, b.samples, atol=1e-6)
+
+    def test_load_is_one_buffer(self, tmp_path):
+        """load_dataset reads the record block into one buffer and views the
+        samples in it as complex64: its traced peak stays within 1.25x of
+        the block's bytes, and nothing is mapped, so saving the loaded
+        dataset over its own path leaves its samples readable."""
+        cfg = iqsynth.SynthConfig(seed=3, num_subchannels=16, samples_per_observation=1024,
+                                  subcarriers_per_subchannel=64)
+        source = stationary_sampler([TransitionMatrix(0.2, 0.3)] * 16)
+        path = str(tmp_path / "ds.iq")
+        iqsynth.save_dataset(iqsynth.generate_dataset(cfg, source, count_per_sinr=50), path)
+        with open(path, "rb") as f:
+            saved = f.read()
+        block = len(saved) - (4 + 20 + 4 * len(cfg.sinr_grid_db) + 8)
+        tracemalloc.start()
+        try:
+            loaded = iqsynth.load_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.samples.dtype == np.complex64 and loaded.samples.shape == (200, 1024)
+        assert peak <= 1.25 * block
+        iqsynth.save_dataset(loaded, path)
+        assert os.path.getsize(path) == len(saved)
+        assert loaded.samples.astype(complex).view(np.uint64).tobytes() == \
+            iqsynth.load_dataset(path).samples.astype(complex).view(np.uint64).tobytes()
+        with open(path, "rb") as f:
+            assert f.read() == saved
+
+    def test_save_refuses_labels_wider_than_a_mask(self, tmp_path):
+        cfg = small_config(num_subchannels=33, samples_per_observation=64,
+                           subcarriers_per_subchannel=1)
+        ds = iqsynth.generate_dataset(cfg, lambda rng: (1,) * 33, 1)
+        with pytest.raises(ValueError, match="M=33 sub-channels do not fit a u32 label mask"):
+            iqsynth.save_dataset(ds, str(tmp_path / "ds.iq"))
 
     def test_mask_roundtrip(self):
         label = (1, 0, 1, 1, 0, 0, 0, 1)

@@ -51,6 +51,38 @@ class TestBandEnergies:
         with pytest.raises(ValueError):
             sensing.band_energies(np.zeros(4, dtype=complex), 8)
 
+    def test_complex64_captures_give_the_bits_of_their_upcast(self):
+        # loaded datasets hold complex64 samples, and NumPy >= 2 transforms
+        # complex64 in single precision: every path must upcast first, so
+        # energies, features, probabilities and reports of both kinds are
+        # bit for bit those of the complex128 upcast
+        single = np.fft.ifft(iqsynth.synthesize_block(
+            np.eye(4, dtype=int)[[0, 1, 2, 3, 0, 2]], (0.0,), iqsynth.SynthConfig(
+                seed=1, num_subchannels=4, samples_per_observation=64,
+                subcarriers_per_subchannel=16), [derive_rng(6)] * 6)[:, 0]).astype(np.complex64)
+        double = single.astype(complex)
+
+        def same(got, want):
+            return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+        energies = sensing.band_energies(double, 4)
+        assert same(sensing.band_energies(single, 4), energies)
+        for mode in sensing.INPUT_MODES:
+            assert same(sensing.feature_vector(single, 4, mode),
+                        sensing.feature_vector(double, 4, mode))
+        network = nnet.build_network([4, 8, 4], ["relu", "sigmoid"], seed=2)
+        classifier = sensing.SensingModel(kind="dense-classifier", num_subchannels=4,
+                                          network=network, input_mode="band-energy")
+        probabilities = sensing.classify(classifier, double)
+        assert same(sensing.classify(classifier, single), probabilities)
+        # thresholds at the double-precision values make each report hinge on its last bit
+        for model in (sensing.SensingModel(kind="energy-threshold", num_subchannels=4,
+                                           thresholds=energies[0]),
+                      sensing.SensingModel(kind="dense-classifier", num_subchannels=4,
+                                           network=network, input_mode="band-energy",
+                                           decision_threshold=float(probabilities[0, 0]))):
+            assert same(sensing.detect(model, single), sensing.detect(model, double))
+
 
 class TestEnergyDetect:
     def test_all_below_and_all_above(self):
@@ -162,7 +194,7 @@ class TestPredictOccupancy:
             kind="dense-classifier", num_subchannels=4,
             network=nnet.build_network([4, 16, 4], ["relu", "sigmoid"], seed=0),
             input_mode="band-energy")
-        for obs in ds.observations[:10]:
+        for obs in list(ds.observations)[:10]:
             out = sensing.predict_occupancy(model, obs)
             assert len(out) == 4 and set(out) <= {0, 1}
 
@@ -224,8 +256,8 @@ class TestTrainClassifier:
     def test_no_signal_matches_constant_predictor(self):
         ds = make_dataset(m=4, n=64, grid=(0.0,), count=500, seed=51)
         rng = derive_rng(99)
-        for obs in ds.observations:
-            obs.label = tuple(int(b) for b in rng.random(4) < 0.4)
+        for label in ds.labels:
+            label[:] = rng.random(4) < 0.4
         params = sensing.TrainParams(seed=0, hidden=(32,), epochs=10,
                                      input_mode="band-energy")
         model = sensing.train_classifier(ds, params)
