@@ -86,8 +86,10 @@ def cmd_train_sensor(config: SimConfig, args) -> int:
                            f"{data_path} has M={dataset.config.num_subchannels}"])
     spec = config.sensing[0]
     params = TrainParams(seed=config.seed, hidden=spec.hidden, epochs=spec.epochs,
-                         batch_size=spec.batch_size, learning_rate=spec.learning_rate,
-                         input_mode=spec.input_mode, decision_threshold=spec.decision_threshold)
+                         batch_size=spec.batch_size,
+                         learning_rate=spec.learning_rate,
+                         input_mode=spec.input_mode,
+                         decision_threshold=spec.decision_threshold)
     model = train_classifier(dataset, params)
     os.makedirs(config.out_dir, exist_ok=True)
     ckpt = os.path.join(config.out_dir, "sensor.ckpt")
@@ -95,7 +97,8 @@ def cmd_train_sensor(config: SimConfig, args) -> int:
     with open(os.path.join(config.out_dir, "sensor_curve.csv"), "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(("epoch", "bce"))
-        writer.writerows((epoch, repr(loss)) for epoch, loss in enumerate(model.training_curve))
+        for epoch, loss in enumerate(model.training_curve):
+            writer.writerow((epoch, repr(loss)))
     for g in dataset.config.sinr_grid_db:
         metrics = evaluate_model(model, dataset, split="val", sinr_db=g)
         _say(f"train-sensor: val {g:+.0f} dB F1={metrics.micro_f1:.3f}")

@@ -281,10 +281,12 @@ def generate_dataset(config: SynthConfig, occupancy_source, count_per_sinr: int)
     size, n = len(grid) * count_per_sinr, config.samples_per_observation
     samples = np.empty((size, n), dtype=complex)
     labels = np.empty((size, config.num_subchannels), dtype=np.int8)
-    blocks = -(-count_per_sinr * n // BLOCK_ELEMENTS)  # per stratum
+    block = max(1, BLOCK_ELEMENTS // n)  # rows per synthesize_block call
     for stratum, sinr_db in enumerate(grid):
-        for rows in np.array_split(np.arange(count_per_sinr) + stratum * count_per_sinr, blocks):
-            rngs = [derive_rng(config.seed, _OBS_KEY, i) for i in rows.tolist()]
+        stop = (stratum + 1) * count_per_sinr
+        for start in range(stratum * count_per_sinr, stop, block):
+            rows = slice(start, min(start + block, stop))
+            rngs = [derive_rng(config.seed, _OBS_KEY, i) for i in range(rows.start, rows.stop)]
             block_labels = [occupancy_source(rng) for rng in rngs]
             spectra = synthesize_block(block_labels, (sinr_db,), config, rngs)[:, 0]
             for spectrum, rng in zip(spectra, rngs):

@@ -535,23 +535,13 @@ def _joint_transition(matrices: list[TransitionMatrix]) -> np.ndarray:
     return joint
 
 
-def _joint_stationary(matrices: list[TransitionMatrix]) -> np.ndarray:
-    joint = np.array([1.0])
-    for m in matrices:
-        joint = np.kron(np.asarray(stationary_distribution(m)), joint)
-    return joint
-
-
 def _expected_rewards(matrices, channel_rewards) -> np.ndarray:
     """E[r * R] per (state, action); -inf marks infeasible actions."""
-    n_states = 2 ** len(matrices)
-    n_actions = len(matrices) + 1
-    out = np.full((n_states, n_actions), -np.inf)
+    out = np.full((2 ** len(matrices), len(matrices) + 1), -np.inf)
     out[:, 0] = 0.0
-    for s in range(n_states):
-        for m, matrix in enumerate(matrices):
-            if (s >> m) & 1 == 0:
-                out[s, m + 1] = channel_rewards[m] * (1.0 - 2.0 * matrix.p01)
+    for m, matrix in enumerate(matrices):
+        vacant = (np.arange(len(out)) >> m) & 1 == 0  # the states where channel m+1 is free
+        out[vacant, m + 1] = channel_rewards[m] * (1.0 - 2.0 * matrix.p01)
     return out
 
 
@@ -586,7 +576,9 @@ def policy_expected_utility(matrices: list[TransitionMatrix], channel_rewards,
     """Exact long-run per-slot expected utility of a stationary policy,
     weighting states by the joint stationary distribution."""
     r_exp = _expected_rewards(matrices, channel_rewards)
-    pi = _joint_stationary(matrices)
+    pi = np.array([1.0])  # the joint stationary distribution, channel 1 in the lowest bit
+    for m in matrices:
+        pi = np.kron(np.asarray(stationary_distribution(m)), pi)
     per_state = r_exp[np.arange(len(policy)), policy]
     if not np.all(np.isfinite(per_state)):
         raise ValueError("policy takes an infeasible action")

@@ -25,9 +25,11 @@ def spectrum_band_energies(spectra, num_subchannels: int) -> np.ndarray:
     """Energy per sub-channel band of orthonormal spectra (..., N), shaped
     (..., M): squared bin magnitudes summed over each band of the equal
     M-way bin partition."""
-    power = np.abs(spectra) ** 2
-    if (n := power.shape[-1]) < num_subchannels:
+    spectra = np.asarray(spectra)
+    n = spectra.shape[-1]
+    if n < num_subchannels:
         raise ValueError("observation shorter than the number of sub-channels")
+    power = np.abs(spectra) ** 2
     return np.stack([power[..., a:b].sum(axis=-1) for a, b in band_edges(n, num_subchannels)],
                     axis=-1)
 
@@ -73,8 +75,8 @@ class SensingModel:
 def feature_vector(samples, num_subchannels: int, input_mode: str) -> np.ndarray:
     """Standardized float64 classifier input of captures (..., N), one row
     per capture: raw I/Q flattened to 2N reals, or the log band-energy
-    profile, each row standardized on its own. In place, by blocks of rows
-    and without the stacked captures, so a stack peaks at one such array."""
+    profile, each row standardized on its own, in place and a block of rows
+    at a time, so that the standardization adds no feature-sized array."""
     samples = np.asarray(samples)
     if input_mode == "iq":  # float64 parts of complex64 captures are exact
         x = np.concatenate([samples.real, samples.imag], axis=-1, dtype=float)
@@ -225,4 +227,5 @@ def write_metrics_csv(path: str, rows) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(METRICS_COLUMNS)
-        writer.writerows(rows)
+        for row in rows:
+            writer.writerow(row)

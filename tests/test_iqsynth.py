@@ -539,6 +539,27 @@ def test_dataset_is_bitwise_its_per_observation_reference(gains, monkeypatch):
         assert np.array_equal(bits(obs.samples), bits(np.fft.ifft(spectrum, norm="ortho")))
         assert rng.bit_generator.state == want_rng.bit_generator.state
 
+
+@pytest.mark.parametrize("n,rows", [(256, 1), (256, 3), (256, 7), (65536, 1)],
+                         ids=["1-row", "3-rows", "7-rows", "fft-65536"])
+def test_dataset_does_not_depend_on_the_block_size(n, rows, monkeypatch):
+    """Blocks of `rows` rows (of one row when BLOCK_ELEMENTS is below N,
+    as with the default at N = 65536) write the dataset that one block per
+    SINR stratum writes, bit for bit."""
+    cfg = small_config(samples_per_observation=n, subcarriers_per_subchannel=8,
+                       interference_gains_db=(-3.0,))
+    source = stationary_sampler([TransitionMatrix(0.3, 0.3)] * 4)
+    count = 10 if n == 256 else 2
+    if n == 256:
+        monkeypatch.setattr(iqsynth, "BLOCK_ELEMENTS", rows * n + n // 2)
+    got = iqsynth.generate_dataset(cfg, source, count)
+    monkeypatch.setattr(iqsynth, "BLOCK_ELEMENTS", count * n)
+    want = iqsynth.generate_dataset(cfg, source, count)
+    assert np.array_equal(bits(got.samples), bits(want.samples))
+    assert np.array_equal(got.labels, want.labels)
+    assert np.array_equal(got.sinr_db, want.sinr_db) and got.split == want.split
+
+
 def ks_statistic(a, b):
     """Two-sample Kolmogorov-Smirnov distance between empirical CDFs."""
     a, b = np.sort(a), np.sort(b)
