@@ -5,7 +5,7 @@ geometry.
 State convention everywhere: 0 = vacant, 1 = busy.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -14,8 +14,8 @@ import numpy as np
 class TransitionMatrix:
     """Row-stochastic 2x2 chain: p01 = P(vacant -> busy), p10 = P(busy -> vacant)."""
 
-    p01: float
-    p10: float
+    p01: float = field(default=0.2, metadata={"low": 0.0, "high": 1.0})
+    p10: float = field(default=0.3, metadata={"low": 0.0, "high": 1.0})
 
     def __post_init__(self):
         if not (0.0 <= self.p01 <= 1.0 and 0.0 <= self.p10 <= 1.0):

@@ -32,7 +32,7 @@ from .iqsynth import DATASET_MAX_SUBCHANNELS, generate_dataset, load_dataset, sa
 from .scheduler import (DQN_VARIANTS, SchedulingEnv, TRAINING_COLUMNS,
                         normalized_reward_table, save_agent, train_agent, write_training_csv)
 from .seeds import derive_rng
-from .sensing import TrainParams, evaluate_model, train_classifier, write_metrics_csv
+from .sensing import evaluate_model, train_classifier, write_metrics_csv
 from .simulate import (EVAL_KEY, TRUTH, block_slots, build_sensing_model, metric_rows,
                        new_agent, run_simulation, save_report, sensing_streams,
                        sensing_trials)
@@ -62,7 +62,7 @@ def cmd_gen_dataset(config: SimConfig, args) -> int:
                            f"u32 mask, so M must be <= {DATASET_MAX_SUBCHANNELS} (got M={m})"])
     t0 = time.perf_counter()
     source = stationary_sampler(list(config.matrices))
-    dataset = generate_dataset(config.synth, source, config.count_per_sinr)
+    dataset = generate_dataset(config.synth, source, config.dataset.count_per_sinr)
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "dataset.iq")
     save_dataset(dataset, path, num_uavs=config.radio.num_uavs)
@@ -84,13 +84,7 @@ def cmd_train_sensor(config: SimConfig, args) -> int:
     if dataset.config.num_subchannels != config.radio.num_subchannels:
         raise ConfigError([f"radio.num_subchannels: M={config.radio.num_subchannels}, but "
                            f"{data_path} has M={dataset.config.num_subchannels}"])
-    spec = config.sensing[0]
-    params = TrainParams(seed=config.seed, hidden=spec.hidden, epochs=spec.epochs,
-                         batch_size=spec.batch_size,
-                         learning_rate=spec.learning_rate,
-                         input_mode=spec.input_mode,
-                         decision_threshold=spec.decision_threshold)
-    model = train_classifier(dataset, params)
+    model = train_classifier(dataset, config.sensing[0], config.seed)
     os.makedirs(config.out_dir, exist_ok=True)
     ckpt = os.path.join(config.out_dir, "sensor.ckpt")
     nnet.save_checkpoint(model.network, ckpt)
@@ -102,7 +96,7 @@ def cmd_train_sensor(config: SimConfig, args) -> int:
     for g in dataset.config.sinr_grid_db:
         metrics = evaluate_model(model, dataset, split="val", sinr_db=g)
         _say(f"train-sensor: val {g:+.0f} dB F1={metrics.micro_f1:.3f}")
-    _say(f"train-sensor: {params.epochs} epochs in {time.perf_counter() - t0:.1f}s")
+    _say(f"train-sensor: {config.sensing[0].epochs} epochs in {time.perf_counter() - t0:.1f}s")
     print(ckpt)
     return 0
 
@@ -133,9 +127,9 @@ def cmd_eval_sensing(config: SimConfig, args) -> int:
     for g in config.synth.sinr_grid_db:
         sinrs = [g + offset for offset in offsets]
         counts = np.zeros((len(models) + 1, 4), dtype=np.int64)
-        for start in range(0, config.eval_count, size):
+        for start in range(0, config.dataset.eval_count, size):
             labels = [source(labels_rng)
-                      for _ in range(min(size, config.eval_count - start))]
+                      for _ in range(min(size, config.dataset.eval_count - start))]
             sensing_trials(models, labels, sinrs, config, streams, counts)
         rows += metric_rows(counts.tolist(), sinrs, g, [spec.kind for spec in specs],
                             config.fusion.n)

@@ -6,63 +6,77 @@ the file or the --seed flag. Unknown keys anywhere are errors, as are
 NaN and infinite numbers, which JSON parsing admits; all problems are
 reported together with their field paths before any work starts.
 
-Schema (defaults in parentheses):
+Every key but seed, fusion_n and link's is declared once, as a field of
+the dataclass it configures: the field's annotation is the key's kind, its
+default the key's default and its metadata the key's bounds (see
+_Section.value). validate_config reads the sections through those fields,
+then makes the checks that span fields.
+
+Schema (defaults first in parentheses):
 
     seed                  u64, required (--seed overrides it, same range)
-    out_dir               str ("out")
-    radio: {v_cc (1.0), p_tx (0.5), subchannel_bandwidth (540000.0),
-            num_subchannels (4, <= 1024; <= 16 for the DQN family),
-            num_uavs (3, <= 256), system_bandwidth (null)}
-    timing: {t_req (0.001), t_s (0.005), t_b (0.002), t_a (0.042)}
-    channels              list of {p01, p10}, one per sub-channel, or a
-                          single object applied to all ({p01: 0.2, p10: 0.3});
-                          p01 = p10 = 0 is refused (no stationary distribution)
+    out_dir ("out")
+    radio: {v_cc (1.0, > 0), p_tx (0.5, > 0), subchannel_bandwidth (540000.0, > 0),
+            num_subchannels (4, in [1, 1024]; <= 16 for the DQN family, <= 12 for qtable),
+            num_uavs (3, in [1, 256]),
+            system_bandwidth (null; at least num_subchannels x subchannel_bandwidth)}
+    timing: {t_req (0.001, >= 0), t_s (0.005, >= 0), t_b (0.002, >= 0),
+             t_a (0.042, >= 0); their sum > 0}
+    channels: {p01 (0.2, in [0, 1]), p10 (0.3, in [0, 1])}, one object for every
+              sub-channel or a list of M; p01 = p10 = 0 is refused (no
+              stationary distribution)
     link: {sensing_sinr_db  list[K] (strong preset, last UAV 10 dB weaker),
            access_sinr_db   K x M table (10 dB everywhere)}
-    fusion_n              int in [1, K] (2, clamped to K)
-    sensing               object or list[K] of objects:
+    fusion_n (2, clamped to K; in [1, K])
+    sensing: one object for every UAV or a list of K:
         {kind ("perfect" | "energy-threshold" | "dense-classifier"),
          decision_threshold (0.5, in (0, 1)), input_mode ("iq" | "band-energy"),
-         thresholds (null; list[M], required for energy-threshold),
+         thresholds (null; list[M] of entries >= 0, required for energy-threshold),
          model_path (null; required for dense-classifier),
-         hidden ([128, 128], whole numbers <= 1024), epochs (30), batch_size (32),
-         learning_rate (0.001, > 0)}
-    agent: {variant ("ddqn-soft" | "ddqn" | "dqn" | "qtable" | "random"),
-            uavs (1), gamma (0.9, in [0, 1)), hidden ([64, 64], whole numbers <= 1024),
-            replay_capacity (10000, <= 10^6), batch_size (32, <= replay_capacity),
-            target_update_period (100), tau (0.01), learning_rate (0.001, > 0),
-            epsilon0 (1.0), epsilon_min (0.05), epsilon_decay (null, in [0, 1]),
-            alpha (null, in (0, 1]), alpha_power (0.7),
+         hidden ([128, 128], whole numbers in [1, 1024]), epochs (30, >= 1),
+         batch_size (32, >= 1), learning_rate (0.001, > 0)}
+    agent: {variant ("ddqn-soft" | "dqn" | "ddqn" | "qtable" | "random"),
+            uavs (1, in [1, K]), gamma (0.9, in [0, 1)), epsilon0 (1.0, in [0, 1]),
+            epsilon_min (0.05, in [0, epsilon0]), epsilon_decay (null, in [0, 1]),
+            alpha (null, in (0, 1]), alpha_power (0.7, in [0, 1]),
+            hidden ([64, 64], whole numbers in [1, 1024]),
+            replay_capacity (10000, in [1, 10^6]),
+            batch_size (32, in [1, replay_capacity]), target_update_period (100, >= 1),
+            tau (0.01, in [0, 1]), learning_rate (0.001, > 0),
             checkpoint (null; refused for "random")}
-    dataset: {fft_size (1024, <= 65536), subcarriers_per_subchannel (null -> fft/M),
-              sinr_grid_db ([-10, 0, 10, 20]), count_per_sinr (600),
-              eval_count (150), interference_gains_db ([]; gen-dataset only)}
-    request_probability   float in [0, 1] (1.0)
-    episodes              int >= 0 (5)
-    slots_per_episode     int >= 1 (100)
+    dataset: {fft_size (1024, a power of two <= 65536),
+              subcarriers_per_subchannel (null -> fft_size / M, >= 1),
+              sinr_grid_db ([-10.0, 0.0, 10.0, 20.0], no value repeated),
+              count_per_sinr (600, >= 1; grid length x count_per_sinr x fft_size
+                              <= 2^28 samples),
+              eval_count (150, >= 1), interference_gains_db ([]; gen-dataset only)}
+    request_probability (1.0, in [0, 1])
+    episodes (5, >= 0)
+    slots_per_episode (100, in [1, 10^6])
 """
 
 import json
 import math
-from dataclasses import dataclass
+import types
+import typing
+from dataclasses import MISSING, dataclass, field, fields
 
 from .channel import LinkModel, TransitionMatrix, default_link_model
 from .core import RadioParams, SlotTiming
 from .fusion import FusionRule
 from .iqsynth import SynthConfig
-from .scheduler import DQN_MAX_SUBCHANNELS, DQN_VARIANTS, TABULAR_MAX_SUBCHANNELS
-from .sensing import INPUT_MODES
+from .scheduler import (DQN_MAX_SUBCHANNELS, DQN_VARIANTS, TABULAR_MAX_SUBCHANNELS,
+                        DqnAgent, DqnSpec, QTableSpec)
+from .sensing import SensingSpec
 
 SEED_MAX = 2 ** 64 - 1
-# Sizes that tables, captures and networks are allocated from; larger values
-# stop at validation instead of overflowing or exhausting memory at run time.
-MAX_SUBCHANNELS = 1024
-MAX_UAVS = 256
+# Sizes that captures and runs are allocated from; larger values stop at
+# validation instead of exhausting memory at run time.
 MAX_FFT_SIZE = 2 ** 16
-MAX_HIDDEN_WIDTH = 1024
-MAX_REPLAY_CAPACITY = 10 ** 6
-SENSING_KINDS = ("perfect", "energy-threshold", "dense-classifier")
+MAX_DATASET_SAMPLES = 2 ** 28  # the complex samples gen-dataset holds at once
+MAX_SLOTS_PER_EPISODE = 10 ** 6
 AGENT_VARIANTS = (*DQN_VARIANTS, "qtable", "random")
+SECTIONS = ("radio", "timing", "channels", "link", "sensing", "agent", "dataset")
 
 
 class ConfigError(ValueError):
@@ -73,36 +87,28 @@ class ConfigError(ValueError):
         super().__init__("\n".join(problems))
 
 
-@dataclass(frozen=True)
-class SensingSpec:
-    kind: str = "perfect"
-    decision_threshold: float = 0.5
-    input_mode: str = "iq"
-    thresholds: tuple[float, ...] | None = None
-    model_path: str | None = None
-    hidden: tuple[int, ...] = (128, 128)
-    epochs: int = 30
-    batch_size: int = 32
-    learning_rate: float = 1e-3
+@dataclass
+class AgentSpec(DqnSpec, QTableSpec):
+    """The agent section: the variant, the UAVs train-agent trains, a
+    checkpoint to load, and every learner's hyperparameters (declared on
+    the learners' spec classes)."""
 
-
-@dataclass(frozen=True)
-class AgentSpec:
-    variant: str = "ddqn-soft"
-    uavs: int = 1
-    gamma: float = 0.9
-    hidden: tuple[int, ...] = (64, 64)
-    replay_capacity: int = 10_000
-    batch_size: int = 32
-    target_update_period: int = 100
-    tau: float = 0.01
-    learning_rate: float = 1e-3
-    epsilon0: float = 1.0
-    epsilon_min: float = 0.05
-    epsilon_decay: float | None = None
-    alpha: float | None = None
-    alpha_power: float = 0.7
+    variant: str = field(default=DqnAgent.variant, metadata={"options": AGENT_VARIANTS})
+    uavs: int = field(default=1, metadata={"low": 1})  # and <= K
     checkpoint: str | None = None
+
+
+@dataclass(frozen=True)
+class DatasetSpec:
+    """The dataset section: the capture geometry of its SynthConfig and the
+    observations per SINR of gen-dataset and of eval-sensing."""
+
+    fft_size: int = field(default=1024, metadata={"low": 1, "high": MAX_FFT_SIZE})
+    subcarriers_per_subchannel: int | None = field(default=None, metadata={"low": 1})
+    sinr_grid_db: tuple[float, ...] = (-10.0, 0.0, 10.0, 20.0)
+    count_per_sinr: int = field(default=600, metadata={"low": 1})
+    eval_count: int = field(default=150, metadata={"low": 1})
+    interference_gains_db: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -116,12 +122,13 @@ class SimConfig:
     sensing: tuple[SensingSpec, ...]  # one per UAV
     agent: AgentSpec
     synth: SynthConfig
-    count_per_sinr: int
-    eval_count: int
-    request_probability: float
-    episodes: int
-    slots_per_episode: int
-    out_dir: str
+    dataset: DatasetSpec
+    # the top-level scalars that have a default
+    out_dir: str = "out"
+    request_probability: float = field(default=1.0, metadata={"low": 0.0, "high": 1.0})
+    episodes: int = field(default=5, metadata={"low": 0})
+    slots_per_episode: int = field(default=100, metadata={
+        "low": 1, "high": MAX_SLOTS_PER_EPISODE})
 
 
 class _Section:
@@ -139,16 +146,39 @@ class _Section:
             if key not in allowed:
                 self.problems.append(f"{self.path}.{key}: unknown key")
 
-    def value(self, key, default, kind, low=None, high=None, nullable=False,
-              above=None, below=None):
-        """low/high are inclusive bounds, above/below exclusive ones."""
+    def parse(self, cls, others=(), **limits) -> dict:
+        """Every field of dataclass `cls` that has a default, read as a key
+        of this section by value(): the field's annotation is the kind, its
+        default the default and its metadata the bounds, to which `limits`
+        adds, per field name, bounds known only at parse time. A key that is
+        neither such a field nor in `others` is unknown."""
+        declared = [f for f in fields(cls) if f.default is not MISSING]
+        self.check_keys({f.name for f in declared}.union(others))
+        return {f.name: self.value(f.name, f.default, f.type, **f.metadata,
+                                   **limits.get(f.name, {}))
+                if f.name in self.data else f.default for f in declared}
+
+    def value(self, key, default, kind, low=None, high=None, above=None, below=None,
+              options=None, length=None, item_low=None, item_high=None):
+        """The value of `key`; the default when it is absent, or refused (the
+        problem recorded). `kind` is a type annotation: `T | None` admits
+        null, and `tuple[T, ...]` is a list of numbers (whole ones for int)
+        that _number_list checks against length, item_low and item_high.
+        low/high are inclusive bounds, above/below exclusive ones; options
+        are the strings admitted."""
         if key not in self.data:
             return default
         v = self.data[key]
         path = f"{self.path}.{key}"
+        nullable = isinstance(kind, types.UnionType)
+        if nullable:
+            kind = typing.get_args(kind)[0]
+        if v is None and nullable:
+            return None
+        if typing.get_origin(kind) is tuple:
+            return _number_list(v, path, self.problems, default, length, item_low, item_high,
+                                whole=typing.get_args(kind)[0] is int)
         if v is None:
-            if nullable:
-                return None
             self.problems.append(f"{path}: may not be null")
             return default
         if kind is float and isinstance(v, int) and not isinstance(v, bool):
@@ -171,21 +201,11 @@ class _Section:
         if below is not None and v >= below:
             self.problems.append(f"{path}: must be < {below}")
             return default
-        return v
-
-    def choice(self, key, default, options):
-        v = self.value(key, default, str)
-        if v not in options:
+        if options is not None and v not in options:
             self.problems.append(
-                f"{self.path}.{key}: unknown value {v!r}; options: {', '.join(options)}")
+                f"{path}: unknown value {v!r}; options: {', '.join(options)}")
             return default
         return v
-
-    def number_list(self, key, default, length=None, item_low=None, whole=False):
-        if key not in self.data:
-            return default
-        return _number_list(self.data[key], f"{self.path}.{key}", self.problems,
-                            default, length, item_low, whole)
 
 
 def _as_float(x) -> float:
@@ -197,9 +217,11 @@ def _as_float(x) -> float:
         return math.inf
 
 
-def _number_list(v, path, problems, default, length=None, item_low=None, whole=False):
-    """A JSON list of numbers as a tuple of floats; on any problem the
-    default comes back and the problem is recorded under `path`."""
+def _number_list(v, path, problems, default, length=None, item_low=None, item_high=None,
+                 whole=False):
+    """A JSON list of numbers as a tuple of floats, or of ints if `whole`;
+    on any problem the default comes back and the problem is recorded
+    under `path`."""
     if not isinstance(v, list) or any(
             not isinstance(x, (int, float)) or isinstance(x, bool) for x in v):
         problems.append(f"{path}: expected a list of numbers")
@@ -217,7 +239,10 @@ def _number_list(v, path, problems, default, length=None, item_low=None, whole=F
     if whole and not all(x.is_integer() for x in values):
         problems.append(f"{path}: entries must be whole numbers")
         return default
-    return values
+    if item_high is not None and any(x > item_high for x in values):
+        problems.append(f"{path}: entries must be <= {item_high}")
+        return default
+    return tuple(int(x) for x in values) if whole else values
 
 
 def _per_entry(raw: dict, key: str, count: int, problems: list[str]) -> list:
@@ -242,10 +267,9 @@ def validate_config(raw: dict, seed_override: int | None = None,
     every problem found."""
     problems: list[str] = []
     top = _Section(raw, "config", problems)
-    top.check_keys({"seed", "out_dir", "radio", "timing", "channels", "link",
-                    "fusion_n", "sensing", "agent", "dataset",
-                    "request_probability", "episodes", "slots_per_episode"})
-
+    scalars = top.parse(SimConfig, others=("seed", "fusion_n", *SECTIONS))
+    if out_override is not None:
+        scalars["out_dir"] = out_override
     if seed_override is not None:
         seed = seed_override
         if not 0 <= seed <= SEED_MAX:
@@ -255,46 +279,25 @@ def validate_config(raw: dict, seed_override: int | None = None,
     else:
         problems.append("config.seed: required (or pass --seed)")
         seed = 0
-    out_dir = out_override if out_override is not None else top.value("out_dir", "out", str)
 
-    radio_sec = _Section(raw.get("radio", {}), "radio", problems)
-    radio_sec.check_keys({"v_cc", "p_tx", "subchannel_bandwidth",
-                          "num_subchannels", "num_uavs", "system_bandwidth"})
-    m = radio_sec.value("num_subchannels", 4, int, low=1, high=MAX_SUBCHANNELS)
-    k = radio_sec.value("num_uavs", 3, int, low=1, high=MAX_UAVS)
-    radio_kw = dict(
-        v_cc=radio_sec.value("v_cc", 1.0, float),
-        p_tx=radio_sec.value("p_tx", 0.5, float),
-        subchannel_bandwidth=radio_sec.value("subchannel_bandwidth", 540e3, float),
-        num_subchannels=m,
-        num_uavs=k,
-        system_bandwidth=radio_sec.value("system_bandwidth", None, float, nullable=True),
-    )
-
-    timing_sec = _Section(raw.get("timing", {}), "timing", problems)
-    timing_sec.check_keys({"t_req", "t_s", "t_b", "t_a"})
-    timing_kw = dict(
-        t_req=timing_sec.value("t_req", 0.001, float, low=0.0),
-        t_s=timing_sec.value("t_s", 0.005, float, low=0.0),
-        t_b=timing_sec.value("t_b", 0.002, float, low=0.0),
-        t_a=timing_sec.value("t_a", 0.042, float, low=0.0),
-    )
+    radio_kw = _Section(raw.get("radio", {}), "radio", problems).parse(RadioParams)
+    m, k = radio_kw["num_subchannels"], radio_kw["num_uavs"]
+    timing_kw = _Section(raw.get("timing", {}), "timing", problems).parse(SlotTiming)
 
     matrices = []
     for i, entry in enumerate(_per_entry(raw, "channels", m, problems)):
-        sec = _Section(entry, f"channels[{i}]", problems)
-        sec.check_keys({"p01", "p10"})
-        p01 = sec.value("p01", 0.2, float, low=0.0, high=1.0)
-        p10 = sec.value("p10", 0.3, float, low=0.0, high=1.0)
-        if p01 == p10 == 0.0:
+        chain = TransitionMatrix(
+            **_Section(entry, f"channels[{i}]", problems).parse(TransitionMatrix))
+        if chain.p01 == chain.p10 == 0.0:
             problems.append(f"channels[{i}]: p01 = p10 = 0 never changes state, "
                             f"so it has no stationary distribution to start from")
-        matrices.append(TransitionMatrix(p01=p01, p10=p10))
+        matrices.append(chain)
 
     link_sec = _Section(raw.get("link", {}), "link", problems)
     link_sec.check_keys({"sensing_sinr_db", "access_sinr_db"})
     preset = default_link_model(k, m)
-    sensing_sinr = link_sec.number_list("sensing_sinr_db", preset.sensing_sinr_db, length=k)
+    sensing_sinr = link_sec.value("sensing_sinr_db", preset.sensing_sinr_db,
+                                  tuple[float, ...], length=k)
     access = preset.access_sinr_db
     raw_access = link_sec.data.get("access_sinr_db")
     if isinstance(raw_access, list) and len(raw_access) == k:
@@ -309,106 +312,58 @@ def validate_config(raw: dict, seed_override: int | None = None,
     sensing_specs = []
     for i, entry in enumerate(_per_entry(raw, "sensing", k, problems)):
         sec = _Section(entry, f"sensing[{i}]", problems)
-        sec.check_keys({"kind", "decision_threshold", "input_mode", "thresholds",
-                        "model_path", "hidden", "epochs", "batch_size",
-                        "learning_rate"})
-        kind = sec.choice("kind", "perfect", SENSING_KINDS)
-        thresholds = None  # absent or null; a refused list is reported once, by number_list
-        if sec.data.get("thresholds") is not None:
-            thresholds = sec.number_list("thresholds", None, length=m, item_low=0.0)
-        elif kind == "energy-threshold":
+        spec = SensingSpec(**sec.parse(SensingSpec, thresholds={"length": m}))
+        # a refused thresholds list is reported once, by its own check
+        if spec.kind == "energy-threshold" and sec.data.get("thresholds") is None:
             problems.append(f"sensing[{i}].thresholds: required for energy-threshold")
-        model_path = sec.value("model_path", None, str, nullable=True)
-        if kind == "dense-classifier" and model_path is None:
+        if spec.kind == "dense-classifier" and spec.model_path is None:
             problems.append(f"sensing[{i}].model_path: required for dense-classifier")
-        hidden = sec.number_list("hidden", (128.0, 128.0), item_low=1, whole=True)
-        if any(h > MAX_HIDDEN_WIDTH for h in hidden):
-            problems.append(f"sensing[{i}].hidden: entries must be <= {MAX_HIDDEN_WIDTH}")
-        sensing_specs.append(SensingSpec(
-            kind=kind,
-            decision_threshold=sec.value("decision_threshold", 0.5, float,
-                                         above=0.0, below=1.0),
-            input_mode=sec.choice("input_mode", "iq", INPUT_MODES),
-            thresholds=thresholds,
-            model_path=model_path,
-            hidden=tuple(int(h) for h in hidden),
-            epochs=sec.value("epochs", 30, int, low=1),
-            batch_size=sec.value("batch_size", 32, int, low=1),
-            learning_rate=sec.value("learning_rate", 1e-3, float, above=0.0),
-        ))
+        sensing_specs.append(spec)
 
-    agent_sec = _Section(raw.get("agent", {}), "agent", problems)
-    agent_sec.check_keys({"variant", "uavs", "gamma", "hidden", "replay_capacity",
-                          "batch_size", "target_update_period", "tau",
-                          "learning_rate", "epsilon0", "epsilon_min",
-                          "epsilon_decay", "alpha", "alpha_power", "checkpoint"})
-    variant = agent_sec.choice("variant", "ddqn-soft", AGENT_VARIANTS)
-    if variant == "qtable" and m > TABULAR_MAX_SUBCHANNELS:
+    agent = AgentSpec(**_Section(raw.get("agent", {}), "agent", problems).parse(
+        AgentSpec, uavs={"high": k}))
+    if agent.variant == "qtable" and m > TABULAR_MAX_SUBCHANNELS:
         problems.append(
             f"agent.variant: qtable is limited to M <= {TABULAR_MAX_SUBCHANNELS} "
             f"sub-channels (got M={m})")
-    if variant in DQN_VARIANTS and m > DQN_MAX_SUBCHANNELS:
+    if agent.variant in DQN_VARIANTS and m > DQN_MAX_SUBCHANNELS:
         problems.append(
-            f"radio.num_subchannels: {variant} is limited to M <= {DQN_MAX_SUBCHANNELS} "
-            f"sub-channels, since its state feature table has 2^M + 1 rows (got M={m})")
-    agent_hidden = agent_sec.number_list("hidden", (64.0, 64.0), item_low=1, whole=True)
-    if any(h > MAX_HIDDEN_WIDTH for h in agent_hidden):
-        problems.append(f"agent.hidden: entries must be <= {MAX_HIDDEN_WIDTH}")
-    agent = AgentSpec(
-        variant=variant,
-        uavs=agent_sec.value("uavs", 1, int, low=1, high=k),
-        gamma=agent_sec.value("gamma", 0.9, float, low=0.0, below=1.0),
-        hidden=tuple(int(h) for h in agent_hidden),
-        replay_capacity=agent_sec.value("replay_capacity", 10_000, int, low=1,
-                                        high=MAX_REPLAY_CAPACITY),
-        batch_size=agent_sec.value("batch_size", 32, int, low=1),
-        target_update_period=agent_sec.value("target_update_period", 100, int, low=1),
-        tau=agent_sec.value("tau", 0.01, float, low=0.0, high=1.0),
-        learning_rate=agent_sec.value("learning_rate", 1e-3, float, above=0.0),
-        epsilon0=agent_sec.value("epsilon0", 1.0, float, low=0.0, high=1.0),
-        epsilon_min=agent_sec.value("epsilon_min", 0.05, float, low=0.0, high=1.0),
-        epsilon_decay=agent_sec.value("epsilon_decay", None, float, low=0.0, high=1.0,
-                                      nullable=True),
-        alpha=agent_sec.value("alpha", None, float, above=0.0, high=1.0, nullable=True),
-        alpha_power=agent_sec.value("alpha_power", 0.7, float, low=0.0, high=1.0),
-        checkpoint=agent_sec.value("checkpoint", None, str, nullable=True),
-    )
-    if variant == "random" and agent.checkpoint is not None:
+            f"radio.num_subchannels: {agent.variant} is limited to M <= "
+            f"{DQN_MAX_SUBCHANNELS} sub-channels, since its state feature table has "
+            f"2^M + 1 rows (got M={m})")
+    if agent.variant == "random" and agent.checkpoint is not None:
         problems.append("agent.checkpoint: the random agent has no checkpoint "
                         "to load; remove it or choose a trained variant")
     if agent.batch_size > agent.replay_capacity:
         problems.append(
             f"agent.batch_size: {agent.batch_size} exceeds agent.replay_capacity "
             f"{agent.replay_capacity}, so replay could never fill a batch")
+    if agent.epsilon_min > agent.epsilon0:
+        problems.append(
+            f"agent.epsilon_min: {agent.epsilon_min} exceeds agent.epsilon0 "
+            f"{agent.epsilon0}, so epsilon would rise to its floor, not decay to it")
 
-    ds_sec = _Section(raw.get("dataset", {}), "dataset", problems)
-    ds_sec.check_keys({"fft_size", "subcarriers_per_subchannel", "sinr_grid_db",
-                       "count_per_sinr", "eval_count", "interference_gains_db"})
-    fft_size = ds_sec.value("fft_size", 1024, int, low=1, high=MAX_FFT_SIZE)
-    subcarriers = ds_sec.value("subcarriers_per_subchannel", None, int, low=1, nullable=True)
-    if subcarriers is None:
-        subcarriers = max(1, fft_size // m)
-    grid = ds_sec.number_list("sinr_grid_db", (-10.0, 0.0, 10.0, 20.0))
-    gains = ds_sec.number_list("interference_gains_db", ())
-    count_per_sinr = ds_sec.value("count_per_sinr", 600, int, low=1)
-    eval_count = ds_sec.value("eval_count", 150, int, low=1)
-
-    request_probability = top.value("request_probability", 1.0, float, low=0.0, high=1.0)
-    episodes = top.value("episodes", 5, int, low=0)
-    slots_per_episode = top.value("slots_per_episode", 100, int, low=1)
+    dataset = DatasetSpec(**_Section(raw.get("dataset", {}), "dataset", problems).parse(
+        DatasetSpec))
+    grid, fft_size = dataset.sinr_grid_db, dataset.fft_size
+    if len(grid) * dataset.count_per_sinr * fft_size > MAX_DATASET_SAMPLES:
+        problems.append(
+            f"dataset.count_per_sinr: {dataset.count_per_sinr} observations at each "
+            f"of {len(grid)} SINRs, of {fft_size} samples each, exceed the "
+            f"{MAX_DATASET_SAMPLES} samples a dataset may hold")
 
     # constructor invariants become config problems instead of tracebacks
     built = {}
     for name, builder in (
         ("radio", lambda: RadioParams(**radio_kw)),
         ("timing", lambda: SlotTiming(**timing_kw)),
-        ("link", lambda: LinkModel(sensing_sinr_db=tuple(sensing_sinr),
-                                   access_sinr_db=access)),
+        ("link", lambda: LinkModel(sensing_sinr_db=sensing_sinr, access_sinr_db=access)),
         ("fusion_n", lambda: FusionRule(n=fusion_n, num_uavs=k)),
         ("dataset", lambda: SynthConfig(
             seed=seed, num_subchannels=m, samples_per_observation=fft_size,
-            subcarriers_per_subchannel=subcarriers, sinr_grid_db=grid,
-            interference_gains_db=gains)),
+            subcarriers_per_subchannel=dataset.subcarriers_per_subchannel
+            or max(1, fft_size // m),
+            sinr_grid_db=grid, interference_gains_db=dataset.interference_gains_db)),
     ):
         try:
             built[name] = builder()
@@ -422,9 +377,7 @@ def validate_config(raw: dict, seed_override: int | None = None,
         seed=seed, radio=built["radio"], timing=built["timing"],
         matrices=tuple(matrices), link=built["link"], fusion=built["fusion_n"],
         sensing=tuple(sensing_specs), agent=agent, synth=built["dataset"],
-        count_per_sinr=count_per_sinr, eval_count=eval_count,
-        request_probability=request_probability, episodes=episodes,
-        slots_per_episode=slots_per_episode, out_dir=out_dir)
+        dataset=dataset, **scalars)
 
 
 def load_config(path: str, seed_override: int | None = None,

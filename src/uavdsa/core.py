@@ -6,8 +6,13 @@ All functions are pure; every occupancy vector uses the convention
 """
 
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import math
+
+# Sizes that tables, captures and networks are allocated from; config
+# validation stops larger values before they overflow or exhaust memory.
+MAX_SUBCHANNELS = 1024
+MAX_UAVS = 256
 
 
 @dataclass(frozen=True)
@@ -15,10 +20,10 @@ class SlotTiming:
     """Durations (seconds) of the four sub-slots: request, sensing,
     broadcast, access."""
 
-    t_req: float
-    t_s: float
-    t_b: float
-    t_a: float
+    t_req: float = field(default=0.001, metadata={"low": 0.0})
+    t_s: float = field(default=0.005, metadata={"low": 0.0})
+    t_b: float = field(default=0.002, metadata={"low": 0.0})
+    t_a: float = field(default=0.042, metadata={"low": 0.0})
 
     def __post_init__(self):
         for name in ("t_req", "t_s", "t_b", "t_a"):
@@ -41,11 +46,11 @@ class RadioParams:
     num_subchannels / num_uavs: the M and K of the deployment.
     """
 
-    v_cc: float
-    p_tx: float
-    subchannel_bandwidth: float
-    num_subchannels: int
-    num_uavs: int
+    v_cc: float = 1.0
+    p_tx: float = 0.5
+    subchannel_bandwidth: float = 540e3
+    num_subchannels: int = field(default=4, metadata={"low": 1, "high": MAX_SUBCHANNELS})
+    num_uavs: int = field(default=3, metadata={"low": 1, "high": MAX_UAVS})
     system_bandwidth: float | None = None
 
     def __post_init__(self):

@@ -14,6 +14,7 @@ import numpy as np
 from .seeds import derive_rng
 
 ACTIVATIONS = ("identity", "relu", "sigmoid")
+MAX_HIDDEN_WIDTH = 1024  # the widest hidden layer a configured network may have
 _ACT_CODE = {name: i for i, name in enumerate(ACTIVATIONS)}
 
 

@@ -35,6 +35,7 @@ TABULAR_MAX_SUBCHANNELS = 12
 DQN_MAX_SUBCHANNELS = 16
 VALUE_ITERATION_MAX_SUBCHANNELS = 10
 Q_DIVERGENCE_LIMIT = 1e6
+MAX_REPLAY_CAPACITY = 10 ** 6
 # DqnAgent variants; an agent checkpoint stores a variant as its index here
 DQN_VARIANTS = ("dqn", "ddqn", "ddqn-soft")
 
@@ -160,11 +161,49 @@ def replay_sample(ring: ReplayRing, batch_size: int,
 
 
 # ---------------------------------------------------------------------------
+# Learner hyperparameters, each declared once: its name is the key in the
+# config's `agent` section, its default the default there, and its metadata
+# the bounds that config validation checks (config._Section.value)
+
+
+@dataclass(kw_only=True)
+class LearnerSpec:
+    """The hyperparameters of every learning agent."""
+
+    gamma: float = field(default=0.9, metadata={"low": 0.0, "below": 1.0})
+    epsilon0: float = field(default=1.0, metadata={"low": 0.0, "high": 1.0})
+    epsilon_min: float = field(default=0.05, metadata={"low": 0.0, "high": 1.0})
+    epsilon_decay: float | None = field(default=None, metadata={"low": 0.0, "high": 1.0})
+
+
+@dataclass(kw_only=True)
+class QTableSpec(LearnerSpec):
+    """The tabular learner's step-size schedule (see QTable)."""
+
+    alpha: float | None = field(default=None, metadata={"above": 0.0, "high": 1.0})
+    alpha_power: float = field(default=0.7, metadata={"low": 0.0, "high": 1.0})
+
+
+@dataclass(kw_only=True)
+class DqnSpec(LearnerSpec):
+    """The DQN family's network, replay and target-update settings."""
+
+    hidden: tuple[int, ...] = field(default=(64, 64), metadata={
+        "item_low": 1, "item_high": nnet.MAX_HIDDEN_WIDTH})
+    replay_capacity: int = field(default=10_000, metadata={
+        "low": 1, "high": MAX_REPLAY_CAPACITY})
+    batch_size: int = field(default=32, metadata={"low": 1})
+    target_update_period: int = field(default=100, metadata={"low": 1})
+    tau: float = field(default=0.01, metadata={"low": 0.0, "high": 1.0})
+    learning_rate: float = field(default=1e-3, metadata={"above": 0.0})
+
+
+# ---------------------------------------------------------------------------
 # Tabular agent
 
 
 @dataclass
-class QTable:
+class QTable(QTableSpec):
     """Dense (2^M + 1) x (M + 1) Q-table.
 
     alpha=None decays the step size per (state, action) as
@@ -174,12 +213,6 @@ class QTable:
     """
 
     num_subchannels: int
-    gamma: float = 0.9
-    alpha: float | None = None
-    alpha_power: float = 0.7
-    epsilon0: float = 1.0
-    epsilon_min: float = 0.05
-    epsilon_decay: float | None = None
     table: np.ndarray = None
     visits: np.ndarray = None
 
@@ -226,7 +259,7 @@ class QTable:
 
 
 @dataclass
-class DqnAgent:
+class DqnAgent(DqnSpec):
     """Primary/target networks over the M-bit state, with experience replay.
 
     variant, one of DQN_VARIANTS, selects the bootstrap and target-update
@@ -242,16 +275,6 @@ class DqnAgent:
 
     num_subchannels: int
     variant: str = "ddqn-soft"
-    gamma: float = 0.9
-    hidden: tuple[int, ...] = (64, 64)
-    replay_capacity: int = 10_000
-    batch_size: int = 32
-    target_update_period: int = 100
-    tau: float = 0.01
-    learning_rate: float = 1e-3
-    epsilon0: float = 1.0
-    epsilon_min: float = 0.05
-    epsilon_decay: float | None = None
     seed: int = 0
     primary: nnet.Network = None
     target: nnet.Network = None

@@ -19,6 +19,26 @@ from .iqsynth import BLOCK_ELEMENTS, Dataset, IQObservation, band_edges
 from .seeds import derive_rng
 
 INPUT_MODES = ("iq", "band-energy")
+SENSING_KINDS = ("perfect", "energy-threshold", "dense-classifier")
+
+
+@dataclass(frozen=True)
+class SensingSpec:
+    """One UAV's sensor and the classifier training behind it, each value
+    declared once: its name is the key in a config `sensing` entry, its
+    default the default there, and its metadata the bounds that config
+    validation checks (config._Section.value)."""
+
+    kind: str = field(default="perfect", metadata={"options": SENSING_KINDS})
+    decision_threshold: float = field(default=0.5, metadata={"above": 0.0, "below": 1.0})
+    input_mode: str = field(default="iq", metadata={"options": INPUT_MODES})
+    thresholds: tuple[float, ...] | None = field(default=None, metadata={"item_low": 0.0})
+    model_path: str | None = None
+    hidden: tuple[int, ...] = field(default=(128, 128), metadata={
+        "item_low": 1, "item_high": nnet.MAX_HIDDEN_WIDTH})
+    epochs: int = field(default=30, metadata={"low": 1})
+    batch_size: int = field(default=32, metadata={"low": 1})
+    learning_rate: float = field(default=1e-3, metadata={"above": 0.0})
 
 
 def spectrum_band_energies(spectra, num_subchannels: int) -> np.ndarray:
@@ -56,8 +76,8 @@ class SensingModel:
     num_subchannels: int
     thresholds: np.ndarray | None = None
     network: nnet.Network | None = None
-    decision_threshold: float = 0.5
-    input_mode: str = "iq"
+    decision_threshold: float = SensingSpec.decision_threshold
+    input_mode: str = SensingSpec.input_mode
     training_curve: list[float] = field(default_factory=list)
 
     def __post_init__(self):
@@ -75,23 +95,27 @@ class SensingModel:
 def feature_vector(samples, num_subchannels: int, input_mode: str) -> np.ndarray:
     """Standardized float64 classifier input of captures (..., N), one row
     per capture: raw I/Q flattened to 2N reals, or the log band-energy
-    profile, each row standardized on its own, in place and a block of rows
-    at a time, so that the standardization adds no feature-sized array."""
+    profile, each row standardized on its own. Rows are made a block at a
+    time, in place in the result, so no array but the result grows with
+    the number of captures."""
     samples = np.asarray(samples)
-    if input_mode == "iq":  # float64 parts of complex64 captures are exact
-        x = np.concatenate([samples.real, samples.imag], axis=-1, dtype=float)
-    elif input_mode == "band-energy":
-        x = np.log10(band_energies(samples, num_subchannels) + 1e-12)
-    else:
+    if input_mode not in INPUT_MODES:
         raise ValueError(f"unknown input mode {input_mode!r}")
-    del samples
-    rows = x.reshape(-1, x.shape[-1])  # a copy only of a strided band-energy stack
-    size = max(1, BLOCK_ELEMENTS // rows.shape[1])
-    for block in (rows[start:start + size] for start in range(0, len(rows), size)):
+    captures = samples.reshape(-1, samples.shape[-1])
+    n = captures.shape[1]
+    width = 2 * n if input_mode == "iq" else num_subchannels
+    rows = np.empty((len(captures), width))
+    size = max(1, BLOCK_ELEMENTS // max(n, width))
+    for start in range(0, len(rows), size):
+        block, part = rows[start:start + size], captures[start:start + size]
+        if input_mode == "iq":  # float64 parts of complex64 captures are exact
+            block[:, :n], block[:, n:] = part.real, part.imag
+        else:
+            block[:] = np.log10(band_energies(part, num_subchannels) + 1e-12)
         mean, std = block.mean(axis=-1, keepdims=True), block.std(axis=-1, keepdims=True)
         block -= mean
         block /= std + 1e-12
-    return rows.reshape(x.shape)
+    return rows.reshape(*samples.shape[:-1], width)
 
 
 def classify(model: SensingModel, samples) -> np.ndarray:
@@ -158,44 +182,34 @@ def micro_metrics(predictions, truths) -> SensingMetrics:
         *confusion_tally(predictions[:, None], truths)[0].tolist())
 
 
-@dataclass(frozen=True)
-class TrainParams:
-    seed: int
-    hidden: tuple[int, ...] = (128, 128)
-    epochs: int = 30
-    batch_size: int = 32
-    learning_rate: float = 1e-3
-    input_mode: str = "iq"
-    decision_threshold: float = 0.5
-
-
-def train_classifier(dataset: Dataset, params: TrainParams) -> SensingModel:
-    """Fit the dense multi-label classifier on the training split.
+def train_classifier(dataset: Dataset, spec: SensingSpec, seed: int) -> SensingModel:
+    """Fit the dense multi-label classifier on the training split, with
+    the spec's input mode, network and training settings.
 
     Minimizes mean per-channel binary cross-entropy with Adam; the
     per-epoch mean training loss is recorded on the returned model.
-    Reproducible per params.seed.
+    Reproducible per seed.
     """
     train_idx = np.asarray(dataset.split["train"], dtype=np.intp)
     if not train_idx.size:
         raise ValueError("dataset has an empty train split")
     m_chan = dataset.config.num_subchannels
-    feats = feature_vector(dataset.samples[train_idx], m_chan, params.input_mode)
+    feats = feature_vector(dataset.samples[train_idx], m_chan, spec.input_mode)
     labels = dataset.labels[train_idx].astype(float)
 
-    dims = [feats.shape[1], *params.hidden, m_chan]
-    acts = ["relu"] * len(params.hidden) + ["sigmoid"]
-    net = nnet.build_network(dims, acts, seed=params.seed)
-    opt = nnet.OptimizerState(learning_rate=params.learning_rate)
-    rng = derive_rng(params.seed, 0x5E25)
+    dims = [feats.shape[1], *spec.hidden, m_chan]
+    acts = ["relu"] * len(spec.hidden) + ["sigmoid"]
+    net = nnet.build_network(dims, acts, seed=seed)
+    opt = nnet.OptimizerState(learning_rate=spec.learning_rate)
+    rng = derive_rng(seed, 0x5E25)
 
     curve = []
     order = np.arange(len(train_idx))
-    for _ in range(params.epochs):
+    for _ in range(spec.epochs):
         rng.shuffle(order)
         losses = []
-        for start in range(0, len(order), params.batch_size):
-            batch = order[start:start + params.batch_size]
+        for start in range(0, len(order), spec.batch_size):
+            batch = order[start:start + spec.batch_size]
             x, t = feats[batch], labels[batch]
             trace = nnet.forward_trace(net, x)
             nnet.backward(net, x, t, nnet.BCE, trace)
@@ -204,8 +218,8 @@ def train_classifier(dataset: Dataset, params: TrainParams) -> SensingModel:
         curve.append(float(np.mean(losses)))
 
     return SensingModel(kind="dense-classifier", num_subchannels=m_chan,
-                        network=net, decision_threshold=params.decision_threshold,
-                        input_mode=params.input_mode, training_curve=curve)
+                        network=net, decision_threshold=spec.decision_threshold,
+                        input_mode=spec.input_mode, training_curve=curve)
 
 
 def evaluate_model(model: SensingModel, dataset: Dataset, split: str = "test",

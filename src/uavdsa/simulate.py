@@ -24,21 +24,21 @@ size; eval-sensing draws TRUTH labels and the sensing streams under EVAL_KEY.
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import nnet
 from .channel import db_to_linear, sample_occupancy
-from .config import ConfigError, SensingSpec, SimConfig
+from .config import ConfigError, SimConfig
 from .core import (RowView, SlotLedger, access_cost, energy_efficiency, sensing_cost,
                    slot_utility, throughput)
 from .fusion import vote
 from .iqsynth import BLOCK_ELEMENTS, SynthConfig, draw_band_energies, synthesize_block
-from .scheduler import (DqnAgent, QTable, RandomAgent, block_actions, check_actions,
-                        load_agent)
+from .scheduler import (DqnAgent, DqnSpec, QTable, QTableSpec, RandomAgent, block_actions,
+                        check_actions, load_agent)
 from .seeds import derive_rng
-from .sensing import (SensingModel, classify, confusion_tally, energy_detect,
+from .sensing import (SensingModel, SensingSpec, classify, confusion_tally, energy_detect,
                       metrics_from_counts, write_metrics_csv)
 
 LEDGER_COLUMNS = ("slot", "utility", "ee", "collisions", "holes_detected",
@@ -100,23 +100,15 @@ class RunReport:
 
 
 def new_agent(config: SimConfig, variant: str):
-    """A fresh agent of `variant` with the config's hyperparameters."""
-    spec = config.agent
+    """A fresh agent of `variant` with the config's values of its
+    learner's hyperparameters, every field of its spec class."""
     m = config.radio.num_subchannels
     if variant == "random":
         return RandomAgent(num_subchannels=m)
-    if variant == "qtable":
-        return QTable(num_subchannels=m, gamma=spec.gamma, alpha=spec.alpha,
-                      alpha_power=spec.alpha_power, epsilon0=spec.epsilon0,
-                      epsilon_min=spec.epsilon_min,
-                      epsilon_decay=spec.epsilon_decay)
-    return DqnAgent(num_subchannels=m, variant=variant, gamma=spec.gamma,
-                    hidden=spec.hidden, replay_capacity=spec.replay_capacity,
-                    batch_size=spec.batch_size,
-                    target_update_period=spec.target_update_period,
-                    tau=spec.tau, learning_rate=spec.learning_rate,
-                    epsilon0=spec.epsilon0, epsilon_min=spec.epsilon_min,
-                    epsilon_decay=spec.epsilon_decay, seed=config.seed)
+    cls, spec_cls, extra = ((QTable, QTableSpec, {}) if variant == "qtable" else
+                            (DqnAgent, DqnSpec, dict(variant=variant, seed=config.seed)))
+    return cls(num_subchannels=m, **extra,
+               **{f.name: getattr(config.agent, f.name) for f in fields(spec_cls)})
 
 
 def build_agent(config: SimConfig):

@@ -37,8 +37,8 @@ def sensing_runs():
         cfg = iqsynth.SynthConfig(seed=seed, sinr_grid_db=grid)
         source = stationary_sampler([TransitionMatrix(0.2, 0.3)] * 16)
         dataset = iqsynth.generate_dataset(cfg, source, count_per_sinr=600)
-        params = sensing.TrainParams(seed=seed, epochs=20, input_mode="band-energy")
-        model = sensing.train_classifier(dataset, params)
+        spec = sensing.SensingSpec(epochs=20, input_mode="band-energy")
+        model = sensing.train_classifier(dataset, spec, seed)
         per_sinr = {g: sensing.evaluate_model(model, dataset, sinr_db=g)
                     for g in grid}
         runs.append({"seed": seed, "cfg": cfg, "model": model,

@@ -723,3 +723,83 @@ def test_eval_sensing_model_is_loaded_once(tmp_path, monkeypatch, capsys):
     assert cli_dispatch(["eval-sensing", "--config", cfg, "--out", str(tmp_path / "run"),
                          "--model", ckpt]) == 0
     assert loads == [ckpt]
+
+
+# (field path, config overrides, subcommand): values that used to validate
+# and then allocate an impossible array at run time (exit 2), or run an
+# epsilon schedule that rises instead of decaying
+REFUSED_AT_VALIDATION = [
+    ("config.slots_per_episode", {"agent": {"variant": "dqn"}, "slots_per_episode": 10 ** 12},
+     "train-agent"),
+    ("dataset.count_per_sinr", {"dataset": {"fft_size": 256, "count_per_sinr": 10 ** 12}},
+     "gen-dataset"),
+    ("dataset.count_per_sinr", {"dataset": {"fft_size": 65536, "count_per_sinr": 1025}},
+     "gen-dataset"),
+    ("agent.epsilon_min", {"agent": {"variant": "qtable", "epsilon0": 0.1,
+                                     "epsilon_min": 0.5}}, "train-agent"),
+]
+
+
+@pytest.mark.parametrize("field,overrides,command", REFUSED_AT_VALIDATION,
+                         ids=["slots-per-episode", "count-per-sinr", "dataset-samples",
+                              "epsilon-min"])
+def test_values_past_their_bounds_stop_at_validation(field, overrides, command, tmp_path,
+                                                     capsys):
+    cfg = write_config(tmp_path, **overrides)
+    out = tmp_path / "run"
+    assert cli_dispatch([command, "--config", cfg, "--out", str(out)]) == 1
+    assert [p.split(": ")[0] for p in capsys.readouterr().err.splitlines()] == [field]
+    assert not out.exists()
+
+
+def test_new_bounds_admit_their_edges(tmp_path):
+    # 4 SINRs x 1024 observations x 65536 samples is 2^28 samples exactly
+    cfg = write_config(tmp_path, dataset={"fft_size": 65536, "count_per_sinr": 1024})
+    assert load_config(cfg).dataset.count_per_sinr == 1024
+    cfg = write_config(tmp_path, slots_per_episode=10 ** 6,
+                       agent={"variant": "qtable", "epsilon0": 0.5, "epsilon_min": 0.5})
+    assert load_config(cfg).slots_per_episode == 10 ** 6
+
+
+def test_train_sensor_takes_every_training_value_of_sensing_0(tmp_path, monkeypatch,
+                                                            capsys):
+    """Each training field of sensing[0], set away from its default,
+    reaches the classifier train-sensor trains."""
+    from dataclasses import fields
+    from uavdsa.sensing import SensingSpec
+    training = {"decision_threshold": 0.3, "input_mode": "band-energy", "hidden": [6, 5],
+                "epochs": 3, "batch_size": 7, "learning_rate": 0.004}
+    assert set(training) == {f.name for f in fields(SensingSpec)} - {
+        "kind", "thresholds", "model_path"}
+    assert all(getattr(SensingSpec, key) != (tuple(value) if isinstance(value, list)
+                                             else value) for key, value in training.items())
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, dataset={"fft_size": 64, "count_per_sinr": 20},
+                       sensing={"kind": "perfect", **training})
+    assert cli_dispatch(["gen-dataset", "--config", cfg, "--out", str(out)]) == 0
+    models, rates, steps = [], [], []
+    train, optimizer, step = cli.train_classifier, nnet.OptimizerState, nnet.optimizer_step
+    monkeypatch.setattr(cli, "train_classifier",
+                        lambda *a: models.append(train(*a)) or models[-1])
+    monkeypatch.setattr(nnet, "OptimizerState",
+                        lambda learning_rate: rates.append(learning_rate)
+                        or optimizer(learning_rate))
+    monkeypatch.setattr(nnet, "optimizer_step", lambda *a: steps.append(1) or step(*a))
+    assert cli_dispatch(["train-sensor", "--config", cfg, "--out", str(out)]) == 0
+    (model,) = models
+    train_rows = 56  # 70 % of 20 observations at each of 4 SINRs
+    assert len(model.training_curve) == 3
+    assert [layer.w.shape for layer in model.network.layers] == [(4, 6), (6, 5), (5, 4)]
+    assert (model.decision_threshold, model.input_mode) == (0.3, "band-energy")
+    assert rates == [0.004]
+    assert len(steps) == 3 * -(-train_rows // 7)
+
+
+def test_simulate_with_no_episodes_reports_no_slots(tmp_path, capsys):
+    cfg = write_config(tmp_path, episodes=0)
+    out = tmp_path / "run"
+    assert cli_dispatch(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    with open(out / "report.json") as f:
+        report = json.load(f)
+    assert (report["slots"], report["mean_utility"], report["mean_ee"]) == (0, 0.0, None)
+    assert (out / "ledgers.csv").read_text().count("\n") == 1  # the header only

@@ -271,3 +271,35 @@ def test_any_json_config_validates_or_raises_config_error(raw):
         validate_config(raw)
     except ConfigError as exc:
         assert exc.problems
+
+
+def test_module_docstring_names_every_declared_key_with_its_default():
+    """The docstring schema documents each declared key as `key (default`,
+    the default written as JSON, inside the entry of its section (a line
+    indented by four spaces and the lines indented below it)."""
+    import dataclasses
+    from uavdsa import config
+    from uavdsa.channel import TransitionMatrix
+    from uavdsa.core import RadioParams, SlotTiming
+    from uavdsa.sensing import SensingSpec
+
+    schema = config.__doc__.split("Schema")[1]
+    entries, name = {}, None
+    for line in schema.splitlines():
+        if line.startswith("    ") and not line.startswith("     "):
+            name = line.split()[0].rstrip(":")
+            entries[name] = ""
+        if name is not None:
+            entries[name] += line + "\n"
+    sections = {"radio": RadioParams, "timing": SlotTiming, "channels": TransitionMatrix,
+                "sensing": SensingSpec, "agent": config.AgentSpec,
+                "dataset": config.DatasetSpec, None: config.SimConfig}
+    missing = []
+    for section, cls in sections.items():
+        for f in dataclasses.fields(cls):
+            if f.default is dataclasses.MISSING:
+                continue
+            text = entries.get(f.name if section is None else section, "")
+            if f"{f.name} ({json.dumps(f.default)}" not in text:
+                missing.append(f"{section or 'config'}.{f.name} ({json.dumps(f.default)}")
+    assert missing == []

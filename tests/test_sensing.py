@@ -244,9 +244,8 @@ class TestTrainClassifier:
         ds = make_dataset(m=8, n=256, grid=(20.0,), count=2000, seed=41)
         ok = False
         for seed in (0, 1, 2):
-            params = sensing.TrainParams(seed=seed, hidden=(64, 64), epochs=3,
-                                         input_mode="band-energy")
-            model = sensing.train_classifier(ds, params)
+            spec = sensing.SensingSpec(hidden=(64, 64), epochs=3, input_mode="band-energy")
+            model = sensing.train_classifier(ds, spec, seed)
             c = model.training_curve
             if c[0] > c[1] > c[2]:
                 ok = True
@@ -258,33 +257,52 @@ class TestTrainClassifier:
         rng = derive_rng(99)
         for label in ds.labels:
             label[:] = rng.random(4) < 0.4
-        params = sensing.TrainParams(seed=0, hidden=(32,), epochs=10,
-                                     input_mode="band-energy")
-        model = sensing.train_classifier(ds, params)
+        spec = sensing.SensingSpec(hidden=(32,), epochs=10, input_mode="band-energy")
+        model = sensing.train_classifier(ds, spec, 0)
         metrics = sensing.evaluate_model(model, ds)
         truths = [ds.observations[i].label for i in ds.split["test"]]
         assert abs(metrics.micro_f1 - best_constant_f1(truths, 4)) <= 0.1
 
     def test_same_seed_identical_weights(self):
         ds = make_dataset(m=4, n=64, count=60)
-        params = sensing.TrainParams(seed=7, hidden=(16,), epochs=3,
-                                     input_mode="band-energy")
-        m1 = sensing.train_classifier(ds, params)
-        m2 = sensing.train_classifier(ds, params)
+        spec = sensing.SensingSpec(hidden=(16,), epochs=3, input_mode="band-energy")
+        m1 = sensing.train_classifier(ds, spec, 7)
+        m2 = sensing.train_classifier(ds, spec, 7)
         for l1, l2 in zip(m1.network.layers, m2.network.layers):
             assert np.array_equal(l1.w, l2.w) and np.array_equal(l1.b, l2.b)
 
     def test_divergence_stops_at_the_gradient_check(self):
         # backward refuses a non-finite gradient before any loss is non-finite
         ds = make_dataset(m=4, n=64, count=60)
-        params = sensing.TrainParams(seed=7, hidden=(8,), epochs=3, learning_rate=1e300,
-                                     input_mode="band-energy")
+        spec = sensing.SensingSpec(hidden=(8,), epochs=3, learning_rate=1e300,
+                                   input_mode="band-energy")
         with np.errstate(all="ignore"), pytest.raises(nnet.NonFiniteLossError,
                                                       match="non-finite gradient signal"):
-            sensing.train_classifier(ds, params)
+            sensing.train_classifier(ds, spec, 7)
 
     def test_empty_train_split_rejected(self):
         ds = make_dataset(m=4, n=64, count=20)
         ds.split["train"] = ()
         with pytest.raises(ValueError):
-            sensing.train_classifier(ds, sensing.TrainParams(seed=0))
+            sensing.train_classifier(ds, sensing.SensingSpec(), 0)
+
+
+@pytest.mark.parametrize("mode", sensing.INPUT_MODES)
+@pytest.mark.parametrize("rows", [1, 3, 7])
+def test_features_do_not_depend_on_the_block_size(mode, rows, monkeypatch):
+    """Blocks of `rows` captures give, bit for bit, the features of one
+    block over the whole stack; band energies are taken a block at a time."""
+    ds = make_dataset(m=8, n=256, grid=(0.0, 10.0), count=10, seed=5)
+    width = 512 if mode == "iq" else 256  # the larger of a row's input and output
+    sizes = []
+    energies = sensing.band_energies
+    monkeypatch.setattr(sensing, "band_energies",
+                        lambda x, m: sizes.append(len(x)) or energies(x, m))
+    monkeypatch.setattr(sensing, "BLOCK_ELEMENTS", rows * width + width // 2)
+    got = sensing.feature_vector(ds.samples, 8, mode)
+    if mode == "band-energy":
+        assert sizes == [rows] * (20 // rows) + [20 % rows] * (20 % rows > 0)
+    monkeypatch.setattr(sensing, "BLOCK_ELEMENTS", 20 * width)
+    want = sensing.feature_vector(ds.samples, 8, mode)
+    assert got.shape == want.shape == (20, 512 if mode == "iq" else 8)
+    assert got.tobytes() == want.tobytes()

@@ -363,8 +363,8 @@ def golden_like_config(tmp_path):
                                 subcarriers_per_subchannel=64, sinr_grid_db=(-5.0, 5.0, 15.0))
     data = iqsynth.generate_dataset(
         synth, stationary_sampler([TransitionMatrix(0.2, 0.3)] * 4), 30)
-    model = sensing.train_classifier(data, sensing.TrainParams(
-        seed=7, hidden=(16,), epochs=3, input_mode="band-energy"))
+    model = sensing.train_classifier(data, sensing.SensingSpec(
+        hidden=(16,), epochs=3, input_mode="band-energy"), 7)
     ckpt = str(tmp_path / "sensor.ckpt")
     nnet.save_checkpoint(model.network, ckpt)
     return validate_config(config_dict(
@@ -441,3 +441,29 @@ def test_energy_model_without_thresholds_is_refused_on_both_paths():
         with pytest.raises(ValueError, match="has no network with 4 outputs"):
             sensing.SensingModel(kind="dense-classifier", num_subchannels=4,
                                  network=network)
+
+
+# every agent hyperparameter, away from its default
+NON_DEFAULT_AGENT = {"gamma": 0.5, "epsilon0": 0.8, "epsilon_min": 0.1, "epsilon_decay": 0.9,
+                     "alpha": 0.5, "alpha_power": 0.6, "hidden": [8, 4],
+                     "replay_capacity": 500, "batch_size": 16, "target_update_period": 7,
+                     "tau": 0.2, "learning_rate": 0.002}
+TABULAR_ONLY = {"alpha", "alpha_power"}
+SHARED = {"gamma", "epsilon0", "epsilon_min", "epsilon_decay"}
+
+
+@pytest.mark.parametrize("variant", ["qtable", "dqn", "ddqn", "ddqn-soft"])
+def test_new_agent_takes_every_value_of_its_spec(variant):
+    from uavdsa.config import AgentSpec
+    names = SHARED | TABULAR_ONLY if variant == "qtable" else set(NON_DEFAULT_AGENT) - TABULAR_ONLY
+    assert set(NON_DEFAULT_AGENT) == {f.name for f in dataclasses.fields(AgentSpec)} - {
+        "variant", "uavs", "checkpoint"}
+    cfg = validate_config(config_dict(agent={"variant": variant, **NON_DEFAULT_AGENT}))
+    agent = simulate.new_agent(cfg, variant)
+    assert type(agent) is (sch.QTable if variant == "qtable" else sch.DqnAgent)
+    for name in names:
+        assert getattr(agent, name) == getattr(cfg.agent, name) != getattr(AgentSpec(), name)
+    if variant != "qtable":
+        assert (agent.variant, agent.seed) == (variant, cfg.seed)
+        assert [layer.w.shape for layer in agent.primary.layers] == [(4, 8), (8, 4), (4, 5)]
+        assert agent.optimizer.learning_rate == 0.002

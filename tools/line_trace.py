@@ -1,28 +1,43 @@
-"""List the body lines of src/uavdsa that the tier-1 suite never runs.
+"""List the body lines of src/uavdsa that the tier-1 suite never runs, or
+that the system's own traffic never runs.
 
 Runs the suite in-process under a stdlib line tracer (`sys.settrace` and
 `threading.settrace`; no coverage package needed) and prints each function
 body line of `src/uavdsa` that no test executed, then pytest's result.
 
-Acceptance criteria 6 and 7 are deselected: their shared `m4_runs` fixture
-trains DDQN agents for minutes, and the code it runs is run by other tests
-too. Tracing slows Python-heavy tests several-fold, so criterion 1, which
-bounds its own wall time, can fail that bound here; such a failure is
-reported as a tracing artifact, not as a test failure.
+With --traffic it runs only the system's own traffic instead: the CLI
+goldens, the learner goldens and the acceptance suite, then one pass of
+each benchmark workload (benchmarks/workloads.py, run by benchmarks/run.py's
+run_pass and checked by its check_pass, in a temporary directory). A body
+line that this traffic never runs is either a boundary refusal, which a
+boundary test reaches, or code that only unit tests use. So the boundary
+tests (tests/test_cli.py, and tests/test_config.py for the config parse
+the CLI runs) run too, after the traffic and traced apart from it, and
+each listed line names the first boundary test that runs it, or "no
+boundary test".
+
+Acceptance criteria 6 and 7 are deselected in both modes: their shared
+`m4_runs` fixture trains DDQN agents for minutes, and the code it runs is
+run by other tests too. Tracing slows Python-heavy tests several-fold, so
+criterion 1, which bounds its own wall time, can fail that bound here;
+such a failure is reported as a tracing artifact, not as a test failure.
 
 Usage, from the repository root:
 
-    python tools/line_trace.py [extra pytest arguments]
+    python tools/line_trace.py [--traffic] [extra pytest arguments]
 
-Exits 0 when every test passed (criterion 1's wall-time bound aside),
-1 otherwise.
+Exits 0 when every test passed (criterion 1's wall-time bound aside) and,
+with --traffic, every workload pass ran and passed its checks; 1 otherwise.
 """
 
 import ast
+import json
 import os
 import sys
+import tempfile
 import threading
 import time
+from pathlib import Path
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "uavdsa")
@@ -31,6 +46,9 @@ DESELECTED = (
     "tests/test_acceptance.py::test_criterion_7_two_uav_scaling",
 )
 TIMED_TEST = "tests/test_acceptance.py::test_criterion_1_fusion_oracle_equivalence"
+TRAFFIC_TESTS = ("tests/test_cli_goldens.py", "tests/test_learner_goldens.py",
+                 "tests/test_acceptance.py")
+BOUNDARY_TESTS = ("tests/test_cli.py", "tests/test_config.py")
 
 
 def body_lines(path: str) -> set[int]:
@@ -58,8 +76,32 @@ def body_lines(path: str) -> set[int]:
     return {line for line in executable if any(lo <= line <= hi for lo, hi in spans)}
 
 
+def run_workloads() -> list[str]:
+    """One pass of each benchmark workload with its output checks, each in
+    its own directory under a temporary one; returns the problems found."""
+    sys.path.insert(0, os.path.join(ROOT, "benchmarks"))
+    import run
+    from workloads import WORKLOADS
+
+    problems = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, workload in sorted(WORKLOADS.items()):
+            out = Path(tmp, name)
+            out.mkdir()
+            config = out / "config.json"
+            config.write_text(json.dumps(workload.config(1)))
+            _, found, digests, reports = run.run_pass(workload, config, out)
+            found += run.check_pass(workload, out, reports, digests, None)
+            problems += [f"{name}: {stage}: {problem}" for stage, problem in found]
+    return problems
+
+
 def main(argv: list[str]) -> int:
+    traffic = "--traffic" in argv
+    if traffic:
+        argv = [arg for arg in argv if arg != "--traffic"]
     ran: set[tuple[str, int]] = set()
+    reached: dict[tuple[str, int], str] = {}  # line -> the first boundary test that ran it
     record = ran.add
 
     def local(frame, event, arg):
@@ -82,16 +124,27 @@ def main(argv: list[str]) -> int:
             if report.failed:
                 failed.append((report.nodeid, str(report.longrepr)))
 
+        @pytest.hookimpl(tryfirst=True)
+        def pytest_runtest_setup(self, item):
+            nonlocal record
+            if traffic and item.nodeid.startswith(BOUNDARY_TESTS):
+                record = lambda line, test=item.nodeid: reached.setdefault(line, test)  # noqa: E731
+
     sys.path.insert(0, os.path.join(ROOT, "src"))
     os.chdir(ROOT)
-    args = ["-q", "-p", "no:cacheprovider", "tests"]
+    args = ["-q", "-p", "no:cacheprovider",
+            *((*TRAFFIC_TESTS, *BOUNDARY_TESTS) if traffic else ["tests"])]
     for nodeid in DESELECTED:
         args += ["--deselect", nodeid]
+    workload_problems = []
     t0 = time.perf_counter()
     threading.settrace(global_)
     sys.settrace(global_)
     try:
         code = pytest.main(args + argv, plugins=[Outcomes()])
+        if traffic:
+            record = ran.add
+            workload_problems = run_workloads()
     finally:
         sys.settrace(None)
         threading.settrace(None)
@@ -103,13 +156,16 @@ def main(argv: list[str]) -> int:
             path = os.path.join(PACKAGE, name)
             never += [(name, line) for line in sorted(body_lines(path))
                       if (path, line) not in ran]
-    print(f"\nnever-run body lines of src/uavdsa: {len(never)}")
+    print(f"\nnever-run body lines of src/uavdsa{' under the traffic' if traffic else ''}: "
+          f"{len(never)}")
     sources = {}
     for name, line in never:
         if name not in sources:
             with open(os.path.join(PACKAGE, name)) as f:
                 sources[name] = f.read().splitlines()
-        print(f"  {name}:{line}: {sources[name][line - 1].strip()}")
+        test = reached.get((os.path.join(PACKAGE, name), line), "no boundary test")
+        print(f"  {name}:{line}: {sources[name][line - 1].strip()}"
+              + (f"  [{test}]" if traffic else ""))
 
     real = []
     for nodeid, text in failed:
@@ -119,9 +175,11 @@ def main(argv: list[str]) -> int:
         else:
             real.append(nodeid)
             print(f"FAILED: {nodeid}")
+    for problem in workload_problems:
+        print(f"WORKLOAD FAILED: {problem}")
     print(f"pytest exit code {int(code)}, {len(real)} failure(s) besides tracing "
           f"artifacts, {elapsed:.0f} s traced")
-    return 1 if real or code not in (0, 1) else 0
+    return 1 if real or workload_problems or code not in (0, 1) else 0
 
 
 if __name__ == "__main__":
