@@ -93,10 +93,10 @@ BLOCK_ELEMENTS = 1 << 15  # in a block's largest array (of captures, records or 
 @dataclass(frozen=True)
 class SynthConfig:
     seed: int
-    num_subchannels: int = 16
-    samples_per_observation: int = 1024
+    num_subchannels: int
+    samples_per_observation: int
+    sinr_grid_db: tuple[float, ...]
     subcarriers_per_subchannel: int = 64
-    sinr_grid_db: tuple[float, ...] = (-10.0, 0.0, 10.0, 20.0)
     interference_gains_db: tuple[float, ...] = ()
 
     def __post_init__(self):

@@ -63,12 +63,6 @@ def state_index(state: AgentState, num_subchannels: int) -> int:
     return occupancy_mask(state)
 
 
-def index_state(index: int, num_subchannels: int) -> AgentState:
-    if index == 2 ** num_subchannels:
-        return None
-    return mask_occupancy(index, num_subchannels)
-
-
 def state_features(state: AgentState, num_subchannels: int) -> np.ndarray:
     """Network input: the M bits as reals; INITIAL becomes an all-0.5 vector."""
     if state is None:
@@ -238,11 +232,9 @@ class QTable(QTableSpec):
         row = self.q_row(state)
         return masked_actions(row, valid, k, epsilon, rng), row
 
-    def observe(self, s: AgentState, a: int, r: float, s_next: AgentState,
-                rng=None) -> None:
-        """One Q-learning backup: Q(s,a) += alpha * (r + gamma max_a' Q(s',a') - Q(s,a))."""
-        si = state_index(s, self.num_subchannels)
-        sj = state_index(s_next, self.num_subchannels)
+    def observe(self, si: int, a: int, r: float, sj: int, rng=None) -> None:
+        """One Q-learning backup from state index si to sj (state_index):
+        Q(s,a) += alpha * (r + gamma max_a' Q(s',a') - Q(s,a))."""
         self.visits[si, a] += 1
         alpha = (self.alpha if self.alpha is not None
                  else float(self.visits[si, a]) ** -self.alpha_power)
@@ -268,9 +260,9 @@ class DqnAgent(DqnSpec):
     selection from evaluation, "ddqn-soft" additionally replaces the hard
     copy with polyak averaging.
 
-    The replay ring and the feature table (2^M + 1 rows of M floats) are
-    allocated by the first observe, so agents that only act never pay
-    for them.
+    The replay ring, the feature table (2^M + 1 rows of M floats) and the
+    batch's row indices are allocated by the first observe, so agents that
+    only act never pay for them.
     """
 
     num_subchannels: int
@@ -280,6 +272,7 @@ class DqnAgent(DqnSpec):
     target: nnet.Network = None
     replay: ReplayRing = None
     features: np.ndarray = field(default=None, init=False, repr=False)
+    batch_rows: np.ndarray = field(default=None, init=False, repr=False)
     optimizer: nnet.OptimizerState = None
     train_steps: int = 0
 
@@ -311,28 +304,30 @@ class DqnAgent(DqnSpec):
         row = self.q_row(state)
         return masked_actions(row, valid, k, epsilon, rng), row
 
-    def observe(self, s: AgentState, a: int, r: float, s_next: AgentState,
+    def observe(self, si: int, a: int, r: float, sj: int,
                 rng: np.random.Generator) -> None:
-        """Store the transition and, once the buffer can fill a batch,
-        run one regression step plus the target update."""
-        m = self.num_subchannels
+        """Store the transition from state index si to sj (state_index)
+        and, once the buffer can fill a batch, run one regression step plus
+        the target update."""
         if self.replay is None:
             self.replay = ReplayRing(self.replay_capacity)
-            self.features = feature_table(m)
+            self.features = feature_table(self.num_subchannels)
+            self.batch_rows = np.arange(self.batch_size)
         ring = self.replay
-        replay_push(ring, state_index(s, m), a, r, state_index(s_next, m))
-        if len(ring) < self.batch_size:
-            return
+        replay_push(ring, si, a, r, sj)
         n = self.batch_size
+        if len(ring) < n:
+            return
         idx = replay_sample(ring, n, rng)
         # one primary pass over [batch; next states] (its rows are computed
         # independently, bit for bit) and one target pass over the next states
-        feats = self.features[np.concatenate((ring.states[idx], ring.next_states[idx]))]
+        feats = self.features.take(np.concatenate((ring.states[idx], ring.next_states[idx])),
+                                   axis=0)
         pre, post = nnet.forward_trace(self.primary, feats)
         targets_y = ddqn_targets(self, ring.rewards[idx],
                                  nnet.forward(self.target, feats[n:]), post[-1][n:])
         target_mat = post[-1][:n].copy()
-        target_mat[np.arange(n), ring.actions[idx]] = targets_y
+        target_mat[self.batch_rows, ring.actions[idx]] = targets_y
         nnet.backward(self.primary, feats[:n], target_mat, nnet.MSE,
                       ([z[:n] for z in pre], [a[:n] for a in post]))
         nnet.optimizer_step(self.primary, self.optimizer)
@@ -445,16 +440,18 @@ def train_agent(agent, env: SchedulingEnv, episodes: int, slots_per_episode: int
         epsilon = agent.epsilon_at(episode, episodes)
         t0 = time.perf_counter()
         # walk[0] is the unseen stationary start and walk[t + 1] slot t's
-        # occupancy, as tuples since the learners key on states; slot t plays
-        # from slot t - 1's (INITIAL before the first)
-        walk = [tuple(bits) for bits in
-                sample_occupancy(env.matrices, slots_per_episode + 1, rng_env).tolist()]
-        state = None
+        # occupancy, as tuples since the learners select on states, and
+        # codes[t] its state_index, which they observe; slot t plays from
+        # slot t - 1's (INITIAL before the first)
+        occupancy = sample_occupancy(env.matrices, slots_per_episode + 1, rng_env)
+        walk = [tuple(bits) for bits in occupancy.tolist()]
+        codes = (occupancy[1:].astype(np.int64) << np.arange(num_subchannels)).sum(axis=1)
+        state, code = None, 2 ** num_subchannels
         cum_utility = 0.0
         collisions = 0
         q_sum = 0.0
         chosen = []  # each slot's actions, checked in one call per episode
-        for bits in walk[1:]:
+        for bits, next_code in zip(walk[1:], codes.tolist()):
             valid = valid_actions(state, num_subchannels)
             actions, q_row = agent.select(state, valid, epsilon, rng_agent, k=num_uavs)
             if np.abs(q_row).max() > Q_DIVERGENCE_LIMIT:
@@ -463,11 +460,11 @@ def train_agent(agent, env: SchedulingEnv, episodes: int, slots_per_episode: int
             outcomes = [(collision_indicator(bits[a - 1], 0), env.reward_table[uav, a - 1])
                         if a else (0, 0.0) for uav, a in enumerate(actions)]
             for action, (r, gain) in zip(actions, outcomes):
-                agent.observe(state, action, r * gain, bits, rng_agent)
+                agent.observe(code, action, r * gain, next_code, rng_agent)
             cum_utility += slot_utility(outcomes)
             collisions += sum(r == -1 for r, _ in outcomes)
             q_sum += max(q_row[a] for a in valid)
-            state = bits
+            state, code = bits, next_code
         check_actions(chosen, [(1,) * num_subchannels, *walk[1:-1]])  # INITIAL: all busy
         wall_ms = (time.perf_counter() - t0) * 1e3
         log.append((episode, cum_utility, collisions, epsilon,

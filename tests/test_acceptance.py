@@ -14,6 +14,7 @@ from uavdsa import fusion, iqsynth, nnet, sensing
 from uavdsa import scheduler as sch
 from uavdsa.channel import TransitionMatrix, stationary_sampler
 from uavdsa.cli import cli_dispatch
+from uavdsa.core import mask_occupancy
 from uavdsa.seeds import derive_rng
 
 SEEDS = (101, 202, 303)
@@ -34,7 +35,8 @@ def sensing_runs():
     grid = (-10.0, 0.0, 10.0, 20.0)
     runs = []
     for seed in SEEDS:
-        cfg = iqsynth.SynthConfig(seed=seed, sinr_grid_db=grid)
+        cfg = iqsynth.SynthConfig(seed=seed, num_subchannels=16,
+                                  samples_per_observation=1024, sinr_grid_db=grid)
         source = stationary_sampler([TransitionMatrix(0.2, 0.3)] * 16)
         dataset = iqsynth.generate_dataset(cfg, source, count_per_sinr=600)
         spec = sensing.SensingSpec(epochs=20, input_mode="band-energy")
@@ -183,7 +185,7 @@ def test_criterion_4_gradient_correctness():
         acts = ["relu"] * (n_layers - 1) + ["identity"]
         net = nnet.build_network(dims, acts, seed=int(rng.integers(10 ** 9)))
         x = rng.normal(size=dims[0])
-        pre, _ = nnet._forward_trace(net, x)
+        pre, _ = nnet.forward_trace(net, x)
         # skip configurations with a pre-activation near a ReLU kink, where
         # central differences straddle the nondifferentiability
         if any(np.abs(p).min() < 1e-2 for p in pre[:-1]):
@@ -209,7 +211,7 @@ def test_criterion_5_tabular_q_vs_oracle():
     worst_rel = 0.0
     states_checked = 0
     for s in range(4):
-        state = sch.index_state(s, 2)
+        state = mask_occupancy(s, 2)
         if agent.visits[s].sum() < 100:
             continue
         states_checked += 1

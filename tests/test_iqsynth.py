@@ -11,6 +11,8 @@ from uavdsa import core, iqsynth
 from uavdsa.channel import TransitionMatrix, stationary_sampler
 from uavdsa.seeds import derive_rng
 
+GRID = (-10.0, 0.0, 10.0, 20.0)  # an SINR grid: the config's default dataset.sinr_grid_db
+
 
 def small_config(**overrides):
     kw = dict(seed=5, num_subchannels=4, samples_per_observation=256,
@@ -194,7 +196,7 @@ class TestAddInterference:
 
 class TestGenerateDataset:
     def test_counts_and_split_arithmetic(self):
-        cfg = small_config(sinr_grid_db=(-10.0, 0.0, 10.0, 20.0))
+        cfg = small_config(sinr_grid_db=GRID)
         source = stationary_sampler([TransitionMatrix(0.2, 0.3)] * 4)
         ds = iqsynth.generate_dataset(cfg, source, count_per_sinr=100)
         assert len(ds.observations) == 400
@@ -255,7 +257,7 @@ class TestGenerateDataset:
         the block's bytes, and nothing is mapped, so saving the loaded
         dataset over its own path leaves its samples readable."""
         cfg = iqsynth.SynthConfig(seed=3, num_subchannels=16, samples_per_observation=1024,
-                                  subcarriers_per_subchannel=64)
+                                  subcarriers_per_subchannel=64, sinr_grid_db=GRID)
         source = stationary_sampler([TransitionMatrix(0.2, 0.3)] * 16)
         path = str(tmp_path / "ds.iq")
         iqsynth.save_dataset(iqsynth.generate_dataset(cfg, source, count_per_sinr=50), path)
@@ -413,7 +415,7 @@ def bits(a):
 def test_batched_captures_are_bitwise_per_capture(m, n):
     from uavdsa.sensing import band_energies, spectrum_band_energies
     cfg = iqsynth.SynthConfig(seed=1, num_subchannels=m, samples_per_observation=n,
-                              subcarriers_per_subchannel=n // m)
+                              subcarriers_per_subchannel=n // m, sinr_grid_db=GRID)
     labels = [(0,) * m, (1,) * m, tuple(i % 2 for i in range(m)),
               tuple(int(i % 3 == 1) for i in range(m))]
     for k in (1, 2, 3):
@@ -461,7 +463,7 @@ def test_block_synthesis_is_bitwise_per_label(m, n, shared):
     one shared by all. With a shared generator, consecutive blocks of any
     sizes draw what one block over all the labels draws."""
     cfg = iqsynth.SynthConfig(seed=1, num_subchannels=m, samples_per_observation=n,
-                              subcarriers_per_subchannel=n // m)
+                              subcarriers_per_subchannel=n // m, sinr_grid_db=GRID)
     labels = [(0,) * m, (1,) * m, tuple(i % 2 for i in range(m)), (0,) * m,
               tuple(int(i % 3 != 1) for i in range(m)), (1,) * m]
     for k in (0, 1, 3):
@@ -588,7 +590,8 @@ def test_frequency_domain_band_energies_match_time_domain_synthesis(sinr_db):
     white noise per sample, forward transform), for vacant and busy bands."""
     from uavdsa.sensing import band_energies, spectrum_band_energies
     cfg = iqsynth.SynthConfig(seed=1, num_subchannels=4, samples_per_observation=64,
-                              subcarriers_per_subchannel=12)  # 4 guard bins per band
+                              subcarriers_per_subchannel=12,  # 4 guard bins per band
+                              sinr_grid_db=GRID)
     label, captures = (0, 1, 0, 1), 4000
     spectra = iqsynth.synthesize_block([label], [sinr_db] * captures, cfg,
                                        [derive_rng(11, int(sinr_db) + 10)])[0]
@@ -633,7 +636,7 @@ def test_band_energy_draws_follow_their_documented_order(m, n):
     does, for any labels and row count; a call with no rows draws
     nothing."""
     cfg = iqsynth.SynthConfig(seed=1, num_subchannels=m, samples_per_observation=n,
-                              subcarriers_per_subchannel=n // m - 1)
+                              subcarriers_per_subchannel=n // m - 1, sinr_grid_db=GRID)
     labels = [(0,) * m, (1,) * m, tuple(i % 2 for i in range(m))]
     for k in (0, 1, 3):
         sinrs = (-10.0, 0.0, 7.5)[:k]
@@ -668,7 +671,7 @@ def test_band_energy_law_matches_synthesized_spectra(m, n, sc, sinr_db):
     sigma2^2 B + 2 s sigma2 for a busy band, s = 0 for a vacant one."""
     from uavdsa.sensing import spectrum_band_energies
     cfg = iqsynth.SynthConfig(seed=1, num_subchannels=m, samples_per_observation=n,
-                              subcarriers_per_subchannel=sc)
+                              subcarriers_per_subchannel=sc, sinr_grid_db=GRID)
     label, captures = tuple(int(i % 2 == 1) for i in range(m)), 20000
     key = (m, n, int(sinr_db) + 10)
     new = iqsynth.draw_band_energies([label], [sinr_db] * captures, cfg,

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uavdsa import nnet
+from uavdsa import scheduler as sch
+from uavdsa.seeds import derive_rng
 
 
 def linear_net(w, b):
@@ -361,3 +363,95 @@ MISUSES = [
 def test_misuse_is_refused(misuse, message):
     with pytest.raises(ValueError, match=message):
         misuse()
+
+
+# ---------------------------------------------------------------------------
+# The learner step's kernels against their earlier, one-expression-per-step
+# form: every result must match bit for bit (compared as bytes, so that the
+# sign of a zero counts)
+
+
+def reference_trace(net, x):
+    a = np.atleast_2d(np.asarray(x, dtype=float))
+    pre, post = [], [a]
+    for layer in net.layers:
+        z = post[-1] @ layer.w + layer.b
+        pre.append(z)
+        post.append(np.maximum(z, 0.0) if layer.activation == "relu"
+                    else 1.0 / (1.0 + np.exp(-z)) if layer.activation == "sigmoid" else z)
+    return pre, post
+
+
+def reference_grads(net, x, target, loss):
+    def act_grad(z, act):
+        return (z > 0.0).astype(float) if act == "relu" else np.ones_like(z)
+
+    pre, post = reference_trace(net, x)
+    t = np.atleast_2d(np.asarray(target, dtype=float))
+    y = post[-1]
+    if loss.kind == "bce":
+        delta = (y - t) / y.size
+    else:
+        delta = 2.0 * (y - t) / y.size * act_grad(pre[-1], net.layers[-1].activation)
+    grads = []
+    for i in range(len(net.layers) - 1, -1, -1):
+        grads.append((post[i].T @ delta, delta.sum(axis=0)))
+        if i > 0:
+            delta = (delta @ net.layers[i].w.T) * act_grad(pre[i - 1],
+                                                           net.layers[i - 1].activation)
+    return grads[::-1]
+
+
+REFERENCE_NETS = {
+    "relu-identity-mse": ([4, 64, 64, 5], ["relu", "relu", "identity"], nnet.MSE),
+    "relu-relu-mse": ([3, 16, 6], ["relu", "relu"], nnet.MSE),
+    "relu-sigmoid-bce": ([8, 32, 4], ["relu", "sigmoid"], nnet.BCE),
+}
+
+
+@pytest.mark.parametrize("rows", [1, 32, 64])
+@pytest.mark.parametrize("name", sorted(REFERENCE_NETS))
+def test_trace_and_gradients_match_the_reference_bit_for_bit(name, rows):
+    dims, acts, loss = REFERENCE_NETS[name]
+    rng = np.random.default_rng(rows)
+    net = nnet.build_network(dims, acts, seed=rows)
+    net.layers[0].b[::2] = rng.normal(scale=0.1, size=net.layers[0].b[::2].shape)
+    x = rng.choice([0.0, 0.5, 1.0, -0.75], size=(rows, dims[0]))
+    x[0] = 0.0  # the odd first-layer units, with zero biases, sit on the ReLU kink
+    y = reference_trace(net, x)[1][-1]
+    target = (rng.integers(0, 2, size=y.shape).astype(float) if loss is nnet.BCE
+              else np.where(rng.random(y.shape) < 0.5, y, rng.normal(size=y.shape)))
+    for got, want in zip(nnet.forward_trace(net, x), reference_trace(net, x)):
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    grads = nnet.backward(net, x, target, loss)
+    for (gw, gb), (rw, rb) in zip(grads, reference_grads(net, x, target, loss)):
+        assert gw.tobytes() == rw.tobytes() and gb.tobytes() == rb.tobytes()
+    if rows == 1:  # a single 1-D input takes the conversion path
+        assert nnet.forward(net, x[0]).tobytes() == y[0].tobytes()
+
+
+@pytest.mark.parametrize("m", [2, 4, 8, 16])
+def test_backward_from_a_slice_of_a_stacked_trace_equals_its_own_trace(m):
+    # the learner step backpropagates the first 32 rows of a 64-row trace
+    rng = np.random.default_rng(m)
+    net = nnet.build_network([m, 64, 64, m + 1], ["relu", "relu", "identity"], seed=m)
+    x = rng.choice([0.0, 0.5, 1.0], size=(64, m))
+    target = rng.normal(size=(32, m + 1))
+    pre, post = nnet.forward_trace(net, x)
+    sliced = [(gw.copy(), gb.copy()) for gw, gb in nnet.backward(
+        net, x[:32], target, nnet.MSE, ([z[:32] for z in pre], [a[:32] for a in post]))]
+    own = nnet.backward(net, x[:32], target, nnet.MSE)
+    for (gw, gb), (ow, ob) in zip(sliced, own):
+        assert gw.tobytes() == ow.tobytes() and gb.tobytes() == ob.tobytes()
+
+
+def test_nan_in_a_q_column_no_action_took_still_stops_the_step():
+    # M = 2: Q columns idle, 1 and 2; every stored transition takes action 1,
+    # so column 2's NaN reaches the loss only through y - t of an untouched column
+    agent = sch.DqnAgent(num_subchannels=2, hidden=(4,), batch_size=2, seed=0)
+    agent.primary.layers[-1].b[2] = np.nan
+    rng = derive_rng(0)
+    agent.observe(2, 1, 1.0, 1, rng)  # too few transitions for a batch yet
+    with pytest.raises(nnet.NonFiniteLossError, match="non-finite gradient"):
+        agent.observe(1, 1, 0.5, 2, rng)
+    assert agent.train_steps == 0

@@ -10,6 +10,7 @@ from uavdsa import scheduler as sch
 from uavdsa import simulate
 from uavdsa.channel import TransitionMatrix
 from uavdsa.config import validate_config
+from uavdsa.core import mask_occupancy
 from uavdsa.seeds import derive_rng
 
 CHI2_99 = {1: 6.63, 2: 9.21, 3: 11.34, 4: 13.28, 16: 32.0}
@@ -27,8 +28,8 @@ class TestStateEncoding:
         assert sch.state_index(None, 2) == 4
 
     def test_roundtrip(self):
-        for idx in range(2 ** 3 + 1):
-            assert sch.state_index(sch.index_state(idx, 3), 3) == idx
+        for idx in range(2 ** 3):
+            assert sch.state_index(mask_occupancy(idx, 3), 3) == idx
 
     def test_state_of_another_length_is_refused(self):
         # (1,) read as M=2 would index the row of (1, 0)
@@ -103,20 +104,20 @@ class TestValidAndMasked:
 class TestQUpdate:
     def test_alpha_one_gamma_zero_writes_reward(self):
         t = sch.QTable(num_subchannels=2, gamma=0.0, alpha=1.0)
-        t.observe((0, 0), 1, 5.0, (1, 1))
+        t.observe(0, 1, 5.0, 3)  # from (0, 0) to (1, 1)
         assert t.q_row((0, 0))[1] == 5.0
 
     def test_hand_arithmetic(self):
         t = sch.QTable(num_subchannels=2, gamma=0.9, alpha=0.5)
         t.table[sch.state_index((1, 1), 2)] = [2.0, 0.0, 0.0]
-        t.observe((0, 0), 1, 1.0, (1, 1))
+        t.observe(0, 1, 1.0, 3)
         assert t.q_row((0, 0))[1] == pytest.approx(1.4)
 
     def test_geometric_fixed_point(self):
         # single recurrent state, r=1, gamma=0.5 -> Q -> 1/(1-gamma) = 2
         t = sch.QTable(num_subchannels=0, gamma=0.5, alpha=0.5)
         for _ in range(200):
-            t.observe((), 0, 1.0, ())
+            t.observe(0, 0, 1.0, 0)
         assert t.q_row(())[0] == pytest.approx(2.0, rel=1e-4)
 
     def test_tabular_refuses_m16(self):
@@ -174,7 +175,7 @@ class TestDqnAgent:
         monkeypatch.setattr(nnet, "forward", spy_forward)
         rng = derive_rng(0)
         for _ in range(3):  # the third fills the batch: one gradient step
-            agent.observe((0, 1), 1, 1.0, (1, 0), rng)
+            agent.observe(2, 1, 1.0, 1, rng)  # from (0, 1) to (1, 0)
         assert agent.train_steps == 1
         assert forwards == [("target", 3)]
         assert traces == [("primary", 6), ("target", 3)]
@@ -259,7 +260,7 @@ class TestReplay:
         assert ring.insertions == 0
         agent = sch.DqnAgent(num_subchannels=1, hidden=(4,), seed=0)
         with pytest.raises(ValueError):
-            agent.observe((0,), 1, float("nan"), (0,), derive_rng(0))
+            agent.observe(0, 1, float("nan"), 0, derive_rng(0))
 
     def test_ring_allocated_by_first_observe(self):
         agent = sch.DqnAgent(num_subchannels=2, hidden=(4,), replay_capacity=8,
@@ -267,7 +268,7 @@ class TestReplay:
         assert agent.replay is None
         rng = derive_rng(1)
         for r in range(10):
-            agent.observe((0, 1), 1, float(r), None, rng)
+            agent.observe(2, 1, float(r), 4, rng)  # from (0, 1) to INITIAL
         assert agent.replay.capacity == 8 and agent.replay.insertions == 10
         assert sorted(agent.replay.rewards) == [float(r) for r in range(2, 10)]
         assert set(agent.replay.states) == {sch.state_index((0, 1), 2)}
@@ -278,8 +279,8 @@ class TestReplay:
         table = sch.feature_table(3)
         assert table.shape == (9, 3)
         for idx in range(9):
-            assert np.array_equal(table[idx],
-                                  sch.state_features(sch.index_state(idx, 3), 3))
+            state = mask_occupancy(idx, 3) if idx < 8 else None  # 8 is INITIAL
+            assert np.array_equal(table[idx], sch.state_features(state, 3))
 
 
 class TestValueIteration:

@@ -7,6 +7,8 @@ from uavdsa import iqsynth, nnet, sensing
 from uavdsa.channel import TransitionMatrix, stationary_sampler
 from uavdsa.seeds import derive_rng
 
+GRID = (-10.0, 0.0, 10.0, 20.0)  # an SINR grid: the config's default dataset.sinr_grid_db
+
 
 def make_dataset(m=8, n=256, grid=(20.0,), count=200, seed=21, p01=0.2, p10=0.3):
     cfg = iqsynth.SynthConfig(seed=seed, num_subchannels=m,
@@ -33,7 +35,7 @@ class TestBandEnergies:
     def test_single_busy_band_concentration(self):
         cfg = iqsynth.SynthConfig(seed=1, num_subchannels=4,
                                   samples_per_observation=256,
-                                  subcarriers_per_subchannel=32)
+                                  subcarriers_per_subchannel=32, sinr_grid_db=GRID)
         x = np.fft.ifft(iqsynth.clean_spectrum((0, 0, 1, 0), cfg, derive_rng(3)), norm="ortho")
         energies = sensing.band_energies(x, 4)
         assert energies[2] >= 0.9 * energies.sum()
@@ -59,7 +61,8 @@ class TestBandEnergies:
         single = np.fft.ifft(iqsynth.synthesize_block(
             np.eye(4, dtype=int)[[0, 1, 2, 3, 0, 2]], (0.0,), iqsynth.SynthConfig(
                 seed=1, num_subchannels=4, samples_per_observation=64,
-                subcarriers_per_subchannel=16), [derive_rng(6)] * 6)[:, 0]).astype(np.complex64)
+                subcarriers_per_subchannel=16, sinr_grid_db=GRID),
+            [derive_rng(6)] * 6)[:, 0]).astype(np.complex64)
         double = single.astype(complex)
 
         def same(got, want):

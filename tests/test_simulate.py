@@ -13,6 +13,8 @@ from uavdsa.config import validate_config
 from uavdsa.core import slot_utility, throughput
 from uavdsa.seeds import derive_rng
 
+GRID = (-10.0, 0.0, 10.0, 20.0)  # an SINR grid: the config's default dataset.sinr_grid_db
+
 
 def config_dict(**overrides):
     base = {
@@ -247,7 +249,7 @@ def test_sense_matches_per_capture_reports(m, n):
     one spectra draw per label on the spectra stream, each classifier
     seeing the inverse transform of its own row."""
     synth = iqsynth.SynthConfig(seed=3, num_subchannels=m, samples_per_observation=n,
-                                subcarriers_per_subchannel=n // m)
+                                subcarriers_per_subchannel=n // m, sinr_grid_db=GRID)
     network = nnet.build_network([m, 8, m], ["relu", "sigmoid"], seed=5)
     energy = sensing.SensingModel(kind="energy-threshold", num_subchannels=m,
                                   thresholds=np.full(m, 1.2 * n / m))
@@ -299,7 +301,7 @@ def test_classifiers_sharing_a_network_run_one_forward(m, n, dims, mode, monkeyp
     detector between them keeps its own draws. An empty block reports
     nothing and draws nothing."""
     synth = iqsynth.SynthConfig(seed=3, num_subchannels=m, samples_per_observation=n,
-                                subcarriers_per_subchannel=n // m)
+                                subcarriers_per_subchannel=n // m, sinr_grid_db=GRID)
     network = nnet.build_network(dims, ["relu"] * (len(dims) - 2) + ["sigmoid"], seed=5)
     shared = [sensing.SensingModel(kind="dense-classifier", num_subchannels=m,
                                    network=network, input_mode=mode,
