@@ -228,6 +228,8 @@ def backward(net: Network, x: np.ndarray, target: np.ndarray, loss: LossSpec,
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 ADAM_BLOCK = 1 << 14  # elements: one block of the six Adam vectors fits in a 2 MB L2
+ADAM_FLUSH_PERIOD = 256  # steps between flushes of subnormal first moments to zero
+_TINY = np.finfo(np.float64).tiny  # the smallest normal float64
 
 
 @dataclass
@@ -253,7 +255,14 @@ class OptimizerState:
 def optimizer_step(net: Network, state: OptimizerState):
     """In-place Adam update from the network's gradient buffer (what the
     last `backward` wrote), one block at a time, so the 14 passes over a
-    block run while it is in cache; returns (net, state) for chaining."""
+    block run while it is in cache; returns (net, state) for chaining.
+
+    Every ADAM_FLUSH_PERIOD steps, the updated first moments below the
+    smallest normal float64 are set to zero. A dead ReLU unit's gradient is
+    exactly zero, so its moment decays by ADAM_BETA1 a step into the
+    subnormals, where arithmetic is many times slower; such a moment moves
+    its parameter by under 1e-300, below half an ulp of any parameter not
+    itself within about 1e-280 of zero, so no parameter bit changes."""
     if not state.slots:
         n = net.params.size
         state.slots = [np.zeros_like(net.params) for _ in range(2)]
@@ -264,10 +273,15 @@ def optimizer_step(net: Network, state: OptimizerState):
                         for i in range(0, n, ADAM_BLOCK)]
     state.step_count += 1
     t = state.step_count
+    flush = t % ADAM_FLUSH_PERIOD == 0
     for p, g, m, v, s1, s2 in state.blocks:
         m *= ADAM_BETA1
         np.multiply(g, 1.0 - ADAM_BETA1, out=s1)
         m += s1
+        if flush:  # m *= (|m| >= tiny), with s1 as the test's scratch
+            np.abs(m, out=s1)
+            np.greater_equal(s1, _TINY, out=s1)
+            m *= s1
         v *= ADAM_BETA2
         np.square(g, out=s1)
         s1 *= 1.0 - ADAM_BETA2
