@@ -6,6 +6,7 @@ single vectors or (batch, dim) matrices; batch losses and gradients are
 means over the batch.
 """
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -254,8 +255,14 @@ class OptimizerState:
 
 def optimizer_step(net: Network, state: OptimizerState):
     """In-place Adam update from the network's gradient buffer (what the
-    last `backward` wrote), one block at a time, so the 14 passes over a
+    last `backward` wrote), one block at a time, so the 12 passes over a
     block run while it is in cache; returns (net, state) for chaining.
+
+    The bias corrections are folded into two scalars (Kingma & Ba 2015,
+    section 2): p -= a_t m / (sqrt(v) + e_t), with a_t = lr sqrt(1 - b2^t)
+    / (1 - b1^t) and e_t = eps sqrt(1 - b2^t). In exact arithmetic this is
+    lr m_hat / (sqrt(v_hat) + eps); it rounds differently, and takes one
+    vector divide where that form takes three.
 
     Every ADAM_FLUSH_PERIOD steps, the updated first moments below the
     smallest normal float64 are set to zero. A dead ReLU unit's gradient is
@@ -274,6 +281,8 @@ def optimizer_step(net: Network, state: OptimizerState):
     state.step_count += 1
     t = state.step_count
     flush = t % ADAM_FLUSH_PERIOD == 0
+    root = math.sqrt(1.0 - ADAM_BETA2 ** t)
+    alpha, eps = state.learning_rate * root / (1.0 - ADAM_BETA1 ** t), ADAM_EPS * root
     for p, g, m, v, s1, s2 in state.blocks:
         m *= ADAM_BETA1
         np.multiply(g, 1.0 - ADAM_BETA1, out=s1)
@@ -286,11 +295,9 @@ def optimizer_step(net: Network, state: OptimizerState):
         np.square(g, out=s1)
         s1 *= 1.0 - ADAM_BETA2
         v += s1
-        np.divide(m, 1.0 - ADAM_BETA1 ** t, out=s1)  # m_hat
-        np.divide(v, 1.0 - ADAM_BETA2 ** t, out=s2)  # v_hat
-        np.sqrt(s2, out=s2)
-        s2 += ADAM_EPS
-        s1 *= state.learning_rate
+        np.sqrt(v, out=s2)
+        s2 += eps
+        np.multiply(m, alpha, out=s1)
         s1 /= s2
         p -= s1
     return net, state

@@ -100,7 +100,7 @@ GOLDEN = {
     },
     "train-dqn": {
         "training_dqn_1uav.csv":
-            "c9d2a6ea9986ce747943ce6dc674f722b52162e1f8bd42926a189027c3a1fec7",
+            "864f6bb5294811e78d050e41b258ae8ce6bb2ef256118298bc2d8756deb9db7b",
         "agent_dqn_1uav.ckpt":
             "8bad45f6e5d3c30f438f1b287b8541031fdaae2399ebe9b659dcf944bff5586b",
     },

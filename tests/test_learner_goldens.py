@@ -41,22 +41,22 @@ GOLDEN = {
         "12301a0db93d351c4dc9f50399a1f35c10366d527dd912fde40ba336c9d5d60a",
         "d52e551990f515203548d06ba474db11de724c904ad61632796e97c15e7c29f8"),
     "dqn_1uav": (
-        "aff06bb27f4a0f84221822eeaafb98dac4abb6715697b83ea732ebcd0fd84e1e",
+        "b7c0bc92576765443e809fcb37d589821a291796249a623fe50425224c6ee8c8",
         "0064f64364bb2a104127b76aadffef4aa5ff156c44bd2930a23ce97e2c37c1d0"),
     "dqn_2uav": (
-        "c16cfa16f30bddebaf93dee93258caee5cd46f20cb9cc688a2b09183fa5f3520",
+        "46867ca4aa02831bb71cc0ba78730c1c11aa2c0ae9f59294e77628dfdac69589",
         "2769cbab4028b831d2f05241d606d7821c050f2abf03360e89fba4f1510b6f33"),
     "ddqn_1uav": (
         "f0637801e345a70d0f1401c7c66d7f0489e5f886ecfe8fee5a35ba7e55cb9c66",
         "509ed47978195effd40347a3847b8c425aa888519d6466dd87ae14cb1285e548"),
     "ddqn_2uav": (
-        "17340c5eae15eabb3d76440fbc95190ee208b2b3d04a07c510f383df9a808735",
+        "a6ec18451ee412a458dfb71c340e6cda7b8ac1f7e4962dded9b9a21a1ca83e99",
         "b1fd1cfa44483d5763f66d88987eb6baa5a43015162df11f829dcf059f8f4e7d"),
     "ddqn-soft_1uav": (
-        "b373039a9ac9dd72481c6e0948c3d43ee6840c76b60aa66ba20b1e24d01c7171",
+        "240efb623428a89eff8e1383cf18859be6eb9b5ca065bef787d9d83b76296920",
         "daaa16f48594855f8082b5ec1a1033607ff6cb34a3e280b66fd4c19aba20f1a1"),
     "ddqn-soft_2uav": (
-        "e3cb46bf07be7d15c026353cc6aee79e3bd8ce71d7aaf0b07555c0fc6bf74490",
+        "36ae9e51e25e5ce22d2b77bb5dd559be441a0ae0a642a662c15e6ab0e26fd36d",
         "4e8a2404ed287b54ac0812f527d574cd371f063e0a6c7c2a6353ad510e4ca58d"),
     "ddqn-soft_2uav_wrap": (
         "a5654d454d76fcffd289c6cbf1bcd74fa3e89dac436aee733cb71251a68a088a",

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -132,18 +134,28 @@ class TestOptimizers:
 
 
 def reference_step(layers, grads, state, slots):
-    """Per-layer Adam update, kept as the oracle for the flat one."""
+    """Per-layer Adam update with the bias corrections folded into a step
+    size and an epsilon, kept as the oracle for the flat one."""
     state.step_count += 1
     lr, t = state.learning_rate, state.step_count
+    root = math.sqrt(1.0 - nnet.ADAM_BETA2 ** t)
+    alpha, eps = lr * root / (1.0 - nnet.ADAM_BETA1 ** t), nnet.ADAM_EPS * root
     for (w, b), (gw, gb), slot in zip(layers, grads, slots):
         for p, g, (m, v) in ((w, gw, slot[0]), (b, gb, slot[1])):
             m *= nnet.ADAM_BETA1
             m += (1.0 - nnet.ADAM_BETA1) * g
             v *= nnet.ADAM_BETA2
             v += (1.0 - nnet.ADAM_BETA2) * g ** 2
-            m_hat = m / (1.0 - nnet.ADAM_BETA1 ** t)
-            v_hat = v / (1.0 - nnet.ADAM_BETA2 ** t)
-            p -= lr * m_hat / (np.sqrt(v_hat) + nnet.ADAM_EPS)
+            p -= m * alpha / (np.sqrt(v) + eps)
+
+
+def textbook_step(p, g, m, v, lr, t):
+    """Kingma & Ba's Algorithm 1 on flat vectors, bias-corrected moments and all."""
+    m[:] = nnet.ADAM_BETA1 * m + (1.0 - nnet.ADAM_BETA1) * g
+    v[:] = nnet.ADAM_BETA2 * v + (1.0 - nnet.ADAM_BETA2) * g ** 2
+    m_hat = m / (1.0 - nnet.ADAM_BETA1 ** t)
+    v_hat = v / (1.0 - nnet.ADAM_BETA2 ** t)
+    p -= lr * m_hat / (np.sqrt(v_hat) + nnet.ADAM_EPS)
 
 
 def flat_of(pairs):
@@ -224,6 +236,69 @@ class TestFlatParameters:
             for got, want in zip((net.params, *state.slots), expected):
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         assert len(state.blocks) == 3
+
+
+class TestAdamForms:
+    @pytest.mark.parametrize("scale", [1e-9, 1e-3, 1.0, 1e3])
+    def test_folded_step_tracks_the_textbook_update(self, scale):
+        """60 steps of one gradient sequence (the eps term matters at the
+        smallest scale): the folded step rounds differently but stays
+        within 1e-12 of the textbook parameters, relative to the distance
+        they travel."""
+        rng = np.random.default_rng(6)
+        net = nnet.build_network([5, 7, 3], ["relu", "identity"], seed=6)
+        start = net.params.copy()
+        p, m, v = start.copy(), np.zeros_like(start), np.zeros_like(start)
+        state = nnet.OptimizerState(learning_rate=0.01)
+        for t in range(1, 61):
+            g = scale * rng.normal(size=start.size)
+            g[rng.random(start.size) < 0.2] = 0.0
+            net.gradient()[0][:] = g
+            nnet.optimizer_step(net, state)
+            textbook_step(p, g, m, v, 0.01, t)
+        travelled = np.abs(p - start).max()
+        assert travelled > 0.01
+        assert np.abs(net.params - p).max() <= 1e-12 * travelled
+        assert np.array_equal(state.slots[0], m) and np.array_equal(state.slots[1], v)
+
+    def _planted(self, steps):
+        """A network and optimizer after `steps` steps whose gradient is
+        zero on every third parameter, those first moments then set
+        subnormal (or zero), the next step being a flush step."""
+        net = nnet.build_network([4, 8, 3], ["relu", "identity"], seed=5)
+        rng = np.random.default_rng(5)
+        g = rng.normal(size=net.params.size)
+        dead = np.flatnonzero(net.params)[::3]  # no parameter within 1e-280 of zero
+        g[dead] = 0.0
+        net.gradient()[0][:] = g
+        state = nnet.OptimizerState(learning_rate=0.01)
+        nnet.optimizer_step(net, state)
+        tiny = np.finfo(np.float64).tiny
+        planted = np.array([1e-310, -3e-320, 5e-324, -tiny / 2, tiny * 0.99, 0.0])
+        state.slots[0][dead] = np.resize(planted, dead.size)
+        state.step_count = nnet.ADAM_FLUSH_PERIOD - steps
+        return net, state, dead
+
+    @staticmethod
+    def _subnormal(m):
+        return np.count_nonzero((m != 0.0) & (np.abs(m) < np.finfo(np.float64).tiny))
+
+    def test_flush_runs_on_period_steps_only_and_moves_no_parameter_bit(self, monkeypatch):
+        net, state, dead = self._planted(2)
+        twin, twin_state, _ = self._planted(2)
+        nnet.optimizer_step(net, state)  # step PERIOD - 1: no flush
+        assert self._subnormal(state.slots[0]) == self._subnormal(state.slots[0][dead]) > 0
+        nnet.optimizer_step(net, state)  # step PERIOD: flush
+        assert self._subnormal(state.slots[0]) == 0 and not state.slots[0][dead].any()
+        with monkeypatch.context() as patch:
+            patch.setattr(nnet, "ADAM_FLUSH_PERIOD", 2 * nnet.ADAM_FLUSH_PERIOD)
+            for _ in range(2):
+                nnet.optimizer_step(twin, twin_state)
+        assert self._subnormal(twin_state.slots[0]) > 0
+        assert net.params.tobytes() == twin.params.tobytes()
+        assert np.array_equal(state.slots[1], twin_state.slots[1])
+        live = np.setdiff1d(np.arange(net.params.size), dead)
+        assert np.array_equal(state.slots[0][live], twin_state.slots[0][live])
 
 
 class TestGradientCheck:
