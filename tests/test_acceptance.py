@@ -84,12 +84,12 @@ def test_criterion_1_fusion_oracle_equivalence():
             for packed in range(2 ** (k * m)):
                 bits = [(packed >> i) & 1 for i in range(k * m)]
                 reports = [tuple(bits[u * m:(u + 1) * m]) for u in range(k)]
-                table = fusion.fusion_table(reports, k)
+                stack = np.array(reports)
                 for n in range(1, k + 1):
                     expected = tuple(
                         0 if sum(1 for r in reports if r[ch] == 0) >= n else 1
                         for ch in range(m))
-                    assert table[n - 1] == expected, (k, m, packed, n)
+                    assert tuple(fusion.vote(stack, n).tolist()) == expected, (k, m, packed, n)
                     checked += 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
@@ -165,7 +165,7 @@ def test_criterion_3_fusion_benefit(sensing_runs):
                 obs = iqsynth.synthesize_observation(label, sinr, run["cfg"], rng)
                 reports.append(sensing.predict_occupancy(run["model"], obs))
             weak_preds.append(reports[2])
-            fused_preds.append(fusion.fuse(reports, rule))
+            fused_preds.append(tuple(fusion.vote(reports, rule.n).tolist()))
         degraded_f1.append(sensing.micro_metrics(weak_preds, truths).micro_f1)
         fused_f1.append(sensing.micro_metrics(fused_preds, truths).micro_f1)
     mean_deg, mean_fused = float(np.mean(degraded_f1)), float(np.mean(fused_f1))

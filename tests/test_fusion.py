@@ -1,10 +1,21 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uavdsa import fusion
+
+
+def fuse(reports, n):
+    """The fused vector of one slot's (K, M) reports, as a tuple."""
+    return tuple(fusion.vote(reports, n).tolist())
+
+
+def fusion_table(reports):
+    """The fused vectors of one slot's reports for every n in 1..K."""
+    return [fuse(reports, n) for n in range(1, len(reports) + 1)]
 
 
 def brute_force_rule(reports, n):
@@ -19,32 +30,27 @@ def brute_force_rule(reports, n):
 
 class TestFuse:
     def test_two_of_three(self):
-        rule = fusion.FusionRule(n=2, num_uavs=3)
-        assert fusion.fuse([(0,), (0,), (1,)], rule) == (0,)
+        assert fuse([(0,), (0,), (1,)], 2) == (0,)
 
     def test_or_rule(self):
-        rule = fusion.FusionRule(n=1, num_uavs=3)
-        assert fusion.fuse([(1,), (1,), (0,)], rule) == (0,)
+        assert fuse([(1,), (1,), (0,)], 1) == (0,)
 
     def test_and_rule(self):
-        rule = fusion.FusionRule(n=3, num_uavs=3)
-        assert fusion.fuse([(0,), (0,), (1,)], rule) == (1,)
+        assert fuse([(0,), (0,), (1,)], 3) == (1,)
 
     def test_unanimous(self):
         for n in (1, 2, 3):
-            rule = fusion.FusionRule(n=n, num_uavs=3)
-            assert fusion.fuse([(0, 1)] * 3, rule) == (0, 1)
+            assert fuse([(0, 1)] * 3, n) == (0, 1)
 
     def test_permutation_invariance(self):
-        rule = fusion.FusionRule(n=2, num_uavs=3)
         reports = [(0, 1, 0), (1, 1, 0), (0, 0, 1)]
-        expected = fusion.fuse(reports, rule)
+        expected = fuse(reports, 2)
         for perm in itertools.permutations(reports):
-            assert fusion.fuse(list(perm), rule) == expected
+            assert fuse(list(perm), 2) == expected
 
     def test_monotone_in_n(self):
         reports = [(0, 1, 0, 1), (1, 1, 0, 0), (0, 0, 0, 1), (1, 0, 1, 1)]
-        table = fusion.fusion_table(reports, 4)
+        table = fusion_table(reports)
         for lo, hi in zip(table, table[1:]):
             for a, b in zip(lo, hi):
                 assert b >= a  # vacancies only disappear as n grows
@@ -54,16 +60,11 @@ class TestFuse:
             for bits in itertools.product((0, 1), repeat=k * m):
                 reports = [bits[i * m:(i + 1) * m] for i in range(k)]
                 for n in range(1, k + 1):
-                    rule = fusion.FusionRule(n=n, num_uavs=k)
-                    assert fusion.fuse(reports, rule) == brute_force_rule(reports, n)
-
-    def test_report_count_mismatch(self):
-        with pytest.raises(ValueError):
-            fusion.fuse([(0,)], fusion.FusionRule(n=1, num_uavs=2))
+                    assert fuse(reports, n) == brute_force_rule(reports, n)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            fusion.fuse([(0,), (0, 1)], fusion.FusionRule(n=1, num_uavs=2))
+            fuse([(0,), (0, 1)], 1)
 
     def test_rule_bounds(self):
         with pytest.raises(ValueError):
@@ -74,14 +75,17 @@ class TestFuse:
 
 class TestFusionTable:
     def test_matches_individual_calls(self):
-        reports = [(0, 1, 1), (0, 0, 1), (1, 0, 1)]
-        table = fusion.fusion_table(reports, 3)
-        for n, fused in enumerate(table, start=1):
-            assert fused == fusion.fuse(reports, fusion.FusionRule(n=n, num_uavs=3))
+        """A stack of slots' reports, as simulate votes on them, fuses
+        each slot as a call on that slot alone does."""
+        slots = np.random.default_rng(1).integers(0, 2, size=(20, 3, 5))
+        fused = fusion.vote(slots, 2)
+        assert fused.shape == (20, 5)
+        for reports, row in zip(slots, fused):
+            assert tuple(row.tolist()) == fuse(reports, 2)
 
     def test_single_uav(self):
         report = (0, 1, 0)
-        assert fusion.fusion_table([report], 1) == [report]
+        assert fusion_table([report]) == [report]
 
 
 @st.composite
@@ -97,7 +101,5 @@ def vote_cases(draw):
 def test_fuse_and_fusion_table_agree_with_brute_force_vote(case):
     reports, n = case
     k = len(reports)
-    assert fusion.fuse(reports, fusion.FusionRule(n=n, num_uavs=k)) == \
-        brute_force_rule(reports, n)
-    assert fusion.fusion_table(reports, k) == [brute_force_rule(reports, j)
-                                               for j in range(1, k + 1)]
+    assert fuse(reports, n) == brute_force_rule(reports, n)
+    assert fusion_table(reports) == [brute_force_rule(reports, j) for j in range(1, k + 1)]
