@@ -261,6 +261,22 @@ def _per_entry(raw: dict, key: str, count: int, problems: list[str]) -> list:
     return (v + [{}] * count)[:count]
 
 
+def _epsilon_floor_problems(epsilon0: float, epsilon_min: float, path: str) -> list[str]:
+    if epsilon_min <= epsilon0:
+        return []
+    return [f"{path}.epsilon_min: {epsilon_min} exceeds {path}.epsilon0 {epsilon0}, "
+            f"so epsilon would rise to its floor, not decay to it"]
+
+
+def header_problems(header: dict, spec) -> list[str]:
+    """What validate_config would refuse in an agent checkpoint's header
+    `header`, whose keys are fields of the learner spec class `spec`: each
+    value is read as an agent section's would be, under the path "header"."""
+    problems: list[str] = []
+    kw = _Section(header, "header", problems).parse(spec)
+    return problems + _epsilon_floor_problems(kw["epsilon0"], kw["epsilon_min"], "header")
+
+
 def validate_config(raw: dict, seed_override: int | None = None,
                     out_override: str | None = None) -> SimConfig:
     """Parse and cross-check a raw config dict; raises ConfigError listing
@@ -338,10 +354,7 @@ def validate_config(raw: dict, seed_override: int | None = None,
         problems.append(
             f"agent.batch_size: {agent.batch_size} exceeds agent.replay_capacity "
             f"{agent.replay_capacity}, so replay could never fill a batch")
-    if agent.epsilon_min > agent.epsilon0:
-        problems.append(
-            f"agent.epsilon_min: {agent.epsilon_min} exceeds agent.epsilon0 "
-            f"{agent.epsilon0}, so epsilon would rise to its floor, not decay to it")
+    problems += _epsilon_floor_problems(agent.epsilon0, agent.epsilon_min, "agent")
 
     dataset = DatasetSpec(**_Section(raw.get("dataset", {}), "dataset", problems).parse(
         DatasetSpec))

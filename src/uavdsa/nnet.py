@@ -248,10 +248,6 @@ class OptimizerState:
     scratch: list = field(default_factory=list)
     blocks: list = field(default_factory=list)
 
-    def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
-
 
 def optimizer_step(net: Network, state: OptimizerState):
     """In-place Adam update from the network's gradient buffer (what the

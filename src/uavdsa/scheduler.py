@@ -217,8 +217,6 @@ class QTable(QTableSpec):
                 f"a dense Q-table for M={self.num_subchannels} would need "
                 f"{states} x {actions} entries; tabular mode is limited to "
                 f"M <= {TABULAR_MAX_SUBCHANNELS}")
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError("gamma must lie in [0, 1)")
         shape = table_shape(self.num_subchannels)
         if self.table is None:
             self.table = np.zeros(shape)
@@ -277,13 +275,6 @@ class DqnAgent(DqnSpec):
     train_steps: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError("gamma must lie in [0, 1)")
-        if not 0.0 <= self.tau <= 1.0:
-            raise ValueError("tau must lie in [0, 1]")
-        for name in ("batch_size", "target_update_period"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
         dims = [self.num_subchannels, *self.hidden, self.num_subchannels + 1]
         acts = ["relu"] * len(self.hidden) + ["identity"]
         if self.primary is None:
@@ -639,10 +630,20 @@ def save_agent(agent: DqnAgent | QTable, path: str) -> None:
         f.write(header + body)
 
 
+def _checked_header(path: str, spec, **header) -> dict:
+    """`header`, the learner settings of `spec`'s fields that a checkpoint
+    stores, if validate_config would accept them; otherwise a ValueError
+    that names `path` and every refused field."""
+    from .config import header_problems  # config imports this module
+    if problems := header_problems(header, spec):
+        raise ValueError(f"{path}: " + "; ".join(problems))
+    return header
+
+
 def load_agent(path: str) -> DqnAgent | QTable:
     """Read an agent checkpoint of either kind, told apart by its magic. A
-    malformed file, or one whose values the agent's constructor refuses,
-    raises a ValueError that names it."""
+    malformed file, a header value that config would refuse, or a network
+    the agent's constructor refuses raises a ValueError that names it."""
     with open(path, "rb") as f:
         data = f.read()
     if data[:4] not in AGENT_HEADERS:
@@ -658,16 +659,19 @@ def load_agent(path: str) -> DqnAgent | QTable:
         code, gamma, eps0, eps_min, decay, tau, batch, period, lr = fields
         if code >= len(DQN_VARIANTS):
             raise ValueError(f"{path}: unknown agent variant code {code}")
+        header = _checked_header(
+            path, DqnSpec, gamma=gamma, epsilon0=eps0, epsilon_min=eps_min,
+            epsilon_decay=None if decay < 0 else decay, tau=tau,
+            batch_size=batch, target_update_period=period, learning_rate=lr)
         primary = nnet.network_from_bytes(data, offset=offset, source=path)
         cls, kwargs = DqnAgent, dict(
-            variant=DQN_VARIANTS[code], gamma=gamma,
+            variant=DQN_VARIANTS[code],
             hidden=tuple(l.w.shape[0] for l in primary.layers[1:]),
-            epsilon0=eps0, epsilon_min=eps_min,
-            epsilon_decay=None if decay < 0 else decay, tau=tau,
-            batch_size=batch, target_update_period=period, learning_rate=lr,
-            primary=primary, target=nnet.clone_weights(primary))
+            primary=primary, target=nnet.clone_weights(primary), **header)
     else:
         gamma, alpha, alpha_power = fields
+        header = _checked_header(path, QTableSpec, gamma=gamma, alpha_power=alpha_power,
+                                 alpha=None if np.isnan(alpha) else alpha)
         if m > TABULAR_MAX_SUBCHANNELS:
             raise ValueError(f"{path}: q-table for M={m} exceeds the tabular limit "
                              f"M <= {TABULAR_MAX_SUBCHANNELS}")
@@ -680,10 +684,8 @@ def load_agent(path: str) -> DqnAgent | QTable:
                                                 else "trailing bytes"))
         values = np.frombuffer(data, dtype="<f8", count=n, offset=offset)
         visits = np.frombuffer(data, dtype="<i8", count=n, offset=offset + 8 * n)
-        cls, kwargs = QTable, dict(
-            gamma=gamma, alpha=None if np.isnan(alpha) else alpha, alpha_power=alpha_power,
-            table=values.reshape(shape).copy(),
-            visits=visits.reshape(shape).astype(int).copy())
+        cls, kwargs = QTable, dict(table=values.reshape(shape).copy(),
+                                   visits=visits.reshape(shape).astype(int).copy(), **header)
     try:
         return cls(num_subchannels=m, **kwargs)
     except ValueError as exc:

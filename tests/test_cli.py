@@ -428,21 +428,42 @@ CHECKPOINT_USES = {
                                       "input_mode": "band-energy", "model_path": p}}),
 }
 
+def _qtable_file(path):
+    save_agent(QTable(num_subchannels=4), str(path))
+
+
 # (use, writer of the defective file, problem): UAGC header offsets 4 version,
-# 16 gamma, 48 tau, 64 learning rate; UQTB 4 version, 8 M; UNNC 4 version,
-# 8 layer count, 36 the first weight of a two-layer block
+# 16 gamma, 24 epsilon0, 32 epsilon_min, 40 epsilon_decay, 48 tau, 56 batch
+# size, 64 learning rate; UQTB 4 version, 8 M, 20 alpha, 28 alpha_power; UNNC
+# 4 version, 8 layer count, 36 the first weight of a two-layer block
 MALFORMED_CHECKPOINTS = [
     ("dqn", _patched(_agent_file, "<I", 4, 2), "unsupported agent version 2"),
-    ("dqn", _patched(_agent_file, "<d", 16, 1.0), "gamma must lie in [0, 1)"),
-    ("dqn", _patched(_agent_file, "<d", 48, 2.0), "tau must lie in [0, 1]"),
-    ("dqn", _patched(_agent_file, "<d", 64, 0.0), "learning rate must be positive"),
+    ("dqn", _patched(_agent_file, "<d", 16, 1.0), "header.gamma: must be < 1.0"),
+    ("dqn", _patched(_agent_file, "<d", 48, 2.0), "header.tau: must be <= 1.0"),
+    ("dqn", _patched(_agent_file, "<d", 64, 0.0), "header.learning_rate: must be > 0.0"),
+    ("dqn", _patched(_agent_file, "<d", 64, float("nan")),
+     "header.learning_rate: must be a finite number"),
+    ("dqn", _patched(_agent_file, "<d", 64, float("inf")),
+     "header.learning_rate: must be a finite number"),
+    ("dqn", _patched(_agent_file, "<d", 24, float("nan")),
+     "header.epsilon0: must be a finite number"),
+    ("dqn", _patched(_agent_file, "<d", 24, 2.0), "header.epsilon0: must be <= 1.0"),
+    ("dqn", _patched(_agent_file, "<d", 32, -1.0), "header.epsilon_min: must be >= 0.0"),
+    ("dqn", _patched(_agent_file, "<d", 40, 5.0), "header.epsilon_decay: must be <= 1.0"),
+    ("dqn", _patched(_patched(_agent_file, "<d", 24, 0.5), "<d", 32, 0.75),
+     "header.epsilon_min: 0.75 exceeds header.epsilon0 0.5, so epsilon would rise to "
+     "its floor, not decay to it"),
+    ("dqn", _patched(_agent_file, "<I", 56, 0), "header.batch_size: must be >= 1"),
     ("dqn", lambda p: _agent_file(p, nnet.build_network([4, 3, 4], ["relu", "identity"],
                                                         seed=0)),
      "output width must be M + 1"),
-    ("qtable", _patched(lambda p: save_agent(QTable(num_subchannels=4), str(p)),
-                        "<I", 4, 2), "unsupported q-table version 2"),
-    ("qtable", _patched(lambda p: save_agent(QTable(num_subchannels=4), str(p)),
-                        "<I", 8, 13), "q-table for M=13 exceeds the tabular limit M <= 12"),
+    ("qtable", _patched(_qtable_file, "<I", 4, 2), "unsupported q-table version 2"),
+    ("qtable", _patched(_qtable_file, "<I", 8, 13),
+     "q-table for M=13 exceeds the tabular limit M <= 12"),
+    ("qtable", _patched(_qtable_file, "<d", 20, 3.0), "header.alpha: must be <= 1.0"),
+    ("qtable", _patched(_qtable_file, "<d", 28, 7.0), "header.alpha_power: must be <= 1.0"),
+    ("qtable", _patched(_qtable_file, "<d", 28, float("nan")),
+     "header.alpha_power: must be a finite number"),
     ("sensor", _patched(_sensor_file, "<I", 4, 2), "unsupported checkpoint version 2"),
     ("sensor", _patched(_sensor_file, "<I", 8, 0), "network has no layers"),
     ("sensor", _patched(_sensor_file, "<f", 36, float("nan")), "weights must be finite"),
@@ -451,8 +472,12 @@ MALFORMED_CHECKPOINTS = [
 
 
 @pytest.mark.parametrize("use,write,problem", MALFORMED_CHECKPOINTS, ids=[
-    "agent-version", "agent-gamma", "agent-tau", "agent-learning-rate", "agent-output-width",
-    "qtable-version", "qtable-m-limit", "network-version", "network-no-layers",
+    "agent-version", "agent-gamma", "agent-tau", "agent-learning-rate",
+    "agent-learning-rate-nan", "agent-learning-rate-inf", "agent-epsilon0-nan",
+    "agent-epsilon0", "agent-epsilon-min", "agent-epsilon-decay", "agent-epsilon-floor",
+    "agent-batch-size", "agent-output-width",
+    "qtable-version", "qtable-m-limit", "qtable-alpha", "qtable-alpha-power",
+    "qtable-alpha-power-nan", "network-version", "network-no-layers",
     "network-non-finite", "classifier-output-width"])
 def test_malformed_checkpoints_are_config_errors(use, write, problem, tmp_path, capsys):
     ckpt = tmp_path / "file.ckpt"

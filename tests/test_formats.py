@@ -39,6 +39,7 @@ def networks(draw):
 
 @st.composite
 def agents(draw):
+    epsilon0 = draw(UNIT)
     return sch.DqnAgent(
         num_subchannels=draw(st.integers(1, 3)),
         variant=draw(st.sampled_from(["dqn", "ddqn", "ddqn-soft"])),
@@ -47,7 +48,7 @@ def agents(draw):
         batch_size=draw(st.integers(1, 64)),
         target_update_period=draw(st.integers(1, 500)),
         tau=draw(UNIT), learning_rate=draw(st.floats(1e-6, 1.0)),
-        epsilon0=draw(UNIT), epsilon_min=draw(UNIT),
+        epsilon0=epsilon0, epsilon_min=draw(st.floats(0.0, epsilon0)),
         epsilon_decay=draw(st.none() | st.floats(1e-3, 1.0)),
         seed=draw(SEEDS))
 
