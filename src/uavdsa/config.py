@@ -262,6 +262,7 @@ def _per_entry(raw: dict, key: str, count: int, problems: list[str]) -> list:
 
 
 def _epsilon_floor_problems(epsilon0: float, epsilon_min: float, path: str) -> list[str]:
+    """The problem, under section `path`, of a floor above the start."""
     if epsilon_min <= epsilon0:
         return []
     return [f"{path}.epsilon_min: {epsilon_min} exceeds {path}.epsilon0 {epsilon0}, "

@@ -157,7 +157,8 @@ def replay_sample(ring: ReplayRing, batch_size: int,
 # ---------------------------------------------------------------------------
 # Learner hyperparameters, each declared once: its name is the key in the
 # config's `agent` section, its default the default there, and its metadata
-# the bounds that config validation checks (config._Section.value)
+# the bounds that config validation checks (config._Section.value), in the
+# config and in a checkpoint's header (load_agent)
 
 
 @dataclass(kw_only=True)

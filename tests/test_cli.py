@@ -94,12 +94,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("offset", [56, 60])  # batch_size, target_update_period
     def test_agent_checkpoint_with_a_zero_count_is_refused(self, offset, tmp_path, capsys):
+        field = {56: "batch_size", 60: "target_update_period"}[offset]
         ckpt = tmp_path / "agent.ckpt"
         save_agent(DqnAgent(num_subchannels=4, variant="dqn"), str(ckpt))
         data = bytearray(ckpt.read_bytes())
         struct.pack_into("<I", data, offset, 0)
         ckpt.write_bytes(bytes(data))
-        with pytest.raises(ValueError, match=f"^{ckpt}: "):
+        with pytest.raises(ValueError, match=f"^{ckpt}: header.{field}: must be >= 1$"):
             load_agent(str(ckpt))
         cfg = write_config(tmp_path, agent={"variant": "dqn", "checkpoint": str(ckpt)})
         assert cli_dispatch(["simulate", "--config", cfg,
@@ -433,8 +434,8 @@ def _qtable_file(path):
 
 
 # (use, writer of the defective file, problem): UAGC header offsets 4 version,
-# 16 gamma, 24 epsilon0, 32 epsilon_min, 40 epsilon_decay, 48 tau, 56 batch
-# size, 64 learning rate; UQTB 4 version, 8 M, 20 alpha, 28 alpha_power; UNNC
+# 16 gamma, 24 epsilon0, 32 epsilon_min, 40 epsilon_decay, 48 tau, 64
+# learning rate; UQTB 4 version, 8 M, 20 alpha, 28 alpha_power; UNNC
 # 4 version, 8 layer count, 36 the first weight of a two-layer block
 MALFORMED_CHECKPOINTS = [
     ("dqn", _patched(_agent_file, "<I", 4, 2), "unsupported agent version 2"),
@@ -453,7 +454,6 @@ MALFORMED_CHECKPOINTS = [
     ("dqn", _patched(_patched(_agent_file, "<d", 24, 0.5), "<d", 32, 0.75),
      "header.epsilon_min: 0.75 exceeds header.epsilon0 0.5, so epsilon would rise to "
      "its floor, not decay to it"),
-    ("dqn", _patched(_agent_file, "<I", 56, 0), "header.batch_size: must be >= 1"),
     ("dqn", lambda p: _agent_file(p, nnet.build_network([4, 3, 4], ["relu", "identity"],
                                                         seed=0)),
      "output width must be M + 1"),
@@ -475,7 +475,7 @@ MALFORMED_CHECKPOINTS = [
     "agent-version", "agent-gamma", "agent-tau", "agent-learning-rate",
     "agent-learning-rate-nan", "agent-learning-rate-inf", "agent-epsilon0-nan",
     "agent-epsilon0", "agent-epsilon-min", "agent-epsilon-decay", "agent-epsilon-floor",
-    "agent-batch-size", "agent-output-width",
+    "agent-output-width",
     "qtable-version", "qtable-m-limit", "qtable-alpha", "qtable-alpha-power",
     "qtable-alpha-power-nan", "network-version", "network-no-layers",
     "network-non-finite", "classifier-output-width"])

@@ -150,20 +150,6 @@ class TestDdqnTargets:
 
 
 class TestDqnAgent:
-    def test_refuses_empty_batch_and_zero_target_period(self, tmp_path):
-        """Config refuses both through DqnSpec's bounds, and so does
-        load_agent for a checkpoint that holds one (UAGC offsets 56, 60)."""
-        good, bad = str(tmp_path / "good.ckpt"), str(tmp_path / "bad.ckpt")
-        sch.save_agent(sch.DqnAgent(num_subchannels=1, hidden=(2,)), good)
-        for field, offset in (("batch_size", 56), ("target_update_period", 60)):
-            with open(good, "rb") as f:
-                data = bytearray(f.read())
-            struct.pack_into("<I", data, offset, 0)
-            with open(bad, "wb") as f:
-                f.write(data)
-            with pytest.raises(ValueError, match=f"header.{field}: must be >= 1$"):
-                sch.load_agent(bad)
-
     @pytest.mark.parametrize("variant", sch.DQN_VARIANTS)
     def test_gradient_step_makes_one_pass_per_network(self, variant, monkeypatch):
         agent = sch.DqnAgent(num_subchannels=2, variant=variant, hidden=(4,),
