@@ -261,10 +261,11 @@ class TestAdamForms:
         assert np.abs(net.params - p).max() <= 1e-12 * travelled
         assert np.array_equal(state.slots[0], m) and np.array_equal(state.slots[1], v)
 
-    def _planted(self, steps):
-        """A network and optimizer after `steps` steps whose gradient is
-        zero on every third parameter, those first moments then set
-        subnormal (or zero), the next step being a flush step."""
+    @staticmethod
+    def _planted():
+        """A network and optimizer two steps before a flush step, after a
+        step whose gradient (kept) is zero on every third nonzero
+        parameter, whose first moments are then set subnormal (or zero)."""
         net = nnet.build_network([4, 8, 3], ["relu", "identity"], seed=5)
         rng = np.random.default_rng(5)
         g = rng.normal(size=net.params.size)
@@ -276,7 +277,7 @@ class TestAdamForms:
         tiny = np.finfo(np.float64).tiny
         planted = np.array([1e-310, -3e-320, 5e-324, -tiny / 2, tiny * 0.99, 0.0])
         state.slots[0][dead] = np.resize(planted, dead.size)
-        state.step_count = nnet.ADAM_FLUSH_PERIOD - steps
+        state.step_count = nnet.ADAM_FLUSH_PERIOD - 2
         return net, state, dead
 
     @staticmethod
@@ -284,8 +285,8 @@ class TestAdamForms:
         return np.count_nonzero((m != 0.0) & (np.abs(m) < np.finfo(np.float64).tiny))
 
     def test_flush_runs_on_period_steps_only_and_moves_no_parameter_bit(self, monkeypatch):
-        net, state, dead = self._planted(2)
-        twin, twin_state, _ = self._planted(2)
+        net, state, dead = self._planted()
+        twin, twin_state, _ = self._planted()
         nnet.optimizer_step(net, state)  # step PERIOD - 1: no flush
         assert self._subnormal(state.slots[0]) == self._subnormal(state.slots[0][dead]) > 0
         nnet.optimizer_step(net, state)  # step PERIOD: flush
