@@ -25,14 +25,15 @@ class NonFiniteLossError(RuntimeError):
 
 @dataclass
 class Layer:
-    w: np.ndarray  # (in_dim, out_dim)
-    b: np.ndarray  # (out_dim,)
+    w: np.ndarray  # (in_dim, out_dim); (k, in_dim, out_dim) in a NetworkStack
+    b: np.ndarray  # (out_dim,); (k, 1, out_dim) in a NetworkStack
     activation: str
 
     def __post_init__(self):
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        if self.w.ndim != 2 or self.b.shape != (self.w.shape[1],):
+        stacked = (len(self.w), 1) if self.w.ndim == 3 else ()  # a NetworkStack's k
+        if self.w.ndim not in (2, 3) or self.b.shape != (*stacked, self.w.shape[-1]):
             raise ValueError("inconsistent layer shapes")
 
 
@@ -64,11 +65,13 @@ class Network:
             layer.w, layer.b = w, b
 
     def _views_of(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per-layer (w, b) views into a vector laid out like `params`."""
-        views, pos = [], 0
+        """Per-layer (w, b) views into a vector laid out like `params`, or
+        into a (k, P) stack of such vectors, with the leading k kept."""
+        views, pos, lead = [], 0, flat.shape[:-1]
         for layer in self.layers:
             (n_in, n_out), end = layer.w.shape, pos + layer.w.size
-            views.append((flat[pos:end].reshape(n_in, n_out), flat[end:end + n_out]))
+            views.append((flat[..., pos:end].reshape(*lead, n_in, n_out),
+                          flat[..., end:end + n_out]))
             pos = end + n_out
         return views
 
@@ -86,6 +89,36 @@ class Network:
     @property
     def output_dim(self) -> int:
         return self.layers[-1].w.shape[1]
+
+
+@dataclass
+class NetworkStack:
+    """Networks of one shape, run as one: their parameters become the rows
+    of one (k, P) buffer, `params`. Each network's own `params` is its row
+    and its layers view that row, so the networks keep their arithmetic,
+    while `layers` holds the same numbers as stacked views, w (k, in, out)
+    and b (k, 1, out), which forward_trace runs at once by broadcasting:
+    every pre- and post-activation but the input gets a leading axis of k,
+    and slice i is network i's own pass, bit for bit. A network assigned
+    afterwards in place of a stacked one is not in the stack."""
+
+    nets: list[Network]
+    params: np.ndarray = field(init=False, repr=False)
+    layers: list[Layer] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.params = np.stack([net.params for net in self.nets])
+        for net, row in zip(self.nets, self.params):
+            net.params = row
+            for layer, (w, b) in zip(net.layers, net._views_of(row)):
+                layer.w, layer.b = w, b
+        first = self.nets[0]
+        self.layers = [Layer(w, b[:, None], layer.activation)
+                       for layer, (w, b) in zip(first.layers, first._views_of(self.params))]
+
+    @property
+    def input_dim(self) -> int:
+        return self.nets[0].input_dim
 
 
 @dataclass(frozen=True)
@@ -143,9 +176,10 @@ def _rows(x) -> np.ndarray:
     return np.atleast_2d(np.asarray(x, dtype=float))
 
 
-def forward_trace(net: Network, x: np.ndarray):
+def forward_trace(net: Network | NetworkStack, x: np.ndarray):
     """All pre-activations and activations, batch-first; `backward` accepts
-    this trace so that a caller who already ran it does not run it twice."""
+    this trace so that a caller who already ran it does not run it twice.
+    A NetworkStack's trace puts its k networks first (see NetworkStack)."""
     a = _rows(x)
     if a.shape[1] != net.input_dim:
         raise ValueError(f"input dim {a.shape[1]} != network input {net.input_dim}")

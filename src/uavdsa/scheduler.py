@@ -259,9 +259,13 @@ class DqnAgent(DqnSpec):
     selection from evaluation, "ddqn-soft" additionally replaces the hard
     copy with polyak averaging.
 
-    The replay ring, the feature table (2^M + 1 rows of M floats) and the
-    batch's row indices are allocated by the first observe, so agents that
-    only act never pay for them.
+    The replay ring, the feature table (padded to a multiple of 4 rows),
+    the batch's row indices and `networks`, a nnet.NetworkStack of
+    (primary, target), are allocated by the first observe, so agents that
+    only act never pay for them. The stack moves both networks' parameters
+    into the rows of one (2, P) buffer, so a network assigned to `primary`
+    or `target` after that is not in it, just as it is not in the Adam
+    blocks that the first gradient step builds over the primary's.
     """
 
     num_subchannels: int
@@ -269,10 +273,11 @@ class DqnAgent(DqnSpec):
     seed: int = 0
     primary: nnet.Network = None
     target: nnet.Network = None
-    replay: ReplayRing = None
+    replay: ReplayRing = field(default=None, init=False)
     features: np.ndarray = field(default=None, init=False, repr=False)
     batch_rows: np.ndarray = field(default=None, init=False, repr=False)
-    optimizer: nnet.OptimizerState = None
+    networks: nnet.NetworkStack = field(default=None, init=False, repr=False)
+    optimizer: nnet.OptimizerState = field(default=None, init=False)
     train_steps: int = 0
 
     def __post_init__(self):
@@ -286,8 +291,7 @@ class DqnAgent(DqnSpec):
             raise ValueError("input width must be M")
         if self.primary.output_dim != self.num_subchannels + 1:
             raise ValueError("output width must be M + 1")
-        if self.optimizer is None:
-            self.optimizer = nnet.OptimizerState(learning_rate=self.learning_rate)
+        self.optimizer = nnet.OptimizerState(learning_rate=self.learning_rate)
 
     def q_row(self, state: AgentState) -> np.ndarray:
         return nnet.forward(self.primary, state_features(state, self.num_subchannels))
@@ -303,25 +307,43 @@ class DqnAgent(DqnSpec):
         the target update."""
         if self.replay is None:
             self.replay = ReplayRing(self.replay_capacity)
-            self.features = feature_table(self.num_subchannels)
+            # zero rows pad the table to a multiple of 4 rows: OpenBLAS's
+            # x86-64 dgemm rounds a trailing group of 1 to 3 rows differently
+            # when a product has 2 or 3 columns (the Q head at M <= 2), so
+            # table rows equal the same states' rows of any pass of 4k rows;
+            # at M <= 2 a batch size that is not a multiple of 4 thus rounds
+            # its Q rows unlike the two passes of the other branch
+            table = feature_table(self.num_subchannels)
+            self.features = np.pad(table, ((0, -len(table) % 4), (0, 0)))
             self.batch_rows = np.arange(self.batch_size)
+            self.networks = nnet.NetworkStack([self.primary, self.target])
         ring = self.replay
         replay_push(ring, si, a, r, sj)
         n = self.batch_size
         if len(ring) < n:
             return
         idx = replay_sample(ring, n, rng)
-        # one primary pass over [batch; next states] (its rows are computed
-        # independently, bit for bit) and one target pass over the next states
-        feats = self.features.take(np.concatenate((ring.states[idx], ring.next_states[idx])),
-                                   axis=0)
-        pre, post = nnet.forward_trace(self.primary, feats)
-        targets_y = ddqn_targets(self, ring.rewards[idx],
-                                 nnet.forward(self.target, feats[n:]), post[-1][n:])
-        target_mat = post[-1][:n].copy()
+        rows, next_rows = ring.states[idx], ring.next_states[idx]
+        if len(self.features) <= 2 * n:
+            # one pass of both networks (stack row 0 the primary, 1 the
+            # target) over the feature table, each row computed independently,
+            # bit for bit; the batch's rows are gathered from it
+            x = self.features
+            pre, post = nnet.forward_trace(self.networks, x)
+            q_next = post[-1].take(next_rows, axis=1)
+            q_target, q_primary = q_next[1], q_next[0]
+            trace = ([z[0].take(rows, axis=0) for z in pre],
+                     [x.take(rows, axis=0), *(a[0].take(rows, axis=0) for a in post[1:])])
+        else:  # the table outgrows [batch; next states]: pass over those rows,
+            # the primary over all of them and the target over the next states
+            x = self.features.take(np.concatenate((rows, next_rows)), axis=0)
+            pre, post = nnet.forward_trace(self.primary, x)
+            q_target, q_primary = nnet.forward(self.target, x[n:]), post[-1][n:]
+            trace = [z[:n] for z in pre], [a[:n] for a in post]
+        targets_y = ddqn_targets(self, ring.rewards[idx], q_target, q_primary)
+        target_mat = trace[1][-1].copy()
         target_mat[self.batch_rows, ring.actions[idx]] = targets_y
-        nnet.backward(self.primary, feats[:n], target_mat, nnet.MSE,
-                      ([z[:n] for z in pre], [a[:n] for a in post]))
+        nnet.backward(self.primary, trace[1][0], target_mat, nnet.MSE, trace)
         nnet.optimizer_step(self.primary, self.optimizer)
         self.train_steps += 1
         if self.variant == "ddqn-soft":

@@ -828,3 +828,18 @@ def test_simulate_with_no_episodes_reports_no_slots(tmp_path, capsys):
         report = json.load(f)
     assert (report["slots"], report["mean_utility"], report["mean_ee"]) == (0, 0.0, None)
     assert (out / "ledgers.csv").read_text().count("\n") == 1  # the header only
+
+
+def test_train_agent_runs_a_dqn_whose_feature_table_outgrows_the_batch(tmp_path):
+    # at M = 6 the padded feature table has 68 rows, more than a default
+    # batch's [batch; next states] (64), so each gradient step passes over
+    # those rows instead of the table
+    cfg = write_config(tmp_path, radio={"num_subchannels": 6, "num_uavs": 1},
+                       sensing={"kind": "perfect"}, fusion_n=1, episodes=2)
+    out = tmp_path / "run"
+    assert cli_dispatch(["train-agent", "--config", cfg, "--variant", "dqn",
+                         "--out", str(out)]) == 0
+    with open(out / "training_dqn_1uav.csv") as f:
+        assert [row["episode"] for row in csv.DictReader(f)] == ["0", "1"]
+    agent = load_agent(str(out / "agent_dqn_1uav.ckpt"))
+    assert agent.num_subchannels == 6 and agent.primary.output_dim == 7

@@ -61,6 +61,65 @@ def test_stacked_trace_rows_equal_separate_passes(m, hidden, seed):
         assert np.array_equal(whole[:32], top) and np.array_equal(whole[32:], bottom)
 
 
+def _padded_table(m):  # as DqnAgent pads it, to a multiple of 4 rows
+    return np.pad(sch.feature_table(m), ((0, -(2 ** m + 1) % 4), (0, 0)))
+
+
+def _learner_net(m, hidden, seed):
+    net = nnet.build_network([m, *hidden, m + 1], ["relu"] * len(hidden) + ["identity"],
+                             seed=seed)
+    net.params += np.random.default_rng(seed).normal(scale=0.05, size=net.params.size)
+    return net
+
+
+# The DQN step runs primary and target as one NetworkStack over the feature
+# table and gathers the batch's rows from it, so each table row must equal
+# that state's row of a batch pass. A one-row pass is not covered: numpy
+# sends a one-row product to BLAS gemv, whose rows differ from gemm's in the
+# last bits, so `select` (one state a call) keeps its own pass: reading its
+# row from the table would round the training logs' `mean_q` column (and
+# any near-tie of its greedy picks) differently, a named rounding change.
+@pytest.mark.parametrize("hidden", [(64, 64), (16, 16), (128,)])
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_stack_slices_equal_each_networks_own_pass(m, hidden):
+    nets = [_learner_net(m, hidden, seed) for seed in (1, 2, 3)]
+    table = _padded_table(m)
+    own = [nnet.forward_trace(net, table) for net in nets]
+    stack = nnet.NetworkStack(nets)
+    pre, post = nnet.forward_trace(stack, table)
+    assert post[0].tobytes() == table.tobytes()
+    for i, (own_pre, own_post) in enumerate(own):
+        assert [z[i].tobytes() for z in pre] == [z.tobytes() for z in own_pre]
+        assert [a[i].tobytes() for a in post[1:]] == [a.tobytes() for a in own_post[1:]]
+
+
+@pytest.mark.parametrize("hidden", [(64, 64), (16, 16), (128,)])
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_table_rows_gathered_by_state_equal_a_batch_pass(m, hidden):
+    net = _learner_net(m, hidden, m)
+    states = np.random.default_rng(m).integers(0, 2 ** m + 1, size=64)
+    table = _padded_table(m)
+    whole, batch = nnet.forward_trace(net, table), nnet.forward_trace(net, table[states])
+    for got, want in zip(whole[0] + whole[1], batch[0] + batch[1]):
+        assert got.take(states, axis=0).tobytes() == want.tobytes()
+
+
+def test_stacked_networks_keep_their_own_params_and_layer_views():
+    primary, target = _learner_net(3, (8,), 1), _learner_net(3, (8,), 2)
+    before = primary.params.copy(), target.params.copy()
+    stack = nnet.NetworkStack([primary, target])
+    assert stack.params.shape == (2, primary.params.size)
+    assert stack.params[0].tobytes() == before[0].tobytes()
+    assert stack.params[1].tobytes() == before[1].tobytes()
+    for net in (primary, target):  # every view reads and writes the stack's buffer
+        assert all(np.shares_memory(a, stack.params) for l in net.layers for a in (l.w, l.b))
+    assert all(np.shares_memory(a, stack.params) for l in stack.layers for a in (l.w, l.b))
+    target.params *= 0.5  # as soft_update does
+    target.layers[0].b[1] = 3.0
+    x = _padded_table(3)
+    assert nnet.forward_trace(stack, x)[1][-1][1].tobytes() == nnet.forward(target, x).tobytes()
+
+
 class TestBackward:
     def test_zero_gradient_at_perfect_fit(self):
         net = linear_net(2.0, 1.0)
@@ -419,12 +478,15 @@ def _backward_of(dims, acts, target, loss):
 
 
 # (misuse, message): each would otherwise go on silently wrong: an unknown
-# activation would pass as identity, a short bias would broadcast, a short
-# activation list would drop layers, a target would broadcast against the
-# output, and a sigmoid outside a bce head would be differentiated as identity
+# activation would pass as identity, a short bias (or a stacked layer's bias
+# without its row axis) would broadcast, a short activation list would drop
+# layers, a target would broadcast against the output, and a sigmoid outside
+# a bce head would be differentiated as identity
 MISUSES = [
     (lambda: nnet.Layer(np.zeros((2, 2)), np.zeros(2), "tanh"), "unknown activation"),
     (lambda: nnet.Layer(np.zeros((2, 3)), np.zeros(1), "relu"), "inconsistent layer shapes"),
+    (lambda: nnet.Layer(np.zeros((2, 3, 4)), np.zeros((2, 4)), "relu"),
+     "inconsistent layer shapes"),
     (lambda: nnet.build_network([2, 3, 1], ["relu"], seed=0), "one activation per layer"),
     (_backward_of([2, 3], ["identity"], np.zeros(1), nnet.MSE), "target shape"),
     (_backward_of([2, 2], ["sigmoid"], np.zeros(2), nnet.MSE), "output of a bce loss"),
@@ -434,8 +496,8 @@ MISUSES = [
 
 
 @pytest.mark.parametrize("misuse,message", MISUSES, ids=[
-    "activation", "layer-shapes", "activation-count", "target-shape", "sigmoid-mse-head",
-    "sigmoid-hidden"])
+    "activation", "layer-shapes", "stacked-layer-shapes", "activation-count", "target-shape",
+    "sigmoid-mse-head", "sigmoid-hidden"])
 def test_misuse_is_refused(misuse, message):
     with pytest.raises(ValueError, match=message):
         misuse()

@@ -150,34 +150,95 @@ class TestDdqnTargets:
 
 
 class TestDqnAgent:
+    # (M, batch size, passes): the padded feature table has 8 rows at M = 2,
+    # no more than [batch; next states] (8), so both networks run once over
+    # it as a stack; at M = 3 it has 12, so the primary runs over those 8
+    # rows and the target over the 4 next states
+    PASSES = [(2, 4, [("stack", 8)], []),
+              (3, 4, [("primary", 8), ("target", 4)], [("target", 4)])]
+
+    @pytest.mark.parametrize("m,batch,traces,forwards", PASSES, ids=["table", "batch"])
     @pytest.mark.parametrize("variant", sch.DQN_VARIANTS)
-    def test_gradient_step_makes_one_pass_per_network(self, variant, monkeypatch):
-        agent = sch.DqnAgent(num_subchannels=2, variant=variant, hidden=(4,),
-                             batch_size=3, seed=0)
-        traces, forwards = [], []
+    def test_gradient_step_makes_one_pass_per_network_or_stack(
+            self, variant, m, batch, traces, forwards, monkeypatch):
+        agent = sch.DqnAgent(num_subchannels=m, variant=variant, hidden=(4,),
+                             batch_size=batch, seed=0)
+        seen_traces, seen_forwards = [], []
         trace, forward = nnet.forward_trace, nnet.forward
-        role = {id(agent.primary): "primary", id(agent.target): "target"}
+
+        def role(net):
+            return {id(agent.primary): "primary", id(agent.target): "target",
+                    id(agent.networks): "stack"}[id(net)]
 
         def spy_trace(net, x):  # every pass, nnet.forward's included
-            traces.append((role[id(net)], len(x)))
+            seen_traces.append((role(net), len(x)))
             return trace(net, x)
 
         def spy_forward(net, x):
-            forwards.append((role[id(net)], len(x)))
+            seen_forwards.append((role(net), len(x)))
             return forward(net, x)
 
         monkeypatch.setattr(nnet, "forward_trace", spy_trace)
         monkeypatch.setattr(nnet, "forward", spy_forward)
         rng = derive_rng(0)
-        for _ in range(3):  # the third fills the batch: one gradient step
-            agent.observe(2, 1, 1.0, 1, rng)  # from (0, 1) to (1, 0)
+        for _ in range(batch):  # the last fills the batch: one gradient step
+            agent.observe(2, 1, 1.0, 1, rng)  # from (0, 1, ...) to (1, 0, ...)
         assert agent.train_steps == 1
-        assert forwards == [("target", 3)]
-        assert traces == [("primary", 6), ("target", 3)]
-        traces.clear()
-        forwards.clear()
+        assert (seen_traces, seen_forwards) == (traces, forwards)
+        seen_traces.clear()
+        seen_forwards.clear()
         sch.ddqn_targets(agent, np.ones(3), np.zeros((3, 3)), np.zeros((3, 3)))
-        assert traces == forwards == []
+        assert seen_traces == seen_forwards == []
+
+    # (M, batch size): the first two pass over the (padded) feature table,
+    # the last two over [batch; next states]; each step must equal the
+    # step below, which runs the networks apart, bit for bit (at M <= 2 only
+    # for a batch size that is a multiple of 4: see the padding in observe)
+    REFERENCE_CASES = [(2, 4), (4, 32), (5, 16), (6, 32)]
+
+    @staticmethod
+    def reference_step(agent, ring, features, rng):
+        """One gradient step as a primary trace over [batch; next states],
+        a target forward over the next states and backward on the first half."""
+        n = agent.batch_size
+        idx = sch.replay_sample(ring, n, rng)
+        feats = features.take(np.concatenate((ring.states[idx], ring.next_states[idx])),
+                              axis=0)
+        pre, post = nnet.forward_trace(agent.primary, feats)
+        y = sch.ddqn_targets(agent, ring.rewards[idx], nnet.forward(agent.target, feats[n:]),
+                             post[-1][n:])
+        target_mat = post[-1][:n].copy()
+        target_mat[np.arange(n), ring.actions[idx]] = y
+        nnet.backward(agent.primary, feats[:n], target_mat, nnet.MSE,
+                      ([z[:n] for z in pre], [a[:n] for a in post]))
+        nnet.optimizer_step(agent.primary, agent.optimizer)
+        agent.train_steps += 1
+        if agent.variant == "ddqn-soft":
+            sch.soft_update(agent.target, agent.primary, agent.tau)
+        elif agent.train_steps % agent.target_update_period == 0:
+            np.copyto(agent.target.params, agent.primary.params)
+
+    @pytest.mark.parametrize("m,batch", REFERENCE_CASES)
+    @pytest.mark.parametrize("variant", sch.DQN_VARIANTS)
+    def test_observe_equals_separate_passes_bit_for_bit(self, variant, m, batch):
+        kwargs = dict(num_subchannels=m, variant=variant, batch_size=batch, seed=m,
+                      replay_capacity=batch + 24, target_update_period=7, tau=0.3)
+        agent, ref = sch.DqnAgent(**kwargs), sch.DqnAgent(**kwargs)
+        ring, features = sch.ReplayRing(ref.replay_capacity), sch.feature_table(m)
+        rng, ref_rng = derive_rng(m, 1), derive_rng(m, 1)
+        codes = np.random.default_rng(m).integers(0, 2 ** m + 1, size=(batch + 60, 2))
+        for si, sj in codes.tolist():  # 61 gradient steps; the ring wraps
+            a, r = sj % (m + 1), (si - sj) / 7.0
+            agent.observe(si, a, r, sj, rng)
+            sch.replay_push(ring, si, a, r, sj)
+            if len(ring) >= batch:
+                self.reference_step(ref, ring, features, ref_rng)
+        assert agent.replay.insertions > agent.replay.capacity
+        assert agent.train_steps == ref.train_steps == 61
+        assert agent.primary.params.tobytes() == ref.primary.params.tobytes()
+        assert agent.target.params.tobytes() == ref.target.params.tobytes()
+        assert [v.tobytes() for v in agent.optimizer.slots] == [
+            v.tobytes() for v in ref.optimizer.slots]
 
 
 class TestSoftUpdate:
