@@ -4,9 +4,9 @@ One small pipeline (M=4, K=3, FFT 256) runs every subcommand in turn:
 gen-dataset, train-sensor, eval-sensing (configured sensors, and the
 --model override), train-agent (ddqn-soft with 2 UAVs, dqn, qtable) and
 simulate with a DQN checkpoint, with a q-table checkpoint at request
-probability 0.5, and with the random agent. The three UAVs use a
-dense classifier on band energies, an energy threshold and the perfect
-sensor. Each step pins the SHA-256 of every file it writes. A digest may
+probability 0.5, and with the random agent, then train-sensor once more
+with the classifier on raw I/Q. The three UAVs use a dense classifier on
+band energies, an energy threshold and the perfect sensor. Each step pins the SHA-256 of every file it writes. A digest may
 only be regenerated together with a CHANGES.md entry that names the
 behaviour change.
 
@@ -35,20 +35,20 @@ BASE = {
 }
 
 
-def sensing(out_dir):
+def sensing(out_dir, **classifier):
     return [
         {"kind": "dense-classifier", "input_mode": "band-energy",
          "model_path": os.path.join(out_dir, "sensor.ckpt"),
          "hidden": [16, 16], "epochs": 4, "batch_size": 16,
-         "learning_rate": 0.01},
+         "learning_rate": 0.01, **classifier},
         {"kind": "energy-threshold", "input_mode": "band-energy",
          "thresholds": [30.0, 30.0, 30.0, 30.0]},
         {"kind": "perfect", "input_mode": "band-energy"},
     ]
 
 
-# name -> (argv after the subcommand, agent overrides, top-level overrides,
-#          files written)
+# name -> (argv after the subcommand, agent overrides, top-level overrides
+#          (a "sensing" entry overrides the classifier's keys), files written)
 STEPS = {
     "gen-dataset": (["gen-dataset"], {}, {}, ["dataset.iq"]),
     "train-sensor": (["train-sensor"], {}, {}, ["sensor.ckpt", "sensor_curve.csv"]),
@@ -71,6 +71,8 @@ STEPS = {
                         ["ledgers.csv", "report.json", "sensing_metrics.csv"]),
     "simulate-random": (["simulate"], {"variant": "random"}, {},
                         ["ledgers.csv", "report.json", "sensing_metrics.csv"]),
+    "train-sensor-iq": (["train-sensor"], {}, {"sensing": {"input_mode": "iq"}},
+                        ["sensor.ckpt", "sensor_curve.csv"]),
 }
 
 GOLDEN = {
@@ -134,6 +136,12 @@ GOLDEN = {
         "sensing_metrics.csv":
             "fe7d6593a03908c752a9dbf712e406f9e655e2cfbce5b6ae510ef364c75c8224",
     },
+    "train-sensor-iq": {
+        "sensor.ckpt":
+            "242e574bb20c46a72893b3ba42a897a8c2c068824b7dd74b16cb64332f27bb54",
+        "sensor_curve.csv":
+            "23e6adb817472e57266480074d55395468dbf9ac6f09d010d852e81c1d8296b8",
+    },
 }
 
 
@@ -147,7 +155,8 @@ def run_pipeline(root) -> dict[str, dict[str, str]]:
     out = os.path.join(str(root), "run")
     digests = {}
     for name, (argv, agent, top, files) in STEPS.items():
-        cfg = dict(BASE, sensing=sensing(out), **top)
+        top = dict(top)
+        cfg = dict(BASE, sensing=sensing(out, **top.pop("sensing", {})), **top)
         cfg["agent"] = dict(BASE["agent"],
                             **{k: v.format(out=out) for k, v in agent.items()})
         path = os.path.join(str(root), f"{name}.json")
