@@ -98,7 +98,6 @@ def feature_vector(samples, num_subchannels: int, input_mode: str) -> np.ndarray
     profile, each row standardized on its own. Rows are made a block at a
     time, in place in the result, so no array but the result grows with
     the number of captures."""
-    samples = np.asarray(samples)
     if input_mode not in INPUT_MODES:
         raise ValueError(f"unknown input mode {input_mode!r}")
     captures = samples.reshape(-1, samples.shape[-1])
@@ -112,9 +111,9 @@ def feature_vector(samples, num_subchannels: int, input_mode: str) -> np.ndarray
             block[:, :n], block[:, n:] = part.real, part.imag
         else:
             block[:] = np.log10(band_energies(part, num_subchannels) + 1e-12)
-        mean, std = block.mean(axis=-1, keepdims=True), block.std(axis=-1, keepdims=True)
-        block -= mean
-        block /= std + 1e-12
+        block -= block.mean(axis=-1, keepdims=True)
+        # np.std's own centred pass, bit for bit, run on the block centred in place
+        block /= np.sqrt(np.square(block).sum(axis=-1, keepdims=True) / width) + 1e-12
     return rows.reshape(*samples.shape[:-1], width)
 
 
@@ -188,16 +187,20 @@ def train_classifier(dataset: Dataset, spec: SensingSpec, seed: int) -> SensingM
 
     Minimizes mean per-channel binary cross-entropy with Adam; the
     per-epoch mean training loss is recorded on the returned model.
-    Reproducible per seed.
+    Reproducible per seed. Training holds the dataset, the network and
+    Adam's moments: raw I/Q features are made per minibatch (each row is
+    standardized on its own), never for the whole split in float64; the
+    (n, M) band-energy matrix, cheaper than an FFT per batch, is made once.
     """
     train_idx = np.asarray(dataset.split["train"], dtype=np.intp)
     if not train_idx.size:
         raise ValueError("dataset has an empty train split")
     m_chan = dataset.config.num_subchannels
-    feats = feature_vector(dataset.samples[train_idx], m_chan, spec.input_mode)
+    iq = spec.input_mode == "iq"
+    feats = None if iq else feature_vector(dataset.samples[train_idx], m_chan, spec.input_mode)
     labels = dataset.labels[train_idx].astype(float)
 
-    dims = [feats.shape[1], *spec.hidden, m_chan]
+    dims = [2 * dataset.samples.shape[1] if iq else m_chan, *spec.hidden, m_chan]
     acts = ["relu"] * len(spec.hidden) + ["sigmoid"]
     net = nnet.build_network(dims, acts, seed=seed)
     opt = nnet.OptimizerState(learning_rate=spec.learning_rate)
@@ -210,7 +213,8 @@ def train_classifier(dataset: Dataset, spec: SensingSpec, seed: int) -> SensingM
         losses = []
         for start in range(0, len(order), spec.batch_size):
             batch = order[start:start + spec.batch_size]
-            x, t = feats[batch], labels[batch]
+            x = feature_vector(dataset.samples[train_idx[batch]], m_chan, "iq") if iq else feats[batch]
+            t = labels[batch]
             trace = nnet.forward_trace(net, x)
             nnet.backward(net, x, t, nnet.BCE, trace)
             nnet.optimizer_step(net, opt)

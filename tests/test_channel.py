@@ -100,7 +100,7 @@ class TestSampleOccupancy:
             channel.sample_occupancy([channel.TransitionMatrix(0.0, 0.0)], 10, derive_rng(0))
 
     def test_requires_positive_horizon(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="horizon must be >= 1"):
             channel.sample_occupancy([channel.TransitionMatrix(0.2, 0.3)], 0, derive_rng(0))
 
 

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -283,11 +285,94 @@ class TestTrainClassifier:
                                                       match="non-finite gradient signal"):
             sensing.train_classifier(ds, spec, 7)
 
+    @pytest.mark.parametrize("mode", sensing.INPUT_MODES)
+    def test_equals_training_on_the_whole_splits_feature_matrix(self, mode):
+        """Raw I/Q features made per minibatch train, bit for bit, the
+        network and curve of one feature matrix of the whole train split
+        indexed per batch; the split (84 rows of complex64 captures, as a
+        loaded dataset holds) spans two feature blocks and ends in a
+        partial batch."""
+        ds = make_dataset(m=8, n=256, grid=(0.0, 10.0), count=60, seed=13)
+        ds = dataclasses.replace(ds, samples=ds.samples.astype(np.complex64))
+        spec = sensing.SensingSpec(hidden=(16,), epochs=3, batch_size=16, input_mode=mode)
+        model = sensing.train_classifier(ds, spec, 5)
+        want_params, want_curve = reference_training(ds, spec, 5)
+        assert model.network.params.tobytes() == want_params.tobytes()
+        assert np.array(model.training_curve).tobytes() == np.array(want_curve).tobytes()
+
+    def test_iq_training_holds_no_feature_matrix(self):
+        """The traced peak of raw-I/Q training stays below the bytes of the
+        train split's (n_train, 2N) float64 feature matrix: features are
+        made a minibatch at a time, and the small network's parameters and
+        Adam moments are a fraction of that matrix."""
+        ds = make_dataset(m=8, n=256, grid=(10.0,), count=400, seed=17)
+        matrix = len(ds.split["train"]) * 2 * 256 * 8
+        spec = sensing.SensingSpec(hidden=(4,), epochs=1, batch_size=16, input_mode="iq")
+        tracemalloc.start()
+        try:
+            sensing.train_classifier(ds, spec, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < matrix
+
     def test_empty_train_split_rejected(self):
         ds = make_dataset(m=4, n=64, count=20)
         ds.split["train"] = ()
         with pytest.raises(ValueError):
             sensing.train_classifier(ds, sensing.SensingSpec(), 0)
+
+
+def reference_training(dataset, spec, seed):
+    """train_classifier's loop over one feature matrix of the whole train
+    split, indexed per batch: (parameters, training curve)."""
+    train_idx = np.asarray(dataset.split["train"], dtype=np.intp)
+    m = dataset.config.num_subchannels
+    feats = sensing.feature_vector(dataset.samples[train_idx], m, spec.input_mode)
+    labels = dataset.labels[train_idx].astype(float)
+    net = nnet.build_network([feats.shape[1], *spec.hidden, m],
+                             ["relu"] * len(spec.hidden) + ["sigmoid"], seed=seed)
+    opt = nnet.OptimizerState(learning_rate=spec.learning_rate)
+    rng = derive_rng(seed, 0x5E25)
+    curve, order = [], np.arange(len(train_idx))
+    for _ in range(spec.epochs):
+        rng.shuffle(order)
+        losses = []
+        for start in range(0, len(order), spec.batch_size):
+            batch = order[start:start + spec.batch_size]
+            x, t = feats[batch], labels[batch]
+            trace = nnet.forward_trace(net, x)
+            nnet.backward(net, x, t, nnet.BCE, trace)
+            nnet.optimizer_step(net, opt)
+            losses.append(nnet.output_loss(trace[1][-1], t, nnet.BCE))
+        curve.append(float(np.mean(losses)))
+    return net.params, curve
+
+
+@pytest.mark.parametrize("mode", sensing.INPUT_MODES)
+def test_rows_are_standardized_with_np_std_bit_for_bit(mode):
+    """Each row is its raw features (I/Q parts, or log band energies) less
+    their mean, over their np.std plus 1e-12: the centred pass that
+    feature_vector makes in place gives np.std's bits."""
+    ds = make_dataset(m=8, n=256, grid=(-10.0, 20.0), count=10, seed=6)
+    raw = (np.concatenate([ds.samples.real, ds.samples.imag], axis=-1) if mode == "iq"
+           else np.log10(sensing.band_energies(ds.samples, 8) + 1e-12))
+    mean, std = raw.mean(axis=-1, keepdims=True), raw.std(axis=-1, keepdims=True)
+    want = (raw - mean) / (std + 1e-12)
+    assert sensing.feature_vector(ds.samples, 8, mode).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("mode", sensing.INPUT_MODES)
+@pytest.mark.parametrize("subset", [[3], [1, 2, 3, 4], [7, 0, 5, 2, 2], list(range(20))[::-1]])
+def test_features_of_any_rows_equal_those_rows_of_the_stack(mode, subset, monkeypatch):
+    """Each row is standardized on its own, so the features of any subset
+    of captures, in any order, are bit for bit those rows of the whole
+    stack's features, whichever blocks of 3 rows they fall in."""
+    ds = make_dataset(m=8, n=256, grid=(0.0, 10.0), count=10, seed=5)
+    monkeypatch.setattr(sensing, "BLOCK_ELEMENTS", 3 * 512)
+    whole = sensing.feature_vector(ds.samples, 8, mode)
+    got = sensing.feature_vector(ds.samples[subset], 8, mode)
+    assert got.tobytes() == whole[subset].tobytes()
 
 
 @pytest.mark.parametrize("mode", sensing.INPUT_MODES)
