@@ -155,8 +155,8 @@ def run_pipeline(root) -> dict[str, dict[str, str]]:
     out = os.path.join(str(root), "run")
     digests = {}
     for name, (argv, agent, top, files) in STEPS.items():
-        top = dict(top)
-        cfg = dict(BASE, sensing=sensing(out, **top.pop("sensing", {})), **top)
+        cfg = dict(BASE, **top)
+        cfg["sensing"] = sensing(out, **top.get("sensing", {}))
         cfg["agent"] = dict(BASE["agent"],
                             **{k: v.format(out=out) for k, v in agent.items()})
         path = os.path.join(str(root), f"{name}.json")

@@ -290,8 +290,8 @@ class TestTrainClassifier:
         """Raw I/Q features made per minibatch train, bit for bit, the
         network and curve of one feature matrix of the whole train split
         indexed per batch; the split (84 rows of complex64 captures, as a
-        loaded dataset holds) spans two feature blocks and ends in a
-        partial batch."""
+        loaded dataset holds) ends in a partial batch, and its raw I/Q
+        features span two feature blocks."""
         ds = make_dataset(m=8, n=256, grid=(0.0, 10.0), count=60, seed=13)
         ds = dataclasses.replace(ds, samples=ds.samples.astype(np.complex64))
         spec = sensing.SensingSpec(hidden=(16,), epochs=3, batch_size=16, input_mode=mode)
