@@ -287,9 +287,9 @@ class TestTrainClassifier:
 
     @pytest.mark.parametrize("mode", sensing.INPUT_MODES)
     def test_equals_training_on_the_whole_splits_feature_matrix(self, mode):
-        """Raw I/Q features made per minibatch train, bit for bit, the
-        network and curve of one feature matrix of the whole train split
-        indexed per batch; the split (84 rows of complex64 captures, as a
+        """Either input mode trains, bit for bit, the network and curve of
+        one feature matrix of the whole train split indexed per batch (raw
+        I/Q features are made per minibatch instead); the split (84 rows of complex64 captures, as a
         loaded dataset holds) ends in a partial batch, and its raw I/Q
         features span two feature blocks."""
         ds = make_dataset(m=8, n=256, grid=(0.0, 10.0), count=60, seed=13)
