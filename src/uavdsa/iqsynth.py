@@ -131,8 +131,8 @@ class IQObservation:
 
 @dataclass
 class Dataset:
-    """Labeled captures as columns, row i for observation i: samples (n, N), complex128
-    generated or the file's complex64 loaded; labels (n, M) int8; sinr_db (n,) float64."""
+    """Labeled captures as columns, row i for observation i: samples (n, N) complex64,
+    as IQDS stores them; labels (n, M) int8; sinr_db (n,) float64."""
     samples: np.ndarray
     labels: np.ndarray
     sinr_db: np.ndarray
@@ -274,12 +274,13 @@ def generate_dataset(config: SynthConfig, occupancy_source, count_per_sinr: int)
     rows are split into synthesize_block calls. Each neighbor cell adds a
     clean spectrum of a label drawn from the same source, scaled by
     10^(gain/20) in amplitude; the label still describes the serving cell.
+    Captures are rounded to complex64, so the dataset equals its IQDS file.
     """
     if count_per_sinr < 1:
         raise ValueError("count_per_sinr must be >= 1")
     gains, grid = config.interference_gains_db, config.sinr_grid_db
     size, n = len(grid) * count_per_sinr, config.samples_per_observation
-    samples = np.empty((size, n), dtype=complex)
+    samples = np.empty((size, n), dtype=np.complex64)
     labels = np.empty((size, config.num_subchannels), dtype=np.int8)
     block = max(1, BLOCK_ELEMENTS // n)  # rows per synthesize_block call
     for stratum, sinr_db in enumerate(grid):

@@ -1,9 +1,11 @@
 """Dense feedforward network kernel with manual backpropagation.
 
-Shared by the sensing classifier and the Q-network family. Arithmetic is
-64-bit throughout; checkpoints are stored as 32-bit floats. Inputs may be
-single vectors or (batch, dim) matrices; batch losses and gradients are
-means over the batch.
+Shared by the sensing classifier and the Q-network family. A network's
+dtype is its layers' dtype: inputs, targets, gradients and Adam's moments
+follow it, and losses are computed in float64. The classifier is float32,
+the precision of its captures and checkpoints; the Q-networks are float64.
+Checkpoints are stored as 32-bit floats. Inputs may be single vectors or
+(batch, dim) matrices; batch losses and gradients are means over the batch.
 """
 
 import math
@@ -39,7 +41,7 @@ class Layer:
 
 @dataclass
 class Network:
-    """A chain of dense layers over one flat float64 parameter vector.
+    """A chain of dense layers over one flat parameter vector of their dtype.
 
     `params` holds every layer's weights then biases, layer by layer; each
     Layer's `w` and `b` are views into it, so per-layer and whole-network
@@ -58,7 +60,8 @@ class Network:
                 raise ValueError("chained layer dimensions do not match")
         if not all(np.isfinite(l.w).all() and np.isfinite(l.b).all() for l in self.layers):
             raise ValueError("weights must be finite")
-        self.params = np.empty(sum(l.w.size + l.b.size for l in self.layers))
+        self.params = np.empty(sum(l.w.size + l.b.size for l in self.layers),
+                               dtype=self.layers[0].w.dtype)
         for layer, (w, b) in zip(self.layers, self._views_of(self.params)):
             w[...] = layer.w
             b[...] = layer.b
@@ -137,25 +140,27 @@ MSE = LossSpec("mse")
 BCE = LossSpec("bce")
 
 
-def build_network(dims: list[int], activations: list[str], seed: int) -> Network:
+def build_network(dims: list[int], activations: list[str], seed: int,
+                  dtype=np.float64) -> Network:
     """Seeded initialization: He-scaled normals for ReLU layers, Xavier-style
-    for sigmoid/identity; zero biases."""
+    for sigmoid/identity, drawn in float64 and rounded to `dtype`; zero biases."""
     if len(activations) != len(dims) - 1:
         raise ValueError("need one activation per layer")
     rng = derive_rng(seed, 0x2E7)
     layers = []
     for fan_in, fan_out, act in zip(dims, dims[1:], activations):
         scale = np.sqrt(2.0 / fan_in) if act == "relu" else np.sqrt(1.0 / fan_in)
-        w = rng.normal(0.0, scale, size=(fan_in, fan_out))
-        layers.append(Layer(w=w, b=np.zeros(fan_out), activation=act))
+        w = rng.normal(0.0, scale, size=(fan_in, fan_out)).astype(dtype, copy=False)
+        layers.append(Layer(w=w, b=np.zeros(fan_out, dtype), activation=act))
     return Network(layers)
 
 
 def _apply_activation(z: np.ndarray, act: str) -> np.ndarray:
     if act == "relu":
         return np.maximum(z, 0.0)
-    if act == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
+    if act == "sigmoid":  # far below zero exp(-z) overflows to inf, giving the limit 0
+        with np.errstate(over="ignore"):
+            return 1.0 / (1.0 + np.exp(-z))
     return z
 
 
@@ -169,18 +174,18 @@ def _times_activation_grad(delta: np.ndarray, z: np.ndarray, act: str) -> np.nda
     return delta
 
 
-def _rows(x) -> np.ndarray:
-    """x as a batch-first float64 matrix; one that already is passes as is."""
-    if type(x) is np.ndarray and x.ndim == 2 and x.dtype == np.float64:
+def _rows(x, dtype) -> np.ndarray:
+    """x as a batch-first matrix of `dtype`; one that already is passes as is."""
+    if type(x) is np.ndarray and x.ndim == 2 and x.dtype == dtype:
         return x
-    return np.atleast_2d(np.asarray(x, dtype=float))
+    return np.atleast_2d(np.asarray(x, dtype=dtype))
 
 
 def forward_trace(net: Network | NetworkStack, x: np.ndarray):
     """All pre-activations and activations, batch-first; `backward` accepts
     this trace so that a caller who already ran it does not run it twice.
     A NetworkStack's trace puts its k networks first (see NetworkStack)."""
-    a = _rows(x)
+    a = _rows(x, net.params.dtype)
     if a.shape[1] != net.input_dim:
         raise ValueError(f"input dim {a.shape[1]} != network input {net.input_dim}")
     pre, post = [], [a]
@@ -202,7 +207,9 @@ def forward(net: Network, x: np.ndarray) -> np.ndarray:
 
 
 def output_loss(y: np.ndarray, t: np.ndarray, loss: LossSpec) -> float:
-    """Mean loss of batch outputs y against 2-D targets t."""
+    """Mean loss of batch outputs y against 2-D targets t, in float64 (so
+    that 1 - 1e-12, the bce clip, is not 1)."""
+    y, t = np.asarray(y, dtype=float), np.asarray(t, dtype=float)
     e = y - t
     if loss.kind == "mse":
         return float(np.mean(e ** 2))
@@ -227,7 +234,7 @@ def backward(net: Network, x: np.ndarray, target: np.ndarray, loss: LossSpec,
     same network.
     """
     pre, post = forward_trace(net, x) if trace is None else trace
-    t = _rows(target)
+    t = _rows(target, net.params.dtype)
     y = post[-1]
     if y.shape != t.shape:
         raise ValueError(f"target shape {t.shape} != output shape {y.shape}")
@@ -264,14 +271,14 @@ def backward(net: Network, x: np.ndarray, target: np.ndarray, loss: LossSpec,
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 ADAM_BLOCK = 1 << 14  # elements: one block of the six Adam vectors fits in a 2 MB L2
 ADAM_FLUSH_PERIOD = 256  # steps between flushes of subnormal first moments to zero
-_TINY = np.finfo(np.float64).tiny  # the smallest normal float64
 
 
 @dataclass
 class OptimizerState:
     """Adam with the ADAM_* constants. `slots` holds the first and second
     moments, laid out like the network's flat parameters, and `scratch`
-    two work vectors of one block (or of the whole vector, if shorter).
+    two work vectors of one block (or of the whole vector, if shorter), all
+    of the parameters' dtype.
     `blocks` holds, for each ADAM_BLOCK
     elements of the flat vectors, the views (params, gradient, m, v, s1,
     s2) a step updates; all are built by the first step."""
@@ -295,15 +302,16 @@ def optimizer_step(net: Network, state: OptimizerState):
     vector divide where that form takes three.
 
     Every ADAM_FLUSH_PERIOD steps, the updated first moments below the
-    smallest normal float64 are set to zero. A dead ReLU unit's gradient is
-    exactly zero, so its moment decays by ADAM_BETA1 a step into the
-    subnormals, where arithmetic is many times slower; such a moment moves
-    its parameter by under 1e-300, below half an ulp of any parameter not
-    itself within about 1e-280 of zero, so no parameter bit changes."""
+    smallest normal number of the parameters' dtype are set to zero. A dead
+    ReLU unit's gradient is exactly zero, so its moment decays by
+    ADAM_BETA1 a step into the subnormals, where arithmetic is many times
+    slower; such a moment moves its parameter by under 1e-300 in float64
+    (1e-30 in float32), below half an ulp of any parameter not itself
+    within about 1e-280 (1e-22) of zero, so no parameter bit changes."""
     if not state.slots:
         n = net.params.size
         state.slots = [np.zeros_like(net.params) for _ in range(2)]
-        state.scratch = [np.empty(min(n, ADAM_BLOCK)) for _ in range(2)]
+        state.scratch = [np.empty(min(n, ADAM_BLOCK), net.params.dtype) for _ in range(2)]
         flat = (net.params, net.gradient()[0], *state.slots)
         state.blocks = [[a[i:i + ADAM_BLOCK] for a in flat] +
                         [s[:min(n - i, ADAM_BLOCK)] for s in state.scratch]
@@ -319,7 +327,7 @@ def optimizer_step(net: Network, state: OptimizerState):
         m += s1
         if flush:  # m *= (|m| >= tiny), with s1 as the test's scratch
             np.abs(m, out=s1)
-            np.greater_equal(s1, _TINY, out=s1)
+            np.greater_equal(s1, np.finfo(m.dtype).tiny, out=s1)
             m *= s1
         v *= ADAM_BETA2
         np.square(g, out=s1)
@@ -382,8 +390,10 @@ def network_to_bytes(net: Network) -> bytes:
     return b"".join(parts)
 
 
-def network_from_bytes(data: bytes, offset: int = 0, source: str = "network block") -> Network:
-    """Parse the network block that runs from `offset` to the end of `data`.
+def network_from_bytes(data: bytes, offset: int = 0, source: str = "network block",
+                       dtype=np.float64) -> Network:
+    """Parse the network block that runs from `offset` to the end of `data`
+    into a network of `dtype`.
 
     A bad magic or version, an unknown activation code, a truncated block
     and trailing bytes each raise a ValueError that names `source`.
@@ -420,8 +430,8 @@ def network_from_bytes(data: bytes, offset: int = 0, source: str = "network bloc
         b = np.frombuffer(data, dtype="<f4", count=fan_out, offset=pos)
         pos += 4 * fan_out
         layers.append(Layer(
-            w=w.astype(float).reshape(fan_in, fan_out),
-            b=b.astype(float),
+            w=w.astype(dtype).reshape(fan_in, fan_out),
+            b=b.astype(dtype),
             activation=ACTIVATIONS[code],
         ))
     try:
@@ -436,5 +446,6 @@ def save_checkpoint(net: Network, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> Network:
+    """A classifier checkpoint, as the float32 network that was saved."""
     with open(path, "rb") as f:
-        return network_from_bytes(f.read(), source=path)
+        return network_from_bytes(f.read(), source=path, dtype=np.float32)

@@ -93,21 +93,21 @@ class SensingModel:
 
 
 def feature_vector(samples, num_subchannels: int, input_mode: str) -> np.ndarray:
-    """Standardized float64 classifier input of captures (..., N), one row
+    """Standardized float32 classifier input of captures (..., N), one row
     per capture: raw I/Q flattened to 2N reals, or the log band-energy
-    profile, each row standardized on its own. Rows are made a block at a
-    time, in place in the result, so no array but the result grows with
-    the number of captures."""
+    profile rounded to float32, each row standardized on its own in float32.
+    Rows are made a block at a time, in place in the result, so no array
+    but the result grows with the number of captures."""
     if input_mode not in INPUT_MODES:
         raise ValueError(f"unknown input mode {input_mode!r}")
     captures = samples.reshape(-1, samples.shape[-1])
     n = captures.shape[1]
     width = 2 * n if input_mode == "iq" else num_subchannels
-    rows = np.empty((len(captures), width))
+    rows = np.empty((len(captures), width), dtype=np.float32)
     size = max(1, BLOCK_ELEMENTS // max(n, width))
     for start in range(0, len(rows), size):
         block, part = rows[start:start + size], captures[start:start + size]
-        if input_mode == "iq":  # float64 parts of complex64 captures are exact
+        if input_mode == "iq":  # float32 parts of complex64 captures are exact
             block[:, :n], block[:, n:] = part.real, part.imag
         else:
             block[:] = np.log10(band_energies(part, num_subchannels) + 1e-12)
@@ -185,12 +185,14 @@ def train_classifier(dataset: Dataset, spec: SensingSpec, seed: int) -> SensingM
     """Fit the dense multi-label classifier on the training split, with
     the spec's input mode, network and training settings.
 
-    Minimizes mean per-channel binary cross-entropy with Adam; the
-    per-epoch mean training loss is recorded on the returned model.
-    Reproducible per seed. Training holds the dataset, the network and
-    Adam's moments: raw I/Q features are made per minibatch (each row is
-    standardized on its own), never for the whole split in float64; the
-    (n, M) band-energy matrix, cheaper than an FFT per batch, is made once.
+    Minimizes mean per-channel binary cross-entropy with Adam, in float32
+    (features, labels, network and moments; the loss in float64), so the
+    returned network is the one its float32 checkpoint holds; the per-epoch
+    mean training loss is recorded on the returned model. Reproducible per
+    seed. Training holds the dataset, the network and Adam's moments: raw
+    I/Q features are made per minibatch (each row is standardized on its
+    own), never for the whole split; the (n, M) band-energy matrix, cheaper
+    than an FFT per batch, is made once.
     """
     train_idx = np.asarray(dataset.split["train"], dtype=np.intp)
     if not train_idx.size:
@@ -198,11 +200,11 @@ def train_classifier(dataset: Dataset, spec: SensingSpec, seed: int) -> SensingM
     m_chan = dataset.config.num_subchannels
     iq = spec.input_mode == "iq"
     feats = None if iq else feature_vector(dataset.samples[train_idx], m_chan, spec.input_mode)
-    labels = dataset.labels[train_idx].astype(float)
+    labels = dataset.labels[train_idx].astype(np.float32)
 
     dims = [2 * dataset.samples.shape[1] if iq else m_chan, *spec.hidden, m_chan]
     acts = ["relu"] * len(spec.hidden) + ["sigmoid"]
-    net = nnet.build_network(dims, acts, seed=seed)
+    net = nnet.build_network(dims, acts, seed=seed, dtype=np.float32)
     opt = nnet.OptimizerState(learning_rate=spec.learning_rate)
     rng = derive_rng(seed, 0x5E25)
 

@@ -82,9 +82,9 @@ GOLDEN = {
     },
     "train-sensor": {
         "sensor.ckpt":
-            "6e171cc925067ebfa5cfaca66eb57e0f65cafd2fb2f96cf037f9789bf5c7b602",
+            "531b60f7bfbe07f4c0a3b3d7cdb6a0c898c9b3ea35ec19ed6799b2699e20f4b7",
         "sensor_curve.csv":
-            "f157e17c83a4513beeebe1a1fe1d8b595c7ad8a166e6b2ceedbf995c12e05206",
+            "ed495111e6867551740ec8de7da66af83f7923eeb68f50d65fa4011d910ce620",
     },
     "eval-sensing": {
         "sensing_metrics.csv":
@@ -138,9 +138,9 @@ GOLDEN = {
     },
     "train-sensor-iq": {
         "sensor.ckpt":
-            "242e574bb20c46a72893b3ba42a897a8c2c068824b7dd74b16cb64332f27bb54",
+            "dc8b4a28e57f936ba7b65235b72396407ef6d2b464a4aaaaad4395a34898d623",
         "sensor_curve.csv":
-            "23e6adb817472e57266480074d55395468dbf9ac6f09d010d852e81c1d8296b8",
+            "deda5bd4e65a20e3afff6f18ef5314162c6cc5d4ca78b79df3628c9c818df7cf",
     },
 }
 

@@ -153,18 +153,18 @@ class TestAddInterference:
                                                         want_rngs):
             assert obs.label == label
             assert rng.bit_generator.state == want_rng.bit_generator.state
-            assert np.allclose(obs.samples, samples, rtol=0.0, atol=1e-12)
+            assert np.allclose(obs.samples, samples.astype(np.complex64), rtol=0.0, atol=1e-12)
 
     def test_empty_neighbor_list_identity(self, monkeypatch):
         """Without interference each observation is, bit for bit, the
-        synthesize_observation of its substream, as it always was."""
+        synthesize_observation of its substream rounded to complex64."""
         cfg = small_config()
         source = stationary_sampler([TransitionMatrix(0.2, 0.3)] * 4)
         ds, rngs = generate_recording_rngs(cfg, source, 50, monkeypatch)
         for idx, (obs, rng) in enumerate(zip(ds.observations, rngs)):
             want_rng = derive_rng(cfg.seed, iqsynth._OBS_KEY, idx)
             plain = iqsynth.synthesize_observation(source(want_rng), obs.sinr_db, cfg, want_rng)
-            assert np.array_equal(bits(obs.samples), bits(plain.samples))
+            assert np.array_equal(bits(ds.samples[idx]), bits(plain.samples.astype(np.complex64)))
             assert obs.label == plain.label
             assert rng.bit_generator.state == want_rng.bit_generator.state
 
@@ -250,6 +250,19 @@ class TestGenerateDataset:
             assert a.label == b.label
             assert b.sinr_db == np.float32(a.sinr_db)
             assert np.allclose(a.samples, b.samples, atol=1e-6)
+
+    def test_generated_samples_are_the_reloaded_files_bit_for_bit(self, tmp_path):
+        """generate_dataset holds its captures as complex64, the dtype that
+        IQDS stores, so generate -> save -> load returns its samples bit
+        for bit."""
+        cfg = small_config(interference_gains_db=(-3.0,))
+        source = stationary_sampler([TransitionMatrix(0.3, 0.3)] * 4)
+        ds = iqsynth.generate_dataset(cfg, source, count_per_sinr=20)
+        path = str(tmp_path / "ds.iq")
+        iqsynth.save_dataset(ds, path)
+        loaded = iqsynth.load_dataset(path)
+        assert ds.samples.dtype == loaded.samples.dtype == np.complex64
+        assert ds.samples.tobytes() == loaded.samples.tobytes()
 
     def test_load_is_one_buffer(self, tmp_path):
         """load_dataset reads the record block into one buffer and views the
@@ -522,8 +535,8 @@ def test_dataset_is_bitwise_its_per_observation_reference(gains, monkeypatch):
     """generate_dataset, one block per SINR stratum, writes bit for bit what
     the documented per-observation order gives: the label, its spectrum
     row, every neighbor label, then each neighbor's clean spectrum added
-    in turn, then one inverse transform; every observation's generator
-    ends where that reference leaves it."""
+    in turn, then one inverse transform rounded to complex64; every
+    observation's generator ends where that reference leaves it."""
     cfg = small_config(interference_gains_db=gains, sinr_grid_db=(-5.0, 0.0, 20.0))
     source = stationary_sampler([TransitionMatrix(0.3, 0.3)] * 4)
     ds, rngs = generate_recording_rngs(cfg, source, 20, monkeypatch)
@@ -538,7 +551,8 @@ def test_dataset_is_bitwise_its_per_observation_reference(gains, monkeypatch):
             spectrum += 10.0 ** (gain / 20.0) * reference_clean_spectrum(neighbor, cfg,
                                                                           want_rng)
         assert (obs.label, obs.sinr_db) == (label, sinr_db)
-        assert np.array_equal(bits(obs.samples), bits(np.fft.ifft(spectrum, norm="ortho")))
+        want = np.fft.ifft(spectrum, norm="ortho").astype(np.complex64)
+        assert np.array_equal(bits(ds.samples[idx]), bits(want))
         assert rng.bit_generator.state == want_rng.bit_generator.state
 
 

@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uavdsa import nnet
+from uavdsa import iqsynth, nnet, sensing
 from uavdsa import scheduler as sch
 from uavdsa.seeds import derive_rng
 
@@ -432,6 +433,61 @@ class TestCloneAndCheckpoint:
         path.write_bytes(b"not a checkpoint")
         with pytest.raises(ValueError):
             nnet.load_checkpoint(str(path))
+
+
+class TestDtypes:
+    def test_float32_sigmoid_saturates_without_warnings(self):
+        """exp(100) overflows float32: the sigmoid still gives its exact
+        limits, warning-free, and the float64 bce loss and the gradient of
+        a saturated output stay finite."""
+        net = nnet.Network([nnet.Layer(np.ones((1, 2), np.float32),
+                                       np.zeros(2, np.float32), "sigmoid")])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = nnet.forward(net, np.array([[-100.0], [100.0]]))
+            loss = nnet.loss_value(net, [[-100.0]], [[1.0, 0.0]], nnet.BCE)
+            grads = nnet.backward(net, [[-100.0]], [[1.0, 0.0]], nnet.BCE)
+        assert y.dtype == np.float32 and y.tolist() == [[0.0, 0.0], [1.0, 1.0]]
+        assert math.isfinite(loss)
+        assert all(np.isfinite(g).all() for pair in grads for g in pair)
+
+    @pytest.mark.parametrize("mode", sensing.INPUT_MODES)
+    def test_classifier_is_float32_and_dqn_float64_through_training(self, mode, monkeypatch):
+        """Through 300 training steps (one subnormal flush), the
+        classifier's features, trace, parameters, gradient buffer and Adam
+        moments and scratch stay float32, so no float64 scalar upcasts
+        them; a DqnAgent's networks and moments stay float64."""
+        traces, steps = [], []
+        trace, step = nnet.forward_trace, nnet.optimizer_step
+
+        def recording_trace(net, x):
+            pre, post = trace(net, x)
+            traces.append((x, *pre, *post))
+            return pre, post
+
+        def recording_step(net, state):
+            out = step(net, state)
+            steps.append((net.params, net.gradient()[0], *state.slots, *state.scratch))
+            return out
+
+        monkeypatch.setattr(nnet, "forward_trace", recording_trace)
+        monkeypatch.setattr(nnet, "optimizer_step", recording_step)
+        cfg = iqsynth.SynthConfig(seed=3, num_subchannels=4, samples_per_observation=64,
+                                  subcarriers_per_subchannel=16, sinr_grid_db=(10.0,))
+        ds = iqsynth.generate_dataset(cfg, lambda rng: tuple(rng.integers(0, 2, 4)), 86)
+        spec = sensing.SensingSpec(hidden=(8,), epochs=20, batch_size=4, input_mode=mode)
+        model = sensing.train_classifier(ds, spec, 0)
+        assert len(traces) == len(steps) == 20 * 15
+        assert {a.dtype for record in traces + steps for a in record} == {np.dtype(np.float32)}
+        assert model.network.params.dtype == np.float32
+        agent = sch.DqnAgent(num_subchannels=2, seed=1, batch_size=8)
+        sch.train_agent(agent, sch.preset_scheduling_env(2), episodes=2,
+                        slots_per_episode=30, seed=1)
+        opt = agent.optimizer
+        assert opt.step_count > 0
+        assert {a.dtype for a in (agent.primary.params, agent.target.params,
+                                  agent.primary.gradient()[0], *opt.slots, *opt.scratch)} \
+            == {np.dtype(np.float64)}
 
 
 class TestLearnability:

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 
@@ -289,11 +288,10 @@ class TestTrainClassifier:
     def test_equals_training_on_the_whole_splits_feature_matrix(self, mode):
         """Either input mode trains, bit for bit, the network and curve of
         one feature matrix of the whole train split indexed per batch (raw
-        I/Q features are made per minibatch instead); the split (84 rows of complex64 captures, as a
-        loaded dataset holds) ends in a partial batch, and its raw I/Q
-        features span two feature blocks."""
+        I/Q features are made per minibatch instead), all in float32; the
+        split (84 rows) ends in a partial batch, and its raw I/Q features
+        span two feature blocks."""
         ds = make_dataset(m=8, n=256, grid=(0.0, 10.0), count=60, seed=13)
-        ds = dataclasses.replace(ds, samples=ds.samples.astype(np.complex64))
         spec = sensing.SensingSpec(hidden=(16,), epochs=3, batch_size=16, input_mode=mode)
         model = sensing.train_classifier(ds, spec, 5)
         want_params, want_curve = reference_training(ds, spec, 5)
@@ -316,6 +314,23 @@ class TestTrainClassifier:
             tracemalloc.stop()
         assert peak < matrix
 
+    @pytest.mark.parametrize("mode", sensing.INPUT_MODES)
+    def test_checkpoint_holds_the_trained_network(self, mode, tmp_path):
+        """Training is float32, as checkpoints store weights, so the network
+        loaded from the checkpoint is the trained one bit for bit, and
+        evaluates to the same metrics."""
+        ds = make_dataset(m=4, n=64, grid=(0.0, 10.0), count=40, seed=9)
+        spec = sensing.SensingSpec(hidden=(16,), epochs=3, batch_size=8, input_mode=mode)
+        model = sensing.train_classifier(ds, spec, 3)
+        path = str(tmp_path / "sensor.ckpt")
+        nnet.save_checkpoint(model.network, path)
+        loaded = nnet.load_checkpoint(path)
+        assert loaded.params.dtype == np.float32
+        assert loaded.params.tobytes() == model.network.params.tobytes()
+        reloaded = sensing.SensingModel(kind="dense-classifier", num_subchannels=4,
+                                        network=loaded, input_mode=mode)
+        assert sensing.evaluate_model(reloaded, ds) == sensing.evaluate_model(model, ds)
+
     def test_empty_train_split_rejected(self):
         ds = make_dataset(m=4, n=64, count=20)
         ds.split["train"] = ()
@@ -324,14 +339,15 @@ class TestTrainClassifier:
 
 
 def reference_training(dataset, spec, seed):
-    """train_classifier's loop over one feature matrix of the whole train
-    split, indexed per batch: (parameters, training curve)."""
+    """train_classifier's loop over one float32 feature matrix of the whole
+    train split, indexed per batch: (parameters, training curve)."""
     train_idx = np.asarray(dataset.split["train"], dtype=np.intp)
     m = dataset.config.num_subchannels
     feats = sensing.feature_vector(dataset.samples[train_idx], m, spec.input_mode)
-    labels = dataset.labels[train_idx].astype(float)
+    labels = dataset.labels[train_idx].astype(np.float32)
     net = nnet.build_network([feats.shape[1], *spec.hidden, m],
-                             ["relu"] * len(spec.hidden) + ["sigmoid"], seed=seed)
+                             ["relu"] * len(spec.hidden) + ["sigmoid"], seed=seed,
+                             dtype=np.float32)
     opt = nnet.OptimizerState(learning_rate=spec.learning_rate)
     rng = derive_rng(seed, 0x5E25)
     curve, order = [], np.arange(len(train_idx))
@@ -351,12 +367,12 @@ def reference_training(dataset, spec, seed):
 
 @pytest.mark.parametrize("mode", sensing.INPUT_MODES)
 def test_rows_are_standardized_with_np_std_bit_for_bit(mode):
-    """Each row is its raw features (I/Q parts, or log band energies) less
-    their mean, over their np.std plus 1e-12: the centred pass that
-    feature_vector makes in place gives np.std's bits."""
+    """Each row is its raw features (I/Q parts, or log band energies) in
+    float32, less their mean, over their np.std plus 1e-12: the centred
+    pass that feature_vector makes in place gives np.std's bits."""
     ds = make_dataset(m=8, n=256, grid=(-10.0, 20.0), count=10, seed=6)
     raw = (np.concatenate([ds.samples.real, ds.samples.imag], axis=-1) if mode == "iq"
-           else np.log10(sensing.band_energies(ds.samples, 8) + 1e-12))
+           else np.log10(sensing.band_energies(ds.samples, 8) + 1e-12)).astype(np.float32)
     mean, std = raw.mean(axis=-1, keepdims=True), raw.std(axis=-1, keepdims=True)
     want = (raw - mean) / (std + 1e-12)
     assert sensing.feature_vector(ds.samples, 8, mode).tobytes() == want.tobytes()
