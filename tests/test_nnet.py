@@ -322,44 +322,47 @@ class TestAdamForms:
         assert np.array_equal(state.slots[0], m) and np.array_equal(state.slots[1], v)
 
     @staticmethod
-    def _planted():
-        """A network and optimizer two steps before a flush step, after a
-        step whose gradient (kept) is zero on every third nonzero
-        parameter, whose first moments are then set subnormal (or zero)."""
-        net = nnet.build_network([4, 8, 3], ["relu", "identity"], seed=5)
+    def _planted(dtype):
+        """A network of `dtype` and its optimizer two steps before a flush
+        step, after a step whose gradient (kept) is zero on every third
+        nonzero parameter, whose first moments are then set subnormal (or
+        zero)."""
+        net = nnet.build_network([4, 8, 3], ["relu", "identity"], seed=5, dtype=dtype)
         rng = np.random.default_rng(5)
         g = rng.normal(size=net.params.size)
-        dead = np.flatnonzero(net.params)[::3]  # no parameter within 1e-280 of zero
+        dead = np.flatnonzero(net.params)[::3]  # no parameter within 1e-22 of zero
         g[dead] = 0.0
         net.gradient()[0][:] = g
         state = nnet.OptimizerState(learning_rate=0.01)
         nnet.optimizer_step(net, state)
-        tiny = np.finfo(np.float64).tiny
-        planted = np.array([1e-310, -3e-320, 5e-324, -tiny / 2, tiny * 0.99, 0.0])
+        tiny, least = np.finfo(dtype).tiny, np.finfo(dtype).smallest_subnormal
+        planted = np.array([tiny / 2 ** 10, -tiny / 2 ** 20, least, -tiny / 2, tiny * 0.99, 0.0])
         state.slots[0][dead] = np.resize(planted, dead.size)
         state.step_count = nnet.ADAM_FLUSH_PERIOD - 2
         return net, state, dead
 
     @staticmethod
     def _subnormal(m):
-        return np.count_nonzero((m != 0.0) & (np.abs(m) < np.finfo(np.float64).tiny))
+        return np.count_nonzero((m != 0.0) & (np.abs(m) < np.finfo(m.dtype).tiny))
 
     def test_flush_runs_on_period_steps_only_and_moves_no_parameter_bit(self, monkeypatch):
-        net, state, dead = self._planted()
-        twin, twin_state, _ = self._planted()
-        nnet.optimizer_step(net, state)  # step PERIOD - 1: no flush
-        assert self._subnormal(state.slots[0]) == self._subnormal(state.slots[0][dead]) > 0
-        nnet.optimizer_step(net, state)  # step PERIOD: flush
-        assert self._subnormal(state.slots[0]) == 0 and not state.slots[0][dead].any()
-        with monkeypatch.context() as patch:
-            patch.setattr(nnet, "ADAM_FLUSH_PERIOD", 2 * nnet.ADAM_FLUSH_PERIOD)
-            for _ in range(2):
-                nnet.optimizer_step(twin, twin_state)
-        assert self._subnormal(twin_state.slots[0]) > 0
-        assert net.params.tobytes() == twin.params.tobytes()
-        assert np.array_equal(state.slots[1], twin_state.slots[1])
-        live = np.setdiff1d(np.arange(net.params.size), dead)
-        assert np.array_equal(state.slots[0][live], twin_state.slots[0][live])
+        """In float64 and in float32, each below its own smallest normal."""
+        for dtype in (np.float64, np.float32):
+            net, state, dead = self._planted(dtype)
+            twin, twin_state, _ = self._planted(dtype)
+            nnet.optimizer_step(net, state)  # step PERIOD - 1: no flush
+            assert self._subnormal(state.slots[0]) == self._subnormal(state.slots[0][dead]) > 0
+            nnet.optimizer_step(net, state)  # step PERIOD: flush
+            assert self._subnormal(state.slots[0]) == 0 and not state.slots[0][dead].any()
+            with monkeypatch.context() as patch:
+                patch.setattr(nnet, "ADAM_FLUSH_PERIOD", 2 * nnet.ADAM_FLUSH_PERIOD)
+                for _ in range(2):
+                    nnet.optimizer_step(twin, twin_state)
+            assert self._subnormal(twin_state.slots[0]) > 0
+            assert net.params.tobytes() == twin.params.tobytes()
+            assert np.array_equal(state.slots[1], twin_state.slots[1])
+            live = np.setdiff1d(np.arange(net.params.size), dead)
+            assert np.array_equal(state.slots[0][live], twin_state.slots[0][live])
 
 
 class TestGradientCheck:
@@ -438,15 +441,17 @@ class TestCloneAndCheckpoint:
 class TestDtypes:
     def test_float32_sigmoid_saturates_without_warnings(self):
         """exp(100) overflows float32: the sigmoid still gives its exact
-        limits, warning-free, and the float64 bce loss and the gradient of
-        a saturated output stay finite."""
+        limits, warning-free, and the bce loss (whose clip at 1 - 1e-12
+        holds only in float64) and the gradient of saturated outputs stay
+        finite."""
         net = nnet.Network([nnet.Layer(np.ones((1, 2), np.float32),
                                        np.zeros(2, np.float32), "sigmoid")])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            y = nnet.forward(net, np.array([[-100.0], [100.0]]))
-            loss = nnet.loss_value(net, [[-100.0]], [[1.0, 0.0]], nnet.BCE)
-            grads = nnet.backward(net, [[-100.0]], [[1.0, 0.0]], nnet.BCE)
+            x, t = [[-100.0], [100.0]], [[1.0, 0.0], [0.0, 1.0]]
+            y = nnet.forward(net, x)
+            loss = nnet.loss_value(net, x, t, nnet.BCE)
+            grads = nnet.backward(net, x, t, nnet.BCE)
         assert y.dtype == np.float32 and y.tolist() == [[0.0, 0.0], [1.0, 1.0]]
         assert math.isfinite(loss)
         assert all(np.isfinite(g).all() for pair in grads for g in pair)
@@ -455,8 +460,8 @@ class TestDtypes:
     def test_classifier_is_float32_and_dqn_float64_through_training(self, mode, monkeypatch):
         """Through 300 training steps (one subnormal flush), the
         classifier's features, trace, parameters, gradient buffer and Adam
-        moments and scratch stay float32, so no float64 scalar upcasts
-        them; a DqnAgent's networks and moments stay float64."""
+        moments and scratch stay float32; a DqnAgent's networks and
+        moments stay float64."""
         traces, steps = [], []
         trace, step = nnet.forward_trace, nnet.optimizer_step
 
