@@ -38,8 +38,8 @@ label, from that label's generator, in this order:
             vacant)
 
 So labels that share one generator draw what one call per label, in
-label order, draws. synthesize_observation (T = K = 1) draws exactly
-what synthesize_block does for one label.
+label order, draws. A single capture is the inverse transform of a
+one-label, K = 1 block.
 
 One draw_band_energies call for K captures of each of T labels draws the
 law above as (sigma2 / 2) * C + (sqrt(sigma2 / 2) * Z + sqrt(s))^2 (no
@@ -240,15 +240,6 @@ def draw_band_energies(labels, sinrs_db, config: SynthConfig,
     amplitude += np.sqrt(config.subcarriers_per_subchannel) * busy
     energies += amplitude * amplitude
     return energies
-
-
-def synthesize_observation(label, sinr_db: float, config: SynthConfig,
-                           rng: np.random.Generator) -> IQObservation:
-    """One labeled capture: the inverse transform of the one-label, K = 1
-    synthesize_block row."""
-    samples = np.fft.ifft(synthesize_block([label], (sinr_db,), config, [rng])[0, 0],
-                          norm="ortho")
-    return IQObservation(samples, occupancy_vector(label), float(sinr_db))
 
 
 def split_indices(strata_sizes: list[int]) -> dict[str, tuple[int, ...]]:

@@ -207,8 +207,8 @@ def forward(net: Network, x: np.ndarray) -> np.ndarray:
 
 
 def output_loss(y: np.ndarray, t: np.ndarray, loss: LossSpec) -> float:
-    """Mean loss of batch outputs y against 2-D targets t, in float64 (so
-    that 1 - 1e-12, the bce clip, is not 1)."""
+    """Mean loss of outputs y against targets t of their shape, in float64
+    (so that 1 - 1e-12, the bce clip, is not 1)."""
     y, t = np.asarray(y, dtype=float), np.asarray(t, dtype=float)
     e = y - t
     if loss.kind == "mse":
@@ -217,16 +217,11 @@ def output_loss(y: np.ndarray, t: np.ndarray, loss: LossSpec) -> float:
     return float(np.mean(-t * np.log(y_c) - (1.0 - t) * np.log1p(-y_c)))
 
 
-def loss_value(net: Network, x: np.ndarray, target: np.ndarray, loss: LossSpec) -> float:
-    y = np.atleast_2d(forward(net, x))
-    return output_loss(y, np.atleast_2d(np.asarray(target, dtype=float)), loss)
-
-
 def backward(net: Network, x: np.ndarray, target: np.ndarray, loss: LossSpec,
              trace=None):
     """Exact gradients (dW, db) of the loss for every layer.
 
-    Gradients are means over the batch, matching loss_value; a caller that
+    Gradients are means over the batch, matching output_loss; a caller that
     also wants the loss takes output_loss of the trace's output. `trace` is
     forward_trace(net, x) when the caller already holds it. The gradients
     are written into the network's gradient buffer (see
@@ -339,34 +334,6 @@ def optimizer_step(net: Network, state: OptimizerState):
         s1 /= s2
         p -= s1
     return net, state
-
-
-def gradient_check(net: Network, x: np.ndarray, target: np.ndarray,
-                   loss: LossSpec, eps: float = 1e-3) -> float:
-    """Worst relative discrepancy between backward() and central differences.
-
-    Gradient pairs that are both below 1e-7 in magnitude count as matching
-    (dead ReLU paths are exactly zero on both sides).
-    """
-    grads = backward(net, x, target, loss)
-    worst = 0.0
-    for layer, (gw, gb) in zip(net.layers, grads):
-        for param, grad in ((layer.w, gw), (layer.b, gb)):
-            flat = param.reshape(-1)
-            gflat = grad.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + eps
-                up = loss_value(net, x, target, loss)
-                flat[i] = orig - eps
-                down = loss_value(net, x, target, loss)
-                flat[i] = orig
-                fd = (up - down) / (2.0 * eps)
-                denom = max(abs(gflat[i]), abs(fd))
-                if denom < 1e-7:
-                    continue
-                worst = max(worst, abs(gflat[i] - fd) / denom)
-    return worst
 
 
 def clone_weights(src: Network) -> Network:

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import nnet
-from .channel import TransitionMatrix, sample_occupancy, stationary_distribution
+from .channel import TransitionMatrix, sample_occupancy
 from .core import collision_indicator, mask_occupancy, occupancy_mask, slot_utility
 from .seeds import derive_rng
 
@@ -33,7 +33,6 @@ AgentState = tuple[int, ...] | None  # None is the INITIAL marker
 TABULAR_MAX_SUBCHANNELS = 12
 # feature_table(M) holds (2^M + 1) x M floats: 8.4 MB at M = 16, 168 MB at M = 20
 DQN_MAX_SUBCHANNELS = 16
-VALUE_ITERATION_MAX_SUBCHANNELS = 10
 Q_DIVERGENCE_LIMIT = 1e6
 MAX_REPLAY_CAPACITY = 10 ** 6
 # DqnAgent variants; an agent checkpoint stores a variant as its index here
@@ -170,6 +169,16 @@ class LearnerSpec:
     epsilon_min: float = field(default=0.05, metadata={"low": 0.0, "high": 1.0})
     epsilon_decay: float | None = field(default=None, metadata={"low": 0.0, "high": 1.0})
 
+    def epsilon_at(self, episode: int, episodes: int) -> float:
+        """Exponential decay reaching epsilon_min over the first 60% of
+        episodes unless an explicit epsilon_decay is given; non-increasing,
+        floored."""
+        eps0, eps_min, decay = self.epsilon0, self.epsilon_min, self.epsilon_decay
+        if decay is None:
+            horizon = max(1.0, 0.6 * episodes)
+            decay = (eps_min / eps0) ** (1.0 / horizon) if eps0 > 0 else 1.0
+        return max(eps_min, eps0 * decay ** episode)
+
 
 @dataclass(kw_only=True)
 class QTableSpec(LearnerSpec):
@@ -239,10 +248,6 @@ class QTable(QTableSpec):
                  else float(self.visits[si, a]) ** -self.alpha_power)
         target = r + self.gamma * self.table[sj].max()
         self.table[si, a] += alpha * (target - self.table[si, a])
-
-    def epsilon_at(self, episode: int, episodes: int) -> float:
-        return _epsilon_schedule(self.epsilon0, self.epsilon_min,
-                                 self.epsilon_decay, episode, episodes)
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +356,6 @@ class DqnAgent(DqnSpec):
         elif self.train_steps % self.target_update_period == 0:
             np.copyto(self.target.params, self.primary.params)
 
-    def epsilon_at(self, episode: int, episodes: int) -> float:
-        return _epsilon_schedule(self.epsilon0, self.epsilon_min,
-                                 self.epsilon_decay, episode, episodes)
-
 
 def ddqn_targets(agent: DqnAgent, rewards: np.ndarray, q_target_next: np.ndarray,
                  q_primary_next: np.ndarray) -> np.ndarray:
@@ -388,16 +389,6 @@ class RandomAgent:
     num_subchannels: int
 
 
-def _epsilon_schedule(eps0: float, eps_min: float, decay: float | None,
-                      episode: int, episodes: int) -> float:
-    """Exponential decay reaching eps_min over the first 60% of episodes
-    unless an explicit decay factor is given; non-increasing, floored."""
-    if decay is None:
-        horizon = max(1.0, 0.6 * episodes)
-        decay = (eps_min / eps0) ** (1.0 / horizon) if eps0 > 0 else 1.0
-    return max(eps_min, eps0 * decay ** episode)
-
-
 # ---------------------------------------------------------------------------
 # Training environment (perfectly observed occupancy)
 
@@ -422,16 +413,6 @@ class SchedulingEnv:
     def __init__(self, matrices: list[TransitionMatrix], reward_table):
         self.matrices = list(matrices)
         self.reward_table = np.asarray(reward_table, dtype=float)
-
-
-def preset_scheduling_env(num_subchannels: int, num_uavs: int = 1) -> SchedulingEnv:
-    """Bundled small MDPs for M=2 and M=4: p01=0.2 / p10=0.3 per channel,
-    with distinct per-channel link qualities so the greedy choice matters."""
-    sinr_by_m = {2: [15.0, 5.0], 4: [20.0, 12.0, 6.0, 0.0]}
-    matrices = [TransitionMatrix(0.2, 0.3) for _ in range(num_subchannels)]
-    row = sinr_by_m[num_subchannels]
-    table = normalized_reward_table([row] * num_uavs)
-    return SchedulingEnv(matrices, table)
 
 
 # ---------------------------------------------------------------------------
@@ -554,69 +535,6 @@ def write_training_csv(path: str, rows) -> None:
         for row in rows:
             writer.writerow([row[0], repr(float(row[1])), row[2],
                              repr(float(row[3])), repr(float(row[4])), 0])
-
-
-# ---------------------------------------------------------------------------
-# Exact oracle
-
-
-def _joint_transition(matrices: list[TransitionMatrix]) -> np.ndarray:
-    """Kronecker product of the per-channel chains under the bit-index
-    convention (channel 1 in the least significant bit)."""
-    joint = np.array([[1.0]])
-    for m in matrices:
-        joint = np.kron(m.rows, joint)
-    return joint
-
-
-def _expected_rewards(matrices, channel_rewards) -> np.ndarray:
-    """E[r * R] per (state, action); -inf marks infeasible actions."""
-    out = np.full((2 ** len(matrices), len(matrices) + 1), -np.inf)
-    out[:, 0] = 0.0
-    for m, matrix in enumerate(matrices):
-        vacant = (np.arange(len(out)) >> m) & 1 == 0  # the states where channel m+1 is free
-        out[vacant, m + 1] = channel_rewards[m] * (1.0 - 2.0 * matrix.p01)
-    return out
-
-
-def value_iteration(matrices: list[TransitionMatrix], channel_rewards,
-                    gamma: float, tol: float = 1e-9):
-    """Exact Bellman solution of the allocation MDP over the 2^M recurrent
-    states; returns (values, greedy policy). Infeasible actions are
-    excluded from the max; ties break toward the lowest action index."""
-    if len(matrices) > VALUE_ITERATION_MAX_SUBCHANNELS:
-        raise ValueError(
-            f"value iteration enumerates 2^M states; M <= "
-            f"{VALUE_ITERATION_MAX_SUBCHANNELS} required, got {len(matrices)}")
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError("gamma must lie in [0, 1)")
-    if len(channel_rewards) != len(matrices):
-        raise ValueError("one reward per sub-channel required")
-    p = _joint_transition(matrices)
-    r_exp = _expected_rewards(matrices, channel_rewards)
-    v = np.zeros(2 ** len(matrices))
-    while True:
-        q = r_exp + gamma * (p @ v)[:, None]
-        v_new = q.max(axis=1)
-        if np.max(np.abs(v_new - v)) < tol:
-            break
-        v = v_new
-    policy = q.argmax(axis=1)
-    return v_new, policy
-
-
-def policy_expected_utility(matrices: list[TransitionMatrix], channel_rewards,
-                            policy) -> float:
-    """Exact long-run per-slot expected utility of a stationary policy,
-    weighting states by the joint stationary distribution."""
-    r_exp = _expected_rewards(matrices, channel_rewards)
-    pi = np.array([1.0])  # the joint stationary distribution, channel 1 in the lowest bit
-    for m in matrices:
-        pi = np.kron(np.asarray(stationary_distribution(m)), pi)
-    per_state = r_exp[np.arange(len(policy)), policy]
-    if not np.all(np.isfinite(per_state)):
-        raise ValueError("policy takes an infeasible action")
-    return float(pi @ per_state)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nnet
-from .iqsynth import BLOCK_ELEMENTS, Dataset, IQObservation, band_edges
+from .iqsynth import BLOCK_ELEMENTS, Dataset, band_edges
 from .seeds import derive_rng
 
 INPUT_MODES = ("iq", "band-energy")
@@ -133,11 +133,6 @@ def detect(model: SensingModel, samples) -> np.ndarray:
     if model.kind == "energy-threshold":
         return energy_detect(band_energies(samples, model.num_subchannels), model.thresholds)
     return (classify(model, samples) >= model.decision_threshold).astype(np.int8)
-
-
-def predict_occupancy(model: SensingModel, observation: IQObservation) -> tuple[int, ...]:
-    """Deterministic per-UAV occupancy report h_k for one capture."""
-    return tuple(detect(model, observation.samples).tolist())
 
 
 @dataclass

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+import exact
 from uavdsa import fusion, iqsynth, nnet, sensing
 from uavdsa import scheduler as sch
 from uavdsa.channel import TransitionMatrix, stationary_sampler
@@ -52,16 +53,16 @@ def sensing_runs():
 def m4_runs():
     """Per seed: DDQN-soft training logs on the M=4 preset for one and two
     UAVs, plus the exact oracle per-slot utility."""
-    env1 = sch.preset_scheduling_env(4, num_uavs=1)
+    env1 = exact.preset_scheduling_env(4, num_uavs=1)
     rewards = env1.reward_table[0]
-    _, policy = sch.value_iteration(env1.matrices, rewards, 0.9)
-    oracle = sch.policy_expected_utility(env1.matrices, rewards, policy)
+    _, policy = exact.value_iteration(env1.matrices, rewards, 0.9)
+    oracle = exact.policy_expected_utility(env1.matrices, rewards, policy)
     episodes, slots = 250, 200
     runs = []
     for seed in SEEDS:
         logs = {}
         for uavs in (1, 2):
-            env = sch.preset_scheduling_env(4, num_uavs=uavs)
+            env = exact.preset_scheduling_env(4, num_uavs=uavs)
             agent = sch.DqnAgent(num_subchannels=4, variant="ddqn-soft", seed=seed)
             logs[uavs] = sch.train_agent(agent, env, episodes, slots, seed)
         runs.append(logs)
@@ -162,8 +163,8 @@ def test_criterion_3_fusion_benefit(sensing_runs):
             truths.append(label)
             reports = []
             for sinr in (strong_db, strong_db, weak_db):
-                obs = iqsynth.synthesize_observation(label, sinr, run["cfg"], rng)
-                reports.append(sensing.predict_occupancy(run["model"], obs))
+                samples = exact.capture(label, sinr, run["cfg"], rng)
+                reports.append(tuple(sensing.detect(run["model"], samples).tolist()))
             weak_preds.append(reports[2])
             fused_preds.append(tuple(fusion.vote(reports, rule.n).tolist()))
         degraded_f1.append(sensing.micro_metrics(weak_preds, truths).micro_f1)
@@ -191,7 +192,7 @@ def test_criterion_4_gradient_correctness():
         if any(np.abs(p).min() < 1e-2 for p in pre[:-1]):
             continue
         target = rng.normal(size=dims[-1])
-        worst = max(worst, nnet.gradient_check(net, x, target, nnet.MSE, eps=1e-3))
+        worst = max(worst, exact.gradient_check(net, x, target, nnet.MSE, eps=1e-3))
         nets_checked += 1
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-4
@@ -202,9 +203,9 @@ def test_criterion_4_gradient_correctness():
 
 def test_criterion_5_tabular_q_vs_oracle():
     t0 = time.perf_counter()
-    env = sch.preset_scheduling_env(2)
+    env = exact.preset_scheduling_env(2)
     rewards = env.reward_table[0]
-    v_star, policy_star = sch.value_iteration(env.matrices, rewards, 0.9)
+    v_star, policy_star = exact.value_iteration(env.matrices, rewards, 0.9)
     agent = sch.QTable(num_subchannels=2, gamma=0.9, alpha=None,
                        epsilon0=1.0, epsilon_min=1.0)  # exploratory, off-policy
     sch.train_agent(agent, env, episodes=1, slots_per_episode=10 ** 5, seed=SEEDS[0])

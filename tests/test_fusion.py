@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 from uavdsa import fusion
 
 
-def fuse(reports, n):
-    """The fused vector of one slot's (K, M) reports, as a tuple."""
+def vote(reports, n):
+    """fusion.vote of one slot's (K, M) reports, as a tuple."""
     return tuple(fusion.vote(reports, n).tolist())
 
 
-def fusion_table(reports):
+def vote_at_every_n(reports):
     """The fused vectors of one slot's reports for every n in 1..K."""
-    return [fuse(reports, n) for n in range(1, len(reports) + 1)]
+    return [vote(reports, n) for n in range(1, len(reports) + 1)]
 
 
 def brute_force_rule(reports, n):
@@ -30,27 +30,27 @@ def brute_force_rule(reports, n):
 
 class TestFuse:
     def test_two_of_three(self):
-        assert fuse([(0,), (0,), (1,)], 2) == (0,)
+        assert vote([(0,), (0,), (1,)], 2) == (0,)
 
     def test_or_rule(self):
-        assert fuse([(1,), (1,), (0,)], 1) == (0,)
+        assert vote([(1,), (1,), (0,)], 1) == (0,)
 
     def test_and_rule(self):
-        assert fuse([(0,), (0,), (1,)], 3) == (1,)
+        assert vote([(0,), (0,), (1,)], 3) == (1,)
 
     def test_unanimous(self):
         for n in (1, 2, 3):
-            assert fuse([(0, 1)] * 3, n) == (0, 1)
+            assert vote([(0, 1)] * 3, n) == (0, 1)
 
     def test_permutation_invariance(self):
         reports = [(0, 1, 0), (1, 1, 0), (0, 0, 1)]
-        expected = fuse(reports, 2)
+        expected = vote(reports, 2)
         for perm in itertools.permutations(reports):
-            assert fuse(list(perm), 2) == expected
+            assert vote(list(perm), 2) == expected
 
     def test_monotone_in_n(self):
         reports = [(0, 1, 0, 1), (1, 1, 0, 0), (0, 0, 0, 1), (1, 0, 1, 1)]
-        table = fusion_table(reports)
+        table = vote_at_every_n(reports)
         for lo, hi in zip(table, table[1:]):
             for a, b in zip(lo, hi):
                 assert b >= a  # vacancies only disappear as n grows
@@ -60,11 +60,11 @@ class TestFuse:
             for bits in itertools.product((0, 1), repeat=k * m):
                 reports = [bits[i * m:(i + 1) * m] for i in range(k)]
                 for n in range(1, k + 1):
-                    assert fuse(reports, n) == brute_force_rule(reports, n)
+                    assert vote(reports, n) == brute_force_rule(reports, n)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            fuse([(0,), (0, 1)], 1)
+            vote([(0,), (0, 1)], 1)
 
     def test_rule_bounds(self):
         with pytest.raises(ValueError):
@@ -73,7 +73,7 @@ class TestFuse:
             fusion.FusionRule(n=4, num_uavs=3)
 
 
-class TestFusionTable:
+class TestVoteStacks:
     def test_matches_individual_calls(self):
         """A stack of slots' reports, as simulate votes on them, fuses
         each slot as a call on that slot alone does."""
@@ -81,11 +81,11 @@ class TestFusionTable:
         fused = fusion.vote(slots, 2)
         assert fused.shape == (20, 5)
         for reports, row in zip(slots, fused):
-            assert tuple(row.tolist()) == fuse(reports, 2)
+            assert tuple(row.tolist()) == vote(reports, 2)
 
     def test_single_uav(self):
         report = (0, 1, 0)
-        assert fusion_table([report]) == [report]
+        assert vote_at_every_n([report]) == [report]
 
 
 @st.composite
@@ -98,8 +98,8 @@ def vote_cases(draw):
 
 @settings(max_examples=300, derandomize=True, database=None)
 @given(vote_cases())
-def test_fuse_and_fusion_table_agree_with_brute_force_vote(case):
+def test_vote_at_one_and_every_n_agrees_with_brute_force(case):
     reports, n = case
     k = len(reports)
-    assert fuse(reports, n) == brute_force_rule(reports, n)
-    assert fusion_table(reports) == [brute_force_rule(reports, j) for j in range(1, k + 1)]
+    assert vote(reports, n) == brute_force_rule(reports, n)
+    assert vote_at_every_n(reports) == [brute_force_rule(reports, j) for j in range(1, k + 1)]

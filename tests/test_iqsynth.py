@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import exact
 from uavdsa import core, iqsynth
 from uavdsa.channel import TransitionMatrix, stationary_sampler
 from uavdsa.seeds import derive_rng
@@ -64,15 +65,15 @@ class TestSynthesizeObservation:
     def test_output_length(self):
         cfg = small_config()
         for label in ((0, 0, 0, 0), (1, 1, 1, 1), (1, 0, 0, 1)):
-            obs = iqsynth.synthesize_observation(label, 10.0, cfg, derive_rng(3))
-            assert len(obs.samples) == cfg.samples_per_observation
+            samples = exact.capture(label, 10.0, cfg, derive_rng(3))
+            assert len(samples) == cfg.samples_per_observation
 
     def test_all_vacant_power_matches_reference_noise(self):
         cfg = small_config()
         rng = derive_rng(4)
         sinr_db = 3.0
-        powers = [np.mean(np.abs(iqsynth.synthesize_observation(
-            (0, 0, 0, 0), sinr_db, cfg, rng).samples) ** 2) for _ in range(100)]
+        powers = [np.mean(np.abs(exact.capture((0, 0, 0, 0), sinr_db, cfg, rng)) ** 2)
+                  for _ in range(100)]
         assert np.mean(powers) == pytest.approx(iqsynth.noise_power(sinr_db), rel=0.05)
 
     def test_single_busy_band_concentration(self):
@@ -96,8 +97,8 @@ class TestSynthesizeObservation:
             rng = derive_rng(7, int(target) & 0xFF)
             sig_est, noise_est = [], []
             for _ in range(150):
-                obs = iqsynth.synthesize_observation(label, target, cfg, rng)
-                spectrum = np.abs(np.fft.fft(obs.samples, norm="ortho")) ** 2
+                samples = exact.capture(label, target, cfg, rng)
+                spectrum = np.abs(np.fft.fft(samples, norm="ortho")) ** 2
                 noise_est.append(spectrum[vacant_band].mean())
                 sig_est.append(spectrum[occupied].mean())
             noise = np.mean(noise_est)
@@ -157,15 +158,16 @@ class TestAddInterference:
 
     def test_empty_neighbor_list_identity(self, monkeypatch):
         """Without interference each observation is, bit for bit, the
-        synthesize_observation of its substream rounded to complex64."""
+        single capture of its substream rounded to complex64."""
         cfg = small_config()
         source = stationary_sampler([TransitionMatrix(0.2, 0.3)] * 4)
         ds, rngs = generate_recording_rngs(cfg, source, 50, monkeypatch)
         for idx, (obs, rng) in enumerate(zip(ds.observations, rngs)):
             want_rng = derive_rng(cfg.seed, iqsynth._OBS_KEY, idx)
-            plain = iqsynth.synthesize_observation(source(want_rng), obs.sinr_db, cfg, want_rng)
-            assert np.array_equal(bits(ds.samples[idx]), bits(plain.samples.astype(np.complex64)))
-            assert obs.label == plain.label
+            label = source(want_rng)
+            plain = exact.capture(label, obs.sinr_db, cfg, want_rng)
+            assert np.array_equal(bits(ds.samples[idx]), bits(plain.astype(np.complex64)))
+            assert obs.label == label
             assert rng.bit_generator.state == want_rng.bit_generator.state
 
     def test_minus_inf_gain_skips(self):
@@ -459,9 +461,9 @@ def test_batched_captures_are_bitwise_per_capture(m, n):
                 assert np.array_equal(bits(band_energies(captures[i], m)), bits(batched[i]))
     label = labels[2]
     rng, ref_rng = derive_rng(7), derive_rng(7)
-    obs = iqsynth.synthesize_observation(label, 3.0, cfg, rng)
+    samples = exact.capture(label, 3.0, cfg, rng)
     spectrum = reference_spectra(label, (3.0,), cfg, ref_rng)[0]
-    assert np.array_equal(bits(obs.samples), bits(np.fft.ifft(spectrum, norm="ortho")))
+    assert np.array_equal(bits(samples), bits(np.fft.ifft(spectrum, norm="ortho")))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 

@@ -13,6 +13,7 @@ import hashlib
 
 import pytest
 
+import exact
 from uavdsa import scheduler as sch
 
 EPISODES, SLOTS, SEED = 3, 60, 11
@@ -72,7 +73,7 @@ def _digest(path) -> str:
 def run_case(name: str, out_dir) -> tuple[str, str]:
     """(training CSV digest, checkpoint digest) of one case."""
     variant, uavs, extra = CASES[name]
-    env = sch.preset_scheduling_env(4, num_uavs=uavs)
+    env = exact.preset_scheduling_env(4, num_uavs=uavs)
     if variant == "qtable":
         agent = sch.QTable(num_subchannels=4, gamma=0.9)
     else:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import exact
 from uavdsa import iqsynth, nnet, sensing
 from uavdsa import scheduler as sch
 from uavdsa.seeds import derive_rng
@@ -126,7 +127,7 @@ class TestBackward:
         net = linear_net(2.0, 1.0)
         x, y = np.array([3.0]), np.array([7.0])  # 2*3+1 = 7
         grads = nnet.backward(net, x, y, nnet.MSE)
-        assert nnet.loss_value(net, x, y, nnet.MSE) == 0.0
+        assert nnet.output_loss(nnet.forward(net, x), y, nnet.MSE) == 0.0
         assert np.allclose(grads[0][0], 0.0) and np.allclose(grads[0][1], 0.0)
 
     def test_single_linear_neuron_closed_form(self):
@@ -143,7 +144,7 @@ class TestBackward:
         net = nnet.build_network([4, 8, 3], ["relu", "identity"], seed=5)
         x = rng.normal(size=4)
         y = rng.normal(size=3)
-        assert nnet.gradient_check(net, x, y, nnet.MSE, eps=1e-3) <= 1e-4
+        assert exact.gradient_check(net, x, y, nnet.MSE, eps=1e-3) <= 1e-4
 
     def test_batch_gradient_is_mean_of_singles(self):
         net = nnet.build_network([2, 4, 2], ["relu", "sigmoid"], seed=3)
@@ -369,8 +370,8 @@ class TestGradientCheck:
     def test_quadratic_loss_is_exact(self):
         net = nnet.build_network([3, 2], ["identity"], seed=2)
         rng = np.random.default_rng(2)
-        err = nnet.gradient_check(net, rng.normal(size=3), rng.normal(size=2),
-                                  nnet.MSE, eps=1e-3)
+        err = exact.gradient_check(net, rng.normal(size=3), rng.normal(size=2),
+                                   nnet.MSE, eps=1e-3)
         assert err <= 1e-8
 
     def test_relu_net_away_from_kinks(self):
@@ -382,8 +383,8 @@ class TestGradientCheck:
             pre, _ = nnet.forward_trace(net, x)
             if min(np.abs(pre[0]).min(), np.abs(pre[1]).min()) < 1e-2:
                 continue  # resample configs near a kink
-            assert nnet.gradient_check(net, x, rng.normal(size=2), nnet.MSE,
-                                       eps=1e-3) <= 1e-4
+            assert exact.gradient_check(net, x, rng.normal(size=2), nnet.MSE,
+                                        eps=1e-3) <= 1e-4
 
     def test_planted_sign_flip_is_detected(self):
         # a sign-flipped analytic gradient sits ~2 relative error from the slope
@@ -393,9 +394,9 @@ class TestGradientCheck:
         g = grads[0][0][0, 0]
         eps = 1e-4
         net.layers[0].w[0, 0] += eps
-        up = nnet.loss_value(net, x, y, nnet.MSE)
+        up = nnet.output_loss(nnet.forward(net, x), y, nnet.MSE)
         net.layers[0].w[0, 0] -= 2 * eps
-        down = nnet.loss_value(net, x, y, nnet.MSE)
+        down = nnet.output_loss(nnet.forward(net, x), y, nnet.MSE)
         net.layers[0].w[0, 0] += eps
         fd = (up - down) / (2 * eps)
         flipped_err = abs(-g - fd) / max(abs(g), abs(fd))
@@ -450,7 +451,7 @@ class TestDtypes:
             warnings.simplefilter("error")
             x, t = [[-100.0], [100.0]], [[1.0, 0.0], [0.0, 1.0]]
             y = nnet.forward(net, x)
-            loss = nnet.loss_value(net, x, t, nnet.BCE)
+            loss = nnet.output_loss(nnet.forward(net, x), t, nnet.BCE)
             grads = nnet.backward(net, x, t, nnet.BCE)
         assert y.dtype == np.float32 and y.tolist() == [[0.0, 0.0], [1.0, 1.0]]
         assert math.isfinite(loss)
@@ -486,7 +487,7 @@ class TestDtypes:
         assert {a.dtype for record in traces + steps for a in record} == {np.dtype(np.float32)}
         assert model.network.params.dtype == np.float32
         agent = sch.DqnAgent(num_subchannels=2, seed=1, batch_size=8)
-        sch.train_agent(agent, sch.preset_scheduling_env(2), episodes=2,
+        sch.train_agent(agent, exact.preset_scheduling_env(2), episodes=2,
                         slots_per_episode=30, seed=1)
         opt = agent.optimizer
         assert opt.step_count > 0
@@ -506,7 +507,7 @@ class TestLearnability:
             loss = np.inf
             for _ in range(5000):
                 nnet.backward(net, xs, ys, nnet.BCE)
-                loss = nnet.loss_value(net, xs, ys, nnet.BCE)
+                loss = nnet.output_loss(nnet.forward(net, xs), ys, nnet.BCE)
                 if loss < 0.05:
                     break
                 nnet.optimizer_step(net, state)

@@ -1,26 +1,20 @@
 """An exact oracle for simulate's sense -> fuse -> access chain under energy
 detectors.
 
-A band of B bins with s active subcarriers at noise power sigma2 has
-energy E = (sigma2 / 2) * chi2_2B(lambda), lambda = 2 s / sigma2 when the
-band is busy and 0 when it is vacant (the iqsynth module docstring). A
-UAV reports the band vacant iff E < tau, so
+exact.exact_laws gives each UAV's P(vacant report | state) and the
+n-out-of-K vote's (the derivation is in tests/exact.py). The channels are
+independent and the agent sees only the fused vector, so a transmission on
+a channel, allocated from a fused vacant bit and executed one slot later,
+collides with probability
 
-    P(vacant report | state) = P(chi2_2B(lambda) < 2 tau / sigma2)
-        = sum_j Poisson(j; lambda / 2) * P(Poisson(tau / sigma2) >= B + j),
+    [pi0 F0 p01 + pi1 F1 (1 - p10)] / [pi0 F0 + pi1 F1],
 
-summed here in log space (a direct sum underflows at large B and lambda).
-The n-out-of-K vote makes the fused P(vacant | vacant) = F0 and
-P(vacant | busy) = F1 Poisson-binomial sums over the K UAVs. The channels
-are independent and the agent sees only the fused vector, so a
-transmission on a channel, allocated from a fused vacant bit and executed
-one slot later, collides with probability
-
-    [pi0 F0 p01 + pi1 F1 (1 - p10)] / [pi0 F0 + pi1 F1].
+F0 and F1 the fused P(vacant | vacant) and P(vacant | busy).
 
 On fixed seeds, every [TP, FP, FN, TN] count of report.json (vacant is the
-positive class) and every channel's collision count in the ledgers must lie
-within Z_BOUND standard deviations of its exact mean.
+positive class), per UAV and fused, at every vote threshold n in 1..K, and
+every channel's collision count in the ledgers at the configured n, must
+lie within Z_BOUND standard deviations of its exact mean.
 """
 
 import math
@@ -28,9 +22,9 @@ import math
 import numpy as np
 import pytest
 
+from exact import exact_laws, p_vacant_report, vacant_slot_variance
 from uavdsa.channel import stationary_distribution
 from uavdsa.config import validate_config
-from uavdsa.iqsynth import band_edges, noise_power
 from uavdsa.simulate import run_simulation
 
 Z_BOUND = 4.0
@@ -68,61 +62,6 @@ CONFIGS = {
 SEEDS = (1, 2, 808)
 
 
-def log_poisson_upper_tails(mu: float, top: int) -> np.ndarray:
-    """log P(Poisson(mu) >= n) for n = 0..top."""
-    stop = int(top + mu + 40.0 * math.sqrt(mu + 1.0) + 100)
-    i = np.arange(stop)
-    log_factorial = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, stop)))))
-    log_pmf = i * math.log(mu) - mu - log_factorial
-    return np.logaddexp.accumulate(log_pmf[::-1])[::-1][:top + 1]
-
-
-def p_vacant_report(bins: int, active: int, sigma2: float, tau: float, busy: bool) -> float:
-    """P(chi2_2B(lambda) < 2 tau / sigma2), lambda = 2 s / sigma2 if busy else 0."""
-    half_lambda = active / sigma2 if busy else 0.0
-    terms = int(half_lambda + 40.0 * math.sqrt(half_lambda + 1.0) + 50) if busy else 1
-    j = np.arange(terms)
-    if busy:
-        log_weights = (j * math.log(half_lambda) - half_lambda
-                       - np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, terms))))))
-    else:
-        log_weights = np.zeros(1)
-    tails = log_poisson_upper_tails(tau / sigma2, bins + terms)[bins + j]
-    return float(np.exp(np.logaddexp.reduce(log_weights + tails)))
-
-
-def at_least(ps, n: int) -> float:
-    """P(at least n of independent events with probabilities ps occur)."""
-    dist = np.array([1.0])
-    for p in ps:
-        dist = np.convolve(dist, [1.0 - p, p])
-    return float(dist[n:].sum())
-
-
-def vacant_slot_variance(matrix, slots: int) -> float:
-    """Var of the number of vacant slots of one stationary episode."""
-    pi0, pi1 = stationary_distribution(matrix)
-    rho = 1.0 - matrix.p01 - matrix.p10
-    h = np.arange(1, slots)
-    return pi0 * pi1 * (slots + 2.0 * float(np.sum((slots - h) * rho ** h)))
-
-
-def exact_laws(cfg):
-    """(reports, fused): [M, 2] arrays of P(vacant report | vacant, busy) per
-    channel, one per UAV, then the n-out-of-K vote's."""
-    synth, m = cfg.synth, cfg.radio.num_subchannels
-    widths = [b - a for a, b in band_edges(synth.samples_per_observation, m)]
-    reports = []
-    for spec, sinr in zip(cfg.sensing, cfg.link.sensing_sinr_db):
-        sigma2 = noise_power(sinr)
-        reports.append(np.array([[p_vacant_report(bins, synth.subcarriers_per_subchannel,
-                                                  sigma2, tau, busy) for busy in (False, True)]
-                                 for bins, tau in zip(widths, spec.thresholds)]))
-    fused = np.array([[at_least([r[ch, s] for r in reports], cfg.fusion.n) for s in (0, 1)]
-                      for ch in range(m)])
-    return reports, fused
-
-
 def count_z_scores(counts, law, cfg) -> list[float]:
     """z of [TP, FP, FN, TN] pooled over every channel and slot, for a
     report column with per-channel P(vacant report | state) `law` (M, 2)."""
@@ -136,7 +75,8 @@ def count_z_scores(counts, law, cfg) -> list[float]:
                                            (0, 1.0 - q_vac), (1, 1.0 - q_busy))):
             means[cell] += episodes * slots * pis[state] * q
             variances[cell] += episodes * (q * (1.0 - q) * slots * pis[state] + q * q * v)
-    return ((np.asarray(counts) - means) / np.sqrt(variances)).tolist()
+    with np.errstate(invalid="ignore"):  # a cell whose law is 0 or 1 reads 0/0: NaN
+        return ((np.asarray(counts) - means) / np.sqrt(variances)).tolist()
 
 
 def collision_z_scores(ledgers, fused, cfg) -> list[float]:
@@ -180,23 +120,48 @@ def test_noncentral_chi_square_law_matches_a_monte_carlo_draw(bins, lam):
 def test_laws_are_not_trivial():
     """The noisy config has large miss and false-alarm probabilities at
     every UAV and after the vote, and criterion 8's has a silent 0 dB UAV."""
-    reports, fused = exact_laws(validate_config(dict(CONFIGS["noisy"], seed=1)))
+    cfg = validate_config(dict(CONFIGS["noisy"], seed=1))
+    reports, fused = exact_laws(cfg, cfg.fusion.n)
     for law in [*reports[:2], fused]:
         assert np.all((law > 0.1) & (law < 0.9)), law
-    reports, fused = exact_laws(validate_config(dict(CONFIGS["criterion-8"], seed=1)))
+    cfg = validate_config(dict(CONFIGS["criterion-8"], seed=1))
+    reports, fused = exact_laws(cfg, cfg.fusion.n)
     assert np.all(reports[2] < 1e-12) and np.all(fused[:, 1] < 1e-12)
     assert np.all(fused[:, 0] > 0.8)
+
+
+def run_z_scores(cfg):
+    """Run simulate; return the run, its fused law, and the z of every
+    UAV's and the fused counts against the exact laws at its vote
+    threshold."""
+    reports, fused = exact_laws(cfg, cfg.fusion.n)
+    run = run_simulation(cfg)
+    keys = [f"uav_{k}" for k in range(cfg.radio.num_uavs)] + ["fused"]
+    z = {key: count_z_scores(run.sensing_counts[key], law, cfg)
+         for key, law in zip(keys, [*reports, fused])}
+    return run, fused, z
+
+
+def assert_within_bound(z: dict[str, list[float]]) -> None:
+    worst = max(abs(v) for row in z.values() for v in row if not math.isnan(v))
+    assert worst <= Z_BOUND, {key: [round(v, 2) for v in row] for key, row in z.items()}
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_simulate_agrees_with_the_exact_law(name, seed):
     cfg = validate_config(dict(CONFIGS[name], seed=seed))
-    reports, fused = exact_laws(cfg)
-    run = run_simulation(cfg)
-    keys = [f"uav_{k}" for k in range(cfg.radio.num_uavs)] + ["fused"]
-    z = {key: count_z_scores(run.sensing_counts[key], law, cfg)
-         for key, law in zip(keys, [*reports, fused])}
+    run, fused, z = run_z_scores(cfg)
     z["collisions"] = collision_z_scores(run.ledgers, fused, cfg)
-    worst = max(abs(v) for row in z.values() for v in row if not math.isnan(v))
-    assert worst <= Z_BOUND, {key: [round(v, 2) for v in row] for key, row in z.items()}
+    assert_within_bound(z)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name,n", [(name, n) for name in sorted(CONFIGS)
+                                    for n in range(1, CONFIGS[name]["radio"]["num_uavs"] + 1)])
+def test_counts_agree_with_the_exact_law_at_every_vote_threshold(name, n, seed):
+    """The per-UAV and fused counts of a run at each n in 1..K; collisions
+    are checked at the configured n only, where every channel carries
+    enough transmissions."""
+    _, _, z = run_z_scores(validate_config(dict(CONFIGS[name], seed=seed, fusion_n=n)))
+    assert_within_bound(z)

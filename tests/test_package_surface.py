@@ -1,0 +1,72 @@
+"""The package carries only code that the package itself calls.
+
+A top-level function or class of src/uavdsa that nothing in src/uavdsa
+references, other than its own definition, is code that only tests or
+tools use: it belongs in the tests (exact references live in
+tests/exact.py), or it goes. A reference is a name, an attribute or an
+import alias anywhere in the package's syntax trees; a mention in a
+docstring or a comment is not one. Names are matched without their module,
+which can only hide an unused definition, never invent one.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "uavdsa"
+
+# reached from outside the package: the console script runs cli.main, and
+# cli_dispatch looks its handlers up in globals() by subcommand name
+ENTRY_POINTS = re.compile(r"cli\.(main|cmd_\w+)")
+
+
+def referenced_names(node: ast.AST) -> set[str]:
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name)
+    return names
+
+
+def unreferenced_definitions(package: Path) -> list[str]:
+    """module.name of each top-level function and class of `package` that
+    no other top-level statement of the package references."""
+    definitions, statements = [], []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            statements.append((node, referenced_names(node)))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                definitions.append((f"{path.stem}.{node.name}", node))
+    return [qualified for qualified, node in definitions
+            if not ENTRY_POINTS.fullmatch(qualified)
+            and not any(node.name in names for other, names in statements if other is not node)]
+
+
+def test_every_definition_is_referenced_in_the_package():
+    unused = unreferenced_definitions(PACKAGE)
+    assert not unused, f"referenced nowhere in src/uavdsa: {', '.join(unused)}"
+
+
+def test_the_scan_sees_through_docstrings_and_its_own_body(tmp_path):
+    (tmp_path / "a.py").write_text(
+        '"""helper is named here, in a docstring."""\n'
+        "from .b import used\n"
+        "def helper():\n"
+        "    return helper()  # recursion is its own definition\n"
+        "def caller():\n"
+        "    return used.attr\n"
+        "class Kept:\n"
+        "    pass\n")
+    (tmp_path / "b.py").write_text(
+        "from . import a\n"
+        "def used():\n"
+        "    return a.Kept()\n"
+        "def attr():\n"
+        "    pass\n"
+        "def cmd_x():\n"
+        "    pass\n")
+    assert unreferenced_definitions(tmp_path) == ["a.helper", "a.caller", "b.cmd_x"]

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+import exact
 from uavdsa import nnet
 from uavdsa import scheduler as sch
 from uavdsa import simulate
@@ -342,14 +343,14 @@ class TestReplay:
 class TestValueIteration:
     def test_always_vacant_geometric_value(self):
         mats = [TransitionMatrix(0.0, 1.0)]
-        v, policy = sch.value_iteration(mats, [1.0], 0.9)
+        v, policy = exact.value_iteration(mats, [1.0], 0.9)
         assert v[0] == pytest.approx(10.0, abs=1e-6)
         assert policy[0] == 1
 
     def test_gamma_zero_is_myopic(self):
         mats = [TransitionMatrix(0.1, 0.5), TransitionMatrix(0.4, 0.5)]
         rewards = [0.5, 1.0]
-        _, policy = sch.value_iteration(mats, rewards, 0.0)
+        _, policy = exact.value_iteration(mats, rewards, 0.0)
         for s in range(4):
             best, best_val = 0, 0.0
             for m in range(2):
@@ -366,9 +367,9 @@ class TestValueIteration:
                     for _ in range(2)]
             rewards = rng.uniform(0.2, 1.0, size=2)
             gamma = 0.9
-            v, policy = sch.value_iteration(mats, rewards, gamma, tol=1e-12)
-            p = sch._joint_transition(mats)
-            r_exp = sch._expected_rewards(mats, rewards)
+            v, policy = exact.value_iteration(mats, rewards, gamma, tol=1e-12)
+            p = exact._joint_transition(mats)
+            r_exp = exact._expected_rewards(mats, rewards)
             best_value = -np.inf
             valid_sets = [[a for a in range(3) if np.isfinite(r_exp[s, a])]
                           for s in range(4)]
@@ -385,20 +386,20 @@ class TestValueIteration:
     def test_refuses_large_m(self):
         mats = [TransitionMatrix(0.2, 0.3)] * 11
         with pytest.raises(ValueError, match="M <= 10"):
-            sch.value_iteration(mats, [1.0] * 11, 0.9)
+            exact.value_iteration(mats, [1.0] * 11, 0.9)
 
     def test_expected_utility_of_idle_policy_is_zero(self):
-        env = sch.preset_scheduling_env(2)
+        env = exact.preset_scheduling_env(2)
         policy = np.zeros(4, dtype=int)
-        assert sch.policy_expected_utility(env.matrices, env.reward_table[0],
-                                           policy) == 0.0
+        assert exact.policy_expected_utility(env.matrices, env.reward_table[0],
+                                             policy) == 0.0
 
     # gamma = 1 would never converge, extra rewards would be ignored, and an
     # infeasible action would score -inf (or NaN where a state has no weight)
     @pytest.mark.parametrize("misuse,message", [
-        (lambda mats: sch.value_iteration(mats, [1.0, 1.0], 1.0), "gamma"),
-        (lambda mats: sch.value_iteration(mats, [1.0, 1.0, 1.0], 0.9), "one reward per"),
-        (lambda mats: sch.policy_expected_utility(mats, [1.0, 1.0], np.full(4, 1)),
+        (lambda mats: exact.value_iteration(mats, [1.0, 1.0], 1.0), "gamma"),
+        (lambda mats: exact.value_iteration(mats, [1.0, 1.0, 1.0], 0.9), "one reward per"),
+        (lambda mats: exact.policy_expected_utility(mats, [1.0, 1.0], np.full(4, 1)),
          "infeasible action"),
     ], ids=["gamma", "rewards", "policy"])
     def test_oracle_refuses_misuse(self, misuse, message):
@@ -426,7 +427,7 @@ class TestTrainAgent:
             assert row[1] > row[0]
 
     def test_same_seed_identical_log(self):
-        env = sch.preset_scheduling_env(2)
+        env = exact.preset_scheduling_env(2)
         logs = []
         for _ in range(2):
             agent = sch.QTable(num_subchannels=2, gamma=0.9)
@@ -436,7 +437,7 @@ class TestTrainAgent:
         assert strip(logs[0]) == strip(logs[1])
 
     def test_every_action_feasible_for_its_state(self):
-        env = sch.preset_scheduling_env(4, num_uavs=2)
+        env = exact.preset_scheduling_env(4, num_uavs=2)
         # epsilon stays 1.0: every pick is masked_actions' uniform branch
         agent = sch.QTable(num_subchannels=4, epsilon0=1.0, epsilon_min=1.0)
         # check_actions raises on any violation, so completion is the check
@@ -444,7 +445,7 @@ class TestTrainAgent:
         assert len(log) == 4
 
     def test_divergence_guard(self):
-        env = sch.preset_scheduling_env(2)
+        env = exact.preset_scheduling_env(2)
         agent = sch.QTable(num_subchannels=2, gamma=0.9, alpha=0.5)
         agent.table[:] = 2e6
         with pytest.raises(RuntimeError, match="diverged"):
@@ -564,7 +565,7 @@ PLANTS = {
 
 @pytest.mark.parametrize("plant", sorted(PLANTS))
 def test_train_agent_refuses_a_planted_violation(plant):
-    env = sch.preset_scheduling_env(4, num_uavs=2)
+    env = exact.preset_scheduling_env(4, num_uavs=2)
     with pytest.raises(RuntimeError, match="infeasible actions"):
         sch.train_agent(PlantedAgent(4, PLANTS[plant]), env, episodes=1,
                         slots_per_episode=50, seed=3)

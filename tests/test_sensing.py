@@ -117,7 +117,7 @@ class TestEnergyDetect:
 
     def test_evaluation_is_one_pass_over_the_slice(self):
         # for either kind, the slice's stacked captures give what one
-        # predict_occupancy per capture gives; a slice without
+        # detect per capture gives; a slice without
         # observations has undefined (NaN) metrics
         ds = make_dataset(m=4, n=64, grid=(0.0, 10.0), count=40)
         network = nnet.build_network([4, 16, 4], ["relu", "sigmoid"], seed=3)
@@ -129,7 +129,8 @@ class TestEnergyDetect:
                 idx = [i for i in ds.split["test"]
                        if sinr is None or ds.observations[i].sinr_db == sinr]
                 want = sensing.micro_metrics(
-                    [sensing.predict_occupancy(model, ds.observations[i]) for i in idx],
+                    [tuple(sensing.detect(model, ds.observations[i].samples).tolist())
+                     for i in idx],
                     [ds.observations[i].label for i in idx])
                 got = sensing.evaluate_model(model, ds, sinr_db=sinr)
                 assert (got.tp, got.fp, got.fn, got.tn) == (want.tp, want.fp, want.fn, want.tn)
@@ -199,8 +200,8 @@ class TestPredictOccupancy:
             network=nnet.build_network([4, 16, 4], ["relu", "sigmoid"], seed=0),
             input_mode="band-energy")
         for obs in list(ds.observations)[:10]:
-            out = sensing.predict_occupancy(model, obs)
-            assert len(out) == 4 and set(out) <= {0, 1}
+            out = sensing.detect(model, obs.samples)
+            assert out.shape == (4,) and set(out.tolist()) <= {0, 1}
 
     def test_deterministic(self):
         ds = make_dataset(m=4, n=64, count=10)
@@ -208,8 +209,8 @@ class TestPredictOccupancy:
             kind="dense-classifier", num_subchannels=4,
             network=nnet.build_network([128, 16, 4], ["relu", "sigmoid"], seed=0),
             input_mode="iq")
-        obs = ds.observations[0]
-        assert sensing.predict_occupancy(model, obs) == sensing.predict_occupancy(model, obs)
+        samples = ds.observations[0].samples
+        assert np.array_equal(sensing.detect(model, samples), sensing.detect(model, samples))
 
     def test_untrained_never_beats_constant_baseline(self):
         # random weights carry no information about the labels, so they

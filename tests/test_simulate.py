@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import exact
 from test_iqsynth import bits, reference_energy_draws, reference_spectra
 from uavdsa import iqsynth, nnet, sensing, simulate
 from uavdsa import scheduler as sch
@@ -111,7 +112,7 @@ class TestRunSimulation:
         assert payload["mean_ee"] is None
 
     def test_trained_beats_random_allocator(self, tmp_path):
-        env = sch.preset_scheduling_env(4)
+        env = exact.preset_scheduling_env(4)
         agent = sch.DqnAgent(num_subchannels=4, variant="ddqn-soft", seed=0)
         sch.train_agent(agent, env, episodes=120, slots_per_episode=100, seed=4)
         ckpt = str(tmp_path / "m4.ckpt")
@@ -276,8 +277,7 @@ def test_sense_matches_per_capture_reports(m, n):
             spectra = reference_spectra(label, [sinrs[k] for k in classifier_rows], synth,
                                         ref_spectra)
             for k, spectrum in zip(classifier_rows, spectra):
-                want[k] = list(sensing.predict_occupancy(models[k], iqsynth.IQObservation(
-                    np.fft.ifft(spectrum, norm="ortho"), label, sinrs[k])))
+                want[k] = sensing.detect(models[k], np.fft.ifft(spectrum, norm="ortho")).tolist()
             assert reports == want
             seen.update(tuple(want[k]) for k in energy_rows + classifier_rows)
         for stream, ref_stream in zip(streams, (ref_central, ref_shift, ref_spectra)):
@@ -387,7 +387,7 @@ def test_outputs_do_not_depend_on_the_block_size(tmp_path, monkeypatch):
     from uavdsa.cli import cmd_eval_sensing
     cfg = golden_like_config(tmp_path)
     table = sch.QTable(num_subchannels=4)
-    sch.train_agent(table, sch.preset_scheduling_env(4), episodes=3, slots_per_episode=50,
+    sch.train_agent(table, exact.preset_scheduling_env(4), episodes=3, slots_per_episode=50,
                     seed=1)
     sch.save_agent(table, str(tmp_path / "agent.qtb"))
     trained = dataclasses.replace(cfg, agent=dataclasses.replace(
@@ -433,8 +433,8 @@ def test_episode_trajectory_is_stepped_chain(slots, monkeypatch):
 
 
 def test_energy_model_without_thresholds_is_refused_on_both_paths():
-    """A sensing model is complete when built, so neither predict_occupancy
-    nor the slot's sensing pass can be handed one that cannot detect."""
+    """A sensing model is complete when built, so neither detect nor the
+    slot's sensing pass can be handed one that cannot detect."""
     for thresholds in (None, np.full(3, 1.0)):
         with pytest.raises(ValueError, match="has no thresholds for its 4"):
             sensing.SensingModel(kind="energy-threshold", num_subchannels=4,
