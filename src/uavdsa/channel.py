@@ -57,13 +57,14 @@ def stationary_distribution(matrix: TransitionMatrix) -> tuple[float, float]:
 
 
 def stationary_sampler(matrices: list[TransitionMatrix]):
-    """Callable(rng) drawing an occupancy vector from the chains' stationary
-    distributions: channel m is busy iff its one uniform is >= P(vacant).
-    It draws each episode's slot-0 occupancy and each dataset label."""
+    """Callable(rng) drawing an int8 occupancy vector (M,) from the chains'
+    stationary distributions: channel m is busy iff its one uniform is
+    >= P(vacant). It draws each episode's slot-0 occupancy and each dataset
+    label."""
     p_vacant = np.array([stationary_distribution(m)[0] for m in matrices])
 
-    def draw(rng: np.random.Generator) -> tuple[int, ...]:
-        return tuple(int(b) for b in (rng.random(len(p_vacant)) >= p_vacant))
+    def draw(rng: np.random.Generator) -> np.ndarray:
+        return (rng.random(len(p_vacant)) >= p_vacant).astype(np.int8)
 
     return draw
 

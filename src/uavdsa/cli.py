@@ -132,7 +132,7 @@ def cmd_eval_sensing(config: SimConfig, args) -> int:
                       for _ in range(min(size, config.dataset.eval_count - start))]
             sensing_trials(models, labels, sinrs, config, streams, counts)
         rows += metric_rows(counts.tolist(), sinrs, g, [spec.kind for spec in specs],
-                            config.fusion.n)
+                            config.fusion_n)
 
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "sensing_metrics.csv")

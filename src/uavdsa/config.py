@@ -63,7 +63,6 @@ from dataclasses import MISSING, dataclass, field, fields
 
 from .channel import LinkModel, TransitionMatrix, default_link_model
 from .core import RadioParams, SlotTiming
-from .fusion import FusionRule
 from .iqsynth import SynthConfig
 from .scheduler import (DQN_MAX_SUBCHANNELS, DQN_VARIANTS, TABULAR_MAX_SUBCHANNELS,
                         DqnAgent, DqnSpec, QTableSpec)
@@ -118,7 +117,7 @@ class SimConfig:
     timing: SlotTiming
     matrices: tuple[TransitionMatrix, ...]
     link: LinkModel
-    fusion: FusionRule
+    fusion_n: int
     sensing: tuple[SensingSpec, ...]  # one per UAV
     agent: AgentSpec
     synth: SynthConfig
@@ -365,6 +364,9 @@ def validate_config(raw: dict, seed_override: int | None = None,
             f"dataset.count_per_sinr: {dataset.count_per_sinr} observations at each "
             f"of {len(grid)} SINRs, of {fft_size} samples each, exceed the "
             f"{MAX_DATASET_SAMPLES} samples a dataset may hold")
+    if fft_size & (fft_size - 1):
+        problems.append("dataset.fft_size: must be a power of two")
+        fft_size = DatasetSpec.fft_size  # so that SynthConfig does not refuse it again
 
     # constructor invariants become config problems instead of tracebacks
     built = {}
@@ -372,7 +374,6 @@ def validate_config(raw: dict, seed_override: int | None = None,
         ("radio", lambda: RadioParams(**radio_kw)),
         ("timing", lambda: SlotTiming(**timing_kw)),
         ("link", lambda: LinkModel(sensing_sinr_db=sensing_sinr, access_sinr_db=access)),
-        ("fusion_n", lambda: FusionRule(n=fusion_n, num_uavs=k)),
         ("dataset", lambda: SynthConfig(
             seed=seed, num_subchannels=m, samples_per_observation=fft_size,
             subcarriers_per_subchannel=dataset.subcarriers_per_subchannel
@@ -389,7 +390,7 @@ def validate_config(raw: dict, seed_override: int | None = None,
 
     return SimConfig(
         seed=seed, radio=built["radio"], timing=built["timing"],
-        matrices=tuple(matrices), link=built["link"], fusion=built["fusion_n"],
+        matrices=tuple(matrices), link=built["link"], fusion_n=fusion_n,
         sensing=tuple(sensing_specs), agent=agent, synth=built["dataset"],
         dataset=dataset, **scalars)
 

@@ -1,13 +1,18 @@
 """Closed-form slot quantities: costs, throughput, collision indicator,
-utility and energy efficiency, plus the per-slot ledger of decisions.
+utility and energy efficiency, plus the per-slot ledger of decisions and
+the occupancy codec.
 
 All functions are pure; every occupancy vector uses the convention
-0 = vacant, 1 = busy (a "spectrum hole" is a 0 bit).
+0 = vacant, 1 = busy (a "spectrum hole" is a 0 bit). The package holds
+occupancy vectors as int8 arrays (..., M) or as their int64 codes, which
+put sub-channel m in bit 2^(m-1): occupancy_codes and code_bits convert.
 """
 
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 import math
+
+import numpy as np
 
 # Sizes that tables, captures and networks are allocated from; config
 # validation stops larger values before they overflow or exhaust memory.
@@ -46,39 +51,29 @@ class RadioParams:
     num_subchannels / num_uavs: the M and K of the deployment.
     """
 
-    v_cc: float = 1.0
-    p_tx: float = 0.5
-    subchannel_bandwidth: float = 540e3
+    v_cc: float = field(default=1.0, metadata={"above": 0.0})
+    p_tx: float = field(default=0.5, metadata={"above": 0.0})
+    subchannel_bandwidth: float = field(default=540e3, metadata={"above": 0.0})
     num_subchannels: int = field(default=4, metadata={"low": 1, "high": MAX_SUBCHANNELS})
     num_uavs: int = field(default=3, metadata={"low": 1, "high": MAX_UAVS})
     system_bandwidth: float | None = None
 
     def __post_init__(self):
-        if self.v_cc <= 0 or self.p_tx <= 0 or self.subchannel_bandwidth <= 0:
-            raise ValueError("v_cc, p_tx and subchannel_bandwidth must be positive")
         if self.system_bandwidth is not None:
             if self.num_subchannels * self.subchannel_bandwidth > self.system_bandwidth:
                 raise ValueError("sub-channels exceed the declared system bandwidth")
 
 
-def occupancy_vector(bits: Iterable[int], num_subchannels: int | None = None) -> tuple[int, ...]:
-    """Validate and freeze an occupancy vector (0 = vacant, 1 = busy)."""
-    vec = tuple(int(b) for b in bits)
-    if any(b not in (0, 1) for b in vec):
-        raise ValueError("occupancy entries must be 0 or 1")
-    if num_subchannels is not None and len(vec) != num_subchannels:
-        raise ValueError(f"expected length {num_subchannels}, got {len(vec)}")
-    return vec
+def occupancy_codes(bits) -> np.ndarray:
+    """int64 codes of occupancy vectors (..., M): sub-channel m is bit 2^(m-1)."""
+    bits = np.asarray(bits)
+    return (bits.astype(np.int64) << np.arange(bits.shape[-1])).sum(axis=-1)
 
 
-def occupancy_mask(bits: Iterable[int]) -> int:
-    """Integer bit mask of an occupancy vector: sub-channel m is bit 2^(m-1)."""
-    return sum(bit << i for i, bit in enumerate(bits))
-
-
-def mask_occupancy(mask: int, num_subchannels: int) -> tuple[int, ...]:
-    """The M-entry occupancy vector whose occupancy_mask is `mask`."""
-    return tuple((mask >> i) & 1 for i in range(num_subchannels))
+def code_bits(codes, num_subchannels: int) -> np.ndarray:
+    """int8 occupancy vectors (..., M) of codes (...): occupancy_codes inverted."""
+    return (np.asarray(codes, dtype=np.int64)[..., None]
+            >> np.arange(num_subchannels) & 1).astype(np.int8)
 
 
 @dataclass(frozen=True)

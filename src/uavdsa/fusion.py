@@ -4,21 +4,7 @@ A sub-channel is declared vacant iff at least n of the N received reports
 call it vacant; n=1 is the OR rule, n=N the AND rule.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class FusionRule:
-    """Vote threshold n, 1 <= n <= num_uavs."""
-
-    n: int
-    num_uavs: int
-
-    def __post_init__(self):
-        if not 1 <= self.n <= self.num_uavs:
-            raise ValueError(f"n must lie in [1, {self.num_uavs}]")
 
 
 def vote(reports, n: int) -> np.ndarray:

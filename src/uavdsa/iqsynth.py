@@ -66,7 +66,8 @@ Dataset file format (little-endian, documented for bit-exact replay):
 
     header:  magic b"IQDS" | version u32 | M u32 | N u32 | K u32
              | grid_len u32 | grid f32 * grid_len | seed u64
-    records: label mask u32 (bit m-1 = sub-channel m busy) | sinr_db f32
+    records: label mask u32, its occupancy_codes code (bit m-1 = sub-channel
+             m busy) | sinr_db f32
              | N interleaved (real, imag) f32 pairs
 
 Records appear in generation order, grouped by SINR grid value; splits are
@@ -81,7 +82,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import RowView, occupancy_vector
+from .core import RowView, code_bits, occupancy_codes
 from .seeds import derive_rng
 
 _OBS_KEY = 0x0B5
@@ -125,7 +126,7 @@ class SynthConfig:
 @dataclass(frozen=True)
 class IQObservation:
     samples: np.ndarray  # complex, length N
-    label: tuple[int, ...]
+    label: np.ndarray  # int8 occupancy vector (M,)
     sinr_db: float
 
 
@@ -141,9 +142,10 @@ class Dataset:
 
     @property
     def observations(self) -> RowView:
-        """The rows as IQObservation views with complex128 samples."""
+        """The rows as IQObservation views with complex128 samples, each
+        label a copy of its int8 labels row."""
         return RowView(len(self.sinr_db), lambda i: IQObservation(
-            self.samples[i].astype(complex), tuple(self.labels[i].tolist()), self.sinr_db.item(i)))
+            self.samples[i].astype(complex), self.labels[i].copy(), self.sinr_db.item(i)))
 
 
 def band_edges(fft_size: int, num_subchannels: int) -> list[tuple[int, int]]:
@@ -173,9 +175,13 @@ _QPSK.flags.writeable = False
 
 
 def clean_spectrum(label, config: SynthConfig, rng: np.random.Generator) -> np.ndarray:
-    """Frequency-domain construction: unit-power QPSK on the active bins of
-    busy sub-channels, exact zeros everywhere else."""
-    busy = np.flatnonzero(occupancy_vector(label, config.num_subchannels))
+    """Frequency-domain construction for an occupancy vector `label` (M,):
+    unit-power QPSK on the active bins of its busy sub-channels, exact
+    zeros everywhere else."""
+    label = np.asarray(label)
+    if label.shape != (config.num_subchannels,) or ((label != 0) & (label != 1)).any():
+        raise ValueError(f"expected {config.num_subchannels} occupancy bits, got {label}")
+    busy = np.flatnonzero(label)
     spectrum = np.zeros(config.samples_per_observation, dtype=complex)
     spectrum[config.bin_layout[busy]] = _QPSK[
         rng.integers(0, 4, size=(len(busy), config.subcarriers_per_subchannel))]
@@ -319,7 +325,7 @@ def save_dataset(dataset: Dataset, path: str, num_uavs: int = 1) -> None:
         f.write(struct.pack("<Q", cfg.seed))
         for start in range(0, size, len(block)):
             records, rows = block[:size - start], slice(start, start + len(block))
-            records["mask"] = dataset.labels[rows] @ (1 << np.arange(cfg.num_subchannels))
+            records["mask"] = occupancy_codes(dataset.labels[rows])
             records["sinr_db"] = dataset.sinr_db[rows]
             records["iq"].view(np.complex64)[:] = dataset.samples[rows]
             records.tofile(f)
@@ -377,6 +383,6 @@ def load_dataset(path: str) -> Dataset:
         if bad.any():
             raise ValueError(f"{path}: record {np.argmax(bad)}: "
                              + problem.format(sinr_db[np.argmax(bad)]))
-    labels = (records["mask"][:, None] >> np.arange(m, dtype=np.uint32) & 1).astype(np.int8)
+    labels = code_bits(records["mask"], m)
     return Dataset(records["iq"].view(np.complex64), labels, sinr_db,
                    split_indices(np.bincount(strata, minlength=len(grid)).tolist()), config)

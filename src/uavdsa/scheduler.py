@@ -1,10 +1,11 @@
 """Spectrum-allocation agents over the fused-occupancy MDP.
 
-State: the fused occupancy vector of the previous slot, or INITIAL (None)
-before the first fused report of an episode. Actions: 0 = idle, m in 1..M
-= transmit on sub-channel m next slot. The table/network index convention
-puts sub-channel 1 in the least significant bit, so the state space has
-2^M + 1 entries (the extra one is INITIAL) and the action space M + 1.
+State: the code (core.occupancy_codes) of the previous slot's fused
+occupancy vector, or INITIAL, code 2^M, before the first fused report of
+an episode. Actions: 0 = idle, m in 1..M = transmit on sub-channel m next
+slot. A state's code is its Q-table row and feature-table row, so the
+state space has 2^M + 1 entries (the extra one is INITIAL) and the action
+space M + 1.
 
 Agents only ever execute actions that map to feasible assignments for the
 state they observed (idle is always feasible; a sub-channel action
@@ -25,10 +26,8 @@ import numpy as np
 
 from . import nnet
 from .channel import TransitionMatrix, sample_occupancy
-from .core import collision_indicator, mask_occupancy, occupancy_mask, slot_utility
+from .core import code_bits, collision_indicator, occupancy_codes, slot_utility
 from .seeds import derive_rng
-
-AgentState = tuple[int, ...] | None  # None is the INITIAL marker
 
 TABULAR_MAX_SUBCHANNELS = 12
 # feature_table(M) holds (2^M + 1) x M floats: 8.4 MB at M = 16, 168 MB at M = 20
@@ -52,39 +51,30 @@ def table_shape(num_subchannels: int) -> tuple[int, int]:
     return 2 ** num_subchannels + 1, num_subchannels + 1
 
 
-def state_index(state: AgentState, num_subchannels: int) -> int:
-    """Dense table index: the state's occupancy_mask; INITIAL maps to the
-    extra index 2^M."""
-    if state is None:
-        return 2 ** num_subchannels
-    if len(state) != num_subchannels:
-        raise ValueError("state length does not match M")
-    return occupancy_mask(state)
-
-
-def state_features(state: AgentState, num_subchannels: int) -> np.ndarray:
-    """Network input: the M bits as reals; INITIAL becomes an all-0.5 vector."""
-    if state is None:
+def state_features(state: int, num_subchannels: int) -> np.ndarray:
+    """Network input of a state code: its M bits as reals; INITIAL becomes
+    an all-0.5 vector."""
+    if state == 2 ** num_subchannels:
         return np.full(num_subchannels, 0.5)
-    return np.asarray(state, dtype=float)
+    return code_bits(state, num_subchannels).astype(float)
 
 
 def feature_table(num_subchannels: int) -> np.ndarray:
     """state_features of every state, as a (2^M + 1) x M matrix indexed
-    by state_index."""
+    by state code."""
     n = 2 ** num_subchannels
     table = np.empty((n + 1, num_subchannels))
-    table[:n] = (np.arange(n)[:, None] >> np.arange(num_subchannels)) & 1
+    table[:n] = code_bits(np.arange(n), num_subchannels)
     table[n] = 0.5
     return table
 
 
-def valid_actions(state: AgentState, num_subchannels: int) -> tuple[int, ...]:
-    """Idle plus every sub-channel predicted vacant; INITIAL allows idle only
-    (no holes have been detected yet)."""
-    if state is None:
+def valid_actions(state: int, num_subchannels: int) -> tuple[int, ...]:
+    """Idle plus every sub-channel that a state code predicts vacant;
+    INITIAL allows idle only (no holes have been detected yet)."""
+    if state == 2 ** num_subchannels:
         return (0,)
-    return (0,) + tuple(m + 1 for m in range(num_subchannels) if state[m] == 0)
+    return (0, *(np.flatnonzero(code_bits(state, num_subchannels) == 0) + 1).tolist())
 
 
 def masked_actions(q_values: Sequence[float], valid: Sequence[int], k: int,
@@ -105,8 +95,8 @@ def masked_actions(q_values: Sequence[float], valid: Sequence[int], k: int,
 
 @dataclass
 class ReplayRing:
-    """Preallocated FIFO replay memory of (state index, action, reward,
-    next-state index) transitions; at capacity the oldest is overwritten."""
+    """Preallocated FIFO replay memory of (state code, action, reward,
+    next-state code) transitions; at capacity the oldest is overwritten."""
 
     capacity: int
     insertions: int = 0
@@ -126,7 +116,7 @@ class ReplayRing:
 
 
 def replay_push(ring: ReplayRing, s: int, a: int, r: float, s_next: int) -> None:
-    """Store one transition, its states given by state_index."""
+    """Store one transition, its states given as codes."""
     if not math.isfinite(r):
         raise ValueError("reward must be finite")
     pos = ring.insertions % ring.capacity
@@ -233,15 +223,15 @@ class QTable(QTableSpec):
         if self.visits is None:
             self.visits = np.zeros(shape, dtype=int)
 
-    def q_row(self, state: AgentState) -> np.ndarray:
-        return self.table[state_index(state, self.num_subchannels)]
+    def q_row(self, state: int) -> np.ndarray:
+        return self.table[state]
 
-    def select(self, state: AgentState, valid, epsilon, rng, k=1):
+    def select(self, state: int, valid, epsilon, rng, k=1):
         row = self.q_row(state)
         return masked_actions(row, valid, k, epsilon, rng), row
 
     def observe(self, si: int, a: int, r: float, sj: int, rng=None) -> None:
-        """One Q-learning backup from state index si to sj (state_index):
+        """One Q-learning backup from state code si to sj:
         Q(s,a) += alpha * (r + gamma max_a' Q(s',a') - Q(s,a))."""
         self.visits[si, a] += 1
         alpha = (self.alpha if self.alpha is not None
@@ -298,18 +288,18 @@ class DqnAgent(DqnSpec):
             raise ValueError("output width must be M + 1")
         self.optimizer = nnet.OptimizerState(learning_rate=self.learning_rate)
 
-    def q_row(self, state: AgentState) -> np.ndarray:
+    def q_row(self, state: int) -> np.ndarray:
         return nnet.forward(self.primary, state_features(state, self.num_subchannels))
 
-    def select(self, state: AgentState, valid, epsilon, rng, k=1):
+    def select(self, state: int, valid, epsilon, rng, k=1):
         row = self.q_row(state)
         return masked_actions(row, valid, k, epsilon, rng), row
 
     def observe(self, si: int, a: int, r: float, sj: int,
                 rng: np.random.Generator) -> None:
-        """Store the transition from state index si to sj (state_index)
-        and, once the buffer can fill a batch, run one regression step plus
-        the target update."""
+        """Store the transition from state code si to sj and, once the
+        buffer can fill a batch, run one regression step plus the target
+        update."""
         if self.replay is None:
             self.replay = ReplayRing(self.replay_capacity)
             # zero rows pad the table to a multiple of 4 rows: OpenBLAS's
@@ -434,19 +424,19 @@ def train_agent(agent, env: SchedulingEnv, episodes: int, slots_per_episode: int
     for episode in range(episodes):
         epsilon = agent.epsilon_at(episode, episodes)
         t0 = time.perf_counter()
-        # walk[0] is the unseen stationary start and walk[t + 1] slot t's
-        # occupancy, as tuples since the learners select on states, and
-        # codes[t] its state_index, which they observe; slot t plays from
-        # slot t - 1's (INITIAL before the first)
-        occupancy = sample_occupancy(env.matrices, slots_per_episode + 1, rng_env)
-        walk = [tuple(bits) for bits in occupancy.tolist()]
-        codes = (occupancy[1:].astype(np.int64) << np.arange(num_subchannels)).sum(axis=1)
-        state, code = None, 2 ** num_subchannels
+        # walk[t + 1] is slot t's occupancy and codes[t] its code; slot t
+        # plays from slot t - 1's state (INITIAL before the first), so
+        # walk[0], the unseen stationary start, becomes INITIAL's all-busy
+        # row for check_actions
+        walk = sample_occupancy(env.matrices, slots_per_episode + 1, rng_env)
+        walk[0] = 1
+        codes = occupancy_codes(walk[1:]).tolist()
+        state = 2 ** num_subchannels
         cum_utility = 0.0
         collisions = 0
         q_sum = 0.0
         chosen = []  # each slot's actions, checked in one call per episode
-        for bits, next_code in zip(walk[1:], codes.tolist()):
+        for bits, code in zip(walk[1:], codes):
             valid = valid_actions(state, num_subchannels)
             actions, q_row = agent.select(state, valid, epsilon, rng_agent, k=num_uavs)
             if np.abs(q_row).max() > Q_DIVERGENCE_LIMIT:
@@ -455,12 +445,12 @@ def train_agent(agent, env: SchedulingEnv, episodes: int, slots_per_episode: int
             outcomes = [(collision_indicator(bits[a - 1], 0), env.reward_table[uav, a - 1])
                         if a else (0, 0.0) for uav, a in enumerate(actions)]
             for action, (r, gain) in zip(actions, outcomes):
-                agent.observe(code, action, r * gain, next_code, rng_agent)
+                agent.observe(state, action, r * gain, code, rng_agent)
             cum_utility += slot_utility(outcomes)
             collisions += sum(r == -1 for r, _ in outcomes)
             q_sum += max(q_row[a] for a in valid)
-            state, code = bits, next_code
-        check_actions(chosen, [(1,) * num_subchannels, *walk[1:-1]])  # INITIAL: all busy
+            state = code
+        check_actions(chosen, walk[:-1])
         wall_ms = (time.perf_counter() - t0) * 1e3
         log.append((episode, cum_utility, collisions, epsilon,
                     q_sum / slots_per_episode, wall_ms))
@@ -508,14 +498,14 @@ def block_actions(agent, states: np.ndarray, requests: np.ndarray,
         picks[:, :m + 1] = order
     else:
         counts = requests.sum(axis=1)
-        codes = (states.astype(np.int64) << np.arange(m)).sum(axis=1) * (k + 1) + counts
-        uniques, inverse = np.unique(codes, return_inverse=True)
-        for code in uniques.tolist():
-            if code not in memo:
-                state, n = mask_occupancy(code // (k + 1), m), code % (k + 1)
+        keys = occupancy_codes(states) * (k + 1) + counts
+        uniques, inverse = np.unique(keys, return_inverse=True)
+        for key in uniques.tolist():
+            if key not in memo:
+                state, n = divmod(key, k + 1)
                 chosen = agent.select(state, valid_actions(state, m), 0.0, rng, k=n)[0] if n else ()
-                memo[code] = (list(chosen) + [0] * k)[:k]
-        picks = np.array([memo[code] for code in uniques.tolist()],
+                memo[key] = (list(chosen) + [0] * k)[:k]
+        picks = np.array([memo[key] for key in uniques.tolist()],
                          dtype=np.int64).reshape(-1, k)[inverse]
     ranks = np.maximum(np.cumsum(requests, axis=1) - 1, 0)
     return np.where(requests, np.take_along_axis(picks, ranks, axis=1), 0)

@@ -218,7 +218,7 @@ def sensing_trials(models, labels, sinrs_db, config: SimConfig,
     against the labels are added into counts (K + 1, 4): one
     [TP, FP, FN, TN] row per UAV, then the fused one."""
     reports = sense(models, labels, sinrs_db, config.synth, streams)
-    fused = vote(reports, config.fusion.n)
+    fused = vote(reports, config.fusion_n)
     counts += confusion_tally(np.concatenate([reports, fused[:, None]], axis=1), labels)
     return fused
 
@@ -420,5 +420,5 @@ def save_report(report: RunReport, config: SimConfig, out_dir: str) -> None:
         f.write("\n")
 
     rows = metric_rows(list(report.sensing_counts.values()), config.link.sensing_sinr_db,
-                       "", [spec.kind for spec in config.sensing], config.fusion.n)
+                       "", [spec.kind for spec in config.sensing], config.fusion_n)
     write_metrics_csv(os.path.join(out_dir, "sensing_metrics.csv"), rows)

@@ -15,7 +15,6 @@ from uavdsa import fusion, iqsynth, nnet, sensing
 from uavdsa import scheduler as sch
 from uavdsa.channel import TransitionMatrix, stationary_sampler
 from uavdsa.cli import cli_dispatch
-from uavdsa.core import mask_occupancy
 from uavdsa.seeds import derive_rng
 
 SEEDS = (101, 202, 303)
@@ -153,7 +152,6 @@ def test_criterion_2_cli_reproduction(tmp_path):
 def test_criterion_3_fusion_benefit(sensing_runs):
     degraded_f1, fused_f1 = [], []
     strong_db, weak_db = 0.0, -10.0
-    rule = fusion.FusionRule(n=2, num_uavs=3)
     for run in sensing_runs:
         rng = derive_rng(run["seed"], 0xF3)
         source = stationary_sampler([TransitionMatrix(0.2, 0.3)] * 16)
@@ -166,7 +164,7 @@ def test_criterion_3_fusion_benefit(sensing_runs):
                 samples = exact.capture(label, sinr, run["cfg"], rng)
                 reports.append(tuple(sensing.detect(run["model"], samples).tolist()))
             weak_preds.append(reports[2])
-            fused_preds.append(tuple(fusion.vote(reports, rule.n).tolist()))
+            fused_preds.append(tuple(fusion.vote(reports, 2).tolist()))
         degraded_f1.append(sensing.micro_metrics(weak_preds, truths).micro_f1)
         fused_f1.append(sensing.micro_metrics(fused_preds, truths).micro_f1)
     mean_deg, mean_fused = float(np.mean(degraded_f1)), float(np.mean(fused_f1))
@@ -212,14 +210,13 @@ def test_criterion_5_tabular_q_vs_oracle():
     worst_rel = 0.0
     states_checked = 0
     for s in range(4):
-        state = mask_occupancy(s, 2)
         if agent.visits[s].sum() < 100:
             continue
         states_checked += 1
-        valid = sch.valid_actions(state, 2)
+        valid = sch.valid_actions(s, 2)
         row = agent.table[s]
         greedy = max(valid, key=lambda a: (row[a], -a))
-        assert greedy == policy_star[s], f"state {state}"
+        assert greedy == policy_star[s], f"state {s}"
         rel = abs(row[list(valid)].max() - v_star[s]) / v_star[s]
         worst_rel = max(worst_rel, rel)
     elapsed = time.perf_counter() - t0

@@ -108,7 +108,10 @@ def reference_trajectory(matrices, horizon, rng, start=None):
     """One np.where step per slot, as the chains were stepped before the
     horizon-at-once draw: a stationary draw and its successors, or the
     horizon states after a given start."""
-    state = channel.stationary_sampler(matrices)(rng) if start is None else tuple(start)
+    if start is None:
+        state = tuple(channel.stationary_sampler(matrices)(rng).tolist())
+    else:
+        state = tuple(start)
     out = [state] if start is None else []
     while len(out) < horizon:
         bits = np.asarray(state)

@@ -19,7 +19,7 @@ class TestDefaults:
         assert cfg.seed == 7
         assert cfg.radio.num_subchannels == 4
         assert cfg.radio.num_uavs == 3
-        assert cfg.fusion.n == 2
+        assert cfg.fusion_n == 2
         assert len(cfg.matrices) == 4
         assert len(cfg.sensing) == 3
         assert cfg.synth.samples_per_observation == 1024
@@ -155,6 +155,10 @@ OUT_OF_BOUNDS = [
     ("agent.hidden", {"agent": {"hidden": [64, 1025]}}),
     ("sensing[0].hidden", {"sensing": {"hidden": [1025]}}),
     ("agent.replay_capacity", {"agent": {"replay_capacity": 10 ** 6 + 1}}),
+    ("dataset.fft_size", {"dataset": {"fft_size": 1000}}),
+    ("radio.v_cc", {"radio": {"v_cc": 0}}),
+    ("radio.p_tx", {"radio": {"p_tx": -0.5}}),
+    ("radio.subchannel_bandwidth", {"radio": {"subchannel_bandwidth": 0.0}}),
 ]
 
 
@@ -164,6 +168,22 @@ def test_out_of_bounds_values_are_config_errors(field, overrides):
     with pytest.raises(ConfigError) as exc:
         validate_config(minimal(**overrides))
     assert any(p.startswith(f"{field}: ") for p in exc.value.problems)
+
+
+# (config overrides, the one problem): bounds that a constructor also
+# checks are reported under their key, and not again by the constructor
+REPORTED_ONCE = [
+    ({"dataset": {"fft_size": 1000}}, "dataset.fft_size: must be a power of two"),
+    ({"radio": {"v_cc": 0}}, "radio.v_cc: must be > 0.0"),
+]
+
+
+@pytest.mark.parametrize("overrides,problem", REPORTED_ONCE,
+                         ids=[p.split(":")[0] for _, p in REPORTED_ONCE])
+def test_refusal_is_reported_once_under_its_key(overrides, problem):
+    with pytest.raises(ConfigError) as exc:
+        validate_config(minimal(**overrides))
+    assert exc.value.problems == [problem]
 
 
 def test_bounds_admit_their_edges():

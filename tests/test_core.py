@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from uavdsa import core
@@ -115,12 +116,17 @@ class TestTypes:
             core.RadioParams(v_cc=1.0, p_tx=1.0, subchannel_bandwidth=4e6,
                              num_subchannels=4, num_uavs=1, system_bandwidth=10e6)
 
-    def test_occupancy_vector_validation(self):
-        assert core.occupancy_vector([0, 1, 1]) == (0, 1, 1)
-        with pytest.raises(ValueError):
-            core.occupancy_vector([0, 2])
-        with pytest.raises(ValueError):
-            core.occupancy_vector([0, 1], num_subchannels=3)
+    def test_occupancy_codec_round_trips_any_leading_shape(self):
+        bits = np.random.default_rng(0).integers(0, 2, size=(3, 5, 7), dtype=np.int8)
+        codes = core.occupancy_codes(bits)
+        assert codes.shape == (3, 5) and codes.dtype == np.int64
+        back = core.code_bits(codes, 7)
+        assert back.dtype == np.int8 and np.array_equal(back, bits)
+        # sub-channel m is bit 2^(m-1), for one vector as for a stack
+        assert core.occupancy_codes((0, 1, 1)) == 6
+        assert core.code_bits(6, 3).tolist() == [0, 1, 1]
+        assert np.array_equal(core.occupancy_codes(core.code_bits(np.arange(8), 3)),
+                              np.arange(8))
 
     def test_ledger_rejects_bad_indicator(self):
         with pytest.raises(ValueError):

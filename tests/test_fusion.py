@@ -66,12 +66,6 @@ class TestFuse:
         with pytest.raises(ValueError):
             vote([(0,), (0, 1)], 1)
 
-    def test_rule_bounds(self):
-        with pytest.raises(ValueError):
-            fusion.FusionRule(n=0, num_uavs=3)
-        with pytest.raises(ValueError):
-            fusion.FusionRule(n=4, num_uavs=3)
-
 
 class TestVoteStacks:
     def test_matches_individual_calls(self):

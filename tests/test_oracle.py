@@ -121,11 +121,11 @@ def test_laws_are_not_trivial():
     """The noisy config has large miss and false-alarm probabilities at
     every UAV and after the vote, and criterion 8's has a silent 0 dB UAV."""
     cfg = validate_config(dict(CONFIGS["noisy"], seed=1))
-    reports, fused = exact_laws(cfg, cfg.fusion.n)
+    reports, fused = exact_laws(cfg, cfg.fusion_n)
     for law in [*reports[:2], fused]:
         assert np.all((law > 0.1) & (law < 0.9)), law
     cfg = validate_config(dict(CONFIGS["criterion-8"], seed=1))
-    reports, fused = exact_laws(cfg, cfg.fusion.n)
+    reports, fused = exact_laws(cfg, cfg.fusion_n)
     assert np.all(reports[2] < 1e-12) and np.all(fused[:, 1] < 1e-12)
     assert np.all(fused[:, 0] > 0.8)
 
@@ -134,7 +134,7 @@ def run_z_scores(cfg):
     """Run simulate; return the run, its fused law, and the z of every
     UAV's and the fused counts against the exact laws at its vote
     threshold."""
-    reports, fused = exact_laws(cfg, cfg.fusion.n)
+    reports, fused = exact_laws(cfg, cfg.fusion_n)
     run = run_simulation(cfg)
     keys = [f"uav_{k}" for k in range(cfg.radio.num_uavs)] + ["fused"]
     z = {key: count_z_scores(run.sensing_counts[key], law, cfg)

@@ -1,8 +1,9 @@
 """The package carries only code that the package itself calls.
 
-A top-level function or class of src/uavdsa that nothing in src/uavdsa
-references, other than its own definition, is code that only tests or
-tools use: it belongs in the tests (exact references live in
+A top-level function, class or assigned name (a constant or a type alias;
+dunders such as __version__ aside) of src/uavdsa that nothing in
+src/uavdsa references, other than its own definition, is code that only
+tests or tools use: it belongs in the tests (exact references live in
 tests/exact.py), or it goes. A reference is a name, an attribute or an
 import alias anywhere in the package's syntax trees; a mention in a
 docstring or a comment is not one. Names are matched without their module,
@@ -32,18 +33,31 @@ def referenced_names(node: ast.AST) -> set[str]:
     return names
 
 
+def defined_names(node: ast.stmt) -> list[str]:
+    """The names a top-level statement defines: a function's or class's, or
+    those an assignment binds, dunders aside."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [sub.id for target in targets for sub in ast.walk(target)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store)
+                and not (sub.id.startswith("__") and sub.id.endswith("__"))]
+    return []
+
+
 def unreferenced_definitions(package: Path) -> list[str]:
-    """module.name of each top-level function and class of `package` that
-    no other top-level statement of the package references."""
+    """module.name of each name that a top-level statement of `package`
+    defines and that no other top-level statement of the package
+    references."""
     definitions, statements = [], []
     for path in sorted(package.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             statements.append((node, referenced_names(node)))
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                definitions.append((f"{path.stem}.{node.name}", node))
-    return [qualified for qualified, node in definitions
-            if not ENTRY_POINTS.fullmatch(qualified)
-            and not any(node.name in names for other, names in statements if other is not node)]
+            definitions += [(path.stem, name, node) for name in defined_names(node)]
+    return [f"{module}.{name}" for module, name, node in definitions
+            if not ENTRY_POINTS.fullmatch(f"{module}.{name}")
+            and not any(name in names for other, names in statements if other is not node)]
 
 
 def test_every_definition_is_referenced_in_the_package():
@@ -55,6 +69,9 @@ def test_the_scan_sees_through_docstrings_and_its_own_body(tmp_path):
     (tmp_path / "a.py").write_text(
         '"""helper is named here, in a docstring."""\n'
         "from .b import used\n"
+        "__version__ = '0'\n"
+        "LIMIT: int = 3\n"
+        "UNUSED, Alias = 4, int | None\n"
         "def helper():\n"
         "    return helper()  # recursion is its own definition\n"
         "def caller():\n"
@@ -64,9 +81,10 @@ def test_the_scan_sees_through_docstrings_and_its_own_body(tmp_path):
     (tmp_path / "b.py").write_text(
         "from . import a\n"
         "def used():\n"
-        "    return a.Kept()\n"
+        "    return a.Kept(a.LIMIT)\n"
         "def attr():\n"
         "    pass\n"
         "def cmd_x():\n"
         "    pass\n")
-    assert unreferenced_definitions(tmp_path) == ["a.helper", "a.caller", "b.cmd_x"]
+    assert unreferenced_definitions(tmp_path) == [
+        "a.UNUSED", "a.Alias", "a.helper", "a.caller", "b.cmd_x"]

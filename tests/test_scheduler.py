@@ -11,7 +11,7 @@ from uavdsa import scheduler as sch
 from uavdsa import simulate
 from uavdsa.channel import TransitionMatrix
 from uavdsa.config import validate_config
-from uavdsa.core import mask_occupancy
+from uavdsa.core import code_bits, occupancy_codes
 from uavdsa.seeds import derive_rng
 
 CHI2_99 = {1: 6.63, 2: 9.21, 3: 11.34, 4: 13.28, 16: 32.0}
@@ -22,24 +22,20 @@ class TestStateEncoding:
         assert sch.table_shape(16) == (65537, 17)
 
     def test_all_vacant_is_index_zero(self):
-        assert sch.state_index((0, 0, 0, 0), 4) == 0
+        assert occupancy_codes((0, 0, 0, 0)) == 0
 
     def test_convention_arithmetic(self):
-        assert sch.state_index((1, 0), 2) == 1
-        assert sch.state_index(None, 2) == 4
+        assert occupancy_codes((1, 0)) == 1
+        # codes 0..3 are the M = 2 vectors; INITIAL is the extra row, 4
+        assert sch.table_shape(2)[0] == 4 + 1
 
     def test_roundtrip(self):
-        for idx in range(2 ** 3):
-            assert sch.state_index(mask_occupancy(idx, 3), 3) == idx
-
-    def test_state_of_another_length_is_refused(self):
-        # (1,) read as M=2 would index the row of (1, 0)
-        with pytest.raises(ValueError, match="state length does not match M"):
-            sch.state_index((1,), 2)
+        for code in range(2 ** 3):
+            assert occupancy_codes(code_bits(code, 3)) == code
 
     def test_network_features(self):
-        assert np.array_equal(sch.state_features((1, 0, 1), 3), [1.0, 0.0, 1.0])
-        assert np.array_equal(sch.state_features(None, 3), [0.5, 0.5, 0.5])
+        assert np.array_equal(sch.state_features(0b101, 3), [1.0, 0.0, 1.0])
+        assert np.array_equal(sch.state_features(8, 3), [0.5, 0.5, 0.5])  # INITIAL
 
 
 class TestEpsilonGreedy:
@@ -58,10 +54,11 @@ class TestTopK:
 
 class TestValidAndMasked:
     def test_initial_allows_idle_only(self):
-        assert sch.valid_actions(None, 4) == (0,)
+        # not read as a code with every bit 0 below bit 4, which is all vacant
+        assert sch.valid_actions(16, 4) == (0,)
 
     def test_vacant_channels_plus_idle(self):
-        assert sch.valid_actions((0, 1, 0, 1), 4) == (0, 1, 3)
+        assert sch.valid_actions(occupancy_codes((0, 1, 0, 1)), 4) == (0, 1, 3)
 
     def test_masked_greedy_respects_validity(self):
         q = [0.0, 9.0, 8.0, 7.0, 6.0]
@@ -106,20 +103,20 @@ class TestQUpdate:
     def test_alpha_one_gamma_zero_writes_reward(self):
         t = sch.QTable(num_subchannels=2, gamma=0.0, alpha=1.0)
         t.observe(0, 1, 5.0, 3)  # from (0, 0) to (1, 1)
-        assert t.q_row((0, 0))[1] == 5.0
+        assert t.q_row(0)[1] == 5.0
 
     def test_hand_arithmetic(self):
         t = sch.QTable(num_subchannels=2, gamma=0.9, alpha=0.5)
-        t.table[sch.state_index((1, 1), 2)] = [2.0, 0.0, 0.0]
+        t.table[occupancy_codes((1, 1))] = [2.0, 0.0, 0.0]
         t.observe(0, 1, 1.0, 3)
-        assert t.q_row((0, 0))[1] == pytest.approx(1.4)
+        assert t.q_row(0)[1] == pytest.approx(1.4)
 
     def test_geometric_fixed_point(self):
         # single recurrent state, r=1, gamma=0.5 -> Q -> 1/(1-gamma) = 2
         t = sch.QTable(num_subchannels=0, gamma=0.5, alpha=0.5)
         for _ in range(200):
             t.observe(0, 0, 1.0, 0)
-        assert t.q_row(())[0] == pytest.approx(2.0, rel=1e-4)
+        assert t.q_row(0)[0] == pytest.approx(2.0, rel=1e-4)
 
     def test_tabular_refuses_m16(self):
         with pytest.raises(sch.TabularComplexityError, match="65537 x 17"):
@@ -328,16 +325,15 @@ class TestReplay:
             agent.observe(2, 1, float(r), 4, rng)  # from (0, 1) to INITIAL
         assert agent.replay.capacity == 8 and agent.replay.insertions == 10
         assert sorted(agent.replay.rewards) == [float(r) for r in range(2, 10)]
-        assert set(agent.replay.states) == {sch.state_index((0, 1), 2)}
-        assert set(agent.replay.next_states) == {sch.state_index(None, 2)}
+        assert set(agent.replay.states) == {occupancy_codes((0, 1))}
+        assert set(agent.replay.next_states) == {4}
         assert agent.train_steps == 9
 
     def test_feature_table_rows_are_state_features(self):
         table = sch.feature_table(3)
         assert table.shape == (9, 3)
-        for idx in range(9):
-            state = mask_occupancy(idx, 3) if idx < 8 else None  # 8 is INITIAL
-            assert np.array_equal(table[idx], sch.state_features(state, 3))
+        for code in range(9):  # 8 is INITIAL
+            assert np.array_equal(table[code], sch.state_features(code, 3))
 
 
 class TestValueIteration:
@@ -422,9 +418,8 @@ class TestTrainAgent:
         agent = sch.DqnAgent(num_subchannels=1, variant="dqn", gamma=0.0,
                              hidden=(16,), seed=0)
         sch.train_agent(agent, env, episodes=30, slots_per_episode=40, seed=1)
-        for state in ((0,),):
-            row = agent.q_row(state)
-            assert row[1] > row[0]
+        row = agent.q_row(0)  # the vacant state
+        assert row[1] > row[0]
 
     def test_same_seed_identical_log(self):
         env = exact.preset_scheduling_env(2)
@@ -508,9 +503,9 @@ def test_random_block_actions_follow_the_per_slot_rule():
     agent = sch.RandomAgent(num_subchannels=m)
     got = sch.block_actions(agent, states, requests, derive_rng(6), {})
     keys = derive_rng(6).random((t, m + 1))
-    for row, state, requesting, key in zip(got.tolist(), states.tolist(), requests.tolist(),
-                                           keys.tolist()):
-        order = sorted(sch.valid_actions(tuple(state), m), key=lambda a: key[a])
+    for row, state, requesting, key in zip(got.tolist(), occupancy_codes(states).tolist(),
+                                           requests.tolist(), keys.tolist()):
+        order = sorted(sch.valid_actions(state, m), key=lambda a: key[a])
         assert row == place(order, requesting, k)
     split = derive_rng(6)
     assert np.array_equal(got, np.concatenate([
@@ -527,13 +522,12 @@ def test_learning_block_actions_are_memoized_greedy_selects():
     requests = rng.random((t, k)) < 0.5
     memo = {}
     got = sch.block_actions(agent, states, requests, derive_rng(3), memo)
-    for row, state, requesting in zip(got.tolist(), states.tolist(), requests.tolist()):
-        state = tuple(state)
+    codes = occupancy_codes(states).tolist()
+    for row, state, requesting in zip(got.tolist(), codes, requests.tolist()):
         picks, _ = agent.select(state, sch.valid_actions(state, m), 0.0, derive_rng(0),
                                 k=sum(requesting))
         assert row == place(picks, requesting, k)
-    assert len(memo) == len({(tuple(s), sum(r))
-                             for s, r in zip(states.tolist(), requests.tolist())})
+    assert len(memo) == len({(s, sum(r)) for s, r in zip(codes, requests.tolist())})
 
 
 class PlantedAgent:
@@ -545,7 +539,10 @@ class PlantedAgent:
         self.plant = plant
 
     def select(self, state, valid, epsilon, rng, k=1):
-        actions = self.plant(state, k) or (0,) * k
+        # a plant reads the state code as an occupancy list, None for INITIAL
+        m = self.num_subchannels
+        vector = None if state == 2 ** m else code_bits(state, m).tolist()
+        actions = self.plant(vector, k) or (0,) * k
         return actions, np.zeros(self.num_subchannels + 1)
 
     def observe(self, s, a, r, s_next, rng=None):
@@ -594,7 +591,7 @@ class TestCheckpoints:
         assert isinstance(loaded, sch.DqnAgent) and loaded.variant == "ddqn-soft"
         assert loaded.gamma == 0.85
         assert loaded.tau == 0.02
-        x = sch.state_features((0, 1, 0, 1), 4)
+        x = sch.state_features(occupancy_codes((0, 1, 0, 1)), 4)
         from uavdsa import nnet
         assert np.allclose(nnet.forward(agent.primary, x),
                            nnet.forward(loaded.primary, x), atol=1e-5)

@@ -192,7 +192,7 @@ class TestMicroMetrics:
             sensing.micro_metrics([(0,)], [(0,), (1,)])
 
 
-class TestPredictOccupancy:
+class TestDetect:
     def test_shape_and_alphabet(self):
         ds = make_dataset(m=4, n=64, count=20)
         model = sensing.SensingModel(

@@ -16,8 +16,8 @@ the CLI runs) run too, after the traffic and traced apart from it, and
 each listed line names the first boundary test that runs it, or "no
 boundary test". The acceptance suite counts as traffic, so a function that
 only tests call does not show here; tests/test_package_surface.py catches
-those, by listing every top-level function and class of src/uavdsa that
-nothing in the package references.
+those, by listing every top-level function, class and assigned name of
+src/uavdsa that nothing in the package references.
 
 Acceptance criteria 6 and 7 are deselected in both modes: their shared
 `m4_runs` fixture trains DDQN agents for minutes, and the code it runs is
