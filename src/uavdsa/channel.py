@@ -17,14 +17,6 @@ class TransitionMatrix:
     p01: float = field(default=0.2, metadata={"low": 0.0, "high": 1.0})
     p10: float = field(default=0.3, metadata={"low": 0.0, "high": 1.0})
 
-    def __post_init__(self):
-        if not (0.0 <= self.p01 <= 1.0 and 0.0 <= self.p10 <= 1.0):
-            raise ValueError("transition probabilities must lie in [0, 1]")
-
-    @property
-    def rows(self) -> np.ndarray:
-        return np.array([[1.0 - self.p01, self.p01], [self.p10, 1.0 - self.p10]])
-
 
 @dataclass(frozen=True)
 class LinkModel:
@@ -37,11 +29,6 @@ class LinkModel:
 
     sensing_sinr_db: tuple[float, ...]
     access_sinr_db: tuple[tuple[float, ...], ...]
-
-    def __post_init__(self):
-        widths = {len(row) for row in self.access_sinr_db}
-        if len(self.access_sinr_db) != len(self.sensing_sinr_db) or len(widths) > 1:
-            raise ValueError("access table must be K x M with K matching sensing table")
 
 
 def db_to_linear(db: float) -> float:

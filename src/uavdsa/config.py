@@ -10,7 +10,11 @@ Every key but seed, fusion_n and link's is declared once, as a field of
 the dataclass it configures: the field's annotation is the key's kind, its
 default the key's default and its metadata the key's bounds (see
 _Section.value). validate_config reads the sections through those fields,
-then makes the checks that span fields.
+then makes the checks that span fields. It is the one place a configured
+value is checked, each refusal under its key: the dataclasses it builds do
+not check their fields again, except SynthConfig, which a dataset header
+also builds (its refusals read dataset.<field>). A loaded checkpoint's
+network shape wins over a configured hidden.
 
 Schema (defaults first in parentheses):
 
@@ -33,13 +37,13 @@ Schema (defaults first in parentheses):
          decision_threshold (0.5, in (0, 1)), input_mode ("iq" | "band-energy"),
          thresholds (null; list[M] of entries >= 0, required for energy-threshold),
          model_path (null; required for dense-classifier),
-         hidden ([128, 128], whole numbers in [1, 1024]), epochs (30, >= 1),
+         hidden ([128, 128], at most 16 whole numbers in [1, 1024]), epochs (30, >= 1),
          batch_size (32, >= 1), learning_rate (0.001, > 0)}
     agent: {variant ("ddqn-soft" | "dqn" | "ddqn" | "qtable" | "random"),
             uavs (1, in [1, K]), gamma (0.9, in [0, 1)), epsilon0 (1.0, in [0, 1]),
             epsilon_min (0.05, in [0, epsilon0]), epsilon_decay (null, in [0, 1]),
             alpha (null, in (0, 1]), alpha_power (0.7, in [0, 1]),
-            hidden ([64, 64], whole numbers in [1, 1024]),
+            hidden ([64, 64], at most 16 whole numbers in [1, 1024]),
             replay_capacity (10000, in [1, 10^6]),
             batch_size (32, in [1, replay_capacity]), target_update_period (100, >= 1),
             tau (0.01, in [0, 1]), learning_rate (0.001, > 0),
@@ -158,11 +162,11 @@ class _Section:
                 if f.name in self.data else f.default for f in declared}
 
     def value(self, key, default, kind, low=None, high=None, above=None, below=None,
-              options=None, length=None, item_low=None, item_high=None):
+              options=None, length=None, max_length=None, item_low=None, item_high=None):
         """The value of `key`; the default when it is absent, or refused (the
-        problem recorded). `kind` is a type annotation: `T | None` admits
-        null, and `tuple[T, ...]` is a list of numbers (whole ones for int)
-        that _number_list checks against length, item_low and item_high.
+        problem recorded). `kind` is a type annotation: `T | None` admits null,
+        and `tuple[T, ...]` is a list of numbers (whole ones for int) that
+        _number_list checks against length, max_length, item_low and item_high.
         low/high are inclusive bounds, above/below exclusive ones; options
         are the strings admitted."""
         if key not in self.data:
@@ -175,8 +179,8 @@ class _Section:
         if v is None and nullable:
             return None
         if typing.get_origin(kind) is tuple:
-            return _number_list(v, path, self.problems, default, length, item_low, item_high,
-                                whole=typing.get_args(kind)[0] is int)
+            return _number_list(v, path, self.problems, default, length, max_length, item_low,
+                                item_high, whole=typing.get_args(kind)[0] is int)
         if v is None:
             self.problems.append(f"{path}: may not be null")
             return default
@@ -216,8 +220,8 @@ def _as_float(x) -> float:
         return math.inf
 
 
-def _number_list(v, path, problems, default, length=None, item_low=None, item_high=None,
-                 whole=False):
+def _number_list(v, path, problems, default, length=None, max_length=None, item_low=None,
+                 item_high=None, whole=False):
     """A JSON list of numbers as a tuple of floats, or of ints if `whole`;
     on any problem the default comes back and the problem is recorded
     under `path`."""
@@ -231,6 +235,9 @@ def _number_list(v, path, problems, default, length=None, item_low=None, item_hi
         return default
     if length is not None and len(v) != length:
         problems.append(f"{path}: expected {length} entries, got {len(v)}")
+        return default
+    if max_length is not None and len(v) > max_length:
+        problems.append(f"{path}: expected at most {max_length} entries, got {len(v)}")
         return default
     if item_low is not None and any(x < item_low for x in values):
         problems.append(f"{path}: entries must be >= {item_low}")
@@ -298,7 +305,13 @@ def validate_config(raw: dict, seed_override: int | None = None,
 
     radio_kw = _Section(raw.get("radio", {}), "radio", problems).parse(RadioParams)
     m, k = radio_kw["num_subchannels"], radio_kw["num_uavs"]
+    needed, declared = m * radio_kw["subchannel_bandwidth"], radio_kw["system_bandwidth"]
+    if declared is not None and needed > declared:
+        problems.append(f"radio.system_bandwidth: {m} sub-channels of "
+                        f"{radio_kw['subchannel_bandwidth']} Hz exceed {declared} Hz")
     timing_kw = _Section(raw.get("timing", {}), "timing", problems).parse(SlotTiming)
+    if sum(timing_kw.values()) <= 0:
+        problems.append("timing: t_req + t_s + t_b + t_a must be > 0")
 
     matrices = []
     for i, entry in enumerate(_per_entry(raw, "channels", m, problems)):
@@ -368,31 +381,22 @@ def validate_config(raw: dict, seed_override: int | None = None,
         problems.append("dataset.fft_size: must be a power of two")
         fft_size = DatasetSpec.fft_size  # so that SynthConfig does not refuse it again
 
-    # constructor invariants become config problems instead of tracebacks
-    built = {}
-    for name, builder in (
-        ("radio", lambda: RadioParams(**radio_kw)),
-        ("timing", lambda: SlotTiming(**timing_kw)),
-        ("link", lambda: LinkModel(sensing_sinr_db=sensing_sinr, access_sinr_db=access)),
-        ("dataset", lambda: SynthConfig(
+    try:
+        synth = SynthConfig(
             seed=seed, num_subchannels=m, samples_per_observation=fft_size,
             subcarriers_per_subchannel=dataset.subcarriers_per_subchannel
             or max(1, fft_size // m),
-            sinr_grid_db=grid, interference_gains_db=dataset.interference_gains_db)),
-    ):
-        try:
-            built[name] = builder()
-        except ValueError as exc:
-            problems.append(f"{name}: {exc}")
+            sinr_grid_db=grid, interference_gains_db=dataset.interference_gains_db)
+    except ValueError as exc:  # SynthConfig checks what a dataset header holds too
+        problems.append(f"dataset.{exc}")
 
     if problems:
         raise ConfigError(problems)
 
     return SimConfig(
-        seed=seed, radio=built["radio"], timing=built["timing"],
-        matrices=tuple(matrices), link=built["link"], fusion_n=fusion_n,
-        sensing=tuple(sensing_specs), agent=agent, synth=built["dataset"],
-        dataset=dataset, **scalars)
+        seed=seed, radio=RadioParams(**radio_kw), timing=SlotTiming(**timing_kw),
+        matrices=tuple(matrices), link=LinkModel(sensing_sinr, access), fusion_n=fusion_n,
+        sensing=tuple(sensing_specs), agent=agent, synth=synth, dataset=dataset, **scalars)
 
 
 def load_config(path: str, seed_override: int | None = None,

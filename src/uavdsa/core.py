@@ -30,17 +30,6 @@ class SlotTiming:
     t_b: float = field(default=0.002, metadata={"low": 0.0})
     t_a: float = field(default=0.042, metadata={"low": 0.0})
 
-    def __post_init__(self):
-        for name in ("t_req", "t_s", "t_b", "t_a"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.total <= 0:
-            raise ValueError("total slot length must be positive")
-
-    @property
-    def total(self) -> float:
-        return self.t_req + self.t_s + self.t_b + self.t_a
-
 
 @dataclass(frozen=True)
 class RadioParams:
@@ -57,11 +46,6 @@ class RadioParams:
     num_subchannels: int = field(default=4, metadata={"low": 1, "high": MAX_SUBCHANNELS})
     num_uavs: int = field(default=3, metadata={"low": 1, "high": MAX_UAVS})
     system_bandwidth: float | None = None
-
-    def __post_init__(self):
-        if self.system_bandwidth is not None:
-            if self.num_subchannels * self.subchannel_bandwidth > self.system_bandwidth:
-                raise ValueError("sub-channels exceed the declared system bandwidth")
 
 
 def occupancy_codes(bits) -> np.ndarray:

@@ -101,17 +101,18 @@ class SynthConfig:
     interference_gains_db: tuple[float, ...] = ()
 
     def __post_init__(self):
-        n = self.samples_per_observation
+        n, sc = self.samples_per_observation, self.subcarriers_per_subchannel
         if n <= 0 or n & (n - 1):
-            raise ValueError("samples_per_observation must be a positive power of two")
-        if self.subcarriers_per_subchannel < 1:
-            raise ValueError("subcarriers_per_subchannel must be >= 1")
-        if self.num_subchannels * self.subcarriers_per_subchannel > n:
-            raise ValueError("sub-channel blocks exceed the transform length")
+            raise ValueError("samples_per_observation: must be a positive power of two")
+        if sc < 1:
+            raise ValueError("subcarriers_per_subchannel: must be >= 1")
+        if self.num_subchannels * sc > n:
+            raise ValueError(f"subcarriers_per_subchannel: {self.num_subchannels} blocks of "
+                             f"{sc} bins exceed the {n}-bin transform")
         # compared as float32, as IQDS stores the grid and evaluation matches it
         grid32 = np.float32(self.sinr_grid_db).tolist()
         if len(set(grid32)) < len(grid32):
-            raise ValueError("sinr_grid_db repeats a value (compared as float32)")
+            raise ValueError("sinr_grid_db: repeats a value (compared as float32)")
 
     @cached_property
     def bin_layout(self) -> np.ndarray:
@@ -364,9 +365,9 @@ def load_dataset(path: str) -> Dataset:
         try:
             config = SynthConfig(seed=seed, num_subchannels=m, samples_per_observation=n,
                                  subcarriers_per_subchannel=n // m, sinr_grid_db=grid)
+            dtype = _record_dtype(n)  # NumPy refuses records past its size limits
         except ValueError as exc:
             raise ValueError(f"{path}: header has M={m}, N={n}: {exc}") from None
-        dtype = _record_dtype(n)
         size = os.fstat(f.fileno()).st_size - f.tell()
         records = np.empty(-(-size // dtype.itemsize), dtype)  # a partial record fits too
         count, partial = divmod(f.readinto(records), dtype.itemsize)

@@ -18,6 +18,9 @@ from .seeds import derive_rng
 
 ACTIVATIONS = ("identity", "relu", "sigmoid")
 MAX_HIDDEN_WIDTH = 1024  # the widest hidden layer a configured network may have
+# the most hidden layers a configured network may have: 16 of full width hold
+# 134 MB of float64 parameters, and a training DQN agent peaks near 6 times that
+MAX_HIDDEN_DEPTH = 16
 _ACT_CODE = {name: i for i, name in enumerate(ACTIVATIONS)}
 
 

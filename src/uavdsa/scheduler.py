@@ -183,7 +183,7 @@ class DqnSpec(LearnerSpec):
     """The DQN family's network, replay and target-update settings."""
 
     hidden: tuple[int, ...] = field(default=(64, 64), metadata={
-        "item_low": 1, "item_high": nnet.MAX_HIDDEN_WIDTH})
+        "max_length": nnet.MAX_HIDDEN_DEPTH, "item_low": 1, "item_high": nnet.MAX_HIDDEN_WIDTH})
     replay_capacity: int = field(default=10_000, metadata={
         "low": 1, "high": MAX_REPLAY_CAPACITY})
     batch_size: int = field(default=32, metadata={"low": 1})

@@ -35,7 +35,7 @@ class SensingSpec:
     thresholds: tuple[float, ...] | None = field(default=None, metadata={"item_low": 0.0})
     model_path: str | None = None
     hidden: tuple[int, ...] = field(default=(128, 128), metadata={
-        "item_low": 1, "item_high": nnet.MAX_HIDDEN_WIDTH})
+        "max_length": nnet.MAX_HIDDEN_DEPTH, "item_low": 1, "item_high": nnet.MAX_HIDDEN_WIDTH})
     epochs: int = field(default=30, metadata={"low": 1})
     batch_size: int = field(default=32, metadata={"low": 1})
     learning_rate: float = field(default=1e-3, metadata={"above": 0.0})

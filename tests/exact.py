@@ -54,12 +54,17 @@ def preset_scheduling_env(num_subchannels: int, num_uavs: int = 1) -> Scheduling
     return SchedulingEnv(matrices, table)
 
 
+def chain_rows(matrix: TransitionMatrix) -> np.ndarray:
+    """The chain's row-stochastic 2x2 matrix, row and column 0 vacant."""
+    return np.array([[1.0 - matrix.p01, matrix.p01], [matrix.p10, 1.0 - matrix.p10]])
+
+
 def _joint_transition(matrices: list[TransitionMatrix]) -> np.ndarray:
     """Kronecker product of the per-channel chains under the bit-index
     convention (channel 1 in the least significant bit)."""
     joint = np.array([[1.0]])
     for m in matrices:
-        joint = np.kron(m.rows, joint)
+        joint = np.kron(chain_rows(m), joint)
     return joint
 
 

@@ -277,7 +277,7 @@ class TestExitCodes:
         out = tmp_path / "run"
         for command in ("gen-dataset", "simulate"):
             assert cli_dispatch([command, "--config", cfg, "--out", str(out)]) == 1
-            assert capsys.readouterr().err.startswith("dataset: sinr_grid_db repeats a value")
+            assert capsys.readouterr().err.startswith("dataset.sinr_grid_db: repeats a value")
             assert not out.exists()
 
     def test_seed_flag_out_of_range_is_config_error(self, tmp_path, capsys):
@@ -410,13 +410,25 @@ def _sensor_file(path, outputs=4):
                          str(path))
 
 
-def _patched(write, fmt, offset, value):
+def _packed(fmt, offset, value):
+    """An edit of a file's bytes that packs `value` at `offset`."""
+    def edit(data):
+        data = bytearray(data)
+        struct.pack_into(fmt, data, offset, value)
+        return bytes(data)
+    return edit
+
+
+def _edited(write, edit):
+    """The file of `write`, its bytes passed through `edit`."""
     def make(path):
         write(path)
-        data = bytearray(path.read_bytes())
-        struct.pack_into(fmt, data, offset, value)
-        path.write_bytes(bytes(data))
+        path.write_bytes(edit(path.read_bytes()))
     return make
+
+
+def _patched(write, fmt, offset, value):
+    return _edited(write, _packed(fmt, offset, value))
 
 
 # (the setting that names the file, its config overrides)
@@ -434,9 +446,11 @@ def _qtable_file(path):
 
 
 # (use, writer of the defective file, problem): UAGC header offsets 4 version,
-# 16 gamma, 24 epsilon0, 32 epsilon_min, 40 epsilon_decay, 48 tau, 64
-# learning rate; UQTB 4 version, 8 M, 20 alpha, 28 alpha_power; UNNC
-# 4 version, 8 layer count, 36 the first weight of a two-layer block
+# 12 variant code, 16 gamma, 24 epsilon0, 32 epsilon_min, 40 epsilon_decay,
+# 48 tau, 64 learning rate; UQTB 4 version, 8 M, 20 alpha, 28 alpha_power;
+# UNNC 4 version, 8 layer count, 20 the first layer's activation code, 36
+# the first weight of a two-layer block. A UQTB file for M = 4 is 1396 bytes
+# and the two-layer UNNC file 160.
 MALFORMED_CHECKPOINTS = [
     ("dqn", _patched(_agent_file, "<I", 4, 2), "unsupported agent version 2"),
     ("dqn", _patched(_agent_file, "<d", 16, 1.0), "header.gamma: must be < 1.0"),
@@ -457,6 +471,11 @@ MALFORMED_CHECKPOINTS = [
     ("dqn", lambda p: _agent_file(p, nnet.build_network([4, 3, 4], ["relu", "identity"],
                                                         seed=0)),
      "output width must be M + 1"),
+    ("dqn", lambda p: _agent_file(p, nnet.build_network([3, 3, 5], ["relu", "identity"],
+                                                        seed=0)),
+     "input width must be M"),
+    ("dqn", _sensor_file, "not an agent checkpoint"),
+    ("dqn", _patched(_agent_file, "<I", 12, 9), "unknown agent variant code 9"),
     ("qtable", _patched(_qtable_file, "<I", 4, 2), "unsupported q-table version 2"),
     ("qtable", _patched(_qtable_file, "<I", 8, 13),
      "q-table for M=13 exceeds the tabular limit M <= 12"),
@@ -464,9 +483,20 @@ MALFORMED_CHECKPOINTS = [
     ("qtable", _patched(_qtable_file, "<d", 28, 7.0), "header.alpha_power: must be <= 1.0"),
     ("qtable", _patched(_qtable_file, "<d", 28, float("nan")),
      "header.alpha_power: must be a finite number"),
+    ("qtable", _edited(_qtable_file, lambda data: data[:-1]),
+     "1395 bytes where a q-table for M=4 needs 1396: truncated"),
+    ("qtable", _edited(_qtable_file, lambda data: data + b"\0"),
+     "1397 bytes where a q-table for M=4 needs 1396: trailing bytes"),
     ("sensor", _patched(_sensor_file, "<I", 4, 2), "unsupported checkpoint version 2"),
     ("sensor", _patched(_sensor_file, "<I", 8, 0), "network has no layers"),
     ("sensor", _patched(_sensor_file, "<f", 36, float("nan")), "weights must be finite"),
+    ("sensor", _edited(_sensor_file, lambda data: data[:8]), "truncated network header"),
+    ("sensor", _edited(_sensor_file, lambda data: data[:24]), "truncated layer table"),
+    ("sensor", _patched(_sensor_file, "<I", 20, 7), "unknown activation code 7"),
+    ("sensor", _edited(_sensor_file, lambda data: data[:-1]),
+     "159 bytes where the network block needs 160: truncated"),
+    ("sensor", _edited(_sensor_file, lambda data: data + b"\0"),
+     "161 bytes where the network block needs 160: trailing bytes"),
     ("sensor", lambda p: _sensor_file(p, outputs=3), "classifier has 3 outputs, config has M=4"),
 ]
 
@@ -475,10 +505,12 @@ MALFORMED_CHECKPOINTS = [
     "agent-version", "agent-gamma", "agent-tau", "agent-learning-rate",
     "agent-learning-rate-nan", "agent-learning-rate-inf", "agent-epsilon0-nan",
     "agent-epsilon0", "agent-epsilon-min", "agent-epsilon-decay", "agent-epsilon-floor",
-    "agent-output-width",
+    "agent-output-width", "agent-input-width", "agent-magic", "agent-variant-code",
     "qtable-version", "qtable-m-limit", "qtable-alpha", "qtable-alpha-power",
-    "qtable-alpha-power-nan", "network-version", "network-no-layers",
-    "network-non-finite", "classifier-output-width"])
+    "qtable-alpha-power-nan", "qtable-truncated", "qtable-trailing", "network-version",
+    "network-no-layers", "network-non-finite", "network-truncated-header",
+    "network-truncated-layer-table", "network-activation-code", "network-truncated",
+    "network-trailing", "classifier-output-width"])
 def test_malformed_checkpoints_are_config_errors(use, write, problem, tmp_path, capsys):
     ckpt = tmp_path / "file.ckpt"
     write(ckpt)
@@ -490,10 +522,25 @@ def test_malformed_checkpoints_are_config_errors(use, write, problem, tmp_path, 
     assert not out.exists()
 
 
+# (defect, problem) of the 24-record file below: IQDS header offsets 4
+# version, 8 M, 12 N, 48 the first record; a record is 520 bytes (mask u32,
+# SINR f32, 64 samples), its SINR at offset 4, and records 0-5 are -10 dB
 @pytest.mark.parametrize("defect,problem", [
-    (lambda data: struct.pack_into("<I", data, 4, 7) or data, "unsupported dataset version 7"),
+    (_packed("<I", 4, 7), "unsupported dataset version 7"),
     (lambda data: data[:-3], "truncated record 23"),
-], ids=["version", "truncated-record"])
+    (lambda data: data[:10], "truncated header"),
+    (lambda data: b"IQDX" + data[4:], "not a dataset file"),
+    (_packed("<I", 8, 0), "header has M=0 sub-channels"),
+    (_packed("<I", 12, 63),
+     "header has M=4, N=63: samples_per_observation: must be a positive power of two"),
+    (_packed("<I", 12, 2), "header has M=4, N=2: subcarriers_per_subchannel: must be >= 1"),
+    (lambda data: _packed("<I", 12, 2 ** 30)(_packed("<I", 8, 1)(data)),
+     "header has M=1, N=1073741824: "),
+    (_packed("<I", 48, 16), "record 0: label mask has bits at or above M=4"),
+    (_packed("<f", 52, 3.5), "record 0: SINR is not a grid value"),
+    (_packed("<f", 48 + 7 * 520 + 4, -10.0), "record 7: SINR -10 dB outside its stratum"),
+], ids=["version", "truncated-record", "truncated-header", "magic", "header-m",
+        "header-n", "header-n-below-m", "header-record-size", "record-mask", "record-sinr", "record-stratum"])
 def test_malformed_dataset_is_a_config_error(defect, problem, tmp_path, capsys):
     out = tmp_path / "run"
     cfg = write_config(tmp_path, dataset={"fft_size": 64, "count_per_sinr": 6},
@@ -762,18 +809,42 @@ REFUSED_AT_VALIDATION = [
      "gen-dataset"),
     ("agent.epsilon_min", {"agent": {"variant": "qtable", "epsilon0": 0.1,
                                      "epsilon_min": 0.5}}, "train-agent"),
+    ("agent.hidden", {"agent": {"variant": "ddqn", "hidden": [1024] * 400}}, "simulate"),
 ]
 
 
 @pytest.mark.parametrize("field,overrides,command", REFUSED_AT_VALIDATION,
                          ids=["slots-per-episode", "count-per-sinr", "dataset-samples",
-                              "epsilon-min"])
+                              "epsilon-min", "hidden-depth"])
 def test_values_past_their_bounds_stop_at_validation(field, overrides, command, tmp_path,
                                                      capsys):
     cfg = write_config(tmp_path, **overrides)
     out = tmp_path / "run"
     assert cli_dispatch([command, "--config", cfg, "--out", str(out)]) == 1
     assert [p.split(": ")[0] for p in capsys.readouterr().err.splitlines()] == [field]
+    assert not out.exists()
+
+
+# (config overrides, the one problem): checks that span fields, each
+# reported under the key it refuses
+CROSS_FIELD_REFUSALS = [
+    ({"timing": {"t_req": 0, "t_s": 0, "t_b": 0, "t_a": 0}},
+     "timing: t_req + t_s + t_b + t_a must be > 0"),
+    ({"radio": {"num_subchannels": 4, "num_uavs": 3, "system_bandwidth": 1e6}},
+     "radio.system_bandwidth: 4 sub-channels of 540000.0 Hz exceed 1000000.0 Hz"),
+    ({"dataset": {"fft_size": 1024, "subcarriers_per_subchannel": 300}},
+     "dataset.subcarriers_per_subchannel: 4 blocks of 300 bins exceed the 1024-bin "
+     "transform"),
+]
+
+
+@pytest.mark.parametrize("overrides,problem", CROSS_FIELD_REFUSALS,
+                         ids=["timing", "system-bandwidth", "subcarriers"])
+def test_cross_field_refusals_name_their_key(overrides, problem, tmp_path, capsys):
+    cfg = write_config(tmp_path, **overrides)
+    out = tmp_path / "run"
+    assert cli_dispatch(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == problem + "\n"
     assert not out.exists()
 
 

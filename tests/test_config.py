@@ -128,8 +128,10 @@ class TestValidation:
 
     def test_dataset_blocks_must_fit(self):
         raw = minimal(dataset={"fft_size": 64, "subcarriers_per_subchannel": 32})
-        with pytest.raises(ConfigError, match="dataset"):
+        with pytest.raises(ConfigError) as exc:
             validate_config(raw)
+        assert exc.value.problems == ["dataset.subcarriers_per_subchannel: 4 blocks of 32 "
+                                      "bins exceed the 64-bin transform"]
 
 
 # (field path in the problem, config overrides): each used to validate and
@@ -159,6 +161,14 @@ OUT_OF_BOUNDS = [
     ("radio.v_cc", {"radio": {"v_cc": 0}}),
     ("radio.p_tx", {"radio": {"p_tx": -0.5}}),
     ("radio.subchannel_bandwidth", {"radio": {"subchannel_bandwidth": 0.0}}),
+    ("radio.system_bandwidth", {"radio": {"system_bandwidth": 1e6}}),
+    ("timing.t_req", {"timing": {"t_req": -1}}),
+    ("timing", {"timing": {"t_req": 0, "t_s": 0, "t_b": 0, "t_a": 0}}),
+    ("channels[0].p01", {"channels": {"p01": 1.2}}),
+    ("link.sensing_sinr_db", {"link": {"sensing_sinr_db": [10.0, 0.0]}}),
+    ("link.access_sinr_db[0]", {"link": {"access_sinr_db": [[10.0] * 3] * 3}}),
+    ("agent.hidden", {"agent": {"hidden": [1024] * 400}}),
+    ("sensing[0].hidden", {"sensing": {"hidden": [8] * 17}}),
 ]
 
 
@@ -170,11 +180,16 @@ def test_out_of_bounds_values_are_config_errors(field, overrides):
     assert any(p.startswith(f"{field}: ") for p in exc.value.problems)
 
 
-# (config overrides, the one problem): bounds that a constructor also
-# checks are reported under their key, and not again by the constructor
+# (config overrides, the one problem): each refusal is reported once,
+# under its key
 REPORTED_ONCE = [
     ({"dataset": {"fft_size": 1000}}, "dataset.fft_size: must be a power of two"),
     ({"radio": {"v_cc": 0}}, "radio.v_cc: must be > 0.0"),
+    ({"radio": {"system_bandwidth": 1e6}},
+     "radio.system_bandwidth: 4 sub-channels of 540000.0 Hz exceed 1000000.0 Hz"),
+    ({"timing": {"t_req": 0, "t_s": 0, "t_b": 0, "t_a": 0}},
+     "timing: t_req + t_s + t_b + t_a must be > 0"),
+    ({"agent": {"hidden": [1024] * 400}}, "agent.hidden: expected at most 16 entries, got 400"),
 ]
 
 
@@ -205,6 +220,11 @@ def test_bounds_admit_their_edges():
                                   sensing={"hidden": [1024, 1024]}))
     assert cfg.agent.hidden == (1024,) and cfg.agent.replay_capacity == 10 ** 6
     assert cfg.sensing[0].hidden == (1024, 1024)
+    cfg = validate_config(minimal(agent={"hidden": [1024] * 16}, sensing={"hidden": [8] * 16}))
+    assert cfg.agent.hidden == (1024,) * 16 and cfg.sensing[0].hidden == (8,) * 16
+    cfg = validate_config(minimal(radio={"system_bandwidth": 4 * 540e3},
+                                  timing={"t_req": 0, "t_s": 0, "t_b": 0, "t_a": 1e-9}))
+    assert cfg.radio.system_bandwidth == 4 * 540e3 and cfg.timing.t_a == 1e-9
     for decay, alpha in ((0.0, 1.0), (1.0, 1e-9)):
         cfg = validate_config(minimal(agent={"epsilon_decay": decay, "alpha": alpha}))
         assert (cfg.agent.epsilon_decay, cfg.agent.alpha) == (decay, alpha)

@@ -103,19 +103,6 @@ class TestEnergyEfficiency:
 
 
 class TestTypes:
-    def test_slot_timing_rejects_negative(self):
-        with pytest.raises(ValueError):
-            core.SlotTiming(-1.0, 0.1, 0.1, 0.1)
-
-    def test_slot_timing_rejects_zero_total(self):
-        with pytest.raises(ValueError):
-            core.SlotTiming(0.0, 0.0, 0.0, 0.0)
-
-    def test_radio_rejects_bad_bandwidth_budget(self):
-        with pytest.raises(ValueError):
-            core.RadioParams(v_cc=1.0, p_tx=1.0, subchannel_bandwidth=4e6,
-                             num_subchannels=4, num_uavs=1, system_bandwidth=10e6)
-
     def test_occupancy_codec_round_trips_any_leading_shape(self):
         bits = np.random.default_rng(0).integers(0, 2, size=(3, 5, 7), dtype=np.int8)
         codes = core.occupancy_codes(bits)

@@ -198,5 +198,5 @@ def test_iqds_refuses_a_repeated_grid_value(tmp_path):
         f.seek(4 + 20 + 4)  # the grid's second value
         f.write(struct.pack("<f", 0.0))
     with pytest.raises(ValueError, match=re.escape(f"{path}: header has M=3, N=8: "
-                                                   "sinr_grid_db repeats a value")):
+                                                   "sinr_grid_db: repeats a value")):
         iqsynth.load_dataset(path)

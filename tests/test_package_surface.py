@@ -6,8 +6,11 @@ src/uavdsa references, other than its own definition, is code that only
 tests or tools use: it belongs in the tests (exact references live in
 tests/exact.py), or it goes. A reference is a name, an attribute or an
 import alias anywhere in the package's syntax trees; a mention in a
-docstring or a comment is not one. Names are matched without their module,
-which can only hide an unused definition, never invent one.
+docstring or a comment is not one. A method or property of a class (dunders
+aside) is reached only as an attribute, so it counts as referenced when an
+attribute read outside its own body names it. Names are matched without
+their module or class, which can only hide an unused definition, never
+invent one.
 """
 
 import ast
@@ -19,6 +22,8 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "uavdsa"
 # reached from outside the package: the console script runs cli.main, and
 # cli_dispatch looks its handlers up in globals() by subcommand name
 ENTRY_POINTS = re.compile(r"cli\.(main|cmd_\w+)")
+# class members read from outside the package: benchmarks/workloads.py reads both
+OUTSIDE_READS = {"core.SlotLedger.assignment", "simulate.RunReport.ledgers"}
 
 
 def referenced_names(node: ast.AST) -> set[str]:
@@ -31,6 +36,11 @@ def referenced_names(node: ast.AST) -> set[str]:
         elif isinstance(sub, ast.alias):
             names.add(sub.name)
     return names
+
+
+def referenced_attributes(node: ast.AST) -> set[str]:
+    """The attribute names `node` reads, the only way to reach a member."""
+    return {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
 
 
 def defined_names(node: ast.stmt) -> list[str]:
@@ -46,18 +56,39 @@ def defined_names(node: ast.stmt) -> list[str]:
     return []
 
 
+def members(node: ast.stmt) -> list[ast.stmt]:
+    """The methods and properties a class statement defines, dunders aside."""
+    if not isinstance(node, ast.ClassDef):
+        return []
+    return [sub for sub in node.body
+            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (sub.name.startswith("__") and sub.name.endswith("__"))]
+
+
 def unreferenced_definitions(package: Path) -> list[str]:
     """module.name of each name that a top-level statement of `package`
     defines and that no other top-level statement of the package
-    references."""
-    definitions, statements = [], []
+    references, then module.Class.name of each member of a class whose
+    name no attribute in the package reads, outside the member itself."""
+    definitions, statements, classes = [], [], []
     for path in sorted(package.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            statements.append((node, referenced_names(node)))
+            statements.append((node, referenced_names(node), referenced_attributes(node)))
             definitions += [(path.stem, name, node) for name in defined_names(node)]
-    return [f"{module}.{name}" for module, name, node in definitions
-            if not ENTRY_POINTS.fullmatch(f"{module}.{name}")
-            and not any(name in names for other, names in statements if other is not node)]
+            classes += [(path.stem, node)] if members(node) else []
+    unused = [f"{module}.{name}" for module, name, node in definitions
+              if not ENTRY_POINTS.fullmatch(f"{module}.{name}")
+              and not any(name in names for other, names, _ in statements if other is not node)]
+    for module, node in classes:
+        body = [(sub, referenced_attributes(sub)) for sub in node.body]
+        for member in members(node):
+            name = f"{module}.{node.name}.{member.name}"
+            if not (name in OUTSIDE_READS
+                    or any(member.name in attrs
+                           for other, _, attrs in statements if other is not node)
+                    or any(member.name in attrs for sub, attrs in body if sub is not member)):
+                unused.append(name)
+    return unused
 
 
 def test_every_definition_is_referenced_in_the_package():
@@ -77,14 +108,22 @@ def test_the_scan_sees_through_docstrings_and_its_own_body(tmp_path):
         "def caller():\n"
         "    return used.attr\n"
         "class Kept:\n"
-        "    pass\n")
+        "    def __len__(self):\n"
+        "        return 0\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return len(self)\n"
+        "    def called(self):\n"
+        "        return self.size  # a sibling's reference counts\n"
+        "    def lonely(self):\n"
+        "        return self.lonely()  # the member's own body does not\n")
     (tmp_path / "b.py").write_text(
         "from . import a\n"
         "def used():\n"
-        "    return a.Kept(a.LIMIT)\n"
+        "    return a.Kept(a.LIMIT).called()\n"
         "def attr():\n"
         "    pass\n"
         "def cmd_x():\n"
         "    pass\n")
     assert unreferenced_definitions(tmp_path) == [
-        "a.UNUSED", "a.Alias", "a.helper", "a.caller", "b.cmd_x"]
+        "a.UNUSED", "a.Alias", "a.helper", "a.caller", "b.cmd_x", "a.Kept.lonely"]
