@@ -1,6 +1,5 @@
-"""Closed-form slot quantities: costs, throughput, collision indicator,
-utility and energy efficiency, plus the per-slot ledger of decisions and
-the occupancy codec.
+"""Closed-form slot quantities: costs, throughput, utility and energy
+efficiency, plus the per-slot ledger of decisions and the occupancy codec.
 
 All functions are pure; every occupancy vector uses the convention
 0 = vacant, 1 = busy (a "spectrum hole" is a 0 bit). The package holds
@@ -125,20 +124,6 @@ def throughput(timing: SlotTiming, radio: RadioParams, sinr_linear: float) -> fl
     if sinr_linear < 0:
         raise ValueError("sinr_linear must be non-negative")
     return timing.t_a * radio.subchannel_bandwidth * math.log2(1.0 + sinr_linear)
-
-
-def collision_indicator(true_state_now: int, fused_prev: int) -> int:
-    """Access outcome for one sub-channel: +1 successful secondary use,
-    -1 collision with a returned primary, 0 no transmission opportunity.
-
-    true_state_now is the channel's actual occupancy this slot; fused_prev
-    is the fused prediction from the slot the allocation was based on.
-    """
-    if true_state_now not in (0, 1) or fused_prev not in (0, 1):
-        raise ValueError("arguments must be bits")
-    if fused_prev != 0:
-        return 0
-    return 1 if true_state_now == 0 else -1
 
 
 def slot_utility(pairs: Iterable[tuple[int, float]]) -> float:

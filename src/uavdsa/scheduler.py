@@ -26,7 +26,7 @@ import numpy as np
 
 from . import nnet
 from .channel import TransitionMatrix, sample_occupancy
-from .core import code_bits, collision_indicator, occupancy_codes, slot_utility
+from .core import code_bits, occupancy_codes, slot_utility
 from .seeds import derive_rng
 
 TABULAR_MAX_SUBCHANNELS = 12
@@ -51,17 +51,9 @@ def table_shape(num_subchannels: int) -> tuple[int, int]:
     return 2 ** num_subchannels + 1, num_subchannels + 1
 
 
-def state_features(state: int, num_subchannels: int) -> np.ndarray:
-    """Network input of a state code: its M bits as reals; INITIAL becomes
-    an all-0.5 vector."""
-    if state == 2 ** num_subchannels:
-        return np.full(num_subchannels, 0.5)
-    return code_bits(state, num_subchannels).astype(float)
-
-
 def feature_table(num_subchannels: int) -> np.ndarray:
-    """state_features of every state, as a (2^M + 1) x M matrix indexed
-    by state code."""
+    """The network input of every state, as a (2^M + 1) x M matrix indexed
+    by state code: a code's M bits as reals, and INITIAL's all 0.5."""
     n = 2 ** num_subchannels
     table = np.empty((n + 1, num_subchannels))
     table[:n] = code_bits(np.arange(n), num_subchannels)
@@ -254,13 +246,14 @@ class DqnAgent(DqnSpec):
     selection from evaluation, "ddqn-soft" additionally replaces the hard
     copy with polyak averaging.
 
-    The replay ring, the feature table (padded to a multiple of 4 rows),
-    the batch's row indices and `networks`, a nnet.NetworkStack of
-    (primary, target), are allocated by the first observe, so agents that
-    only act never pay for them. The stack moves both networks' parameters
-    into the rows of one (2, P) buffer, so a network assigned to `primary`
-    or `target` after that is not in it, just as it is not in the Adam
-    blocks that the first gradient step builds over the primary's.
+    The replay ring, the batch's row indices and `networks`, a
+    nnet.NetworkStack of (primary, target), are allocated by the first
+    observe, so agents that only act never pay for them; the feature
+    table, which `q_row` reads its input from, by the first call of
+    `inputs`. The stack moves both networks' parameters into the rows of
+    one (2, P) buffer, so a network assigned to `primary` or `target`
+    after that is not in it, just as it is not in the Adam blocks that the
+    first gradient step builds over the primary's.
     """
 
     num_subchannels: int
@@ -288,8 +281,21 @@ class DqnAgent(DqnSpec):
             raise ValueError("output width must be M + 1")
         self.optimizer = nnet.OptimizerState(learning_rate=self.learning_rate)
 
+    def inputs(self) -> np.ndarray:
+        """The feature table, built by the first call: zero rows pad it to a
+        multiple of 4 rows, since OpenBLAS's x86-64 dgemm rounds a trailing
+        group of 1 to 3 rows differently when a product has 2 or 3 columns
+        (the Q head at M <= 2), so table rows equal the same states' rows
+        of any pass of 4k rows; at M <= 2 a batch size that is not a
+        multiple of 4 thus rounds its Q rows unlike the two passes of the
+        other branch."""
+        if self.features is None:
+            table = feature_table(self.num_subchannels)
+            self.features = np.pad(table, ((0, -len(table) % 4), (0, 0)))
+        return self.features
+
     def q_row(self, state: int) -> np.ndarray:
-        return nnet.forward(self.primary, state_features(state, self.num_subchannels))
+        return nnet.forward(self.primary, self.inputs()[state])
 
     def select(self, state: int, valid, epsilon, rng, k=1):
         row = self.q_row(state)
@@ -302,14 +308,6 @@ class DqnAgent(DqnSpec):
         update."""
         if self.replay is None:
             self.replay = ReplayRing(self.replay_capacity)
-            # zero rows pad the table to a multiple of 4 rows: OpenBLAS's
-            # x86-64 dgemm rounds a trailing group of 1 to 3 rows differently
-            # when a product has 2 or 3 columns (the Q head at M <= 2), so
-            # table rows equal the same states' rows of any pass of 4k rows;
-            # at M <= 2 a batch size that is not a multiple of 4 thus rounds
-            # its Q rows unlike the two passes of the other branch
-            table = feature_table(self.num_subchannels)
-            self.features = np.pad(table, ((0, -len(table) % 4), (0, 0)))
             self.batch_rows = np.arange(self.batch_size)
             self.networks = nnet.NetworkStack([self.primary, self.target])
         ring = self.replay
@@ -319,11 +317,12 @@ class DqnAgent(DqnSpec):
             return
         idx = replay_sample(ring, n, rng)
         rows, next_rows = ring.states[idx], ring.next_states[idx]
-        if len(self.features) <= 2 * n:
+        features = self.inputs()
+        if len(features) <= 2 * n:
             # one pass of both networks (stack row 0 the primary, 1 the
             # target) over the feature table, each row computed independently,
             # bit for bit; the batch's rows are gathered from it
-            x = self.features
+            x = features
             pre, post = nnet.forward_trace(self.networks, x)
             q_next = post[-1].take(next_rows, axis=1)
             q_target, q_primary = q_next[1], q_next[0]
@@ -331,7 +330,7 @@ class DqnAgent(DqnSpec):
                      [x.take(rows, axis=0), *(a[0].take(rows, axis=0) for a in post[1:])])
         else:  # the table outgrows [batch; next states]: pass over those rows,
             # the primary over all of them and the target over the next states
-            x = self.features.take(np.concatenate((rows, next_rows)), axis=0)
+            x = features.take(np.concatenate((rows, next_rows)), axis=0)
             pre, post = nnet.forward_trace(self.primary, x)
             q_target, q_primary = nnet.forward(self.target, x[n:]), post[-1][n:]
             trace = [z[:n] for z in pre], [a[:n] for a in post]
@@ -418,6 +417,8 @@ def train_agent(agent, env: SchedulingEnv, episodes: int, slots_per_episode: int
     """Run the slot loop of the allocation MDP and return per-episode rows
     matching TRAINING_COLUMNS. Reproducible per seed."""
     num_subchannels, num_uavs = len(env.matrices), len(env.reward_table)
+    rewards = env.reward_table.tolist()
+    valid_of = {}  # each state code's valid actions, filled as codes occur
     rng_env = derive_rng(seed, 0xE17)
     rng_agent = derive_rng(seed, 0xA9E)
     log = []
@@ -436,14 +437,18 @@ def train_agent(agent, env: SchedulingEnv, episodes: int, slots_per_episode: int
         collisions = 0
         q_sum = 0.0
         chosen = []  # each slot's actions, checked in one call per episode
-        for bits, code in zip(walk[1:], codes):
-            valid = valid_actions(state, num_subchannels)
+        for bits, code in zip(walk[1:].tolist(), codes):
+            valid = valid_of.get(state) or valid_of.setdefault(
+                state, valid_actions(state, num_subchannels))
             actions, q_row = agent.select(state, valid, epsilon, rng_agent, k=num_uavs)
             if np.abs(q_row).max() > Q_DIVERGENCE_LIMIT:
                 raise RuntimeError(f"Q-values diverged beyond {Q_DIVERGENCE_LIMIT:g}")
             chosen.append(actions)
-            outcomes = [(collision_indicator(bits[a - 1], 0), env.reward_table[uav, a - 1])
-                        if a else (0, 0.0) for uav, a in enumerate(actions)]
+            # (collision indicator, link rate) per UAV: a sub-channel the
+            # previous state predicts vacant scores +1 if it is vacant now
+            # and -1 if busy, 1 - 2 * bit
+            outcomes = [(1 - 2 * bits[a - 1], rewards[uav][a - 1]) if a else (0, 0.0)
+                        for uav, a in enumerate(actions)]
             for action, (r, gain) in zip(actions, outcomes):
                 agent.observe(state, action, r * gain, code, rng_agent)
             cum_utility += slot_utility(outcomes)

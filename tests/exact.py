@@ -1,11 +1,12 @@
 """Exact references that the tests check the package against.
 
-None of this runs in the package: the allocation MDP's value iteration
-and policy utility over the joint occupancy chain, the finite-difference
-gradient check, the bundled M = 2/4 scheduling environments, the energy
-detectors' exact report and vote laws, and a single capture as the
-one-label, K = 1 row of iqsynth.synthesize_block. tests/ is not a
-package, so test files import this module as `exact`.
+None of this runs in the package: the paper's collision indicator of one
+sub-channel, the allocation MDP's value iteration and policy utility over
+the joint occupancy chain, the finite-difference gradient check, the
+bundled M = 2/4 scheduling environments, the energy detectors' exact
+report and vote laws, and a single capture as the one-label, K = 1 row of
+iqsynth.synthesize_block. tests/ is not a package, so test files import
+this module as `exact`.
 
 The energy-detector laws: a band of B bins with s active subcarriers at
 noise power sigma2 has energy E = (sigma2 / 2) * chi2_2B(lambda), lambda =
@@ -42,6 +43,20 @@ def capture(label, sinr_db: float, config: iqsynth.SynthConfig,
 
 # ---------------------------------------------------------------------------
 # The allocation MDP
+
+
+def collision_indicator(true_state_now: int, fused_prev: int) -> int:
+    """Access outcome for one sub-channel: +1 successful secondary use,
+    -1 collision with a returned primary, 0 no transmission opportunity.
+
+    true_state_now is the channel's actual occupancy this slot; fused_prev
+    is the fused prediction from the slot the allocation was based on.
+    """
+    if true_state_now not in (0, 1) or fused_prev not in (0, 1):
+        raise ValueError("arguments must be bits")
+    if fused_prev != 0:
+        return 0
+    return 1 if true_state_now == 0 else -1
 
 
 def preset_scheduling_env(num_subchannels: int, num_uavs: int = 1) -> SchedulingEnv:

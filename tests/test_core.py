@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import exact
 from uavdsa import core
 
 
@@ -59,18 +60,18 @@ class TestThroughput:
 
 class TestCollisionIndicator:
     def test_paper_cases(self):
-        assert core.collision_indicator(0, 0) == 1
-        assert core.collision_indicator(1, 0) == -1
-        assert core.collision_indicator(1, 1) == 0
-        assert core.collision_indicator(0, 1) == 0
+        assert exact.collision_indicator(0, 0) == 1
+        assert exact.collision_indicator(1, 0) == -1
+        assert exact.collision_indicator(1, 1) == 0
+        assert exact.collision_indicator(0, 1) == 0
 
     def test_total_on_bits_with_exact_range(self):
-        values = {core.collision_indicator(a, b) for a in (0, 1) for b in (0, 1)}
+        values = {exact.collision_indicator(a, b) for a in (0, 1) for b in (0, 1)}
         assert values == {-1, 0, 1}
 
     def test_rejects_non_bits(self):
         with pytest.raises(ValueError):
-            core.collision_indicator(2, 0)
+            exact.collision_indicator(2, 0)
 
 
 class TestSlotUtility:

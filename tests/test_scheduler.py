@@ -34,8 +34,8 @@ class TestStateEncoding:
             assert occupancy_codes(code_bits(code, 3)) == code
 
     def test_network_features(self):
-        assert np.array_equal(sch.state_features(0b101, 3), [1.0, 0.0, 1.0])
-        assert np.array_equal(sch.state_features(8, 3), [0.5, 0.5, 0.5])  # INITIAL
+        assert np.array_equal(sch.feature_table(3)[0b101], [1.0, 0.0, 1.0])
+        assert np.array_equal(sch.feature_table(3)[8], [0.5, 0.5, 0.5])  # INITIAL
 
 
 class TestEpsilonGreedy:
@@ -332,8 +332,9 @@ class TestReplay:
     def test_feature_table_rows_are_state_features(self):
         table = sch.feature_table(3)
         assert table.shape == (9, 3)
-        for code in range(9):  # 8 is INITIAL
-            assert np.array_equal(table[code], sch.state_features(code, 3))
+        for code in range(8):
+            assert np.array_equal(table[code], code_bits(code, 3))
+        assert np.array_equal(table[8], [0.5] * 3)  # INITIAL
 
 
 class TestValueIteration:
@@ -591,7 +592,7 @@ class TestCheckpoints:
         assert isinstance(loaded, sch.DqnAgent) and loaded.variant == "ddqn-soft"
         assert loaded.gamma == 0.85
         assert loaded.tau == 0.02
-        x = sch.state_features(occupancy_codes((0, 1, 0, 1)), 4)
+        x = sch.feature_table(4)[occupancy_codes((0, 1, 0, 1))]
         from uavdsa import nnet
         assert np.allclose(nnet.forward(agent.primary, x),
                            nnet.forward(loaded.primary, x), atol=1e-5)
