@@ -222,33 +222,38 @@ def output_loss(y: np.ndarray, t: np.ndarray, loss: LossSpec) -> float:
 
 def backward(net: Network, x: np.ndarray, target: np.ndarray, loss: LossSpec,
              trace=None):
-    """Exact gradients (dW, db) of the loss for every layer.
+    """Exact gradients (dW, db) of the loss for every layer, means over the
+    batch as in output_loss: `output_error`, then `backpropagate`. `trace`
+    is forward_trace(net, x) when the caller already holds it."""
+    trace = forward_trace(net, x) if trace is None else trace
+    return backpropagate(net, trace, output_error(net, trace, target, loss))
 
-    Gradients are means over the batch, matching output_loss; a caller that
-    also wants the loss takes output_loss of the trace's output. `trace` is
-    forward_trace(net, x) when the caller already holds it. The gradients
-    are written into the network's gradient buffer (see
-    `Network.gradient`), so they stay valid until the next backward on the
-    same network.
-    """
-    pre, post = forward_trace(net, x) if trace is None else trace
+
+def output_error(net: Network, trace, target: np.ndarray, loss: LossSpec) -> np.ndarray:
+    """The loss's gradient at the output layer's pre-activations, a mean
+    over every output of the trace, as a new array."""
+    pre, post = trace
     t = _rows(target, net.params.dtype)
     y = post[-1]
     if y.shape != t.shape:
         raise ValueError(f"target shape {t.shape} != output shape {y.shape}")
-    n_total = y.size
-
     last = net.layers[-1]
     if loss.kind == "bce":
         if last.activation != "sigmoid":
             raise ValueError("bce expects a sigmoid output layer")
-        delta = (y - t) / n_total  # sigmoid+bce cancellation, exact
-    else:
-        delta = y - t  # then 2.0 * (y - t) / n_total, in that order
-        delta *= 2.0
-        delta /= n_total
-        _times_activation_grad(delta, pre[-1], last.activation)
+        return (y - t) / y.size  # sigmoid+bce cancellation, exact
+    delta = y - t  # then 2.0 * (y - t) / y.size, in that order
+    delta *= 2.0
+    delta /= y.size
+    return _times_activation_grad(delta, pre[-1], last.activation)
 
+
+def backpropagate(net: Network, trace, delta: np.ndarray):
+    """Gradients (dW, db) of every layer from `delta`, the loss's gradient
+    at the output layer's pre-activations for each row of `trace`, written
+    into the network's gradient buffer (see `Network.gradient`): valid
+    until the next backpropagation on the same network."""
+    pre, post = trace
     flat, grads = net.gradient()
     for i in range(len(net.layers) - 1, -1, -1):
         gw, gb = grads[i]

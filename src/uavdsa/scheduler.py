@@ -246,14 +246,13 @@ class DqnAgent(DqnSpec):
     selection from evaluation, "ddqn-soft" additionally replaces the hard
     copy with polyak averaging.
 
-    The replay ring, the batch's row indices and `networks`, a
-    nnet.NetworkStack of (primary, target), are allocated by the first
-    observe, so agents that only act never pay for them; the feature
-    table, which `q_row` reads its input from, by the first call of
-    `inputs`. The stack moves both networks' parameters into the rows of
-    one (2, P) buffer, so a network assigned to `primary` or `target`
-    after that is not in it, just as it is not in the Adam blocks that the
-    first gradient step builds over the primary's.
+    The replay ring and `networks`, a nnet.NetworkStack of (primary,
+    target), are allocated by the first observe, so agents that only act
+    never pay for them; the feature table, which `q_row` reads its input
+    from, by the first call of `inputs`. The stack moves both networks'
+    parameters into the rows of one (2, P) buffer, so a network assigned
+    to `primary` or `target` after that is not in it, just as it is not in
+    the Adam blocks that the first gradient step builds over the primary's.
     """
 
     num_subchannels: int
@@ -263,7 +262,6 @@ class DqnAgent(DqnSpec):
     target: nnet.Network = None
     replay: ReplayRing = field(default=None, init=False)
     features: np.ndarray = field(default=None, init=False, repr=False)
-    batch_rows: np.ndarray = field(default=None, init=False, repr=False)
     networks: nnet.NetworkStack = field(default=None, init=False, repr=False)
     optimizer: nnet.OptimizerState = field(default=None, init=False)
     train_steps: int = 0
@@ -279,16 +277,16 @@ class DqnAgent(DqnSpec):
             raise ValueError("input width must be M")
         if self.primary.output_dim != self.num_subchannels + 1:
             raise ValueError("output width must be M + 1")
+        if self.primary.layers[-1].activation != "identity":  # Q is a regression
+            raise ValueError("output layer must be identity")
         self.optimizer = nnet.OptimizerState(learning_rate=self.learning_rate)
 
     def inputs(self) -> np.ndarray:
-        """The feature table, built by the first call: zero rows pad it to a
-        multiple of 4 rows, since OpenBLAS's x86-64 dgemm rounds a trailing
-        group of 1 to 3 rows differently when a product has 2 or 3 columns
-        (the Q head at M <= 2), so table rows equal the same states' rows
-        of any pass of 4k rows; at M <= 2 a batch size that is not a
-        multiple of 4 thus rounds its Q rows unlike the two passes of the
-        other branch."""
+        """The feature table, built by the first call and zero-padded to a
+        multiple of 4 rows: OpenBLAS's x86-64 dgemm rounds a trailing group
+        of 1 to 3 rows differently when a product has 2 or 3 columns (the Q
+        head at M <= 2), so table rows equal the same states' rows of any
+        pass of 4k rows."""
         if self.features is None:
             table = feature_table(self.num_subchannels)
             self.features = np.pad(table, ((0, -len(table) % 4), (0, 0)))
@@ -308,7 +306,6 @@ class DqnAgent(DqnSpec):
         update."""
         if self.replay is None:
             self.replay = ReplayRing(self.replay_capacity)
-            self.batch_rows = np.arange(self.batch_size)
             self.networks = nnet.NetworkStack([self.primary, self.target])
         ring = self.replay
         replay_push(ring, si, a, r, sj)
@@ -316,28 +313,35 @@ class DqnAgent(DqnSpec):
         if len(ring) < n:
             return
         idx = replay_sample(ring, n, rng)
-        rows, next_rows = ring.states[idx], ring.next_states[idx]
+        rows, actions, next_rows = ring.states[idx], ring.actions[idx], ring.next_states[idx]
         features = self.inputs()
         if len(features) <= 2 * n:
             # one pass of both networks (stack row 0 the primary, 1 the
             # target) over the feature table, each row computed independently,
-            # bit for bit; the batch's rows are gathered from it
-            x = features
-            pre, post = nnet.forward_trace(self.networks, x)
+            # bit for bit, and one backpropagation over the primary's part:
+            # only a taken action's Q has an error, the batch's MSE error
+            # 2 (q - y) / (n (M + 1)), summed per (state, action)
+            pre, post = nnet.forward_trace(self.networks, features)
             q_next = post[-1].take(next_rows, axis=1)
-            q_target, q_primary = q_next[1], q_next[0]
-            trace = ([z[0].take(rows, axis=0) for z in pre],
-                     [x.take(rows, axis=0), *(a[0].take(rows, axis=0) for a in post[1:])])
+            y = ddqn_targets(self, ring.rewards[idx], q_next[1], q_next[0])
+            q = post[-1][0]
+            error = q[rows, actions] - y
+            error *= 2.0
+            error /= n * q.shape[1]
+            delta = q - q  # zero, or NaN where a Q value is not finite, as in y - t
+            np.add.at(delta, (rows, actions), error)
+            nnet.backpropagate(self.primary, ([z[0] for z in pre],
+                                              [features, *(a[0] for a in post[1:])]), delta)
         else:  # the table outgrows [batch; next states]: pass over those rows,
             # the primary over all of them and the target over the next states
             x = features.take(np.concatenate((rows, next_rows)), axis=0)
             pre, post = nnet.forward_trace(self.primary, x)
-            q_target, q_primary = nnet.forward(self.target, x[n:]), post[-1][n:]
-            trace = [z[:n] for z in pre], [a[:n] for a in post]
-        targets_y = ddqn_targets(self, ring.rewards[idx], q_target, q_primary)
-        target_mat = trace[1][-1].copy()
-        target_mat[self.batch_rows, ring.actions[idx]] = targets_y
-        nnet.backward(self.primary, trace[1][0], target_mat, nnet.MSE, trace)
+            y = ddqn_targets(self, ring.rewards[idx], nnet.forward(self.target, x[n:]),
+                             post[-1][n:])
+            target_mat = post[-1][:n].copy()
+            target_mat[np.arange(n), actions] = y
+            nnet.backward(self.primary, x[:n], target_mat, nnet.MSE,
+                          ([z[:n] for z in pre], [a[:n] for a in post]))
         nnet.optimizer_step(self.primary, self.optimizer)
         self.train_steps += 1
         if self.variant == "ddqn-soft":
@@ -444,9 +448,8 @@ def train_agent(agent, env: SchedulingEnv, episodes: int, slots_per_episode: int
             if np.abs(q_row).max() > Q_DIVERGENCE_LIMIT:
                 raise RuntimeError(f"Q-values diverged beyond {Q_DIVERGENCE_LIMIT:g}")
             chosen.append(actions)
-            # (collision indicator, link rate) per UAV: a sub-channel the
-            # previous state predicts vacant scores +1 if it is vacant now
-            # and -1 if busy, 1 - 2 * bit
+            # (collision indicator, link rate) per UAV: a hole the previous
+            # state predicted scores +1 if still vacant, -1 if busy: 1 - 2 bit
             outcomes = [(1 - 2 * bits[a - 1], rewards[uav][a - 1]) if a else (0, 0.0)
                         for uav, a in enumerate(actions)]
             for action, (r, gain) in zip(actions, outcomes):

@@ -471,6 +471,8 @@ MALFORMED_CHECKPOINTS = [
     ("dqn", lambda p: _agent_file(p, nnet.build_network([4, 3, 4], ["relu", "identity"],
                                                         seed=0)),
      "output width must be M + 1"),
+    ("dqn", lambda p: _agent_file(p, nnet.build_network([4, 3, 5], ["relu", "relu"], seed=0)),
+     "output layer must be identity"),
     ("dqn", lambda p: _agent_file(p, nnet.build_network([3, 3, 5], ["relu", "identity"],
                                                         seed=0)),
      "input width must be M"),
@@ -505,7 +507,7 @@ MALFORMED_CHECKPOINTS = [
     "agent-version", "agent-gamma", "agent-tau", "agent-learning-rate",
     "agent-learning-rate-nan", "agent-learning-rate-inf", "agent-epsilon0-nan",
     "agent-epsilon0", "agent-epsilon-min", "agent-epsilon-decay", "agent-epsilon-floor",
-    "agent-output-width", "agent-input-width", "agent-magic", "agent-variant-code",
+    "agent-output-width", "agent-output-activation", "agent-input-width", "agent-magic", "agent-variant-code",
     "qtable-version", "qtable-m-limit", "qtable-alpha", "qtable-alpha-power",
     "qtable-alpha-power-nan", "qtable-truncated", "qtable-trailing", "network-version",
     "network-no-layers", "network-non-finite", "network-truncated-header",

@@ -42,25 +42,25 @@ GOLDEN = {
         "12301a0db93d351c4dc9f50399a1f35c10366d527dd912fde40ba336c9d5d60a",
         "d52e551990f515203548d06ba474db11de724c904ad61632796e97c15e7c29f8"),
     "dqn_1uav": (
-        "b7c0bc92576765443e809fcb37d589821a291796249a623fe50425224c6ee8c8",
+        "d679fb340f66042ca37ed287927f7c1cd1a84161177e9a1d869eea5ff808117f",
         "0064f64364bb2a104127b76aadffef4aa5ff156c44bd2930a23ce97e2c37c1d0"),
     "dqn_2uav": (
-        "46867ca4aa02831bb71cc0ba78730c1c11aa2c0ae9f59294e77628dfdac69589",
+        "5b5b1964a16b10ae13be607518c470fce47b7a7647a2f220f4f02974d0ad6230",
         "2769cbab4028b831d2f05241d606d7821c050f2abf03360e89fba4f1510b6f33"),
     "ddqn_1uav": (
-        "f0637801e345a70d0f1401c7c66d7f0489e5f886ecfe8fee5a35ba7e55cb9c66",
+        "6b684955bff2b61030934bdb9fa8cdf7565c16ac8b0e7d7472af86b445732750",
         "509ed47978195effd40347a3847b8c425aa888519d6466dd87ae14cb1285e548"),
     "ddqn_2uav": (
         "a6ec18451ee412a458dfb71c340e6cda7b8ac1f7e4962dded9b9a21a1ca83e99",
         "b1fd1cfa44483d5763f66d88987eb6baa5a43015162df11f829dcf059f8f4e7d"),
     "ddqn-soft_1uav": (
-        "240efb623428a89eff8e1383cf18859be6eb9b5ca065bef787d9d83b76296920",
+        "b373039a9ac9dd72481c6e0948c3d43ee6840c76b60aa66ba20b1e24d01c7171",
         "daaa16f48594855f8082b5ec1a1033607ff6cb34a3e280b66fd4c19aba20f1a1"),
     "ddqn-soft_2uav": (
-        "36ae9e51e25e5ce22d2b77bb5dd559be441a0ae0a642a662c15e6ab0e26fd36d",
+        "a81ad6fec89308afbaa630644a457e677e94fc590c941c5ac1ed824535dd9f66",
         "4e8a2404ed287b54ac0812f527d574cd371f063e0a6c7c2a6353ad510e4ca58d"),
     "ddqn-soft_2uav_wrap": (
-        "a5654d454d76fcffd289c6cbf1bcd74fa3e89dac436aee733cb71251a68a088a",
+        "67bc061edcd5631fad482fa7c9c9575a2e33841c0d3017c748ba047ba160c6de",
         "bff62047e2ee8c2a81493aa1dd1f59754b996b89248153f80a3d933c56c7b014"),
 }
 

@@ -75,12 +75,13 @@ def _learner_net(m, hidden, seed):
 
 
 # The DQN step runs primary and target as one NetworkStack over the feature
-# table and gathers the batch's rows from it, so each table row must equal
-# that state's row of a batch pass. A one-row pass is not covered: numpy
-# sends a one-row product to BLAS gemv, whose rows differ from gemm's in the
-# last bits, so `select` (one state a call) keeps its own pass: reading its
-# row from the table would round the training logs' `mean_q` column (and
-# any near-tie of its greedy picks) differently, a named rounding change.
+# table and reads the batch's next-state Q rows from it, so each table row
+# must equal that state's row of a batch pass. A one-row pass is not
+# covered: numpy sends a one-row product to BLAS gemv, whose rows differ
+# from gemm's in the last bits, so `select` (one state a call) keeps its
+# own pass: reading its row from the table would round the training logs'
+# `mean_q` column (and any near-tie of its greedy picks) differently, a
+# named rounding change.
 @pytest.mark.parametrize("hidden", [(64, 64), (16, 16), (128,)])
 @pytest.mark.parametrize("m", [1, 2, 4])
 def test_stack_slices_equal_each_networks_own_pass(m, hidden):
@@ -628,6 +629,22 @@ def test_trace_and_gradients_match_the_reference_bit_for_bit(name, rows):
         assert gw.tobytes() == rw.tobytes() and gb.tobytes() == rb.tobytes()
     if rows == 1:  # a single 1-D input takes the conversion path
         assert nnet.forward(net, x[0]).tobytes() == y[0].tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_NETS))
+def test_backward_is_its_output_error_then_backpropagate(name):
+    # the DQN table step builds its own output error and calls backpropagate
+    dims, acts, loss = REFERENCE_NETS[name]
+    rng = np.random.default_rng(7)
+    net = nnet.build_network(dims, acts, seed=7)
+    x = rng.choice([0.0, 0.5, 1.0, -0.75], size=(32, dims[0]))
+    trace = nnet.forward_trace(net, x)
+    target = (rng.integers(0, 2, size=trace[1][-1].shape).astype(float) if loss is nnet.BCE
+              else rng.normal(size=trace[1][-1].shape))
+    whole = [(gw.copy(), gb.copy()) for gw, gb in nnet.backward(net, x, target, loss)]
+    split = nnet.backpropagate(net, trace, nnet.output_error(net, trace, target, loss))
+    for (gw, gb), (sw, sb) in zip(whole, split):
+        assert gw.tobytes() == sw.tobytes() and gb.tobytes() == sb.tobytes()
 
 
 @pytest.mark.parametrize("m", [2, 4, 8, 16])

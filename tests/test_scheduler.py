@@ -188,16 +188,11 @@ class TestDqnAgent:
         sch.ddqn_targets(agent, np.ones(3), np.zeros((3, 3)), np.zeros((3, 3)))
         assert seen_traces == seen_forwards == []
 
-    # (M, batch size): the first two pass over the (padded) feature table,
-    # the last two over [batch; next states]; each step must equal the
-    # step below, which runs the networks apart, bit for bit (at M <= 2 only
-    # for a batch size that is a multiple of 4: see the padding in observe)
-    REFERENCE_CASES = [(2, 4), (4, 32), (5, 16), (6, 32)]
-
     @staticmethod
     def reference_step(agent, ring, features, rng):
         """One gradient step as a primary trace over [batch; next states],
-        a target forward over the next states and backward on the first half."""
+        a target forward over the next states and backward on the first
+        half; returns the batch's ring positions."""
         n = agent.batch_size
         idx = sch.replay_sample(ring, n, rng)
         feats = features.take(np.concatenate((ring.states[idx], ring.next_states[idx])),
@@ -215,28 +210,72 @@ class TestDqnAgent:
             sch.soft_update(agent.target, agent.primary, agent.tau)
         elif agent.train_steps % agent.target_update_period == 0:
             np.copyto(agent.target.params, agent.primary.params)
+        return idx
 
-    @pytest.mark.parametrize("m,batch", REFERENCE_CASES)
-    @pytest.mark.parametrize("variant", sch.DQN_VARIANTS)
-    def test_observe_equals_separate_passes_bit_for_bit(self, variant, m, batch):
+    @classmethod
+    def lockstep(cls, variant, m, batch, after_step):
+        """Feed one agent's observe and a twin's replay ring the same
+        transitions, 61 gradient steps over a wrapping ring, stepping the
+        twin by reference_step; after_step(agent, twin, idx) follows each."""
         kwargs = dict(num_subchannels=m, variant=variant, batch_size=batch, seed=m,
                       replay_capacity=batch + 24, target_update_period=7, tau=0.3)
         agent, ref = sch.DqnAgent(**kwargs), sch.DqnAgent(**kwargs)
         ring, features = sch.ReplayRing(ref.replay_capacity), sch.feature_table(m)
         rng, ref_rng = derive_rng(m, 1), derive_rng(m, 1)
         codes = np.random.default_rng(m).integers(0, 2 ** m + 1, size=(batch + 60, 2))
-        for si, sj in codes.tolist():  # 61 gradient steps; the ring wraps
+        for si, sj in codes.tolist():
             a, r = sj % (m + 1), (si - sj) / 7.0
             agent.observe(si, a, r, sj, rng)
             sch.replay_push(ring, si, a, r, sj)
             if len(ring) >= batch:
-                self.reference_step(ref, ring, features, ref_rng)
+                after_step(agent, ref, cls.reference_step(ref, ring, features, ref_rng))
         assert agent.replay.insertions > agent.replay.capacity
         assert agent.train_steps == ref.train_steps == 61
+        return agent, ref
+
+    # (M, batch size) with a padded feature table of more rows than [batch;
+    # next states] (M >= 6 at the default batch of 32): observe makes the
+    # same two passes and backward as reference_step, so it must equal it
+    # bit for bit
+    @pytest.mark.parametrize("m,batch", [(5, 16), (6, 32)])
+    @pytest.mark.parametrize("variant", sch.DQN_VARIANTS)
+    def test_observe_equals_separate_passes_bit_for_bit(self, variant, m, batch):
+        agent, ref = self.lockstep(variant, m, batch, lambda *_: None)
         assert agent.primary.params.tobytes() == ref.primary.params.tobytes()
         assert agent.target.params.tobytes() == ref.target.params.tobytes()
         assert [v.tobytes() for v in agent.optimizer.slots] == [
             v.tobytes() for v in ref.optimizer.slots]
+
+    # the largest gradient difference allowed between the table step and the
+    # batch-row step from the same parameters, relative to the largest
+    # gradient entry: both sum the same terms, in another order (the cases
+    # below differ by at most 6.5e-16)
+    GRADIENT_RTOL = 1e-14
+
+    # (M, batch size) whose padded feature table fits in [batch; next
+    # states]: observe backpropagates once over the table, with each
+    # (state, action) error summed over the batch; in exact arithmetic that
+    # is reference_step's gradient over the batch's rows
+    @pytest.mark.parametrize("m,batch", [(1, 4), (2, 4), (4, 32)])
+    @pytest.mark.parametrize("variant", sch.DQN_VARIANTS)
+    def test_table_step_equals_separate_passes_in_exact_arithmetic(self, variant, m, batch):
+        gaps, repeats = [], []
+
+        def compare(agent, ref, idx):
+            got, want = agent.primary.gradient()[0], ref.primary.gradient()[0]
+            gaps.append(np.abs(got - want).max() / np.abs(want).max())
+            ring = agent.replay
+            pairs = set(zip(ring.states[idx].tolist(), ring.actions[idx].tolist()))
+            repeats.append(len(pairs) < batch)
+            # the next step starts both from the agent's parameters
+            for mine, theirs in [(ref.primary.params, agent.primary.params),
+                                 (ref.target.params, agent.target.params),
+                                 *zip(ref.optimizer.slots, agent.optimizer.slots)]:
+                np.copyto(mine, theirs)
+
+        self.lockstep(variant, m, batch, compare)
+        assert any(repeats)  # batches that take some (state, action) twice
+        assert max(gaps) <= self.GRADIENT_RTOL
 
 
 class TestSoftUpdate:
