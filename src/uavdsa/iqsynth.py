@@ -368,12 +368,13 @@ def load_dataset(path: str) -> Dataset:
             dtype = _record_dtype(n)  # NumPy refuses records past its size limits
         except ValueError as exc:
             raise ValueError(f"{path}: header has M={m}, N={n}: {exc}") from None
-        size = os.fstat(f.fileno()).st_size - f.tell()
-        records = np.empty(-(-size // dtype.itemsize), dtype)  # a partial record fits too
-        count, partial = divmod(f.readinto(records), dtype.itemsize)
-    if partial:
-        raise ValueError(f"{path}: truncated record {count}: "
-                         f"{partial} of {dtype.itemsize} bytes")
+        # refused before sizing the buffer: a header's N can make a record huge
+        count, partial = divmod(os.fstat(f.fileno()).st_size - f.tell(), dtype.itemsize)
+        if partial:
+            raise ValueError(f"{path}: truncated record {count}: "
+                             f"{partial} of {dtype.itemsize} bytes")
+        records = np.empty(count, dtype)
+        count = f.readinto(records) // dtype.itemsize
     records, sinr_db = records[:count], records["sinr_db"][:count].astype(float)
     hits = records["sinr_db"][:, None] == grid32  # (count, grid_len)
     strata = hits @ np.arange(len(grid))  # each record's grid index, once it has one

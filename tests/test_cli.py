@@ -3,6 +3,7 @@ import json
 import os
 
 import struct
+import tracemalloc
 
 import pytest
 
@@ -538,11 +539,13 @@ def test_malformed_checkpoints_are_config_errors(use, write, problem, tmp_path, 
     (_packed("<I", 12, 2), "header has M=4, N=2: subcarriers_per_subchannel: must be >= 1"),
     (lambda data: _packed("<I", 12, 2 ** 30)(_packed("<I", 8, 1)(data)),
      "header has M=1, N=1073741824: "),
+    (lambda data: _packed("<I", 12, 2 ** 27)(_packed("<I", 8, 1)(data)),
+     "truncated record 0: 12480 of 1073741832 bytes"),
     (_packed("<I", 48, 16), "record 0: label mask has bits at or above M=4"),
     (_packed("<f", 52, 3.5), "record 0: SINR is not a grid value"),
     (_packed("<f", 48 + 7 * 520 + 4, -10.0), "record 7: SINR -10 dB outside its stratum"),
 ], ids=["version", "truncated-record", "truncated-header", "magic", "header-m",
-        "header-n", "header-n-below-m", "header-record-size", "record-mask", "record-sinr", "record-stratum"])
+        "header-n", "header-n-below-m", "header-record-size", "huge-record", "record-mask", "record-sinr", "record-stratum"])
 def test_malformed_dataset_is_a_config_error(defect, problem, tmp_path, capsys):
     out = tmp_path / "run"
     cfg = write_config(tmp_path, dataset={"fft_size": 64, "count_per_sinr": 6},
@@ -551,7 +554,12 @@ def test_malformed_dataset_is_a_config_error(defect, problem, tmp_path, capsys):
     data = out / "dataset.iq"
     data.write_bytes(bytes(defect(bytearray(data.read_bytes()))))
     capsys.readouterr()
-    assert cli_dispatch(["train-sensor", "--config", cfg, "--out", str(out)]) == 1
+    tracemalloc.start()
+    try:  # refused before a buffer is sized from the header (1 GiB for huge-record)
+        assert cli_dispatch(["train-sensor", "--config", cfg, "--out", str(out)]) == 1
+        assert tracemalloc.get_traced_memory()[1] < 16 << 20
+    finally:
+        tracemalloc.stop()
     assert capsys.readouterr().err.startswith(f"--data: {data}: {problem}")
     assert not (out / "sensor.ckpt").exists()
 
