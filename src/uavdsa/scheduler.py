@@ -328,7 +328,7 @@ class DqnAgent(DqnSpec):
             error = q[rows, actions] - y
             error *= 2.0
             error /= n * q.shape[1]
-            delta = q - q  # zero, or NaN where a Q value is not finite, as in y - t
+            delta = q - q  # 0, or NaN where a Q value is not finite: that stops the step
             np.add.at(delta, (rows, actions), error)
             nnet.backpropagate(self.primary, ([z[0] for z in pre],
                                               [features, *(a[0] for a in post[1:])]), delta)

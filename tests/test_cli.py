@@ -508,7 +508,8 @@ MALFORMED_CHECKPOINTS = [
     "agent-version", "agent-gamma", "agent-tau", "agent-learning-rate",
     "agent-learning-rate-nan", "agent-learning-rate-inf", "agent-epsilon0-nan",
     "agent-epsilon0", "agent-epsilon-min", "agent-epsilon-decay", "agent-epsilon-floor",
-    "agent-output-width", "agent-output-activation", "agent-input-width", "agent-magic", "agent-variant-code",
+    "agent-output-width", "agent-output-activation", "agent-input-width", "agent-magic",
+    "agent-variant-code",
     "qtable-version", "qtable-m-limit", "qtable-alpha", "qtable-alpha-power",
     "qtable-alpha-power-nan", "qtable-truncated", "qtable-trailing", "network-version",
     "network-no-layers", "network-non-finite", "network-truncated-header",
@@ -545,7 +546,8 @@ def test_malformed_checkpoints_are_config_errors(use, write, problem, tmp_path, 
     (_packed("<f", 52, 3.5), "record 0: SINR is not a grid value"),
     (_packed("<f", 48 + 7 * 520 + 4, -10.0), "record 7: SINR -10 dB outside its stratum"),
 ], ids=["version", "truncated-record", "truncated-header", "magic", "header-m",
-        "header-n", "header-n-below-m", "header-record-size", "huge-record", "record-mask", "record-sinr", "record-stratum"])
+        "header-n", "header-n-below-m", "header-record-size", "huge-record", "record-mask",
+        "record-sinr", "record-stratum"])
 def test_malformed_dataset_is_a_config_error(defect, problem, tmp_path, capsys):
     out = tmp_path / "run"
     cfg = write_config(tmp_path, dataset={"fft_size": 64, "count_per_sinr": 6},

@@ -248,8 +248,8 @@ class TestDqnAgent:
 
     # the largest gradient difference allowed between the table step and the
     # batch-row step from the same parameters, relative to the largest
-    # gradient entry: both sum the same terms, in another order (the cases
-    # below differ by at most 6.5e-16)
+    # gradient entry: both sum the same float64 terms in another order, so
+    # 45 machine epsilons (the cases below differ by at most 3 of them)
     GRADIENT_RTOL = 1e-14
 
     # (M, batch size) whose padded feature table fits in [batch; next
