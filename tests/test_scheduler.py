@@ -204,6 +204,36 @@ class TestDqnAgent:
         target_mat[np.arange(n), ring.actions[idx]] = y
         nnet.backward(agent.primary, feats[:n], target_mat, nnet.MSE,
                       ([z[:n] for z in pre], [a[:n] for a in post]))
+        return TestDqnAgent.finish_step(agent, idx)
+
+    @staticmethod
+    def padded(features):
+        """The feature table zero-padded to a multiple of 4 rows."""
+        return np.pad(features, ((0, -len(features) % 4), (0, 0)))
+
+    @staticmethod
+    def table_reference_step(agent, ring, features, rng):
+        """One gradient step as a primary trace and a target forward, each
+        on its own, over the padded feature table, each transition's MSE
+        error 2 (q - y) / (n (M + 1)) added in batch order at its (state,
+        action) of a zero error matrix, and one backpropagation over the
+        table; returns the batch's ring positions."""
+        n = agent.batch_size
+        idx = sch.replay_sample(ring, n, rng)
+        table = TestDqnAgent.padded(features)
+        pre, post = nnet.forward_trace(agent.primary, table)
+        q, next_rows = post[-1], ring.next_states[idx]
+        y = sch.ddqn_targets(agent, ring.rewards[idx],
+                             nnet.forward(agent.target, table)[next_rows], q[next_rows])
+        delta = np.zeros_like(q)
+        for s, a, t in zip(ring.states[idx].tolist(), ring.actions[idx].tolist(), y.tolist()):
+            delta[s, a] += (q[s, a] - t) * 2.0 / (n * q.shape[1])
+        nnet.backpropagate(agent.primary, (pre, post), delta)
+        return TestDqnAgent.finish_step(agent, idx)
+
+    @staticmethod
+    def finish_step(agent, idx):
+        """The Adam step and target update after a reference gradient."""
         nnet.optimizer_step(agent.primary, agent.optimizer)
         agent.train_steps += 1
         if agent.variant == "ddqn-soft":
@@ -213,10 +243,12 @@ class TestDqnAgent:
         return idx
 
     @classmethod
-    def lockstep(cls, variant, m, batch, after_step):
+    def lockstep(cls, variant, m, batch, after_step, reference=None):
         """Feed one agent's observe and a twin's replay ring the same
         transitions, 61 gradient steps over a wrapping ring, stepping the
-        twin by reference_step; after_step(agent, twin, idx) follows each."""
+        twin by `reference` (reference_step if None); after_step(agent,
+        twin, idx) follows each."""
+        reference = cls.reference_step if reference is None else reference
         kwargs = dict(num_subchannels=m, variant=variant, batch_size=batch, seed=m,
                       replay_capacity=batch + 24, target_update_period=7, tau=0.3)
         agent, ref = sch.DqnAgent(**kwargs), sch.DqnAgent(**kwargs)
@@ -228,19 +260,24 @@ class TestDqnAgent:
             agent.observe(si, a, r, sj, rng)
             sch.replay_push(ring, si, a, r, sj)
             if len(ring) >= batch:
-                after_step(agent, ref, cls.reference_step(ref, ring, features, ref_rng))
+                after_step(agent, ref, reference(ref, ring, features, ref_rng))
         assert agent.replay.insertions > agent.replay.capacity
         assert agent.train_steps == ref.train_steps == 61
         return agent, ref
 
-    # (M, batch size) with a padded feature table of more rows than [batch;
-    # next states] (M >= 6 at the default batch of 32): observe makes the
-    # same two passes and backward as reference_step, so it must equal it
-    # bit for bit
-    @pytest.mark.parametrize("m,batch", [(5, 16), (6, 32)])
+    # (M, batch size): the first two have a padded feature table that fits
+    # in [batch; next states], where observe runs both networks as one stack
+    # over the table and must equal table_reference_step, which runs them
+    # apart; the last two have a larger table (M >= 6 at the default batch
+    # of 32), where observe makes the same two passes and backward as
+    # reference_step. Either way the step must match bit for bit
+    @pytest.mark.parametrize("m,batch", [(2, 4), (4, 32), (5, 16), (6, 32)])
     @pytest.mark.parametrize("variant", sch.DQN_VARIANTS)
     def test_observe_equals_separate_passes_bit_for_bit(self, variant, m, batch):
-        agent, ref = self.lockstep(variant, m, batch, lambda *_: None)
+        fits = len(self.padded(sch.feature_table(m))) <= 2 * batch
+        assert fits == (m <= 4)
+        agent, ref = self.lockstep(variant, m, batch, lambda *_: None,
+                                   self.table_reference_step if fits else None)
         assert agent.primary.params.tobytes() == ref.primary.params.tobytes()
         assert agent.target.params.tobytes() == ref.target.params.tobytes()
         assert [v.tobytes() for v in agent.optimizer.slots] == [
