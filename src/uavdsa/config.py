@@ -14,7 +14,10 @@ then makes the checks that span fields. It is the one place a configured
 value is checked, each refusal under its key: the dataclasses it builds do
 not check their fields again, except SynthConfig, which a dataset header
 also builds (its refusals read dataset.<field>). A loaded checkpoint's
-network shape wins over a configured hidden.
+network shape wins over a configured hidden. simulate never trains: its
+agent acts greedily (epsilon 0), so the learner settings (gamma, the
+epsilon schedule, replay, target updates, learning_rate) cannot change
+its output.
 
 Schema (defaults first in parentheses):
 

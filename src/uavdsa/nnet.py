@@ -1,6 +1,8 @@
 """Dense feedforward network kernel with manual backpropagation.
 
-Shared by the sensing classifier and the Q-network family. A network's
+Shared by the sensing classifier and the Q-network family. `backward` is
+the classifier's gradient, binary cross-entropy on a sigmoid output layer;
+the DQN step builds its own error and calls `backpropagate`. A network's
 dtype is its layers' dtype: inputs, targets, gradients and Adam's moments
 follow it, and losses are computed in float64. The classifier is float32,
 the precision of its captures and checkpoints; the Q-networks are float64.
@@ -49,7 +51,7 @@ class Network:
     `params` holds every layer's weights then biases, layer by layer; each
     Layer's `w` and `b` are views into it, so per-layer and whole-network
     updates see the same numbers. The gradient buffer has the same layout
-    and is allocated by the first `backward`.
+    and is allocated by the first `backpropagate`.
     """
 
     layers: list[Layer]
@@ -127,22 +129,6 @@ class NetworkStack:
         return self.nets[0].input_dim
 
 
-@dataclass(frozen=True)
-class LossSpec:
-    """kind in {"mse", "bce"}: mean squared error, or binary cross-entropy
-    on a sigmoid output layer."""
-
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in ("mse", "bce"):
-            raise ValueError(f"unknown loss {self.kind!r}")
-
-
-MSE = LossSpec("mse")
-BCE = LossSpec("bce")
-
-
 def build_network(dims: list[int], activations: list[str], seed: int,
                   dtype=np.float64) -> Network:
     """Seeded initialization: He-scaled normals for ReLU layers, Xavier-style
@@ -209,43 +195,27 @@ def forward(net: Network, x: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
-def output_loss(y: np.ndarray, t: np.ndarray, loss: LossSpec) -> float:
-    """Mean loss of outputs y against targets t of their shape, in float64
-    (so that 1 - 1e-12, the bce clip, is not 1)."""
+def output_loss(y: np.ndarray, t: np.ndarray) -> float:
+    """Mean binary cross-entropy of sigmoid outputs y against targets t of
+    their shape, in float64 (so that 1 - 1e-12, the clip, is not 1)."""
     y, t = np.asarray(y, dtype=float), np.asarray(t, dtype=float)
-    e = y - t
-    if loss.kind == "mse":
-        return float(np.mean(e ** 2))
     y_c = np.clip(y, 1e-12, 1.0 - 1e-12)
     return float(np.mean(-t * np.log(y_c) - (1.0 - t) * np.log1p(-y_c)))
 
 
-def backward(net: Network, x: np.ndarray, target: np.ndarray, loss: LossSpec,
-             trace=None):
-    """Exact gradients (dW, db) of the loss for every layer, means over the
-    batch as in output_loss: `output_error`, then `backpropagate`. `trace`
-    is forward_trace(net, x) when the caller already holds it."""
+def backward(net: Network, x: np.ndarray, target: np.ndarray, trace=None):
+    """Exact gradients (dW, db) of output_loss for every layer of a network
+    with a sigmoid output layer, means over the batch: sigmoid and cross-
+    entropy cancel to the output error (y - t) / size, which `backpropagate`
+    carries down. `trace` is forward_trace(net, x) if the caller holds it."""
     trace = forward_trace(net, x) if trace is None else trace
-    return backpropagate(net, trace, output_error(net, trace, target, loss))
-
-
-def output_error(net: Network, trace, target: np.ndarray, loss: LossSpec) -> np.ndarray:
-    """The loss's gradient at the output layer's pre-activations, a mean
-    over every output of the trace, as a new array."""
-    pre, post = trace
     t = _rows(target, net.params.dtype)
-    y = post[-1]
+    y = trace[1][-1]
     if y.shape != t.shape:
         raise ValueError(f"target shape {t.shape} != output shape {y.shape}")
-    last = net.layers[-1]
-    if loss.kind == "bce":
-        if last.activation != "sigmoid":
-            raise ValueError("bce expects a sigmoid output layer")
-        return (y - t) / y.size  # sigmoid+bce cancellation, exact
-    delta = y - t  # then 2.0 * (y - t) / y.size, in that order
-    delta *= 2.0
-    delta /= y.size
-    return _times_activation_grad(delta, pre[-1], last.activation)
+    if net.layers[-1].activation != "sigmoid":
+        raise ValueError("backward expects a sigmoid output layer")
+    return backpropagate(net, trace, (y - t) / y.size)
 
 
 def backpropagate(net: Network, trace, delta: np.ndarray):
@@ -295,7 +265,7 @@ class OptimizerState:
 
 def optimizer_step(net: Network, state: OptimizerState):
     """In-place Adam update from the network's gradient buffer (what the
-    last `backward` wrote), one block at a time, so the 12 passes over a
+    last `backpropagate` wrote), one block at a time, so the 12 passes over a
     block run while it is in cache; returns (net, state) for chaining.
 
     The bias corrections are folded into two scalars (Kingma & Ba 2015,

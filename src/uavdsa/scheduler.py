@@ -18,7 +18,6 @@ of slots at a time.
 import csv
 import math
 import struct
-import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -253,6 +252,10 @@ class DqnAgent(DqnSpec):
     parameters into the rows of one (2, P) buffer, so a network assigned
     to `primary` or `target` after that is not in it, just as it is not in
     the Adam blocks that the first gradient step builds over the primary's.
+
+    A gradient step runs the stack once: over the padded feature table
+    (rows by state code) when it has at most 2n rows, else over the batch's
+    states and next states (M >= 6 at the default batch of 32).
     """
 
     num_subchannels: int
@@ -315,33 +318,26 @@ class DqnAgent(DqnSpec):
         idx = replay_sample(ring, n, rng)
         rows, actions, next_rows = ring.states[idx], ring.actions[idx], ring.next_states[idx]
         features = self.inputs()
-        if len(features) <= 2 * n:
-            # one pass of both networks (stack row 0 the primary, 1 the
-            # target) over the feature table, each row computed independently,
-            # bit for bit, and one backpropagation over the primary's part:
-            # only a taken action's Q has an error, the batch's MSE error
-            # 2 (q - y) / (n (M + 1)), summed per (state, action)
-            pre, post = nnet.forward_trace(self.networks, features)
-            q_next = post[-1].take(next_rows, axis=1)
-            y = ddqn_targets(self, ring.rewards[idx], q_next[1], q_next[0])
-            q = post[-1][0]
-            error = q[rows, actions] - y
-            error *= 2.0
-            error /= n * q.shape[1]
-            delta = q - q  # 0, or NaN where a Q value is not finite: that stops the step
-            np.add.at(delta, (rows, actions), error)
-            nnet.backpropagate(self.primary, ([z[0] for z in pre],
-                                              [features, *(a[0] for a in post[1:])]), delta)
-        else:  # the table outgrows [batch; next states]: pass over those rows,
-            # the primary over all of them and the target over the next states
-            x = features.take(np.concatenate((rows, next_rows)), axis=0)
-            pre, post = nnet.forward_trace(self.primary, x)
-            y = ddqn_targets(self, ring.rewards[idx], nnet.forward(self.target, x[n:]),
-                             post[-1][n:])
-            target_mat = post[-1][:n].copy()
-            target_mat[np.arange(n), actions] = y
-            nnet.backward(self.primary, x[:n], target_mat, nnet.MSE,
-                          ([z[:n] for z in pre], [a[:n] for a in post]))
+        if len(features) <= 2 * n:  # pass over the padded table, rows by state code
+            x, live = features, len(features)
+        else:  # the table outgrows [batch; next states]: pass over those rows
+            x, live = features.take(np.concatenate((rows, next_rows)), axis=0), n
+            rows, next_rows = np.arange(n), np.arange(n, 2 * n)
+        # both networks in one pass (stack row 0 the primary, 1 the target),
+        # rows computed independently, bit for bit; only a taken action's Q
+        # has an error, the batch's MSE error 2 (q - y) / (n (M + 1)), summed
+        # per (row, action) and backpropagated over the primary's live rows
+        pre, post = nnet.forward_trace(self.networks, x)
+        q_next = post[-1].take(next_rows, axis=1)
+        y = ddqn_targets(self, ring.rewards[idx], q_next[1], q_next[0])
+        q = post[-1][0, :live]
+        error = q[rows, actions] - y
+        error *= 2.0
+        error /= n * q.shape[1]
+        delta = q - q  # 0, or NaN where a Q value is not finite: that stops the step
+        np.add.at(delta, (rows, actions), error)
+        nnet.backpropagate(self.primary, ([z[0, :live] for z in pre],
+                                          [x[:live], *(a[0, :live] for a in post[1:])]), delta)
         nnet.optimizer_step(self.primary, self.optimizer)
         self.train_steps += 1
         if self.variant == "ddqn-soft":
@@ -419,7 +415,7 @@ TRAINING_COLUMNS = ("episode", "cumulative_utility", "collisions", "epsilon",
 def train_agent(agent, env: SchedulingEnv, episodes: int, slots_per_episode: int,
                 seed: int) -> list[tuple]:
     """Run the slot loop of the allocation MDP and return per-episode rows
-    matching TRAINING_COLUMNS. Reproducible per seed."""
+    of TRAINING_COLUMNS but the last, wall_ms. Reproducible per seed."""
     num_subchannels, num_uavs = len(env.matrices), len(env.reward_table)
     rewards = env.reward_table.tolist()
     valid_of = {}  # each state code's valid actions, filled as codes occur
@@ -428,7 +424,6 @@ def train_agent(agent, env: SchedulingEnv, episodes: int, slots_per_episode: int
     log = []
     for episode in range(episodes):
         epsilon = agent.epsilon_at(episode, episodes)
-        t0 = time.perf_counter()
         # walk[t + 1] is slot t's occupancy and codes[t] its code; slot t
         # plays from slot t - 1's state (INITIAL before the first), so
         # walk[0], the unseen stationary start, becomes INITIAL's all-busy
@@ -459,9 +454,7 @@ def train_agent(agent, env: SchedulingEnv, episodes: int, slots_per_episode: int
             q_sum += max(q_row[a] for a in valid)
             state = code
         check_actions(chosen, walk[:-1])
-        wall_ms = (time.perf_counter() - t0) * 1e3
-        log.append((episode, cum_utility, collisions, epsilon,
-                    q_sum / slots_per_episode, wall_ms))
+        log.append((episode, cum_utility, collisions, epsilon, q_sum / slots_per_episode))
     return log
 
 
@@ -522,10 +515,9 @@ def block_actions(agent, states: np.ndarray, requests: np.ndarray,
 def write_training_csv(path: str, rows) -> None:
     """Persist a training log.
 
-    The wall_ms column is zeroed on disk so that identical (config, seed)
-    runs produce byte-identical files; measured timings stay in the
-    in-memory rows, and the CLI reports only the total training time on
-    stderr.
+    The wall_ms column is written as 0, so that identical (config, seed)
+    runs produce byte-identical files; the CLI reports only the total
+    training time, on stderr.
     """
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)

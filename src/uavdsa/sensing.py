@@ -213,9 +213,9 @@ def train_classifier(dataset: Dataset, spec: SensingSpec, seed: int) -> SensingM
             x = feature_vector(dataset.samples[train_idx[batch]], m_chan, "iq") if iq else feats[batch]
             t = labels[batch]
             trace = nnet.forward_trace(net, x)
-            nnet.backward(net, x, t, nnet.BCE, trace)
+            nnet.backward(net, x, t, trace)
             nnet.optimizer_step(net, opt)
-            losses.append(nnet.output_loss(trace[1][-1], t, nnet.BCE))
+            losses.append(nnet.output_loss(trace[1][-1], t))
         curve.append(float(np.mean(losses)))
 
     return SensingModel(kind="dense-classifier", num_subchannels=m_chan,

@@ -2,7 +2,8 @@
 
 None of this runs in the package: the paper's collision indicator of one
 sub-channel, the allocation MDP's value iteration and policy utility over
-the joint occupancy chain, the finite-difference gradient check, the
+the joint occupancy chain, the mean squared error that the DQN step
+builds in place and the finite-difference gradient check, the
 bundled M = 2/4 scheduling environments, the energy detectors' exact
 report and vote laws, and a single capture as the one-label, K = 1 row of
 iqsynth.synthesize_block. tests/ is not a package, so test files import
@@ -22,6 +23,7 @@ P(vacant | busy) = F1 Poisson-binomial sums over the K UAVs.
 """
 
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -137,14 +139,60 @@ def policy_expected_utility(matrices: list[TransitionMatrix], channel_rewards,
 # Gradients
 
 
+def mse_loss(y: np.ndarray, t: np.ndarray) -> float:
+    """Mean squared error of outputs y against targets t of their shape, in
+    float64."""
+    y, t = np.asarray(y, dtype=float), np.asarray(t, dtype=float)
+    return float(np.mean((y - t) ** 2))
+
+
+def mse_error(net: nnet.Network, trace, target: np.ndarray) -> np.ndarray:
+    """mse_loss's gradient at the output layer's pre-activations, a mean
+    over every output of the trace, as a new array: y - t, then *= 2.0,
+    then /= size, the operations of 2.0 * (y - t) / size in their order
+    (the DQN step's error). The head is identity, or ReLU, whose mask it
+    applies."""
+    pre, post = trace
+    y = post[-1]
+    t = np.atleast_2d(np.asarray(target, dtype=y.dtype))
+    if y.shape != t.shape:
+        raise ValueError(f"target shape {t.shape} != output shape {y.shape}")
+    head = net.layers[-1].activation
+    if head not in ("identity", "relu"):
+        raise ValueError(f"mse_error expects an identity or relu head, not {head}")
+    delta = y - t
+    delta *= 2.0
+    delta /= y.size
+    if head == "relu":
+        delta *= pre[-1] > 0.0
+    return delta
+
+
+def mse_gradients(net: nnet.Network, x: np.ndarray, target: np.ndarray, trace=None):
+    """mse_loss's gradients (dW, db) for every layer, as nnet.backward gives
+    the classifier's: mse_error, then nnet.backpropagate."""
+    trace = nnet.forward_trace(net, x) if trace is None else trace
+    return nnet.backpropagate(net, trace, mse_error(net, trace, target))
+
+
+class Loss(NamedTuple):
+    gradients: Callable  # (net, x, target) -> per-layer (dW, db)
+    value: Callable  # (outputs, targets) -> the mean loss, in float64
+
+
+MSE = Loss(mse_gradients, mse_loss)
+BCE = Loss(nnet.backward, nnet.output_loss)  # the classifier's, on a sigmoid head
+
+
 def gradient_check(net: nnet.Network, x: np.ndarray, target: np.ndarray,
-                   loss: nnet.LossSpec, eps: float = 1e-3) -> float:
-    """Worst relative discrepancy between backward() and central differences.
+                   loss: Loss, eps: float = 1e-3) -> float:
+    """Worst relative discrepancy between the loss's gradients and central
+    differences.
 
     Gradient pairs that are both below 1e-7 in magnitude count as matching
     (dead ReLU paths are exactly zero on both sides).
     """
-    grads = nnet.backward(net, x, target, loss)
+    grads = loss.gradients(net, x, target)
     t = np.atleast_2d(np.asarray(target, dtype=float))
     worst = 0.0
     for layer, (gw, gb) in zip(net.layers, grads):
@@ -154,9 +202,9 @@ def gradient_check(net: nnet.Network, x: np.ndarray, target: np.ndarray,
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + eps
-                up = nnet.output_loss(np.atleast_2d(nnet.forward(net, x)), t, loss)
+                up = loss.value(np.atleast_2d(nnet.forward(net, x)), t)
                 flat[i] = orig - eps
-                down = nnet.output_loss(np.atleast_2d(nnet.forward(net, x)), t, loss)
+                down = loss.value(np.atleast_2d(nnet.forward(net, x)), t)
                 flat[i] = orig
                 fd = (up - down) / (2.0 * eps)
                 denom = max(abs(gflat[i]), abs(fd))

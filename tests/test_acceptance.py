@@ -190,7 +190,7 @@ def test_criterion_4_gradient_correctness():
         if any(np.abs(p).min() < 1e-2 for p in pre[:-1]):
             continue
         target = rng.normal(size=dims[-1])
-        worst = max(worst, exact.gradient_check(net, x, target, nnet.MSE, eps=1e-3))
+        worst = max(worst, exact.gradient_check(net, x, target, exact.MSE, eps=1e-3))
         nets_checked += 1
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-4

@@ -926,3 +926,21 @@ def test_train_agent_runs_a_dqn_whose_feature_table_outgrows_the_batch(tmp_path)
         assert [row["episode"] for row in csv.DictReader(f)] == ["0", "1"]
     agent = load_agent(str(out / "agent_dqn_1uav.ckpt"))
     assert agent.num_subchannels == 6 and agent.primary.output_dim == 7
+
+
+def test_simulate_output_does_not_depend_on_learner_settings(tmp_path):
+    # simulate never trains: its agent acts greedily, so gamma, the
+    # learning rate and the epsilon schedule cannot move an output byte
+    ckpt = tmp_path / "agent.ckpt"
+    save_agent(DqnAgent(num_subchannels=4, variant="ddqn", hidden=(8,), seed=3), str(ckpt))
+    outputs = []
+    for gamma, rate, eps0 in [(0.9, 1e-3, 1.0), (0.1, 0.5, 0.3)]:
+        cfg = write_config(tmp_path, radio={"num_subchannels": 4, "num_uavs": 2},
+                           sensing={"kind": "perfect"}, episodes=2,
+                           agent={"variant": "ddqn", "uavs": 2, "checkpoint": str(ckpt),
+                                  "gamma": gamma, "learning_rate": rate,
+                                  "epsilon0": eps0, "epsilon_min": 0.05})
+        out = tmp_path / f"run{len(outputs)}"
+        assert cli_dispatch(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        outputs.append([(out / name).read_bytes() for name in ("report.json", "ledgers.csv")])
+    assert json.loads(outputs[0][0])["transmissions"] > 0 and outputs[0] == outputs[1]

@@ -127,15 +127,15 @@ class TestBackward:
     def test_zero_gradient_at_perfect_fit(self):
         net = linear_net(2.0, 1.0)
         x, y = np.array([3.0]), np.array([7.0])  # 2*3+1 = 7
-        grads = nnet.backward(net, x, y, nnet.MSE)
-        assert nnet.output_loss(nnet.forward(net, x), y, nnet.MSE) == 0.0
+        grads = exact.mse_gradients(net, x, y)
+        assert exact.mse_loss(nnet.forward(net, x), y) == 0.0
         assert np.allclose(grads[0][0], 0.0) and np.allclose(grads[0][1], 0.0)
 
     def test_single_linear_neuron_closed_form(self):
         # dL/dw = 2(wx+b-y)x, dL/db = 2(wx+b-y)
         net = linear_net(0.7, 0.1)
         x, y = np.array([2.0]), np.array([0.5])
-        grads = nnet.backward(net, x, y, nnet.MSE)
+        grads = exact.mse_gradients(net, x, y)
         err = 0.7 * 2.0 + 0.1 - 0.5
         assert grads[0][0][0, 0] == pytest.approx(2 * err * 2.0)
         assert grads[0][1][0] == pytest.approx(2 * err)
@@ -145,15 +145,15 @@ class TestBackward:
         net = nnet.build_network([4, 8, 3], ["relu", "identity"], seed=5)
         x = rng.normal(size=4)
         y = rng.normal(size=3)
-        assert exact.gradient_check(net, x, y, nnet.MSE, eps=1e-3) <= 1e-4
+        assert exact.gradient_check(net, x, y, exact.MSE, eps=1e-3) <= 1e-4
 
     def test_batch_gradient_is_mean_of_singles(self):
         net = nnet.build_network([2, 4, 2], ["relu", "sigmoid"], seed=3)
         xs = np.random.default_rng(6).normal(size=(3, 2))
         ys = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         # backward reuses one gradient buffer per network, so keep copies
-        batch_w = [gw.copy() for gw, _ in nnet.backward(net, xs, ys, nnet.BCE)]
-        singles = [[gw.copy() for gw, _ in nnet.backward(net, x, y, nnet.BCE)]
+        batch_w = [gw.copy() for gw, _ in nnet.backward(net, xs, ys)]
+        singles = [[gw.copy() for gw, _ in nnet.backward(net, x, y)]
                    for x, y in zip(xs, ys)]
         for li in range(2):
             mean_w = np.mean([g[li] for g in singles], axis=0)
@@ -163,7 +163,7 @@ class TestBackward:
         net = linear_net(1e200, 0.0)
         with np.errstate(over="ignore"), \
                 pytest.raises(nnet.NonFiniteLossError, match="layer"):
-            nnet.backward(net, np.array([1e200]), np.array([0.0]), nnet.MSE)
+            exact.mse_gradients(net, np.array([1e200]), np.array([0.0]))
 
     # (1e-300, 1e308): the output error is finite and overflows only below
     # layer 1; (1e200, 1e200): the output overflows, so both layers break
@@ -173,7 +173,7 @@ class TestBackward:
                             nnet.Layer(np.array([[w1]]), np.zeros(1), "identity")])
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(nnet.NonFiniteLossError, match=f"at layer {layer}$"):
-            nnet.backward(net, np.array([1.0]), np.array([0.0]), nnet.MSE)
+            exact.mse_gradients(net, np.array([1.0]), np.array([0.0]))
 
 
 class TestOptimizers:
@@ -242,7 +242,7 @@ class TestFlatParameters:
         x = np.random.default_rng(1).normal(size=(4, 3))
         buf, _ = net.gradient()
         for _ in range(2):
-            grads = nnet.backward(net, x, np.zeros((4, 2)), nnet.MSE)
+            grads = exact.mse_gradients(net, x, np.zeros((4, 2)))
             assert all(np.shares_memory(gw, buf) and np.shares_memory(gb, buf)
                        for gw, gb in grads)
         assert net.gradient()[0] is buf
@@ -251,9 +251,9 @@ class TestFlatParameters:
         net = nnet.build_network([3, 5, 2], ["relu", "identity"], seed=2)
         rng = np.random.default_rng(2)
         x, y = rng.normal(size=(6, 3)), rng.normal(size=(6, 2))
-        grads = nnet.backward(net, x, y, nnet.MSE)
+        grads = exact.mse_gradients(net, x, y)
         fresh = [(gw.copy(), gb.copy()) for gw, gb in grads]
-        grads2 = nnet.backward(net, x, y, nnet.MSE, nnet.forward_trace(net, x))
+        grads2 = exact.mse_gradients(net, x, y, nnet.forward_trace(net, x))
         for (gw, gb), (hw, hb) in zip(fresh, grads2):
             assert np.array_equal(gw, hw) and np.array_equal(gb, hb)
 
@@ -267,7 +267,7 @@ class TestFlatParameters:
         rng = np.random.default_rng(3)
         for _ in range(5):
             x, y = rng.normal(size=(8, 4)), rng.normal(size=(8, 3))
-            grads = nnet.backward(net, x, y, nnet.MSE)
+            grads = exact.mse_gradients(net, x, y)
             reference_step(ref, [(gw.copy(), gb.copy()) for gw, gb in grads],
                            ref_state, ref_slots)
             nnet.optimizer_step(net, state)
@@ -289,7 +289,7 @@ class TestFlatParameters:
         rng = np.random.default_rng(4)
         for _ in range(6):
             x, y = rng.normal(size=(8, 600)), rng.normal(size=(8, 4))
-            grads = nnet.backward(net, x, y, nnet.MSE)
+            grads = exact.mse_gradients(net, x, y)
             reference_step(ref, [(gw.copy(), gb.copy()) for gw, gb in grads],
                            ref_state, ref_slots)
             nnet.optimizer_step(net, state)
@@ -372,7 +372,7 @@ class TestGradientCheck:
         net = nnet.build_network([3, 2], ["identity"], seed=2)
         rng = np.random.default_rng(2)
         err = exact.gradient_check(net, rng.normal(size=3), rng.normal(size=2),
-                                   nnet.MSE, eps=1e-3)
+                                   exact.MSE, eps=1e-3)
         assert err <= 1e-8
 
     def test_relu_net_away_from_kinks(self):
@@ -384,20 +384,20 @@ class TestGradientCheck:
             pre, _ = nnet.forward_trace(net, x)
             if min(np.abs(pre[0]).min(), np.abs(pre[1]).min()) < 1e-2:
                 continue  # resample configs near a kink
-            assert exact.gradient_check(net, x, rng.normal(size=2), nnet.MSE,
+            assert exact.gradient_check(net, x, rng.normal(size=2), exact.MSE,
                                         eps=1e-3) <= 1e-4
 
     def test_planted_sign_flip_is_detected(self):
         # a sign-flipped analytic gradient sits ~2 relative error from the slope
         net = linear_net(0.7, 0.1)
         x, y = np.array([2.0]), np.array([0.5])
-        grads = nnet.backward(net, x, y, nnet.MSE)
+        grads = exact.mse_gradients(net, x, y)
         g = grads[0][0][0, 0]
         eps = 1e-4
         net.layers[0].w[0, 0] += eps
-        up = nnet.output_loss(nnet.forward(net, x), y, nnet.MSE)
+        up = exact.mse_loss(nnet.forward(net, x), y)
         net.layers[0].w[0, 0] -= 2 * eps
-        down = nnet.output_loss(nnet.forward(net, x), y, nnet.MSE)
+        down = exact.mse_loss(nnet.forward(net, x), y)
         net.layers[0].w[0, 0] += eps
         fd = (up - down) / (2 * eps)
         flipped_err = abs(-g - fd) / max(abs(g), abs(fd))
@@ -452,8 +452,8 @@ class TestDtypes:
             warnings.simplefilter("error")
             x, t = [[-100.0], [100.0]], [[1.0, 0.0], [0.0, 1.0]]
             y = nnet.forward(net, x)
-            loss = nnet.output_loss(nnet.forward(net, x), t, nnet.BCE)
-            grads = nnet.backward(net, x, t, nnet.BCE)
+            loss = nnet.output_loss(nnet.forward(net, x), t)
+            grads = nnet.backward(net, x, t)
         assert y.dtype == np.float32 and y.tolist() == [[0.0, 0.0], [1.0, 1.0]]
         assert math.isfinite(loss)
         assert all(np.isfinite(g).all() for pair in grads for g in pair)
@@ -507,8 +507,8 @@ class TestLearnability:
             state = nnet.OptimizerState(learning_rate=0.02)
             loss = np.inf
             for _ in range(5000):
-                nnet.backward(net, xs, ys, nnet.BCE)
-                loss = nnet.output_loss(nnet.forward(net, xs), ys, nnet.BCE)
+                nnet.backward(net, xs, ys)
+                loss = nnet.output_loss(nnet.forward(net, xs), ys)
                 if loss < 0.05:
                     break
                 nnet.optimizer_step(net, state)
@@ -518,10 +518,6 @@ class TestLearnability:
 
 
 class TestSpecs:
-    def test_loss_spec_validation(self):
-        with pytest.raises(ValueError):
-            nnet.LossSpec("nll")
-
     def test_network_rejects_mismatched_chain(self):
         with pytest.raises(ValueError):
             nnet.Network([
@@ -532,12 +528,12 @@ class TestSpecs:
     def test_bce_requires_sigmoid_head(self):
         net = nnet.build_network([2, 2], ["identity"], seed=0)
         with pytest.raises(ValueError):
-            nnet.backward(net, np.zeros(2), np.zeros(2), nnet.BCE)
+            nnet.backward(net, np.zeros(2), np.zeros(2))
 
 
-def _backward_of(dims, acts, target, loss):
+def _backward_of(dims, acts, target):
     return lambda: nnet.backward(nnet.build_network(dims, acts, seed=0),
-                                 np.zeros(dims[0]), target, loss)
+                                 np.zeros(dims[0]), target)
 
 
 # (misuse, message): each would otherwise go on silently wrong: an unknown
@@ -551,16 +547,14 @@ MISUSES = [
     (lambda: nnet.Layer(np.zeros((2, 3, 4)), np.zeros((2, 4)), "relu"),
      "inconsistent layer shapes"),
     (lambda: nnet.build_network([2, 3, 1], ["relu"], seed=0), "one activation per layer"),
-    (_backward_of([2, 3], ["identity"], np.zeros(1), nnet.MSE), "target shape"),
-    (_backward_of([2, 2], ["sigmoid"], np.zeros(2), nnet.MSE), "output of a bce loss"),
-    (_backward_of([2, 3, 2], ["sigmoid", "identity"], np.zeros(2), nnet.MSE),
-     "output of a bce loss"),
+    (_backward_of([2, 3], ["sigmoid"], np.zeros(1)), "target shape"),
+    (_backward_of([2, 3, 2], ["sigmoid", "sigmoid"], np.zeros(2)), "output of a bce loss"),
 ]
 
 
 @pytest.mark.parametrize("misuse,message", MISUSES, ids=[
     "activation", "layer-shapes", "stacked-layer-shapes", "activation-count", "target-shape",
-    "sigmoid-mse-head", "sigmoid-hidden"])
+    "sigmoid-hidden"])
 def test_misuse_is_refused(misuse, message):
     with pytest.raises(ValueError, match=message):
         misuse()
@@ -590,7 +584,7 @@ def reference_grads(net, x, target, loss):
     pre, post = reference_trace(net, x)
     t = np.atleast_2d(np.asarray(target, dtype=float))
     y = post[-1]
-    if loss.kind == "bce":
+    if loss is exact.BCE:
         delta = (y - t) / y.size
     else:
         delta = 2.0 * (y - t) / y.size * act_grad(pre[-1], net.layers[-1].activation)
@@ -604,9 +598,9 @@ def reference_grads(net, x, target, loss):
 
 
 REFERENCE_NETS = {
-    "relu-identity-mse": ([4, 64, 64, 5], ["relu", "relu", "identity"], nnet.MSE),
-    "relu-relu-mse": ([3, 16, 6], ["relu", "relu"], nnet.MSE),
-    "relu-sigmoid-bce": ([8, 32, 4], ["relu", "sigmoid"], nnet.BCE),
+    "relu-identity-mse": ([4, 64, 64, 5], ["relu", "relu", "identity"], exact.MSE),
+    "relu-relu-mse": ([3, 16, 6], ["relu", "relu"], exact.MSE),
+    "relu-sigmoid-bce": ([8, 32, 4], ["relu", "sigmoid"], exact.BCE),
 }
 
 
@@ -620,29 +614,28 @@ def test_trace_and_gradients_match_the_reference_bit_for_bit(name, rows):
     x = rng.choice([0.0, 0.5, 1.0, -0.75], size=(rows, dims[0]))
     x[0] = 0.0  # the odd first-layer units, with zero biases, sit on the ReLU kink
     y = reference_trace(net, x)[1][-1]
-    target = (rng.integers(0, 2, size=y.shape).astype(float) if loss is nnet.BCE
+    target = (rng.integers(0, 2, size=y.shape).astype(float) if loss is exact.BCE
               else np.where(rng.random(y.shape) < 0.5, y, rng.normal(size=y.shape)))
     for got, want in zip(nnet.forward_trace(net, x), reference_trace(net, x)):
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
-    grads = nnet.backward(net, x, target, loss)
+    grads = loss.gradients(net, x, target)
     for (gw, gb), (rw, rb) in zip(grads, reference_grads(net, x, target, loss)):
         assert gw.tobytes() == rw.tobytes() and gb.tobytes() == rb.tobytes()
     if rows == 1:  # a single 1-D input takes the conversion path
         assert nnet.forward(net, x[0]).tobytes() == y[0].tobytes()
 
 
-@pytest.mark.parametrize("name", sorted(REFERENCE_NETS))
+@pytest.mark.parametrize("name", ["relu-sigmoid-bce"])
 def test_backward_is_its_output_error_then_backpropagate(name):
-    # the DQN table step builds its own output error and calls backpropagate
-    dims, acts, loss = REFERENCE_NETS[name]
+    # the sigmoid and the cross-entropy cancel: the output error is (y - t) / size
+    dims, acts, _ = REFERENCE_NETS[name]
     rng = np.random.default_rng(7)
     net = nnet.build_network(dims, acts, seed=7)
     x = rng.choice([0.0, 0.5, 1.0, -0.75], size=(32, dims[0]))
     trace = nnet.forward_trace(net, x)
-    target = (rng.integers(0, 2, size=trace[1][-1].shape).astype(float) if loss is nnet.BCE
-              else rng.normal(size=trace[1][-1].shape))
-    whole = [(gw.copy(), gb.copy()) for gw, gb in nnet.backward(net, x, target, loss)]
-    split = nnet.backpropagate(net, trace, nnet.output_error(net, trace, target, loss))
+    target = rng.integers(0, 2, size=trace[1][-1].shape).astype(float)
+    whole = [(gw.copy(), gb.copy()) for gw, gb in nnet.backward(net, x, target)]
+    split = nnet.backpropagate(net, trace, (trace[1][-1] - target) / target.size)
     for (gw, gb), (sw, sb) in zip(whole, split):
         assert gw.tobytes() == sw.tobytes() and gb.tobytes() == sb.tobytes()
 
@@ -655,9 +648,9 @@ def test_backward_from_a_slice_of_a_stacked_trace_equals_its_own_trace(m):
     x = rng.choice([0.0, 0.5, 1.0], size=(64, m))
     target = rng.normal(size=(32, m + 1))
     pre, post = nnet.forward_trace(net, x)
-    sliced = [(gw.copy(), gb.copy()) for gw, gb in nnet.backward(
-        net, x[:32], target, nnet.MSE, ([z[:32] for z in pre], [a[:32] for a in post]))]
-    own = nnet.backward(net, x[:32], target, nnet.MSE)
+    sliced = [(gw.copy(), gb.copy()) for gw, gb in exact.mse_gradients(
+        net, x[:32], target, ([z[:32] for z in pre], [a[:32] for a in post]))]
+    own = exact.mse_gradients(net, x[:32], target)
     for (gw, gb), (ow, ob) in zip(sliced, own):
         assert gw.tobytes() == ow.tobytes() and gb.tobytes() == ob.tobytes()
 

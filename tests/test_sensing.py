@@ -359,9 +359,9 @@ def reference_training(dataset, spec, seed):
             batch = order[start:start + spec.batch_size]
             x, t = feats[batch], labels[batch]
             trace = nnet.forward_trace(net, x)
-            nnet.backward(net, x, t, nnet.BCE, trace)
+            nnet.backward(net, x, t, trace)
             nnet.optimizer_step(net, opt)
-            losses.append(nnet.output_loss(trace[1][-1], t, nnet.BCE))
+            losses.append(nnet.output_loss(trace[1][-1], t))
         curve.append(float(np.mean(losses)))
     return net.params, curve
 
